@@ -9,8 +9,9 @@
 //	          [-profile [-profile-top 15]]
 //	          [-log-level warn] [-log-format auto|text|json]
 //
-// With -profile the run drive and the -minimum scenario search execute
-// under the rule-engine cost profiler, and a per-rule cost table
+// With -profile the run drive (or trace replay), the explanation, the
+// greedy scenario and the -minimum scenario search execute under the
+// rule-engine cost profiler, and a per-rule cost table
 // (attempts, candidates, fires, evaluation and replay time, tuples
 // scanned, per-phase attribution) closes the report.
 package main
@@ -68,11 +69,10 @@ func main() {
 	if !spec.Program.Schema.HasPeer(p) {
 		fatal(fmt.Errorf("unknown peer %s", p))
 	}
-	// One profiler per process, so it may own the process-global condition
-	// counters; nil (flag off) keeps every hook uninstrumented.
+	// nil (flag off) keeps every hook uninstrumented. The run carries the
+	// profiler scope, so everything derived from it — views, explanations,
+	// scenario replays — counts its condition evaluations there.
 	profiler := profFlags.New()
-	restoreCond := profiler.InstallCond()
-	defer restoreCond()
 	var r *program.Run
 	if *tracePath != "" {
 		f, err := os.Open(*tracePath)
@@ -84,8 +84,14 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		r, err = tr.Replay(spec.Program)
+		// Replay the events onto a profiled run of the trace's initial
+		// instance, so the replay is attributed like a live engine drive.
+		r, err = (&trace.Trace{Workflow: tr.Workflow, Initial: tr.Initial}).Replay(spec.Program)
 		if err != nil {
+			fatal(err)
+		}
+		r.SetProfiler(profiler.Scope("engine"))
+		if err := tr.ApplyTo(r); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("run of %s: %d events (from %s)\n", spec.Name, r.Len(), *tracePath)

@@ -86,12 +86,8 @@ func main() {
 	if err := spec.Program.Schema.CheckLossless(); err != nil {
 		logger.Warn("schema is not lossless", "err", err)
 	}
-	// One profiler per process, so it may own the process-global condition
-	// counters too; nil (flag off) keeps every hook on its uninstrumented
-	// path.
+	// nil (flag off) keeps every hook on its uninstrumented path.
 	profiler := profFlags.New()
-	restoreCond := profiler.InstallCond()
-	defer restoreCond()
 	start := time.Now()
 	r, err := engine.RandomRunProfiled(spec.Program, *steps, *seed, 8, profiler.Scope("engine"))
 	if err != nil {

@@ -23,7 +23,7 @@
 //
 //	wfserve -spec workflow.wf [-addr :8080] [-guard sue=3 -guard bob=2]
 //	        [-data-dir ./data] [-fsync always|interval|never]
-//	        [-wal-strict] [-idem-window 4096] [-locked-reads]
+//	        [-wal-strict] [-idem-window 4096]
 //	        [-snapshot-every 256] [-wal-max-batch 64] [-max-inflight 256]
 //	        [-shutdown-timeout 10s]
 //	        [-declog decisions.jsonl|http://collector/v1|stdout]
@@ -102,7 +102,6 @@ func main() {
 	declogFlush := flag.Duration("declog-flush-interval", 0, "max decision-log record age before a partial batch exports (0 = 1s)")
 	declogQueue := flag.Int("declog-queue", 0, "decision-log queue capacity; full queues drop the oldest record (0 = 4096)")
 	declogRotate := flag.Int64("declog-rotate-bytes", 64<<20, "rotate the decision-log file past this size (file sink only; 0 = never)")
-	lockedReads := flag.Bool("locked-reads", false, "serve reads through each run's coordinator mutex instead of the lock-free snapshot (escape hatch)")
 	debugAddr := flag.String("debug-addr", "", "debug listener (pprof + /metrics + /debug/traces); empty = disabled")
 	traceSample := flag.String("trace-sample", "always", "trace sampling policy: always, error, slow or off")
 	traceSlow := flag.Duration("trace-slow", 100*time.Millisecond, "root-span duration threshold for -trace-sample slow")
@@ -210,10 +209,9 @@ func main() {
 			Tracer:         tracer,
 			MaxInFlight:    *maxInFlight,
 		},
-		Registry:    reg,
-		Logger:      logger,
-		Guards:      guardMap,
-		LockedReads: *lockedReads,
+		Registry: reg,
+		Logger:   logger,
+		Guards:   guardMap,
 	})
 	if err != nil {
 		fatal(err)
@@ -229,20 +227,14 @@ func main() {
 		}
 	}
 	// The rule-engine profiler attributes evaluation cost per rule across
-	// the default run's live run, guard checks and decider searches. It owns
-	// the process-global condition counters, but attribution is wired through
-	// the run's own counter sink, so sibling runs in the fleet never bleed
-	// into its tallies (request-scoped /certify?profile=1 profilers
-	// deliberately install nothing global).
+	// the default run's live run, reads, guard checks and decider searches.
+	// Every count reaches it through the default run's own sink, so sibling
+	// runs in the fleet never bleed into its tallies.
 	profiler := profFlags.New()
 	if profiler.Enabled() {
 		m.Default().SetProfiler(profiler)
-		profiler.InstallCond()
 		profiler.Instrument(reg)
 		fmt.Println("rule-engine profiler on for the default run (wf_rule_*, /debug/rules, /statusz rule_engine)")
-	}
-	if *lockedReads {
-		fmt.Println("serving reads through the coordinator mutex (-locked-reads)")
 	}
 
 	srv := &http.Server{Addr: *addr, Handler: m.Handler()}

@@ -174,14 +174,12 @@ func E18DecisionLog(quick bool) (*Table, error) {
 			fmt.Sprintf("%.2f", bestEv[mode]/bestEv["off"]), records, batches, dropped)
 	}
 	t.Notef("best paired file/off ratio: %.2f over %d paired attempts", pairRatio, attempts)
-	// Under -race the detector instruments exactly the per-record work the
-	// gate measures (the ring append's mutex and struct copy), so the floor
-	// only binds in a normal build — CI's dedicated E18 step.
-	if raceDetector {
-		t.Notef("race detector on: overhead floor not asserted")
-	} else if pairRatio < 0.95 {
-		return nil, fmt.Errorf("E18: file sink costs ≥ 5%% of submit throughput in every paired attempt (best ratio %.2f)",
-			pairRatio)
+	// The file sink must cost under 5% in at least one paired attempt. Under
+	// -race the detector instruments exactly the per-record work the gate
+	// measures (the ring append's mutex and struct copy), so it is not
+	// asserted there either.
+	if err := t.gate(quick, "best paired file/off throughput ratio", pairRatio, 0.95); err != nil {
+		return nil, err
 	}
 	t.Notef("emit is a bounded ring append on the accept path; batching, encoding and I/O happen on the flusher goroutine")
 	return t, nil

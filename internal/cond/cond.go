@@ -22,10 +22,9 @@ import (
 )
 
 // EvalCounts counts condition evaluations by kind. Conditions are shared
-// structural values with no room for a per-run hook, so counting is
-// process-global: SetCounters installs a sink atomically, and every Eval
-// pays one atomic pointer load (a plain read on the disabled path) to find
-// it. Nested conditions count each operand they visit.
+// structural values, so the sink travels as an Eval argument: each caller
+// passes the counters of the run it works for, or nil for uncounted. Nested
+// conditions count each operand they visit.
 type EvalCounts struct {
 	True, False, EqConst, EqAttr, Not, And, Or atomic.Int64
 }
@@ -36,45 +35,13 @@ func (c *EvalCounts) Total() int64 {
 		c.Not.Load() + c.And.Load() + c.Or.Load()
 }
 
-var counters atomic.Pointer[EvalCounts]
-
-// SetCounters installs c as the process-global evaluation-count sink (nil
-// disables counting) and returns the previous sink so callers can restore
-// it. SetCounters swaps unconditionally — it is for tests and single-owner
-// tools; concurrent owners (one profiler per run in a fleet process) must
-// use InstallCounters, which refuses to steal an active sink.
-func SetCounters(c *EvalCounts) *EvalCounts { return counters.Swap(c) }
-
-// InstallCounters claims the process-global sink for c: the install succeeds
-// only when no other sink is active (or c already owns it) and reports
-// whether c now owns the sink. With several profilers in one process — one
-// coordinator per run — a later install can no longer silently redirect
-// every run's counts to itself; it is refused, and per-run attribution flows
-// through the explicit EvalCount sinks the engine threads per run instead.
-func InstallCounters(c *EvalCounts) bool {
-	if c == nil {
-		return false
-	}
-	return counters.CompareAndSwap(nil, c) || counters.Load() == c
-}
-
-// UninstallCounters releases the global sink if (and only if) c owns it,
-// reporting whether it did.
-func UninstallCounters(c *EvalCounts) bool { return counters.CompareAndSwap(c, nil) }
-
 // Condition is a Boolean combination of elementary conditions over the
 // attributes of one relation.
 type Condition interface {
 	// Eval evaluates the condition on tuple t, where pos maps each
-	// attribute of the relation to its position in t. Evaluations are
-	// counted into the process-global sink (one atomic load at the root).
-	Eval(pos map[data.Attr]int, t data.Tuple) bool
-	// EvalCount is Eval with an explicit count sink: cs (nil = uncounted)
-	// receives one increment per node visited. Eval routes through it with
-	// the global sink loaded once, so the two paths always agree; callers
-	// that own a per-run sink — the rule engine under a per-coordinator
-	// profiler — pass theirs explicitly and bypass the global entirely.
-	EvalCount(pos map[data.Attr]int, t data.Tuple, cs *EvalCounts) bool
+	// attribute of the relation to its position in t. cs, when non-nil,
+	// receives one increment per node visited.
+	Eval(pos map[data.Attr]int, t data.Tuple, cs *EvalCounts) bool
 	// Attrs adds every attribute mentioned by the condition to set.
 	Attrs(set map[data.Attr]struct{})
 	// String renders the condition in the surface syntax.
@@ -111,12 +78,7 @@ type And struct{ Cs []Condition }
 type Or struct{ Cs []Condition }
 
 // Eval implements Condition.
-func (c True) Eval(pos map[data.Attr]int, t data.Tuple) bool {
-	return c.EvalCount(pos, t, counters.Load())
-}
-
-// EvalCount implements Condition.
-func (True) EvalCount(_ map[data.Attr]int, _ data.Tuple, cs *EvalCounts) bool {
+func (True) Eval(_ map[data.Attr]int, _ data.Tuple, cs *EvalCounts) bool {
 	if cs != nil {
 		cs.True.Add(1)
 	}
@@ -124,12 +86,7 @@ func (True) EvalCount(_ map[data.Attr]int, _ data.Tuple, cs *EvalCounts) bool {
 }
 
 // Eval implements Condition.
-func (c False) Eval(pos map[data.Attr]int, t data.Tuple) bool {
-	return c.EvalCount(pos, t, counters.Load())
-}
-
-// EvalCount implements Condition.
-func (False) EvalCount(_ map[data.Attr]int, _ data.Tuple, cs *EvalCounts) bool {
+func (False) Eval(_ map[data.Attr]int, _ data.Tuple, cs *EvalCounts) bool {
 	if cs != nil {
 		cs.False.Add(1)
 	}
@@ -137,12 +94,7 @@ func (False) EvalCount(_ map[data.Attr]int, _ data.Tuple, cs *EvalCounts) bool {
 }
 
 // Eval implements Condition.
-func (c EqConst) Eval(pos map[data.Attr]int, t data.Tuple) bool {
-	return c.EvalCount(pos, t, counters.Load())
-}
-
-// EvalCount implements Condition.
-func (c EqConst) EvalCount(pos map[data.Attr]int, t data.Tuple, cs *EvalCounts) bool {
+func (c EqConst) Eval(pos map[data.Attr]int, t data.Tuple, cs *EvalCounts) bool {
 	if cs != nil {
 		cs.EqConst.Add(1)
 	}
@@ -154,12 +106,7 @@ func (c EqConst) EvalCount(pos map[data.Attr]int, t data.Tuple, cs *EvalCounts) 
 }
 
 // Eval implements Condition.
-func (c EqAttr) Eval(pos map[data.Attr]int, t data.Tuple) bool {
-	return c.EvalCount(pos, t, counters.Load())
-}
-
-// EvalCount implements Condition.
-func (c EqAttr) EvalCount(pos map[data.Attr]int, t data.Tuple, cs *EvalCounts) bool {
+func (c EqAttr) Eval(pos map[data.Attr]int, t data.Tuple, cs *EvalCounts) bool {
 	if cs != nil {
 		cs.EqAttr.Add(1)
 	}
@@ -172,30 +119,20 @@ func (c EqAttr) EvalCount(pos map[data.Attr]int, t data.Tuple, cs *EvalCounts) b
 }
 
 // Eval implements Condition.
-func (c Not) Eval(pos map[data.Attr]int, t data.Tuple) bool {
-	return c.EvalCount(pos, t, counters.Load())
-}
-
-// EvalCount implements Condition.
-func (c Not) EvalCount(pos map[data.Attr]int, t data.Tuple, cs *EvalCounts) bool {
+func (c Not) Eval(pos map[data.Attr]int, t data.Tuple, cs *EvalCounts) bool {
 	if cs != nil {
 		cs.Not.Add(1)
 	}
-	return !c.C.EvalCount(pos, t, cs)
+	return !c.C.Eval(pos, t, cs)
 }
 
 // Eval implements Condition.
-func (c And) Eval(pos map[data.Attr]int, t data.Tuple) bool {
-	return c.EvalCount(pos, t, counters.Load())
-}
-
-// EvalCount implements Condition.
-func (c And) EvalCount(pos map[data.Attr]int, t data.Tuple, cs *EvalCounts) bool {
+func (c And) Eval(pos map[data.Attr]int, t data.Tuple, cs *EvalCounts) bool {
 	if cs != nil {
 		cs.And.Add(1)
 	}
 	for _, sub := range c.Cs {
-		if !sub.EvalCount(pos, t, cs) {
+		if !sub.Eval(pos, t, cs) {
 			return false
 		}
 	}
@@ -203,17 +140,12 @@ func (c And) EvalCount(pos map[data.Attr]int, t data.Tuple, cs *EvalCounts) bool
 }
 
 // Eval implements Condition.
-func (c Or) Eval(pos map[data.Attr]int, t data.Tuple) bool {
-	return c.EvalCount(pos, t, counters.Load())
-}
-
-// EvalCount implements Condition.
-func (c Or) EvalCount(pos map[data.Attr]int, t data.Tuple, cs *EvalCounts) bool {
+func (c Or) Eval(pos map[data.Attr]int, t data.Tuple, cs *EvalCounts) bool {
 	if cs != nil {
 		cs.Or.Add(1)
 	}
 	for _, sub := range c.Cs {
-		if sub.EvalCount(pos, t, cs) {
+		if sub.Eval(pos, t, cs) {
 			return true
 		}
 	}

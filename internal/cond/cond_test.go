@@ -30,7 +30,7 @@ func TestEvalElementary(t *testing.T) {
 		{And{nil}, true},
 	}
 	for _, c := range cases {
-		if got := c.c.Eval(pos, tup); got != c.want {
+		if got := c.c.Eval(pos, tup, nil); got != c.want {
 			t.Errorf("Eval(%s)=%v want %v", c.c, got, c.want)
 		}
 	}
@@ -38,20 +38,20 @@ func TestEvalElementary(t *testing.T) {
 
 func TestEvalNullComparison(t *testing.T) {
 	tup := data.Tuple{"k1", data.Null, "x"}
-	if !(EqConst{"A", data.Null}).Eval(pos, tup) {
+	if !(EqConst{"A", data.Null}).Eval(pos, tup, nil) {
 		t.Fatal("A = null must hold for a ⊥ attribute")
 	}
-	if (EqConst{"B", data.Null}).Eval(pos, tup) {
+	if (EqConst{"B", data.Null}).Eval(pos, tup, nil) {
 		t.Fatal("B = null must fail for a defined attribute")
 	}
 }
 
 func TestEvalUnknownAttr(t *testing.T) {
 	tup := data.Tuple{"k1", "x", "x"}
-	if (EqConst{"Z", "x"}).Eval(pos, tup) {
+	if (EqConst{"Z", "x"}).Eval(pos, tup, nil) {
 		t.Fatal("unknown attribute never matches")
 	}
-	if (EqAttr{"Z", "A"}).Eval(pos, tup) {
+	if (EqAttr{"Z", "A"}).Eval(pos, tup, nil) {
 		t.Fatal("unknown attribute never matches")
 	}
 }
@@ -216,7 +216,7 @@ func TestSatSoundnessAndNormalFormsAgainstEval(t *testing.T) {
 		sat := false
 		for i := 0; i < 27; i++ {
 			tup := data.Tuple{vals[r.Intn(len(vals))], vals[r.Intn(len(vals))], vals[r.Intn(len(vals))]}
-			e1, e2 := c.Eval(pos, tup), n.Eval(pos, tup)
+			e1, e2 := c.Eval(pos, tup, nil), n.Eval(pos, tup, nil)
 			if e1 != e2 {
 				t.Fatalf("NNF changed semantics of %s on %v", c, tup)
 			}
@@ -231,7 +231,7 @@ func TestSatSoundnessAndNormalFormsAgainstEval(t *testing.T) {
 		s := Simplify(c)
 		for i := 0; i < 9; i++ {
 			tup := data.Tuple{vals[r.Intn(len(vals))], vals[r.Intn(len(vals))], vals[r.Intn(len(vals))]}
-			if c.Eval(pos, tup) != s.Eval(pos, tup) {
+			if c.Eval(pos, tup, nil) != s.Eval(pos, tup, nil) {
 				t.Fatalf("Simplify changed semantics of %s", c)
 			}
 		}
@@ -247,12 +247,12 @@ func TestDNFSemantics(t *testing.T) {
 		clauses := DNF(c)
 		for i := 0; i < 9; i++ {
 			tup := data.Tuple{vals[r.Intn(len(vals))], vals[r.Intn(len(vals))], vals[r.Intn(len(vals))]}
-			want := c.Eval(pos, tup)
+			want := c.Eval(pos, tup, nil)
 			got := false
 			for _, cl := range clauses {
 				all := true
 				for _, l := range cl {
-					if !l.Cond().Eval(pos, tup) {
+					if !l.Cond().Eval(pos, tup, nil) {
 						all = false
 						break
 					}

@@ -181,32 +181,14 @@ func (p *Profiler) GuardCheck(peer string, ns int64, violated bool) {
 	p.guardNS.Add(ns)
 }
 
-// Cond returns the profiler's condition-evaluation counter block, suitable
-// for cond.SetCounters. Nil when p is nil.
+// Cond returns the profiler's condition-evaluation counter block, the sink
+// the engine threads into cond evaluation for the work it attributes to
+// this profiler. Nil when p is nil (uncounted).
 func (p *Profiler) Cond() *cond.EvalCounts {
 	if p == nil {
 		return nil
 	}
 	return &p.cond
-}
-
-// InstallCond installs the profiler's condition counters as the
-// process-global cond sink and returns a restore function. The global sink
-// is single-owner: the install is a compare-and-swap that refuses to steal
-// an already-installed sink, so with N coordinators in one process only the
-// first profiler (the default run's) owns the global fallback and the rest
-// get a no-op restore instead of silently absorbing every other run's
-// counts. Per-run attribution does not depend on winning this race: the
-// engine threads each run's counters explicitly through Scope.CondCounts /
-// schema.ViewInstance.CountConds. Safe on a nil Profiler (no-op restore).
-func (p *Profiler) InstallCond() (restore func()) {
-	if p == nil {
-		return func() {}
-	}
-	if !cond.InstallCounters(&p.cond) {
-		return func() {}
-	}
-	return func() { cond.UninstallCounters(&p.cond) }
 }
 
 // Scope tags profiler updates with the phase that performs the work. A nil
@@ -228,17 +210,6 @@ func (p *Profiler) Scope(phase string) *Scope {
 // Enabled reports whether the scope collects; the engine uses it to gate
 // its time.Now() calls.
 func (s *Scope) Enabled() bool { return s != nil }
-
-// CondCounts returns the profiler's condition-eval counters for explicit
-// threading into view materialization (schema.ViewInstance.CountConds) —
-// the per-run path that does not depend on owning the process-global sink.
-// Nil on the disabled scope.
-func (s *Scope) CondCounts() *cond.EvalCounts {
-	if s == nil {
-		return nil
-	}
-	return &s.p.cond
-}
 
 // Profiler returns the scope's profiler (nil for the disabled scope).
 func (s *Scope) Profiler() *Profiler {

@@ -18,8 +18,6 @@ func TestNilProfilerIsSafe(t *testing.T) {
 	if c := p.Cond(); c != nil {
 		t.Fatalf("nil profiler Cond() = %v, want nil", c)
 	}
-	restore := p.InstallCond()
-	restore()
 	var sc *Scope
 	if sc = p.Scope("engine"); sc != nil {
 		t.Fatalf("nil profiler Scope() = %v, want nil", sc)
@@ -58,12 +56,10 @@ func TestDisabledHooksAllocateNothing(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("disabled hooks allocate %.1f objects per call", n)
 	}
-	// The disabled condition-count path is one atomic pointer load.
-	prev := cond.SetCounters(nil)
-	defer cond.SetCounters(prev)
+	// The disabled condition-count path is a nil sink.
 	c := cond.True{}
 	if n := testing.AllocsPerRun(100, func() {
-		c.Eval(nil, data.Tuple{})
+		c.Eval(nil, data.Tuple{}, p.Cond())
 	}); n != 0 {
 		t.Fatalf("disabled cond.Eval allocates %.1f objects per call", n)
 	}
@@ -144,14 +140,16 @@ func TestAttributionAndSnapshot(t *testing.T) {
 	}
 }
 
-func TestInstallCondCounts(t *testing.T) {
-	p := New()
-	restore := p.InstallCond()
+// TestCondCounts: evaluations count into the profiler only when its sink is
+// passed; an uncounted (nil-sink) evaluation, or one counted into another
+// profiler, leaves it untouched.
+func TestCondCounts(t *testing.T) {
+	p, other := New(), New()
 	c := cond.True{}
-	c.Eval(nil, data.Tuple{})
-	c.Eval(nil, data.Tuple{})
-	restore()
-	c.Eval(nil, data.Tuple{}) // after restore: not counted here
+	c.Eval(nil, data.Tuple{}, p.Cond())
+	c.Eval(nil, data.Tuple{}, p.Cond())
+	c.Eval(nil, data.Tuple{}, nil)
+	c.Eval(nil, data.Tuple{}, other.Cond())
 	snap := p.Snapshot()
 	if snap.Cond.True != 2 || snap.Cond.Total != 2 {
 		t.Fatalf("cond counts = %+v", snap.Cond)

@@ -253,15 +253,9 @@ func (ef Effect) FilledAttrs(rel *schema.Relation) []data.Attr {
 // event is applicable on I and returns the successor instance together with
 // the recorded effects. I is not modified. Apply does not re-check the
 // event's body condition; see Applicable and Run.Append for full checking.
-func Apply(in *schema.Instance, e *Event, s *schema.Collaborative) (*schema.Instance, []Effect, error) {
-	return ApplyCount(in, e, s, nil)
-}
-
-// ApplyCount is Apply with an explicit condition-eval count sink (nil = the
-// process-global sink): the visibility checks on the updated tuples are
-// attributed to the owning run's profiler, not to whichever profiler holds
-// the global sink.
-func ApplyCount(in *schema.Instance, e *Event, s *schema.Collaborative, cs *cond.EvalCounts) (*schema.Instance, []Effect, error) {
+// The visibility checks on the updated tuples count their condition
+// evaluations into cs (nil = uncounted).
+func Apply(in *schema.Instance, e *Event, s *schema.Collaborative, cs *cond.EvalCounts) (*schema.Instance, []Effect, error) {
 	cur := in
 	var effects []Effect
 	for _, u := range e.Updates {
@@ -273,7 +267,7 @@ func ApplyCount(in *schema.Instance, e *Event, s *schema.Collaborative, cs *cond
 			// A peer can delete only a tuple it sees: the key must be in
 			// I@p(R@p).
 			t, exists := cur.Get(u.Rel, u.Key)
-			if !exists || !v.SeesCount(t, cs) {
+			if !exists || !v.Sees(t, cs) {
 				return nil, nil, fmt.Errorf("program: deletion %s not applicable: key not visible at %s", u, e.Peer())
 			}
 			next := schema.ShallowWith(cur, u.Rel)
@@ -290,7 +284,7 @@ func ApplyCount(in *schema.Instance, e *Event, s *schema.Collaborative, cs *cond
 		if err != nil {
 			return nil, nil, fmt.Errorf("program: insertion %s not applicable: %w", u, err)
 		}
-		if !v.SeesCount(merged, cs) || !v.Project(merged).Subsumes(u.Args) {
+		if !v.Sees(merged, cs) || !v.Project(merged).Subsumes(u.Args) {
 			return nil, nil, fmt.Errorf("program: insertion %s not applicable: inserted tuple not subsumed by %s's view", u, e.Peer())
 		}
 		ef := Effect{Rel: u.Rel, Key: u.Key, After: merged.Clone()}
@@ -326,6 +320,6 @@ func Applicable(in *schema.Instance, e *Event, s *schema.Collaborative) bool {
 	if !e.Rule.Body.Satisfied(vi, e.Val) {
 		return false
 	}
-	_, _, err := Apply(in, e, s)
+	_, _, err := Apply(in, e, s, nil)
 	return err == nil
 }

@@ -260,7 +260,7 @@ func TestDeleteRequiresVisibility(t *testing.T) {
 	}
 	// Direct event construction bypassing the body also fails at Apply.
 	ev := MustEvent(p.Rule("del"), query.Valuation{"d": d})
-	if _, _, err := Apply(r.Current(), ev, s); err == nil {
+	if _, _, err := Apply(r.Current(), ev, s, nil); err == nil {
 		t.Fatal("Apply must reject deleting an invisible tuple")
 	}
 }

@@ -133,10 +133,10 @@ func (r *Run) ViewAt(i int, p schema.Peer) *schema.ViewInstance {
 	if v, ok := r.views[k]; ok {
 		return v
 	}
-	// The run's own counter block (not the process-global sink) receives
-	// the condition evals of this view's materialization, so N runs in one
-	// process attribute selection work to their own profilers.
-	v := schema.ViewOf(r.InstanceAt(i), r.Prog.Schema, p).CountConds(r.prof.CondCounts())
+	// The run's own counter block receives the condition evals of this
+	// view's materialization, so N runs in one process attribute selection
+	// work to their own profilers.
+	v := schema.ViewOf(r.InstanceAt(i), r.Prog.Schema, p).CountConds(r.conds())
 	r.views[k] = v
 	return v
 }
@@ -146,21 +146,19 @@ func (r *Run) ViewAt(i int, p schema.Peer) *schema.ViewInstance {
 // effect-local: relations the event did not touch cannot change any view,
 // so only the affected tuples' visibility and projections are compared.
 func (r *Run) VisibleAt(i int, p schema.Peer) bool {
-	return StepVisibleAtCount(r.Prog.Schema, &r.Steps[i], p, r.prof.CondCounts())
+	return StepVisibleAt(r.Prog.Schema, &r.Steps[i], p, r.conds())
 }
+
+// conds is the run's condition-eval count sink: its profiler's counter
+// block, nil when profiling is off.
+func (r *Run) conds() *cond.EvalCounts { return r.prof.Profiler().Cond() }
 
 // StepVisibleAt is VisibleAt over a single step, without the run: visibility
 // depends only on the step's event and effects plus the schema, so callers
 // holding an immutable step prefix (the coordinator's read snapshots) can
-// answer it with no access to the live — possibly growing — run.
-func StepVisibleAt(s *schema.Collaborative, st *Step, p schema.Peer) bool {
-	return StepVisibleAtCount(s, st, p, nil)
-}
-
-// StepVisibleAtCount is StepVisibleAt with an explicit condition-eval count
-// sink (nil = the process-global sink), so per-run profilers attribute the
-// visibility checks' selection evaluations to their own run.
-func StepVisibleAtCount(s *schema.Collaborative, st *Step, p schema.Peer, cs *cond.EvalCounts) bool {
+// answer it with no access to the live — possibly growing — run. The
+// selection evaluations are counted into cs (nil = uncounted).
+func StepVisibleAt(s *schema.Collaborative, st *Step, p schema.Peer, cs *cond.EvalCounts) bool {
 	if st.Event.Peer() == p {
 		return true
 	}
@@ -170,10 +168,10 @@ func StepVisibleAtCount(s *schema.Collaborative, st *Step, p schema.Peer, cs *co
 			continue
 		}
 		var before, after data.Tuple
-		if ef.Before != nil && v.SeesCount(ef.Before, cs) {
+		if ef.Before != nil && v.Sees(ef.Before, cs) {
 			before = v.Project(ef.Before)
 		}
-		if ef.After != nil && v.SeesCount(ef.After, cs) {
+		if ef.After != nil && v.Sees(ef.After, cs) {
 			after = v.Project(ef.After)
 		}
 		if (before == nil) != (after == nil) {
@@ -232,7 +230,7 @@ func (r *Run) Append(e *Event) error {
 			return fmt.Errorf("program: event %s: fresh variables share value %s", e, v)
 		}
 	}
-	next, effects, err := ApplyCount(cur, e, r.Prog.Schema, r.prof.CondCounts())
+	next, effects, err := Apply(cur, e, r.Prog.Schema, r.conds())
 	if err != nil {
 		return err
 	}

@@ -31,9 +31,17 @@ var ErrBudget = errors.New("scenario: search budget exceeded")
 // Replay re-executes the events of r selected by indices (strictly
 // increasing positions into e(ρ)), starting from r's initial instance. It
 // returns the resulting subrun or an error if the subsequence does not
-// yield a run.
+// yield a run. The subrun of a profiled run is profiled too (see
+// replayScope).
 func Replay(r *program.Run, indices []int) (*program.Run, error) {
-	return replayScoped(r, indices, nil)
+	return replayScoped(r, indices, replayScope(r))
+}
+
+// replayScope attributes the subruns replayed from r to r's profiler under
+// the "scenario.replay" phase (nil when r is unprofiled), so a profiled
+// run's scenario work counts against the run that asked for it.
+func replayScope(r *program.Run) *prof.Scope {
+	return r.Profiler().Profiler().Scope("scenario.replay")
 }
 
 // replayScoped is Replay with a profiler scope attached to the subrun, so
@@ -70,9 +78,10 @@ func IsScenario(r *program.Run, p schema.Peer, indices []int) bool {
 
 // isScenarioAgainst is IsScenario with the target view ρ@p precomputed, so
 // the exact searches compute it once instead of per candidate. The target
-// must be warmed (warmView) before concurrent use.
+// must be warmed (warmView) before concurrent use. Candidates replay under
+// replayScope(r), as in Replay.
 func isScenarioAgainst(r *program.Run, p schema.Peer, target *view.RunView, indices []int) bool {
-	return isScenarioScoped(r, p, target, indices, nil)
+	return isScenarioScoped(r, p, target, indices, replayScope(r))
 }
 
 // isScenarioScoped is isScenarioAgainst with a profiler scope for the

@@ -276,7 +276,7 @@ type ViewInstance struct {
 	rels  map[string]map[data.Value]data.Tuple
 	// cnt, when set, receives the condition-eval counts of the view
 	// selections materialized by this instance (per-run profilers); nil
-	// routes them to the process-global cond sink.
+	// leaves them uncounted.
 	cnt *cond.EvalCounts
 }
 
@@ -297,7 +297,7 @@ func (vi *ViewInstance) rows(rel string) map[data.Value]data.Tuple {
 	}
 	rows := make(map[data.Value]data.Tuple)
 	for k, t := range vi.src.rels[rel] {
-		if v.SeesCount(t, vi.cnt) {
+		if v.Sees(t, vi.cnt) {
 			rows[k] = v.Project(t)
 		}
 	}
@@ -306,8 +306,7 @@ func (vi *ViewInstance) rows(rel string) map[data.Value]data.Tuple {
 }
 
 // CountConds routes the condition evaluations of selections materialized
-// by this view instance to cs instead of the process-global sink. It must
-// be set before the first access to any relation (materialization is
+// by this view instance to cs (nil = uncounted). It must be set before the first access to any relation (materialization is
 // memoized) and returns the receiver for chaining.
 func (vi *ViewInstance) CountConds(cs *cond.EvalCounts) *ViewInstance {
 	vi.cnt = cs

@@ -106,7 +106,7 @@ func TestViewOfConsistency(t *testing.T) {
 		vi := ViewOf(in, s, "p")
 		seen := 0
 		for _, base := range in.Tuples("R") {
-			if v.Sees(base) {
+			if v.Sees(base, nil) {
 				seen++
 				got, ok := vi.Get("R", base.Key())
 				if !ok || !got.Equal(v.Project(base)) {

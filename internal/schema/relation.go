@@ -230,20 +230,10 @@ func (v *View) Full() bool {
 	return cond.Valid(v.Selection)
 }
 
-// Sees evaluates the selection σ(R@p) on a full tuple over R.
-func (v *View) Sees(t data.Tuple) bool {
-	return v.Selection.Eval(v.Rel.pos, t)
-}
-
-// SeesCount is Sees with an explicit condition-eval count sink (nil =
-// global sink), so callers that own per-run profiler counters attribute
-// the selection's node visits to their run rather than to whichever
-// profiler installed the process-global sink last.
-func (v *View) SeesCount(t data.Tuple, cs *cond.EvalCounts) bool {
-	if cs == nil {
-		return v.Selection.Eval(v.Rel.pos, t)
-	}
-	return v.Selection.EvalCount(v.Rel.pos, t, cs)
+// Sees evaluates the selection σ(R@p) on a full tuple over R, counting the
+// condition evaluations into cs (nil = uncounted).
+func (v *View) Sees(t data.Tuple, cs *cond.EvalCounts) bool {
+	return v.Selection.Eval(v.Rel.pos, t, cs)
 }
 
 // Project projects a full tuple over R onto the view attributes.

@@ -72,10 +72,10 @@ func TestViewProjectPadSees(t *testing.T) {
 	r := MustRelation("R", "A", "B")
 	v := MustView(r, "p", []data.Attr{"B"}, cond.EqConst{Attr: "A", Const: "x"})
 	full := data.Tuple{"k", "x", "b"}
-	if !v.Sees(full) {
+	if !v.Sees(full, nil) {
 		t.Fatal("selection should hold")
 	}
-	if v.Sees(data.Tuple{"k", "y", "b"}) {
+	if v.Sees(data.Tuple{"k", "y", "b"}, nil) {
 		t.Fatal("selection should fail")
 	}
 	proj := v.Project(full)

@@ -95,10 +95,11 @@ type Coordinator struct {
 	// buffered tail past it — events appended to the WAL but not yet
 	// fsynced — which no peer may observe (log-before-accept).
 	observable int
-	// visCache caches, per peer, the indices of the peer's visible events
-	// over the released prefix, so steady-state Transitions polling is
-	// O(new events) instead of rescanning the run.
-	visCache map[schema.Peer]*visIndex
+	// visCache holds, per peer, the indices of the peer's visible events
+	// over the published prefix. Each publication extends it by the newly
+	// released events only and hands the snapshot a length-capped view, so
+	// the growable backing array is shared rather than copied per release.
+	visCache map[schema.Peer][]int
 
 	// snap is the published read snapshot (see snapshot.go): an immutable
 	// capture of the released prefix that View/Explain/Scenario/Transitions/
@@ -111,11 +112,8 @@ type Coordinator struct {
 	// snapshots: the released prefix is immutable, so an entry never goes
 	// stale (rollback only ever targets unreleased events).
 	viewStrs sync.Map
-	// lockedReads forces reads back onto the mutex path (E17 baseline and
-	// the -locked-reads escape hatch).
-	lockedReads atomic.Bool
 	// mread mirrors metrics for the lock-free read paths, which must not
-	// touch mu to read the field Instrument sets under it.
+	// touch mu to read the field InstrumentRun sets under it.
 	mread atomic.Pointer[Metrics]
 	// dlog is the attached decision-log pipeline (nil when none); see
 	// declog.go. Atomic for the same reason as mread: certify/explain emit
@@ -139,7 +137,7 @@ type Coordinator struct {
 
 	// metrics and logger are the observability hooks (nil-safe); see
 	// metrics.go. recoveryTime/recoveredEvents stamp the last recovery so a
-	// later Instrument can surface it.
+	// later InstrumentRun can surface it.
 	metrics         *Metrics
 	logger          *slog.Logger
 	recoveryTime    time.Duration
@@ -151,10 +149,6 @@ type Coordinator struct {
 	log           *wal.Log
 	snapshotEvery int
 	sinceSnapshot int
-	// noGroupCommit keeps the synchronous append+fsync path under the
-	// coordinator lock (one fsync per submission) — the pre-batching
-	// behavior, kept for comparison benchmarks.
-	noGroupCommit bool
 	// lastSnapErr remembers a failed background snapshot (the events are
 	// still safe in the WAL); surfaced via Ready.
 	lastSnapErr error
@@ -181,7 +175,7 @@ func New(name string, p *program.Program) *Coordinator {
 		explainers:    make(map[schema.Peer]*core.Explainer),
 		guards:        make(map[schema.Peer]int),
 		guardMonitors: make(map[schema.Peer]*design.Monitor),
-		visCache:      make(map[schema.Peer]*visIndex),
+		visCache:      make(map[schema.Peer][]int),
 		subs:          make(map[schema.Peer]map[int]chan Notification),
 		droppedByPeer: make(map[schema.Peer]int),
 		idem:          make(map[string]*idemEntry),
@@ -212,7 +206,7 @@ func (c *Coordinator) RunID() string {
 // SetProfiler attaches a rule-engine cost profiler to the coordinator: the
 // live run's candidate enumeration, fires and replays are attributed under
 // the "engine" phase, and every guard check is timed per guarded peer. Call
-// it before serving traffic (like Instrument); nil detaches.
+// it before serving traffic (like InstrumentRun); nil detaches.
 func (c *Coordinator) SetProfiler(p *prof.Profiler) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -475,20 +469,6 @@ func (c *Coordinator) submitCtx(ctx context.Context, peer schema.Peer, ruleName 
 	// observe it. A WAL failure rejects the submission and rolls the run
 	// back, so the in-memory state never diverges ahead of disk.
 	rec := wal.Record{Seq: idx, Event: trace.EncodeEvent(e), Idem: idemKey}
-	if c.noGroupCommit {
-		// Pre-batching path: append and fsync synchronously, under the lock.
-		if err := c.log.AppendCtx(ctx, rec); err != nil {
-			c.rollbackTo(ctx, prevLen)
-			c.metrics.rejected("wal")
-			rejectLog("wal", err.Error())
-			c.logw().ErrorContext(ctx, "event not durable, submission rejected",
-				slog.String("peer", string(peer)), slog.String("rule", ruleName), slog.Any("error", err))
-			return reject(fmt.Errorf("%w: event not durable: %w", ErrUnavailable, err))
-		}
-		c.acceptLocked(ctx, sp, peer, ruleName, idx, idemKey)
-		c.maybeSnapshotLocked(ctx)
-		return res, nil
-	}
 	cm, err := c.log.AppendBuffered(ctx, rec)
 	if err != nil {
 		// A write failure is synchronous and private: only this record was
@@ -770,9 +750,9 @@ func (c *Coordinator) notify(ctx context.Context, idx int) {
 	sp.SetAttr("dropped", droppedNow)
 }
 
-// makeNotification assembles a Notification from its parts. The locked
-// (buildNotification) and lock-free (snapNotification) builders both route
-// through it so the two paths stay byte-identical.
+// makeNotification assembles a Notification from its parts. The push
+// (buildNotification, over the live run) and poll (snapNotification, over a
+// snapshot) builders both route through it so the two stay byte-identical.
 func makeNotification(e *program.Event, peer schema.Peer, idx int, view string, because []int) Notification {
 	n := Notification{
 		Index: idx,
@@ -864,20 +844,12 @@ func unknownPeerErr(peer schema.Peer) error {
 // (ViewAt index −1) this is the peer's view of the initial instance.
 // Lock-free: served from the published snapshot.
 func (c *Coordinator) View(peer schema.Peer) (string, error) {
-	if s := c.readSnapshot(); s != nil {
-		if !s.prog.Schema.HasPeer(peer) {
-			return "", unknownPeerErr(peer)
-		}
-		c.readMetrics().readPath(true)
-		return c.snapView(s, s.Len()-1, peer), nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.prog.Schema.HasPeer(peer) {
+	s := c.snap.Load()
+	if !s.prog.Schema.HasPeer(peer) {
 		return "", unknownPeerErr(peer)
 	}
-	c.readMetrics().readPath(false)
-	return c.run.ViewAt(c.observable-1, peer).String(), nil
+	c.readMetrics().read()
+	return c.snapView(s, s.Len()-1, peer), nil
 }
 
 // Explain returns the peer's runtime explanation report of the run so far.
@@ -894,20 +866,12 @@ func (c *Coordinator) Explain(peer schema.Peer) (*core.Report, error) {
 // assembled over — the decision log records it so an audit can recompute the
 // same report against the same prefix.
 func (c *Coordinator) explainWithLen(peer schema.Peer) (*core.Report, int, error) {
-	if s := c.readSnapshot(); s != nil {
-		if !s.prog.Schema.HasPeer(peer) {
-			return nil, 0, unknownPeerErr(peer)
-		}
-		c.readMetrics().readPath(true)
-		return s.exp[peer].ReportOver(s, s.vis[peer]), s.Len(), nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.prog.Schema.HasPeer(peer) {
+	s := c.snap.Load()
+	if !s.prog.Schema.HasPeer(peer) {
 		return nil, 0, unknownPeerErr(peer)
 	}
-	c.readMetrics().readPath(false)
-	return c.explainer(peer).Report(), c.observable, nil
+	c.readMetrics().read()
+	return s.exp[peer].ReportOver(s, s.vis[peer]), s.Len(), nil
 }
 
 // ExplainCtx is Explain with decision logging: each request emits one record
@@ -933,46 +897,14 @@ func (c *Coordinator) ExplainCtx(ctx context.Context, peer schema.Peer) (*core.R
 }
 
 // Scenario returns the peer's minimal faithful scenario indices.
+// Lock-free, like Explain.
 func (c *Coordinator) Scenario(peer schema.Peer) ([]int, error) {
-	if s := c.readSnapshot(); s != nil {
-		if !s.prog.Schema.HasPeer(peer) {
-			return nil, unknownPeerErr(peer)
-		}
-		c.readMetrics().readPath(true)
-		return s.exp[peer].MinimalScenario(), nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.prog.Schema.HasPeer(peer) {
+	s := c.snap.Load()
+	if !s.prog.Schema.HasPeer(peer) {
 		return nil, unknownPeerErr(peer)
 	}
-	c.readMetrics().readPath(false)
-	return c.explainer(peer).MinimalScenario(), nil
-}
-
-// visIndex caches one peer's visible-event indices over the released
-// prefix; upto is how far the scan has advanced.
-type visIndex struct {
-	upto int
-	idxs []int
-}
-
-// visibleLocked returns the (sorted) indices of the peer's visible events
-// over the released prefix, extending the cache by exactly the events
-// released since the last call. Callers hold the lock.
-func (c *Coordinator) visibleLocked(peer schema.Peer) []int {
-	vi := c.visCache[peer]
-	if vi == nil {
-		vi = &visIndex{}
-		c.visCache[peer] = vi
-	}
-	for i := vi.upto; i < c.observable; i++ {
-		if c.run.VisibleAt(i, peer) {
-			vi.idxs = append(vi.idxs, i)
-		}
-	}
-	vi.upto = c.observable
-	return vi.idxs
+	c.readMetrics().read()
+	return s.exp[peer].MinimalScenario(), nil
 }
 
 // Transitions returns the peer's visible transitions with indices ≥ from,
@@ -984,39 +916,15 @@ func (c *Coordinator) Transitions(peer schema.Peer, from int) ([]Notification, e
 	return out, err
 }
 
-// transitionsLocked is the mutex-path Transitions body. Callers hold the
-// lock.
-func (c *Coordinator) transitionsLocked(peer schema.Peer, from int) []Notification {
-	idxs := c.visibleLocked(peer)
-	var out []Notification
-	for _, idx := range idxs[sort.SearchInts(idxs, from):] {
-		out = append(out, c.buildNotification(peer, idx))
-	}
-	return out
-}
-
 // Trace exports the released run prefix as a replayable trace (operator
 // access). Lock-free: built from the snapshot's captured event prefix.
 func (c *Coordinator) Trace() *trace.Trace {
-	if s := c.readSnapshot(); s != nil {
-		c.readMetrics().readPath(true)
-		return s.trace()
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.readMetrics().readPath(false)
-	return trace.FromRunPrefix(c.name, c.run, c.observable)
+	c.readMetrics().read()
+	return c.snap.Load().trace()
 }
 
 // Len returns the number of events accepted and released so far. Lock-free.
-func (c *Coordinator) Len() int {
-	if s := c.readSnapshot(); s != nil {
-		return s.Len()
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.observable
-}
+func (c *Coordinator) Len() int { return c.snap.Load().Len() }
 
 // Dropped reports notifications lost to slow subscribers.
 func (c *Coordinator) Dropped() int {

@@ -36,11 +36,6 @@ type DurabilityConfig struct {
 	// MaxBatch caps how many buffered records one group-commit fsync
 	// covers; ≤ 0 means unbounded.
 	MaxBatch int
-	// NoGroupCommit keeps the pre-batching submit path: append + fsync
-	// synchronously under the coordinator lock, one fsync per submission.
-	// Exists for comparison benchmarks (wfbench E16) and escape-hatch
-	// debugging; group commit is the default.
-	NoGroupCommit bool
 	// Strict refuses to start when the WAL holds a corrupt complete record,
 	// instead of the default truncate-at-first-bad-record recovery (the
 	// -wal-strict flag).
@@ -100,7 +95,6 @@ func Recover(name string, p *program.Program, cfg DurabilityConfig) (*Coordinato
 	c.runID = cfg.RunID
 	c.log = log
 	c.snapshotEvery = cfg.SnapshotEvery
-	c.noGroupCommit = cfg.NoGroupCommit
 	c.idemMax = cfg.IdemWindow
 
 	snap := log.LoadedSnapshot()
@@ -160,13 +154,12 @@ func Recover(name string, p *program.Program, cfg DurabilityConfig) (*Coordinato
 	// Everything recovered was durable before the crash: release it all.
 	c.observable = c.run.Len()
 	// New published an empty-prefix snapshot over the pre-replay run, and its
-	// lazily created explainers/visible-index caches are bound to that run
-	// too: reset them and rebuild against the recovered run here, during
-	// recovery, so no peer's first Explain replays the whole prefix under the
-	// lock (publishSnapshotLocked syncs every peer's explainer to the
-	// recovered prefix and swaps in the real snapshot).
+	// explainers are bound to that run too: reset them and rebuild against
+	// the recovered run here, during recovery, so no peer's first Explain
+	// replays the whole prefix under the lock (publishSnapshotLocked syncs
+	// every peer's explainer and visible-index cache from the empty prefix to
+	// the recovered one and swaps in the real snapshot).
 	c.explainers = make(map[schema.Peer]*core.Explainer)
-	c.visCache = make(map[schema.Peer]*visIndex)
 	// The view-string cache needs no reset: nothing can have rendered a view
 	// between New and here (the coordinator has not been returned yet), and
 	// stale entries cannot exist anyway — keys are (step, peer) over the
@@ -221,8 +214,7 @@ func (c *Coordinator) Durable() bool {
 }
 
 // CommitQueueDepth reports how many accepted-but-unfsynced records are
-// queued for the next group commit (always 0 for in-memory coordinators
-// and the synchronous append path).
+// queued for the next group commit (always 0 for in-memory coordinators).
 func (c *Coordinator) CommitQueueDepth() int {
 	c.mu.Lock()
 	log := c.log

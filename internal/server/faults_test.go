@@ -33,7 +33,7 @@ func TestStalledWALSurfacedInHealth(t *testing.T) {
 		t.Fatal(err)
 	}
 	// /statusz is only mounted when metrics are wired, as in wfserve.
-	ts := httptest.NewServer(NewHandler(c, HTTPOptions{Metrics: NewMetrics(obs.NewRegistry())}))
+	ts := httptest.NewServer(NewHandler(c, HTTPOptions{Metrics: NewRunMetrics(obs.NewRegistry(), DefaultRun)}))
 	defer ts.Close()
 
 	getStatusz := func() Statusz {

@@ -39,7 +39,7 @@ func gaugeValue(t *testing.T, reg *obs.Registry, name string) float64 {
 func TestCloseClosesSubscriberChannels(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := New("Hiring", workload.Hiring())
-	c.Instrument(reg)
+	c.InstrumentRun(reg, DefaultRun)
 	ch, cancel, err := c.Subscribe("hr", 8)
 	if err != nil {
 		t.Fatal(err)
@@ -327,7 +327,7 @@ func TestConcurrentSubmitsReleaseInOrder(t *testing.T) {
 // counted on wf_admission_shed_total.
 func TestAdmissionShedsOverLimit(t *testing.T) {
 	reg := obs.NewRegistry()
-	m := NewMetrics(reg)
+	m := NewRunMetrics(reg, DefaultRun)
 	enter := make(chan struct{})
 	release := make(chan struct{})
 	h := Admission(m, 1, nil, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

@@ -208,9 +208,7 @@ func NewHandler(c *Coordinator, opts HTTPOptions) http.Handler {
 		// profile=1 attaches a per-request evaluation profiler to the
 		// decider searches and returns its cost snapshot alongside the
 		// verdict (EXPLAIN ANALYZE for certification). The profiler is
-		// request-scoped, so concurrent certifications don't mix numbers;
-		// it deliberately does not install the process-global condition
-		// counters for the same reason.
+		// request-scoped, so concurrent certifications don't mix numbers.
 		var profiler *prof.Profiler
 		switch ps := r.URL.Query().Get("profile"); ps {
 		case "", "0", "false":

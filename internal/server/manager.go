@@ -63,9 +63,6 @@ type ManagerConfig struct {
 	// (peer → h) on every *fresh* run — recovered runs keep their
 	// persisted guards.
 	Guards map[string]int
-	// LockedReads routes every shard's reads through its coordinator mutex
-	// instead of the lock-free snapshot (the -locked-reads escape hatch).
-	LockedReads bool
 }
 
 // shard is one run's slice of the fleet: its own coordinator (lock,
@@ -254,9 +251,6 @@ func (m *Manager) newShard(id string) (*shard, error) {
 	}
 	if m.cfg.Logger != nil {
 		c.SetLogger(m.cfg.Logger)
-	}
-	if m.cfg.LockedReads {
-		c.SetLockedReads(true)
 	}
 	opts := m.cfg.HTTP
 	if m.cfg.Registry != nil {

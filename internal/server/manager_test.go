@@ -270,13 +270,13 @@ func driveProfiledSession(t *testing.T, c *Coordinator, profiler *prof.Profiler)
 }
 
 // TestProfilerPerRunAttribution is the two-coordinator acceptance test for
-// the cond-counter bugfix: two coordinators in one process, each with its
+// per-run condition counting: two coordinators in one process, each with its
 // own profiler, run the same scripted session; each profiler's counters —
-// the condition-evaluation tallies included, which used to flow through one
-// process-global sink — must equal the single-coordinator baseline exactly.
-// Any cross-talk doubles (or splits) a counter and fails the comparison.
+// the condition-evaluation tallies included — must equal the
+// single-coordinator baseline exactly. Any cross-talk doubles (or splits) a
+// counter and fails the comparison.
 func TestProfilerPerRunAttribution(t *testing.T) {
-	newGuarded := func() (*Coordinator, *prof.Profiler, func()) {
+	newGuarded := func() (*Coordinator, *prof.Profiler) {
 		staged, err := design.Staged(workload.Hiring(), "sue")
 		if err != nil {
 			t.Fatal(err)
@@ -284,29 +284,28 @@ func TestProfilerPerRunAttribution(t *testing.T) {
 		c := New("Staged", staged)
 		p := prof.New()
 		c.SetProfiler(p)
-		restore := p.InstallCond()
 		if err := c.Guard("sue", 2); err != nil {
 			t.Fatal(err)
 		}
-		return c, p, restore
+		return c, p
 	}
 
 	// Baseline: one coordinator, alone in the process.
-	cb, pb, restoreB := newGuarded()
+	cb, pb := newGuarded()
 	driveProfiledSession(t, cb, pb)
-	restoreB()
 	base := pb.Snapshot()
-	if base.Cond.Total == 0 {
-		t.Fatal("baseline session evaluated no conditions — the attribution test would be vacuous")
+	// The scripted session's exact cost: the Staged views select with
+	// `true`, so every condition evaluation is a True node.
+	if base.Cond.Total != 62 || base.Cond.True != 62 {
+		t.Fatalf("baseline cond counts = %+v, want 62 True evaluations", base.Cond)
+	}
+	if tt := base.Totals; tt.Attempts != 4 || tt.Candidates != 4 || tt.Fires != 6 || tt.Replays != 6 {
+		t.Fatalf("baseline totals = %+v, want attempts 4, candidates 4, fires 6, replays 6", tt)
 	}
 
 	// Fleet: two coordinators, two profilers, both sessions interleaved.
-	// Only the first InstallCond owns the process-global sink; attribution
-	// flows through each run's own counter threading regardless.
-	c1, p1, restore1 := newGuarded()
-	c2, p2, restore2 := newGuarded()
-	defer restore1()
-	defer restore2()
+	c1, p1 := newGuarded()
+	c2, p2 := newGuarded()
 	driveProfiledSession(t, c1, p1)
 	driveProfiledSession(t, c2, p2)
 	s1, s2 := p1.Snapshot(), p2.Snapshot()
@@ -326,6 +325,74 @@ func TestProfilerPerRunAttribution(t *testing.T) {
 	// twice the baseline — nothing was dropped on the floor either.
 	if got := s1.Cond.Total + s2.Cond.Total; got != 2*base.Cond.Total {
 		t.Errorf("fleet cond totals sum to %d, want %d", got, 2*base.Cond.Total)
+	}
+}
+
+// TestUnprofiledRunLeavesProfiledCondsAlone: with two coordinators in one
+// process and only A profiled, submits and view renders on B must not move
+// A's condition counts. (A process-global count sink used to credit B's
+// evaluations to whichever profiler had installed it.)
+func TestUnprofiledRunLeavesProfiledCondsAlone(t *testing.T) {
+	prog := workload.Hiring()
+	a, b := New("Hiring", prog), New("Hiring", prog)
+	pa := prof.New()
+	a.SetProfiler(pa)
+	if _, err := a.Submit("hr", "clear", nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.View("sue"); err != nil {
+		t.Fatal(err)
+	}
+	before := pa.Snapshot().Cond
+	if before.Total == 0 {
+		t.Fatal("profiled run evaluated no conditions — the test would be vacuous")
+	}
+	for _, s := range randomWorkload(t, prog, 3, 5) {
+		if _, err := b.Submit(s.peer, s.rule, s.bindings); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := b.View("sue"); err != nil {
+		t.Fatal(err)
+	}
+	if got := pa.Snapshot().Cond; got != before {
+		t.Fatalf("traffic on the unprofiled run moved the profiled run's cond counts:\n got:  %+v\n want: %+v", got, before)
+	}
+}
+
+// TestManagerProfilerIgnoresSiblingRuns is the fleet form of the same
+// guarantee, wired as wfserve -profile-rules wires it: with the default run
+// profiled, submits and view reads on /runs/alpha leave the default run's
+// condition counts where they were.
+func TestManagerProfilerIgnoresSiblingRuns(t *testing.T) {
+	m := newTestManager(t, ManagerConfig{})
+	p := prof.New()
+	m.Default().SetProfiler(p)
+	h := m.Handler()
+	if rec := fleetPost(t, h, "/submit", `{"peer":"hr","rule":"clear","bindings":{"x":"ann"}}`); rec.Code != http.StatusOK {
+		t.Fatalf("default submit: %d: %s", rec.Code, rec.Body.String())
+	}
+	before := p.Snapshot().Cond
+	if before.Total == 0 {
+		t.Fatal("default run evaluated no conditions — the test would be vacuous")
+	}
+	if rec := fleetPost(t, h, "/runs", `{"id":"alpha"}`); rec.Code != http.StatusCreated {
+		t.Fatalf("create alpha: %d", rec.Code)
+	}
+	for _, who := range []string{"sue", "bob"} {
+		if rec := fleetPost(t, h, "/runs/alpha/submit", `{"peer":"hr","rule":"clear","bindings":{"x":"`+who+`"}}`); rec.Code != http.StatusOK {
+			t.Fatalf("alpha submit: %d: %s", rec.Code, rec.Body.String())
+		}
+	}
+	for _, peer := range []string{"sue", "hr"} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/runs/alpha/view?peer="+peer, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("alpha view: %d: %s", rec.Code, rec.Body.String())
+		}
+	}
+	if got := p.Snapshot().Cond; got != before {
+		t.Fatalf("traffic on /runs/alpha moved the default run's cond counts:\n got:  %+v\n want: %+v", got, before)
 	}
 }
 

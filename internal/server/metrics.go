@@ -16,19 +16,15 @@ import (
 // so wiring two coordinators (or re-wiring after recovery) onto one
 // registry shares series instead of colliding.
 //
-// Two labeling modes exist and must not mix on one registry (a family
-// re-registered with a different label schema panics): NewMetrics is the
-// single-run mode with unlabeled coordinator families, NewRunMetrics is the
-// fleet mode where every coordinator/read/decider family carries a leading
-// "run" label so no shard's counters are invisible or conflated. The HTTP
-// families are shared (unlabeled) in both modes: requests are counted where
-// they arrive, before run routing.
+// Every coordinator/read/decider family carries a leading "run" label, so
+// no shard's counters are invisible or conflated; a standalone coordinator
+// is just the "default" run. The HTTP families are shared (unlabeled):
+// requests are counted where they arrive, before run routing.
 type Metrics struct {
 	reg *obs.Registry
-	// run is the "run" label value of the coordinator families ("" = the
-	// single-run unlabeled mode). Scalar families are bound to the run's
-	// series at construction; vec families prepend it via lv at the call
-	// sites.
+	// run is the "run" label value of the coordinator families. Scalar
+	// families are bound to the run's series at construction; vec families
+	// prepend it via lv at the call sites.
 	run string
 
 	// HTTP layer.
@@ -49,11 +45,10 @@ type Metrics struct {
 	recoverySecs   *obs.Gauge
 	recoveredEvs   *obs.Gauge
 
-	// Read path: lock-free vs mutex-fallback serving and snapshot churn.
-	readLockfree *obs.Counter
-	readLocked   *obs.Counter
-	snapSwaps    *obs.Counter
-	snapAge      *obs.Gauge
+	// Read path: snapshot reads served and snapshot churn.
+	reads     *obs.Counter
+	snapSwaps *obs.Counter
+	snapAge   *obs.Gauge
 
 	// Decider search (Certify): the transparency.Stats counters surfaced
 	// as registry families.
@@ -66,44 +61,25 @@ type Metrics struct {
 	deciderWorkers *obs.Gauge
 }
 
-// NewMetrics registers (or retrieves) the server metric families on reg in
-// the single-run (unlabeled) mode.
-func NewMetrics(reg *obs.Registry) *Metrics { return newMetrics(reg, "") }
-
-// NewRunMetrics registers the server metric families on reg with every
-// coordinator/read/decider family carrying a leading "run" label bound to
-// the given run id — the fleet mode the Manager instruments each shard
-// with. Fleet totals are sums over the run label (the /statusz summarizer
-// already folds a family's series); the registry must not also host the
-// unlabeled single-run schema.
+// NewRunMetrics registers (or retrieves) the server metric families on reg
+// with every coordinator/read/decider family carrying a leading "run" label
+// bound to the given run id. Fleet totals are sums over the run label (the
+// /statusz summarizer already folds a family's series).
 func NewRunMetrics(reg *obs.Registry, run string) *Metrics {
 	if run == "" {
 		panic("server: NewRunMetrics requires a run id")
 	}
-	return newMetrics(reg, run)
-}
-
-func newMetrics(reg *obs.Registry, run string) *Metrics {
-	// In run mode scalar families become single-label vecs bound to this
-	// run's series here, so every consumer keeps its *Counter/*Gauge view;
-	// multi-label vecs get the "run" label prepended (and lv at call sites).
+	// Scalar families become single-label vecs bound to this run's series
+	// here, so every consumer keeps its *Counter/*Gauge view; multi-label
+	// vecs get the "run" label prepended (and lv at call sites).
 	counter := func(name, help string) *obs.Counter {
-		if run == "" {
-			return reg.Counter(name, help)
-		}
 		return reg.CounterVec(name, help, "run").With(run)
 	}
 	gauge := func(name, help string) *obs.Gauge {
-		if run == "" {
-			return reg.Gauge(name, help)
-		}
 		return reg.GaugeVec(name, help, "run").With(run)
 	}
 	counterVec := func(name, help string, labels ...string) obs.CounterVec {
-		if run != "" {
-			labels = append([]string{"run"}, labels...)
-		}
-		return reg.CounterVec(name, help, labels...)
+		return reg.CounterVec(name, help, append([]string{"run"}, labels...)...)
 	}
 	return &Metrics{
 		reg: reg,
@@ -138,10 +114,8 @@ func newMetrics(reg *obs.Registry, run string) *Metrics {
 		recoveredEvs: gauge("wf_coordinator_recovered_events",
 			"Events reconstructed by the last recovery."),
 
-		readLockfree: counter("wf_read_lockfree_total",
+		reads: counter("wf_read_lockfree_total",
 			"Reads (view, explain, scenario, transitions, trace) served from the published snapshot without the coordinator lock."),
-		readLocked: counter("wf_read_locked_total",
-			"Reads served on the coordinator-mutex fallback path (-locked-reads or baseline benchmarking)."),
 		snapSwaps: counter("wf_snapshot_swaps_total",
 			"Read-snapshot publications (one per release batch, plus construction and recovery)."),
 		snapAge: gauge("wf_snapshot_age_seconds",
@@ -164,12 +138,9 @@ func newMetrics(reg *obs.Registry, run string) *Metrics {
 	}
 }
 
-// lv prepends the run label value in fleet mode, so multi-label vec call
-// sites write m.x.With(m.lv(...)...) once and serve both modes.
+// lv prepends the run label value, so multi-label vec call sites write
+// m.x.With(m.lv(...)...).
 func (m *Metrics) lv(values ...string) []string {
-	if m.run == "" {
-		return values
-	}
 	return append([]string{m.run}, values...)
 }
 
@@ -213,15 +184,10 @@ func (m *Metrics) rolledBack() {
 	}
 }
 
-// readPath attributes one read to the lock-free or mutex path. Nil-safe.
-func (m *Metrics) readPath(lockfree bool) {
-	if m == nil {
-		return
-	}
-	if lockfree {
-		m.readLockfree.Inc()
-	} else {
-		m.readLocked.Inc()
+// read records one snapshot read. Nil-safe.
+func (m *Metrics) read() {
+	if m != nil {
+		m.reads.Inc()
 	}
 }
 
@@ -233,8 +199,8 @@ func (m *Metrics) snapshotSwapped() {
 }
 
 // readMetrics returns the metrics handle for lock-free read paths, which
-// must not take the coordinator lock to reach the field Instrument sets
-// under it. Nil until Instrument runs; every consumer is nil-safe.
+// must not take the coordinator lock to reach the field InstrumentRun sets
+// under it. Nil until InstrumentRun runs; every consumer is nil-safe.
 func (c *Coordinator) readMetrics() *Metrics {
 	return c.mread.Load()
 }
@@ -272,23 +238,15 @@ func (m *Metrics) deciderOutcome(check string, violation bool, err error) {
 	m.deciderRuns.With(m.lv(check, outcome)...).Inc()
 }
 
-// Instrument attaches the coordinator to a metric registry and returns the
-// Metrics handle (register it with NewHandler via HTTPOptions.Metrics to
-// expose /metrics and instrument the routes). Gauges are seeded from the
-// current state, so a recovered run is visible immediately. Safe to call
-// once, before or after traffic starts.
-func (c *Coordinator) Instrument(reg *obs.Registry) *Metrics {
-	return c.instrument(NewMetrics(reg))
-}
-
-// InstrumentRun is Instrument in the fleet mode: the coordinator's families
-// carry the run label so N shards on one registry stay distinguishable. The
-// Manager calls it with each shard's run id.
+// InstrumentRun attaches the coordinator to a metric registry under the
+// given run label and returns the Metrics handle (register it with
+// NewHandler via HTTPOptions.Metrics to expose /metrics and instrument the
+// routes). The label keeps N shards on one registry distinguishable: the
+// Manager passes each shard's run id, a standalone coordinator DefaultRun.
+// Gauges are seeded from the current state, so a recovered run is visible
+// immediately. Safe to call once, before or after traffic starts.
 func (c *Coordinator) InstrumentRun(reg *obs.Registry, run string) *Metrics {
-	return c.instrument(NewRunMetrics(reg, run))
-}
-
-func (c *Coordinator) instrument(m *Metrics) *Metrics {
+	m := NewRunMetrics(reg, run)
 	// The snapshot-age gauge is sampled at scrape time (ages advance whether
 	// or not anything is published; a periodic setter would always be stale).
 	m.reg.OnGather(func() {
@@ -335,7 +293,7 @@ func (c *Coordinator) logw() *slog.Logger {
 }
 
 // observeRecovery stamps recovery telemetry on the coordinator so a later
-// Instrument can surface it.
+// InstrumentRun can surface it.
 func (c *Coordinator) observeRecovery(d time.Duration, events int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -44,7 +44,7 @@ func seriesValue(reg *obs.Registry, name string, labels ...string) (float64, boo
 func TestMiddlewareRequestMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := New("Hiring", workload.Hiring())
-	m := c.Instrument(reg)
+	m := c.InstrumentRun(reg, DefaultRun)
 	srv := httptest.NewServer(NewHandler(c, HTTPOptions{Metrics: m}))
 	defer srv.Close()
 
@@ -91,10 +91,10 @@ func TestMiddlewareRequestMetrics(t *testing.T) {
 			t.Errorf("wf_http_requests_total{%s,%s} = %v (ok=%v), want %v", tc.route, tc.class, got, ok, tc.want)
 		}
 	}
-	if v, ok := seriesValue(reg, "wf_submissions_accepted_total"); !ok || v != 1 {
+	if v, ok := seriesValue(reg, "wf_submissions_accepted_total", DefaultRun); !ok || v != 1 {
 		t.Errorf("wf_submissions_accepted_total = %v (ok=%v), want 1", v, ok)
 	}
-	if v, ok := seriesValue(reg, "wf_submissions_rejected_total", "unknown_rule"); !ok || v != 1 {
+	if v, ok := seriesValue(reg, "wf_submissions_rejected_total", DefaultRun, "unknown_rule"); !ok || v != 1 {
 		t.Errorf("wf_submissions_rejected_total{unknown_rule} = %v (ok=%v), want 1", v, ok)
 	}
 
@@ -143,7 +143,7 @@ func TestMiddlewareRequestMetrics(t *testing.T) {
 func TestCertifyStatsReachRegistry(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := New("Hiring", workload.Hiring())
-	c.Instrument(reg)
+	c.InstrumentRun(reg, DefaultRun)
 
 	// Hiring is 3-bounded but not transparent for sue: the bounded check
 	// passes, the transparency check returns a violation — both invocations
@@ -152,16 +152,16 @@ func TestCertifyStatsReachRegistry(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected a transparency violation for sue")
 	}
-	if v, ok := seriesValue(reg, "wf_decider_runs_total", "bounded", "ok"); !ok || v != 1 {
+	if v, ok := seriesValue(reg, "wf_decider_runs_total", DefaultRun, "bounded", "ok"); !ok || v != 1 {
 		t.Errorf("wf_decider_runs_total{bounded,ok} = %v (ok=%v), want 1", v, ok)
 	}
-	if v, ok := seriesValue(reg, "wf_decider_runs_total", "transparent", "violation"); !ok || v != 1 {
+	if v, ok := seriesValue(reg, "wf_decider_runs_total", DefaultRun, "transparent", "violation"); !ok || v != 1 {
 		t.Errorf("wf_decider_runs_total{transparent,violation} = %v (ok=%v), want 1", v, ok)
 	}
-	if v, ok := seriesValue(reg, "wf_decider_nodes_total"); !ok || v <= 0 {
+	if v, ok := seriesValue(reg, "wf_decider_nodes_total", DefaultRun); !ok || v <= 0 {
 		t.Errorf("wf_decider_nodes_total = %v (ok=%v), want > 0", v, ok)
 	}
-	if v, ok := seriesValue(reg, "wf_decider_states_total"); !ok || v <= 0 {
+	if v, ok := seriesValue(reg, "wf_decider_states_total", DefaultRun); !ok || v <= 0 {
 		t.Errorf("wf_decider_states_total = %v (ok=%v), want > 0", v, ok)
 	}
 }
@@ -169,7 +169,7 @@ func TestCertifyStatsReachRegistry(t *testing.T) {
 func TestStatuszReportsDrops(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := New("Hiring", workload.Hiring())
-	c.Instrument(reg)
+	c.InstrumentRun(reg, DefaultRun)
 	_, cancel, err := c.Subscribe("hr", 1)
 	if err != nil {
 		t.Fatal(err)
@@ -201,10 +201,10 @@ func TestStatuszReportsDrops(t *testing.T) {
 	if st.Events != 2 {
 		t.Errorf("events = %d, want 2", st.Events)
 	}
-	if v, ok := seriesValue(reg, "wf_notifications_dropped_total", "hr"); !ok || v != 1 {
+	if v, ok := seriesValue(reg, "wf_notifications_dropped_total", DefaultRun, "hr"); !ok || v != 1 {
 		t.Errorf("wf_notifications_dropped_total{hr} = %v (ok=%v), want 1", v, ok)
 	}
-	if v, ok := seriesValue(reg, "wf_subscribers"); !ok || v != 1 {
+	if v, ok := seriesValue(reg, "wf_subscribers", DefaultRun); !ok || v != 1 {
 		t.Errorf("wf_subscribers = %v (ok=%v), want 1", v, ok)
 	}
 }

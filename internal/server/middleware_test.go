@@ -130,7 +130,7 @@ func TestAccessLogCarriesTraceID(t *testing.T) {
 func TestStatuszFieldPresence(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := New("Hiring", workload.Hiring())
-	c.Instrument(reg)
+	c.InstrumentRun(reg, DefaultRun)
 	if err := c.Guard("sue", 3); err != nil {
 		t.Fatal(err)
 	}

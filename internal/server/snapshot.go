@@ -48,8 +48,8 @@ type snapshot struct {
 	seq  uint64
 	born int64
 	// cnt is the owning coordinator's condition-eval counter block (nil when
-	// unprofiled): visibility checks on the snapshot attribute their
-	// selection evaluations to that run, not to the process-global sink.
+	// unprofiled): visibility checks and view renders on the snapshot
+	// attribute their selection evaluations to that run.
 	cnt *cond.EvalCounts
 }
 
@@ -61,7 +61,7 @@ func (s *snapshot) Event(i int) *program.Event     { return s.steps[i].Event }
 func (s *snapshot) Effects(i int) []program.Effect { return s.steps[i].Effects }
 
 func (s *snapshot) VisibleAt(i int, p schema.Peer) bool {
-	return program.StepVisibleAtCount(s.prog.Schema, &s.steps[i], p, s.cnt)
+	return program.StepVisibleAt(s.prog.Schema, &s.steps[i], p, s.cnt)
 }
 
 // instanceAt returns I_i of the captured prefix; -1 is the initial instance.
@@ -83,15 +83,26 @@ func (s *snapshot) events() []*program.Event {
 
 // publishSnapshotLocked captures the released prefix and swaps it in for
 // lock-free readers. Callers hold the lock (or are constructing the
-// coordinator). Publication advances the per-peer explainers to the
-// released prefix first — this is where the incremental explanation work
-// happens, O(new events) per release, so no read ever pays it.
+// coordinator). Publication advances the per-peer explainers and
+// visible-index caches from the last published length to the released
+// prefix first — this is where the incremental work happens, O(new events)
+// per release, so no read ever pays it.
 func (c *Coordinator) publishSnapshotLocked() {
+	from := 0
+	if prev := c.snap.Load(); prev != nil {
+		from = prev.Len()
+	}
 	peers := c.prog.Peers()
 	vis := make(map[schema.Peer][]int, len(peers))
 	exp := make(map[schema.Peer]*core.FrozenExplainer, len(peers))
 	for _, p := range peers {
-		idxs := c.visibleLocked(p)
+		idxs := c.visCache[p]
+		for i := from; i < c.observable; i++ {
+			if c.run.VisibleAt(i, p) {
+				idxs = append(idxs, i)
+			}
+		}
+		c.visCache[p] = idxs
 		vis[p] = idxs[:len(idxs):len(idxs)]
 		exp[p] = c.explainer(p).Freeze()
 	}
@@ -111,30 +122,10 @@ func (c *Coordinator) publishSnapshotLocked() {
 	c.metrics.snapshotSwapped()
 }
 
-// readSnapshot returns the current snapshot for a lock-free read, or nil
-// when lock-free reads are disabled (the -locked-reads escape hatch and the
-// E17 baseline) and the caller must fall back to the mutex path.
-func (c *Coordinator) readSnapshot() *snapshot {
-	if c.lockedReads.Load() {
-		return nil
-	}
-	return c.snap.Load()
-}
-
-// SetLockedReads forces every read back onto the coordinator mutex (true)
-// or restores lock-free snapshot serving (false, the default). Exists for
-// the E17 baseline and as an operational escape hatch (-locked-reads);
-// the wf_read_locked_total / wf_read_lockfree_total counters attribute
-// reads to the two paths.
-func (c *Coordinator) SetLockedReads(v bool) { c.lockedReads.Store(v) }
-
 // SnapshotInfo reports the published snapshot's sequence number, age, and
 // event count, for /statusz and the snapshot-age gauge.
 func (c *Coordinator) SnapshotInfo() (seq uint64, age time.Duration, events int) {
 	s := c.snap.Load()
-	if s == nil {
-		return 0, 0, 0
-	}
 	return s.seq, time.Duration(time.Now().UnixNano() - s.born), len(s.steps)
 }
 
@@ -156,13 +147,13 @@ func (c *Coordinator) snapView(s *snapshot, i int, peer schema.Peer) string {
 	if v, ok := c.viewStrs.Load(k); ok {
 		return v.(string)
 	}
-	str := schema.ViewOf(s.instanceAt(i), s.prog.Schema, peer).String()
+	str := schema.ViewOf(s.instanceAt(i), s.prog.Schema, peer).CountConds(s.cnt).String()
 	c.viewStrs.Store(k, str)
 	return str
 }
 
 // snapNotification builds the peer's notification for event idx from the
-// snapshot alone — the lock-free twin of buildNotification, kept
+// snapshot alone — the poll twin of the push path's buildNotification, kept
 // byte-identical through the shared makeNotification assembly.
 func (c *Coordinator) snapNotification(s *snapshot, peer schema.Peer, idx int) Notification {
 	return makeNotification(s.Event(idx), peer, idx, c.snapView(s, idx, peer), s.exp[peer].ExplainEvent(idx))
@@ -172,25 +163,17 @@ func (c *Coordinator) snapNotification(s *snapshot, peer schema.Peer, idx int) N
 // snapshot, so pollers get a mutually consistent (transitions, len) pair;
 // /transitions serves this.
 func (c *Coordinator) TransitionsAndLen(peer schema.Peer, from int) ([]Notification, int, error) {
-	if s := c.readSnapshot(); s != nil {
-		if !s.prog.Schema.HasPeer(peer) {
-			return nil, 0, unknownPeerErr(peer)
-		}
-		c.readMetrics().readPath(true)
-		idxs := s.vis[peer]
-		var out []Notification
-		for _, idx := range idxs[sort.SearchInts(idxs, from):] {
-			out = append(out, c.snapNotification(s, peer, idx))
-		}
-		return out, s.Len(), nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.prog.Schema.HasPeer(peer) {
+	s := c.snap.Load()
+	if !s.prog.Schema.HasPeer(peer) {
 		return nil, 0, unknownPeerErr(peer)
 	}
-	c.readMetrics().readPath(false)
-	return c.transitionsLocked(peer, from), c.observable, nil
+	c.readMetrics().read()
+	idxs := s.vis[peer]
+	var out []Notification
+	for _, idx := range idxs[sort.SearchInts(idxs, from):] {
+		out = append(out, c.snapNotification(s, peer, idx))
+	}
+	return out, s.Len(), nil
 }
 
 // snapTrace exports the snapshot's prefix as a replayable trace.

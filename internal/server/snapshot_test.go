@@ -5,7 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"collabwf/internal/core"
 	"collabwf/internal/obs"
+	"collabwf/internal/schema"
 	"collabwf/internal/wal"
 	"collabwf/internal/workload"
 )
@@ -56,66 +58,85 @@ func TestReadsLockFreeWhileMutexHeld(t *testing.T) {
 	}
 }
 
-// TestLockFreeMatchesLockedReads pins snapshot serving to the mutex-path
-// semantics: for every peer and every read operation, the lock-free answer
-// must be deeply equal to the locked baseline (-locked-reads) on the same
-// state.
-func TestLockFreeMatchesLockedReads(t *testing.T) {
+// TestSnapshotReadsMatchReplay pins snapshot serving to an independent
+// oracle: at several prefix lengths, the empty run included, every peer's
+// View, Explain, Scenario and TransitionsAndLen answers must equal what a
+// from-scratch replay of the served trace computes with the program run,
+// core.NewExplainer and schema.ViewOf — no coordinator state involved.
+func TestSnapshotReadsMatchReplay(t *testing.T) {
 	prog := workload.Hiring()
 	c := New("Hiring", prog)
+	compareWithReplay(t, c)
 	subs := randomWorkload(t, prog, 11, 12)
 	for i, s := range subs {
 		if _, err := c.Submit(s.peer, s.rule, s.bindings); err != nil {
 			t.Fatal(err)
 		}
-		if i%3 != 0 {
-			continue // compare on a third of the prefixes, including the last
+		if i%3 == 0 {
+			compareWithReplay(t, c)
 		}
-		compareReadPaths(t, c)
 	}
-	compareReadPaths(t, c)
+	compareWithReplay(t, c)
 }
 
-func compareReadPaths(t *testing.T, c *Coordinator) {
+func compareWithReplay(t *testing.T, c *Coordinator) {
 	t.Helper()
-	type answers struct {
-		view     string
-		report   string
-		scenario []int
-		trans    []Notification
-		n        int
-		trace    string
+	run, err := c.Trace().Replay(c.prog)
+	if err != nil {
+		t.Fatalf("replaying the served trace: %v", err)
 	}
-	collect := func() map[string]answers {
-		out := make(map[string]answers)
-		for _, peer := range c.prog.Peers() {
-			v, err := c.View(peer)
-			if err != nil {
-				t.Fatal(err)
+	n := run.Len()
+	if got := c.Len(); got != n {
+		t.Fatalf("Len() = %d, served trace has %d events", got, n)
+	}
+	viewAfter := func(i int, peer schema.Peer) string {
+		return schema.ViewOf(run.InstanceAt(i), c.prog.Schema, peer).String()
+	}
+	for _, peer := range c.prog.Peers() {
+		ex := core.NewExplainer(run, peer)
+		var wantTrans []Notification
+		for _, idx := range run.VisibleEvents(peer) {
+			e := run.Event(idx)
+			want := Notification{Index: idx, Omega: e.Peer() != peer, View: viewAfter(idx, peer)}
+			if !want.Omega {
+				want.Rule = e.Rule.Name
 			}
-			rep, err := c.Explain(peer)
-			if err != nil {
-				t.Fatal(err)
+			for _, j := range ex.ExplainEvent(idx) {
+				if j != idx {
+					want.Because = append(want.Because, j)
+				}
 			}
-			sc, err := c.Scenario(peer)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ts, n, err := c.TransitionsAndLen(peer, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[string(peer)] = answers{view: v, report: rep.String(), scenario: sc, trans: ts, n: n,
-				trace: c.Trace().Workflow}
+			wantTrans = append(wantTrans, want)
 		}
-		return out
-	}
-	lockfree := collect()
-	c.SetLockedReads(true)
-	locked := collect()
-	c.SetLockedReads(false)
-	if !reflect.DeepEqual(lockfree, locked) {
-		t.Fatalf("lock-free and locked reads diverge:\n lock-free: %+v\n locked: %+v", lockfree, locked)
+
+		v, err := c.View(peer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := viewAfter(n-1, peer); v != want {
+			t.Fatalf("len %d, %s: View = %q, replay %q", n, peer, v, want)
+		}
+		rep, err := c.Explain(peer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := rep.String(), ex.Report().String(); got != want {
+			t.Fatalf("len %d, %s: Explain diverges from replay:\n got:  %s\n want: %s", n, peer, got, want)
+		}
+		sc, err := c.Scenario(peer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := ex.MinimalScenario(); !reflect.DeepEqual(sc, want) {
+			t.Fatalf("len %d, %s: Scenario = %v, replay %v", n, peer, sc, want)
+		}
+		ts, tn, err := c.TransitionsAndLen(peer, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tn != n || !reflect.DeepEqual(ts, wantTrans) {
+			t.Fatalf("len %d, %s: TransitionsAndLen = (%+v, %d), replay (%+v, %d)", n, peer, ts, tn, wantTrans, n)
+		}
 	}
 }
 
@@ -191,14 +212,14 @@ func TestRecoverRebuildsExplainers(t *testing.T) {
 	rc.mu.Unlock()
 }
 
-// TestReadPathMetrics pins the read-path observability surface: lock-free
-// and locked reads are counted on their own families, snapshot swaps
-// accumulate with releases, and the age gauge is sampled at scrape time.
+// TestReadPathMetrics pins the read-path observability surface: every
+// snapshot read is counted on one family, snapshot swaps accumulate with
+// releases, and the age gauge is sampled at scrape time.
 func TestReadPathMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	prog := workload.Hiring()
 	c := New("Hiring", prog)
-	c.Instrument(reg)
+	c.InstrumentRun(reg, DefaultRun)
 
 	if _, err := c.Submit("hr", "clear", nil); err != nil {
 		t.Fatal(err)
@@ -212,21 +233,20 @@ func TestReadPathMetrics(t *testing.T) {
 	if got := gaugeValue(t, reg, "wf_read_lockfree_total"); got != 2 {
 		t.Fatalf("wf_read_lockfree_total = %v, want 2", got)
 	}
-
-	c.SetLockedReads(true)
-	if _, err := c.View("hr"); err != nil {
+	if _, err := c.Scenario("hr"); err != nil {
 		t.Fatal(err)
 	}
-	c.SetLockedReads(false)
-	if got := gaugeValue(t, reg, "wf_read_locked_total"); got != 1 {
-		t.Fatalf("wf_read_locked_total = %v, want 1", got)
+	if _, _, err := c.TransitionsAndLen("hr", 0); err != nil {
+		t.Fatal(err)
 	}
-	if got := gaugeValue(t, reg, "wf_read_lockfree_total"); got != 2 {
-		t.Fatalf("wf_read_lockfree_total moved to %v on the locked path", got)
+	c.Trace()
+	c.Len() // a length probe is not a read of the run's content
+	if got := gaugeValue(t, reg, "wf_read_lockfree_total"); got != 5 {
+		t.Fatalf("wf_read_lockfree_total = %v, want 5", got)
 	}
 
 	// One publication per release; the construction-time swap predates
-	// Instrument and is uncounted (seq still records it).
+	// InstrumentRun and is uncounted (seq still records it).
 	if got := gaugeValue(t, reg, "wf_snapshot_swaps_total"); got != 1 {
 		t.Fatalf("wf_snapshot_swaps_total = %v, want 1", got)
 	}

@@ -30,7 +30,7 @@ func TestSubmitTraceEndToEnd(t *testing.T) {
 	}
 	defer c.Close()
 	reg := obs.NewRegistry()
-	metrics := c.Instrument(reg)
+	metrics := c.InstrumentRun(reg, DefaultRun)
 	var logBuf bytes.Buffer
 	logger, err := obs.NewLogger(&logBuf, "debug", obs.FormatJSON)
 	if err != nil {
@@ -232,7 +232,7 @@ func TestCertifySpanStatsMatchDirectCall(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	c2 := New("Hiring", workload.Hiring())
-	c2.Instrument(reg)
+	c2.InstrumentRun(reg, DefaultRun)
 	if err := c2.Certify(context.Background(), "sue", 3, opts); err == nil {
 		t.Fatal("expected a transparency violation for sue")
 	}

@@ -92,17 +92,6 @@ func FromEvents(name string, initial *schema.Instance, events []*program.Event) 
 	return t
 }
 
-// FromRunPrefix is FromRun restricted to the first n events — for exporters
-// that must not describe a tail the caller has not released yet (e.g. a
-// durable coordinator's buffered, not-yet-fsynced events).
-func FromRunPrefix(name string, r *program.Run, n int) *Trace {
-	t := FromRun(name, r)
-	if n < len(t.Events) {
-		t.Events = t.Events[:n]
-	}
-	return t
-}
-
 // Replay reconstructs the run described by the trace against the program.
 // Every run condition (body satisfaction, applicability, freshness) is
 // re-checked, so a tampered trace is rejected rather than replayed.

@@ -225,7 +225,7 @@ func CheckTransparentCtx(ctx context.Context, p *program.Program, peer schema.Pe
 	// memo layers only merges states.
 	groups := make(map[string][]*schema.Instance)
 	for _, in := range fresh {
-		fp := schema.ViewOf(in, p.Schema, peer).Fingerprint()
+		fp := s.viewOf(in, peer).Fingerprint()
 		groups[fp] = append(groups[fp], in)
 	}
 	groupKeys := make([]string, 0, len(groups))

@@ -172,6 +172,12 @@ func newSearcher(p *program.Program, peer schema.Peer, h int, opts Options) *sea
 	return s
 }
 
+// viewOf is schema.ViewOf with the view's condition evaluations counted
+// into the search's profiler (uncounted when profiling is off).
+func (s *searcher) viewOf(in *schema.Instance, p schema.Peer) *schema.ViewInstance {
+	return schema.ViewOf(in, s.prog.Schema, p).CountConds(s.opts.Profiler.Cond())
+}
+
 // finish folds the searcher's effort counters into Options.Stats, if set.
 func (s *searcher) finish() {
 	if st := s.opts.Stats; st != nil {
@@ -326,7 +332,7 @@ func (s *searcher) visibleEventsOn(in *schema.Instance) ([]*program.Event, error
 	var out []*program.Event
 	adom := in.ADom()
 	for _, rl := range s.prog.Rules() {
-		vi := schema.ViewOf(in, s.prog.Schema, rl.Peer)
+		vi := s.viewOf(in, rl.Peer)
 		var bodyVals []query.Valuation
 		if s.profFresh == nil {
 			bodyVals = rl.Body.Eval(vi, 0)
@@ -370,11 +376,11 @@ func (s *searcher) visibleEventsOn(in *schema.Instance) ([]*program.Event, error
 				if err != nil {
 					continue
 				}
-				after, _, err := program.Apply(in, e, s.prog.Schema)
+				after, _, err := program.Apply(in, e, s.prog.Schema, s.opts.Profiler.Cond())
 				if err != nil {
 					continue
 				}
-				if e.Peer() == s.peer || !schema.ViewOf(in, s.prog.Schema, s.peer).Equal(schema.ViewOf(after, s.prog.Schema, s.peer)) {
+				if e.Peer() == s.peer || !s.viewOf(in, s.peer).Equal(s.viewOf(after, s.peer)) {
 					out = append(out, e)
 				}
 			}
@@ -410,7 +416,7 @@ func (s *searcher) freshInstances(ctx context.Context) ([]*schema.Instance, erro
 			return nil, err
 		}
 		for _, e := range events {
-			after, _, err := program.Apply(in, e, s.prog.Schema)
+			after, _, err := program.Apply(in, e, s.prog.Schema, s.opts.Profiler.Cond())
 			if err != nil {
 				continue
 			}

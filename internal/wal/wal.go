@@ -13,8 +13,8 @@
 //
 // Two append paths implement that discipline:
 //
-//   - AppendCtx writes and (policy permitting) fsyncs synchronously, under
-//     the log lock — one fsync per record under SyncAlways.
+//   - Append writes and (policy permitting) fsyncs synchronously, under the
+//     log lock — one fsync per record under SyncAlways.
 //   - AppendBuffered writes the record into the log file and returns a
 //     *Commit future immediately; a dedicated committer goroutine coalesces
 //     every record buffered while the previous fsync was in flight into ONE
@@ -475,30 +475,18 @@ func (l *Log) TornBytes() int64 { return l.tornBytes }
 // Dir returns the log's root directory.
 func (l *Log) Dir() string { return l.dir }
 
-// Append durably adds one record. On failure nothing of the record remains
-// on disk (the log truncates back to the last good record) and the caller
-// must treat the event as rejected. If even the repair fails, the log
-// becomes broken and refuses further appends.
+// Append durably adds one record, synchronously. On failure nothing of the
+// record remains on disk (the log truncates back to the last good record)
+// and the caller must treat the event as rejected. If even the repair
+// fails, the log becomes broken and refuses further appends.
 func (l *Log) Append(rec Record) error {
-	return l.AppendCtx(context.Background(), rec)
-}
-
-// AppendCtx is Append with a caller context: the write (and any fsync under
-// it) appears as a wal.append span in the caller's trace.
-func (l *Log) AppendCtx(ctx context.Context, rec Record) (err error) {
-	ctx, sp := obs.StartSpan(ctx, "wal.append")
-	sp.SetAttr("seq", rec.Seq)
-	defer func() {
-		sp.SetError(err)
-		sp.End()
-	}()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	n, err := l.writeLocked(sp, rec)
+	n, err := l.writeLocked(nil, rec)
 	if err != nil {
 		return err
 	}
-	if err := l.maybeSync(ctx); err != nil {
+	if err := l.maybeSync(context.Background()); err != nil {
 		// The record may not be durable; take it back so memory and disk
 		// agree that it was never accepted.
 		l.end -= int64(n)
@@ -515,7 +503,7 @@ func (l *Log) AppendCtx(ctx context.Context, rec Record) (err error) {
 // fsync is delegated to the committer goroutine, which coalesces every
 // record buffered while the previous sync was in flight into one group
 // fsync; under the relaxed policies the returned Commit is already
-// resolved (durability is best-effort by policy, exactly as AppendCtx).
+// resolved (durability is best-effort by policy, exactly as Append).
 //
 // On a write failure nothing of the record remains on disk and no future is
 // returned. On a GROUP SYNC failure every commit in the batch (and every
