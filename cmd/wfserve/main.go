@@ -27,8 +27,6 @@
 //	        [-snapshot-every 256] [-wal-max-batch 64] [-max-inflight 256]
 //	        [-shutdown-timeout 10s]
 //	        [-declog decisions.jsonl|http://collector/v1|stdout]
-//	        [-declog-batch 128] [-declog-flush-interval 1s]
-//	        [-declog-queue 4096] [-declog-rotate-bytes 67108864]
 //	        [-request-timeout 30s] [-debug-addr :6060] [-profile-rules]
 //	        [-log-level info] [-log-format auto|text|json]
 //	        [-trace-sample always|error|slow|off] [-trace-slow 100ms]
@@ -38,15 +36,22 @@
 // /runs/{id}/ prefix (plus the legacy default-run alias at the root) the
 // full single-run API: POST submit, GET view, /explain, /scenario,
 // /transitions, /trace, /healthz, /readyz, /metrics, /statusz (see
-// internal/server). /statusz carries the fleet block: one row per live run
-// plus aggregate counts. With -debug-addr a second listener additionally
-// serves /metrics, net/http/pprof, the trace flight recorder at
-// /debug/traces and the ranked rule-cost listing at /debug/rules — keep it
-// off the public interface. With -profile-rules the rule-engine profiler
-// attributes evaluation cost per rule on the default run (wf_rule_* /
-// wf_query_* metric families, the /statusz rule_engine block, and
+// internal/server). /statusz reports what no other surface does — build,
+// decision-log sink, snapshot sequence, readiness, WAL stall, guards — plus
+// the fleet block: one row per live run and aggregate counts. With
+// -debug-addr a second listener additionally serves /metrics,
+// net/http/pprof, the trace flight recorder at /debug/traces and the ranked
+// rule-cost listing at /debug/rules — keep it off the public interface.
+// With -profile-rules the rule-engine profiler attributes evaluation cost
+// per rule on the default run (wf_rule_* / wf_query_* metric families and
 // /debug/rules rankings); off by default because attribution adds clock
 // reads to the submit path.
+//
+// With -declog every coordinator decision (submission verdict, idempotent
+// replay, certification, explanation, guard install, recovery) is one
+// record in the decision log, batched 128 at a time or every second, queued
+// up to 4096 records (drop-oldest), the file sink rotating past 64 MiB. The
+// same decision drives its metric, span attributes and log line.
 //
 // Every layer is instrumented: request counts/latency per route, submission
 // accept/reject counters labeled by run, WAL fsync and snapshot latencies,
@@ -98,10 +103,6 @@ func main() {
 	walStrict := flag.Bool("wal-strict", false, "refuse to start on a corrupt WAL record instead of truncating at the first bad record")
 	idemWindow := flag.Int("idem-window", 0, "idempotency-key dedupe window in submissions per run (0 = 4096)")
 	declogDest := flag.String("declog", "", "decision-log sink: a JSONL file path, an http(s):// collector URL, or 'stdout'; empty = disabled")
-	declogBatch := flag.Int("declog-batch", 0, "decision-log records per export batch (0 = 128)")
-	declogFlush := flag.Duration("declog-flush-interval", 0, "max decision-log record age before a partial batch exports (0 = 1s)")
-	declogQueue := flag.Int("declog-queue", 0, "decision-log queue capacity; full queues drop the oldest record (0 = 4096)")
-	declogRotate := flag.Int64("declog-rotate-bytes", 64<<20, "rotate the decision-log file past this size (file sink only; 0 = never)")
 	debugAddr := flag.String("debug-addr", "", "debug listener (pprof + /metrics + /debug/traces); empty = disabled")
 	traceSample := flag.String("trace-sample", "always", "trace sampling policy: always, error, slow or off")
 	traceSlow := flag.Duration("trace-slow", 100*time.Millisecond, "root-span duration threshold for -trace-sample slow")
@@ -164,18 +165,11 @@ func main() {
 	// stream's first record for every run (see DurabilityConfig.DecisionLog).
 	var declogger *declog.Logger
 	if *declogDest != "" {
-		sink, err := newDeclogSink(*declogDest, *declogRotate, logger)
+		sink, err := newDeclogSink(*declogDest, logger)
 		if err != nil {
 			fatal(err)
 		}
-		declogger, err = declog.New(declog.Config{
-			Sink:          sink,
-			Capacity:      *declogQueue,
-			BatchSize:     *declogBatch,
-			FlushInterval: *declogFlush,
-			Registry:      reg,
-			Logger:        logger,
-		})
+		declogger, err = declog.New(declog.Config{Sink: sink, Registry: reg, Logger: logger})
 		if err != nil {
 			fatal(err)
 		}
@@ -234,7 +228,7 @@ func main() {
 	if profiler.Enabled() {
 		m.Default().SetProfiler(profiler)
 		profiler.Instrument(reg)
-		fmt.Println("rule-engine profiler on for the default run (wf_rule_*, /debug/rules, /statusz rule_engine)")
+		fmt.Println("rule-engine profiler on for the default run (wf_rule_*, /debug/rules)")
 	}
 
 	srv := &http.Server{Addr: *addr, Handler: m.Handler()}
@@ -295,15 +289,15 @@ func main() {
 
 // newDeclogSink builds the -declog sink: an http(s):// URL uploads gzipped
 // batches with retries, "stdout" (or "-") writes JSONL to standard output,
-// anything else is a file path with size rotation.
-func newDeclogSink(dest string, rotateBytes int64, logger *slog.Logger) (declog.Sink, error) {
+// anything else is a file path rotated past 64 MiB.
+func newDeclogSink(dest string, logger *slog.Logger) (declog.Sink, error) {
 	switch {
 	case strings.HasPrefix(dest, "http://") || strings.HasPrefix(dest, "https://"):
 		return declog.NewHTTPSink(dest, declog.HTTPOptions{Logger: logger}), nil
 	case dest == "stdout" || dest == "-":
 		return declog.NewWriterSink(os.Stdout, "stdout"), nil
 	default:
-		return declog.NewFileSink(dest, declog.FileOptions{MaxBytes: rotateBytes})
+		return declog.NewFileSink(dest, declog.FileOptions{MaxBytes: 64 << 20})
 	}
 }
 

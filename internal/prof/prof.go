@@ -75,13 +75,6 @@ type Profiler struct {
 	phases map[string]*PhaseStats
 
 	cond cond.EvalCounts
-
-	// Totals, duplicated out of the maps so /statusz and the metrics hook
-	// read them without walking the registry.
-	attempts, candidates, fires, replays atomic.Int64
-	evalNS, replayNS                     atomic.Int64
-	tuples, keyLookups, literals         atomic.Int64
-	guardChecks, guardNS                 atomic.Int64
 }
 
 // New returns an empty enabled profiler.
@@ -177,8 +170,6 @@ func (p *Profiler) GuardCheck(peer string, ns int64, violated bool) {
 	if violated {
 		gs.violations.Add(1)
 	}
-	p.guardChecks.Add(1)
-	p.guardNS.Add(ns)
 }
 
 // Cond returns the profiler's condition-evaluation counter block, the sink
@@ -238,12 +229,6 @@ func (s *Scope) RuleEval(rule, peer string, ns int64, es *query.EvalStats) {
 			s.p.relCounter(rel).Add(n)
 		}
 	}
-	s.p.attempts.Add(1)
-	s.p.candidates.Add(es.Valuations)
-	s.p.evalNS.Add(ns)
-	s.p.tuples.Add(es.Tuples)
-	s.p.keyLookups.Add(es.KeyLookups)
-	s.p.literals.Add(es.Literals)
 	s.phase.bodyEvals.Add(1)
 	s.phase.candidates.Add(es.Valuations)
 	s.phase.evalNS.Add(ns)
@@ -255,7 +240,6 @@ func (s *Scope) RuleFired(rule, peer string) {
 		return
 	}
 	s.p.ruleStats(rule, peer).fires.Add(1)
-	s.p.fires.Add(1)
 }
 
 // RuleReplay records one ground body re-check (Append re-validating an
@@ -267,8 +251,6 @@ func (s *Scope) RuleReplay(rule, peer string, ns int64) {
 	rs := s.p.ruleStats(rule, peer)
 	rs.replays.Add(1)
 	rs.replayNS.Add(ns)
-	s.p.replays.Add(1)
-	s.p.replayNS.Add(ns)
 	s.phase.replays.Add(1)
 	s.phase.replayNS.Add(ns)
 }

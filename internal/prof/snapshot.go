@@ -60,7 +60,7 @@ type CondCost struct {
 	Total   int64 `json:"total"`
 }
 
-// Totals are the profiler-wide aggregates.
+// Totals are the profiler-wide aggregates: sums over the per-rule cells.
 type Totals struct {
 	Attempts   int64 `json:"attempts"`
 	Candidates int64 `json:"candidates"`
@@ -93,17 +93,8 @@ func (p *Profiler) Snapshot() *Snapshot {
 	if p == nil {
 		return &Snapshot{}
 	}
-	s := &Snapshot{Enabled: true, Totals: Totals{
-		Attempts:   p.attempts.Load(),
-		Candidates: p.candidates.Load(),
-		Fires:      p.fires.Load(),
-		Replays:    p.replays.Load(),
-		EvalNS:     p.evalNS.Load(),
-		ReplayNS:   p.replayNS.Load(),
-		Tuples:     p.tuples.Load(),
-		KeyLookups: p.keyLookups.Load(),
-		Literals:   p.literals.Load(),
-	}}
+	s := &Snapshot{Enabled: true}
+	t := &s.Totals
 	p.mu.RLock()
 	for name, rs := range p.rules {
 		rc := RuleCost{
@@ -121,6 +112,15 @@ func (p *Profiler) Snapshot() *Snapshot {
 		}
 		rc.CumNS = rc.EvalNS + rc.ReplayNS
 		s.Rules = append(s.Rules, rc)
+		t.Attempts += rc.Attempts
+		t.Candidates += rc.Candidates
+		t.Fires += rc.Fires
+		t.Replays += rc.Replays
+		t.EvalNS += rc.EvalNS
+		t.ReplayNS += rc.ReplayNS
+		t.Tuples += rc.Tuples
+		t.KeyLookups += rc.KeyLookups
+		t.Literals += rc.Literals
 	}
 	for rel, c := range p.rels {
 		s.Relations = append(s.Relations, RelCost{Rel: rel, Tuples: c.Load()})
@@ -168,30 +168,6 @@ func sortRules(rules []RuleCost) {
 		}
 		return rules[i].Rule < rules[j].Rule
 	})
-}
-
-// Status is the condensed /statusz rule_engine block.
-type Status struct {
-	Enabled  bool       `json:"enabled"`
-	Fires    int64      `json:"fires"`
-	Attempts int64      `json:"attempts"`
-	EvalNS   int64      `json:"eval_ns"`
-	TopRules []RuleCost `json:"top_rules,omitempty"`
-}
-
-// Status condenses the profiler for /statusz: totals plus the top rules by
-// cumulative cost. Safe on a nil Profiler (Enabled: false).
-func (p *Profiler) Status(top int) Status {
-	if p == nil {
-		return Status{}
-	}
-	s := p.Snapshot()
-	st := Status{Enabled: true, Fires: s.Totals.Fires, Attempts: s.Totals.Attempts, EvalNS: s.Totals.EvalNS}
-	if top > 0 && len(s.Rules) > top {
-		s.Rules = s.Rules[:top]
-	}
-	st.TopRules = s.Rules
-	return st
 }
 
 // Table renders the snapshot as an EXPLAIN-ANALYZE-style text cost table:

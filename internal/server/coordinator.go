@@ -74,10 +74,8 @@ type Coordinator struct {
 
 	name string
 	// runID identifies this coordinator's workflow instance within a run
-	// fleet ("" for the classic single-run server). It scopes state that
-	// would otherwise be process- or key-global: idempotency entries (the
-	// same client key against two runs must not cross-dedupe) and the Run
-	// field of emitted decision records.
+	// fleet ("" for the classic single-run server); it is the Run field of
+	// emitted decision records.
 	runID string
 	prog  *program.Program
 	run   *program.Run
@@ -125,10 +123,8 @@ type Coordinator struct {
 	// dropped counts notifications lost to slow subscribers. It counts
 	// delivery attempts on accepted events only: a guard- or WAL-rejected
 	// submission never reaches notify, so it can neither deliver nor drop.
-	// droppedByPeer attributes the same losses to the subscribing peer, for
-	// /statusz and the wf_notifications_dropped_total{peer} family.
-	dropped       int
-	droppedByPeer map[schema.Peer]int
+	// wf_notifications_dropped_total{peer} attributes the same losses.
+	dropped int
 
 	// profiler is the attached rule-engine cost profiler (nil when off);
 	// SetProfiler wires its "engine" scope into the run and the guard-check
@@ -177,7 +173,6 @@ func New(name string, p *program.Program) *Coordinator {
 		guardMonitors: make(map[schema.Peer]*design.Monitor),
 		visCache:      make(map[schema.Peer][]int),
 		subs:          make(map[schema.Peer]map[int]chan Notification),
-		droppedByPeer: make(map[schema.Peer]int),
 		idem:          make(map[string]*idemEntry),
 	}
 	// Publish the empty-prefix snapshot so reads are lock-free from the
@@ -188,8 +183,7 @@ func New(name string, p *program.Program) *Coordinator {
 
 // SetRunID names the workflow instance this coordinator serves within a
 // run fleet. It must be set before traffic (the Manager sets it at shard
-// construction, Recover sets it before the idempotency window is rebuilt);
-// "" is the single-run mode.
+// construction, Recover from its config); "" is the single-run mode.
 func (c *Coordinator) SetRunID(id string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -249,8 +243,8 @@ func (c *Coordinator) Guard(peer schema.Peer, h int) error {
 	}
 	// Logged so an audit of the decision stream knows which policies the
 	// later submission verdicts were decided under.
-	c.emitDecision(context.Background(), declog.Decision{Kind: declog.KindGuard,
-		Decision: declog.Installed, Peer: string(peer), H: h, Index: -1})
+	c.decide(context.Background(), nil, declog.Decision{Kind: declog.KindGuard,
+		Decision: declog.Installed, Peer: string(peer), H: h, Index: -1}, nil)
 	return nil
 }
 
@@ -271,77 +265,70 @@ func (c *Coordinator) Certify(ctx context.Context, peer schema.Peer, h int, opts
 	sp.SetAttr("peer", string(peer))
 	sp.SetAttr("h", h)
 	defer sp.End()
-	// dd is the certification's decision record; every outcome path below
-	// sets the verdict, the deferred emit stamps latency and search effort.
-	dd := declog.Decision{Kind: declog.KindCertify, Peer: string(peer), H: h, Index: -1}
+	d := declog.Decision{Kind: declog.KindCertify, Peer: string(peer), H: h, Index: -1}
+	var err error
 	if !prog.Schema.HasPeer(peer) {
-		err := fmt.Errorf("server: unknown peer %s", peer)
-		sp.SetError(err)
-		dd.Decision, dd.Reason, dd.Detail = declog.Errored, "unknown_peer", err.Error()
-		dd.DurationNS = time.Since(start).Nanoseconds()
-		c.emitDecision(ctx, dd)
-		return err
-	}
-	// The registry, the trace and the decision log all see the search effort
-	// of every Certify call: collect Stats (into the caller's collector when
-	// one is given), fold the delta into the decider families afterwards,
-	// and stamp the same delta on the span and the decision record. Tracing
-	// forces collection too, so a /certify trace always carries its
-	// node/cache counters.
-	if (m != nil || sp != nil || c.dlog.Load() != nil) && opts.Stats == nil {
-		opts.Stats = &transparency.Stats{}
-	}
-	var before transparency.Stats
-	if opts.Stats != nil {
-		before = *opts.Stats
-	}
-	defer func() {
+		err = fmt.Errorf("server: unknown peer %s", peer)
+		d.Decision, d.Reason = declog.Errored, "unknown_peer"
+	} else {
+		// The registry, the trace and the decision log all see the search
+		// effort of every Certify call: collect Stats (into the caller's
+		// collector when one is given), fold the delta into the decider
+		// families afterwards, and stamp the same delta on the span and the
+		// decision record. Tracing forces collection too, so a /certify trace
+		// always carries its node/cache counters.
+		if (m != nil || sp != nil || c.dlog.Load() != nil) && opts.Stats == nil {
+			opts.Stats = &transparency.Stats{}
+		}
+		var before transparency.Stats
 		if opts.Stats != nil {
-			d := opts.Stats.Delta(before)
-			m.foldSearch(d)
-			sp.SetAttr("nodes", d.Nodes)
-			sp.SetAttr("cache_hits", d.CacheHits)
-			sp.SetAttr("cache_misses", d.CacheMisses)
-			sp.SetAttr("states", d.States)
-			sp.SetAttr("workers", d.Workers)
-			dd.Search = &declog.SearchStats{Nodes: d.Nodes, CacheHits: d.CacheHits,
-				CacheMisses: d.CacheMisses, States: d.States, Workers: d.Workers}
+			before = *opts.Stats
 		}
-		dd.DurationNS = time.Since(start).Nanoseconds()
-		c.emitDecision(ctx, dd)
-	}()
-	certifyErr := func(check string, err error) error {
-		dd.Decision, dd.Reason, dd.Detail = declog.Errored, check, err.Error()
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			dd.Reason = "cancelled"
+		d.Decision, d.Reason, err = certifySearch(ctx, prog, peer, h, opts, m)
+		if opts.Stats != nil {
+			s := opts.Stats.Delta(before)
+			m.foldSearch(s)
+			sp.SetAttr("nodes", s.Nodes)
+			sp.SetAttr("cache_hits", s.CacheHits)
+			sp.SetAttr("cache_misses", s.CacheMisses)
+			sp.SetAttr("states", s.States)
+			sp.SetAttr("workers", s.Workers)
+			d.Search = &declog.SearchStats{Nodes: s.Nodes, CacheHits: s.CacheHits,
+				CacheMisses: s.CacheMisses, States: s.States, Workers: s.Workers}
 		}
-		sp.SetError(err)
-		return err
 	}
+	if err != nil {
+		d.Detail = err.Error()
+	}
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		d.Reason = "cancelled"
+	}
+	d.DurationNS = time.Since(start).Nanoseconds()
+	c.decide(ctx, sp, d, err)
+	return err
+}
+
+// certifySearch runs the boundedness decider, then the transparency
+// decider, and states the verdict: certified, a violation naming the check
+// that failed, or an error naming the check that could not finish.
+func certifySearch(ctx context.Context, prog *program.Program, peer schema.Peer, h int, opts core.Options, m *Metrics) (decision, reason string, err error) {
 	bv, err := core.CheckBoundedCtx(ctx, prog, peer, h, opts)
 	m.deciderOutcome("bounded", bv != nil, err)
 	if err != nil {
-		return certifyErr("bounded", fmt.Errorf("server: certifying %s: %w", peer, err))
+		return declog.Errored, "bounded", fmt.Errorf("server: certifying %s: %w", peer, err)
 	}
 	if bv != nil {
-		err := fmt.Errorf("server: %s is not %d-bounded: %s", peer, h, bv)
-		sp.SetError(err)
-		dd.Decision, dd.Reason, dd.Detail = declog.Violation, "bounded", err.Error()
-		return err
+		return declog.Violation, "bounded", fmt.Errorf("server: %s is not %d-bounded: %s", peer, h, bv)
 	}
 	tv, err := core.CheckTransparentCtx(ctx, prog, peer, h, opts)
 	m.deciderOutcome("transparent", tv != nil, err)
 	if err != nil {
-		return certifyErr("transparent", fmt.Errorf("server: certifying %s: %w", peer, err))
+		return declog.Errored, "transparent", fmt.Errorf("server: certifying %s: %w", peer, err)
 	}
 	if tv != nil {
-		err := fmt.Errorf("server: program is not transparent for %s: %s", peer, tv)
-		sp.SetError(err)
-		dd.Decision, dd.Reason, dd.Detail = declog.Violation, "transparent", err.Error()
-		return err
+		return declog.Violation, "transparent", fmt.Errorf("server: program is not transparent for %s: %s", peer, tv)
 	}
-	dd.Decision = declog.Certified
-	return nil
+	return declog.Certified, "", nil
 }
 
 // Submit serializes one rule firing by a peer into the global run. The
@@ -371,56 +358,67 @@ func (c *Coordinator) SubmitCtx(ctx context.Context, peer schema.Peer, ruleName 
 
 // submitCtx is the submission pipeline shared by SubmitCtx (no key) and
 // SubmitIdemCtx (key reserved by the caller); idemKey rides inside the WAL
-// record so a recovered coordinator can dedupe post-crash retries.
+// record so a recovered coordinator can dedupe post-crash retries. Every
+// submission ends in exactly one decision, emitted here.
 func (c *Coordinator) submitCtx(ctx context.Context, peer schema.Peer, ruleName string, bindings map[string]data.Value, idemKey string) (*SubmitResult, error) {
 	ctx, sp := obs.StartSpan(ctx, "coordinator.submit")
 	sp.SetAttr("peer", string(peer))
 	sp.SetAttr("rule", ruleName)
 	defer sp.End()
-	reject := func(err error) (*SubmitResult, error) {
-		sp.SetError(err)
-		return nil, err
-	}
-	// dd is the submission's decision record; every reject path fills in
-	// the reason and emits before returning, acceptLocked emits the accept.
-	dd := declog.Decision{Kind: declog.KindSubmit, Decision: declog.Rejected,
-		Peer: string(peer), Rule: ruleName, Index: -1, IdemKey: idemKey, TraceID: sp.TraceID()}
-	rejectLog := func(reason, detail string) {
-		dd.Reason, dd.Detail, dd.RunLen = reason, detail, c.run.Len()
-		c.emitDecision(ctx, dd)
-	}
+	d := declog.Decision{Kind: declog.KindSubmit, Decision: declog.Rejected,
+		Peer: string(peer), Rule: ruleName, Index: -1, IdemKey: idemKey}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	res, err := c.submitLocked(ctx, sp, &d, bindings)
+	if err != nil {
+		d.RunLen = c.run.Len()
+	}
+	c.decide(ctx, sp, d, err)
+	if err != nil {
+		return nil, err
+	}
+	c.maybeSnapshotLocked(ctx)
+	return res, nil
+}
+
+// submitLocked fires the rule, checks the guards, makes the event durable
+// and releases it, describing the outcome in d: a rejection sets the reason
+// and what an audit needs to re-check it, an acceptance the event's index
+// (RunLen is the prefix the event extended, and the valuation rides along
+// so an audit can replay the run from the log alone). Callers hold the
+// lock; submitCtx emits d.
+func (c *Coordinator) submitLocked(ctx context.Context, sp *obs.Span, d *declog.Decision, bindings map[string]data.Value) (*SubmitResult, error) {
 	if c.closed {
-		c.metrics.rejected("closed")
-		rejectLog("closed", "")
-		return reject(fmt.Errorf("%w: coordinator is shut down", ErrUnavailable))
+		d.Reason = "closed"
+		return nil, fmt.Errorf("%w: coordinator is shut down", ErrUnavailable)
 	}
-	rl := c.prog.Rule(ruleName)
+	rl := c.prog.Rule(d.Rule)
 	if rl == nil {
-		c.metrics.rejected("unknown_rule")
-		rejectLog("unknown_rule", "")
-		return reject(fmt.Errorf("server: unknown rule %s", ruleName))
+		d.Reason = "unknown_rule"
+		return nil, fmt.Errorf("server: unknown rule %s", d.Rule)
 	}
-	if rl.Peer != peer {
-		c.metrics.rejected("wrong_peer")
-		rejectLog("wrong_peer", "")
-		return reject(fmt.Errorf("server: rule %s belongs to %s, not %s", ruleName, rl.Peer, peer))
+	if rl.Peer != schema.Peer(d.Peer) {
+		d.Reason = "wrong_peer"
+		return nil, fmt.Errorf("server: rule %s belongs to %s, not %s", d.Rule, rl.Peer, d.Peer)
 	}
 	prevLen := c.run.Len()
-	e, err := c.run.FireRule(ruleName, bindings)
+	e, err := c.run.FireRule(d.Rule, bindings)
 	if err != nil {
-		c.metrics.rejected("not_applicable")
-		dd.Valuation = encodeBindings(bindings)
-		rejectLog("not_applicable", err.Error())
-		return reject(err)
+		d.Reason, d.Detail, d.Valuation = "not_applicable", err.Error(), encodeBindings(bindings)
+		return nil, err
 	}
-	// The event exists from here on: rejections log its full valuation so
-	// an audit can re-fire it against the same prefix.
-	dd.Valuation = trace.EncodeEvent(e).Valuation
+	// The event exists from here on. One encoding serves the WAL record and
+	// the decision's valuation (rejections log it too, so an audit can
+	// re-fire the event against the same prefix); with neither attached the
+	// event is not encoded at all.
+	var ev trace.EventRecord
+	if c.log != nil || c.dlog.Load() != nil {
+		ev = trace.EncodeEvent(e)
+		d.Valuation = ev.Valuation
+	}
 	// Guard check: each guard's monitor is synced incrementally (one step
 	// per event); only a rejection pays the O(run) rollback rebuild.
-	gctx, gsp := obs.StartSpan(ctx, "coordinator.guard_check")
+	_, gsp := obs.StartSpan(ctx, "coordinator.guard_check")
 	gsp.SetAttr("guards", len(c.guards))
 	for _, guarded := range c.sortedGuards() {
 		m := c.guardMonitors[guarded]
@@ -439,46 +437,42 @@ func (c *Coordinator) submitCtx(ctx context.Context, peer schema.Peer, ruleName 
 			gsp.SetAttr("reason", reason)
 			gsp.End()
 			c.rollbackTo(ctx, prevLen)
-			c.metrics.rejected("guard")
-			dd.Guarded = string(guarded)
-			rejectLog("guard", reason)
-			c.logw().InfoContext(gctx, "submission rejected by guard",
-				slog.String("peer", string(peer)), slog.String("rule", ruleName),
-				slog.String("guarded", string(guarded)), slog.String("reason", reason))
-			return reject(fmt.Errorf("server: rejected by the transparency guard for %s: %s", guarded, reason))
+			d.Reason, d.Detail, d.Guarded = "guard", reason, string(guarded)
+			return nil, fmt.Errorf("server: rejected by the transparency guard for %s: %s", guarded, reason)
 		}
 	}
 	gsp.End()
 	idx := c.run.Len() - 1
-	// Precompute the result while the event is fresh; per-step effects are
-	// immutable, so this stays valid across the off-lock commit wait.
-	res := &SubmitResult{Index: idx}
-	for _, u := range e.Updates {
-		res.Updates = append(res.Updates, u.String())
-	}
-	for _, q := range c.prog.Peers() {
-		if c.run.VisibleAt(idx, q) {
-			res.VisibleAt = append(res.VisibleAt, string(q))
+	// Build the result while the event is fresh; per-step effects are
+	// immutable, so it stays valid across the off-lock commit wait.
+	res := c.resultLocked(idx)
+	if c.log != nil {
+		if err := c.commitLocked(ctx, sp, d, wal.Record{Seq: idx, Event: ev, Idem: d.IdemKey}, prevLen); err != nil {
+			return nil, err
 		}
+		c.sinceSnapshot++
 	}
-	if c.log == nil {
-		c.acceptLocked(ctx, sp, peer, ruleName, idx, idemKey)
-		return res, nil
-	}
-	// Log-before-accept: the event must be durable before any peer can
-	// observe it. A WAL failure rejects the submission and rolls the run
-	// back, so the in-memory state never diverges ahead of disk.
-	rec := wal.Record{Seq: idx, Event: trace.EncodeEvent(e), Idem: idemKey}
+	// With pipelined commits a submitter can find its event already released
+	// (a later submitter in the same durable batch re-acquired the lock
+	// first); releaseLocked is idempotent for that case.
+	c.releaseLocked(ctx, idx)
+	d.Decision, d.Index, d.RunLen = declog.Accepted, idx, idx
+	return res, nil
+}
+
+// commitLocked makes the event's record durable before any peer can observe
+// it (log-before-accept). A WAL failure rejects the submission (reason
+// "wal") and rolls the run back, so the in-memory state never diverges
+// ahead of disk. Callers hold the lock; it is dropped while the committer
+// fsyncs.
+func (c *Coordinator) commitLocked(ctx context.Context, sp *obs.Span, d *declog.Decision, rec wal.Record, prevLen int) error {
 	cm, err := c.log.AppendBuffered(ctx, rec)
 	if err != nil {
 		// A write failure is synchronous and private: only this record was
 		// truncated away, so only this event rolls back.
 		c.rollbackTo(ctx, prevLen)
-		c.metrics.rejected("wal")
-		rejectLog("wal", err.Error())
-		c.logw().ErrorContext(ctx, "event not durable, submission rejected",
-			slog.String("peer", string(peer)), slog.String("rule", ruleName), slog.Any("error", err))
-		return reject(fmt.Errorf("%w: event not durable: %w", ErrUnavailable, err))
+		d.Reason, d.Detail = "wal", err.Error()
+		return fmt.Errorf("%w: event not durable: %w", ErrUnavailable, err)
 	}
 	select {
 	case <-cm.Done():
@@ -497,53 +491,42 @@ func (c *Coordinator) submitCtx(ctx context.Context, peer schema.Peer, ruleName 
 		c.mu.Lock()
 	}
 	if err := cm.Err(); err != nil {
+		d.Reason, d.Detail = "wal", err.Error()
 		if errors.Is(err, wal.ErrCrashed) {
 			// The log died with this commit unresolved: the record may or may
 			// not be durable, so this MUST NOT read as a definite rejection —
 			// a recovered coordinator could hold the event. The client retries
 			// with its idempotency key and the recovered window dedupes.
-			c.metrics.rejected("wal")
-			rejectLog("wal", err.Error())
-			return reject(fmt.Errorf("%w: commit outcome unknown: %w", ErrUnavailable, err))
+			return fmt.Errorf("%w: commit outcome unknown: %w", ErrUnavailable, err)
 		}
 		// The group sync failed: the WAL already truncated every record
 		// past its durable prefix and stalled. Realign the run (dropping
 		// the same events before any became observable) and resume.
 		c.handleWALStallLocked(ctx)
-		c.metrics.rejected("wal")
-		rejectLog("wal", err.Error())
-		c.logw().ErrorContext(ctx, "event not durable, submission rejected",
-			slog.String("peer", string(peer)), slog.String("rule", ruleName), slog.Any("error", err))
-		return reject(fmt.Errorf("%w: event not durable: %w", ErrUnavailable, err))
+		return fmt.Errorf("%w: event not durable: %w", ErrUnavailable, err)
 	}
 	sp.SetAttr("batch", cm.BatchSize())
-	c.acceptLocked(ctx, sp, peer, ruleName, idx, idemKey)
-	c.maybeSnapshotLocked(ctx)
-	return res, nil
+	return nil
 }
 
-// acceptLocked records the acceptance of event idx and releases every event
-// up to it to observers. With pipelined commits a submitter can find its
-// event already released (a later submitter in the same durable batch
-// re-acquired the lock first); releaseLocked is idempotent for that case.
-func (c *Coordinator) acceptLocked(ctx context.Context, sp *obs.Span, peer schema.Peer, ruleName string, idx int, idemKey string) {
-	sp.SetAttr("index", idx)
-	c.logw().DebugContext(ctx, "submission accepted",
-		slog.String("peer", string(peer)), slog.String("rule", ruleName), slog.Int("index", idx))
-	c.releaseLocked(ctx, idx)
-	c.metrics.accepted(c.observable)
-	// The accept record is emitted only after the event is durable and
-	// released: RunLen is the prefix length the event extended (== Index),
-	// and the valuation rides along so an audit can replay the run from the
-	// log alone.
-	if c.dlog.Load() != nil {
-		c.emitDecision(ctx, declog.Decision{Kind: declog.KindSubmit, Decision: declog.Accepted,
-			Peer: string(peer), Rule: ruleName, Valuation: trace.EncodeEvent(c.run.Event(idx)).Valuation,
-			Index: idx, RunLen: idx, IdemKey: idemKey, TraceID: sp.TraceID()})
+// resultLocked builds the client-facing result of event idx: its applied
+// updates and the peers that observed it. An index outside the run (a
+// recovered idempotency entry past the replayed prefix) yields the bare
+// index. Callers hold the lock.
+func (c *Coordinator) resultLocked(idx int) *SubmitResult {
+	res := &SubmitResult{Index: idx}
+	if idx < 0 || idx >= c.run.Len() {
+		return res
 	}
-	if c.log != nil {
-		c.sinceSnapshot++
+	for _, u := range c.run.Event(idx).Updates {
+		res.Updates = append(res.Updates, u.String())
 	}
+	for _, q := range c.prog.Peers() {
+		if c.run.VisibleAt(idx, q) {
+			res.VisibleAt = append(res.VisibleAt, string(q))
+		}
+	}
+	return res
 }
 
 // releaseLocked makes every event up to idx observable, notifying
@@ -560,6 +543,9 @@ func (c *Coordinator) releaseLocked(ctx context.Context, idx int) {
 	}
 	start := c.observable
 	c.observable = idx + 1
+	if c.metrics != nil {
+		c.metrics.runEvents.Set(float64(c.observable))
+	}
 	c.publishSnapshotLocked()
 	for i := start; i <= idx; i++ {
 		c.notify(ctx, i)
@@ -739,7 +725,6 @@ func (c *Coordinator) notify(ctx context.Context, idx int) {
 			default:
 				droppedNow++
 				c.dropped++
-				c.droppedByPeer[peer]++
 				if c.metrics != nil {
 					c.metrics.notifDropped.With(c.metrics.lv(string(peer))...).Inc()
 				}
@@ -874,25 +859,22 @@ func (c *Coordinator) explainWithLen(peer schema.Peer) (*core.Report, int, error
 	return s.exp[peer].ReportOver(s, s.vis[peer]), s.Len(), nil
 }
 
-// ExplainCtx is Explain with decision logging: each request emits one record
-// carrying the released-prefix length it was served against and a digest of
-// the rendered report, so `wfrun -audit` can recompute the explanation and
-// prove the served report faithful. The digest is only computed when a
-// decision log is attached — the plain read path stays allocation-light.
+// ExplainCtx is Explain as a decision on the request's span: each request
+// records the released-prefix length it was served against and, when a
+// decision log is attached, a digest of the rendered report, so
+// `wfrun -audit` can recompute the explanation and prove the served report
+// faithful. Without a decision log the digest (a full render) is skipped.
 func (c *Coordinator) ExplainCtx(ctx context.Context, peer schema.Peer) (*core.Report, error) {
-	if c.dlog.Load() == nil {
-		return c.Explain(peer)
-	}
 	start := time.Now()
 	rep, n, err := c.explainWithLen(peer)
-	dd := declog.Decision{Kind: declog.KindExplain, Peer: string(peer), Index: -1, RunLen: n,
-		DurationNS: time.Since(start).Nanoseconds()}
+	d := declog.Decision{Kind: declog.KindExplain, Decision: declog.Served, Peer: string(peer),
+		Index: -1, RunLen: n, DurationNS: time.Since(start).Nanoseconds()}
 	if err != nil {
-		dd.Decision, dd.Reason, dd.Detail = declog.Errored, "unknown_peer", err.Error()
-	} else {
-		dd.Decision, dd.Digest = declog.Served, declog.Digest(rep.String())
+		d.Decision, d.Reason, d.Detail = declog.Errored, "unknown_peer", err.Error()
+	} else if c.dlog.Load() != nil {
+		d.Digest = declog.Digest(rep.String())
 	}
-	c.emitDecision(ctx, dd)
+	c.decide(ctx, obs.SpanFrom(ctx), d, err)
 	return rep, err
 }
 
@@ -931,18 +913,6 @@ func (c *Coordinator) Dropped() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.dropped
-}
-
-// DroppedByPeer reports notifications lost to slow subscribers, attributed
-// to the subscribing peer. The map is a copy.
-func (c *Coordinator) DroppedByPeer() map[string]int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]int, len(c.droppedByPeer))
-	for p, n := range c.droppedByPeer {
-		out[string(p)] = n
-	}
-	return out
 }
 
 // Name returns the workflow name.

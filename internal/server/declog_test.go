@@ -319,7 +319,7 @@ func TestStatuszReportsDecisionLogAndBuild(t *testing.T) {
 	c.Submit("hr", "clear", nil)
 
 	rr := httptest.NewRecorder()
-	StatuszHandler(c, nil).ServeHTTP(rr, httptest.NewRequest("GET", "/statusz", nil))
+	StatuszHandler(c).ServeHTTP(rr, httptest.NewRequest("GET", "/statusz", nil))
 	var st Statusz
 	if err := json.Unmarshal(rr.Body.Bytes(), &st); err != nil {
 		t.Fatal(err)

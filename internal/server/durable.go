@@ -21,9 +21,8 @@ type DurabilityConfig struct {
 	// Dir is the data directory holding wal.log and snapshot.json.
 	Dir string
 	// RunID names the workflow instance this coordinator serves within a
-	// run fleet ("" = single-run mode). It is set before the idempotency
-	// window is rebuilt, so recovered dedupe entries land under the same
-	// run-scoped keys live submissions use.
+	// run fleet ("" = single-run mode); recovered and later decision
+	// records carry it.
 	RunID string
 	// Sync is the WAL fsync policy (default wal.SyncAlways).
 	Sync wal.SyncPolicy
@@ -49,7 +48,9 @@ type DurabilityConfig struct {
 	// registry (the wf_wal_* and wf_recovery_* families).
 	Metrics *obs.Registry
 	// Logger, when non-nil, lets the WAL report recovery anomalies
-	// (corruption, torn tails) through the "wal" subsystem.
+	// (corruption, torn tails) through the "wal" subsystem and is the
+	// coordinator's logger from recovery on, so the recovery decision is
+	// logged like every later one.
 	Logger *slog.Logger
 	// DecisionLog, when non-nil, is attached before recovery completes, so
 	// the audit stream opens with the recovery record and the re-installed
@@ -92,6 +93,7 @@ func Recover(name string, p *program.Program, cfg DurabilityConfig) (*Coordinato
 		return nil, fmt.Errorf("server: %w", err)
 	}
 	c := New(name, p)
+	c.SetLogger(cfg.Logger)
 	c.runID = cfg.RunID
 	c.log = log
 	c.snapshotEvery = cfg.SnapshotEvery
@@ -167,20 +169,18 @@ func Recover(name string, p *program.Program, cfg DurabilityConfig) (*Coordinato
 	c.viewStrs.Range(func(k, _ any) bool { c.viewStrs.Delete(k); return true })
 	c.publishSnapshotLocked()
 	c.observeRecovery(time.Since(start), c.run.Len())
-	if cfg.DecisionLog != nil {
-		c.dlog.Store(cfg.DecisionLog)
-		// Open this boot's audit stream: one recovery record, then the
-		// guards now in force. Re-logging recovered guards is deliberate —
-		// each log segment is independently auditable — and the auditor
-		// treats a re-install with an unchanged bound as benign.
-		c.emitDecision(context.Background(), declog.Decision{Kind: declog.KindRecover,
-			Decision: declog.Recovered, RunLen: c.run.Len(), Index: -1,
-			DurationNS: time.Since(start).Nanoseconds()})
-		for peer, h := range c.guards {
-			c.emitDecision(context.Background(), declog.Decision{Kind: declog.KindGuard,
-				Decision: declog.Installed, Peer: string(peer), H: h, Index: -1,
-				Reason: "recovered"})
-		}
+	c.dlog.Store(cfg.DecisionLog)
+	// Open this boot's audit stream: one recovery record, then the guards
+	// now in force. Re-logging recovered guards is deliberate — each log
+	// segment is independently auditable — and the auditor treats a
+	// re-install with an unchanged bound as benign.
+	c.decide(context.Background(), nil, declog.Decision{Kind: declog.KindRecover,
+		Decision: declog.Recovered, RunLen: c.run.Len(), Index: -1,
+		DurationNS: time.Since(start).Nanoseconds()}, nil)
+	for _, peer := range c.sortedGuards() {
+		c.decide(context.Background(), nil, declog.Decision{Kind: declog.KindGuard,
+			Decision: declog.Installed, Peer: string(peer), H: c.guards[peer], Index: -1,
+			Reason: "recovered"}, nil)
 	}
 	return c, nil
 }

@@ -256,7 +256,7 @@ func NewHandler(c *Coordinator, opts HTTPOptions) http.Handler {
 	// latency histograms it is reading.
 	if opts.Metrics != nil {
 		mux.Handle("/metrics", obs.MetricsHandler(opts.Metrics.Registry()))
-		mux.Handle("/statusz", StatuszHandler(c, opts.Metrics.Registry()))
+		mux.Handle("/statusz", StatuszHandler(c))
 	}
 
 	return Recovery(WithTimeout(opts.RequestTimeout, mux))

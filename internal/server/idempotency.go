@@ -5,6 +5,7 @@ import (
 
 	"collabwf/internal/data"
 	"collabwf/internal/declog"
+	"collabwf/internal/obs"
 	"collabwf/internal/schema"
 	"collabwf/internal/wal"
 )
@@ -18,22 +19,6 @@ type idemEntry struct {
 	done chan struct{}
 	res  *SubmitResult
 	err  error
-	// key is the raw client key (the dedupe map is keyed by the run-scoped
-	// form, see idemScope); snapshots export the raw key because each run's
-	// WAL is private — re-scoping happens again at recovery.
-	key string
-}
-
-// idemScope qualifies a client idempotency key with the coordinator's run
-// id, so the same key replayed against two runs of one fleet dedupes per
-// run instead of cross-run (NUL cannot appear in either part ambiguously:
-// run ids are validated by the Manager). Single-run mode ("" id) keeps raw
-// keys. Callers hold the lock (runID is written once, before traffic).
-func (c *Coordinator) idemScope(key string) string {
-	if c.runID == "" {
-		return key
-	}
-	return c.runID + "\x00" + key
 }
 
 // defaultIdemWindow bounds the dedupe window when DurabilityConfig (or the
@@ -47,46 +32,44 @@ const defaultIdemWindow = 4096
 // travels inside the event's WAL record and the recent window rides in
 // every snapshot, so dedupe survives crash recovery — the guarantee a
 // client retrying after an ambiguous failure (ErrUnavailable) relies on.
-// An empty key degrades to SubmitCtx.
+// An empty key degrades to SubmitCtx. The window belongs to this
+// coordinator, so the same key sent to two runs of a fleet dedupes per run.
 func (c *Coordinator) SubmitIdemCtx(ctx context.Context, peer schema.Peer, ruleName string, bindings map[string]data.Value, key string) (*SubmitResult, error) {
 	if key == "" {
 		return c.submitCtx(ctx, peer, ruleName, bindings, "")
 	}
 	c.mu.Lock()
-	sk := c.idemScope(key)
 	for {
-		ent, ok := c.idem[sk]
+		ent, ok := c.idem[key]
 		if !ok {
 			break
 		}
 		select {
 		case <-ent.done:
-			// Resolved. Failed entries are deleted before done closes (both
-			// under the lock), so an entry still in the map is a success.
-			res, m := ent.res, c.metrics
-			c.mu.Unlock()
-			m.idemReplay()
-			c.emitReplay(ctx, peer, ruleName, key, res)
-			return res, nil
 		default:
+			// The original is still in flight: wait off-lock, then re-check —
+			// the entry may have resolved either way, or been deleted.
+			c.mu.Unlock()
+			select {
+			case <-ent.done:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+			c.mu.Lock()
 		}
-		// The original is still in flight: wait off-lock, then re-check —
-		// the entry may have resolved either way, or been deleted.
-		c.mu.Unlock()
-		select {
-		case <-ent.done:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
+		// A failed original deleted its entry before closing done (both
+		// under the lock): look again. A successful one is replayed — the
+		// client is acked again for an already-applied submission, so the
+		// decision is recorded even though no event is appended.
 		if ent.err == nil {
-			c.metrics.idemReplay()
-			c.emitReplay(ctx, peer, ruleName, key, ent.res)
+			c.mu.Unlock()
+			c.decide(ctx, obs.SpanFrom(ctx), declog.Decision{Kind: declog.KindSubmit, Decision: declog.Replayed,
+				Peer: string(peer), Rule: ruleName, Index: ent.res.Index, RunLen: ent.res.Index, IdemKey: key}, nil)
 			return ent.res, nil
 		}
-		c.mu.Lock()
 	}
-	ent := &idemEntry{done: make(chan struct{}), key: key}
-	c.idem[sk] = ent
+	ent := &idemEntry{done: make(chan struct{})}
+	c.idem[key] = ent
 	c.mu.Unlock()
 
 	res, err := c.submitCtx(ctx, peer, ruleName, bindings, key)
@@ -96,29 +79,14 @@ func (c *Coordinator) SubmitIdemCtx(ctx context.Context, peer schema.Peer, ruleN
 	if err != nil {
 		// Not applied (a crash-ambiguous record, if durable, is rediscovered
 		// from the WAL at recovery); free the key so a retry can execute.
-		delete(c.idem, sk)
+		delete(c.idem, key)
 	} else {
-		c.idemOrder = append(c.idemOrder, sk)
+		c.idemOrder = append(c.idemOrder, key)
 		c.evictIdemLocked()
 	}
 	close(ent.done)
 	c.mu.Unlock()
 	return res, err
-}
-
-// emitReplay records an idempotent replay in the decision log: the client
-// was acked (again) for an already-applied submission, so the audit trail
-// must show a record for this ack even though no new event was appended.
-func (c *Coordinator) emitReplay(ctx context.Context, peer schema.Peer, ruleName, key string, res *SubmitResult) {
-	if c.dlog.Load() == nil {
-		return
-	}
-	idx := -1
-	if res != nil {
-		idx = res.Index
-	}
-	c.emitDecision(ctx, declog.Decision{Kind: declog.KindSubmit, Decision: declog.Replayed,
-		Peer: string(peer), Rule: ruleName, Index: idx, RunLen: idx, IdemKey: key})
 }
 
 // evictIdemLocked trims the dedupe window to its bound, oldest key first.
@@ -139,26 +107,13 @@ func (c *Coordinator) evictIdemLocked() {
 // the same answer the original submission did. Callers hold the lock (or
 // own the coordinator exclusively, as Recover does).
 func (c *Coordinator) addIdemLocked(key string, index int) {
-	sk := c.idemScope(key)
-	if _, ok := c.idem[sk]; ok {
+	if _, ok := c.idem[key]; ok {
 		return
 	}
 	done := make(chan struct{})
 	close(done)
-	res := &SubmitResult{Index: index}
-	if index >= 0 && index < c.run.Len() {
-		e := c.run.Event(index)
-		for _, u := range e.Updates {
-			res.Updates = append(res.Updates, u.String())
-		}
-		for _, q := range c.prog.Peers() {
-			if c.run.VisibleAt(index, q) {
-				res.VisibleAt = append(res.VisibleAt, string(q))
-			}
-		}
-	}
-	c.idem[sk] = &idemEntry{done: done, res: res, key: key}
-	c.idemOrder = append(c.idemOrder, sk)
+	c.idem[key] = &idemEntry{done: done, res: c.resultLocked(index)}
+	c.idemOrder = append(c.idemOrder, key)
 	c.evictIdemLocked()
 }
 
@@ -171,7 +126,7 @@ func (c *Coordinator) idemWindowLocked() []wal.IdemEntry {
 	out := make([]wal.IdemEntry, 0, len(c.idemOrder))
 	for _, k := range c.idemOrder {
 		if ent := c.idem[k]; ent != nil && ent.res != nil {
-			out = append(out, wal.IdemEntry{Key: ent.key, Index: ent.res.Index})
+			out = append(out, wal.IdemEntry{Key: k, Index: ent.res.Index})
 		}
 	}
 	return out

@@ -81,7 +81,7 @@ func (m *Manager) Handler() http.Handler {
 	// pattern), replacing the default shard's runs-blind page.
 	if m.cfg.Registry != nil {
 		mux.HandleFunc("/statusz", func(w http.ResponseWriter, r *http.Request) {
-			st := statuszFor(m.Default(), m.cfg.Registry, m.start)
+			st := statuszFor(m.Default(), m.start)
 			st.Runs = m.RunsStatus()
 			writeJSON(w, st)
 		})

@@ -63,8 +63,7 @@ type Metrics struct {
 
 // NewRunMetrics registers (or retrieves) the server metric families on reg
 // with every coordinator/read/decider family carrying a leading "run" label
-// bound to the given run id. Fleet totals are sums over the run label (the
-// /statusz summarizer already folds a family's series).
+// bound to the given run id. Fleet totals are sums over the run label.
 func NewRunMetrics(reg *obs.Registry, run string) *Metrics {
 	if run == "" {
 		panic("server: NewRunMetrics requires a run id")
@@ -144,36 +143,13 @@ func (m *Metrics) lv(values ...string) []string {
 	return append([]string{m.run}, values...)
 }
 
-// Registry returns the backing registry (for /metrics and /statusz).
+// Registry returns the backing registry (for /metrics).
 func (m *Metrics) Registry() *obs.Registry { return m.reg }
-
-// rejected records one rejected submission. Nil-safe.
-func (m *Metrics) rejected(reason string) {
-	if m != nil {
-		m.submitRejected.With(m.lv(reason)...).Inc()
-	}
-}
-
-// accepted records one accepted submission and the new run length. Nil-safe.
-func (m *Metrics) accepted(runLen int) {
-	if m != nil {
-		m.submitAccepted.Inc()
-		m.runEvents.Set(float64(runLen))
-	}
-}
 
 // shed records one submission shed by the admission cap. Nil-safe.
 func (m *Metrics) shed() {
 	if m != nil {
 		m.admissionShed.Inc()
-	}
-}
-
-// idemReplay records one submission deduped by its idempotency key.
-// Nil-safe.
-func (m *Metrics) idemReplay() {
-	if m != nil {
-		m.idemReplays.Inc()
 	}
 }
 

@@ -18,8 +18,8 @@ import (
 
 // TestProfilerScriptedSession drives the guarded scripted session of
 // TestGuardRejectsViolations under an installed profiler and checks that
-// the /debug/rules ranking, the /statusz rule_engine block and the raw
-// snapshot all agree with what the session actually did.
+// the /debug/rules ranking and the raw snapshot agree with what the session
+// actually did.
 func TestProfilerScriptedSession(t *testing.T) {
 	staged, err := design.Staged(workload.Hiring(), "sue")
 	if err != nil {
@@ -148,35 +148,6 @@ func TestProfilerScriptedSession(t *testing.T) {
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/rules?top=zero", nil))
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("bad top: status %d, want 400", rec.Code)
-	}
-
-	// /statusz condenses the same numbers into the rule_engine block.
-	rec = httptest.NewRecorder()
-	StatuszHandler(c, nil).ServeHTTP(rec, httptest.NewRequest("GET", "/statusz", nil))
-	var st Statusz
-	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
-		t.Fatalf("/statusz not JSON: %v", err)
-	}
-	if !st.RuleEngine.Enabled || st.RuleEngine.Fires != 6 || st.RuleEngine.Attempts != snap.Totals.Attempts {
-		t.Fatalf("rule_engine block = %+v", st.RuleEngine)
-	}
-	if len(st.RuleEngine.TopRules) == 0 || len(st.RuleEngine.TopRules) > 3 {
-		t.Fatalf("rule_engine top rules = %+v, want 1..3", st.RuleEngine.TopRules)
-	}
-}
-
-// TestStatuszProfilerDisabled: without SetProfiler the block reports
-// enabled: false instead of vanishing, so dashboards can key on it.
-func TestStatuszProfilerDisabled(t *testing.T) {
-	c := New("Hiring", workload.Hiring())
-	rec := httptest.NewRecorder()
-	StatuszHandler(c, nil).ServeHTTP(rec, httptest.NewRequest("GET", "/statusz", nil))
-	var st Statusz
-	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
-		t.Fatalf("/statusz not JSON: %v", err)
-	}
-	if st.RuleEngine.Enabled || st.RuleEngine.Fires != 0 {
-		t.Fatalf("rule_engine block = %+v, want disabled zero block", st.RuleEngine)
 	}
 }
 

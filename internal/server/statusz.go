@@ -6,12 +6,13 @@ import (
 
 	"collabwf/internal/declog"
 	"collabwf/internal/obs"
-	"collabwf/internal/prof"
 )
 
 // Statusz is the JSON document served on /statusz: a one-page operator
-// summary of the coordinator (what /metrics exposes as raw families,
-// /statusz condenses into one readable object).
+// summary of the facts no other surface carries — build, decision-log
+// sink, snapshot sequence, readiness and WAL stall, guards, and the fleet
+// block. Counters live on /metrics and the rule-cost ranking on
+// /debug/rules; /statusz repeats neither.
 type Statusz struct {
 	Workflow string `json:"workflow"`
 	// Run is the id of the workflow instance this page describes (empty in
@@ -29,8 +30,8 @@ type Statusz struct {
 	WALStalled  string         `json:"wal_stalled,omitempty"`
 	Guards      map[string]int `json:"guards,omitempty"`
 	Subscribers int            `json:"subscribers"`
-	// DroppedNotifications surfaces notifications lost to slow subscribers
-	// — previously counted silently — total and attributed per peer.
+	// DroppedNotifications surfaces notifications lost to slow subscribers;
+	// wf_notifications_dropped_total{peer} attributes them per peer.
 	DroppedNotifications DroppedNotifications `json:"dropped_notifications"`
 	// Snapshot describes the published lock-free read snapshot: sequence
 	// number (publications so far), age, and covered events.
@@ -41,13 +42,6 @@ type Statusz struct {
 	// DecisionLog reports the audit pipeline (nil when none is attached):
 	// sink, queue depth, and the emitted/dropped/exported tallies.
 	DecisionLog *declog.Status `json:"decision_log,omitempty"`
-	// RuleEngine condenses the evaluation profiler: total fires and
-	// attempts plus the top rules by cumulative cost (enabled: false when
-	// the coordinator runs without -profile-rules).
-	RuleEngine prof.Status `json:"rule_engine"`
-	// Metrics condenses every registered family to a scalar: counters and
-	// gauges sum their series; histograms report {count, sum}.
-	Metrics map[string]any `json:"metrics,omitempty"`
 	// Runs is the fleet block (Manager statusz only): one row per active
 	// run plus the aggregate counts, so no shard is invisible.
 	Runs *RunsStatusz `json:"runs,omitempty"`
@@ -82,8 +76,7 @@ type RunStatus struct {
 
 // DroppedNotifications is the /statusz drop report.
 type DroppedNotifications struct {
-	Total  int            `json:"total"`
-	ByPeer map[string]int `json:"by_peer,omitempty"`
+	Total int `json:"total"`
 }
 
 // SnapshotStatus is the /statusz read-snapshot report.
@@ -93,44 +86,36 @@ type SnapshotStatus struct {
 	Events     int     `json:"events"`
 }
 
-// StatuszHandler serves the operator summary for the coordinator. reg may
-// be nil (the metrics section is then omitted).
-func StatuszHandler(c *Coordinator, reg *obs.Registry) http.Handler {
+// StatuszHandler serves the operator summary for the coordinator.
+func StatuszHandler(c *Coordinator) http.Handler {
 	start := time.Now()
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, statuszFor(c, reg, start))
+		writeJSON(w, statuszFor(c, start))
 	})
 }
 
 // statuszFor assembles the operator summary document; the single-run
 // handler serves it as-is, the Manager's fleet handler adds the runs block.
-func statuszFor(c *Coordinator, reg *obs.Registry, start time.Time) Statusz {
+func statuszFor(c *Coordinator, start time.Time) Statusz {
 	st := Statusz{
-		Workflow:         c.Name(),
-		Run:              c.RunID(),
-		UptimeSeconds:    time.Since(start).Seconds(),
-		Events:           c.Len(),
-		Durable:          c.Durable(),
-		CommitQueueDepth: c.CommitQueueDepth(),
-		Ready:            "ok",
-		WALStalled:       c.WALStalled(),
-		Guards:           c.Guards(),
-		Subscribers:      c.Subscribers(),
-		DroppedNotifications: DroppedNotifications{
-			Total:  c.Dropped(),
-			ByPeer: c.DroppedByPeer(),
-		},
+		Workflow:             c.Name(),
+		Run:                  c.RunID(),
+		UptimeSeconds:        time.Since(start).Seconds(),
+		Events:               c.Len(),
+		Durable:              c.Durable(),
+		CommitQueueDepth:     c.CommitQueueDepth(),
+		Ready:                "ok",
+		WALStalled:           c.WALStalled(),
+		Guards:               c.Guards(),
+		Subscribers:          c.Subscribers(),
+		DroppedNotifications: DroppedNotifications{Total: c.Dropped()},
 	}
 	seq, age, events := c.SnapshotInfo()
 	st.Snapshot = SnapshotStatus{Seq: seq, AgeSeconds: age.Seconds(), Events: events}
 	st.Build = obs.ReadBuild()
 	st.DecisionLog = c.DecisionLog().Status()
-	st.RuleEngine = c.Profiler().Status(3)
 	if err := c.Ready(); err != nil {
 		st.Ready = err.Error()
-	}
-	if reg != nil {
-		st.Metrics = summarize(reg)
 	}
 	return st
 }
@@ -153,30 +138,4 @@ func runStatus(id string, c *Coordinator) RunStatus {
 		rs.Ready = err.Error()
 	}
 	return rs
-}
-
-// summarize folds a registry snapshot into family → scalar form: counter
-// and gauge series sum; histograms keep {count, sum}.
-func summarize(reg *obs.Registry) map[string]any {
-	out := make(map[string]any)
-	for _, fam := range reg.Gather() {
-		if fam.Type == "histogram" {
-			var count uint64
-			var sum float64
-			for _, s := range fam.Series {
-				if s.Hist != nil {
-					count += s.Hist.Count
-					sum += s.Hist.Sum
-				}
-			}
-			out[fam.Name] = map[string]any{"count": count, "sum": sum}
-			continue
-		}
-		total := 0.0
-		for _, s := range fam.Series {
-			total += s.Value
-		}
-		out[fam.Name] = total
-	}
-	return out
 }
