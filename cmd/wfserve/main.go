@@ -15,16 +15,19 @@
 // With -data-dir the fleet is durable: the default run lives at the
 // directory root (a pre-fleet data dir recovers as-is), named runs under
 // <dir>/runs/<id>/, and a restart recovers every non-archived run from its
-// snapshot + WAL tail. SIGINT/SIGTERM shut the server down gracefully:
-// in-flight submissions drain, every run writes a final snapshot, and the
-// WALs are closed.
+// snapshot + WAL tail. Under -fsync always a submission is acknowledged
+// only once its WAL record is fsynced, and concurrent submissions share one
+// group fsync; -fsync interval acknowledges at write time and fsyncs a
+// dirty WAL tail every 100ms; -fsync never leaves syncing to the OS.
+// SIGINT/SIGTERM shut the server down gracefully: in-flight submissions
+// drain, every run writes a final snapshot, and the WALs are closed.
 //
 // Usage:
 //
 //	wfserve -spec workflow.wf [-addr :8080] [-guard sue=3 -guard bob=2]
 //	        [-data-dir ./data] [-fsync always|interval|never]
 //	        [-wal-strict] [-idem-window 4096]
-//	        [-snapshot-every 256] [-wal-max-batch 64] [-max-inflight 256]
+//	        [-snapshot-every 256] [-max-inflight 256]
 //	        [-shutdown-timeout 10s]
 //	        [-declog decisions.jsonl|http://collector/v1|stdout]
 //	        [-request-timeout 30s] [-debug-addr :6060] [-profile-rules]
@@ -99,7 +102,6 @@ func main() {
 	requestTimeout := flag.Duration("request-timeout", 30*time.Second, "per-request timeout (0 = unbounded)")
 	maxBody := flag.Int64("max-body", 1<<20, "maximum /submit body size in bytes")
 	maxInFlight := flag.Int("max-inflight", 0, "max concurrent /submit requests per run before shedding with 429 (0 = unbounded)")
-	walMaxBatch := flag.Int("wal-max-batch", 0, "max records per group-commit fsync batch (0 = unbounded)")
 	walStrict := flag.Bool("wal-strict", false, "refuse to start on a corrupt WAL record instead of truncating at the first bad record")
 	idemWindow := flag.Int("idem-window", 0, "idempotency-key dedupe window in submissions per run (0 = 4096)")
 	declogDest := flag.String("declog", "", "decision-log sink: a JSONL file path, an http(s):// collector URL, or 'stdout'; empty = disabled")
@@ -190,7 +192,6 @@ func main() {
 		Durability: server.DurabilityConfig{
 			Sync:          syncPolicy,
 			SnapshotEvery: *snapshotEvery,
-			MaxBatch:      *walMaxBatch,
 			Strict:        *walStrict,
 			IdemWindow:    *idemWindow,
 			Metrics:       reg,

@@ -579,7 +579,7 @@ func (h *harness) serve(w http.ResponseWriter, r *http.Request) {
 // openCoordinator recovers a coordinator generation from the WAL dir and
 // publishes its handler and notification subscription.
 func (h *harness) openCoordinator() error {
-	co, err := server.Recover("Hiring", workload.Hiring(), server.DurabilityConfig{
+	co, err := server.NewDurable("Hiring", workload.Hiring(), server.DurabilityConfig{
 		Dir:           h.dir,
 		Sync:          wal.SyncAlways,
 		SnapshotEvery: h.cfg.SnapshotEvery,

@@ -183,7 +183,7 @@ func New(name string, p *program.Program) *Coordinator {
 
 // SetRunID names the workflow instance this coordinator serves within a
 // run fleet. It must be set before traffic (the Manager sets it at shard
-// construction, Recover from its config); "" is the single-run mode.
+// construction, NewDurable from its config); "" is the single-run mode.
 func (c *Coordinator) SetRunID(id string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

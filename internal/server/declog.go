@@ -40,7 +40,7 @@ func (c *Coordinator) DecisionLog() *declog.Logger {
 //     workflow, run and trace id.
 //
 // decide takes no lock: c.name, c.runID and the logger are immutable once
-// the coordinator is handed out (Recover and the Manager set them before
+// the coordinator is handed out (NewDurable and the Manager set them before
 // returning), and the metrics and decision log are atomics. It is called
 // under mu on the submit path and without it by certify, explain and
 // idempotent replays.

@@ -228,7 +228,7 @@ func TestCoordinatorEmitsExplainAndReplayDecisions(t *testing.T) {
 
 func TestRecoveryOpensDecisionStream(t *testing.T) {
 	dir := t.TempDir()
-	c, err := Recover("Hiring", workload.Hiring(), DurabilityConfig{Dir: dir, Sync: wal.SyncAlways})
+	c, err := NewDurable("Hiring", workload.Hiring(), DurabilityConfig{Dir: dir, Sync: wal.SyncAlways})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestRecoveryOpensDecisionStream(t *testing.T) {
 	}
 
 	l, flush := newTestDeclog(t)
-	c2, err := Recover("Hiring", workload.Hiring(), DurabilityConfig{
+	c2, err := NewDurable("Hiring", workload.Hiring(), DurabilityConfig{
 		Dir: dir, Sync: wal.SyncAlways, DecisionLog: l,
 	})
 	if err != nil {

@@ -26,15 +26,10 @@ type DurabilityConfig struct {
 	RunID string
 	// Sync is the WAL fsync policy (default wal.SyncAlways).
 	Sync wal.SyncPolicy
-	// SyncInterval bounds the time between fsyncs under wal.SyncInterval.
-	SyncInterval time.Duration
 	// SnapshotEvery snapshots the run prefix after that many accepted
 	// events, keeping the WAL tail (and recovery time) short. 0 disables
 	// automatic snapshots; one is still written by Close.
 	SnapshotEvery int
-	// MaxBatch caps how many buffered records one group-commit fsync
-	// covers; ≤ 0 means unbounded.
-	MaxBatch int
 	// Strict refuses to start when the WAL holds a corrupt complete record,
 	// instead of the default truncate-at-first-bad-record recovery (the
 	// -wal-strict flag).
@@ -60,34 +55,25 @@ type DurabilityConfig struct {
 	DecisionLog *declog.Logger
 }
 
-// NewDurable starts a durable coordinator rooted at cfg.Dir. If the
-// directory already holds a run it is recovered first — NewDurable and
-// Recover are the same operation; the empty directory is just the trivial
-// recovery.
+// NewDurable starts a durable coordinator rooted at cfg.Dir, recovering the
+// run the directory holds (an empty directory is the trivial recovery): it
+// replays the snapshot's run prefix, re-applies the WAL tail (skipping
+// records the snapshot already covers, truncating a torn trailing record
+// rather than failing), re-installs the persisted guards, and rebuilds the
+// per-peer explainers and guard monitors. Every replayed event passes the
+// full run conditions again, so a tampered log is rejected, not replayed.
 func NewDurable(name string, p *program.Program, cfg DurabilityConfig) (*Coordinator, error) {
-	return Recover(name, p, cfg)
-}
-
-// Recover reconstructs a durable coordinator from cfg.Dir: it replays the
-// snapshot's run prefix, re-applies the WAL tail (skipping records the
-// snapshot already covers, truncating a torn trailing record rather than
-// failing), re-installs the persisted guards, and rebuilds the per-peer
-// explainers and guard monitors. Every replayed event passes the full run
-// conditions again, so a tampered log is rejected, not replayed.
-func Recover(name string, p *program.Program, cfg DurabilityConfig) (*Coordinator, error) {
 	start := time.Now()
 	var walLog *slog.Logger
 	if cfg.Logger != nil {
 		walLog = obs.Sub(cfg.Logger, "wal")
 	}
 	log, err := wal.Open(cfg.Dir, wal.Options{
-		Sync:         cfg.Sync,
-		SyncInterval: cfg.SyncInterval,
-		MaxBatch:     cfg.MaxBatch,
-		Strict:       cfg.Strict,
-		Failpoints:   cfg.Failpoints,
-		Metrics:      cfg.Metrics,
-		Logger:       walLog,
+		Sync:       cfg.Sync,
+		Strict:     cfg.Strict,
+		Failpoints: cfg.Failpoints,
+		Metrics:    cfg.Metrics,
+		Logger:     walLog,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("server: %w", err)
@@ -296,7 +282,7 @@ func (c *Coordinator) Close() error {
 // unknown) and the WAL file closes as-is. The returned offsets are the
 // log's durable prefix and written size (see wal.Log.Crash), so a harness
 // can truncate the unsynced tail — simulating page-cache loss — before
-// handing the directory to Recover.
+// handing the directory to NewDurable.
 func (c *Coordinator) Crash() (durable, size int64, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

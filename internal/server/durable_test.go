@@ -126,7 +126,7 @@ func TestCrashRecoveryAfterEveryEvent(t *testing.T) {
 		mustSubmitAll(t, c, subs[:k])
 		// Crash: no Close, no final snapshot, torn bytes on disk.
 		appendGarbage(t, dir)
-		rc, err := Recover("Hiring", prog, cfg)
+		rc, err := NewDurable("Hiring", prog, cfg)
 		if err != nil {
 			t.Fatalf("crash after event %d: %v", k, err)
 		}
@@ -178,7 +178,7 @@ func TestRecoverAfterCloseUsesSnapshotOnly(t *testing.T) {
 	}
 	l.Close()
 
-	rc, err := Recover("Hiring", prog, DurabilityConfig{Dir: dir})
+	rc, err := NewDurable("Hiring", prog, DurabilityConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestWALFailureRejectsAndRollsBack(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rc, err := Recover("Hiring", prog, DurabilityConfig{Dir: dir})
+	rc, err := NewDurable("Hiring", prog, DurabilityConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestGuardPersistedAcrossRecovery(t *testing.T) {
 	mustSubmit(c, "cfo", "stage_refresh_cfo", nil)
 
 	// Crash without Close; recover and continue.
-	rc, err := Recover("Staged", staged, DurabilityConfig{Dir: dir})
+	rc, err := NewDurable("Staged", staged, DurabilityConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func TestRecoverRejectsTamperedLog(t *testing.T) {
 	// Snapshot covers event 0, so forge the next record.
 	fmt.Fprintln(f, `{"seq":1,"event":{"rule":"no_such_rule","valuation":{}}}`)
 	f.Close()
-	if _, err := Recover("Hiring", prog, DurabilityConfig{Dir: dir}); err == nil {
+	if _, err := NewDurable("Hiring", prog, DurabilityConfig{Dir: dir}); err == nil {
 		t.Fatal("tampered WAL must be rejected")
 	}
 }

@@ -263,7 +263,7 @@ func TestRecoverByteFlipMatrix(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, "snapshot.json"), snap, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		rc, err := Recover("Hiring", prog, DurabilityConfig{Dir: dir, Strict: strict})
+		rc, err := NewDurable("Hiring", prog, DurabilityConfig{Dir: dir, Strict: strict})
 		if err != nil {
 			return 0, err
 		}

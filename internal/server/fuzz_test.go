@@ -57,7 +57,7 @@ func FuzzRecover(f *testing.F) {
 				t.Fatal(err)
 			}
 			cfg := DurabilityConfig{Dir: dir, Sync: wal.SyncNever, Strict: strict}
-			rc, err := Recover("Hiring", prog, cfg)
+			rc, err := NewDurable("Hiring", prog, cfg)
 			if err != nil {
 				continue // refusing garbage is correct
 			}
@@ -67,7 +67,7 @@ func FuzzRecover(f *testing.F) {
 			if _, _, err := rc.Crash(); err != nil {
 				t.Fatalf("crash after recovery: %v", err)
 			}
-			rc2, err := Recover("Hiring", prog, cfg)
+			rc2, err := NewDurable("Hiring", prog, cfg)
 			if err != nil {
 				t.Fatalf("accepted log did not re-recover (strict=%v): %v", strict, err)
 			}

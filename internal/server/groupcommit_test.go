@@ -248,7 +248,7 @@ func TestCrashDuringGroupCommit(t *testing.T) {
 
 	// (b) Crash (no Close) and recover: exactly the durable prefix replays.
 	state := captureState(t, c)
-	rc, err := Recover("Hiring", prog, DurabilityConfig{Dir: dir})
+	rc, err := NewDurable("Hiring", prog, DurabilityConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestConcurrentSubmitsReleaseInOrder(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rc, err := Recover("Hiring", prog, DurabilityConfig{Dir: dir})
+	rc, err := NewDurable("Hiring", prog, DurabilityConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

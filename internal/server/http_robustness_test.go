@@ -209,7 +209,7 @@ func TestGracefulShutdownIntegration(t *testing.T) {
 	}
 
 	// And the run survives: recovery sees all three events.
-	rc, err := Recover("Hiring", prog, DurabilityConfig{Dir: dir})
+	rc, err := NewDurable("Hiring", prog, DurabilityConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

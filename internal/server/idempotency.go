@@ -105,7 +105,7 @@ func (c *Coordinator) evictIdemLocked() {
 // addIdemLocked installs a recovered (already-resolved) idempotency entry:
 // the result is rebuilt from the recovered run so a post-crash retry gets
 // the same answer the original submission did. Callers hold the lock (or
-// own the coordinator exclusively, as Recover does).
+// own the coordinator exclusively, as NewDurable does).
 func (c *Coordinator) addIdemLocked(key string, index int) {
 	if _, ok := c.idem[key]; ok {
 		return

@@ -243,7 +243,7 @@ func (m *Manager) newShard(id string) (*shard, error) {
 			cfg.Failpoints = m.cfg.Failpoints(id)
 		}
 		var err error
-		c, err = Recover(m.cfg.Workflow, m.cfg.Prog, cfg)
+		c, err = NewDurable(m.cfg.Workflow, m.cfg.Prog, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("server: recovering run %q: %w", id, err)
 		}

@@ -142,9 +142,9 @@ func compareWithReplay(t *testing.T, c *Coordinator) {
 
 // TestRecoverRebuildsExplainers is the satellite regression test for the
 // explainer cold start: recovery itself must rebuild the per-peer explainer
-// state, so a peer's first Explain after Recover does no prefix replay. The
+// state, so a peer's first Explain after NewDurable does no prefix replay. The
 // assertion is structural (the published snapshot's frozen explainers cover
-// the whole recovered prefix the moment Recover returns), not a timing
+// the whole recovered prefix the moment NewDurable returns), not a timing
 // measurement, so it cannot flake with prefix length.
 func TestRecoverRebuildsExplainers(t *testing.T) {
 	prog := workload.Hiring()
@@ -163,7 +163,7 @@ func TestRecoverRebuildsExplainers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rc, err := Recover("Hiring", prog, DurabilityConfig{Dir: dir})
+	rc, err := NewDurable("Hiring", prog, DurabilityConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestRecoverRebuildsExplainers(t *testing.T) {
 	// pre-replay one New created).
 	s := rc.snap.Load()
 	if s == nil {
-		t.Fatal("no snapshot published by Recover")
+		t.Fatal("no snapshot published by NewDurable")
 	}
 	if s.Len() != want {
 		t.Fatalf("snapshot covers %d events, want %d", s.Len(), want)
@@ -207,7 +207,7 @@ func TestRecoverRebuildsExplainers(t *testing.T) {
 	case <-done:
 	case <-time.After(10 * time.Second):
 		rc.mu.Unlock()
-		t.Fatal("Explain after Recover blocked on the coordinator mutex")
+		t.Fatal("Explain after NewDurable blocked on the coordinator mutex")
 	}
 	rc.mu.Unlock()
 }

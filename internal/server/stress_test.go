@@ -122,7 +122,7 @@ func TestConcurrentSubmitStress(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rc, err := Recover("Hiring", prog, DurabilityConfig{Dir: dir})
+	rc, err := NewDurable("Hiring", prog, DurabilityConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestConcurrentSubmitWithFaults(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rc, err := Recover("Hiring", prog, DurabilityConfig{Dir: dir})
+	rc, err := NewDurable("Hiring", prog, DurabilityConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

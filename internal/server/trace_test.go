@@ -24,7 +24,7 @@ func spanNames(td *obs.TraceData) map[string]*obs.SpanData {
 
 func TestSubmitTraceEndToEnd(t *testing.T) {
 	dir := t.TempDir()
-	c, err := Recover("Hiring", workload.Hiring(), DurabilityConfig{Dir: dir})
+	c, err := NewDurable("Hiring", workload.Hiring(), DurabilityConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

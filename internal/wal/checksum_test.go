@@ -22,7 +22,7 @@ func TestRecordChecksumRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		if err := l.Append(rec(i)); err != nil {
+		if err := appendDurable(l, rec(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -104,7 +104,7 @@ func TestCorruptRecordTruncatesByDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if err := l.Append(rec(i)); err != nil {
+		if err := appendDurable(l, rec(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -130,7 +130,7 @@ func TestCorruptRecordTruncatesByDefault(t *testing.T) {
 		t.Fatalf("wf_wal_corrupt_records_total = %v (ok=%v), want 1", got, ok)
 	}
 	// The log accepts appends again from the surviving prefix.
-	if err := l2.Append(rec(2)); err != nil {
+	if err := appendDurable(l2, rec(2)); err != nil {
 		t.Fatalf("append after corruption recovery: %v", err)
 	}
 }
@@ -145,7 +145,7 @@ func TestCorruptRecordStrictRefuses(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if err := l.Append(rec(i)); err != nil {
+		if err := appendDurable(l, rec(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -186,7 +186,7 @@ func TestSnapshotChecksum(t *testing.T) {
 	}
 	snap := &Snapshot{Workflow: "w", Len: 1, Guards: map[string]int{"sue": 2},
 		Trace: &trace.Trace{Workflow: "w"}}
-	if err := l.WriteSnapshot(snap); err != nil {
+	if err := l.WriteSnapshotCtx(t.Context(), snap); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()

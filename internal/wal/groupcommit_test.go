@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"collabwf/internal/obs"
+	"collabwf/internal/trace"
 )
 
 // TestGroupCommitCoalescesBatches pins the tentpole behavior: records
@@ -54,44 +55,14 @@ func TestGroupCommitCoalescesBatches(t *testing.T) {
 		t.Fatalf("wf_wal_records_appended_total = %v, want %d", got, n)
 	}
 	// Fewer fsync batches than records is the whole point.
-	if got, _ := counterValue(reg, "wf_wal_group_commits_total"); got <= 0 || got >= n {
-		t.Fatalf("wf_wal_group_commits_total = %v, want in (0, %d)", got, n)
+	if got, _ := counterValue(reg, "wf_wal_group_commit_batch_size"); got <= 0 || got >= n {
+		t.Fatalf("wf_wal_group_commit_batch_size count = %v, want in (0, %d)", got, n)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(mustTail(t, dir)); got != n {
 		t.Fatalf("recovered %d records, want %d", got, n)
-	}
-}
-
-// TestMaxBatchCapsGroupCommit verifies Options.MaxBatch bounds how many
-// records one fsync may cover.
-func TestMaxBatchCapsGroupCommit(t *testing.T) {
-	dir := t.TempDir()
-	fp := NewFailpoints()
-	fp.SlowSync(20 * time.Millisecond)
-	l, err := Open(dir, Options{Sync: SyncAlways, MaxBatch: 2, Failpoints: fp})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	const n = 7
-	commits := make([]*Commit, n)
-	for i := 0; i < n; i++ {
-		cm, err := l.AppendBuffered(t.Context(), rec(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		commits[i] = cm
-	}
-	for i, cm := range commits {
-		if err := cm.Wait(); err != nil {
-			t.Fatalf("commit %d: %v", i, err)
-		}
-		if cm.BatchSize() > 2 {
-			t.Fatalf("commit %d batch = %d, exceeds MaxBatch 2", i, cm.BatchSize())
-		}
 	}
 }
 
@@ -207,42 +178,42 @@ func TestFlushDrainsPending(t *testing.T) {
 	wg.Wait()
 }
 
-// TestIdleFlushTimerSyncsIdleTail is the regression test for the
-// SyncInterval bug: maybeSync only fires on the NEXT append, so the last
-// records of a burst were never fsynced until Close. The background flush
-// timer must make an idle dirty tail durable on its own.
+// TestIdleFlushTimerSyncsIdleTail pins that under SyncInterval an idle
+// dirty tail becomes durable on its own: the committer's timer fsyncs it
+// with no further appends and no Close.
 //
 // A real crash cannot be simulated in-process (a reopen reads the page
 // cache, synced or not), so the test pins the mechanism: the timer-driven
-// fsync fires (wf_wal_idle_flush_total) with no further appends, and the
-// records survive a close whose own final sync is made to fail — durability
-// came from the idle flush, not from Close.
+// fsync fires (wf_wal_fsync_total) and leaves the tail clean, and the
+// records survive a close whose own final sync is made to fail —
+// durability came from the timer, not from Close.
 func TestIdleFlushTimerSyncsIdleTail(t *testing.T) {
 	dir := t.TempDir()
 	reg := obs.NewRegistry()
 	fp := NewFailpoints()
-	const interval = 20 * time.Millisecond
-	l, err := Open(dir, Options{Sync: SyncInterval, SyncInterval: interval, Failpoints: fp, Metrics: reg})
+	l, err := Open(dir, Options{Sync: SyncInterval, Failpoints: fp, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// First append syncs (nothing synced yet); the second lands inside the
-	// interval and stays buffered — the bug's shape.
-	if err := l.Append(rec(0)); err != nil {
+	if err := appendDurable(l, rec(0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append(rec(1)); err != nil {
+	if err := appendDurable(l, rec(1)); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if got, _ := counterValue(reg, "wf_wal_idle_flush_total"); got >= 1 {
+		synced, _ := counterValue(reg, "wf_wal_fsync_total")
+		l.mu.Lock()
+		clean := l.end == l.durable
+		l.mu.Unlock()
+		if synced >= 1 && clean {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("idle flush timer never fsynced the dirty tail")
+			t.Fatal("the committer's timer never fsynced the idle dirty tail")
 		}
-		time.Sleep(interval / 2)
+		time.Sleep(syncInterval / 4)
 	}
 	// "Crash": the final sync in Close fails, so if the tail were still only
 	// page-cache-buffered nothing would have made it durable.
@@ -253,6 +224,133 @@ func TestIdleFlushTimerSyncsIdleTail(t *testing.T) {
 	tail := mustTail(t, dir)
 	if len(tail) != 2 {
 		t.Fatalf("recovered %d records, want 2", len(tail))
+	}
+}
+
+// TestIntervalAppendNeverWaitsOnFsync pins that SyncInterval keeps fsync
+// off the append path: even when every fsync takes a second, an append
+// returns an already-resolved commit immediately, and the slow sync happens
+// later on the committer.
+func TestIntervalAppendNeverWaitsOnFsync(t *testing.T) {
+	dir := t.TempDir()
+	fp := NewFailpoints()
+	const delay = time.Second
+	fp.SlowSync(delay)
+	l, err := Open(dir, Options{Sync: SyncInterval, Failpoints: fp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	cm, err := l.AppendBuffered(t.Context(), rec(0))
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-cm.Done():
+	default:
+		t.Fatal("interval append returned an unresolved commit")
+	}
+	if err := cm.Err(); err != nil {
+		t.Fatalf("commit: %v", err)
+	}
+	if elapsed >= delay/4 {
+		t.Fatalf("append took %v with a %v fsync: it waited on the disk", elapsed, delay)
+	}
+	fp.Reset()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(mustTail(t, dir)); got != 1 {
+		t.Fatalf("recovered %d records, want 1", got)
+	}
+}
+
+// TestIntervalSyncFailureIsRetried pins that a failed interval fsync is not
+// fatal: it is counted, the acknowledged record stays in the log, the log
+// keeps accepting appends, and the next tick makes the tail durable.
+func TestIntervalSyncFailureIsRetried(t *testing.T) {
+	dir := t.TempDir()
+	reg := obs.NewRegistry()
+	fp := NewFailpoints()
+	fp.FailNextSync(errors.New("EIO"))
+	l, err := Open(dir, Options{Sync: SyncInterval, Failpoints: fp, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := appendDurable(l, rec(0)); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		failed, _ := counterValue(reg, "wf_wal_fsync_errors_total")
+		l.mu.Lock()
+		clean := l.end == l.durable
+		l.mu.Unlock()
+		if failed >= 1 && clean {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the failed interval fsync was never retried")
+		}
+		time.Sleep(syncInterval / 4)
+	}
+	if err := l.Healthy(); err != nil {
+		t.Fatalf("a failed interval fsync broke the log: %v", err)
+	}
+	if got := l.Accepted(); got != 1 {
+		t.Fatalf("Accepted() = %d, want 1", got)
+	}
+	if err := appendDurable(l, rec(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(mustTail(t, dir)); got != 2 {
+		t.Fatalf("recovered %d records, want 2", got)
+	}
+}
+
+// TestIntervalSnapshotWaitsOutTickSync pins that a snapshot taken while an
+// interval fsync is in flight waits for it rather than deferring with
+// ErrBusy (no commit depends on that fsync), and that the log reset is not
+// undone by the fsync's durable-offset update landing after it.
+func TestIntervalSnapshotWaitsOutTickSync(t *testing.T) {
+	fp := NewFailpoints()
+	fp.SlowSync(500 * time.Millisecond)
+	l, err := Open(t.TempDir(), Options{Sync: SyncInterval, Failpoints: fp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := appendDurable(l, rec(0)); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		l.mu.Lock()
+		syncing := l.syncing
+		l.mu.Unlock()
+		if syncing {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the committer never started the interval fsync")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if err := l.WriteSnapshotCtx(t.Context(), &Snapshot{Len: 1, Trace: &trace.Trace{}}); err != nil {
+		t.Fatalf("snapshot during an interval fsync: %v", err)
+	}
+	l.mu.Lock()
+	syncing, end, durable := l.syncing, l.end, l.durable
+	l.mu.Unlock()
+	if syncing || end != 0 || durable != 0 {
+		t.Fatalf("after snapshot: syncing=%v end=%d durable=%d, want false 0 0", syncing, end, durable)
+	}
+	fp.Reset()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

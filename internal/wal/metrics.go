@@ -23,10 +23,8 @@ type walMetrics struct {
 	replayedRecs  *obs.Gauge
 	tornBytes     *obs.Counter
 	failpointTrip *obs.Counter
-	groupCommits  *obs.Counter
 	batchSize     *obs.Histogram
 	pendingRecs   *obs.Gauge
-	idleFlushes   *obs.Counter
 	corruptRecs   *obs.Counter
 	snapDeferred  *obs.Counter
 }
@@ -62,15 +60,11 @@ func newWALMetrics(reg *obs.Registry) *walMetrics {
 			"Trailing bytes truncated as torn records at Open."),
 		failpointTrip: reg.Counter("wf_wal_failpoint_trips_total",
 			"Injected WAL faults that fired (tests and fault drills)."),
-		groupCommits: reg.Counter("wf_wal_group_commits_total",
-			"Group-commit batches made durable with a single fsync."),
 		batchSize: reg.Histogram("wf_wal_group_commit_batch_size",
 			"Records per group-commit fsync batch.",
 			[]float64{1, 2, 4, 8, 16, 32, 64, 128}),
 		pendingRecs: reg.Gauge("wf_wal_pending_records",
 			"Buffered records awaiting their group fsync (commit-queue depth)."),
-		idleFlushes: reg.Counter("wf_wal_idle_flush_total",
-			"Timer-driven fsyncs of an idle dirty tail under the interval policy."),
 		corruptRecs: reg.Counter("wf_wal_corrupt_records_total",
 			"Complete-but-corrupt WAL records detected at Open (checksum or parse failure)."),
 		snapDeferred: reg.Counter("wf_wal_snapshot_deferred_total",
@@ -136,7 +130,6 @@ func (m *walMetrics) recordGroupCommit(n int) {
 	if m == nil {
 		return
 	}
-	m.groupCommits.Inc()
 	m.batchSize.Observe(float64(n))
 	m.appended.Add(int64(n))
 }
@@ -146,13 +139,6 @@ func (m *walMetrics) recordPending(n int) {
 		return
 	}
 	m.pendingRecs.Set(float64(n))
-}
-
-func (m *walMetrics) recordIdleFlush() {
-	if m == nil {
-		return
-	}
-	m.idleFlushes.Inc()
 }
 
 func (m *walMetrics) recordAppendErrors(n int) {

@@ -7,8 +7,8 @@ import (
 	"collabwf/internal/trace"
 )
 
-// counterValue sums a family's series values; ok reports whether the
-// family exists.
+// counterValue sums a family's series values (a histogram contributes its
+// observation count); ok reports whether the family exists.
 func counterValue(reg *obs.Registry, name string) (float64, bool) {
 	for _, fam := range reg.Gather() {
 		if fam.Name != name {
@@ -17,6 +17,9 @@ func counterValue(reg *obs.Registry, name string) (float64, bool) {
 		total := 0.0
 		for _, s := range fam.Series {
 			total += s.Value
+			if s.Hist != nil {
+				total += float64(s.Hist.Count)
+			}
 		}
 		return total, true
 	}
@@ -31,12 +34,12 @@ func TestMetricsRecordAppendsSyncsAndSnapshots(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := l.Append(rec(i)); err != nil {
+		if err := appendDurable(l, rec(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	snap := &Snapshot{Len: 3, Trace: &trace.Trace{}}
-	if err := l.WriteSnapshot(snap); err != nil {
+	if err := l.WriteSnapshotCtx(t.Context(), snap); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -87,13 +90,13 @@ func TestMetricsRecordFailpointsAndTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append(rec(0)); err != nil {
+	if err := appendDurable(l, rec(0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append(rec(1)); err != nil {
+	if err := appendDurable(l, rec(1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append(rec(2)); err == nil {
+	if err := appendDurable(l, rec(2)); err == nil {
 		t.Fatal("expected the injected partial write to fail")
 	}
 	l.Close()

@@ -8,21 +8,19 @@
 //
 // The intended discipline is log-before-accept: the coordinator appends an
 // event's record (and, under the "always" policy, fsyncs it) before the
-// event becomes observable to any peer. If Append fails the caller must
+// event becomes observable to any peer. If the append fails the caller must
 // roll the in-memory state back, so memory never runs ahead of disk.
 //
-// Two append paths implement that discipline:
-//
-//   - Append writes and (policy permitting) fsyncs synchronously, under the
-//     log lock — one fsync per record under SyncAlways.
-//   - AppendBuffered writes the record into the log file and returns a
-//     *Commit future immediately; a dedicated committer goroutine coalesces
-//     every record buffered while the previous fsync was in flight into ONE
-//     fsync (group commit) and resolves the whole batch at once. A failed
-//     group sync truncates the file back to the durable prefix, fails every
-//     queued commit, and stalls the log until the caller realigns its
-//     in-memory state (Truncate the run back to Accepted()) and calls
-//     Resume — so a crash or I/O error can never leave a sequence gap.
+// AppendBuffered is the one append path. It writes the record into the log
+// file and returns a *Commit future; a single committer goroutine does every
+// record fsync off the log lock. Under "always" it coalesces every record
+// buffered while the previous fsync was in flight into ONE fsync (group
+// commit) and resolves the whole batch at once. A failed group sync
+// truncates the file back to the durable prefix, fails every queued commit,
+// and stalls the log until the caller realigns its in-memory state
+// (Truncate the run back to Accepted()) and calls Resume — so a crash or
+// I/O error can never leave a sequence gap. Under "interval" commits resolve
+// at write time and the committer fsyncs a dirty tail once per interval.
 package wal
 
 import (
@@ -56,14 +54,17 @@ const (
 	// SyncAlways fsyncs after every append: an accepted event survives any
 	// crash. This is the default.
 	SyncAlways SyncPolicy = "always"
-	// SyncInterval fsyncs at most once per Options.SyncInterval; a crash
-	// may lose the records appended since the last sync (they are still
-	// valid on disk unless the OS lost them). A background flush timer
-	// bounds the window even when no further appends arrive.
+	// SyncInterval fsyncs a dirty tail once per syncInterval, off the
+	// append path; a crash may lose the records appended since the last
+	// sync (they are still valid on disk unless the OS lost them).
 	SyncInterval SyncPolicy = "interval"
 	// SyncNever leaves syncing to the OS page cache.
 	SyncNever SyncPolicy = "never"
 )
+
+// syncInterval is the fsync cadence under SyncInterval: the committer makes
+// a dirty tail durable at most this long after it was written.
+const syncInterval = 100 * time.Millisecond
 
 // ParsePolicy converts a flag string into a SyncPolicy.
 func ParsePolicy(s string) (SyncPolicy, error) {
@@ -74,7 +75,7 @@ func ParsePolicy(s string) (SyncPolicy, error) {
 	return "", fmt.Errorf("wal: unknown fsync policy %q (want always, interval or never)", s)
 }
 
-// ErrBusy is returned by WriteSnapshot while buffered commits are awaiting
+// ErrBusy is returned by WriteSnapshotCtx while buffered commits are awaiting
 // their group fsync: resetting the log file then would wipe bytes that
 // in-flight submissions still need. Retry once the queue drains.
 var ErrBusy = errors.New("wal: commits in flight, snapshot deferred")
@@ -163,12 +164,6 @@ func (s *Snapshot) Checksum() (uint32, error) {
 type Options struct {
 	// Sync is the fsync policy; empty means SyncAlways.
 	Sync SyncPolicy
-	// SyncInterval is the maximum time between fsyncs under SyncInterval;
-	// zero means 100ms.
-	SyncInterval time.Duration
-	// MaxBatch caps how many buffered records one group fsync commits;
-	// ≤ 0 means unbounded (every record queued when the committer wakes).
-	MaxBatch int
 	// Strict refuses to open a log that contains a corrupt complete record
 	// (checksum mismatch or unparseable line followed by a newline) instead
 	// of truncating the log at the first bad record. Torn trailing records
@@ -220,8 +215,8 @@ func (c *Commit) Done() <-chan struct{} { return c.ready }
 // Err returns the commit outcome; only valid after Wait or Done.
 func (c *Commit) Err() error { return c.err }
 
-// BatchSize reports how many records the resolving fsync covered (1 for
-// synchronous and policy-relaxed appends). Only valid after Wait or Done.
+// BatchSize reports how many records the resolving fsync covered (1 under
+// the relaxed policies). Only valid after Wait or Done.
 func (c *Commit) BatchSize() int { return c.batch }
 
 // resolvedCommit returns a Commit that is already done.
@@ -236,7 +231,7 @@ func resolvedCommit(seq int, err error) *Commit {
 // use.
 type Log struct {
 	mu   sync.Mutex
-	cond *sync.Cond // signals committer/Flush waiters; tied to mu
+	cond *sync.Cond // signals Flush and snapshot waiters; tied to mu
 	dir  string
 	f    *os.File
 	opts Options
@@ -245,30 +240,26 @@ type Log struct {
 	// failed append truncates back to it.
 	end int64
 	// durable is the offset covered by the last successful fsync; a failed
-	// group sync truncates the file back to it.
+	// group sync truncates the file back to it. The tail is dirty while
+	// end > durable.
 	durable int64
-	// dirty is set when bytes past durable have been written; the idle
-	// flush timer (SyncInterval) only syncs a dirty log.
-	dirty    bool
-	lastSync time.Time
 	// accepted counts records the log considers accepted: durable under
 	// SyncAlways, written under the relaxed policies. After a failed group
 	// sync the caller must truncate its in-memory run to this length.
 	accepted int
 	// pending holds buffered commits awaiting the next group fsync.
 	pending []*Commit
-	// syncing is true while the committer holds a batch off-lock.
+	// syncing is true while the committer fsyncs off-lock.
 	syncing bool
 	// stalled is set after a failed group sync: appends are refused until
 	// the caller realigns (rolls its state back to Accepted) and Resumes.
 	stalled error
 	closing bool
-	// committerDone / flusherDone are closed when the respective background
-	// goroutine exits (committer under SyncAlways, flusher under
-	// SyncInterval).
+	// wake nudges the committer (capacity 1: one pending nudge covers every
+	// append made before the committer looks again); committerDone is
+	// closed when it exits. Both are nil under SyncNever.
+	wake          chan struct{}
 	committerDone chan struct{}
-	flusherDone   chan struct{}
-	flusherStop   chan struct{}
 	// broken is set when an append failed AND the repair truncate failed
 	// too: the on-disk tail is untrusted and the log refuses further
 	// appends.
@@ -306,9 +297,6 @@ func Open(dir string, opts Options) (*Log, error) {
 	if opts.Sync == "" {
 		opts.Sync = SyncAlways
 	}
-	if opts.SyncInterval <= 0 {
-		opts.SyncInterval = 100 * time.Millisecond
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
@@ -340,14 +328,10 @@ func Open(dir string, opts Options) (*Log, error) {
 			l.accepted = rec.Seq + 1
 		}
 	}
-	switch opts.Sync {
-	case SyncAlways:
+	if opts.Sync != SyncNever {
+		l.wake = make(chan struct{}, 1)
 		l.committerDone = make(chan struct{})
 		go l.committer()
-	case SyncInterval:
-		l.flusherDone = make(chan struct{})
-		l.flusherStop = make(chan struct{})
-		go l.flusher()
 	}
 	l.m.recordOpen(time.Since(start), len(l.loadedTail), l.tornBytes)
 	return l, nil
@@ -475,35 +459,13 @@ func (l *Log) TornBytes() int64 { return l.tornBytes }
 // Dir returns the log's root directory.
 func (l *Log) Dir() string { return l.dir }
 
-// Append durably adds one record, synchronously. On failure nothing of the
-// record remains on disk (the log truncates back to the last good record)
-// and the caller must treat the event as rejected. If even the repair
-// fails, the log becomes broken and refuses further appends.
-func (l *Log) Append(rec Record) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	n, err := l.writeLocked(nil, rec)
-	if err != nil {
-		return err
-	}
-	if err := l.maybeSync(context.Background()); err != nil {
-		// The record may not be durable; take it back so memory and disk
-		// agree that it was never accepted.
-		l.end -= int64(n)
-		l.m.recordAppend(false)
-		return l.repair(err)
-	}
-	l.accepted = rec.Seq + 1
-	l.m.recordAppend(true)
-	return nil
-}
-
 // AppendBuffered writes one record into the log file and returns a Commit
 // future that resolves once the record is durable. Under SyncAlways the
 // fsync is delegated to the committer goroutine, which coalesces every
 // record buffered while the previous sync was in flight into one group
 // fsync; under the relaxed policies the returned Commit is already
-// resolved (durability is best-effort by policy, exactly as Append).
+// resolved (durability is best-effort by policy) and the append never
+// waits on an fsync.
 //
 // On a write failure nothing of the record remains on disk and no future is
 // returned. On a GROUP SYNC failure every commit in the batch (and every
@@ -520,16 +482,13 @@ func (l *Log) AppendBuffered(ctx context.Context, rec Record) (cm *Commit, err e
 	}()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if _, err := l.writeLocked(sp, rec); err != nil {
+	if err := l.writeLocked(sp, rec); err != nil {
 		return nil, err
 	}
 	if l.opts.Sync != SyncAlways {
 		// Relaxed policies: the record is accepted as soon as it is
-		// buffered; interval syncing is handled by maybeSync + the idle
-		// flush timer. A failed interval sync is not fatal to the append —
-		// the bytes are already written and the policy tolerates loss
-		// (the fsync-error counter records it).
-		_ = l.maybeSync(ctx)
+		// written; under SyncInterval the committer's next tick makes it
+		// durable.
 		l.accepted = rec.Seq + 1
 		l.m.recordAppend(true)
 		return resolvedCommit(rec.Seq, nil), nil
@@ -537,41 +496,51 @@ func (l *Log) AppendBuffered(ctx context.Context, rec Record) (cm *Commit, err e
 	cm = &Commit{seq: rec.Seq, ready: make(chan struct{}), ctx: ctx}
 	l.pending = append(l.pending, cm)
 	l.m.recordPending(len(l.pending))
-	l.cond.Broadcast()
+	l.kick()
 	return cm, nil
 }
 
+// kick wakes the committer without blocking: if a nudge is already
+// pending, the committer will see this append's state too. A no-op under
+// SyncNever (nil channel).
+func (l *Log) kick() {
+	select {
+	case l.wake <- struct{}{}:
+	default:
+	}
+}
+
 // writeLocked validates, encodes and writes one record at the buffered tail,
-// advancing end and dirty on success. Write-path failpoints (FailAppend,
+// advancing end on success. Write-path failpoints (FailAppend,
 // TornWrite) fire here; a partial write is repaired by truncating back to
 // the last complete record. Called with the lock held.
-func (l *Log) writeLocked(sp *obs.Span, rec Record) (int, error) {
+func (l *Log) writeLocked(sp *obs.Span, rec Record) error {
 	if l.broken != nil {
-		return 0, fmt.Errorf("wal: log is broken: %w", l.broken)
+		return fmt.Errorf("wal: log is broken: %w", l.broken)
 	}
 	if l.stalled != nil {
-		return 0, fmt.Errorf("wal: log stalled after failed group sync (resume required): %w", l.stalled)
+		return fmt.Errorf("wal: log stalled after failed group sync (resume required): %w", l.stalled)
 	}
 	if l.closing {
-		return 0, fmt.Errorf("wal: log is closed")
+		return fmt.Errorf("wal: log is closed")
 	}
 	if fp := l.opts.Failpoints; fp != nil {
 		if err := fp.beforeAppend(rec.Seq); err != nil {
 			l.m.recordFailpoint()
 			l.m.recordAppend(false)
-			return 0, err
+			return err
 		}
 	}
 	crc, err := rec.Checksum()
 	if err != nil {
 		l.m.recordAppend(false)
-		return 0, fmt.Errorf("wal: %w", err)
+		return fmt.Errorf("wal: %w", err)
 	}
 	rec.CRC = crc
 	line, err := json.Marshal(rec)
 	if err != nil {
 		l.m.recordAppend(false)
-		return 0, fmt.Errorf("wal: %w", err)
+		return fmt.Errorf("wal: %w", err)
 	}
 	line = append(line, '\n')
 	sp.SetAttr("bytes", len(line))
@@ -582,48 +551,76 @@ func (l *Log) writeLocked(sp *obs.Span, rec Record) (int, error) {
 			l.m.recordFailpoint()
 			l.m.recordAppend(false)
 			_, _ = l.f.Write(line[:n])
-			return 0, l.repair(fmt.Errorf("wal: injected partial write after %d bytes", n))
+			return l.repair(fmt.Errorf("wal: injected partial write after %d bytes", n))
 		}
 	}
 	if _, err := l.f.Write(line); err != nil {
 		l.m.recordAppend(false)
-		return 0, l.repair(fmt.Errorf("wal: %w", err))
+		return l.repair(fmt.Errorf("wal: %w", err))
 	}
 	l.end += int64(len(line))
-	l.dirty = true
-	return len(line), nil
+	return nil
 }
 
-// committer runs under SyncAlways: it drains the pending queue in batches,
-// issuing ONE fsync per batch off-lock so appends keep flowing while the
-// disk works, then resolves the whole batch. It exits once the log is
-// closing and the queue is empty.
+// committer is the log's one background goroutine (Open starts none under
+// SyncNever). Every record fsync it issues runs off-lock, so appends keep
+// flowing while the disk works:
+//
+//   - SyncAlways: woken by each append, it takes every queued commit as one
+//     batch, fsyncs once and resolves the whole batch (group commit). A
+//     failed batch sync truncates the file back to the durable prefix,
+//     fails the batch and everything queued behind it, and stalls the log.
+//   - SyncInterval: commits resolve at write time, so the queue stays
+//     empty; once per syncInterval it fsyncs a dirty tail. A failed fsync
+//     is counted and retried on the next tick — the policy tolerates loss,
+//     so acknowledged bytes are never truncated and the log never stalls.
+//
+// It exits once the log is closing and the queue is empty.
 func (l *Log) committer() {
 	defer close(l.committerDone)
+	var tick <-chan time.Time
+	if l.opts.Sync == SyncInterval {
+		t := time.NewTicker(syncInterval)
+		defer t.Stop()
+		tick = t.C
+	}
 	l.mu.Lock()
 	for {
-		for len(l.pending) == 0 && !l.closing {
-			l.cond.Wait()
-		}
 		if len(l.pending) == 0 {
+			if l.closing {
+				l.mu.Unlock()
+				return
+			}
 			l.mu.Unlock()
-			return
+			ticked := false
+			select {
+			case <-l.wake:
+			case <-tick:
+				ticked = true
+			}
+			l.mu.Lock()
+			dirty := l.end > l.durable
+			if !ticked || !dirty || l.broken != nil {
+				continue
+			}
 		}
 		batch := l.pending
-		if mb := l.opts.MaxBatch; mb > 0 && len(batch) > mb {
-			batch = batch[:mb]
-		}
-		l.pending = l.pending[len(batch):]
-		l.m.recordPending(len(l.pending))
+		l.pending = nil
+		l.m.recordPending(0)
 		mark := l.end
 		l.syncing = true
 		l.mu.Unlock()
 
-		// The fsync span joins the FIRST submitter's trace: that submitter
-		// is blocked in Wait, so its parent span is still open. End the
-		// span BEFORE resolving the batch, or the trace would complete with
-		// the fsync unfinished.
-		_, sp := obs.StartSpan(batch[0].ctx, "wal.fsync")
+		// A group fsync span joins the FIRST submitter's trace: that
+		// submitter is blocked in Wait, so its parent span is still open.
+		// End the span BEFORE resolving the batch, or the trace would
+		// complete with the fsync unfinished. An interval tick serves no
+		// request and records no span.
+		ctx := context.Background()
+		if len(batch) > 0 {
+			ctx = batch[0].ctx
+		}
+		_, sp := obs.StartSpan(ctx, "wal.fsync")
 		sp.SetAttr("batch", len(batch))
 		err := l.syncFile()
 		sp.SetError(err)
@@ -631,20 +628,21 @@ func (l *Log) committer() {
 
 		l.mu.Lock()
 		l.syncing = false
-		if err == nil {
-			if mark > l.durable {
-				l.durable = mark
+		switch {
+		case err == nil:
+			l.durable = mark
+			if len(batch) > 0 {
+				l.accepted = batch[len(batch)-1].seq + 1
+				l.m.recordGroupCommit(len(batch))
 			}
-			l.dirty = l.end != l.durable
-			l.lastSync = time.Now()
-			l.accepted = batch[len(batch)-1].seq + 1
-			l.m.recordGroupCommit(len(batch))
 			for _, cm := range batch {
-				cm.err = nil
 				cm.batch = len(batch)
 				close(cm.ready)
 			}
-		} else {
+		case len(batch) == 0:
+			// A failed interval fsync: syncFile counted it, the tail stays
+			// dirty and the next tick retries.
+		default:
 			// Nothing past the durable prefix can be trusted: truncate it
 			// away so the tail holds no record of an unacknowledged event,
 			// then fail the batch AND everything queued behind it (their
@@ -658,7 +656,6 @@ func (l *Log) committer() {
 				l.broken = fmt.Errorf("group sync failed (%v) and seek failed: %w", err, serr)
 			}
 			l.end = l.durable
-			l.dirty = false
 			l.stalled = err
 			l.m.recordAppendErrors(len(all))
 			for i := len(all) - 1; i >= 0; i-- {
@@ -671,9 +668,11 @@ func (l *Log) committer() {
 	}
 }
 
-// syncFile fsyncs the log file without holding the lock. Concurrent
-// appends may be writing past the captured mark; fsync covering more bytes
-// than the mark is harmless (the extra records resolve with a later batch).
+// syncFile is the one record-fsync routine: the committer calls it
+// without holding the lock, Close for the final sync. Concurrent appends
+// may be writing past the committer's captured mark; fsync covering more
+// bytes than the mark is harmless (the extra records resolve with a later
+// batch).
 func (l *Log) syncFile() error {
 	// The clock starts before the failpoints so an injected slow sync reads
 	// as a slow device in the latency metrics and the Retry-After EWMA.
@@ -711,32 +710,6 @@ func (l *Log) SyncLatency() time.Duration {
 // dropped at Open under the default (truncate) policy.
 func (l *Log) CorruptRecords() int { return l.corruptRecords }
 
-// flusher runs under SyncInterval: it bounds the staleness of an idle tail.
-// maybeSync only fsyncs on the NEXT append, so without this timer the last
-// records of a burst could stay un-durable indefinitely.
-func (l *Log) flusher() {
-	defer close(l.flusherDone)
-	tick := time.NewTicker(l.opts.SyncInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-l.flusherStop:
-			return
-		case <-tick.C:
-		}
-		l.mu.Lock()
-		if l.broken == nil && l.dirty && time.Since(l.lastSync) >= l.opts.SyncInterval {
-			// A failed idle flush is not fatal: the records were accepted
-			// under a loss-tolerant policy. The fsync-error counter records
-			// it; the next tick retries.
-			if err := l.syncLocked(context.Background()); err == nil {
-				l.m.recordIdleFlush()
-			}
-		}
-		l.mu.Unlock()
-	}
-}
-
 // Stalled reports the failed-group-sync error while the log is refusing
 // appends, nil otherwise.
 func (l *Log) Stalled() error {
@@ -762,7 +735,6 @@ func (l *Log) Resume() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.stalled = nil
-	l.cond.Broadcast()
 }
 
 // Pending reports the current commit-queue depth: records buffered and
@@ -801,44 +773,6 @@ func (l *Log) repair(cause error) error {
 	return cause
 }
 
-// maybeSync fsyncs according to the policy. Called with the lock held.
-func (l *Log) maybeSync(ctx context.Context) error {
-	switch l.opts.Sync {
-	case SyncNever:
-		return nil
-	case SyncInterval:
-		if time.Since(l.lastSync) < l.opts.SyncInterval {
-			return nil
-		}
-	}
-	return l.syncLocked(ctx)
-}
-
-func (l *Log) syncLocked(ctx context.Context) (err error) {
-	_, sp := obs.StartSpan(ctx, "wal.fsync")
-	defer func() {
-		sp.SetError(err)
-		sp.End()
-	}()
-	if err := l.syncFile(); err != nil {
-		return err
-	}
-	l.lastSync = time.Now()
-	l.durable = l.end
-	l.dirty = false
-	return nil
-}
-
-// Sync forces an fsync regardless of policy.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.broken != nil {
-		return fmt.Errorf("wal: log is broken: %w", l.broken)
-	}
-	return l.syncLocked(context.Background())
-}
-
 // Healthy returns nil when the log can accept appends.
 func (l *Log) Healthy() error {
 	l.mu.Lock()
@@ -852,18 +786,13 @@ func (l *Log) Healthy() error {
 	return nil
 }
 
-// WriteSnapshot atomically replaces the snapshot and resets the log: after
-// it returns, recovery replays snap.Trace and then whatever records land
-// after it. A crash between the snapshot rename and the log reset is
+// WriteSnapshotCtx atomically replaces the snapshot and resets the log:
+// after it returns, recovery replays snap.Trace and then whatever records
+// land after it. A crash between the snapshot rename and the log reset is
 // harmless — the leftover records have Seq < snap.Len and recovery skips
-// them.
-func (l *Log) WriteSnapshot(snap *Snapshot) error {
-	return l.WriteSnapshotCtx(context.Background(), snap)
-}
-
-// WriteSnapshotCtx is WriteSnapshot with a caller context: the snapshot
-// write appears as a wal.snapshot span in the caller's trace (e.g. inside
-// the coordinator.submit that crossed the snapshot-every threshold).
+// them. The write appears as a wal.snapshot span in the caller's trace
+// (e.g. inside the coordinator.submit that crossed the snapshot-every
+// threshold).
 //
 // While buffered commits are in flight it returns ErrBusy without touching
 // anything: the log reset would destroy bytes that unresolved commits still
@@ -877,6 +806,12 @@ func (l *Log) WriteSnapshotCtx(ctx context.Context, snap *Snapshot) (err error) 
 	}()
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	// An interval fsync in flight resolves no commits, so it is waited out
+	// rather than deferred: the log reset must not race its durable-offset
+	// update.
+	for l.syncing && l.opts.Sync == SyncInterval {
+		l.cond.Wait()
+	}
 	if l.broken != nil {
 		return fmt.Errorf("wal: log is broken: %w", l.broken)
 	}
@@ -930,13 +865,11 @@ func (l *Log) WriteSnapshotCtx(ctx context.Context, snap *Snapshot) (err error) 
 	}
 	l.end = 0
 	l.durable = 0
-	l.dirty = false
 	return nil
 }
 
-// Close drains the commit queue, stops the background goroutines, syncs
-// (best effort when already broken or stalled) and closes the log file.
-// Close is idempotent.
+// Close drains the commit queue, stops the committer, syncs (skipped when
+// already broken or stalled) and closes the log file. Close is idempotent.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	if l.closing {
@@ -944,21 +877,13 @@ func (l *Log) Close() error {
 		return nil
 	}
 	l.closing = true
-	l.cond.Broadcast()
-	committerDone, flusherDone, flusherStop := l.committerDone, l.flusherDone, l.flusherStop
 	l.mu.Unlock()
-	if committerDone != nil {
-		<-committerDone
-	}
-	if flusherStop != nil {
-		close(flusherStop)
-		<-flusherDone
-	}
+	l.stopCommitter()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	var syncErr error
 	if l.broken == nil && l.stalled == nil && l.opts.Sync != SyncNever {
-		syncErr = l.syncLocked(context.Background())
+		syncErr = l.syncFile()
 	}
 	if err := l.f.Close(); err != nil {
 		return fmt.Errorf("wal: %w", err)
@@ -966,14 +891,22 @@ func (l *Log) Close() error {
 	return syncErr
 }
 
+// stopCommitter wakes the committer and waits for it to exit; closing must
+// already be set. A no-op under SyncNever.
+func (l *Log) stopCommitter() {
+	if l.committerDone != nil {
+		l.kick()
+		<-l.committerDone
+	}
+}
+
 // Crash simulates a hard process kill for fault drills: every buffered
 // commit resolves with ErrCrashed (its record may or may not be durable —
-// exactly the ambiguity a power cut leaves), the background goroutines are
-// stopped, and the file is closed WITHOUT a final fsync. It returns the
-// durable offset (covered by the last successful fsync) and the written
-// size at crash time, so a harness can simulate page-cache loss by
-// truncating the file anywhere in [durable, size] before reopening the
-// directory with Open.
+// exactly the ambiguity a power cut leaves), the committer is stopped, and
+// the file is closed WITHOUT a final fsync. It returns the durable offset
+// (covered by the last successful fsync) and the written size at crash
+// time, so a harness can simulate page-cache loss by truncating the file
+// anywhere in [durable, size] before reopening the directory with Open.
 func (l *Log) Crash() (durable, size int64, err error) {
 	l.mu.Lock()
 	if l.closing {
@@ -994,15 +927,8 @@ func (l *Log) Crash() (durable, size int64, err error) {
 		close(pending[i].ready)
 	}
 	l.cond.Broadcast()
-	committerDone, flusherDone, flusherStop := l.committerDone, l.flusherDone, l.flusherStop
 	l.mu.Unlock()
-	if committerDone != nil {
-		<-committerDone
-	}
-	if flusherStop != nil {
-		close(flusherStop)
-		<-flusherDone
-	}
+	l.stopCommitter()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	durable, size = l.durable, l.end

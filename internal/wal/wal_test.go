@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -18,6 +19,16 @@ func rec(seq int) Record {
 	}}
 }
 
+// appendDurable appends r through the one append path and waits for its
+// commit to resolve.
+func appendDurable(l *Log, r Record) error {
+	cm, err := l.AppendBuffered(context.Background(), r)
+	if err != nil {
+		return err
+	}
+	return cm.Wait()
+}
+
 func TestAppendReopenRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, Options{})
@@ -25,7 +36,7 @@ func TestAppendReopenRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if err := l.Append(rec(i)); err != nil {
+		if err := appendDurable(l, rec(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -58,7 +69,7 @@ func TestTornTailTruncatedOnOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := l.Append(rec(i)); err != nil {
+		if err := appendDurable(l, rec(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -86,7 +97,7 @@ func TestTornTailTruncatedOnOpen(t *testing.T) {
 	}
 	// The torn bytes are gone from disk: appends land after record 2 and a
 	// third open sees a clean 4-record log.
-	if err := l2.Append(rec(3)); err != nil {
+	if err := appendDurable(l2, rec(3)); err != nil {
 		t.Fatal(err)
 	}
 	l2.Close()
@@ -106,7 +117,7 @@ func TestCorruptInteriorLineCutsTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.Append(rec(0))
+	appendDurable(l, rec(0))
 	l.Close()
 	path := filepath.Join(dir, logName)
 	f, _ := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
@@ -130,14 +141,14 @@ func TestSnapshotResetsLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		l.Append(rec(i))
+		appendDurable(l, rec(i))
 	}
 	snap := &Snapshot{Workflow: "w", Len: 4, Guards: map[string]int{"sue": 2},
 		Trace: &trace.Trace{Workflow: "w"}}
-	if err := l.WriteSnapshot(snap); err != nil {
+	if err := l.WriteSnapshotCtx(t.Context(), snap); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append(rec(4)); err != nil {
+	if err := appendDurable(l, rec(4)); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
@@ -163,17 +174,17 @@ func TestFailpointAppendRejectedCleanly(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	l.Append(rec(0))
+	appendDurable(l, rec(0))
 	boom := errors.New("disk on fire")
 	fp.FailAppend(1, boom)
-	if err := l.Append(rec(1)); !errors.Is(err, boom) {
+	if err := appendDurable(l, rec(1)); !errors.Is(err, boom) {
 		t.Fatalf("err=%v", err)
 	}
 	if err := l.Healthy(); err != nil {
 		t.Fatalf("a clean rejection must not break the log: %v", err)
 	}
 	// The same record appends fine once the failpoint is spent.
-	if err := l.Append(rec(1)); err != nil {
+	if err := appendDurable(l, rec(1)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -185,9 +196,9 @@ func TestFailpointTornWriteRepairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.Append(rec(0))
+	appendDurable(l, rec(0))
 	fp.TornWrite(1, 7)
-	if err := l.Append(rec(1)); err == nil {
+	if err := appendDurable(l, rec(1)); err == nil {
 		t.Fatal("torn append must fail")
 	} else if !strings.Contains(err.Error(), "partial write") {
 		t.Fatalf("err=%v", err)
@@ -197,7 +208,7 @@ func TestFailpointTornWriteRepairs(t *testing.T) {
 	}
 	// Disk holds exactly record 0: the torn bytes were truncated, so a
 	// retry lands clean.
-	if err := l.Append(rec(1)); err != nil {
+	if err := appendDurable(l, rec(1)); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
@@ -221,11 +232,16 @@ func TestFailpointSyncErrorRejects(t *testing.T) {
 	defer l.Close()
 	boom := errors.New("EIO")
 	fp.FailNextSync(boom)
-	if err := l.Append(rec(0)); !errors.Is(err, boom) {
+	if err := appendDurable(l, rec(0)); !errors.Is(err, boom) {
 		t.Fatalf("err=%v", err)
 	}
-	// The maybe-lost record was truncated away; the log stays usable.
-	if err := l.Append(rec(0)); err != nil {
+	// The maybe-lost record was truncated away and the log stalled; once
+	// the caller realigns to Accepted() and resumes, it is usable again.
+	if got := l.Accepted(); got != 0 {
+		t.Fatalf("Accepted() = %d after a failed first sync, want 0", got)
+	}
+	l.Resume()
+	if err := appendDurable(l, rec(0)); err != nil {
 		t.Fatal(err)
 	}
 	if len(mustTail(t, dir)) != 1 {
@@ -262,7 +278,7 @@ func TestSyncPolicies(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 10; i++ {
-			if err := l.Append(rec(i)); err != nil {
+			if err := appendDurable(l, rec(i)); err != nil {
 				t.Fatalf("%s: %v", p, err)
 			}
 		}
