@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -111,34 +112,62 @@ func TestLoggerFlushInterval(t *testing.T) {
 	}
 }
 
+// gateSink blocks its first Export until released, reporting the batch it
+// is holding on entered, so a test can fill the ring behind a stalled
+// export deterministically.
+type gateSink struct {
+	collectSink
+	entered chan []Decision
+	release chan struct{}
+	once    sync.Once
+}
+
+func (s *gateSink) Export(ctx context.Context, batch []Decision) error {
+	s.once.Do(func() {
+		s.entered <- append([]Decision(nil), batch...)
+		<-s.release
+	})
+	return s.collectSink.Export(ctx, batch)
+}
+
+func indices(recs []Decision) []int {
+	out := make([]int, len(recs))
+	for i, r := range recs {
+		out[i] = r.Index
+	}
+	return out
+}
+
 func TestLoggerDropsOldestWhenFull(t *testing.T) {
 	reg := obs.NewRegistry()
-	sink := &collectSink{}
+	sink := &gateSink{entered: make(chan []Decision), release: make(chan struct{})}
 	l, err := New(Config{Sink: sink, Capacity: 4, BatchSize: 4,
 		FlushInterval: time.Hour, Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Stall the flusher so the ring actually fills: grab the export lock.
-	l.exportMu.Lock()
-	for i := 0; i < 10; i++ {
+	// Fill the ring exactly: the full batch wakes the flusher, which takes
+	// all four records and stalls inside Export.
+	for i := 0; i < 4; i++ {
 		l.Emit(Decision{Kind: KindSubmit, Index: i})
 	}
-	l.exportMu.Unlock()
+	if held := indices(<-sink.entered); fmt.Sprint(held) != "[0 1 2 3]" {
+		t.Fatalf("stalled export holds indices %v, want [0 1 2 3]", held)
+	}
+	// With the flusher stalled, six more emits overflow the emptied ring:
+	// indices 4 and 5 are dropped, 6–9 kept.
+	for i := 4; i < 10; i++ {
+		l.Emit(Decision{Kind: KindSubmit, Index: i})
+	}
+	close(sink.release)
 	if err := l.Close(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	recs := sink.records()
-	if len(recs) != 4 {
-		t.Fatalf("got %d records, want the 4 newest", len(recs))
-	}
-	for i, r := range recs {
-		if r.Index != 6+i {
-			t.Fatalf("drop-oldest kept index %d at position %d, want %d", r.Index, i, 6+i)
-		}
+	if got := indices(sink.records()); fmt.Sprint(got) != "[0 1 2 3 6 7 8 9]" {
+		t.Fatalf("exported indices %v, want [0 1 2 3 6 7 8 9]", got)
 	}
 	st := l.Status()
-	if st.Dropped != 6 || st.Emitted != 10 {
+	if st.Dropped != 2 || st.Emitted != 10 {
 		t.Fatalf("status=%+v", st)
 	}
 	var buf bytes.Buffer
@@ -146,7 +175,7 @@ func TestLoggerDropsOldestWhenFull(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		"wf_declog_dropped_total 6",
+		"wf_declog_dropped_total 2",
 		`wf_declog_emitted_total{kind="submit"} 10`,
 		"wf_declog_queue_depth 0",
 	} {
