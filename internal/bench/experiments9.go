@@ -1,0 +1,100 @@
+package bench
+
+import (
+	"fmt"
+	"math"
+	"runtime"
+
+	"collabwf/internal/core"
+	"collabwf/internal/data"
+	"collabwf/internal/program"
+	"collabwf/internal/workload"
+)
+
+// e21HeapPerDoubling is the retained-heap growth allowed per doubling of
+// the run: linear cost would give 2×, the quadratic layers it replaced
+// gave ~4×.
+const e21HeapPerDoubling = 2.2
+
+// E21RunLength — Section 4's promise that a new event costs "a single
+// application of T_p plus set unions" (and Def. 3.1's run as a sequence of
+// instances), measured as a run-length sweep. One hiring run grows episode
+// by episode (clear, cfo_ok, approve, hire on a fresh candidate) with an
+// explainer per peer synced after every event. Instances share all but the
+// path each write copies, rule bodies are checked through a view filter,
+// and explainer unions append only the new events, so the heap a run
+// retains grows linearly in its length and the bytes per event stay flat.
+// The heap bound is exact arithmetic on allocator statistics, not a clock
+// ratio, so it is asserted in every mode.
+func E21RunLength(quick bool) (*Table, error) {
+	t := &Table{
+		ID:      "E21",
+		Title:   "run-length sweep: retained heap and bytes per event of Run.Append and a 4-peer SyncTo (hiring)",
+		Claim:   "§4: each new event costs one T_p application plus set unions — a run's memory is linear in its length",
+		Columns: []string{"events", "heap MB", "×prev", "bound", "Append B/ev", "SyncTo B/ev", "Append allocs/ev"},
+	}
+	sizes := []int{1000, 2000, 4000, 8000, 10000}
+	if quick {
+		sizes = []int{1000, 2000, 4000}
+	}
+	prog := workload.Hiring()
+	rules := [4]string{"clear", "cfo_ok", "approve", "hire"}
+	prevMB := 0.0
+	for k, n := range sizes {
+		base := liveHeapBytes()
+		run := program.NewRun(prog)
+		var exps []*core.Explainer
+		for _, p := range prog.Peers() {
+			exps = append(exps, core.NewExplainer(run, p))
+		}
+		var appendB, appendAllocs, syncB uint64
+		var before, mid, after runtime.MemStats
+		for i := 0; i < n; i++ {
+			e, err := program.NewEvent(prog.Rule(rules[i%4]), map[string]data.Value{"x": data.Value(fmt.Sprintf("c%d", i/4))})
+			if err != nil {
+				return nil, err
+			}
+			runtime.ReadMemStats(&before)
+			if err := run.Append(e); err != nil {
+				return nil, fmt.Errorf("E21: event %d: %w", i, err)
+			}
+			runtime.ReadMemStats(&mid)
+			for _, ex := range exps {
+				ex.SyncTo(run.Len())
+			}
+			runtime.ReadMemStats(&after)
+			appendB += mid.TotalAlloc - before.TotalAlloc
+			appendAllocs += mid.Mallocs - before.Mallocs
+			syncB += after.TotalAlloc - mid.TotalAlloc
+		}
+		live := liveHeapBytes()
+		mb := float64(live-min(base, live)) / (1 << 20)
+		runtime.KeepAlive(exps)
+		ratio, bound := "—", "—"
+		if k > 0 {
+			r := mb / prevMB
+			limit := math.Pow(e21HeapPerDoubling, math.Log2(float64(n)/float64(sizes[k-1])))
+			ratio, bound = fmt.Sprintf("%.2f", r), fmt.Sprintf("%.2f", limit)
+			if r > limit {
+				return nil, fmt.Errorf("E21: retained heap grew %.2f× from %d to %d events, bound %.2f× (%.1f× per doubling)",
+					r, sizes[k-1], n, limit, e21HeapPerDoubling)
+			}
+		}
+		prevMB = mb
+		fn := float64(n)
+		t.AddRow(fmt.Sprint(n), fmt.Sprintf("%.1f", mb), ratio, bound,
+			fmt.Sprintf("%.0f", float64(appendB)/fn), fmt.Sprintf("%.0f", float64(syncB)/fn),
+			fmt.Sprintf("%.1f", float64(appendAllocs)/fn))
+	}
+	t.Notef("retained heap bound %.1f× per doubling (scaled by log2 of each step), asserted in every mode", e21HeapPerDoubling)
+	return t, nil
+}
+
+// liveHeapBytes is the heap still reachable after two full collections.
+func liveHeapBytes() uint64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}

@@ -15,7 +15,7 @@ import (
 
 // Table is one experiment's result.
 type Table struct {
-	// ID is the experiment identifier (E1..E20).
+	// ID is the experiment identifier (E1..E21).
 	ID string
 	// Title summarizes the experiment.
 	Title string
@@ -127,5 +127,6 @@ func All() []Experiment {
 		{"E18", E18DecisionLog},
 		{"E19", E19RuleProfiler},
 		{"E20", E20Fleet},
+		{"E21", E21RunLength},
 	}
 }

@@ -130,7 +130,7 @@ func buildReport(rr RunReader, peer schema.Peer, visible []int, n int, explain f
 
 // Freeze captures the explainer's state as an immutable FrozenExplainer
 // safe for concurrent lock-free readers. O(1) — see faithful.Maintainer's
-// copy-on-write Freeze.
+// Freeze.
 func (e *Explainer) Freeze() *FrozenExplainer {
 	return &FrozenExplainer{Peer: e.Peer, fz: e.maint.Freeze()}
 }

@@ -38,6 +38,10 @@ type Monitor struct {
 	facts      map[factID]*factState
 	deleted    map[factID]bool // transparently created and deleted this stage
 	violations []Violation
+	// firstSeen maps each key of a p-invisible relation to the first
+	// instance holding it: -1 for the initial instance, else the index of
+	// the creating event.
+	firstSeen map[factID]int
 }
 
 type factID struct {
@@ -54,11 +58,20 @@ type factState struct {
 // and processes any events already present.
 func NewMonitor(r *program.Run, peer schema.Peer, h int) *Monitor {
 	m := &Monitor{
-		peer:    peer,
-		h:       h,
-		run:     r,
-		facts:   make(map[factID]*factState),
-		deleted: make(map[factID]bool),
+		peer:      peer,
+		h:         h,
+		run:       r,
+		facts:     make(map[factID]*factState),
+		deleted:   make(map[factID]bool),
+		firstSeen: make(map[factID]int),
+	}
+	for _, rel := range r.Prog.Schema.DB.Names() {
+		if _, pVisible := r.Prog.Schema.View(peer, rel); pVisible {
+			continue
+		}
+		for _, k := range r.Initial.Keys(rel) {
+			m.firstSeen[factID{rel, k}] = -1
+		}
 	}
 	m.Sync()
 	return m
@@ -95,6 +108,9 @@ func (m *Monitor) processOne(i int) {
 			continue // visible facts are transparent by definition
 		}
 		id := factID{ef.Rel, ef.Key}
+		if _, seen := m.firstSeen[id]; !seen && ef.Kind == program.Created {
+			m.firstSeen[id] = i
+		}
 		switch ef.Kind {
 		case program.Created, program.Modified:
 			fs := m.facts[id]
@@ -184,16 +200,14 @@ func (m *Monitor) eventStatus(i int, e *program.Event) (bool, map[int]struct{}, 
 	return true, prov, ""
 }
 
-// keyEverExisted reports whether a tuple with this key existed at any point
-// strictly before event i. A key that never existed is transparently
-// absent; one that was deleted in an earlier stage (or opaquely) is not.
+// keyEverExisted reports whether a tuple with this key (of a p-invisible
+// relation) existed at any point strictly before event i. A key that never
+// existed is transparently absent; one that was deleted in an earlier stage
+// (or opaquely) is not. Keys only enter an instance through a Created
+// effect, so the first one — recorded as events are processed — decides.
 func (m *Monitor) keyEverExisted(i int, id factID) bool {
-	for j := -1; j < i; j++ {
-		if m.run.InstanceAt(j).HasKey(id.rel, id.key) {
-			return true
-		}
-	}
-	return false
+	j, ok := m.firstSeen[id]
+	return ok && j < i
 }
 
 // Stages returns the p-stages of the run as index intervals [from, to]

@@ -69,6 +69,9 @@ type Analysis struct {
 	processed int
 	cycles    map[lcID][]Lifecycle
 	fills     [][]fill // per event index
+	// filledAt[id] lists, ascending, the events that filled attributes of
+	// the tuple with key id.key in id.rel.
+	filledAt map[lcID][]int
 
 	// relevant[rel][peer] is att(R, q) = att(R@q) ∪ att(σ(R@q)).
 	relevant map[string]map[schema.Peer]map[data.Attr]bool
@@ -124,6 +127,7 @@ func NewAnalysisPartial(r *program.Run) *Analysis {
 	a := &Analysis{
 		Run:      r,
 		cycles:   make(map[lcID][]Lifecycle),
+		filledAt: make(map[lcID][]int),
 		relevant: relevantSets(r.Prog.Schema),
 		reqMemo:  make(map[schema.Peer][][]int),
 	}
@@ -167,6 +171,9 @@ func (a *Analysis) SyncTo(n int) {
 				}
 				rel := a.Run.Prog.Schema.DB.Relation(ef.Rel)
 				fs = append(fs, fill{rel: ef.Rel, key: ef.Key, attrs: ef.FilledAttrs(rel)})
+				if fa := a.filledAt[id]; len(fa) == 0 || fa[len(fa)-1] != i {
+					a.filledAt[id] = append(fa, i)
+				}
 			}
 		}
 		a.fills = append(a.fills, fs)

@@ -2,6 +2,7 @@ package faithful
 
 import (
 	"fmt"
+	"sort"
 
 	"collabwf/internal/program"
 	"collabwf/internal/scenario"
@@ -124,11 +125,11 @@ func modificationClosed(a *Analysis, alpha Seq, i int, p schema.Peer, missing Se
 			if !ok {
 				continue
 			}
-			start := lc.Left
-			if start < 0 {
-				start = 0
-			}
-			for j := start; j < i; j++ {
+			filled := a.filledAt[lcID{rel, k}]
+			for _, j := range filled[sort.SearchInts(filled, lc.Left):] {
+				if j >= i {
+					break
+				}
 				if alpha.Has(j) {
 					continue
 				}

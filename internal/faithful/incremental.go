@@ -1,6 +1,8 @@
 package faithful
 
 import (
+	"sync/atomic"
+
 	"collabwf/internal/program"
 	"collabwf/internal/schema"
 )
@@ -16,23 +18,66 @@ const mainID = -1
 // of the individual event. Each new event costs a single application of the
 // T_p operator plus set unions, instead of a fixpoint recomputation over
 // the whole run.
+//
+// Every maintained set is an append-only log of event indices, so a union
+// costs O(|Δ|), the events it adds, and never copies the set it grows (see
+// closure for why that also makes Freeze O(1)).
 type Maintainer struct {
 	p schema.Peer
 	a *Analysis
 
-	perEvent []Seq
-	main     Seq
+	// perEvent[f] holds T_p^ω(ρ, {f}). Cells are never replaced, only
+	// extended.
+	perEvent []*closure
+	// main is T_p^ω(ρ, α) in the order its events joined; inMain is its
+	// membership, indexed by event.
+	main   []int
+	inMain []bool
 	// refs[lc] is the set of set-ids (event indices, or mainID) whose
 	// closure references a key of the currently open lifecycle lc; when
 	// an event closes the lifecycle, those closures must absorb it.
 	refs map[lcID]map[int]bool
+	// mark is scratch membership for building and deduplicating unions;
+	// it is all false between calls.
+	mark []bool
 
 	processed int
-	// shared is the copy-on-write watermark left by Freeze: perEvent slots
-	// below it may be aliased by outstanding Frozen captures, so overwriting
-	// one first copies the slice (see setPerEvent). Appends are exempt — a
-	// frozen capture is length-capped, so slots past it are never aliased.
-	shared int
+}
+
+// closure is one per-event explanation T_p^ω(ρ, {f}): an append-only log
+// of event indices behind an atomic pointer, so the maintainer can extend
+// it while frozen captures read it.
+//
+// The log is ordered by the step that added each segment, and a segment
+// added while processing event d lies in [0, d] and starts with d itself
+// (d closes the lifecycle that makes the set absorb d's closure, and no
+// set holds d before step d). So the set as of n processed events is the
+// log's prefix before the first index ≥ n — a capture needs no per-set
+// state, which keeps Freeze O(1).
+type closure struct {
+	log atomic.Pointer[[]int]
+}
+
+func newClosure(log []int) *closure {
+	c := &closure{}
+	c.log.Store(&log)
+	return c
+}
+
+// indices returns the whole log; the maintainer's view.
+func (c *closure) indices() []int { return *c.log.Load() }
+
+// asOf returns the set as it was after n processed events.
+func (c *closure) asOf(n int) Seq {
+	log := c.indices()
+	s := make(Seq, len(log))
+	for _, i := range log {
+		if i >= n {
+			break
+		}
+		s[i] = struct{}{}
+	}
+	return s
 }
 
 // NewMaintainer builds a maintainer for p over r, replaying any events
@@ -49,7 +94,6 @@ func NewMaintainerAt(r *program.Run, p schema.Peer, n int) *Maintainer {
 	m := &Maintainer{
 		p:    p,
 		a:    NewAnalysisPartial(r),
-		main: NewSeq(),
 		refs: make(map[lcID]map[int]bool),
 	}
 	m.SyncTo(n)
@@ -74,27 +118,38 @@ func (m *Maintainer) SyncTo(n int) {
 
 // Minimal returns (a copy of) the current minimal p-faithful scenario
 // T_p^ω(ρ, α).
-func (m *Maintainer) Minimal() Seq { return m.main.Clone() }
+func (m *Maintainer) Minimal() Seq { return NewSeq(m.main...) }
 
 // Explanation returns (a copy of) T_p^ω(ρ, {f}) for event f: the minimal
 // boundary- and modification-p-faithful subsequence containing f.
-func (m *Maintainer) Explanation(f int) Seq { return m.perEvent[f].Clone() }
+func (m *Maintainer) Explanation(f int) Seq { return NewSeq(m.perEvent[f].indices()...) }
 
 // Len returns the number of events processed.
 func (m *Maintainer) Len() int { return m.processed }
 
 func (m *Maintainer) processOne(n int) {
+	m.mark = append(m.mark, false)
+	m.inMain = append(m.inMain, false)
+
 	// (i) f = e: the closure of the new event is e plus the closures of
 	// its direct requirements T_p(ρ.e, {e}) \ {e}.
-	direct := Step(m.a, NewSeq(n), m.p)
-	sn := NewSeq(n)
-	for g := range direct {
+	sn := []int{n}
+	m.mark[n] = true
+	for g := range Step(m.a, NewSeq(n), m.p) {
 		if g == n {
 			continue
 		}
-		sn = Add(sn, m.perEvent[g])
+		for _, i := range m.perEvent[g].indices() {
+			if !m.mark[i] {
+				m.mark[i] = true
+				sn = append(sn, i)
+			}
+		}
 	}
-	m.perEvent = append(m.perEvent, sn)
+	for _, i := range sn {
+		m.mark[i] = false
+	}
+	m.perEvent = append(m.perEvent, newClosure(sn))
 	m.register(n, sn)
 
 	// (i) f ≠ e and (ii) α: closures referencing a key of a lifecycle that
@@ -106,11 +161,9 @@ func (m *Maintainer) processOne(n int) {
 		id := lcID{ef.Rel, ef.Key}
 		for setID := range m.refs[id] {
 			if setID == mainID {
-				m.main = Add(m.main, sn)
-				m.register(mainID, sn)
+				m.joinMain(sn)
 			} else if setID != n {
-				m.setPerEvent(setID, Add(m.perEvent[setID], sn))
-				m.register(setID, sn)
+				m.absorb(setID, sn)
 			}
 		}
 		delete(m.refs, id)
@@ -119,62 +172,86 @@ func (m *Maintainer) processOne(n int) {
 	// (ii) α: a visible event joins the maintained scenario with its
 	// closure.
 	if m.a.Run.VisibleAt(n, m.p) {
-		m.main = Add(m.main, sn)
-		m.register(mainID, sn)
+		m.joinMain(sn)
 	}
 }
 
-// setPerEvent overwrites perEvent[i], copying the slice first when the slot
-// may be aliased by a Frozen capture. Only closures of still-open lifecycles
-// are ever overwritten, so steady-state maintenance pays the copy at most
-// once per Freeze, not once per event.
-func (m *Maintainer) setPerEvent(i int, s Seq) {
-	if i < m.shared {
-		m.perEvent = append([]Seq(nil), m.perEvent...)
-		m.shared = 0
+// joinMain unions s into the maintained scenario in O(|s|).
+func (m *Maintainer) joinMain(s []int) {
+	start := len(m.main)
+	for _, i := range s {
+		if !m.inMain[i] {
+			m.inMain[i] = true
+			m.main = append(m.main, i)
+		}
 	}
-	m.perEvent[i] = s
+	m.register(mainID, m.main[start:])
+}
+
+// absorb unions s (whose first index is the event being processed) into
+// the closure of event f, in O(|closure(f)| + |s|).
+func (m *Maintainer) absorb(f int, s []int) {
+	c := m.perEvent[f]
+	log := c.indices()
+	for _, i := range log {
+		m.mark[i] = true
+	}
+	start := len(log)
+	for _, i := range s {
+		if !m.mark[i] {
+			m.mark[i] = true
+			log = append(log, i)
+		}
+	}
+	for _, i := range log {
+		m.mark[i] = false
+	}
+	if len(log) == start {
+		return
+	}
+	c.log.Store(&log)
+	m.register(f, log[start:])
 }
 
 // Frozen is an immutable capture of a Maintainer's state at a point in time:
 // the per-event explanations and minimal scenario over exactly the events
 // processed when Freeze was called. It is safe for concurrent use by any
-// number of readers while the Maintainer keeps advancing — the stored Seq
-// values are never mutated in place (the maintainer replaces them), and the
-// capture's slice is protected by the copy-on-write watermark.
+// number of readers while the Maintainer keeps advancing: the maintainer
+// only appends to the logs a capture reads, past the prefix the capture
+// covers.
 type Frozen struct {
-	perEvent []Seq
-	main     Seq
+	perEvent []*closure
+	main     []int
 	n        int
 }
 
-// Freeze captures the maintainer's current state. O(1): it shares the
-// perEvent backing array (marking it copy-on-write) and the current main
-// sequence (which the maintainer only ever replaces, never mutates).
+// Freeze captures the maintainer's current state in O(1): length-capped
+// headers of the closure table and of the main log.
 func (m *Maintainer) Freeze() *Frozen {
-	n := len(m.perEvent)
-	if m.shared < n {
-		m.shared = n
+	return &Frozen{
+		perEvent: m.perEvent[:len(m.perEvent):len(m.perEvent)],
+		main:     m.main[:len(m.main):len(m.main)],
+		n:        m.processed,
 	}
-	return &Frozen{perEvent: m.perEvent[:n:n], main: m.main, n: m.processed}
 }
 
 // Explanation returns (a copy of) T_p^ω(ρ, {f}) for event f, as of the
 // freeze point.
-func (f *Frozen) Explanation(i int) Seq { return f.perEvent[i].Clone() }
+func (f *Frozen) Explanation(i int) Seq { return f.perEvent[i].asOf(f.n) }
 
 // Minimal returns (a copy of) the minimal p-faithful scenario as of the
 // freeze point.
-func (f *Frozen) Minimal() Seq { return f.main.Clone() }
+func (f *Frozen) Minimal() Seq { return NewSeq(f.main...) }
 
 // Len returns the number of events the capture covers.
 func (f *Frozen) Len() int { return f.n }
 
-// register records, for every event of set, the open lifecycles whose keys
-// it references, so the closure identified by setID absorbs their eventual
-// right boundaries.
-func (m *Maintainer) register(setID int, set Seq) {
-	for g := range set {
+// register records, for every event of added, the open lifecycles whose
+// keys it references, so the set identified by setID absorbs their
+// eventual right boundaries. Events already in the set were registered
+// when they joined it, so only the added ones are scanned.
+func (m *Maintainer) register(setID int, added []int) {
+	for _, g := range added {
 		e := m.a.Run.Event(g)
 		for _, rel := range e.KeyRelations() {
 			for _, k := range e.KeysOf(rel) {

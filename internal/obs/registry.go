@@ -282,18 +282,75 @@ type Registry struct {
 	mu       sync.RWMutex
 	families map[string]*family
 
-	hookMu sync.Mutex
-	hooks  []func()
+	hookMu   sync.Mutex
+	hooks    []gatherHook
+	nextHook uint64
+}
+
+type gatherHook struct {
+	id uint64
+	fn func()
 }
 
 // OnGather registers a hook that runs at the start of every Gather (and
 // hence every /metrics scrape), before families are snapshotted. Hooks pull
 // lazily sampled values — runtime memory stats, uptime — into the registry
-// only when someone is actually reading it.
-func (r *Registry) OnGather(fn func()) {
+// only when someone is actually reading it. The returned function removes
+// the hook (idempotent), releasing whatever it captured.
+func (r *Registry) OnGather(fn func()) (remove func()) {
 	r.hookMu.Lock()
-	r.hooks = append(r.hooks, fn)
+	r.nextHook++
+	id := r.nextHook
+	r.hooks = append(r.hooks, gatherHook{id, fn})
 	r.hookMu.Unlock()
+	return func() {
+		r.hookMu.Lock()
+		defer r.hookMu.Unlock()
+		for i, h := range r.hooks {
+			if h.id == id {
+				// Clear the vacated slot so the backing array does not
+				// keep the hook's captures alive.
+				last := len(r.hooks) - 1
+				copy(r.hooks[i:], r.hooks[i+1:])
+				r.hooks[last] = gatherHook{}
+				r.hooks = r.hooks[:last]
+				return
+			}
+		}
+	}
+}
+
+// Hooks returns the number of registered gather hooks.
+func (r *Registry) Hooks() int {
+	r.hookMu.Lock()
+	defer r.hookMu.Unlock()
+	return len(r.hooks)
+}
+
+// DeleteSeries removes, from every family with the given label, the series
+// whose value for it is value — e.g. all {run="r7"} series of an archived
+// run. Handles to removed series stay usable but are no longer exported.
+func (r *Registry) DeleteSeries(label, value string) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	for _, f := range r.families {
+		pos := -1
+		for i, l := range f.labels {
+			if l == label {
+				pos = i
+			}
+		}
+		if pos < 0 {
+			continue
+		}
+		f.mu.Lock()
+		for k := range f.series {
+			if strings.Split(k, "\x00")[pos] == value {
+				delete(f.series, k)
+			}
+		}
+		f.mu.Unlock()
+	}
 }
 
 // NewRegistry returns an empty registry.
@@ -433,11 +490,11 @@ type FamilySnapshot struct {
 // snapshot-consistent (see Histogram.Snapshot).
 func (r *Registry) Gather() []FamilySnapshot {
 	r.hookMu.Lock()
-	hooks := make([]func(), len(r.hooks))
+	hooks := make([]gatherHook, len(r.hooks))
 	copy(hooks, r.hooks)
 	r.hookMu.Unlock()
-	for _, fn := range hooks {
-		fn()
+	for _, h := range hooks {
+		h.fn()
 	}
 	r.mu.RLock()
 	fams := make([]*family, 0, len(r.families))

@@ -270,7 +270,7 @@ func Apply(in *schema.Instance, e *Event, s *schema.Collaborative, cs *cond.Eval
 			if !exists || !v.Sees(t, cs) {
 				return nil, nil, fmt.Errorf("program: deletion %s not applicable: key not visible at %s", u, e.Peer())
 			}
-			next := schema.ShallowWith(cur, u.Rel)
+			next := cur.Clone()
 			next.Delete(u.Rel, u.Key)
 			effects = append(effects, Effect{Kind: Deleted, Rel: u.Rel, Key: u.Key, Before: t.Clone()})
 			cur = next

@@ -39,7 +39,6 @@ type Run struct {
 	consts data.ValueSet // const(P)
 	seen   data.ValueSet // values of the initial and all later instances
 	fresh  *data.FreshSource
-	views  map[viewKey]*schema.ViewInstance
 
 	// prof, when non-nil, attributes candidate-enumeration and replay cost
 	// to the evaluation profiler. Nil (the default) keeps the original
@@ -49,49 +48,27 @@ type Run struct {
 
 // SetProfiler attaches a profiler scope to the run (nil detaches). The
 // scope shares the run's non-concurrency: callers serialize through the
-// same lock that guards the run itself. Cached views are evicted so their
-// memoized materializations count condition evals against the new scope's
-// sink (see ViewAt) rather than the one active when they were built.
-func (r *Run) SetProfiler(sc *prof.Scope) {
-	if r.prof != sc {
-		for k := range r.views {
-			delete(r.views, k)
-		}
-	}
-	r.prof = sc
-}
+// same lock that guards the run itself.
+func (r *Run) SetProfiler(sc *prof.Scope) { r.prof = sc }
 
 // Profiler returns the run's profiler scope (nil when profiling is off).
 func (r *Run) Profiler() *prof.Scope { return r.prof }
-
-type viewKey struct {
-	step int
-	peer schema.Peer
-}
 
 // NewRun starts a run of p from the empty instance.
 func NewRun(p *Program) *Run {
 	return NewRunFrom(p, schema.NewInstance(p.Schema.DB))
 }
 
-// NewRunFrom starts a run of p from an arbitrary initial instance.
+// NewRunFrom starts a run of p from an arbitrary initial instance. The run
+// keeps an O(#relations) clone of it, so later writes to initial do not
+// reach the run.
 func NewRunFrom(p *Program, initial *schema.Instance) *Run {
-	return NewRunFromShared(p, initial.Clone())
-}
-
-// NewRunFromShared starts a run of p from an initial instance the caller
-// promises not to mutate afterwards, skipping NewRunFrom's defensive clone.
-// Runs never mutate their initial instance (Apply is copy-on-write), so the
-// bounded searches — which replay thousands of runs from a fixed pool of
-// immutable instances — use this to avoid cloning the pool over and over.
-func NewRunFromShared(p *Program, initial *schema.Instance) *Run {
 	r := &Run{
 		Prog:    p,
-		Initial: initial,
+		Initial: initial.Clone(),
 		consts:  p.Constants(),
 		seen:    data.NewValueSet(),
 		fresh:   data.NewFreshSource("ν"),
-		views:   make(map[viewKey]*schema.ViewInstance),
 	}
 	r.seen.AddAll(initial.ADom())
 	return r
@@ -127,18 +104,12 @@ func (r *Run) InstanceAt(i int) *schema.Instance {
 // Current returns the latest instance of the run.
 func (r *Run) Current() *schema.Instance { return r.InstanceAt(len(r.Steps) - 1) }
 
-// ViewAt returns I_i@p (memoized); i may be -1 for the initial instance.
+// ViewAt returns I_i@p, a filter over the instance; i may be -1 for the
+// initial instance. The run's own counter block receives the condition
+// evals of the view's selection checks, so N runs in one process attribute
+// selection work to their own profilers.
 func (r *Run) ViewAt(i int, p schema.Peer) *schema.ViewInstance {
-	k := viewKey{i, p}
-	if v, ok := r.views[k]; ok {
-		return v
-	}
-	// The run's own counter block receives the condition evals of this
-	// view's materialization, so N runs in one process attribute selection
-	// work to their own profilers.
-	v := schema.ViewOf(r.InstanceAt(i), r.Prog.Schema, p).CountConds(r.conds())
-	r.views[k] = v
-	return v
+	return schema.ViewOf(r.InstanceAt(i), r.Prog.Schema, p).CountConds(r.conds())
 }
 
 // VisibleAt reports whether event i is visible at peer p: either p performed
@@ -251,10 +222,9 @@ func (r *Run) Append(e *Event) error {
 
 // Truncate discards all events after the first n, restoring the run to the
 // state it had before they were appended: the freshness ledger forgets the
-// values the dropped steps introduced and the cached views of the dropped
-// instances are evicted. It is the O(dropped)-cost inverse of Append that
-// the backtracking searches rely on (rebuilding the prefix would re-check
-// every body and re-clone every instance).
+// values the dropped steps introduced. It is the O(dropped)-cost inverse
+// of Append that the backtracking searches rely on (rebuilding the prefix
+// would re-check every body and re-apply every event).
 func (r *Run) Truncate(n int) {
 	if n < 0 || n > len(r.Steps) {
 		panic(fmt.Sprintf("program: Truncate(%d) out of range [0,%d]", n, len(r.Steps)))
@@ -266,11 +236,6 @@ func (r *Run) Truncate(n int) {
 		r.Steps[i] = Step{} // release the instance
 	}
 	r.Steps = r.Steps[:n]
-	for k := range r.views {
-		if k.step >= n {
-			delete(r.views, k)
-		}
-	}
 }
 
 // MustAppend is Append panicking on error.

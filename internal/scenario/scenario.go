@@ -47,9 +47,7 @@ func replayScope(r *program.Run) *prof.Scope {
 // replayScoped is Replay with a profiler scope attached to the subrun, so
 // the exact searches attribute their replay re-checks per rule.
 func replayScoped(r *program.Run, indices []int, sc *prof.Scope) (*program.Run, error) {
-	// The parent run never mutates its initial instance, so the replay can
-	// share it instead of cloning per candidate subsequence.
-	sub := program.NewRunFromShared(r.Prog, r.Initial)
+	sub := program.NewRunFrom(r.Prog, r.Initial)
 	sub.SetProfiler(sc)
 	prev := -1
 	for _, i := range indices {
@@ -94,9 +92,8 @@ func isScenarioScoped(r *program.Run, p schema.Peer, target *view.RunView, indic
 	return target.Equal(view.Of(sub, p))
 }
 
-// warmView materializes every lazily-computed relation of the view's
-// instances, after which the view is read-only and safe to share across
-// goroutines.
+// warmView fills every relation-scan cache of the view's instances, after
+// which the view is read-only and safe to share across goroutines.
 func warmView(rv *view.RunView) {
 	for _, e := range rv.Entries {
 		for _, rel := range e.After.Relations() {

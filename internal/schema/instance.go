@@ -11,52 +11,58 @@ import (
 
 // Instance is a valid instance of a database schema: for each relation, a
 // finite set of tuples with pairwise distinct non-⊥ keys.
+//
+// Each relation is a persistent tree sorted on the key (see prel), so
+// copies share structure: Clone costs O(#relations), a write to a copy
+// costs O(log |R|) and never disturbs the instance it was copied from.
+// Stored tuples are immutable (Put and ChaseInsert clone their inputs;
+// callers must not mutate tuples returned by Get or Tuples).
 type Instance struct {
 	db   *Database
-	rels map[string]map[data.Value]data.Tuple
+	rels []prel // indexed like db.Names()
 }
 
 // NewInstance returns the empty instance of db.
 func NewInstance(db *Database) *Instance {
-	return &Instance{db: db, rels: make(map[string]map[data.Value]data.Tuple)}
+	return &Instance{db: db, rels: make([]prel, len(db.names))}
 }
 
 // DB returns the schema of the instance.
 func (in *Instance) DB() *Database { return in.db }
 
-// Clone returns a deep copy of the instance.
+// Clone returns an independent copy of the instance in O(#relations): the
+// copy shares every row with the receiver until one of them is written.
 func (in *Instance) Clone() *Instance {
-	out := NewInstance(in.db)
-	for name, rows := range in.rels {
-		m := make(map[data.Value]data.Tuple, len(rows))
-		for k, t := range rows {
-			m[k] = t.Clone()
-		}
-		out.rels[name] = m
+	return &Instance{db: in.db, rels: append([]prel(nil), in.rels...)}
+}
+
+// rel returns the rows of the named relation (empty when unknown).
+func (in *Instance) rel(name string) prel {
+	if i, ok := in.db.idx[name]; ok {
+		return in.rels[i]
 	}
-	return out
+	return prel{}
 }
 
 // Get returns the tuple of relation rel with the given key.
 func (in *Instance) Get(rel string, key data.Value) (data.Tuple, bool) {
-	t, ok := in.rels[rel][key]
-	return t, ok
+	return in.rel(rel).get(key)
 }
 
 // HasKey reports whether rel contains a tuple with the given key — the view
 // relation Key_R of the paper.
 func (in *Instance) HasKey(rel string, key data.Value) bool {
-	_, ok := in.rels[rel][key]
+	_, ok := in.rel(rel).get(key)
 	return ok
 }
 
 // Count returns the number of tuples in rel.
-func (in *Instance) Count(rel string) int { return len(in.rels[rel]) }
+func (in *Instance) Count(rel string) int { return in.rel(rel).n }
 
 // Empty reports whether the instance has no tuples at all.
 func (in *Instance) Empty() bool {
-	for _, rows := range in.rels {
-		if len(rows) > 0 {
+	for _, r := range in.rels {
+		if r.n > 0 {
 			return false
 		}
 	}
@@ -66,27 +72,24 @@ func (in *Instance) Empty() bool {
 // Tuples returns the tuples of rel sorted by key, for deterministic
 // iteration.
 func (in *Instance) Tuples(rel string) []data.Tuple {
-	rows := in.rels[rel]
-	keys := make([]data.Value, 0, len(rows))
-	for k := range rows {
-		keys = append(keys, k)
-	}
-	data.SortValues(keys)
-	out := make([]data.Tuple, len(keys))
-	for i, k := range keys {
-		out[i] = rows[k]
-	}
+	r := in.rel(rel)
+	out := make([]data.Tuple, 0, r.n)
+	r.each(func(t data.Tuple) bool {
+		out = append(out, t)
+		return true
+	})
 	return out
 }
 
 // Keys returns the sorted keys of rel — the contents of Key_R.
 func (in *Instance) Keys(rel string) []data.Value {
-	rows := in.rels[rel]
-	keys := make([]data.Value, 0, len(rows))
-	for k := range rows {
-		keys = append(keys, k)
-	}
-	return data.SortValues(keys)
+	r := in.rel(rel)
+	keys := make([]data.Value, 0, r.n)
+	r.each(func(t data.Tuple) bool {
+		keys = append(keys, t.Key())
+		return true
+	})
+	return keys
 }
 
 // Put stores tuple t in rel, replacing any tuple with the same key. The
@@ -102,12 +105,8 @@ func (in *Instance) Put(rel string, t data.Tuple) error {
 	if t.Key().IsNull() {
 		return fmt.Errorf("schema: tuple %v has ⊥ key", t)
 	}
-	rows := in.rels[rel]
-	if rows == nil {
-		rows = make(map[data.Value]data.Tuple)
-		in.rels[rel] = rows
-	}
-	rows[t.Key()] = t.Clone()
+	i := in.db.idx[rel]
+	in.rels[i] = in.rels[i].with(t.Key(), t.Clone())
 	return nil
 }
 
@@ -121,36 +120,20 @@ func (in *Instance) MustPut(rel string, t data.Tuple) {
 // Delete removes the tuple of rel with the given key and reports whether it
 // existed.
 func (in *Instance) Delete(rel string, key data.Value) bool {
-	rows := in.rels[rel]
-	if _, ok := rows[key]; !ok {
+	i, ok := in.db.idx[rel]
+	if !ok {
 		return false
 	}
-	delete(rows, key)
-	return true
-}
-
-// shallowWith returns a copy of the instance sharing every relation's row
-// map except rel's, which is copied so it can be modified independently.
-// Stored tuples are shared: they are treated as immutable (Put and
-// ChaseInsert clone their inputs; callers must not mutate tuples returned
-// by Get).
-func (in *Instance) shallowWith(rel string) *Instance {
-	out := NewInstance(in.db)
-	for name, rows := range in.rels {
-		out.rels[name] = rows
-	}
-	out.rels[rel] = cloneRows(in.rels[rel])
-	if out.rels[rel] == nil {
-		out.rels[rel] = make(map[data.Value]data.Tuple)
-	}
-	return out
+	r, ok := in.rels[i].without(key)
+	in.rels[i] = r
+	return ok
 }
 
 // ChaseInsert computes chase_K(I ∪ {R(t)}) without modifying I: if a tuple
 // with t's key exists, the two are merged by filling ⊥ positions; the result
 // is invalid (error) if they disagree on a non-⊥ attribute or t's key is ⊥.
-// It returns the merged tuple as stored. The result shares untouched
-// relations with the receiver (copy-on-write).
+// It returns the merged tuple as stored. The result shares every other row
+// with the receiver.
 func (in *Instance) ChaseInsert(rel string, t data.Tuple) (*Instance, data.Tuple, error) {
 	r := in.db.Relation(rel)
 	if r == nil {
@@ -163,7 +146,8 @@ func (in *Instance) ChaseInsert(rel string, t data.Tuple) (*Instance, data.Tuple
 		return nil, nil, fmt.Errorf("schema: insertion with ⊥ key into %s", rel)
 	}
 	merged := t.Clone()
-	if old, ok := in.rels[rel][t.Key()]; ok {
+	i := in.db.idx[rel]
+	if old, ok := in.rels[i].get(t.Key()); ok {
 		for i := range merged {
 			switch {
 			case merged[i].IsNull():
@@ -176,20 +160,9 @@ func (in *Instance) ChaseInsert(rel string, t data.Tuple) (*Instance, data.Tuple
 			}
 		}
 	}
-	out := in.shallowWith(rel)
-	out.rels[rel][merged.Key()] = merged
+	out := in.Clone()
+	out.rels[i] = out.rels[i].with(merged.Key(), merged)
 	return out, merged, nil
-}
-
-func cloneRows(rows map[data.Value]data.Tuple) map[data.Value]data.Tuple {
-	if rows == nil {
-		return nil
-	}
-	m := make(map[data.Value]data.Tuple, len(rows))
-	for k, t := range rows {
-		m[k] = t
-	}
-	return m
 }
 
 // Equal reports whether two instances over the same schema hold the same
@@ -198,16 +171,22 @@ func (in *Instance) Equal(other *Instance) bool {
 	if other == nil {
 		return in == nil
 	}
-	for _, name := range in.db.Names() {
-		a, b := in.rels[name], other.rels[name]
-		if len(a) != len(b) {
+	if len(other.rels) != len(in.rels) {
+		return false
+	}
+	for i, a := range in.rels {
+		b := other.rels[i]
+		if a.n != b.n {
 			return false
 		}
-		for k, t := range a {
-			u, ok := b[k]
-			if !ok || !t.Equal(u) {
-				return false
-			}
+		if a.root == b.root {
+			continue
+		}
+		if !a.each(func(t data.Tuple) bool {
+			u, ok := b.get(t.Key())
+			return ok && t.Equal(u)
+		}) {
+			return false
 		}
 	}
 	return true
@@ -217,14 +196,15 @@ func (in *Instance) Equal(other *Instance) bool {
 // (⊥ excluded).
 func (in *Instance) ADom() data.ValueSet {
 	s := data.NewValueSet()
-	for _, rows := range in.rels {
-		for _, t := range rows {
+	for _, r := range in.rels {
+		r.each(func(t data.Tuple) bool {
 			for _, v := range t {
 				if !v.IsNull() {
 					s.Add(v)
 				}
 			}
-		}
+			return true
+		})
 	}
 	return s
 }
@@ -233,12 +213,13 @@ func (in *Instance) ADom() data.ValueSet {
 // for deduplicating instances during bounded searches.
 func (in *Instance) Fingerprint() string {
 	var b strings.Builder
-	for _, name := range in.db.Names() {
+	for i, name := range in.db.Names() {
 		b.WriteString(name)
 		b.WriteByte('{')
-		for _, t := range in.Tuples(name) {
+		in.rels[i].each(func(t data.Tuple) bool {
 			b.WriteString(t.String())
-		}
+			return true
+		})
 		b.WriteByte('}')
 	}
 	return b.String()
@@ -246,68 +227,49 @@ func (in *Instance) Fingerprint() string {
 
 // String renders the instance for debugging, omitting empty relations.
 func (in *Instance) String() string {
-	var parts []string
-	for _, name := range in.db.Names() {
-		ts := in.Tuples(name)
-		if len(ts) == 0 {
-			continue
-		}
-		strs := make([]string, len(ts))
-		for i, t := range ts {
-			strs[i] = name + t.String()
-		}
-		parts = append(parts, strings.Join(strs, " "))
+	var b strings.Builder
+	for i, name := range in.db.Names() {
+		in.rels[i].each(func(t data.Tuple) bool {
+			if b.Len() > 0 {
+				b.WriteByte(' ')
+			}
+			b.WriteString(name)
+			b.WriteString(t.String())
+			return true
+		})
 	}
-	if len(parts) == 0 {
+	if b.Len() == 0 {
 		return "∅"
 	}
-	return strings.Join(parts, " ")
+	return b.String()
 }
 
 // ViewInstance is the view I@p of a global instance at a peer: for each view
-// R@p, the projected tuples of the selected rows. Relations are
-// materialized lazily on first access; the underlying instance must not be
-// mutated after the view is taken (run instances never are — Apply is
-// copy-on-write).
+// R@p, the projected tuples of the selected rows. It is a filter over the
+// source instance, not a copy: Get and HasKey look up the source row and
+// apply the view's selection and projection to that row only, and Tuples
+// walks the sorted source. The source must not be mutated while the view
+// is in use (run instances never are).
 type ViewInstance struct {
 	Peer  Peer
 	views map[string]*View
 	src   *Instance
-	rels  map[string]map[data.Value]data.Tuple
-	// cnt, when set, receives the condition-eval counts of the view
-	// selections materialized by this instance (per-run profilers); nil
-	// leaves them uncounted.
+	// scans caches Tuples per relation for the view's lifetime.
+	scans map[string][]data.Tuple
+	// cnt, when set, receives the condition-eval counts of the selection
+	// checks this view makes (per-run profilers); nil leaves them
+	// uncounted.
 	cnt *cond.EvalCounts
 }
 
-// ViewOf computes I@p under the collaborative schema s.
+// ViewOf returns I@p under the collaborative schema s.
 func ViewOf(in *Instance, s *Collaborative, p Peer) *ViewInstance {
-	return &ViewInstance{Peer: p, views: s.views[p], src: in,
-		rels: make(map[string]map[data.Value]data.Tuple, len(s.views[p]))}
+	return &ViewInstance{Peer: p, views: s.views[p], src: in}
 }
 
-// rows materializes (once) and returns the visible projected tuples of rel.
-func (vi *ViewInstance) rows(rel string) map[data.Value]data.Tuple {
-	if rows, ok := vi.rels[rel]; ok {
-		return rows
-	}
-	v, ok := vi.views[rel]
-	if !ok {
-		return nil
-	}
-	rows := make(map[data.Value]data.Tuple)
-	for k, t := range vi.src.rels[rel] {
-		if v.Sees(t, vi.cnt) {
-			rows[k] = v.Project(t)
-		}
-	}
-	vi.rels[rel] = rows
-	return rows
-}
-
-// CountConds routes the condition evaluations of selections materialized
-// by this view instance to cs (nil = uncounted). It must be set before the first access to any relation (materialization is
-// memoized) and returns the receiver for chaining.
+// CountConds routes the condition evaluations of the selection checks made
+// by this view instance to cs (nil = uncounted), and returns the receiver
+// for chaining.
 func (vi *ViewInstance) CountConds(cs *cond.EvalCounts) *ViewInstance {
 	vi.cnt = cs
 	return vi
@@ -321,29 +283,48 @@ func (vi *ViewInstance) View(rel string) (*View, bool) {
 
 // Get returns the projected tuple with the given key in rel.
 func (vi *ViewInstance) Get(rel string, key data.Value) (data.Tuple, bool) {
-	t, ok := vi.rows(rel)[key]
-	return t, ok
+	v, ok := vi.views[rel]
+	if !ok {
+		return nil, false
+	}
+	t, ok := vi.src.Get(rel, key)
+	if !ok || !v.Sees(t, vi.cnt) {
+		return nil, false
+	}
+	return v.Project(t), true
 }
 
 // HasKey reports whether the peer sees a tuple with this key — the contents
 // of Key_{R@p}.
 func (vi *ViewInstance) HasKey(rel string, key data.Value) bool {
-	_, ok := vi.rows(rel)[key]
-	return ok
+	v, ok := vi.views[rel]
+	if !ok {
+		return false
+	}
+	t, ok := vi.src.Get(rel, key)
+	return ok && v.Sees(t, vi.cnt)
 }
 
 // Tuples returns the visible tuples of rel sorted by key.
 func (vi *ViewInstance) Tuples(rel string) []data.Tuple {
-	rows := vi.rows(rel)
-	keys := make([]data.Value, 0, len(rows))
-	for k := range rows {
-		keys = append(keys, k)
+	if ts, ok := vi.scans[rel]; ok {
+		return ts
 	}
-	data.SortValues(keys)
-	out := make([]data.Tuple, len(keys))
-	for i, k := range keys {
-		out[i] = rows[k]
+	v, ok := vi.views[rel]
+	if !ok {
+		return nil
 	}
+	var out []data.Tuple
+	vi.src.rel(rel).each(func(t data.Tuple) bool {
+		if v.Sees(t, vi.cnt) {
+			out = append(out, v.Project(t))
+		}
+		return true
+	})
+	if vi.scans == nil {
+		vi.scans = make(map[string][]data.Tuple, len(vi.views))
+	}
+	vi.scans[rel] = out
 	return out
 }
 
@@ -375,13 +356,12 @@ func (vi *ViewInstance) Equal(other *ViewInstance) bool {
 		}
 	}
 	for _, name := range names {
-		a, b := vi.rows(name), other.rows(name)
+		a, b := vi.Tuples(name), other.Tuples(name)
 		if len(a) != len(b) {
 			return false
 		}
-		for k, t := range a {
-			u, ok := b[k]
-			if !ok || !t.Equal(u) {
+		for i := range a {
+			if !a[i].Equal(b[i]) {
 				return false
 			}
 		}
@@ -445,7 +425,3 @@ func Reconstruct(in *Instance, s *Collaborative) (*Instance, error) {
 	}
 	return out, nil
 }
-
-// ShallowWith exposes the copy-on-write copy for the program package: the
-// result shares all relations except rel, whose row map is copied.
-func ShallowWith(in *Instance, rel string) *Instance { return in.shallowWith(rel) }

@@ -89,6 +89,7 @@ func (r *Relation) String() string {
 type Database struct {
 	rels  map[string]*Relation
 	names []string
+	idx   map[string]int // position of each relation in names
 }
 
 // NewDatabase builds a database schema from relation schemas with distinct
@@ -103,6 +104,10 @@ func NewDatabase(rels ...*Relation) (*Database, error) {
 		d.names = append(d.names, r.Name)
 	}
 	sort.Strings(d.names)
+	d.idx = make(map[string]int, len(d.names))
+	for i, n := range d.names {
+		d.idx[n] = i
+	}
 	return d, nil
 }
 
@@ -152,6 +157,7 @@ type View struct {
 	Selection cond.Condition
 	pos       map[data.Attr]int // position within the view tuple
 	srcIdx    []int             // position of each view attribute in the base tuple
+	identity  bool              // the projection keeps every attribute in place
 }
 
 // NewView builds the view of rel at peer with the given projected attributes
@@ -196,6 +202,7 @@ func NewView(rel *Relation, peer Peer, attrs []data.Attr, sel cond.Condition) (*
 		src, _ := rel.Index(a)
 		v.srcIdx[i] = src
 	}
+	v.identity = len(ordered) == rel.Arity()
 	return v, nil
 }
 
@@ -236,8 +243,12 @@ func (v *View) Sees(t data.Tuple, cs *cond.EvalCounts) bool {
 	return v.Selection.Eval(v.Rel.pos, t, cs)
 }
 
-// Project projects a full tuple over R onto the view attributes.
+// Project projects a full tuple over R onto the view attributes. A view
+// projecting every attribute returns t itself: stored tuples are immutable.
 func (v *View) Project(t data.Tuple) data.Tuple {
+	if v.identity {
+		return t
+	}
 	out := make(data.Tuple, len(v.srcIdx))
 	for i, src := range v.srcIdx {
 		out[i] = t[src]

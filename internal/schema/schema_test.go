@@ -245,12 +245,17 @@ func TestInstancePutErrors(t *testing.T) {
 func TestInstanceCloneIsolation(t *testing.T) {
 	db := MustDatabase(MustRelation("R", "A"))
 	in := NewInstance(db)
-	in.MustPut("R", data.Tuple{"k", "v"})
+	orig := data.Tuple{"k", "v"}
+	in.MustPut("R", orig)
+	orig[1] = "mutated"
 	cp := in.Clone()
 	cp.MustPut("R", data.Tuple{"k2", "w"})
-	cp.rels["R"]["k"][1] = "changed"
+	cp.MustPut("R", data.Tuple{"k", "changed"})
 	if got, _ := in.Get("R", "k"); got[1] != "v" {
 		t.Fatal("clone aliases original tuples")
+	}
+	if got, _ := cp.Get("R", "k"); got[1] != "changed" {
+		t.Fatal("clone lost its own write")
 	}
 	if in.Count("R") != 1 {
 		t.Fatal("clone aliases original maps")

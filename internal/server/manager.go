@@ -71,6 +71,9 @@ type shard struct {
 	id string
 	c  *Coordinator
 	h  http.Handler
+	// metrics is the run's registry handle (nil without a registry);
+	// ArchiveRun closes it.
+	metrics *Metrics
 }
 
 // managerBuckets is the shard-map partition count: requests hash their run
@@ -253,8 +256,10 @@ func (m *Manager) newShard(id string) (*shard, error) {
 		c.SetLogger(m.cfg.Logger)
 	}
 	opts := m.cfg.HTTP
+	var met *Metrics
 	if m.cfg.Registry != nil {
-		opts.Metrics = c.InstrumentRun(m.cfg.Registry, id)
+		met = c.InstrumentRun(m.cfg.Registry, id)
+		opts.Metrics = met
 	}
 	if fresh {
 		for peer, h := range m.cfg.Guards {
@@ -264,7 +269,7 @@ func (m *Manager) newShard(id string) (*shard, error) {
 			}
 		}
 	}
-	return &shard{id: id, c: c, h: NewHandler(c, opts)}, nil
+	return &shard{id: id, c: c, h: NewHandler(c, opts), metrics: met}, nil
 }
 
 // get returns the live shard for id.
@@ -304,8 +309,9 @@ func (m *Manager) CreateRun(id string) error {
 }
 
 // ArchiveRun shuts a run down: a final snapshot is written, its WAL closed,
-// and its directory marked so the next startup scan skips it. The default
-// run cannot be archived (legacy paths depend on it).
+// its metric series and gather hook removed, and its directory marked so
+// the next startup scan skips it. The default run cannot be archived
+// (legacy paths depend on it).
 func (m *Manager) ArchiveRun(id string) error {
 	if id == DefaultRun {
 		return fmt.Errorf("server: the default run cannot be archived")
@@ -321,6 +327,7 @@ func (m *Manager) ArchiveRun(id string) error {
 		return fmt.Errorf("server: unknown run %q", id)
 	}
 	err := s.c.Close()
+	s.metrics.Close()
 	if dir := m.runDir(id); dir != "" {
 		if merr := os.WriteFile(filepath.Join(dir, archivedMarker), []byte(time.Now().UTC().Format(time.RFC3339)+"\n"), 0o644); merr != nil && err == nil {
 			err = fmt.Errorf("server: marking run %q archived: %w", id, merr)

@@ -26,6 +26,9 @@ type Metrics struct {
 	// families are bound to the run's series at construction; vec families
 	// prepend it via lv at the call sites.
 	run string
+	// unhook removes the gather hook InstrumentRun registered (nil when
+	// none was).
+	unhook func()
 
 	// HTTP layer.
 	httpRequests  obs.CounterVec // route, code (status class: 2xx…5xx)
@@ -137,6 +140,21 @@ func NewRunMetrics(reg *obs.Registry, run string) *Metrics {
 	}
 }
 
+// Close detaches the run from its registry: the gather hook InstrumentRun
+// registered (which captures the coordinator) is removed and every
+// {run=…} series of the run is deleted, so an archived run is neither
+// sampled nor exported and its coordinator can be collected. Call it once
+// the coordinator has stopped serving. Nil-safe.
+func (m *Metrics) Close() {
+	if m == nil {
+		return
+	}
+	if m.unhook != nil {
+		m.unhook()
+	}
+	m.reg.DeleteSeries("run", m.run)
+}
+
 // lv prepends the run label value, so multi-label vec call sites write
 // m.x.With(m.lv(...)...).
 func (m *Metrics) lv(values ...string) []string {
@@ -225,7 +243,7 @@ func (c *Coordinator) InstrumentRun(reg *obs.Registry, run string) *Metrics {
 	m := NewRunMetrics(reg, run)
 	// The snapshot-age gauge is sampled at scrape time (ages advance whether
 	// or not anything is published; a periodic setter would always be stale).
-	m.reg.OnGather(func() {
+	m.unhook = m.reg.OnGather(func() {
 		if _, age, _ := c.SnapshotInfo(); age > 0 {
 			m.snapAge.Set(age.Seconds())
 		}

@@ -24,12 +24,15 @@ import (
 //     Append writes only indices ≥ len(steps), and rollbackTo always
 //     targets n ≥ observable, so Truncate zeroes only indices ≥ len(steps).
 //     Readers and the writer touch disjoint memory.
-//   - Instances are copy-on-write (Apply never mutates a predecessor), so
-//     rendering a view over steps[i].Instance reads immutable data.
+//   - Instances are persistent: each relation is an immutable tree and a
+//     step's write allocates a new root path, sharing every other node with
+//     its predecessor, so a view over steps[i].Instance — itself an
+//     immutable filter over that instance — reads data nobody writes.
 //   - vis slices are length-capped captures of the visible-index caches,
 //     which are append-only for the same reason.
-//   - exp holds copy-on-write freezes of the per-peer incremental
-//     explainers (see faithful.Maintainer.Freeze).
+//   - exp holds O(1) freezes of the per-peer incremental explainers: the
+//     maintainer only appends to the logs a freeze reads, past the prefix
+//     the freeze covers (see faithful.Maintainer.Freeze).
 //   - atomic.Pointer.Store/Load give release/acquire ordering: everything
 //     written before the Store (the prefix, the caches, the freezes) is
 //     visible to any reader that Loads the new pointer.
@@ -139,9 +142,9 @@ type vsKey struct {
 }
 
 // snapView renders the peer's view after step i of the snapshot, serving
-// repeated reads from the shared string cache. ViewInstance materializes
-// lazily (mutating itself), so the cache stores only the rendered string;
-// each miss builds a private ViewInstance and discards it.
+// repeated reads from the shared string cache. A miss renders through a
+// private ViewInstance — a filter over the immutable instance that walks
+// its sorted rows once — and keeps only the string.
 func (c *Coordinator) snapView(s *snapshot, i int, peer schema.Peer) string {
 	k := vsKey{i, peer}
 	if v, ok := c.viewStrs.Load(k); ok {

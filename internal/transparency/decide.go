@@ -122,7 +122,7 @@ func (s *searcher) branchJobs(ctx context.Context, instances []*schema.Instance)
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		root := program.NewRunFromShared(s.prog, in)
+		root := program.NewRunFrom(s.prog, in)
 		root.SetProfiler(s.profSilent)
 		n := len(s.candidatesFor(root))
 		for b := 0; b < n; b++ {
@@ -280,7 +280,7 @@ func CheckTransparentCtx(ctx context.Context, p *program.Program, peer schema.Pe
 // run must be applicable, all events but the last silent at the peer, the
 // last visible, minimum p-faithful, and the final views must agree.
 func replayMatches(s *searcher, sr SilentRun, dst *schema.Instance) string {
-	run := program.NewRunFromShared(s.prog, dst)
+	run := program.NewRunFrom(s.prog, dst)
 	run.SetProfiler(s.profSilent)
 	for i, e := range sr.Run.Events() {
 		if err := run.Append(e); err != nil {

@@ -453,7 +453,7 @@ const allBranches = -1
 // ledger (`used`) is maintained incrementally, so a node costs O(event)
 // instead of O(run²).
 func (s *searcher) silentRuns(ctx context.Context, in *schema.Instance, maxLen, branch int, avoid data.ValueSet, yield func(SilentRun) bool) error {
-	run := program.NewRunFromShared(s.prog, in)
+	run := program.NewRunFrom(s.prog, in)
 	run.SetProfiler(s.profSilent)
 	// used holds every value the run has touched: adom of the initial
 	// instance plus the values of each appended event (a superset of the
@@ -557,7 +557,7 @@ func (s *searcher) isMinimumFaithful(run *program.Run) bool {
 // rebuild reconstructs the run from its first n events (instances are
 // immutable snapshots, so replay reuses the stored events).
 func rebuild(p *program.Program, initial *schema.Instance, run *program.Run, n int) *program.Run {
-	out := program.NewRunFromShared(p, initial)
+	out := program.NewRunFrom(p, initial)
 	for i := 0; i < n; i++ {
 		out.MustAppend(run.Event(i))
 	}
