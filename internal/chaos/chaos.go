@@ -603,14 +603,6 @@ func (h *harness) publish() {
 	h.handler.Store(&handler)
 }
 
-// runWAL returns one run's WAL path under the data dir.
-func (h *harness) runWAL(id string) string {
-	if id == server.DefaultRun {
-		return filepath.Join(h.dir, "wal.log")
-	}
-	return filepath.Join(h.dir, "runs", id, "wal.log")
-}
-
 // crashRecover kills every run at once — each WAL tail independently
 // truncated at a random point above its durable offset, like page-cache
 // loss across one machine — recovers the whole fleet through the manager's
@@ -636,7 +628,7 @@ func (h *harness) crashRecover() {
 		// point in [durable, size].
 		if size > durable && h.rnd.Intn(2) == 0 {
 			cut := durable + h.rnd.Int63n(size-durable+1)
-			if err := os.Truncate(h.runWAL(id), cut); err != nil {
+			if err := os.Truncate(co.WALPath(), cut); err != nil {
 				h.violatef("run %s: truncating tail: %v", id, err)
 			}
 		}

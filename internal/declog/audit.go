@@ -454,4 +454,3 @@ func sameValuation(a, b map[string]string) bool {
 	}
 	return true
 }
-

@@ -1,12 +1,14 @@
 package schema
 
 import (
+	"bufio"
 	"fmt"
 	"sort"
 	"strings"
 
 	"collabwf/internal/cond"
 	"collabwf/internal/data"
+	"collabwf/internal/jsonw"
 )
 
 // Instance is a valid instance of a database schema: for each relation, a
@@ -383,24 +385,97 @@ func (vi *ViewInstance) Fingerprint() string {
 	return b.String()
 }
 
-// String renders the view instance.
-func (vi *ViewInstance) String() string {
-	var parts []string
-	for _, name := range vi.Relations() {
-		ts := vi.Tuples(name)
-		if len(ts) == 0 {
-			continue
+// viewLine is one view's rendering of a stored row: line is "R@p(…)", the
+// row projected onto the view, or "" when the view's selection rejects the
+// row; js is line escaped for a JSON string (the same string when nothing
+// needs escaping). Each node keeps a list of them,
+// newest first, one per view that has rendered its row. Entries are
+// immutable once published, and the list only grows by a CAS on its head,
+// so readers sharing a node never see a partly built entry.
+type viewLine struct {
+	view     *View
+	line, js string
+	next     *viewLine
+}
+
+// line returns v's rendering of n's row, rendering and publishing it on
+// first use. The selection check behind a first use is counted into cs;
+// later uses are free. Two readers racing on one node may both render, and
+// then both publish the same line; lookups return the first one found.
+func (n *pnode) line(v *View, cs *cond.EvalCounts) *viewLine {
+	head := n.lines.Load()
+	for l := head; l != nil; l = l.next {
+		if l.view == v {
+			return l
 		}
-		strs := make([]string, len(ts))
-		for i, t := range ts {
-			strs[i] = name + "@" + string(vi.Peer) + t.String()
-		}
-		parts = append(parts, strings.Join(strs, " "))
 	}
-	if len(parts) == 0 {
+	l := &viewLine{view: v}
+	if v.Sees(n.tup, cs) {
+		l.line = v.render(n.tup)
+		l.js = jsonw.Escape(l.line)
+	}
+	for {
+		l.next = head
+		if n.lines.CompareAndSwap(head, l) {
+			return l
+		}
+		head = n.lines.Load()
+	}
+}
+
+// eachLine calls fn with every visible row's line, by relation name and
+// then key: the rows of I@p in the order String prints them.
+func (vi *ViewInstance) eachLine(fn func(*viewLine)) {
+	for _, name := range vi.Relations() {
+		walkLines(vi.src.rel(name).root, vi.views[name], vi.cnt, fn)
+	}
+}
+
+func walkLines(n *pnode, v *View, cs *cond.EvalCounts, fn func(*viewLine)) {
+	for n != nil {
+		walkLines(n.left, v, cs, fn)
+		if l := n.line(v, cs); l.line != "" {
+			fn(l)
+		}
+		n = n.right
+	}
+}
+
+// String renders the view instance: the lines of its rows joined by ' ',
+// or ∅ when the peer sees nothing.
+func (vi *ViewInstance) String() string {
+	size := -1
+	vi.eachLine(func(l *viewLine) { size += len(l.line) + 1 })
+	if size < 0 {
 		return "∅"
 	}
-	return strings.Join(parts, " ")
+	var b strings.Builder
+	b.Grow(size)
+	vi.eachLine(func(l *viewLine) {
+		if b.Len() > 0 {
+			b.WriteByte(' ')
+		}
+		b.WriteString(l.line)
+	})
+	return b.String()
+}
+
+// WriteJSON writes String() as a JSON string literal, exactly as
+// encoding/json would encode it, without building the string.
+func (vi *ViewInstance) WriteJSON(w *bufio.Writer) {
+	w.WriteByte('"')
+	first := true
+	vi.eachLine(func(l *viewLine) {
+		if !first {
+			w.WriteByte(' ')
+		}
+		first = false
+		w.WriteString(l.js)
+	})
+	if first {
+		w.WriteString("∅")
+	}
+	w.WriteByte('"')
 }
 
 // Reconstruct rebuilds a global instance from the collective peer views of

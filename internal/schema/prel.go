@@ -1,6 +1,10 @@
 package schema
 
-import "collabwf/internal/data"
+import (
+	"sync/atomic"
+
+	"collabwf/internal/data"
+)
 
 // prel is a persistent relation: the rows of one relation as an immutable
 // AVL tree sorted on the key, with path-copying writes. A write allocates
@@ -21,6 +25,11 @@ type pnode struct {
 	tup         data.Tuple
 	left, right *pnode
 	h           int
+	// lines memoizes how each view renders tup (see viewLine). A node
+	// rebuilt around the same row — a rotation, a copied path — starts
+	// with the memo of the node it replaces, so a row renders once per
+	// view for as long as it is stored, not once per version.
+	lines atomic.Pointer[viewLine]
 }
 
 func height(n *pnode) int {
@@ -30,33 +39,37 @@ func height(n *pnode) int {
 	return n.h
 }
 
-func mk(l *pnode, k data.Value, t data.Tuple, r *pnode) *pnode {
+// mk builds a node holding src's row, with its rendered lines, between l
+// and r.
+func mk(l, src, r *pnode) *pnode {
 	h := height(l)
 	if hr := height(r); hr > h {
 		h = hr
 	}
-	return &pnode{key: k, tup: t, left: l, right: r, h: h + 1}
+	n := &pnode{key: src.key, tup: src.tup, left: l, right: r, h: h + 1}
+	n.lines.Store(src.lines.Load())
+	return n
 }
 
 // bal is mk that restores the balance invariant after one side changed
 // height by at most one.
-func bal(l *pnode, k data.Value, t data.Tuple, r *pnode) *pnode {
+func bal(l, src, r *pnode) *pnode {
 	hl, hr := height(l), height(r)
 	switch {
 	case hl > hr+2:
 		if height(l.left) >= height(l.right) {
-			return mk(l.left, l.key, l.tup, mk(l.right, k, t, r))
+			return mk(l.left, l, mk(l.right, src, r))
 		}
 		lr := l.right
-		return mk(mk(l.left, l.key, l.tup, lr.left), lr.key, lr.tup, mk(lr.right, k, t, r))
+		return mk(mk(l.left, l, lr.left), lr, mk(lr.right, src, r))
 	case hr > hl+2:
 		if height(r.right) >= height(r.left) {
-			return mk(mk(l, k, t, r.left), r.key, r.tup, r.right)
+			return mk(mk(l, src, r.left), r, r.right)
 		}
 		rl := r.left
-		return mk(mk(l, k, t, rl.left), rl.key, rl.tup, mk(rl.right, r.key, r.tup, r.right))
+		return mk(mk(l, src, rl.left), rl, mk(rl.right, r, r.right))
 	}
-	return mk(l, k, t, r)
+	return mk(l, src, r)
 }
 
 // get returns the row with key k.
@@ -93,10 +106,10 @@ func insert(n *pnode, k data.Value, t data.Tuple) (*pnode, bool) {
 	switch {
 	case k < n.key:
 		l, added := insert(n.left, k, t)
-		return bal(l, n.key, n.tup, n.right), added
+		return bal(l, n, n.right), added
 	case k > n.key:
 		r, added := insert(n.right, k, t)
-		return bal(n.left, n.key, n.tup, r), added
+		return bal(n.left, n, r), added
 	}
 	return &pnode{key: k, tup: t, left: n.left, right: n.right, h: n.h}, false
 }
@@ -115,9 +128,9 @@ func (r prel) without(k data.Value) (prel, bool) {
 func remove(n *pnode, k data.Value) *pnode {
 	switch {
 	case k < n.key:
-		return bal(remove(n.left, k), n.key, n.tup, n.right)
+		return bal(remove(n.left, k), n, n.right)
 	case k > n.key:
-		return bal(n.left, n.key, n.tup, remove(n.right, k))
+		return bal(n.left, n, remove(n.right, k))
 	}
 	if n.left == nil {
 		return n.right
@@ -129,14 +142,14 @@ func remove(n *pnode, k data.Value) *pnode {
 	for m.left != nil {
 		m = m.left
 	}
-	return bal(n.left, m.key, m.tup, removeMin(n.right))
+	return bal(n.left, m, removeMin(n.right))
 }
 
 func removeMin(n *pnode) *pnode {
 	if n.left == nil {
 		return n.right
 	}
-	return bal(removeMin(n.left), n.key, n.tup, n.right)
+	return bal(removeMin(n.left), n, n.right)
 }
 
 // each calls fn on every row in ascending key order until fn returns

@@ -8,6 +8,7 @@ package schema
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"collabwf/internal/cond"
 	"collabwf/internal/data"
@@ -254,6 +255,29 @@ func (v *View) Project(t data.Tuple) data.Tuple {
 		out[i] = t[src]
 	}
 	return out
+}
+
+// render returns the line I@p prints for a selected full tuple t over R:
+// "R@p" followed by the projection of t, as data.Tuple.String renders it.
+func (v *View) render(t data.Tuple) string {
+	n := len(v.Rel.Name) + 1 + len(v.Peer) + 2*len(v.srcIdx)
+	for _, src := range v.srcIdx {
+		n += len(t[src])
+	}
+	var b strings.Builder
+	b.Grow(n)
+	b.WriteString(v.Rel.Name)
+	b.WriteByte('@')
+	b.WriteString(string(v.Peer))
+	b.WriteByte('(')
+	for i, src := range v.srcIdx {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		b.WriteString(string(t[src]))
+	}
+	b.WriteByte(')')
+	return b.String()
 }
 
 // Pad expands a view tuple u to a full tuple over R, filling the hidden

@@ -103,13 +103,11 @@ type Coordinator struct {
 	// capture of the released prefix that View/Explain/Scenario/Transitions/
 	// Trace/Len serve without taking mu. releaseLocked swaps a fresh one in
 	// before notifying, so a subscriber that receives notification idx
-	// always observes Len() ≥ idx+1. snapSeq counts publications.
+	// always observes Len() ≥ idx+1. snapSeq counts publications. No read
+	// result is kept per step: views render from the instance rows' memoized
+	// lines, which live and die with the rows.
 	snap    atomic.Pointer[snapshot]
 	snapSeq uint64
-	// viewStrs caches rendered view strings by (step, peer), shared across
-	// snapshots: the released prefix is immutable, so an entry never goes
-	// stale (rollback only ever targets unreleased events).
-	viewStrs sync.Map
 	// mread mirrors metrics for the lock-free read paths, which must not
 	// touch mu to read the field InstrumentRun sets under it.
 	mread atomic.Pointer[Metrics]
@@ -736,8 +734,9 @@ func (c *Coordinator) notify(ctx context.Context, idx int) {
 }
 
 // makeNotification assembles a Notification from its parts. The push
-// (buildNotification, over the live run) and poll (snapNotification, over a
-// snapshot) builders both route through it so the two stay byte-identical.
+// (buildNotification, over the live run) and poll (snapshot.notification)
+// builders both route through it so the two stay byte-identical; both
+// render the view by the same walk over memoized row lines.
 func makeNotification(e *program.Event, peer schema.Peer, idx int, view string, because []int) Notification {
 	n := Notification{
 		Index: idx,
@@ -827,14 +826,14 @@ func unknownPeerErr(peer schema.Peer) error {
 // View renders the peer's current view of the database — of the released
 // prefix; buffered events not yet durable are invisible. On an empty run
 // (ViewAt index −1) this is the peer's view of the initial instance.
-// Lock-free: served from the published snapshot.
+// Lock-free: served from the published snapshot. /view streams the same
+// rendering (writeViewJSON).
 func (c *Coordinator) View(peer schema.Peer) (string, error) {
-	s := c.snap.Load()
-	if !s.prog.Schema.HasPeer(peer) {
-		return "", unknownPeerErr(peer)
+	s, err := c.readSnapshot(peer)
+	if err != nil {
+		return "", err
 	}
-	c.readMetrics().read()
-	return c.snapView(s, s.Len()-1, peer), nil
+	return s.viewAt(s.Len()-1, peer).String(), nil
 }
 
 // Explain returns the peer's runtime explanation report of the run so far.
@@ -851,41 +850,43 @@ func (c *Coordinator) Explain(peer schema.Peer) (*core.Report, error) {
 // assembled over — the decision log records it so an audit can recompute the
 // same report against the same prefix.
 func (c *Coordinator) explainWithLen(peer schema.Peer) (*core.Report, int, error) {
-	s := c.snap.Load()
-	if !s.prog.Schema.HasPeer(peer) {
-		return nil, 0, unknownPeerErr(peer)
+	s, err := c.readSnapshot(peer)
+	if err != nil {
+		return nil, 0, err
 	}
-	c.readMetrics().read()
 	return s.exp[peer].ReportOver(s, s.vis[peer]), s.Len(), nil
 }
 
-// ExplainCtx is Explain as a decision on the request's span: each request
-// records the released-prefix length it was served against and, when a
-// decision log is attached, a digest of the rendered report, so
-// `wfrun -audit` can recompute the explanation and prove the served report
-// faithful. Without a decision log the digest (a full render) is skipped.
-func (c *Coordinator) ExplainCtx(ctx context.Context, peer schema.Peer) (*core.Report, error) {
+// ExplainCtx is Explain as a decision on the request's span, returning the
+// report with its rendered text. Each request records the released-prefix
+// length it was served against and, when a decision log is attached, a
+// digest of that same text, so `wfrun -audit` can recompute the explanation
+// and prove the served report faithful.
+func (c *Coordinator) ExplainCtx(ctx context.Context, peer schema.Peer) (*core.Report, string, error) {
 	start := time.Now()
 	rep, n, err := c.explainWithLen(peer)
 	d := declog.Decision{Kind: declog.KindExplain, Decision: declog.Served, Peer: string(peer),
 		Index: -1, RunLen: n, DurationNS: time.Since(start).Nanoseconds()}
+	var text string
 	if err != nil {
 		d.Decision, d.Reason, d.Detail = declog.Errored, "unknown_peer", err.Error()
-	} else if c.dlog.Load() != nil {
-		d.Digest = declog.Digest(rep.String())
+	} else {
+		text = rep.String()
+		if c.dlog.Load() != nil {
+			d.Digest = declog.Digest(text)
+		}
 	}
 	c.decide(ctx, obs.SpanFrom(ctx), d, err)
-	return rep, err
+	return rep, text, err
 }
 
 // Scenario returns the peer's minimal faithful scenario indices.
 // Lock-free, like Explain.
 func (c *Coordinator) Scenario(peer schema.Peer) ([]int, error) {
-	s := c.snap.Load()
-	if !s.prog.Schema.HasPeer(peer) {
-		return nil, unknownPeerErr(peer)
+	s, err := c.readSnapshot(peer)
+	if err != nil {
+		return nil, err
 	}
-	c.readMetrics().read()
 	return s.exp[peer].MinimalScenario(), nil
 }
 

@@ -96,7 +96,7 @@ func TestDecisionChannelsAgree(t *testing.T) {
 	fp.Reset()
 	for _, peer := range []string{"sue", "nobody"} {
 		ctx, end := op("explain")
-		_, _ = c.ExplainCtx(ctx, schema.Peer(peer))
+		_, _, _ = c.ExplainCtx(ctx, schema.Peer(peer))
 		end()
 	}
 	// Crash-ambiguous: A's record sits in a slow fsync, B's queues behind

@@ -198,11 +198,14 @@ func TestCoordinatorEmitsExplainAndReplayDecisions(t *testing.T) {
 	if _, err := c.SubmitIdemCtx(ctx, "hr", "clear", nil, "key-1"); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := c.ExplainCtx(ctx, "sue")
+	rep, text, err := c.ExplainCtx(ctx, "sue")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.ExplainCtx(ctx, "nobody"); err == nil {
+	if text != rep.String() {
+		t.Fatalf("ExplainCtx text %q, report renders %q", text, rep.String())
+	}
+	if _, _, err := c.ExplainCtx(ctx, "nobody"); err == nil {
 		t.Fatal("unknown peer must fail")
 	}
 
@@ -218,11 +221,46 @@ func TestCoordinatorEmitsExplainAndReplayDecisions(t *testing.T) {
 	if len(served) != 1 || served[0].Peer != "sue" || served[0].RunLen != 1 {
 		t.Fatalf("explain records=%+v", served)
 	}
-	if served[0].Digest != declog.Digest(rep.String()) {
+	if served[0].Digest != declog.Digest(text) {
 		t.Fatalf("explain digest %s does not match the served report", served[0].Digest)
 	}
 	if e := find(recs, declog.KindExplain, declog.Errored); len(e) != 1 {
 		t.Fatalf("explain error records=%+v", e)
+	}
+}
+
+// The digest a served /explain records is the digest of the text that
+// response carried: the report is rendered once, for both.
+func TestServedExplainTextMatchesDigest(t *testing.T) {
+	c := New("Hiring", workload.Hiring())
+	l, flush := newTestDeclog(t)
+	c.SetDecisionLog(l)
+	for _, rule := range []string{"clear", "clear"} {
+		if _, err := c.Submit("hr", rule, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h := Handler(c)
+	var texts []string
+	for _, peer := range []string{"sue", "hr"} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/explain?peer="+peer, nil))
+		var body struct {
+			Text string `json:"text"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || body.Text == "" {
+			t.Fatalf("/explain?peer=%s: %d %s (%v)", peer, rec.Code, rec.Body, err)
+		}
+		texts = append(texts, body.Text)
+	}
+	served := find(flush(), declog.KindExplain, declog.Served)
+	if len(served) != len(texts) {
+		t.Fatalf("%d explain records, want %d", len(served), len(texts))
+	}
+	for i, d := range served {
+		if d.Digest != declog.Digest(texts[i]) {
+			t.Errorf("record %d (%s): digest %s, served text digests to %s", i, d.Peer, d.Digest, declog.Digest(texts[i]))
+		}
 	}
 }
 

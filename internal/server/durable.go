@@ -146,13 +146,9 @@ func NewDurable(name string, p *program.Program, cfg DurabilityConfig) (*Coordin
 	// the recovered run here, during recovery, so no peer's first Explain
 	// replays the whole prefix under the lock (publishSnapshotLocked syncs
 	// every peer's explainer and visible-index cache from the empty prefix to
-	// the recovered one and swaps in the real snapshot).
+	// the recovered one and swaps in the real snapshot). Views need no
+	// reset: nothing caches them per step, and recovery renders none.
 	c.explainers = make(map[schema.Peer]*core.Explainer)
-	// The view-string cache needs no reset: nothing can have rendered a view
-	// between New and here (the coordinator has not been returned yet), and
-	// stale entries cannot exist anyway — keys are (step, peer) over the
-	// immutable released prefix. Clear it defensively all the same.
-	c.viewStrs.Range(func(k, _ any) bool { c.viewStrs.Delete(k); return true })
 	c.publishSnapshotLocked()
 	c.observeRecovery(time.Since(start), c.run.Len())
 	c.dlog.Store(cfg.DecisionLog)
@@ -281,8 +277,8 @@ func (c *Coordinator) Close() error {
 // with wal.ErrCrashed (their submitters answer ErrUnavailable — outcome
 // unknown) and the WAL file closes as-is. The returned offsets are the
 // log's durable prefix and written size (see wal.Log.Crash), so a harness
-// can truncate the unsynced tail — simulating page-cache loss — before
-// handing the directory to NewDurable.
+// can truncate the unsynced tail of WALPath — simulating page-cache loss —
+// before handing the directory to NewDurable.
 func (c *Coordinator) Crash() (durable, size int64, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -295,6 +291,16 @@ func (c *Coordinator) Crash() (durable, size int64, err error) {
 		return 0, 0, nil
 	}
 	return c.log.Crash()
+}
+
+// WALPath returns the path of the write-ahead log file the offsets Crash
+// reports refer to, or "" for an in-memory coordinator. The log is fixed at
+// construction, so no lock is needed.
+func (c *Coordinator) WALPath() string {
+	if c.log == nil {
+		return ""
+	}
+	return c.log.Path()
 }
 
 // writeSnapshotLocked persists the current run prefix and guards. Callers

@@ -1,12 +1,14 @@
 package server
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"collabwf/internal/core"
@@ -142,21 +144,22 @@ func NewHandler(c *Coordinator, opts HTTPOptions) http.Handler {
 	})).ServeHTTP)
 
 	handle("/view", func(w http.ResponseWriter, r *http.Request) {
-		v, err := c.View(peerParam(r))
+		peer := peerParam(r)
+		s, err := c.readSnapshot(peer)
 		if err != nil {
 			httpError(w, http.StatusNotFound, err)
 			return
 		}
-		writeJSON(w, map[string]string{"view": v})
+		streamJSON(w, func(bw *bufio.Writer) { s.writeViewJSON(bw, peer) })
 	})
 
 	handle("/explain", func(w http.ResponseWriter, r *http.Request) {
-		rep, err := c.ExplainCtx(r.Context(), peerParam(r))
+		rep, text, err := c.ExplainCtx(r.Context(), peerParam(r))
 		if err != nil {
 			httpError(w, http.StatusNotFound, err)
 			return
 		}
-		writeJSON(w, map[string]any{"report": rep, "text": rep.String()})
+		writeJSON(w, map[string]any{"report": rep, "text": text})
 	})
 
 	handle("/scenario", func(w http.ResponseWriter, r *http.Request) {
@@ -180,12 +183,13 @@ func NewHandler(c *Coordinator, opts HTTPOptions) http.Handler {
 		}
 		// One snapshot answers both fields, so the (transitions, len) pair is
 		// mutually consistent even while releases race the poll.
-		ts, n, err := c.TransitionsAndLen(peerParam(r), from)
+		peer := peerParam(r)
+		s, err := c.readSnapshot(peer)
 		if err != nil {
 			httpError(w, http.StatusNotFound, err)
 			return
 		}
-		writeJSON(w, map[string]any{"transitions": ts, "len": n})
+		streamJSON(w, func(bw *bufio.Writer) { s.writeTransitionsJSON(bw, peer, from) })
 	})
 
 	handle("/trace", func(w http.ResponseWriter, r *http.Request) {
@@ -264,6 +268,23 @@ func NewHandler(c *Coordinator, opts HTTPOptions) http.Handler {
 
 func peerParam(r *http.Request) schema.Peer {
 	return schema.Peer(r.URL.Query().Get("peer"))
+}
+
+// streamBufs recycles the buffered writers streamJSON puts in front of a
+// response.
+var streamBufs = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 32<<10) }}
+
+// streamJSON sends the body that write produces through a pooled buffered
+// writer: a large view goes out in buffer-sized writes, and no copy of the
+// whole response is ever built.
+func streamJSON(w http.ResponseWriter, write func(*bufio.Writer)) {
+	w.Header().Set("Content-Type", "application/json")
+	bw := streamBufs.Get().(*bufio.Writer)
+	bw.Reset(w)
+	write(bw)
+	_ = bw.Flush() // a failed write means the client left; there is nobody to tell
+	bw.Reset(nil)
+	streamBufs.Put(bw)
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

@@ -1,11 +1,14 @@
 package server
 
 import (
+	"bufio"
 	"sort"
+	"strconv"
 	"time"
 
 	"collabwf/internal/cond"
 	"collabwf/internal/core"
+	"collabwf/internal/jsonw"
 	"collabwf/internal/program"
 	"collabwf/internal/schema"
 	"collabwf/internal/trace"
@@ -27,7 +30,13 @@ import (
 //   - Instances are persistent: each relation is an immutable tree and a
 //     step's write allocates a new root path, sharing every other node with
 //     its predecessor, so a view over steps[i].Instance — itself an
-//     immutable filter over that instance — reads data nobody writes.
+//     immutable filter over that instance — reads rows nobody writes.
+//   - The one field of a shared node that changes is its memo of rendered
+//     view lines: readers rendering the same row publish an immutable line
+//     with a CAS on the memo head (schema's pnode.line), so concurrent
+//     renders of the same or adjacent steps need no lock. Nothing is kept
+//     per (step, peer): a read renders the view from the rows' memoized
+//     lines, straight into the response.
 //   - vis slices are length-capped captures of the visible-index caches,
 //     which are append-only for the same reason.
 //   - exp holds O(1) freezes of the per-peer incremental explainers: the
@@ -52,7 +61,8 @@ type snapshot struct {
 	born int64
 	// cnt is the owning coordinator's condition-eval counter block (nil when
 	// unprofiled): visibility checks and view renders on the snapshot
-	// attribute their selection evaluations to that run.
+	// attribute their selection evaluations to that run. A render counts
+	// only the rows whose line for the view was not memoized yet.
 	cnt *cond.EvalCounts
 }
 
@@ -132,51 +142,117 @@ func (c *Coordinator) SnapshotInfo() (seq uint64, age time.Duration, events int)
 	return s.seq, time.Duration(time.Now().UnixNano() - s.born), len(s.steps)
 }
 
-// vsKey keys the rendered-view-string cache: the peer's view after step
-// (−1 = initial instance). Entries stay valid forever — the released prefix
-// is immutable and rollback only ever targets unreleased events — so the
-// cache is shared across snapshots and never invalidated.
-type vsKey struct {
-	step int
-	peer schema.Peer
-}
-
-// snapView renders the peer's view after step i of the snapshot, serving
-// repeated reads from the shared string cache. A miss renders through a
-// private ViewInstance — a filter over the immutable instance that walks
-// its sorted rows once — and keeps only the string.
-func (c *Coordinator) snapView(s *snapshot, i int, peer schema.Peer) string {
-	k := vsKey{i, peer}
-	if v, ok := c.viewStrs.Load(k); ok {
-		return v.(string)
+// readSnapshot loads the published snapshot for a read by peer, counting
+// the read; an unknown peer is an error.
+func (c *Coordinator) readSnapshot(peer schema.Peer) (*snapshot, error) {
+	s := c.snap.Load()
+	if !s.prog.Schema.HasPeer(peer) {
+		return nil, unknownPeerErr(peer)
 	}
-	str := schema.ViewOf(s.instanceAt(i), s.prog.Schema, peer).CountConds(s.cnt).String()
-	c.viewStrs.Store(k, str)
-	return str
+	c.readMetrics().read()
+	return s, nil
 }
 
-// snapNotification builds the peer's notification for event idx from the
-// snapshot alone — the poll twin of the push path's buildNotification, kept
-// byte-identical through the shared makeNotification assembly.
-func (c *Coordinator) snapNotification(s *snapshot, peer schema.Peer, idx int) Notification {
-	return makeNotification(s.Event(idx), peer, idx, c.snapView(s, idx, peer), s.exp[peer].ExplainEvent(idx))
+// viewAt returns the peer's view after step i of the snapshot (−1 = the
+// initial instance): a filter over the immutable instance that renders
+// through its rows' memoized lines, so nothing is kept per step.
+func (s *snapshot) viewAt(i int, peer schema.Peer) *schema.ViewInstance {
+	return schema.ViewOf(s.instanceAt(i), s.prog.Schema, peer).CountConds(s.cnt)
+}
+
+// notification builds the peer's notification for event idx from the
+// snapshot alone, leaving View empty for the caller to render or stream —
+// the poll twin of the push path's buildNotification, kept byte-identical
+// through the shared makeNotification assembly.
+func (s *snapshot) notification(peer schema.Peer, idx int) Notification {
+	return makeNotification(s.Event(idx), peer, idx, "", s.exp[peer].ExplainEvent(idx))
+}
+
+// visibleFrom returns the peer's visible event indices ≥ from.
+func (s *snapshot) visibleFrom(peer schema.Peer, from int) []int {
+	idxs := s.vis[peer]
+	return idxs[sort.SearchInts(idxs, from):]
 }
 
 // TransitionsAndLen answers Transitions plus the released length from one
-// snapshot, so pollers get a mutually consistent (transitions, len) pair;
-// /transitions serves this.
+// snapshot, so pollers get a mutually consistent (transitions, len) pair.
+// /transitions streams the same answer (writeTransitionsJSON).
 func (c *Coordinator) TransitionsAndLen(peer schema.Peer, from int) ([]Notification, int, error) {
-	s := c.snap.Load()
-	if !s.prog.Schema.HasPeer(peer) {
-		return nil, 0, unknownPeerErr(peer)
+	s, err := c.readSnapshot(peer)
+	if err != nil {
+		return nil, 0, err
 	}
-	c.readMetrics().read()
-	idxs := s.vis[peer]
 	var out []Notification
-	for _, idx := range idxs[sort.SearchInts(idxs, from):] {
-		out = append(out, c.snapNotification(s, peer, idx))
+	for _, idx := range s.visibleFrom(peer, from) {
+		n := s.notification(peer, idx)
+		n.View = s.viewAt(idx, peer).String()
+		out = append(out, n)
 	}
 	return out, s.Len(), nil
+}
+
+// writeTransitionsJSON streams TransitionsAndLen's answer as encoding/json
+// encodes map[string]any{"transitions": ts, "len": n}: keys sorted, null
+// for no transitions, a trailing newline. Each view is written straight
+// from its rows' memoized lines.
+func (s *snapshot) writeTransitionsJSON(w *bufio.Writer, peer schema.Peer, from int) {
+	w.WriteString(`{"len":`)
+	writeInt(w, s.Len())
+	w.WriteString(`,"transitions":`)
+	idxs := s.visibleFrom(peer, from)
+	if len(idxs) == 0 {
+		w.WriteString("null}\n")
+		return
+	}
+	sep := byte('[')
+	for _, idx := range idxs {
+		w.WriteByte(sep)
+		sep = ','
+		n := s.notification(peer, idx)
+		n.writeJSON(w, s.viewAt(idx, peer))
+	}
+	w.WriteString("]}\n")
+}
+
+// writeViewJSON streams View's answer as encoding/json encodes
+// map[string]string{"view": v}.
+func (s *snapshot) writeViewJSON(w *bufio.Writer, peer schema.Peer) {
+	w.WriteString(`{"view":`)
+	s.viewAt(s.Len()-1, peer).WriteJSON(w)
+	w.WriteString("}\n")
+}
+
+// writeJSON writes n as encoding/json encodes a Notification, with the
+// view streamed from vi in place of n.View.
+func (n *Notification) writeJSON(w *bufio.Writer, vi *schema.ViewInstance) {
+	w.WriteString(`{"index":`)
+	writeInt(w, n.Index)
+	if n.Omega {
+		w.WriteString(`,"omega":true`)
+	} else {
+		w.WriteString(`,"omega":false`)
+	}
+	if n.Rule != "" {
+		w.WriteString(`,"rule":`)
+		jsonw.WriteString(w, n.Rule)
+	}
+	w.WriteString(`,"view":`)
+	vi.WriteJSON(w)
+	if len(n.Because) > 0 {
+		w.WriteString(`,"because":[`)
+		for i, j := range n.Because {
+			if i > 0 {
+				w.WriteByte(',')
+			}
+			writeInt(w, j)
+		}
+		w.WriteByte(']')
+	}
+	w.WriteByte('}')
+}
+
+func writeInt(w *bufio.Writer, n int) {
+	w.Write(strconv.AppendInt(w.AvailableBuffer(), int64(n), 10))
 }
 
 // snapTrace exports the snapshot's prefix as a replayable trace.

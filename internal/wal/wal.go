@@ -459,6 +459,9 @@ func (l *Log) TornBytes() int64 { return l.tornBytes }
 // Dir returns the log's root directory.
 func (l *Log) Dir() string { return l.dir }
 
+// Path returns the log file's path, the file Crash's offsets refer to.
+func (l *Log) Path() string { return filepath.Join(l.dir, logName) }
+
 // AppendBuffered writes one record into the log file and returns a Commit
 // future that resolves once the record is durable. Under SyncAlways the
 // fsync is delegated to the committer goroutine, which coalesces every
