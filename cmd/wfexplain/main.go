@@ -44,7 +44,7 @@ func main() {
 	dotPath := flag.String("dot", "", "write the provenance graph (Graphviz DOT) to this file")
 	event := flag.Int("event", -1, "explain this single event (chain of causes and dependents)")
 	logFlags := obs.RegisterLogFlags(flag.CommandLine, "warn")
-	profFlags := prof.RegisterFlags(flag.CommandLine, "profile")
+	profFlags := prof.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
 	if *specPath == "" || *peer == "" {

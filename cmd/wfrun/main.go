@@ -59,7 +59,7 @@ func main() {
 	auditPath := flag.String("audit", "", "audit a decision-log JSONL file against the spec instead of running")
 	auditCertify := flag.Bool("audit-certify", false, "with -audit, also recompute certification verdicts (runs the deciders)")
 	logFlags := obs.RegisterLogFlags(flag.CommandLine, "warn")
-	profFlags := prof.RegisterFlags(flag.CommandLine, "profile")
+	profFlags := prof.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
 	if *specPath == "" {

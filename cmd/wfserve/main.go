@@ -110,7 +110,7 @@ func main() {
 	traceSlow := flag.Duration("trace-slow", 100*time.Millisecond, "root-span duration threshold for -trace-sample slow")
 	traceBuffer := flag.Int("trace-buffer", 256, "completed traces retained by the flight recorder")
 	logFlags := obs.RegisterLogFlags(flag.CommandLine, "info")
-	profFlags := prof.RegisterFlags(flag.CommandLine, "profile-rules")
+	profileRules := flag.Bool("profile-rules", false, "enable the rule-engine cost profiler on the default run (see /debug/rules)")
 	var guards guardFlags
 	flag.Var(&guards, "guard", "peer=h transparency guard installed on every fresh run (repeatable)")
 	flag.Parse()
@@ -225,8 +225,9 @@ func main() {
 	// the default run's live run, reads, guard checks and decider searches.
 	// Every count reaches it through the default run's own sink, so sibling
 	// runs in the fleet never bleed into its tallies.
-	profiler := profFlags.New()
-	if profiler.Enabled() {
+	var profiler *prof.Profiler
+	if *profileRules {
+		profiler = prof.New()
 		m.Default().SetProfiler(profiler)
 		profiler.Instrument(reg)
 		fmt.Println("rule-engine profiler on for the default run (wf_rule_*, /debug/rules)")

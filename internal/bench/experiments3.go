@@ -53,7 +53,8 @@ func E13Provenance(quick bool) (*Table, error) {
 
 // E14Coordinator — conclusion: the master-server architecture sustains
 // realistic submission rates, and guarded submission costs a bounded
-// multiple of unguarded submission (the guard replays the monitor).
+// multiple of unguarded submission (the guard checks and commits each
+// event once per guarded peer; it never replays the run).
 func E14Coordinator(quick bool) (*Table, error) {
 	t := &Table{
 		ID:      "E14",

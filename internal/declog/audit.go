@@ -67,9 +67,8 @@ type auditor struct {
 	opts AuditOptions
 	rep  *AuditReport
 
-	run      *program.Run
-	guards   map[schema.Peer]int
-	monitors map[schema.Peer]*design.Monitor
+	run   *program.Run
+	guard *design.Guard
 }
 
 func (a *auditor) mismatch(format string, args ...any) {
@@ -180,18 +179,17 @@ func mergeReports(rep, sub *AuditReport, id string, opts AuditOptions) {
 // auditRun replays one run's records (see Audit).
 func auditRun(p *program.Program, records []Decision, opts AuditOptions) *AuditReport {
 	a := &auditor{
-		prog:     p,
-		opts:     opts,
-		rep:      &AuditReport{},
-		run:      program.NewRun(p),
-		guards:   make(map[schema.Peer]int),
-		monitors: make(map[schema.Peer]*design.Monitor),
+		prog: p,
+		opts: opts,
+		rep:  &AuditReport{},
+		run:  program.NewRun(p),
 	}
 
 	// Pass 1: partition. Emit order is not run order under group
 	// commit (a reject can enqueue while earlier accepts await their fsync),
 	// so the replay is driven by run position — Index for accepted records,
 	// RunLen for rejection rechecks — not by sequence number.
+	guards := make(map[schema.Peer]int)
 	var accepted = make(map[int]Decision)
 	var rechecks, replays, certifies, explains []Decision
 	for _, d := range records {
@@ -203,11 +201,11 @@ func auditRun(p *program.Program, records []Decision, opts AuditOptions) *AuditR
 				a.mismatch("seq %d: guard installed for unknown peer %s", d.Seq, d.Peer)
 				continue
 			}
-			if h, ok := a.guards[peer]; ok && h != d.H {
+			if h, ok := guards[peer]; ok && h != d.H {
 				a.mismatch("seq %d: guard for %s reinstalled with h=%d, was h=%d", d.Seq, d.Peer, d.H, h)
 				continue
 			}
-			a.guards[peer] = d.H
+			guards[peer] = d.H
 		case KindSubmit:
 			switch d.Decision {
 			case Accepted:
@@ -255,9 +253,7 @@ func auditRun(p *program.Program, records []Decision, opts AuditOptions) *AuditR
 	}
 
 	// Guards precede the run (the server enforces install-before-first-event).
-	for peer, h := range a.guards {
-		a.monitors[peer] = design.NewMonitor(a.run, peer, h)
-	}
+	a.guard = design.NewGuard(a.run, guards)
 
 	// Pass 2: replay accepted records in index order, re-firing rejection
 	// rechecks against the exact prefix each was decided on.
@@ -317,7 +313,9 @@ func auditRun(p *program.Program, records []Decision, opts AuditOptions) *AuditR
 }
 
 // applyAccepted replays one accepted record: the event must re-apply
-// cleanly and pass every guard, exactly as the coordinator accepted it.
+// cleanly and pass every guard, exactly as the coordinator accepted it. A
+// guard-violating event is reported and still committed — it is in the
+// run the log describes — so each later event is judged on its own.
 func (a *auditor) applyAccepted(d Decision) {
 	e, err := (trace.EventRecord{Rule: d.Rule, Valuation: d.Valuation}).Decode(a.prog)
 	if err == nil {
@@ -327,20 +325,17 @@ func (a *auditor) applyAccepted(d Decision) {
 		a.mismatch("seq %d: accepted event %d does not replay: %v", d.Seq, d.Index, err)
 		return
 	}
-	for peer, m := range a.monitors {
-		m.Sync()
-		if vs := m.Violations(); len(vs) > 0 {
-			a.mismatch("seq %d: accepted event %d violates the guard for %s on replay: %s",
-				d.Seq, d.Index, peer, vs[len(vs)-1].Reason)
-			// Rebuild so one bad event does not cascade into every later check.
-			a.monitors[peer] = design.NewMonitor(a.run, peer, a.guards[peer])
-		}
+	if peer, reason, ok := a.guard.Check(); !ok {
+		a.mismatch("seq %d: accepted event %d violates the guard for %s on replay: %s",
+			d.Seq, d.Index, peer, reason)
 	}
+	a.guard.Commit()
 }
 
 // recheckRejection re-fires a guard or applicability rejection against the
 // prefix it was decided on (== the current replay position) and confirms
-// the same verdict, then rolls the probe back.
+// the same verdict — for a guard rejection, by the same guarded peer —
+// then rolls the probe back.
 func (a *auditor) recheckRejection(d Decision) {
 	a.rep.RecheckedRejections++
 	prev := a.run.Len()
@@ -361,25 +356,18 @@ func (a *auditor) recheckRejection(d Decision) {
 				d.Seq, d.Rule, d.RunLen, err)
 			break
 		}
-		violated := false
-		for _, m := range a.monitors {
-			m.Sync()
-			if len(m.Violations()) > 0 {
-				violated = true
-			}
-		}
-		if !violated {
-			a.mismatch("seq %d: %s rejected by the guard for %s at length %d, but no monitor objects on replay",
+		peer, _, ok := a.guard.Check()
+		if ok {
+			a.mismatch("seq %d: %s rejected by the guard for %s at length %d, but the guard admits it on replay",
 				d.Seq, d.Rule, d.Guarded, d.RunLen)
+		} else if string(peer) != d.Guarded {
+			a.mismatch("seq %d: %s rejected by the guard for %s at length %d, but on replay the guard for %s rejects it",
+				d.Seq, d.Rule, d.Guarded, d.RunLen, peer)
 		}
 	}
-	// Roll the probe back; monitors that ran ahead are rebuilt (the same
-	// discipline as the coordinator's rollbackTo).
+	// Roll the probe back; the guard never committed it.
 	if a.run.Len() > prev {
 		a.run.Truncate(prev)
-		for peer, h := range a.guards {
-			a.monitors[peer] = design.NewMonitor(a.run, peer, h)
-		}
 	}
 }
 

@@ -129,6 +129,90 @@ func TestAuditDetectsFalseRejection(t *testing.T) {
 	}
 }
 
+// guardedHiringLog renders the log of a raw hiring run under a guard for
+// sue with budget h=2 whose hire (step-provenance 3) was accepted anyway,
+// followed by three clean clears: one guard-violating accepted record.
+func guardedHiringLog(t *testing.T) []Decision {
+	t.Helper()
+	run := program.NewRun(workload.Hiring())
+	recs := []Decision{{Seq: 1, Kind: KindGuard, Decision: Installed, Peer: "sue", H: 2, Index: -1}}
+	fire := func(rule string, bindings map[string]data.Value) {
+		t.Helper()
+		idx := run.Len()
+		e, err := run.FireRule(rule, bindings)
+		if err != nil {
+			t.Fatalf("firing %s: %v", rule, err)
+		}
+		recs = append(recs, Decision{Seq: uint64(len(recs) + 1), Kind: KindSubmit,
+			Decision: Accepted, Peer: string(e.Rule.Peer), Rule: rule,
+			Valuation: trace.EncodeEvent(e).Valuation, Index: idx, RunLen: idx})
+	}
+	fire("clear", nil)
+	cand := map[string]data.Value{"x": run.Event(0).Updates[0].Key}
+	fire("cfo_ok", cand)
+	fire("approve", cand)
+	fire("hire", cand)
+	for i := 0; i < 3; i++ {
+		fire("clear", nil)
+	}
+	return recs
+}
+
+// One guard-violating accepted record is one mismatch: the events after it
+// are judged on their own, and a false guard rejection decided after it is
+// still caught.
+func TestAuditGuardViolationReportedOnce(t *testing.T) {
+	recs := guardedHiringLog(t)
+	// A clean clear falsely rejected by the guard at the full prefix.
+	recs = append(recs, Decision{Seq: uint64(len(recs) + 1), Kind: KindSubmit,
+		Decision: Rejected, Reason: "guard", Guarded: "sue", Peer: "hr", Rule: "clear",
+		Valuation: map[string]string{"x": "zed"}, Index: -1, RunLen: 7})
+	rep, err := Audit(workload.Hiring(), encodeLog(t, recs), AuditOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.RunLen != 7 || rep.RecheckedRejections != 1 {
+		t.Fatalf("report=%+v", rep)
+	}
+	var bad, falseRejection int
+	for _, ms := range rep.Mismatches {
+		switch {
+		case strings.Contains(ms, "accepted event 3 violates the guard for sue"):
+			bad++
+		case strings.Contains(ms, "clear rejected by the guard for sue at length 7"):
+			falseRejection++
+		}
+	}
+	if bad != 1 || falseRejection != 1 || len(rep.Mismatches) != 2 {
+		t.Fatalf("want one mismatch for the hire and one for the false rejection, got %q", rep.Mismatches)
+	}
+}
+
+// A guard rejection must be reproduced by the guard of the logged peer.
+func TestAuditGuardRejectionNamesPeer(t *testing.T) {
+	recs := guardedHiringLog(t)[:4] // guard, clear, cfo_ok, approve
+	recs = append(recs,
+		Decision{Seq: uint64(len(recs) + 1), Kind: KindGuard, Decision: Installed, Peer: "ceo", H: 3, Index: -1},
+		Decision{Seq: uint64(len(recs) + 2), Kind: KindSubmit, Decision: Rejected,
+			Reason: "guard", Guarded: "sue", Peer: "hr", Rule: "hire",
+			Valuation: recs[3].Valuation, Index: -1, RunLen: 3})
+	rep, err := Audit(workload.Hiring(), encodeLog(t, recs), AuditOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Ok() || rep.RecheckedRejections != 1 {
+		t.Fatalf("faithful guard rejection flagged: %+v", rep)
+	}
+	recs[len(recs)-1].Guarded = "ceo"
+	rep, err = Audit(workload.Hiring(), encodeLog(t, recs), AuditOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Mismatches) != 1 || !strings.Contains(rep.Mismatches[0], "the guard for sue rejects it") {
+		t.Fatalf("guard rejection blamed on the wrong peer not flagged: %q", rep.Mismatches)
+	}
+}
+
 func TestAuditDetectsWrongExplainDigest(t *testing.T) {
 	recs, _ := hiringLog(t)
 	for i := range recs {

@@ -122,10 +122,10 @@ func TestMonitorFirstSeenMatchesScanOnGuardedRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := NewGuardedRun(staged, "sue", 3)
+	g := newGuardedRun(staged, map[schema.Peer]int{"sue": 3})
 	rng := rand.New(rand.NewSource(11))
 	for step := 0; step < 40; step++ {
-		cands := g.Run().Candidates(4)
+		cands := g.run.Candidates(4)
 		if len(cands) == 0 {
 			break
 		}
@@ -134,13 +134,13 @@ func TestMonitorFirstSeenMatchesScanOnGuardedRun(t *testing.T) {
 		for k, v := range c.Val {
 			bind[k] = v
 		}
-		_, _ = g.FireRule(c.Rule.Name, bind)
+		_, _ = g.fire(c.Rule.Name, bind)
 	}
-	if g.Run().Len() < 10 {
-		t.Fatalf("guarded run too short to exercise the index: %d events", g.Run().Len())
+	if g.run.Len() < 10 {
+		t.Fatalf("guarded run too short to exercise the index: %d events", g.run.Len())
 	}
-	if vs := CheckRun(g.Run(), "sue", 3); len(vs) != 0 {
+	if vs := CheckRun(g.run, "sue", 3); len(vs) != 0 {
 		t.Fatalf("the guard accepted a run CheckRun rejects: %v", vs)
 	}
-	checkFirstSeenIndex(t, g.Run(), "sue")
+	checkFirstSeenIndex(t, g.run, "sue")
 }

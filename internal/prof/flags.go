@@ -2,8 +2,8 @@ package prof
 
 import "flag"
 
-// Flags is the shared profiling flag block, registered uniformly by every
-// cmd the way obs.RegisterLogFlags registers logging.
+// Flags is the profiling flag block of the one-shot cmds, registered the
+// way obs.RegisterLogFlags registers logging.
 type Flags struct {
 	// Enabled turns the profiler on.
 	Enabled bool
@@ -11,14 +11,14 @@ type Flags struct {
 	Top int
 }
 
-// RegisterFlags registers -<name> and -<name>-top on fs and returns the
-// destination struct; name is "profile-rules" for wfserve and "profile" for
-// the one-shot cmds.
-func RegisterFlags(fs *flag.FlagSet, name string) *Flags {
+// RegisterFlags registers -profile and -profile-top on fs and returns the
+// destination struct. The one-shot cmds that print a cost table use it;
+// wfserve renders none and registers only its -profile-rules switch.
+func RegisterFlags(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
-	fs.BoolVar(&f.Enabled, name, false,
-		"enable the rule-engine cost profiler (per-rule attribution; see /debug/rules and the cost table)")
-	fs.IntVar(&f.Top, name+"-top", 15,
+	fs.BoolVar(&f.Enabled, "profile", false,
+		"enable the rule-engine cost profiler (per-rule attribution; see the cost table)")
+	fs.IntVar(&f.Top, "profile-top", 15,
 		"rule rows shown in profiler cost tables (0 = all)")
 	return f
 }

@@ -81,11 +81,10 @@ type Coordinator struct {
 	run   *program.Run
 
 	explainers map[schema.Peer]*core.Explainer
-	// guards maps each transparency-controlled peer to its step budget h,
-	// and guardMonitors holds one incrementally-synced monitor per guard
-	// (rebuilt only when a rejection rolls the run back).
-	guards        map[schema.Peer]int
-	guardMonitors map[schema.Peer]*design.Monitor
+	// guard filters submissions for the transparency-controlled peers
+	// (none by default). It is synced to the run including the buffered
+	// tail, ahead of the release point.
+	guard *design.Guard
 
 	// observable is the released prefix length: every read path (View,
 	// Explain, Transitions, Trace, Len, notifications) exposes exactly the
@@ -162,16 +161,16 @@ type Coordinator struct {
 
 // New starts a coordinator for the program from the empty instance.
 func New(name string, p *program.Program) *Coordinator {
+	run := program.NewRun(p)
 	c := &Coordinator{
-		name:          name,
-		prog:          p,
-		run:           program.NewRun(p),
-		explainers:    make(map[schema.Peer]*core.Explainer),
-		guards:        make(map[schema.Peer]int),
-		guardMonitors: make(map[schema.Peer]*design.Monitor),
-		visCache:      make(map[schema.Peer][]int),
-		subs:          make(map[schema.Peer]map[int]chan Notification),
-		idem:          make(map[string]*idemEntry),
+		name:       name,
+		prog:       p,
+		run:        run,
+		explainers: make(map[schema.Peer]*core.Explainer),
+		guard:      design.NewGuard(run, nil),
+		visCache:   make(map[schema.Peer][]int),
+		subs:       make(map[schema.Peer]map[int]chan Notification),
+		idem:       make(map[string]*idemEntry),
 	}
 	// Publish the empty-prefix snapshot so reads are lock-free from the
 	// first request (no "nil snapshot" fallback state exists).
@@ -204,6 +203,7 @@ func (c *Coordinator) SetProfiler(p *prof.Profiler) {
 	defer c.mu.Unlock()
 	c.profiler = p
 	c.run.SetProfiler(p.Scope("engine"))
+	c.guard.SetProfiler(p)
 }
 
 // Profiler returns the attached profiler (nil when profiling is off).
@@ -228,14 +228,16 @@ func (c *Coordinator) Guard(peer schema.Peer, h int) error {
 	if h < 1 {
 		return fmt.Errorf("server: guard budget must be ≥ 1")
 	}
-	c.guards[peer] = h
-	c.guardMonitors[peer] = design.NewMonitor(c.run, peer, h)
+	prev := c.guard
+	budgets := prev.Budgets()
+	budgets[peer] = h
+	c.guard = design.NewGuard(c.run, budgets)
+	c.guard.SetProfiler(c.profiler)
 	// Guards are part of the durable configuration: persist them so a
 	// recovered coordinator enforces the same policy.
 	if c.log != nil {
 		if err := c.writeSnapshotLocked(context.Background()); err != nil {
-			delete(c.guards, peer)
-			delete(c.guardMonitors, peer)
+			c.guard = prev
 			return fmt.Errorf("server: persisting guard: %w", err)
 		}
 	}
@@ -414,31 +416,19 @@ func (c *Coordinator) submitLocked(ctx context.Context, sp *obs.Span, d *declog.
 		ev = trace.EncodeEvent(e)
 		d.Valuation = ev.Valuation
 	}
-	// Guard check: each guard's monitor is synced incrementally (one step
-	// per event); only a rejection pays the O(run) rollback rebuild.
+	// Guard check: a pure test of the new event, so a rejection leaves the
+	// guard untouched and only the run sheds the event.
 	_, gsp := obs.StartSpan(ctx, "coordinator.guard_check")
-	gsp.SetAttr("guards", len(c.guards))
-	for _, guarded := range c.sortedGuards() {
-		m := c.guardMonitors[guarded]
-		var gstart time.Time
-		if c.profiler.Enabled() {
-			gstart = time.Now()
-		}
-		m.Sync()
-		vs := m.Violations()
-		if c.profiler.Enabled() {
-			c.profiler.GuardCheck(string(guarded), time.Since(gstart).Nanoseconds(), len(vs) > 0)
-		}
-		if len(vs) > 0 {
-			reason := vs[len(vs)-1].Reason
-			gsp.SetAttr("guarded", string(guarded))
-			gsp.SetAttr("reason", reason)
-			gsp.End()
-			c.rollbackTo(ctx, prevLen)
-			d.Reason, d.Detail, d.Guarded = "guard", reason, string(guarded)
-			return nil, fmt.Errorf("server: rejected by the transparency guard for %s: %s", guarded, reason)
-		}
+	gsp.SetAttr("guards", len(c.guard.Peers()))
+	if guarded, reason, ok := c.guard.Check(); !ok {
+		gsp.SetAttr("guarded", string(guarded))
+		gsp.SetAttr("reason", reason)
+		gsp.End()
+		c.rollbackTo(ctx, prevLen)
+		d.Reason, d.Detail, d.Guarded = "guard", reason, string(guarded)
+		return nil, fmt.Errorf("server: rejected by the transparency guard for %s: %s", guarded, reason)
 	}
+	c.guard.Commit()
 	gsp.End()
 	idx := c.run.Len() - 1
 	// Build the result while the event is fresh; per-step effects are
@@ -656,16 +646,6 @@ func (c *Coordinator) handleWALStallLocked(ctx context.Context) {
 	c.log.Resume()
 }
 
-// sortedGuards returns the guarded peers in deterministic order.
-func (c *Coordinator) sortedGuards() []schema.Peer {
-	out := make([]schema.Peer, 0, len(c.guards))
-	for p := range c.guards {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // rollbackTo truncates the run to its first n events after a rejected
 // submission (guard violation or WAL failure) — the dropped suffix is
 // removed in reverse order, O(dropped), not by rebuilding the prefix.
@@ -673,10 +653,11 @@ func (c *Coordinator) sortedGuards() []schema.Peer {
 // n ≥ observable (notify runs only after an event is released), so rejected
 // events never reach a subscriber channel, and the explainers and
 // visible-index caches — synced only to the released prefix — stay valid
-// untouched. The guard monitors ran ahead of the release point during the
-// guard check and are rebuilt. Only the run length, the subscriber
-// channels' contents, and the dropped counter are guaranteed unchanged —
-// all three are asserted by TestGuardRejectionLeavesNoTrace.
+// untouched. The guard runs ahead of the release point: a guard rejection
+// never committed its event, so the guard has nothing to drop, while a WAL
+// failure drops admitted events and rewinds it. Only the run length, the
+// subscriber channels' contents, and the dropped counter are guaranteed
+// unchanged — all three are asserted by TestGuardRejectionLeavesNoTrace.
 func (c *Coordinator) rollbackTo(ctx context.Context, n int) {
 	_, sp := obs.StartSpan(ctx, "coordinator.rollback")
 	sp.SetAttr("from", c.run.Len())
@@ -684,9 +665,7 @@ func (c *Coordinator) rollbackTo(ctx context.Context, n int) {
 	defer sp.End()
 	c.metrics.rolledBack()
 	c.run.Truncate(n)
-	for peer, h := range c.guards {
-		c.guardMonitors[peer] = design.NewMonitor(c.run, peer, h)
-	}
+	c.guard.Truncate(n)
 }
 
 // explainer returns the incremental explainer for the peer, synced to the
@@ -928,8 +907,13 @@ func (c *Coordinator) Name() string {
 func (c *Coordinator) Guards() map[string]int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make(map[string]int, len(c.guards))
-	for p, h := range c.guards {
+	return c.guardsLocked()
+}
+
+func (c *Coordinator) guardsLocked() map[string]int {
+	budgets := c.guard.Budgets()
+	out := make(map[string]int, len(budgets))
+	for p, h := range budgets {
 		out[string(p)] = h
 	}
 	return out

@@ -60,7 +60,7 @@ type DurabilityConfig struct {
 // replays the snapshot's run prefix, re-applies the WAL tail (skipping
 // records the snapshot already covers, truncating a torn trailing record
 // rather than failing), re-installs the persisted guards, and rebuilds the
-// per-peer explainers and guard monitors. Every replayed event passes the
+// per-peer explainers and the guard. Every replayed event passes the
 // full run conditions again, so a tampered log is rejected, not replayed.
 func NewDurable(name string, p *program.Program, cfg DurabilityConfig) (*Coordinator, error) {
 	start := time.Now()
@@ -112,8 +112,9 @@ func NewDurable(name string, p *program.Program, cfg DurabilityConfig) (*Coordin
 			return nil, fmt.Errorf("server: replaying WAL record %d: %w", rec.Seq, err)
 		}
 	}
-	// Guards were installed before the run started; recreate their monitors
-	// over the recovered run (NewMonitor processes existing events).
+	// Guards were installed before the run started, so the guard admitted
+	// every recovered event: rebuild it over the recovered run.
+	budgets := make(map[schema.Peer]int)
 	if snap != nil {
 		for peer, h := range snap.Guards {
 			sp := schema.Peer(peer)
@@ -121,10 +122,10 @@ func NewDurable(name string, p *program.Program, cfg DurabilityConfig) (*Coordin
 				log.Close()
 				return nil, fmt.Errorf("server: persisted guard for unknown peer %s", peer)
 			}
-			c.guards[sp] = h
-			c.guardMonitors[sp] = design.NewMonitor(c.run, sp, h)
+			budgets[sp] = h
 		}
 	}
+	c.guard = design.NewGuard(c.run, budgets)
 	// Rebuild the idempotency window: the snapshot's window first (oldest
 	// keys, in its FIFO order), then the keys of the replayed tail records —
 	// so a client retrying a submission that was durable before the crash
@@ -159,9 +160,9 @@ func NewDurable(name string, p *program.Program, cfg DurabilityConfig) (*Coordin
 	c.decide(context.Background(), nil, declog.Decision{Kind: declog.KindRecover,
 		Decision: declog.Recovered, RunLen: c.run.Len(), Index: -1,
 		DurationNS: time.Since(start).Nanoseconds()}, nil)
-	for _, peer := range c.sortedGuards() {
+	for _, peer := range c.guard.Peers() {
 		c.decide(context.Background(), nil, declog.Decision{Kind: declog.KindGuard,
-			Decision: declog.Installed, Peer: string(peer), H: c.guards[peer], Index: -1,
+			Decision: declog.Installed, Peer: string(peer), H: budgets[peer], Index: -1,
 			Reason: "recovered"}, nil)
 	}
 	return c, nil
@@ -307,13 +308,9 @@ func (c *Coordinator) WALPath() string {
 // hold the lock; ctx carries the trace the snapshot should appear in (use
 // context.Background() outside a request).
 func (c *Coordinator) writeSnapshotLocked(ctx context.Context) error {
-	guards := make(map[string]int, len(c.guards))
-	for p, h := range c.guards {
-		guards[string(p)] = h
-	}
 	snap := &wal.Snapshot{
 		Workflow: c.name,
-		Guards:   guards,
+		Guards:   c.guardsLocked(),
 		Len:      c.run.Len(),
 		Trace:    trace.FromRun(c.name, c.run),
 		Idem:     c.idemWindowLocked(),

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -291,6 +292,87 @@ func TestGuardPersistedAcrossRecovery(t *testing.T) {
 	}
 	if rc.Len() != before {
 		t.Fatal("rejected event must not remain in the run")
+	}
+}
+
+// TestGuardRewindsAfterFailedGroupSync: a failed group fsync drops an event
+// the guard had admitted — a clear that closes sue's stage — and the stall
+// rollback rewinds the guard with the run. Every later submission gets the
+// verdict of a fresh guard over the accepted prefix: the hire the dropped
+// clear would have made cross-stage goes through.
+func TestGuardRewindsAfterFailedGroupSync(t *testing.T) {
+	staged, err := design.Staged(workload.Hiring(), "sue")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := wal.NewFailpoints()
+	c, err := NewDurable("Staged", staged, DurabilityConfig{Dir: t.TempDir(), Sync: wal.SyncAlways, Failpoints: fp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	budgets := map[schema.Peer]int{"sue": 3}
+	if err := c.Guard("sue", 3); err != nil {
+		t.Fatal(err)
+	}
+	mustSubmit := func(peer schema.Peer, rule string, bind map[string]data.Value) *SubmitResult {
+		t.Helper()
+		res, err := c.Submit(peer, rule, bind)
+		if err != nil {
+			t.Fatalf("%s: %v", rule, err)
+		}
+		return res
+	}
+	mustSubmit("hr", "stage_refresh_hr", nil)
+	res := mustSubmit("hr", "clear", nil)
+	x := map[string]data.Value{"x": data.Value(strings.TrimSuffix(strings.TrimPrefix(res.Updates[0], "+Cleared("), ")"))}
+	mustSubmit("cfo", "stage_refresh_cfo", nil)
+	mustSubmit("cfo", "cfo_ok", x)
+	mustSubmit("ceo", "approve", x)
+	const accepted = 5
+	fp.FailNextSync(errors.New("EIO"))
+	if _, err := c.Submit("hr", "clear", nil); err == nil {
+		t.Fatal("a clear whose fsync failed must be rejected")
+	}
+	if c.Len() != accepted {
+		t.Fatalf("Len() = %d after the failed sync, want %d", c.Len(), accepted)
+	}
+
+	later := []submission{
+		{"hr", "hire", x},
+		{"hr", "hire", x},
+		{"cfo", "stage_refresh_cfo", nil},
+		{"cfo", "cfo_ok", x},
+		{"ceo", "approve", x},
+		{"hr", "clear", nil},
+		{"hr", "stage_refresh_hr", nil},
+		{"ceo", "approve", x},
+	}
+	for k, s := range later {
+		ref, err := c.Trace().Replay(staged)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := design.NewGuard(ref, budgets)
+		wantOK := false
+		var wantReason string
+		if _, ferr := ref.FireRule(s.rule, s.bindings); ferr == nil {
+			_, wantReason, wantOK = g.Check()
+		}
+		_, err = c.Submit(s.peer, s.rule, s.bindings)
+		if (err == nil) != wantOK || (wantReason != "" && !strings.Contains(fmt.Sprint(err), wantReason)) {
+			t.Fatalf("submission %d (%s): coordinator says %v, a fresh guard admits=%v (%s)", k, s.rule, err, wantOK, wantReason)
+		}
+		if k == 0 && err != nil {
+			t.Fatalf("the hire in the still-open stage must be admitted: %v", err)
+		}
+	}
+	final, err := c.Trace().Replay(staged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if vs := design.CheckRun(final, "sue", 3); len(vs) != 0 {
+		t.Fatalf("guarded run has violations: %v", vs)
 	}
 }
 
