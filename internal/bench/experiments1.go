@@ -271,7 +271,7 @@ func E5Incremental(quick bool) (*Table, error) {
 		// Sanity: both yield the same scenario at the end.
 		a := faithful.NewAnalysis(scr)
 		want := faithful.Fixpoint(a, faithful.NewSeq(scr.VisibleEvents("p")...), "p")
-		if !m.Minimal().Equal(want) {
+		if !m.Minimal("p").Equal(want) {
 			return nil, fmt.Errorf("E5: incremental and from-scratch disagree at n=%d", n)
 		}
 	}

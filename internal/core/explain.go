@@ -49,14 +49,14 @@ type Explainer struct {
 
 // NewExplainer attaches an explainer for the peer to the run.
 func NewExplainer(r *program.Run, peer schema.Peer) *Explainer {
-	return &Explainer{Run: r, Peer: peer, maint: faithful.NewMaintainer(r, peer)}
+	return NewExplainerAt(r, peer, r.Len())
 }
 
 // NewExplainerAt attaches an explainer processing only the first n events
 // of the run — for callers that expose a bounded prefix (e.g. a durable
 // coordinator whose buffered tail is not yet fsynced).
 func NewExplainerAt(r *program.Run, peer schema.Peer, n int) *Explainer {
-	return &Explainer{Run: r, Peer: peer, maint: faithful.NewMaintainerAt(r, peer, n)}
+	return &Explainer{Run: r, Peer: peer, maint: faithful.NewMaintainerAt(r, n, peer)}
 }
 
 // Sync processes events appended to the run since the last call.
@@ -69,12 +69,12 @@ func (e *Explainer) SyncTo(n int) { e.maint.SyncTo(n) }
 // MinimalScenario returns the event indices of the unique minimal
 // p-faithful scenario of the run (Theorem 4.7) — the canonical explanation
 // of everything the peer has observed.
-func (e *Explainer) MinimalScenario() []int { return e.maint.Minimal().Sorted() }
+func (e *Explainer) MinimalScenario() []int { return e.maint.Minimal(e.Peer).Sorted() }
 
 // ExplainEvent returns the minimal boundary- and modification-faithful
 // explanation of a single event: the events of the run that the given one
 // depends on (plus itself), whether or not it is visible to the peer.
-func (e *Explainer) ExplainEvent(i int) []int { return e.maint.Explanation(i).Sorted() }
+func (e *Explainer) ExplainEvent(i int) []int { return e.maint.Explanation(e.Peer, i).Sorted() }
 
 // ScenarioRun replays the minimal faithful scenario as a standalone run
 // (Lemma 4.6 guarantees this succeeds).
@@ -132,11 +132,41 @@ func buildReport(rr RunReader, peer schema.Peer, visible []int, n int, explain f
 // safe for concurrent lock-free readers. O(1) — see faithful.Maintainer's
 // Freeze.
 func (e *Explainer) Freeze() *FrozenExplainer {
-	return &FrozenExplainer{Peer: e.Peer, fz: e.maint.Freeze()}
+	return &FrozenExplainer{Peer: e.Peer, fz: e.maint.Freeze(e.Peer)}
+}
+
+// RunExplainer provides runtime explanations of a run for a set of peers,
+// all maintained over one shared lifecycle analysis that advances once per
+// event: the per-peer explainers of a served run, at the cost of one
+// analysis instead of one per peer. Like Explainer, it is kept current
+// with SyncTo and captured for lock-free readers with Freeze.
+type RunExplainer struct {
+	Run *program.Run
+
+	maint *faithful.Maintainer
+}
+
+// NewRunExplainerAt attaches an explainer for the peers processing the
+// first n events of the run.
+func NewRunExplainerAt(r *program.Run, peers []schema.Peer, n int) *RunExplainer {
+	return &RunExplainer{Run: r, maint: faithful.NewMaintainerAt(r, n, peers...)}
+}
+
+// SyncTo processes events up to (exclusive) index n only.
+func (e *RunExplainer) SyncTo(n int) { e.maint.SyncTo(n) }
+
+// Len returns the number of events processed: the event steps its one
+// analysis has taken.
+func (e *RunExplainer) Len() int { return e.maint.Len() }
+
+// Freeze captures the peer's explanations as of the processed prefix, in
+// O(1); the peer must be one of the explainer's.
+func (e *RunExplainer) Freeze(peer schema.Peer) *FrozenExplainer {
+	return &FrozenExplainer{Peer: peer, fz: e.maint.Freeze(peer)}
 }
 
 // FrozenExplainer answers explanation queries over a fixed run prefix — the
-// state an Explainer had when Freeze was called — with no locking and no
+// state an explainer had when Freeze was called — with no locking and no
 // access to the live run. The server's read snapshots hold one per peer.
 type FrozenExplainer struct {
 	Peer schema.Peer
@@ -149,11 +179,16 @@ func (f *FrozenExplainer) Len() int { return f.fz.Len() }
 
 // MinimalScenario returns the event indices of the minimal p-faithful
 // scenario as of the freeze point.
-func (f *FrozenExplainer) MinimalScenario() []int { return f.fz.Minimal().Sorted() }
+func (f *FrozenExplainer) MinimalScenario() []int { return f.fz.Minimal() }
 
 // ExplainEvent returns the minimal faithful explanation of event i as of
 // the freeze point.
-func (f *FrozenExplainer) ExplainEvent(i int) []int { return f.fz.Explanation(i).Sorted() }
+func (f *FrozenExplainer) ExplainEvent(i int) []int { return f.fz.Explanation(i) }
+
+// Visible returns the peer's visible event indices over the captured
+// prefix, ascending — the same list ReportOver takes. The slice is shared:
+// callers must not modify it.
+func (f *FrozenExplainer) Visible() []int { return f.fz.Visible() }
 
 // ReportOver builds the peer's explanation report over rr, whose first
 // Len() events must be the prefix the explainer was frozen at; visible

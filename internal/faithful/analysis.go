@@ -52,29 +52,62 @@ type lcID struct {
 	key data.Value
 }
 
-// fill records that an event filled attributes of an existing tuple
-// (⊥ → value), the raw material of modification faithfulness.
-type fill struct {
-	rel   string
-	key   data.Value
-	attrs []data.Attr
+// lifecycle is an interned R-lifecycle with the per-lifecycle facts the
+// faithfulness conditions read.
+type lifecycle struct {
+	Lifecycle
+	// prev is the id of the key's previous lifecycle, -1 for none.
+	prev int32
+	// fills lists, by ascending event, the attribute fills (⊥ → value) on
+	// the tuple during the lifecycle: the raw material of modification
+	// faithfulness.
+	fills []fill
 }
 
-// Analysis caches the per-run data the faithfulness conditions consume:
-// lifecycles, attribute fills, and the relevant-attribute sets att(R, q).
-// It can be extended incrementally as the underlying run grows (Sync).
+// fill records that an event filled attributes of a tuple.
+type fill struct {
+	event int
+	// pos are the filled attribute positions (the effect's Filled).
+	pos []int
+}
+
+// rows is a ragged per-event table of lifecycle ids: row i is
+// ids[off[i]:off[i+1]], and off starts at 0.
+type rows struct {
+	off []int32
+	ids []int32
+}
+
+func (t *rows) row(i int) []int32 { return t.ids[t.off[i]:t.off[i+1]] }
+
+// endRow closes the next event's row, holding the ids added since the
+// previous call.
+func (t *rows) endRow() { t.off = append(t.off, int32(len(t.ids))) }
+
+// Analysis caches the per-run facts the faithfulness conditions consume,
+// all of them independent of the peer: the run's lifecycles, interned in
+// one table, and per event the lifecycles its keys lie in and the
+// lifecycles it closes; plus the relevant-attribute sets att(R, q). It is
+// extended one event at a time as the underlying run grows (SyncTo), and
+// the facts recorded for event i never change afterwards, except that a
+// lifecycle open at i may later get its right boundary.
 type Analysis struct {
 	Run *program.Run
 
 	processed int
-	cycles    map[lcID][]Lifecycle
-	fills     [][]fill // per event index
-	// filledAt[id] lists, ascending, the events that filled attributes of
-	// the tuple with key id.key in id.rel.
-	filledAt map[lcID][]int
+	// lcs interns every lifecycle of the run; an id is an index into it.
+	lcs []lifecycle
+	// latest maps a key to the id of its newest lifecycle.
+	latest map[lcID]int32
+	// keyLCs row i lists, for the keys of K(R, e_i) in KeyRelations/KeysOf
+	// order, the lifecycle containing i (keys in none are skipped).
+	keyLCs rows
+	// closes row i lists the lifecycles event i closed.
+	closes rows
 
-	// relevant[rel][peer] is att(R, q) = att(R@q) ∪ att(σ(R@q)).
-	relevant map[string]map[schema.Peer]map[data.Attr]bool
+	// relevant[rel][peer][pos] reports whether attribute pos of rel is in
+	// att(R, q) = att(R@q) ∪ att(σ(R@q)).
+	relevant map[string]map[schema.Peer][]bool
 
 	// reqMemo caches, per peer, each event's direct faithfulness
 	// requirements (they depend only on the event and the run, so the
@@ -87,30 +120,33 @@ type Analysis struct {
 // candidate run — recomputing the tables dominated their setup cost. Keyed
 // by schema identity; entries live as long as the schema, which the
 // long-lived callers (coordinator, deciders) hold anyway.
-var relevantCache sync.Map // *schema.Collaborative → map[string]map[schema.Peer]map[data.Attr]bool
+var relevantCache sync.Map // *schema.Collaborative → map[string]map[schema.Peer][]bool
 
 // relevantSets returns the shared, read-only att(R, q) tables for s.
-func relevantSets(s *schema.Collaborative) map[string]map[schema.Peer]map[data.Attr]bool {
+func relevantSets(s *schema.Collaborative) map[string]map[schema.Peer][]bool {
 	if v, ok := relevantCache.Load(s); ok {
-		return v.(map[string]map[schema.Peer]map[data.Attr]bool)
+		return v.(map[string]map[schema.Peer][]bool)
 	}
-	relevant := make(map[string]map[schema.Peer]map[data.Attr]bool)
+	relevant := make(map[string]map[schema.Peer][]bool)
 	for _, name := range s.DB.Names() {
-		relevant[name] = make(map[schema.Peer]map[data.Attr]bool)
+		rel := s.DB.Relation(name)
+		relevant[name] = make(map[schema.Peer][]bool)
 		for _, p := range s.Peers() {
 			v, ok := s.View(p, name)
 			if !ok {
 				continue
 			}
-			set := make(map[data.Attr]bool)
+			set := make([]bool, rel.Arity())
 			for _, attr := range v.RelevantAttrs() {
-				set[attr] = true
+				if pos, ok := rel.Index(attr); ok {
+					set[pos] = true
+				}
 			}
 			relevant[name][p] = set
 		}
 	}
 	actual, _ := relevantCache.LoadOrStore(s, relevant)
-	return actual.(map[string]map[schema.Peer]map[data.Attr]bool)
+	return actual.(map[string]map[schema.Peer][]bool)
 }
 
 // NewAnalysis builds the analysis of r, processing all events so far.
@@ -126,8 +162,9 @@ func NewAnalysis(r *program.Run) *Analysis {
 func NewAnalysisPartial(r *program.Run) *Analysis {
 	a := &Analysis{
 		Run:      r,
-		cycles:   make(map[lcID][]Lifecycle),
-		filledAt: make(map[lcID][]int),
+		latest:   make(map[lcID]int32),
+		keyLCs:   rows{off: []int32{0}},
+		closes:   rows{off: []int32{0}},
 		relevant: relevantSets(r.Prog.Schema),
 		reqMemo:  make(map[schema.Peer][][]int),
 	}
@@ -136,17 +173,30 @@ func NewAnalysisPartial(r *program.Run) *Analysis {
 	// the run (Left = -1).
 	for _, name := range s.DB.Names() {
 		for _, k := range r.Initial.Keys(name) {
-			id := lcID{name, k}
-			a.cycles[id] = append(a.cycles[id], Lifecycle{Rel: name, Key: k, Left: -1, Right: -1})
+			a.intern(Lifecycle{Rel: name, Key: k, Left: -1, Right: -1})
 		}
 	}
 	return a
 }
 
+// intern adds lc as its key's newest lifecycle.
+func (a *Analysis) intern(lc Lifecycle) {
+	id := lcID{lc.Rel, lc.Key}
+	prev, ok := a.latest[id]
+	if !ok {
+		prev = -1
+	}
+	a.latest[id] = int32(len(a.lcs))
+	a.lcs = append(a.lcs, lifecycle{Lifecycle: lc, prev: prev})
+}
+
 // Sync processes every event appended to the run since the last call.
 func (a *Analysis) Sync() { a.SyncTo(a.Run.Len()) }
 
-// SyncTo processes events up to (excluding) index n.
+// Len returns the number of events processed.
+func (a *Analysis) Len() int { return a.processed }
+
+// SyncTo processes events up to (excluding) index n, one event step each.
 func (a *Analysis) SyncTo(n int) {
 	if n > a.processed && len(a.reqMemo) > 0 {
 		// New events can close lifecycles, adding right-boundary
@@ -154,39 +204,57 @@ func (a *Analysis) SyncTo(n int) {
 		a.reqMemo = make(map[schema.Peer][][]int)
 	}
 	for i := a.processed; i < n; i++ {
-		var fs []fill
-		for _, ef := range a.Run.Effects(i) {
-			id := lcID{ef.Rel, ef.Key}
-			switch ef.Kind {
-			case program.Created:
-				a.cycles[id] = append(a.cycles[id], Lifecycle{Rel: ef.Rel, Key: ef.Key, Left: i, Right: -1})
-			case program.Deleted:
-				cs := a.cycles[id]
-				if n := len(cs); n > 0 && !cs[n-1].Closed() {
-					cs[n-1].Right = i
-				}
-			case program.Modified:
-				if len(ef.Filled) == 0 {
-					continue
-				}
-				rel := a.Run.Prog.Schema.DB.Relation(ef.Rel)
-				fs = append(fs, fill{rel: ef.Rel, key: ef.Key, attrs: ef.FilledAttrs(rel)})
-				if fa := a.filledAt[id]; len(fa) == 0 || fa[len(fa)-1] != i {
-					a.filledAt[id] = append(fa, i)
-				}
-			}
-		}
-		a.fills = append(a.fills, fs)
+		a.step(i)
 		a.processed++
 	}
+}
+
+// step records event i: the lifecycles it opens and closes, its fills, and
+// the lifecycle each key of K(R, e_i) lies in.
+func (a *Analysis) step(i int) {
+	for _, ef := range a.Run.Effects(i) {
+		switch ef.Kind {
+		case program.Created:
+			a.intern(Lifecycle{Rel: ef.Rel, Key: ef.Key, Left: i, Right: -1})
+		case program.Deleted:
+			if l, ok := a.latest[lcID{ef.Rel, ef.Key}]; ok && !a.lcs[l].Closed() {
+				a.lcs[l].Right = i
+				a.closes.ids = append(a.closes.ids, l)
+			}
+		case program.Modified:
+			if len(ef.Filled) == 0 {
+				continue
+			}
+			if l, ok := a.latest[lcID{ef.Rel, ef.Key}]; ok {
+				a.lcs[l].fills = append(a.lcs[l].fills, fill{event: i, pos: ef.Filled})
+			}
+		}
+	}
+	a.closes.endRow()
+	// No lifecycle starts after i yet, and a program's updates of one
+	// relation have distinct keys, so no event both closes and opens
+	// lifecycles of one key: only a key's newest lifecycle can contain i.
+	e := a.Run.Event(i)
+	for _, rel := range e.KeyRelations() {
+		for _, k := range e.KeysOf(rel) {
+			if l, ok := a.latest[lcID{rel, k}]; ok && a.lcs[l].Contains(i) {
+				a.keyLCs.ids = append(a.keyLCs.ids, l)
+			}
+		}
+	}
+	a.keyLCs.endRow()
 }
 
 // LifecycleAt returns the R-lifecycle of key k containing event index i, if
 // any.
 func (a *Analysis) LifecycleAt(rel string, key data.Value, i int) (Lifecycle, bool) {
-	for _, lc := range a.cycles[lcID{rel, key}] {
-		if lc.Contains(i) {
-			return lc, true
+	l, ok := a.latest[lcID{rel, key}]
+	if !ok {
+		return Lifecycle{}, false
+	}
+	for ; l >= 0; l = a.lcs[l].prev {
+		if a.lcs[l].Contains(i) {
+			return a.lcs[l].Lifecycle, true
 		}
 	}
 	return Lifecycle{}, false
@@ -195,9 +263,9 @@ func (a *Analysis) LifecycleAt(rel string, key data.Value, i int) (Lifecycle, bo
 // Lifecycles returns every lifecycle of the run, sorted by relation, key
 // and left boundary.
 func (a *Analysis) Lifecycles() []Lifecycle {
-	var out []Lifecycle
-	for _, cs := range a.cycles {
-		out = append(out, cs...)
+	out := make([]Lifecycle, len(a.lcs))
+	for i := range a.lcs {
+		out[i] = a.lcs[i].Lifecycle
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Rel != out[j].Rel {
@@ -211,33 +279,26 @@ func (a *Analysis) Lifecycles() []Lifecycle {
 	return out
 }
 
-// OpenLifecycles returns the currently open lifecycles whose key is in the
-// given set of relations (nil = all), used by the incremental maintainer.
+// OpenLifecycles returns the lifecycles that no processed event has closed
+// yet, in the order they were opened.
 func (a *Analysis) OpenLifecycles() []Lifecycle {
 	var out []Lifecycle
-	for _, cs := range a.cycles {
-		for _, lc := range cs {
-			if !lc.Closed() {
-				out = append(out, lc)
-			}
+	for i := range a.lcs {
+		if !a.lcs[i].Closed() {
+			out = append(out, a.lcs[i].Lifecycle)
 		}
 	}
 	return out
 }
 
-// filledRelevant reports whether event i filled, on a tuple of rel with key
-// k, an attribute relevant to any of the given peers.
-func (a *Analysis) filledRelevant(i int, rel string, key data.Value, peers ...schema.Peer) bool {
-	for _, f := range a.fills[i] {
-		if f.rel != rel || f.key != key {
-			continue
-		}
-		for _, attr := range f.attrs {
-			for _, p := range peers {
-				if set, ok := a.relevant[rel][p]; ok && set[attr] {
-					return true
-				}
-			}
+// relevantFill reports whether a fill of positions pos on a tuple of rel
+// filled an attribute relevant to q or p.
+func (a *Analysis) relevantFill(rel string, pos []int, q, p schema.Peer) bool {
+	byPeer := a.relevant[rel]
+	rq, rp := byPeer[q], byPeer[p]
+	for _, k := range pos {
+		if (rq != nil && rq[k]) || (rp != nil && rp[k]) {
+			return true
 		}
 	}
 	return false

@@ -2,7 +2,6 @@ package faithful
 
 import (
 	"fmt"
-	"sort"
 
 	"collabwf/internal/program"
 	"collabwf/internal/scenario"
@@ -16,12 +15,11 @@ import (
 // lifecycle is closed. Boundaries in the initial instance (Left = -1)
 // impose no requirement.
 func IsBoundaryFaithful(a *Analysis, alpha Seq) bool {
+	ok := true
 	for i := range alpha {
-		if !boundaryClosed(a, alpha, i, nil) {
-			return false
-		}
+		a.boundaryReqs(i, func(j int) { ok = ok && alpha.Has(j) })
 	}
-	return true
+	return ok
 }
 
 // IsModificationFaithful reports whether α is modification faithful for p
@@ -30,12 +28,11 @@ func IsBoundaryFaithful(a *Analysis, alpha Seq) bool {
 // that filled an attribute of att(R, q) ∪ att(R, p) on the tuple with key k
 // belongs to α.
 func IsModificationFaithful(a *Analysis, alpha Seq, p schema.Peer) bool {
+	ok := true
 	for i := range alpha {
-		if !modificationClosed(a, alpha, i, p, nil) {
-			return false
-		}
+		a.modificationReqs(i, p, func(j int) { ok = ok && alpha.Has(j) })
 	}
-	return true
+	return ok
 }
 
 // IsFaithful reports whether α is p-faithful (Definition 4.5): it contains
@@ -55,9 +52,10 @@ func IsFaithful(a *Analysis, alpha Seq, p schema.Peer) bool {
 // p-faithfulness due to the events already in α.
 func Step(a *Analysis, alpha Seq, p schema.Peer) Seq {
 	out := alpha.Clone()
+	add := func(j int) { out[j] = struct{}{} }
 	for i := range alpha {
-		boundaryClosed(a, alpha, i, out)
-		modificationClosed(a, alpha, i, p, out)
+		a.boundaryReqs(i, add)
+		a.modificationReqs(i, p, add)
 	}
 	return out
 }
@@ -84,65 +82,41 @@ func Fixpoint(a *Analysis, alpha Seq, p schema.Peer) Seq {
 	return out
 }
 
-// boundaryClosed checks the boundary requirements of event i against α.
-// When missing is non-nil the required events are added to it and the
-// result is always true; otherwise the function reports whether all
-// requirements are met.
-func boundaryClosed(a *Analysis, alpha Seq, i int, missing Seq) bool {
-	e := a.Run.Event(i)
-	for _, rel := range e.KeyRelations() {
-		for _, k := range e.KeysOf(rel) {
-			lc, ok := a.LifecycleAt(rel, k, i)
-			if !ok {
-				continue
-			}
-			if lc.Left >= 0 && !alpha.Has(lc.Left) {
-				if missing == nil {
-					return false
-				}
-				missing.Add(lc.Left)
-			}
-			if lc.Closed() && !alpha.Has(lc.Right) {
-				if missing == nil {
-					return false
-				}
-				missing.Add(lc.Right)
-			}
+// boundaryReqs calls req with the boundary requirements of event i
+// (Definition 4.3): for every key of K(R, e_i) inside an R-lifecycle, the
+// lifecycle's left boundary unless it lies in the initial instance, and its
+// right boundary once closed. i itself may be among them, and an event may
+// be passed more than once.
+func (a *Analysis) boundaryReqs(i int, req func(int)) {
+	for _, l := range a.keyLCs.row(i) {
+		lc := &a.lcs[l]
+		if lc.Left >= 0 {
+			req(lc.Left)
+		}
+		if lc.Closed() {
+			req(lc.Right)
 		}
 	}
-	return true
 }
 
-// modificationClosed checks the modification requirements of event i (for
-// peer p) against α, in the same reporting/collecting modes as
-// boundaryClosed.
-func modificationClosed(a *Analysis, alpha Seq, i int, p schema.Peer, missing Seq) bool {
-	e := a.Run.Event(i)
-	q := e.Peer()
-	for _, rel := range e.KeyRelations() {
-		for _, k := range e.KeysOf(rel) {
-			lc, ok := a.LifecycleAt(rel, k, i)
-			if !ok {
-				continue
+// modificationReqs calls req with the modification requirements of event i
+// for peer p (Definition 4.4): for every key of K(R, e_i) inside an
+// R-lifecycle, the earlier events of the lifecycle that filled an
+// attribute of att(R, q) ∪ att(R, p), q being the peer of e_i. An event may
+// be passed more than once.
+func (a *Analysis) modificationReqs(i int, p schema.Peer, req func(int)) {
+	q := a.Run.Event(i).Peer()
+	for _, l := range a.keyLCs.row(i) {
+		lc := &a.lcs[l]
+		for _, f := range lc.fills {
+			if f.event >= i {
+				break
 			}
-			filled := a.filledAt[lcID{rel, k}]
-			for _, j := range filled[sort.SearchInts(filled, lc.Left):] {
-				if j >= i {
-					break
-				}
-				if alpha.Has(j) {
-					continue
-				}
-				if a.filledRelevant(j, rel, k, q, p) {
-					if missing == nil {
-						return false
-					}
-					missing.Add(j)
-				}
+			if a.relevantFill(lc.Rel, f.pos, q, p) {
+				req(f.event)
 			}
 		}
 	}
-	return true
 }
 
 // Minimal computes the unique minimal p-faithful scenario of the analyzed
@@ -186,9 +160,13 @@ func (a *Analysis) requirements(i int, p schema.Peer) []int {
 		return memo[i]
 	}
 	missing := NewSeq()
-	single := NewSeq(i)
-	boundaryClosed(a, single, i, missing)
-	modificationClosed(a, single, i, p, missing)
+	add := func(j int) {
+		if j != i {
+			missing.Add(j)
+		}
+	}
+	a.boundaryReqs(i, add)
+	a.modificationReqs(i, p, add)
 	reqs := missing.Sorted()
 	if reqs == nil {
 		reqs = []int{}

@@ -299,15 +299,15 @@ func TestMaintainerMatchesFromScratch(t *testing.T) {
 				m.Sync()
 				scratch := NewAnalysis(inc)
 				wantMin := Fixpoint(scratch, NewSeq(inc.VisibleEvents(peer)...), peer)
-				if !m.Minimal().Equal(wantMin) {
+				if !m.Minimal(peer).Equal(wantMin) {
 					t.Fatalf("peer %s after event %d: incremental %v, scratch %v",
-						peer, i, m.Minimal(), wantMin)
+						peer, i, m.Minimal(peer), wantMin)
 				}
 				for f := 0; f <= i; f++ {
 					wantF := Fixpoint(scratch, NewSeq(f), peer)
-					if !m.Explanation(f).Equal(wantF) {
+					if !m.Explanation(peer, f).Equal(wantF) {
 						t.Fatalf("peer %s event %d explanation of %d: incremental %v, scratch %v",
-							peer, i, f, m.Explanation(f), wantF)
+							peer, i, f, m.Explanation(peer, f), wantF)
 					}
 				}
 			}
@@ -320,12 +320,12 @@ func TestMaintainerMatchesFromScratch(t *testing.T) {
 func TestMaintainerAcrossLifecycles(t *testing.T) {
 	_, r := workload.Approval()
 	m := NewMaintainer(r, "applicant")
-	if got := m.Minimal(); !got.Equal(NewSeq(2, 3)) {
+	if got := m.Minimal("applicant"); !got.Equal(NewSeq(2, 3)) {
 		t.Fatalf("Minimal=%v", got)
 	}
 	// The explanation of f (delete Ok) must include both boundaries of
 	// the first lifecycle.
-	if got := m.Explanation(1); !got.Equal(NewSeq(0, 1)) {
+	if got := m.Explanation("applicant", 1); !got.Equal(NewSeq(0, 1)) {
 		t.Fatalf("Explanation(f)=%v", got)
 	}
 	if m.Len() != 4 {
@@ -380,11 +380,11 @@ func TestMaintainerOnCrowdsourcingRuns(t *testing.T) {
 			}
 			scratch := NewAnalysis(inc)
 			want := Fixpoint(scratch, NewSeq(inc.VisibleEvents(peer)...), peer)
-			if !m.Minimal().Equal(want) {
-				t.Fatalf("seed %d peer %s: incremental %v vs scratch %v", seed, peer, m.Minimal(), want)
+			if !m.Minimal(peer).Equal(want) {
+				t.Fatalf("seed %d peer %s: incremental %v vs scratch %v", seed, peer, m.Minimal(peer), want)
 			}
 			for f := 0; f < inc.Len(); f++ {
-				if !m.Explanation(f).Equal(Fixpoint(scratch, NewSeq(f), peer)) {
+				if !m.Explanation(peer, f).Equal(Fixpoint(scratch, NewSeq(f), peer)) {
 					t.Fatalf("seed %d peer %s event %d explanation mismatch", seed, peer, f)
 				}
 			}

@@ -1,6 +1,8 @@
 package faithful
 
 import (
+	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"collabwf/internal/program"
@@ -11,20 +13,31 @@ import (
 // in the lifecycle reference index.
 const mainID = -1
 
-// Maintainer incrementally maintains the minimal p-faithful scenario of a
-// growing run, as outlined at the end of Section 4 of the paper. Besides
-// T_p^ω(ρ, α) for the visible events α, it maintains T_p^ω(ρ, {f}) for
-// every event f — a minimal boundary- and modification-faithful explanation
-// of the individual event. Each new event costs a single application of the
-// T_p operator plus set unions, instead of a fixpoint recomputation over
-// the whole run.
+// Maintainer incrementally maintains, for each of a set of peers, the
+// minimal p-faithful scenario of a growing run, as outlined at the end of
+// Section 4 of the paper. Besides T_p^ω(ρ, α) for the visible events α, it
+// maintains T_p^ω(ρ, {f}) for every event f — a minimal boundary- and
+// modification-faithful explanation of the individual event. Each new event
+// costs a single application of the T_p operator plus set unions per peer,
+// instead of a fixpoint recomputation over the whole run.
+//
+// The peers share one Analysis: everything but the relevant-attribute test
+// is the same for every peer, so each event's lifecycles are computed once.
+// The maintainer advances in lockstep: the analysis by one event, then
+// every peer's state by the same event, so no peer ever reads the analysis
+// ahead of its own step.
 //
 // Every maintained set is an append-only log of event indices, so a union
 // costs O(|Δ|), the events it adds, and never copies the set it grows (see
 // closure for why that also makes Freeze O(1)).
 type Maintainer struct {
+	a     *Analysis
+	peers []*peerState
+}
+
+// peerState is one peer's share of a Maintainer.
+type peerState struct {
 	p schema.Peer
-	a *Analysis
 
 	// perEvent[f] holds T_p^ω(ρ, {f}). Cells are never replaced, only
 	// extended.
@@ -33,15 +46,15 @@ type Maintainer struct {
 	// membership, indexed by event.
 	main   []int
 	inMain []bool
-	// refs[lc] is the set of set-ids (event indices, or mainID) whose
-	// closure references a key of the currently open lifecycle lc; when
-	// an event closes the lifecycle, those closures must absorb it.
-	refs map[lcID]map[int]bool
+	// vis lists, ascending, the events visible at p.
+	vis []int
+	// refs[l] lists the set ids (event indices, or mainID) whose closure
+	// references a key of the open lifecycle l, possibly more than once;
+	// when an event closes the lifecycle, those closures must absorb it.
+	refs [][]int32
 	// mark is scratch membership for building and deduplicating unions;
 	// it is all false between calls.
 	mark []bool
-
-	processed int
 }
 
 // closure is one per-event explanation T_p^ω(ρ, {f}): an append-only log
@@ -67,34 +80,32 @@ func newClosure(log []int) *closure {
 // indices returns the whole log; the maintainer's view.
 func (c *closure) indices() []int { return *c.log.Load() }
 
-// asOf returns the set as it was after n processed events.
-func (c *closure) asOf(n int) Seq {
+// asOf returns the set as it was after n processed events, sorted.
+func (c *closure) asOf(n int) []int {
 	log := c.indices()
-	s := make(Seq, len(log))
-	for _, i := range log {
-		if i >= n {
-			break
-		}
-		s[i] = struct{}{}
+	end := slices.IndexFunc(log, func(i int) bool { return i >= n })
+	if end < 0 {
+		end = len(log)
 	}
-	return s
+	out := append(make([]int, 0, end), log[:end]...)
+	slices.Sort(out)
+	return out
 }
 
-// NewMaintainer builds a maintainer for p over r, replaying any events
-// already in r through the incremental algorithm.
-func NewMaintainer(r *program.Run, p schema.Peer) *Maintainer {
-	return NewMaintainerAt(r, p, r.Len())
+// NewMaintainer builds a maintainer for the peers over r, replaying any
+// events already in r through the incremental algorithm.
+func NewMaintainer(r *program.Run, peers ...schema.Peer) *Maintainer {
+	return NewMaintainerAt(r, r.Len(), peers...)
 }
 
-// NewMaintainerAt builds a maintainer for p over r processing only the
-// first n events, so a caller exposing a bounded prefix of the run (e.g. a
-// coordinator whose tail is not yet durable) gets explanations over exactly
-// that prefix. Later events are absorbed by SyncTo/Sync.
-func NewMaintainerAt(r *program.Run, p schema.Peer, n int) *Maintainer {
-	m := &Maintainer{
-		p:    p,
-		a:    NewAnalysisPartial(r),
-		refs: make(map[lcID]map[int]bool),
+// NewMaintainerAt builds a maintainer for the peers over r processing only
+// the first n events, so a caller exposing a bounded prefix of the run
+// (e.g. a coordinator whose tail is not yet durable) gets explanations over
+// exactly that prefix. Later events are absorbed by SyncTo/Sync.
+func NewMaintainerAt(r *program.Run, n int, peers ...schema.Peer) *Maintainer {
+	m := &Maintainer{a: NewAnalysisPartial(r)}
+	for _, p := range peers {
+		m.peers = append(m.peers, &peerState{p: p})
 	}
 	m.SyncTo(n)
 	return m
@@ -106,165 +117,195 @@ func (m *Maintainer) Sync() { m.SyncTo(m.a.Run.Len()) }
 // SyncTo processes events up to (exclusive) index n, leaving the rest for a
 // later call; n past the run length is clamped. It never un-processes.
 func (m *Maintainer) SyncTo(n int) {
-	if n > m.a.Run.Len() {
-		n = m.a.Run.Len()
-	}
-	for i := m.processed; i < n; i++ {
+	n = min(n, m.a.Run.Len())
+	for i := m.a.Len(); i < n; i++ {
 		m.a.SyncTo(i + 1)
-		m.processOne(i)
-		m.processed++
+		for _, ps := range m.peers {
+			ps.processOne(m.a, i)
+		}
 	}
+}
+
+// Len returns the number of events processed: the analysis's, which every
+// peer has processed too.
+func (m *Maintainer) Len() int { return m.a.Len() }
+
+// peer returns p's state; p must be one of the maintained peers.
+func (m *Maintainer) peer(p schema.Peer) *peerState {
+	for _, ps := range m.peers {
+		if ps.p == p {
+			return ps
+		}
+	}
+	panic(fmt.Sprintf("faithful: peer %s is not maintained", p))
 }
 
 // Minimal returns (a copy of) the current minimal p-faithful scenario
 // T_p^ω(ρ, α).
-func (m *Maintainer) Minimal() Seq { return NewSeq(m.main...) }
+func (m *Maintainer) Minimal(p schema.Peer) Seq { return NewSeq(m.peer(p).main...) }
 
 // Explanation returns (a copy of) T_p^ω(ρ, {f}) for event f: the minimal
 // boundary- and modification-p-faithful subsequence containing f.
-func (m *Maintainer) Explanation(f int) Seq { return NewSeq(m.perEvent[f].indices()...) }
+func (m *Maintainer) Explanation(p schema.Peer, f int) Seq {
+	return NewSeq(m.peer(p).perEvent[f].indices()...)
+}
 
-// Len returns the number of events processed.
-func (m *Maintainer) Len() int { return m.processed }
-
-func (m *Maintainer) processOne(n int) {
-	m.mark = append(m.mark, false)
-	m.inMain = append(m.inMain, false)
+func (ps *peerState) processOne(a *Analysis, n int) {
+	ps.mark = append(ps.mark, false)
+	ps.inMain = append(ps.inMain, false)
 
 	// (i) f = e: the closure of the new event is e plus the closures of
 	// its direct requirements T_p(ρ.e, {e}) \ {e}.
 	sn := []int{n}
-	m.mark[n] = true
-	for g := range Step(m.a, NewSeq(n), m.p) {
-		if g == n {
-			continue
+	ps.mark[n] = true
+	union := func(g int) {
+		// A marked g lies in a closure already unioned (or is n itself),
+		// which, being closed, holds closure(g) too.
+		if ps.mark[g] {
+			return
 		}
-		for _, i := range m.perEvent[g].indices() {
-			if !m.mark[i] {
-				m.mark[i] = true
+		for _, i := range ps.perEvent[g].indices() {
+			if !ps.mark[i] {
+				ps.mark[i] = true
 				sn = append(sn, i)
 			}
 		}
 	}
+	a.boundaryReqs(n, union)
+	a.modificationReqs(n, ps.p, union)
 	for _, i := range sn {
-		m.mark[i] = false
+		ps.mark[i] = false
 	}
-	m.perEvent = append(m.perEvent, newClosure(sn))
-	m.register(n, sn)
+	ps.perEvent = append(ps.perEvent, newClosure(sn))
+	ps.register(a, n, sn)
 
 	// (i) f ≠ e and (ii) α: closures referencing a key of a lifecycle that
-	// e just closed must absorb e's closure.
-	for _, ef := range m.a.Run.Effects(n) {
-		if ef.Kind != program.Deleted {
+	// e just closed must absorb e's closure. A set may be listed more than
+	// once; sorting puts the repeats side by side.
+	for _, l := range a.closes.row(n) {
+		if int(l) >= len(ps.refs) {
 			continue
 		}
-		id := lcID{ef.Rel, ef.Key}
-		for setID := range m.refs[id] {
-			if setID == mainID {
-				m.joinMain(sn)
-			} else if setID != n {
-				m.absorb(setID, sn)
+		ids := ps.refs[l]
+		slices.Sort(ids)
+		for k, setID := range ids {
+			switch {
+			case k > 0 && ids[k-1] == setID:
+			case setID == mainID:
+				ps.joinMain(a, sn)
+			case int(setID) != n:
+				ps.absorb(a, int(setID), sn)
 			}
 		}
-		delete(m.refs, id)
+		ps.refs[l] = nil
 	}
 
 	// (ii) α: a visible event joins the maintained scenario with its
 	// closure.
-	if m.a.Run.VisibleAt(n, m.p) {
-		m.joinMain(sn)
+	if a.Run.VisibleAt(n, ps.p) {
+		ps.vis = append(ps.vis, n)
+		ps.joinMain(a, sn)
 	}
 }
 
 // joinMain unions s into the maintained scenario in O(|s|).
-func (m *Maintainer) joinMain(s []int) {
-	start := len(m.main)
+func (ps *peerState) joinMain(a *Analysis, s []int) {
+	start := len(ps.main)
 	for _, i := range s {
-		if !m.inMain[i] {
-			m.inMain[i] = true
-			m.main = append(m.main, i)
+		if !ps.inMain[i] {
+			ps.inMain[i] = true
+			ps.main = append(ps.main, i)
 		}
 	}
-	m.register(mainID, m.main[start:])
+	ps.register(a, mainID, ps.main[start:])
 }
 
 // absorb unions s (whose first index is the event being processed) into
 // the closure of event f, in O(|closure(f)| + |s|).
-func (m *Maintainer) absorb(f int, s []int) {
-	c := m.perEvent[f]
+func (ps *peerState) absorb(a *Analysis, f int, s []int) {
+	c := ps.perEvent[f]
 	log := c.indices()
 	for _, i := range log {
-		m.mark[i] = true
+		ps.mark[i] = true
 	}
 	start := len(log)
 	for _, i := range s {
-		if !m.mark[i] {
-			m.mark[i] = true
+		if !ps.mark[i] {
+			ps.mark[i] = true
 			log = append(log, i)
 		}
 	}
 	for _, i := range log {
-		m.mark[i] = false
+		ps.mark[i] = false
 	}
 	if len(log) == start {
 		return
 	}
 	c.log.Store(&log)
-	m.register(f, log[start:])
+	ps.register(a, f, log[start:])
 }
 
-// Frozen is an immutable capture of a Maintainer's state at a point in time:
-// the per-event explanations and minimal scenario over exactly the events
-// processed when Freeze was called. It is safe for concurrent use by any
-// number of readers while the Maintainer keeps advancing: the maintainer
-// only appends to the logs a capture reads, past the prefix the capture
-// covers.
-type Frozen struct {
-	perEvent []*closure
-	main     []int
-	n        int
-}
-
-// Freeze captures the maintainer's current state in O(1): length-capped
-// headers of the closure table and of the main log.
-func (m *Maintainer) Freeze() *Frozen {
-	return &Frozen{
-		perEvent: m.perEvent[:len(m.perEvent):len(m.perEvent)],
-		main:     m.main[:len(m.main):len(m.main)],
-		n:        m.processed,
-	}
-}
-
-// Explanation returns (a copy of) T_p^ω(ρ, {f}) for event f, as of the
-// freeze point.
-func (f *Frozen) Explanation(i int) Seq { return f.perEvent[i].asOf(f.n) }
-
-// Minimal returns (a copy of) the minimal p-faithful scenario as of the
-// freeze point.
-func (f *Frozen) Minimal() Seq { return NewSeq(f.main...) }
-
-// Len returns the number of events the capture covers.
-func (f *Frozen) Len() int { return f.n }
-
-// register records, for every event of added, the open lifecycles whose
-// keys it references, so the set identified by setID absorbs their
-// eventual right boundaries. Events already in the set were registered
-// when they joined it, so only the added ones are scanned.
-func (m *Maintainer) register(setID int, added []int) {
+// register records, for every event of added, the open lifecycles its keys
+// lie in, so the set identified by setID absorbs their eventual right
+// boundaries. Events already in the set were registered when they joined
+// it, so only the added ones are scanned.
+func (ps *peerState) register(a *Analysis, setID int, added []int) {
 	for _, g := range added {
-		e := m.a.Run.Event(g)
-		for _, rel := range e.KeyRelations() {
-			for _, k := range e.KeysOf(rel) {
-				lc, ok := m.a.LifecycleAt(rel, k, g)
-				if !ok || lc.Closed() {
-					continue
-				}
-				id := lcID{rel, k}
-				if m.refs[id] == nil {
-					m.refs[id] = make(map[int]bool)
-				}
-				m.refs[id][setID] = true
+		for _, l := range a.keyLCs.row(g) {
+			if a.lcs[l].Closed() {
+				continue
+			}
+			if int(l) >= len(ps.refs) {
+				ps.refs = append(ps.refs, make([][]int32, int(l)+1-len(ps.refs))...)
+			}
+			ids := ps.refs[l]
+			if k := len(ids); k == 0 || ids[k-1] != int32(setID) {
+				ps.refs[l] = append(ids, int32(setID))
 			}
 		}
 	}
 }
+
+// Frozen is an immutable capture of one peer's share of a Maintainer at a
+// point in time: the per-event explanations, minimal scenario and visible
+// events over exactly the events processed when Freeze was called. It is
+// safe for concurrent use by any number of readers while the Maintainer
+// keeps advancing: the maintainer only appends to the logs a capture
+// reads, past the prefix the capture covers.
+type Frozen struct {
+	perEvent []*closure
+	main     []int
+	vis      []int
+	n        int
+}
+
+// Freeze captures p's current state in O(1): length-capped headers of the
+// closure table, the main log and the visible-index log.
+func (m *Maintainer) Freeze(p schema.Peer) *Frozen {
+	ps := m.peer(p)
+	return &Frozen{
+		perEvent: ps.perEvent[:len(ps.perEvent):len(ps.perEvent)],
+		main:     ps.main[:len(ps.main):len(ps.main)],
+		vis:      ps.vis[:len(ps.vis):len(ps.vis)],
+		n:        m.a.Len(),
+	}
+}
+
+// Explanation returns the event indices of T_p^ω(ρ, {f}) for event f, as
+// of the freeze point, ascending.
+func (f *Frozen) Explanation(i int) []int { return f.perEvent[i].asOf(f.n) }
+
+// Minimal returns the event indices of the minimal p-faithful scenario as
+// of the freeze point, ascending.
+func (f *Frozen) Minimal() []int {
+	out := append(make([]int, 0, len(f.main)), f.main...)
+	slices.Sort(out)
+	return out
+}
+
+// Visible returns the events visible at p over the captured prefix,
+// ascending. The slice is shared: callers must not modify it.
+func (f *Frozen) Visible() []int { return f.vis }
+
+// Len returns the number of events the capture covers.
+func (f *Frozen) Len() int { return f.n }

@@ -19,8 +19,10 @@ type Event struct {
 	Val  query.Valuation
 	// Updates are the grounded head updates in head order.
 	Updates []GroundUpdate
-	// keys caches K(R, e) per relation.
-	keys map[string][]data.Value
+	// keys caches K(R, e) per relation; keyRels lists, sorted, the
+	// relations with a non-empty K(R, e).
+	keys    map[string][]data.Value
+	keyRels []string
 }
 
 // GroundUpdate is a grounded update atom.
@@ -125,7 +127,9 @@ func (e *Event) computeKeys() {
 	}
 	for rel := range e.keys {
 		data.SortValues(e.keys[rel])
+		e.keyRels = append(e.keyRels, rel)
 	}
+	sort.Strings(e.keyRels)
 }
 
 // Peer returns the peer performing the event.
@@ -135,15 +139,10 @@ func (e *Event) Peer() schema.Peer { return e.Rule.Peer }
 // sorted.
 func (e *Event) KeysOf(rel string) []data.Value { return e.keys[rel] }
 
-// KeyRelations returns the relations with a non-empty K(R, e), sorted.
-func (e *Event) KeyRelations() []string {
-	out := make([]string, 0, len(e.keys))
-	for rel := range e.keys {
-		out = append(out, rel)
-	}
-	sort.Strings(out)
-	return out
-}
+// KeyRelations returns the relations with a non-empty K(R, e), sorted. The
+// list is computed once, when the event is built, and shared: callers must
+// not modify it.
+func (e *Event) KeyRelations() []string { return e.keyRels[:len(e.keyRels):len(e.keyRels)] }
 
 // FreshValues returns the values assigned to the rule's head-only
 // variables, which runs require to be globally fresh.

@@ -1,6 +1,7 @@
 package program
 
 import (
+	"sort"
 	"strings"
 	"testing"
 
@@ -353,8 +354,17 @@ func TestEventKeys(t *testing.T) {
 		t.Fatal("Hire does not occur in approve")
 	}
 	rels := e.KeyRelations()
-	if len(rels) != 3 {
+	if len(rels) != 3 || !sort.StringsAreSorted(rels) {
 		t.Fatalf("KeyRelations=%v", rels)
+	}
+	// The list is cached when the event is built: reading it allocates
+	// nothing, and appending to it cannot write into the cache.
+	if n := testing.AllocsPerRun(100, func() { rels = e.KeyRelations() }); n != 0 {
+		t.Fatalf("KeyRelations allocates %.0f times per call, want 0", n)
+	}
+	_ = append(rels, "Hire")
+	if got := e.KeyRelations(); len(got) != 3 || got[0] != "Approved" {
+		t.Fatalf("KeyRelations after an append to a returned copy = %v", got)
 	}
 }
 

@@ -4,7 +4,7 @@
 // and controls transparency and boundedness for certain peers."
 //
 // The Coordinator serializes concurrent peer submissions into a single
-// global run, maintains an incremental explainer per peer, notifies
+// global run, maintains every peer's incremental explanations, notifies
 // subscribers of the transitions visible to them (each with its faithful
 // explanation), and — for guarded peers — rejects submissions that would
 // make the run non-transparent or exceed the step budget. An HTTP façade
@@ -80,7 +80,11 @@ type Coordinator struct {
 	prog  *program.Program
 	run   *program.Run
 
-	explainers map[schema.Peer]*core.Explainer
+	// explainer maintains every peer's explanations over one shared
+	// lifecycle analysis, synced to the released prefix only (at
+	// publication) — buffered events awaiting their fsync must not leak
+	// into explanations.
+	explainer *core.RunExplainer
 	// guard filters submissions for the transparency-controlled peers
 	// (none by default). It is synced to the run including the buffered
 	// tail, ahead of the release point.
@@ -92,11 +96,6 @@ type Coordinator struct {
 	// buffered tail past it — events appended to the WAL but not yet
 	// fsynced — which no peer may observe (log-before-accept).
 	observable int
-	// visCache holds, per peer, the indices of the peer's visible events
-	// over the published prefix. Each publication extends it by the newly
-	// released events only and hands the snapshot a length-capped view, so
-	// the growable backing array is shared rather than copied per release.
-	visCache map[schema.Peer][]int
 
 	// snap is the published read snapshot (see snapshot.go): an immutable
 	// capture of the released prefix that View/Explain/Scenario/Transitions/
@@ -163,14 +162,13 @@ type Coordinator struct {
 func New(name string, p *program.Program) *Coordinator {
 	run := program.NewRun(p)
 	c := &Coordinator{
-		name:       name,
-		prog:       p,
-		run:        run,
-		explainers: make(map[schema.Peer]*core.Explainer),
-		guard:      design.NewGuard(run, nil),
-		visCache:   make(map[schema.Peer][]int),
-		subs:       make(map[schema.Peer]map[int]chan Notification),
-		idem:       make(map[string]*idemEntry),
+		name:      name,
+		prog:      p,
+		run:       run,
+		explainer: core.NewRunExplainerAt(run, p.Peers(), 0),
+		guard:     design.NewGuard(run, nil),
+		subs:      make(map[schema.Peer]map[int]chan Notification),
+		idem:      make(map[string]*idemEntry),
 	}
 	// Publish the empty-prefix snapshot so reads are lock-free from the
 	// first request (no "nil snapshot" fallback state exists).
@@ -651,13 +649,13 @@ func (c *Coordinator) handleWALStallLocked(ctx context.Context) {
 // removed in reverse order, O(dropped), not by rebuilding the prefix.
 // Rejection is invisible to every observer: rollback always targets
 // n ≥ observable (notify runs only after an event is released), so rejected
-// events never reach a subscriber channel, and the explainers and
-// visible-index caches — synced only to the released prefix — stay valid
-// untouched. The guard runs ahead of the release point: a guard rejection
-// never committed its event, so the guard has nothing to drop, while a WAL
-// failure drops admitted events and rewinds it. Only the run length, the
-// subscriber channels' contents, and the dropped counter are guaranteed
-// unchanged — all three are asserted by TestGuardRejectionLeavesNoTrace.
+// events never reach a subscriber channel, and the explainer — synced only
+// to the released prefix — stays valid untouched. The guard runs ahead of
+// the release point: a guard rejection never committed its event, so the
+// guard has nothing to drop, while a WAL failure drops admitted events and
+// rewinds it. Only the run length, the subscriber channels' contents, and
+// the dropped counter are guaranteed unchanged — all three are asserted by
+// TestGuardRejectionLeavesNoTrace.
 func (c *Coordinator) rollbackTo(ctx context.Context, n int) {
 	_, sp := obs.StartSpan(ctx, "coordinator.rollback")
 	sp.SetAttr("from", c.run.Len())
@@ -668,27 +666,15 @@ func (c *Coordinator) rollbackTo(ctx context.Context, n int) {
 	c.guard.Truncate(n)
 }
 
-// explainer returns the incremental explainer for the peer, synced to the
-// released prefix only — buffered events awaiting their fsync must not leak
-// into explanations. Callers hold the lock.
-func (c *Coordinator) explainer(peer schema.Peer) *core.Explainer {
-	ex, ok := c.explainers[peer]
-	if !ok {
-		ex = core.NewExplainerAt(c.run, peer, c.observable)
-		c.explainers[peer] = ex
-	}
-	ex.SyncTo(c.observable)
-	return ex
-}
-
 // notify pushes the transition at index idx to every subscriber that sees
 // it. Slow subscribers lose notifications rather than blocking the run.
 func (c *Coordinator) notify(ctx context.Context, idx int) {
 	_, sp := obs.StartSpan(ctx, "coordinator.notify")
 	defer sp.End()
 	sent, droppedNow := 0, 0
+	snap := c.snap.Load()
 	for peer, chans := range c.subs {
-		if len(chans) == 0 || !c.run.VisibleAt(idx, peer) {
+		if len(chans) == 0 || !snap.VisibleAt(idx, peer) {
 			continue
 		}
 		n := c.buildNotification(peer, idx)
@@ -734,9 +720,11 @@ func makeNotification(e *program.Event, peer schema.Peer, idx int, view string, 
 	return n
 }
 
+// buildNotification builds the push notification of released event idx;
+// its explanation comes from the published snapshot, which covers idx.
 func (c *Coordinator) buildNotification(peer schema.Peer, idx int) Notification {
 	return makeNotification(c.run.Event(idx), peer, idx,
-		c.run.ViewAt(idx, peer).String(), c.explainer(peer).ExplainEvent(idx))
+		c.run.ViewAt(idx, peer).String(), c.snap.Load().exp[peer].ExplainEvent(idx))
 }
 
 // Subscribe registers a notification channel for the peer's visible
@@ -833,7 +821,8 @@ func (c *Coordinator) explainWithLen(peer schema.Peer) (*core.Report, int, error
 	if err != nil {
 		return nil, 0, err
 	}
-	return s.exp[peer].ReportOver(s, s.vis[peer]), s.Len(), nil
+	ex := s.exp[peer]
+	return ex.ReportOver(s, ex.Visible()), s.Len(), nil
 }
 
 // ExplainCtx is Explain as a decision on the request's span, returning the

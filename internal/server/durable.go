@@ -60,8 +60,9 @@ type DurabilityConfig struct {
 // replays the snapshot's run prefix, re-applies the WAL tail (skipping
 // records the snapshot already covers, truncating a torn trailing record
 // rather than failing), re-installs the persisted guards, and rebuilds the
-// per-peer explainers and the guard. Every replayed event passes the
-// full run conditions again, so a tampered log is rejected, not replayed.
+// explainer (one shared analysis for every peer) and the guard. Every
+// replayed event passes the full run conditions again, so a tampered log
+// is rejected, not replayed.
 func NewDurable(name string, p *program.Program, cfg DurabilityConfig) (*Coordinator, error) {
 	start := time.Now()
 	var walLog *slog.Logger
@@ -143,13 +144,12 @@ func NewDurable(name string, p *program.Program, cfg DurabilityConfig) (*Coordin
 	// Everything recovered was durable before the crash: release it all.
 	c.observable = c.run.Len()
 	// New published an empty-prefix snapshot over the pre-replay run, and its
-	// explainers are bound to that run too: reset them and rebuild against
-	// the recovered run here, during recovery, so no peer's first Explain
-	// replays the whole prefix under the lock (publishSnapshotLocked syncs
-	// every peer's explainer and visible-index cache from the empty prefix to
-	// the recovered one and swaps in the real snapshot). Views need no
-	// reset: nothing caches them per step, and recovery renders none.
-	c.explainers = make(map[schema.Peer]*core.Explainer)
+	// explainer is bound to that run too: rebuild it against the recovered
+	// run here, during recovery — one analysis step per event, shared by
+	// every peer — so no peer's first Explain replays the whole prefix under
+	// the lock, then swap in the real snapshot. Views need no reset: nothing
+	// caches them per step, and recovery renders none.
+	c.explainer = core.NewRunExplainerAt(c.run, p.Peers(), c.observable)
 	c.publishSnapshotLocked()
 	c.observeRecovery(time.Since(start), c.run.Len())
 	c.dlog.Store(cfg.DecisionLog)

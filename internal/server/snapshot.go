@@ -37,11 +37,10 @@ import (
 //     renders of the same or adjacent steps need no lock. Nothing is kept
 //     per (step, peer): a read renders the view from the rows' memoized
 //     lines, straight into the response.
-//   - vis slices are length-capped captures of the visible-index caches,
-//     which are append-only for the same reason.
-//   - exp holds O(1) freezes of the per-peer incremental explainers: the
-//     maintainer only appends to the logs a freeze reads, past the prefix
-//     the freeze covers (see faithful.Maintainer.Freeze).
+//   - exp holds O(1) per-peer freezes of the coordinator's explainer:
+//     length-capped headers of append-only logs (explanations, minimal
+//     scenario, visible events), which the maintainer only extends past
+//     the prefix a freeze covers (see faithful.Maintainer.Freeze).
 //   - atomic.Pointer.Store/Load give release/acquire ordering: everything
 //     written before the Store (the prefix, the caches, the freezes) is
 //     visible to any reader that Loads the new pointer.
@@ -51,18 +50,17 @@ type snapshot struct {
 	initial *schema.Instance
 	// steps is the released prefix; len(steps) == observable at publication.
 	steps []program.Step
-	// vis[p] lists p's visible event indices over steps, ascending.
-	vis map[schema.Peer][]int
-	// exp[p] answers p's explanation queries over exactly this prefix.
+	// exp[p] answers p's explanation queries over exactly this prefix, and
+	// lists p's visible event indices over it.
 	exp map[schema.Peer]*core.FrozenExplainer
 	// seq increments with every publication; born stamps it (UnixNano),
 	// feeding the wf_snapshot_age_seconds gauge.
 	seq  uint64
 	born int64
 	// cnt is the owning coordinator's condition-eval counter block (nil when
-	// unprofiled): visibility checks and view renders on the snapshot
-	// attribute their selection evaluations to that run. A render counts
-	// only the rows whose line for the view was not memoized yet.
+	// unprofiled): view renders on the snapshot attribute their selection
+	// evaluations to that run. A render counts only the rows whose line for
+	// the view was not memoized yet.
 	cnt *cond.EvalCounts
 }
 
@@ -73,8 +71,11 @@ func (s *snapshot) Schema() *schema.Collaborative  { return s.prog.Schema }
 func (s *snapshot) Event(i int) *program.Event     { return s.steps[i].Event }
 func (s *snapshot) Effects(i int) []program.Effect { return s.steps[i].Effects }
 
+// VisibleAt answers from p's frozen visible-index log: the explainer
+// checked each released event's visibility once, when it stepped over it.
 func (s *snapshot) VisibleAt(i int, p schema.Peer) bool {
-	return program.StepVisibleAt(s.prog.Schema, &s.steps[i], p, s.cnt)
+	idxs := s.visibleFrom(p, i)
+	return len(idxs) > 0 && idxs[0] == i
 }
 
 // instanceAt returns I_i of the captured prefix; -1 is the initial instance.
@@ -96,28 +97,16 @@ func (s *snapshot) events() []*program.Event {
 
 // publishSnapshotLocked captures the released prefix and swaps it in for
 // lock-free readers. Callers hold the lock (or are constructing the
-// coordinator). Publication advances the per-peer explainers and
-// visible-index caches from the last published length to the released
-// prefix first — this is where the incremental work happens, O(new events)
-// per release, so no read ever pays it.
+// coordinator). Publication first advances the explainer from the last
+// published length to the released prefix — this is where the incremental
+// work happens, O(new events) per release, so no read ever pays it; each
+// (event, peer) visibility check happens there, once.
 func (c *Coordinator) publishSnapshotLocked() {
-	from := 0
-	if prev := c.snap.Load(); prev != nil {
-		from = prev.Len()
-	}
+	c.explainer.SyncTo(c.observable)
 	peers := c.prog.Peers()
-	vis := make(map[schema.Peer][]int, len(peers))
 	exp := make(map[schema.Peer]*core.FrozenExplainer, len(peers))
 	for _, p := range peers {
-		idxs := c.visCache[p]
-		for i := from; i < c.observable; i++ {
-			if c.run.VisibleAt(i, p) {
-				idxs = append(idxs, i)
-			}
-		}
-		c.visCache[p] = idxs
-		vis[p] = idxs[:len(idxs):len(idxs)]
-		exp[p] = c.explainer(p).Freeze()
+		exp[p] = c.explainer.Freeze(p)
 	}
 	c.snapSeq++
 	s := &snapshot{
@@ -125,7 +114,6 @@ func (c *Coordinator) publishSnapshotLocked() {
 		prog:    c.prog,
 		initial: c.run.Initial,
 		steps:   c.run.Steps[:c.observable:c.observable],
-		vis:     vis,
 		exp:     exp,
 		seq:     c.snapSeq,
 		born:    time.Now().UnixNano(),
@@ -170,7 +158,7 @@ func (s *snapshot) notification(peer schema.Peer, idx int) Notification {
 
 // visibleFrom returns the peer's visible event indices ≥ from.
 func (s *snapshot) visibleFrom(peer schema.Peer, from int) []int {
-	idxs := s.vis[peer]
+	idxs := s.exp[peer].Visible()
 	return idxs[sort.SearchInts(idxs, from):]
 }
 

@@ -212,6 +212,56 @@ func TestRecoverRebuildsExplainers(t *testing.T) {
 	rc.mu.Unlock()
 }
 
+// TestOneExplainerPerRun pins the explainer's exact cost: a coordinator
+// holds one explainer serving every peer over one shared analysis, which
+// takes one step per released event. Recovering an n-event prefix for P
+// peers therefore performs exactly n analysis steps (an analysis per peer
+// would take P·n), and the analysis stays at the released length as the
+// recovered run grows.
+func TestOneExplainerPerRun(t *testing.T) {
+	prog := workload.Hiring()
+	subs := randomWorkload(t, prog, 9, 24)
+	dir := t.TempDir()
+	c, err := NewDurable("Hiring", prog, DurabilityConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustSubmitAll(t, c, subs[:16])
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	rc, err := NewDurable("Hiring", prog, DurabilityConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	rc.mu.Lock()
+	ex := rc.explainer
+	if ex.Run != rc.run {
+		t.Fatal("the explainer is bound to the pre-replay run, not the recovered one")
+	}
+	if got := ex.Len(); got != 16 || rc.observable != 16 {
+		t.Fatalf("recovery took %d analysis steps over a released prefix of %d, want 16 and 16", got, rc.observable)
+	}
+	for _, p := range prog.Peers() {
+		if got := ex.Freeze(p).Len(); got != 16 {
+			t.Fatalf("the explainer covers %d events for %s, want 16", got, p)
+		}
+	}
+	rc.mu.Unlock()
+
+	mustSubmitAll(t, rc, subs[16:])
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	if rc.explainer != ex {
+		t.Fatal("the coordinator replaced its explainer while the run grew")
+	}
+	if got := ex.Len(); got != 24 || rc.observable != 24 {
+		t.Fatalf("analysis at %d steps, released prefix %d, want 24 and 24", got, rc.observable)
+	}
+}
+
 // TestReadPathMetrics pins the read-path observability surface: every
 // snapshot read is counted on one family, snapshot swaps accumulate with
 // releases, and the age gauge is sampled at scrape time.
