@@ -50,6 +50,11 @@
 // /debug/rules rankings); off by default because attribution adds clock
 // reads to the submit path.
 //
+// -request-timeout bounds the time to each response's first byte: a
+// handler that has written nothing by then is answered 503, while a
+// response that has started streams to completion. There is no write
+// deadline for slow clients.
+//
 // With -declog every coordinator decision (submission verdict, idempotent
 // replay, certification, explanation, guard install, recovery) is one
 // record in the decision log, batched 128 at a time or every second, queued
@@ -99,7 +104,7 @@ func main() {
 	fsync := flag.String("fsync", "always", "WAL fsync policy: always, interval or never")
 	snapshotEvery := flag.Int("snapshot-every", 256, "snapshot each run's prefix every N accepted events (0 = only at shutdown)")
 	shutdownTimeout := flag.Duration("shutdown-timeout", 10*time.Second, "drain deadline on SIGINT/SIGTERM")
-	requestTimeout := flag.Duration("request-timeout", 30*time.Second, "per-request timeout (0 = unbounded)")
+	requestTimeout := flag.Duration("request-timeout", 30*time.Second, "time to a response's first byte before a 503; a started response completes (0 = unbounded)")
 	maxBody := flag.Int64("max-body", 1<<20, "maximum /submit body size in bytes")
 	maxInFlight := flag.Int("max-inflight", 0, "max concurrent /submit requests per run before shedding with 429 (0 = unbounded)")
 	walStrict := flag.Bool("wal-strict", false, "refuse to start on a corrupt WAL record instead of truncating at the first bad record")

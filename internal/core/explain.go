@@ -14,12 +14,15 @@
 package core
 
 import (
+	"bufio"
 	"context"
 	"fmt"
-	"sort"
+	"io"
+	"strconv"
 	"strings"
 
 	"collabwf/internal/faithful"
+	"collabwf/internal/jsonw"
 	"collabwf/internal/program"
 	"collabwf/internal/schema"
 	"collabwf/internal/synth"
@@ -94,38 +97,43 @@ func (e *Explainer) Report() *Report {
 }
 
 // buildReport is the report construction shared by the live Explainer and
-// FrozenExplainer: iterate the visible events below the prefix bound n,
-// describing each with the explanation function's (sorted) event indices.
+// FrozenExplainer: the transitions walkReport yields, in order.
 func buildReport(rr RunReader, peer schema.Peer, visible []int, n int, explain func(int) []int) *Report {
 	rep := &Report{Peer: peer}
-	explained := make(map[int]bool)
+	walkReport(rr, peer, visible, n, explain, func(tr Transition) {
+		rep.Transitions = append(rep.Transitions, tr)
+	})
+	return rep
+}
+
+// walkReport yields a report's transitions in order, one at a time: each
+// visible event below the prefix bound n, described with the explanation
+// function's (ascending) event indices — earlier ones not reported under a
+// previous transition as Because, later ones as Pending.
+func walkReport(rr RunReader, peer schema.Peer, visible []int, n int, explain func(int) []int, yield func(Transition)) {
+	explained := make([]bool, n)
 	for _, i := range visible {
 		if i >= n {
 			break
 		}
 		tr := Transition{Index: i, Event: describeEvent(rr, i, peer)}
 		for _, j := range explain(i) {
-			if j == i || explained[j] {
+			if j == i || j < n && explained[j] {
 				continue
 			}
 			note := describeEvent(rr, j, peer)
 			if j < i {
 				tr.Because = append(tr.Because, note)
+				explained[j] = true
 			} else {
 				// Boundary faithfulness can pull in later events (e.g. the
 				// deletion closing a lifecycle the transition touched).
 				tr.Pending = append(tr.Pending, note)
 			}
 		}
-		sort.Slice(tr.Because, func(a, b int) bool { return tr.Because[a].Index < tr.Because[b].Index })
-		sort.Slice(tr.Pending, func(a, b int) bool { return tr.Pending[a].Index < tr.Pending[b].Index })
-		for _, n := range tr.Because {
-			explained[n.Index] = true
-		}
 		explained[i] = true
-		rep.Transitions = append(rep.Transitions, tr)
+		yield(tr)
 	}
-	return rep
 }
 
 // Freeze captures the explainer's state as an immutable FrozenExplainer
@@ -198,6 +206,45 @@ func (f *FrozenExplainer) ReportOver(rr RunReader, visible []int) *Report {
 	return buildReport(rr, f.Peer, visible, f.fz.Len(), f.ExplainEvent)
 }
 
+// WriteJSON streams the report ReportOver(rr, f.Visible()) builds as
+// encoding/json encodes {"report": rep, "text": rep.String()}, trailing
+// newline included, one transition at a time: neither the report nor its
+// text is ever built whole. The text, as rendered before JSON escaping, is
+// also written to digest when it is non-nil.
+func (f *FrozenExplainer) WriteJSON(w *bufio.Writer, rr RunReader, digest io.Writer) {
+	walk := func(yield func(Transition)) {
+		walkReport(rr, f.Peer, f.Visible(), f.fz.Len(), f.ExplainEvent, yield)
+	}
+	w.WriteString(`{"report":{"Peer":`)
+	jsonw.WriteString(w, string(f.Peer))
+	w.WriteString(`,"Transitions":`)
+	sep := byte('[')
+	walk(func(tr Transition) {
+		w.WriteByte(sep)
+		sep = ','
+		tr.writeJSON(w)
+	})
+	if sep == '[' {
+		w.WriteString("null")
+	} else {
+		w.WriteByte(']')
+	}
+	w.WriteString(`},"text":"`)
+	line := appendHeader(nil, f.Peer)
+	text := func() {
+		if digest != nil {
+			_, _ = digest.Write(line) // a hash never fails
+		}
+		w.WriteString(jsonw.Escape(string(line)))
+	}
+	text()
+	walk(func(tr Transition) {
+		line = tr.appendText(line[:0], f.Peer)
+		text()
+	})
+	w.WriteString("\"}\n")
+}
+
 // Report is a runtime explanation of a run for one peer.
 type Report struct {
 	Peer        schema.Peer
@@ -253,26 +300,134 @@ func describeEvent(r RunReader, i int, peer schema.Peer) EventNote {
 
 // String renders the report as indented text.
 func (rep *Report) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "explanation for peer %s\n", rep.Peer)
-	for _, tr := range rep.Transitions {
-		who := string(tr.Event.Peer)
-		if tr.Event.Peer != rep.Peer {
-			who = "ω (" + who + ")"
-		}
-		fmt.Fprintf(&b, "observed #%d %s by %s: %s\n", tr.Index, tr.Event.Rule, who, strings.Join(tr.Event.Changes, "; "))
-		for _, n := range tr.Because {
-			vis := "invisible"
-			if n.Visible {
-				vis = "visible"
-			}
-			fmt.Fprintf(&b, "    because #%d %s by %s (%s): %s\n", n.Index, n.Rule, n.Peer, vis, strings.Join(n.Changes, "; "))
-		}
-		for _, n := range tr.Pending {
-			fmt.Fprintf(&b, "    later #%d %s by %s: %s\n", n.Index, n.Rule, n.Peer, strings.Join(n.Changes, "; "))
-		}
+	b := appendHeader(nil, rep.Peer)
+	for i := range rep.Transitions {
+		b = rep.Transitions[i].appendText(b, rep.Peer)
 	}
-	return b.String()
+	return string(b)
+}
+
+// appendHeader appends the report text's first line.
+func appendHeader(b []byte, peer schema.Peer) []byte {
+	b = append(b, "explanation for peer "...)
+	b = append(b, peer...)
+	return append(b, '\n')
+}
+
+// appendText appends the transition's lines of the text of peer's report.
+func (tr *Transition) appendText(b []byte, peer schema.Peer) []byte {
+	b = append(b, "observed "...)
+	b = tr.Event.appendRef(b)
+	b = append(b, " by "...)
+	if tr.Event.Peer != peer {
+		b = append(b, "ω ("...)
+		b = append(b, tr.Event.Peer...)
+		b = append(b, ')')
+	} else {
+		b = append(b, peer...)
+	}
+	b = tr.Event.appendChanges(b)
+	for i := range tr.Because {
+		b = tr.Because[i].appendLine(b, "    because ", true)
+	}
+	for i := range tr.Pending {
+		b = tr.Pending[i].appendLine(b, "    later ", false)
+	}
+	return b
+}
+
+// appendLine appends the note's line under a transition: the label, the
+// event and its peer, its visibility when asked for, and its changes.
+func (n *EventNote) appendLine(b []byte, label string, visibility bool) []byte {
+	b = append(b, label...)
+	b = n.appendRef(b)
+	b = append(b, " by "...)
+	b = append(b, n.Peer...)
+	switch {
+	case !visibility:
+	case n.Visible:
+		b = append(b, " (visible)"...)
+	default:
+		b = append(b, " (invisible)"...)
+	}
+	return n.appendChanges(b)
+}
+
+// appendRef appends "#index rule".
+func (n *EventNote) appendRef(b []byte) []byte {
+	b = append(b, '#')
+	b = strconv.AppendInt(b, int64(n.Index), 10)
+	b = append(b, ' ')
+	return append(b, n.Rule...)
+}
+
+// appendChanges appends ": " and the changes, "; "-separated, ending the
+// line.
+func (n *EventNote) appendChanges(b []byte) []byte {
+	b = append(b, ": "...)
+	for k, c := range n.Changes {
+		if k > 0 {
+			b = append(b, "; "...)
+		}
+		b = append(b, c...)
+	}
+	return append(b, '\n')
+}
+
+// writeJSON writes tr as encoding/json encodes a Transition.
+func (tr *Transition) writeJSON(w *bufio.Writer) {
+	w.WriteString(`{"Index":`)
+	jsonw.WriteInt(w, tr.Index)
+	w.WriteString(`,"Event":`)
+	tr.Event.writeJSON(w)
+	w.WriteString(`,"Because":`)
+	writeNotesJSON(w, tr.Because)
+	w.WriteString(`,"Pending":`)
+	writeNotesJSON(w, tr.Pending)
+	w.WriteByte('}')
+}
+
+// writeNotesJSON writes notes as encoding/json encodes a []EventNote.
+func writeNotesJSON(w *bufio.Writer, notes []EventNote) {
+	if notes == nil {
+		w.WriteString("null")
+		return
+	}
+	w.WriteByte('[')
+	for k := range notes {
+		if k > 0 {
+			w.WriteByte(',')
+		}
+		notes[k].writeJSON(w)
+	}
+	w.WriteByte(']')
+}
+
+// writeJSON writes n as encoding/json encodes an EventNote.
+func (n *EventNote) writeJSON(w *bufio.Writer) {
+	w.WriteString(`{"Index":`)
+	jsonw.WriteInt(w, n.Index)
+	w.WriteString(`,"Peer":`)
+	jsonw.WriteString(w, string(n.Peer))
+	w.WriteString(`,"Rule":`)
+	jsonw.WriteString(w, n.Rule)
+	if n.Visible {
+		w.WriteString(`,"Visible":true,"Changes":`)
+	} else {
+		w.WriteString(`,"Visible":false,"Changes":`)
+	}
+	if n.Changes == nil {
+		w.WriteString("null}")
+		return
+	}
+	w.WriteByte('[')
+	for k, c := range n.Changes {
+		if k > 0 {
+			w.WriteByte(',')
+		}
+		jsonw.WriteString(w, c)
+	}
+	w.WriteString("]}")
 }
 
 // Options re-exports the static-analysis search options.

@@ -26,6 +26,7 @@ package declog
 import (
 	"context"
 	"fmt"
+	"hash"
 	"hash/fnv"
 	"log/slog"
 	"sync"
@@ -132,10 +133,17 @@ type Decision struct {
 // Digest fingerprints a rendered report (or any deterministic text) the way
 // explain records do: FNV-1a, hex.
 func Digest(text string) string {
-	h := fnv.New64a()
+	h := NewDigest()
 	_, _ = h.Write([]byte(text))
-	return fmt.Sprintf("%016x", h.Sum64())
+	return DigestSum(h)
 }
+
+// NewDigest returns the hash Digest applies, for text that is written in
+// pieces; DigestSum renders its fingerprint.
+func NewDigest() hash.Hash64 { return fnv.New64a() }
+
+// DigestSum renders h's sum as Digest does.
+func DigestSum(h hash.Hash64) string { return fmt.Sprintf("%016x", h.Sum64()) }
 
 // Config tunes a Logger.
 type Config struct {

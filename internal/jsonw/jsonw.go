@@ -8,6 +8,7 @@ package jsonw
 import (
 	"bufio"
 	"encoding/json"
+	"strconv"
 	"unicode/utf8"
 )
 
@@ -48,4 +49,9 @@ func WriteString(w *bufio.Writer, s string) {
 	w.WriteByte('"')
 	w.WriteString(Escape(s))
 	w.WriteByte('"')
+}
+
+// WriteInt writes n as a JSON number.
+func WriteInt(w *bufio.Writer, n int) {
+	w.Write(strconv.AppendInt(w.AvailableBuffer(), int64(n), 10))
 }

@@ -12,9 +12,11 @@
 package server
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
+	"hash"
 	"log/slog"
 	"sort"
 	"sync"
@@ -809,43 +811,44 @@ func (c *Coordinator) View(peer schema.Peer) (string, error) {
 // assembled from precomputed explanations — no maintenance work happens on
 // the read path.
 func (c *Coordinator) Explain(peer schema.Peer) (*core.Report, error) {
-	rep, _, err := c.explainWithLen(peer)
-	return rep, err
-}
-
-// explainWithLen is Explain plus the released-prefix length the report was
-// assembled over — the decision log records it so an audit can recompute the
-// same report against the same prefix.
-func (c *Coordinator) explainWithLen(peer schema.Peer) (*core.Report, int, error) {
 	s, err := c.readSnapshot(peer)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	ex := s.exp[peer]
-	return ex.ReportOver(s, ex.Visible()), s.Len(), nil
+	return ex.ReportOver(s, ex.Visible()), nil
 }
 
-// ExplainCtx is Explain as a decision on the request's span, returning the
-// report with its rendered text. Each request records the released-prefix
-// length it was served against and, when a decision log is attached, a
-// digest of that same text, so `wfrun -audit` can recompute the explanation
-// and prove the served report faithful.
-func (c *Coordinator) ExplainCtx(ctx context.Context, peer schema.Peer) (*core.Report, string, error) {
+// ExplainCtx is Explain as a decision on the request's span, served as the
+// /explain body: it returns the function that streams the peer's report
+// and its rendered text (core.FrozenExplainer.WriteJSON) from one
+// snapshot. An unknown peer is an error, decided at once; a served
+// explanation is decided when write returns, recording the released-prefix
+// length it was served against and, when a decision log is attached, the
+// digest of the text as written, so `wfrun -audit` can recompute the
+// explanation and prove the served report faithful.
+func (c *Coordinator) ExplainCtx(ctx context.Context, peer schema.Peer) (write func(*bufio.Writer), err error) {
 	start := time.Now()
-	rep, n, err := c.explainWithLen(peer)
-	d := declog.Decision{Kind: declog.KindExplain, Decision: declog.Served, Peer: string(peer),
-		Index: -1, RunLen: n, DurationNS: time.Since(start).Nanoseconds()}
-	var text string
+	d := declog.Decision{Kind: declog.KindExplain, Decision: declog.Served, Peer: string(peer), Index: -1}
+	s, err := c.readSnapshot(peer)
 	if err != nil {
 		d.Decision, d.Reason, d.Detail = declog.Errored, "unknown_peer", err.Error()
-	} else {
-		text = rep.String()
-		if c.dlog.Load() != nil {
-			d.Digest = declog.Digest(text)
-		}
+		d.DurationNS = time.Since(start).Nanoseconds()
+		c.decide(ctx, obs.SpanFrom(ctx), d, err)
+		return nil, err
 	}
-	c.decide(ctx, obs.SpanFrom(ctx), d, err)
-	return rep, text, err
+	return func(w *bufio.Writer) {
+		var digest hash.Hash64
+		if c.dlog.Load() != nil {
+			digest = declog.NewDigest()
+		}
+		s.exp[peer].WriteJSON(w, s, digest)
+		d.RunLen, d.DurationNS = s.Len(), time.Since(start).Nanoseconds()
+		if digest != nil {
+			d.Digest = declog.DigestSum(digest)
+		}
+		c.decide(ctx, obs.SpanFrom(ctx), d, nil)
+	}, nil
 }
 
 // Scenario returns the peer's minimal faithful scenario indices.

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -96,7 +97,9 @@ func TestDecisionChannelsAgree(t *testing.T) {
 	fp.Reset()
 	for _, peer := range []string{"sue", "nobody"} {
 		ctx, end := op("explain")
-		_, _, _ = c.ExplainCtx(ctx, schema.Peer(peer))
+		if write, err := c.ExplainCtx(ctx, schema.Peer(peer)); err == nil {
+			write(bufio.NewWriter(io.Discard))
+		}
 		end()
 	}
 	// Crash-ambiguous: A's record sits in a slow fsync, B's queues behind

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -198,14 +199,29 @@ func TestCoordinatorEmitsExplainAndReplayDecisions(t *testing.T) {
 	if _, err := c.SubmitIdemCtx(ctx, "hr", "clear", nil, "key-1"); err != nil {
 		t.Fatal(err)
 	}
-	rep, text, err := c.ExplainCtx(ctx, "sue")
+	write, err := c.ExplainCtx(ctx, "sue")
 	if err != nil {
 		t.Fatal(err)
 	}
+	var body bytes.Buffer
+	bw := bufio.NewWriter(&body)
+	write(bw)
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var resp struct{ Text string }
+	if err := json.Unmarshal(body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := c.Explain("sue")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := resp.Text
 	if text != rep.String() {
 		t.Fatalf("ExplainCtx text %q, report renders %q", text, rep.String())
 	}
-	if _, _, err := c.ExplainCtx(ctx, "nobody"); err == nil {
+	if _, err := c.ExplainCtx(ctx, "nobody"); err == nil {
 		t.Fatal("unknown peer must fail")
 	}
 

@@ -86,7 +86,7 @@ func NewDurable(name string, p *program.Program, cfg DurabilityConfig) (*Coordin
 	c.snapshotEvery = cfg.SnapshotEvery
 	c.idemMax = cfg.IdemWindow
 
-	snap := log.LoadedSnapshot()
+	snap, tail := log.TakeRecovered()
 	if snap != nil {
 		if snap.Workflow != "" {
 			c.name = snap.Workflow
@@ -98,7 +98,7 @@ func NewDurable(name string, p *program.Program, cfg DurabilityConfig) (*Coordin
 		}
 		c.run = run
 	}
-	for _, rec := range log.LoadedTail() {
+	for _, rec := range tail {
 		if rec.Seq < c.run.Len() {
 			// Already covered by the snapshot (crash between snapshot
 			// rename and log reset).
@@ -136,7 +136,7 @@ func NewDurable(name string, p *program.Program, cfg DurabilityConfig) (*Coordin
 			c.addIdemLocked(ie.Key, ie.Index)
 		}
 	}
-	for _, rec := range log.LoadedTail() {
+	for _, rec := range tail {
 		if rec.Idem != "" && rec.Seq < c.run.Len() {
 			c.addIdemLocked(rec.Idem, rec.Seq)
 		}

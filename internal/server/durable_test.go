@@ -171,11 +171,12 @@ func TestRecoverAfterCloseUsesSnapshotOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap := l.LoadedSnapshot(); snap == nil || snap.Len != len(subs) {
+	snap, tail := l.TakeRecovered()
+	if snap == nil || snap.Len != len(subs) {
 		t.Fatalf("final snapshot=%+v", snap)
 	}
-	if len(l.LoadedTail()) != 0 {
-		t.Fatalf("WAL tail has %d records after a final snapshot", len(l.LoadedTail()))
+	if len(tail) != 0 {
+		t.Fatalf("WAL tail has %d records after a final snapshot", len(tail))
 	}
 	l.Close()
 
@@ -510,7 +511,7 @@ func TestSnapshotKeepsTailShort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, tail := l.LoadedSnapshot(), l.LoadedTail()
+	snap, tail := l.TakeRecovered()
 	l.Close()
 	if snap == nil || snap.Len != 8 {
 		t.Fatalf("snapshot=%+v", snap)
@@ -525,10 +526,40 @@ func TestSnapshotKeepsTailShort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, tail = l.LoadedSnapshot(), l.LoadedTail()
+	snap, tail = l.TakeRecovered()
 	l.Close()
 	if snap == nil || snap.Len != 10 || len(tail) != 0 {
 		t.Fatalf("after forced snapshot: snap=%+v tail=%+v", snap, tail)
 	}
 	c.Close()
+}
+
+// TestRecoveryRetainsNoRecords: recovery hands the decoded snapshot and WAL
+// tail over to the replay, and the log keeps neither once NewDurable
+// returns.
+func TestRecoveryRetainsNoRecords(t *testing.T) {
+	prog := workload.Hiring()
+	dir := t.TempDir()
+	cfg := DurabilityConfig{Dir: dir, SnapshotEvery: 4}
+	c, err := NewDurable("Hiring", prog, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		if _, err := c.Submit("hr", "clear", nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Crash: no Close, so recovery reads the snapshot at 8 and a 2-record tail.
+	rc, err := NewDurable("Hiring", prog, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	if rc.Len() != 10 {
+		t.Fatalf("recovered %d events, want 10", rc.Len())
+	}
+	if snap, tail := rc.log.TakeRecovered(); snap != nil || tail != nil {
+		t.Fatalf("the log still holds a snapshot (%v) and %d tail records after recovery", snap != nil, len(tail))
+	}
 }

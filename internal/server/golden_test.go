@@ -9,6 +9,7 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"collabwf/internal/data"
 	"collabwf/internal/parse"
@@ -86,16 +87,27 @@ func readPaths(n int) []string {
 	return out
 }
 
-// The /view and /transitions responses of a seeded crowdsourcing session —
-// status, content type, length and SHA-256 of every body — match the golden
-// file, recorded from the json.Encoder implementation the streaming writers
-// replaced. Run with -update to rewrite it.
+// explainPaths are the /explain reads the golden file records: every peer
+// and an unknown one.
+func explainPaths() []string {
+	var out []string
+	for _, peer := range []string{"platform", "requester", "w0", "w1", "nobody"} {
+		out = append(out, "/explain?peer="+peer)
+	}
+	return out
+}
+
+// The /view, /transitions and /explain responses of a seeded crowdsourcing
+// session — status, content type, length and SHA-256 of every body — match
+// the golden file, recorded from the json.Encoder implementation the
+// streaming writers replaced. Requests go through the production handler
+// stack, request deadline included. Run with -update to rewrite it.
 func TestReadBodiesMatchGolden(t *testing.T) {
 	c := New("Crowdsourcing", crowdProgram(t))
-	h := Handler(c)
+	h := NewHandler(c, HTTPOptions{RequestTimeout: 30 * time.Second})
 	var got bytes.Buffer
 	record := func() {
-		for _, path := range readPaths(c.Len()) {
+		for _, path := range append(readPaths(c.Len()), explainPaths()...) {
 			rec := httptest.NewRecorder()
 			h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
 			fmt.Fprintf(&got, "GET %s -> %d %s %d bytes sha256 %x\n", path, rec.Code,

@@ -20,7 +20,9 @@ import (
 
 // HTTPOptions tunes the graceful-degradation envelope around the API.
 type HTTPOptions struct {
-	// RequestTimeout bounds each request (503 on expiry); ≤ 0 disables.
+	// RequestTimeout bounds the time to each response's first byte (503 if
+	// nothing was written by then); a started response completes. ≤ 0
+	// disables.
 	RequestTimeout time.Duration
 	// MaxBodyBytes caps the /submit request body; ≤ 0 means 1 MiB.
 	MaxBodyBytes int64
@@ -154,12 +156,12 @@ func NewHandler(c *Coordinator, opts HTTPOptions) http.Handler {
 	})
 
 	handle("/explain", func(w http.ResponseWriter, r *http.Request) {
-		rep, text, err := c.ExplainCtx(r.Context(), peerParam(r))
+		write, err := c.ExplainCtx(r.Context(), peerParam(r))
 		if err != nil {
 			httpError(w, http.StatusNotFound, err)
 			return
 		}
-		writeJSON(w, map[string]any{"report": rep, "text": text})
+		streamJSON(w, write)
 	})
 
 	handle("/scenario", func(w http.ResponseWriter, r *http.Request) {

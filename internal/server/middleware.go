@@ -1,10 +1,13 @@
 package server
 
 import (
+	"context"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"collabwf/internal/obs"
@@ -213,19 +216,132 @@ func Recovery(next http.Handler) http.Handler {
 	})
 }
 
-// WithTimeout bounds every request: a handler that exceeds d gets its
-// context cancelled and the client a 503 JSON error. d ≤ 0 disables the
-// bound.
+// WithTimeout bounds the time to a response's first byte: the handler runs
+// on its own goroutine with a d deadline on its context, and its headers
+// are held until its first Write or WriteHeader. If it has written nothing
+// by the deadline, the client gets a 503 JSON error and the handler's later
+// writes fail with http.ErrHandlerTimeout. A response already started when
+// the deadline passes completes — a 503 can no longer be sent — and its
+// body passes straight through: nothing is buffered. A handler panic is
+// re-raised on the caller's goroutine, so Recovery still answers it. d ≤ 0
+// disables the bound.
 func WithTimeout(d time.Duration, next http.Handler) http.Handler {
 	if d <= 0 {
 		return next
 	}
-	body := `{"error":"request timed out"}`
-	h := http.TimeoutHandler(next, d, body)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		// TimeoutHandler writes the body verbatim; set the type up front so
-		// the timeout response is JSON like every other response.
+		ctx, cancel := context.WithTimeout(r.Context(), d)
+		defer cancel()
+		// The timeout response is JSON like every other response; a handler's
+		// own Content-Type replaces this one when its response starts.
 		w.Header().Set("Content-Type", "application/json")
-		h.ServeHTTP(w, r)
+		dw := &deadlineWriter{w: w, h: make(http.Header)}
+		done := make(chan struct{})
+		panicked := make(chan any, 1) // the handler goroutine never blocks on it
+		go func() {
+			defer func() {
+				if v := recover(); v != nil {
+					panicked <- v
+				}
+			}()
+			next.ServeHTTP(dw, r.WithContext(ctx))
+			close(done)
+		}()
+		expired := ctx.Done()
+		for {
+			select {
+			case v := <-panicked:
+				panic(v)
+			case <-done:
+				dw.WriteHeader(http.StatusOK) // a handler that wrote nothing
+				return
+			case <-expired:
+				if dw.expire(ctx.Err()) {
+					return
+				}
+				expired = nil // the response started before the deadline: let it finish
+			}
+		}
 	})
+}
+
+// deadlineWriter is WithTimeout's pass-through writer: it holds the
+// handler's headers until the response starts, then forwards every write to
+// the underlying writer as it comes.
+type deadlineWriter struct {
+	w http.ResponseWriter
+	h http.Header
+
+	mu      sync.Mutex
+	started bool
+	// err is set when the deadline (or the client) ended the request before
+	// the response started; every later write returns it.
+	err error
+}
+
+func (dw *deadlineWriter) Header() http.Header { return dw.h }
+
+// startLocked sends the held headers with the status code, once, unless
+// the request has expired; it reports whether the handler may still write.
+func (dw *deadlineWriter) startLocked(code int) bool {
+	if dw.err != nil {
+		return false
+	}
+	if !dw.started {
+		dst := dw.w.Header()
+		for k, vv := range dw.h {
+			dst[k] = vv
+		}
+		dw.started = true
+		dw.w.WriteHeader(code)
+	}
+	return true
+}
+
+func (dw *deadlineWriter) WriteHeader(code int) {
+	dw.mu.Lock()
+	defer dw.mu.Unlock()
+	dw.startLocked(code)
+}
+
+func (dw *deadlineWriter) Write(b []byte) (int, error) {
+	dw.mu.Lock()
+	defer dw.mu.Unlock()
+	if !dw.startLocked(http.StatusOK) {
+		return 0, dw.err
+	}
+	return dw.w.Write(b)
+}
+
+// Flush forwards to the underlying writer; a flush starts the response.
+func (dw *deadlineWriter) Flush() {
+	dw.mu.Lock()
+	defer dw.mu.Unlock()
+	if !dw.startLocked(http.StatusOK) {
+		return
+	}
+	if f, ok := dw.w.(http.Flusher); ok {
+		f.Flush()
+	}
+}
+
+// Unwrap exposes the underlying writer to http.ResponseController.
+func (dw *deadlineWriter) Unwrap() http.ResponseWriter { return dw.w }
+
+// expire ends a request whose context is done, unless its response has
+// started: a missed deadline answers 503 with the JSON error, a client that
+// went away a bare 503. It reports whether the request was ended.
+func (dw *deadlineWriter) expire(cause error) bool {
+	dw.mu.Lock()
+	defer dw.mu.Unlock()
+	if dw.started {
+		return false
+	}
+	dw.w.WriteHeader(http.StatusServiceUnavailable)
+	if cause == context.DeadlineExceeded {
+		_, _ = io.WriteString(dw.w, `{"error":"request timed out"}`) // a failed write means the client left
+		cause = http.ErrHandlerTimeout
+	}
+	dw.err = cause
+	return true
 }

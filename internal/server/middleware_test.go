@@ -3,10 +3,13 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"collabwf/internal/obs"
 	"collabwf/internal/workload"
@@ -198,5 +201,120 @@ func TestStatuszWithoutRegistry(t *testing.T) {
 	}
 	if _, ok := raw["metrics"]; ok {
 		t.Error("statusz must not carry a metrics section")
+	}
+}
+
+// getBehindTimeout serves h behind WithTimeout(d) and Recovery, as
+// NewHandler stacks them, and GETs it.
+func getBehindTimeout(t *testing.T, d time.Duration, h http.HandlerFunc) *http.Response {
+	t.Helper()
+	srv := httptest.NewServer(Recovery(WithTimeout(d, h)))
+	t.Cleanup(srv.Close)
+	resp, err := http.Get(srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { resp.Body.Close() })
+	return resp
+}
+
+// The deadline writer passes writes through: the client reads a flushed
+// first chunk while the handler is still blocked.
+func TestTimeoutPassesWritesThrough(t *testing.T) {
+	release := make(chan struct{})
+	resp := getBehindTimeout(t, 30*time.Second, func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, "first ")
+		w.(http.Flusher).Flush()
+		<-release
+		io.WriteString(w, "second")
+	})
+	first := make([]byte, len("first "))
+	if _, err := io.ReadFull(resp.Body, first); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	rest, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := string(first) + string(rest); resp.StatusCode != http.StatusOK || got != "first second" {
+		t.Fatalf("%d %q", resp.StatusCode, got)
+	}
+}
+
+// A response already started when the deadline passes completes: 200 and
+// the whole body.
+func TestTimeoutLetsStartedResponseFinish(t *testing.T) {
+	resp := getBehindTimeout(t, 20*time.Millisecond, func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, "started ")
+		<-r.Context().Done()
+		if _, err := io.WriteString(w, "and finished"); err != nil {
+			t.Errorf("write after the deadline of a started response: %v", err)
+		}
+	})
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || string(body) != "started and finished" {
+		t.Fatalf("%d %q", resp.StatusCode, body)
+	}
+}
+
+// Once the deadline has answered 503, the handler's writes fail with
+// http.ErrHandlerTimeout and reach nobody.
+func TestTimeoutRejectsWritesAfter503(t *testing.T) {
+	release := make(chan struct{})
+	writeErr := make(chan error, 1)
+	resp := getBehindTimeout(t, 20*time.Millisecond, func(w http.ResponseWriter, r *http.Request) {
+		<-release
+		_, err := io.WriteString(w, "too late")
+		writeErr <- err
+	})
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusServiceUnavailable || string(body) != `{"error":"request timed out"}` ||
+		resp.Header.Get("Content-Type") != "application/json" {
+		t.Fatalf("%d %s %q", resp.StatusCode, resp.Header.Get("Content-Type"), body)
+	}
+	close(release)
+	if err := <-writeErr; !errors.Is(err, http.ErrHandlerTimeout) {
+		t.Fatalf("write after the 503: %v, want http.ErrHandlerTimeout", err)
+	}
+}
+
+// A panic behind WithTimeout, raised on the handler's own goroutine, still
+// reaches Recovery: 500 with the JSON error.
+func TestTimeoutPanicReachesRecovery(t *testing.T) {
+	resp := getBehindTimeout(t, 30*time.Second, func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("X-Lost", "1")
+		panic("kaboom")
+	})
+	var out map[string]string
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(out["error"], "kaboom") {
+		t.Fatalf("%d %v", resp.StatusCode, out)
+	}
+	if resp.Header.Get("X-Lost") != "" {
+		t.Fatal("headers of a handler that never wrote reached the client with the 500")
+	}
+}
+
+// Headers the handler sets before its first write reach the client, its
+// Content-Type replacing the middleware's JSON default.
+func TestTimeoutForwardsHeaders(t *testing.T) {
+	resp := getBehindTimeout(t, 30*time.Second, func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/plain")
+		w.Header().Set("X-Run", "alpha")
+		w.WriteHeader(http.StatusAccepted)
+		io.WriteString(w, "ok")
+	})
+	if resp.StatusCode != http.StatusAccepted || resp.Header.Get("X-Run") != "alpha" ||
+		resp.Header.Get("Content-Type") != "text/plain" {
+		t.Fatalf("%d %v", resp.StatusCode, resp.Header)
 	}
 }

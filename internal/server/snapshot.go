@@ -3,7 +3,6 @@ package server
 import (
 	"bufio"
 	"sort"
-	"strconv"
 	"time"
 
 	"collabwf/internal/cond"
@@ -185,7 +184,7 @@ func (c *Coordinator) TransitionsAndLen(peer schema.Peer, from int) ([]Notificat
 // from its rows' memoized lines.
 func (s *snapshot) writeTransitionsJSON(w *bufio.Writer, peer schema.Peer, from int) {
 	w.WriteString(`{"len":`)
-	writeInt(w, s.Len())
+	jsonw.WriteInt(w, s.Len())
 	w.WriteString(`,"transitions":`)
 	idxs := s.visibleFrom(peer, from)
 	if len(idxs) == 0 {
@@ -214,7 +213,7 @@ func (s *snapshot) writeViewJSON(w *bufio.Writer, peer schema.Peer) {
 // view streamed from vi in place of n.View.
 func (n *Notification) writeJSON(w *bufio.Writer, vi *schema.ViewInstance) {
 	w.WriteString(`{"index":`)
-	writeInt(w, n.Index)
+	jsonw.WriteInt(w, n.Index)
 	if n.Omega {
 		w.WriteString(`,"omega":true`)
 	} else {
@@ -232,15 +231,11 @@ func (n *Notification) writeJSON(w *bufio.Writer, vi *schema.ViewInstance) {
 			if i > 0 {
 				w.WriteByte(',')
 			}
-			writeInt(w, j)
+			jsonw.WriteInt(w, j)
 		}
 		w.WriteByte(']')
 	}
 	w.WriteByte('}')
-}
-
-func writeInt(w *bufio.Writer, n int) {
-	w.Write(strconv.AppendInt(w.AvailableBuffer(), int64(n), 10))
 }
 
 // snapTrace exports the snapshot's prefix as a replayable trace.

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"testing"
+	"time"
 )
 
 // encoded is what json.NewEncoder(w).Encode(v) writes.
@@ -109,4 +111,57 @@ func TestTransitionsTailRetainsNoViews(t *testing.T) {
 		t.Errorf("reads left %.1f MB beyond the run's own %.1f MB, want ≤ %.1f MB (a quarter of it)",
 			mb(read-min(read, own)), mb(own), mb(own/4))
 	}
+}
+
+// writeRecorder is a ResponseWriter that keeps no body: it counts the
+// bytes written and the largest single Write.
+type writeRecorder struct {
+	h          http.Header
+	code       int
+	n, largest int
+}
+
+func (w *writeRecorder) Header() http.Header { return w.h }
+func (w *writeRecorder) WriteHeader(code int) {
+	if w.code == 0 {
+		w.code = code
+	}
+}
+func (w *writeRecorder) Write(b []byte) (int, error) {
+	w.WriteHeader(http.StatusOK)
+	w.n += len(b)
+	w.largest = max(w.largest, len(b))
+	return len(b), nil
+}
+
+// Behind the production handler stack, request deadline included, every
+// large read body reaches the ResponseWriter in writes of at most 32 KiB:
+// /transitions?from=0 on a 280-event crowdsourcing run, /view and /explain
+// on a 4200-event one, each body over 256 KiB. Nothing between the snapshot
+// and the socket holds a whole body.
+func TestReadBodiesStreamInSmallWrites(t *testing.T) {
+	const maxWrite, minBody = 32 << 10, 256 << 10
+	check := func(c *Coordinator, paths ...string) {
+		h := NewHandler(c, HTTPOptions{RequestTimeout: 30 * time.Second})
+		for _, path := range paths {
+			rec := &writeRecorder{h: make(http.Header)}
+			h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+			if rec.code != http.StatusOK {
+				t.Fatalf("GET %s: status %d", path, rec.code)
+			}
+			if rec.n <= minBody {
+				t.Fatalf("GET %s: %d-byte body, want > %d for the check to mean anything", path, rec.n, minBody)
+			}
+			if rec.largest > maxWrite {
+				t.Errorf("GET %s: a single %d-byte write of a %d-byte body, want ≤ %d", path, rec.largest, rec.n, maxWrite)
+			}
+		}
+	}
+	short := New("Crowdsourcing", crowdProgram(t))
+	driveCrowd(t, short, 40, nil)
+	check(short, "/transitions?peer=w0&from=0", "/transitions?peer=platform&from=0")
+
+	long := New("Crowdsourcing", crowdProgram(t))
+	driveCrowd(t, long, 600, nil)
+	check(long, "/view?peer=platform", "/explain?peer=platform", "/explain?peer=w0")
 }

@@ -43,8 +43,8 @@ func TestRecordChecksumRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	if got := len(l2.LoadedTail()); got != 4 {
-		t.Fatalf("replayed %d records, want 4", got)
+	if _, tail := l2.TakeRecovered(); len(tail) != 4 {
+		t.Fatalf("replayed %d records, want 4", len(tail))
 	}
 	if got := l2.CorruptRecords(); got != 0 {
 		t.Fatalf("CorruptRecords() = %d on a clean log", got)
@@ -65,7 +65,7 @@ func TestUnchecksummedRecordStillReplays(t *testing.T) {
 		if err != nil {
 			t.Fatalf("strict=%v: %v", strict, err)
 		}
-		tail := l.LoadedTail()
+		_, tail := l.TakeRecovered()
 		if len(tail) != 1 || tail[0].Event.Rule != "legacy" {
 			t.Fatalf("strict=%v: tail = %+v, want the legacy record", strict, tail)
 		}
@@ -117,8 +117,8 @@ func TestCorruptRecordTruncatesByDefault(t *testing.T) {
 		t.Fatalf("default policy must recover, got %v", err)
 	}
 	defer l2.Close()
-	if got := len(l2.LoadedTail()); got != 2 {
-		t.Fatalf("replayed %d records, want the 2 before the corruption", got)
+	if _, tail := l2.TakeRecovered(); len(tail) != 2 {
+		t.Fatalf("replayed %d records, want the 2 before the corruption", len(tail))
 	}
 	if got := l2.CorruptRecords(); got != 1 {
 		t.Fatalf("CorruptRecords() = %d, want 1", got)
@@ -196,7 +196,7 @@ func TestSnapshotChecksum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l2.LoadedSnapshot() == nil || l2.LoadedSnapshot().CRC == 0 {
+	if snap, _ := l2.TakeRecovered(); snap == nil || snap.CRC == 0 {
 		t.Fatal("snapshot written without a checksum")
 	}
 	l2.Close()

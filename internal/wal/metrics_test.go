@@ -73,8 +73,9 @@ func TestMetricsRecordAppendsSyncsAndSnapshots(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	if got, ok := counterValue(reg2, "wf_wal_replayed_records"); !ok || got != float64(len(l2.LoadedTail())) {
-		t.Errorf("wf_wal_replayed_records = %v (ok=%v), want %d", got, ok, len(l2.LoadedTail()))
+	_, tail := l2.TakeRecovered()
+	if got, ok := counterValue(reg2, "wf_wal_replayed_records"); !ok || got != float64(len(tail)) {
+		t.Errorf("wf_wal_replayed_records = %v (ok=%v), want %d", got, ok, len(tail))
 	}
 	if got, ok := counterValue(reg2, "wf_wal_open_seconds"); !ok || got < 0 {
 		t.Errorf("wf_wal_open_seconds = %v (ok=%v)", got, ok)

@@ -447,11 +447,15 @@ func (l *Log) scan() error {
 	return nil
 }
 
-// LoadedSnapshot returns the snapshot found at Open time (nil if none).
-func (l *Log) LoadedSnapshot() *Snapshot { return l.loadedSnapshot }
-
-// LoadedTail returns the records found in the log at Open time.
-func (l *Log) LoadedTail() []Record { return l.loadedTail }
+// TakeRecovered hands over what Open found — the snapshot (nil if none)
+// and the log records after it — and forgets both, so the decoded prefix
+// lives only as long as the caller replaying it needs it. Later calls
+// return nothing.
+func (l *Log) TakeRecovered() (*Snapshot, []Record) {
+	snap, tail := l.loadedSnapshot, l.loadedTail
+	l.loadedSnapshot, l.loadedTail = nil, nil
+	return snap, tail
+}
 
 // TornBytes reports how many trailing bytes were truncated at Open time.
 func (l *Log) TornBytes() int64 { return l.tornBytes }

@@ -48,7 +48,7 @@ func TestAppendReopenRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	tail := l2.LoadedTail()
+	_, tail := l2.TakeRecovered()
 	if len(tail) != 5 {
 		t.Fatalf("tail=%d records", len(tail))
 	}
@@ -89,8 +89,8 @@ func TestTornTailTruncatedOnOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(l2.LoadedTail()) != 3 {
-		t.Fatalf("tail=%d records after torn write", len(l2.LoadedTail()))
+	if _, tail := l2.TakeRecovered(); len(tail) != 3 {
+		t.Fatalf("tail=%d records after torn write", len(tail))
 	}
 	if l2.TornBytes() == 0 {
 		t.Fatal("torn bytes not reported")
@@ -106,8 +106,8 @@ func TestTornTailTruncatedOnOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l3.Close()
-	if len(l3.LoadedTail()) != 4 || l3.TornBytes() != 0 {
-		t.Fatalf("tail=%d torn=%d after repair", len(l3.LoadedTail()), l3.TornBytes())
+	if _, tail := l3.TakeRecovered(); len(tail) != 4 || l3.TornBytes() != 0 {
+		t.Fatalf("tail=%d torn=%d after repair", len(tail), l3.TornBytes())
 	}
 }
 
@@ -129,8 +129,8 @@ func TestCorruptInteriorLineCutsTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	if len(l2.LoadedTail()) != 1 || l2.TornBytes() == 0 {
-		t.Fatalf("tail=%d torn=%d", len(l2.LoadedTail()), l2.TornBytes())
+	if _, tail := l2.TakeRecovered(); len(tail) != 1 || l2.TornBytes() == 0 {
+		t.Fatalf("tail=%d torn=%d", len(tail), l2.TornBytes())
 	}
 }
 
@@ -157,12 +157,12 @@ func TestSnapshotResetsLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	got := l2.LoadedSnapshot()
+	got, tail := l2.TakeRecovered()
 	if got == nil || got.Len != 4 || got.Guards["sue"] != 2 {
 		t.Fatalf("snapshot=%+v", got)
 	}
-	if len(l2.LoadedTail()) != 1 || l2.LoadedTail()[0].Seq != 4 {
-		t.Fatalf("tail=%+v", l2.LoadedTail())
+	if len(tail) != 1 || tail[0].Seq != 4 {
+		t.Fatalf("tail=%+v", tail)
 	}
 }
 
@@ -217,8 +217,8 @@ func TestFailpointTornWriteRepairs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	if len(l2.LoadedTail()) != 2 || l2.TornBytes() != 0 {
-		t.Fatalf("tail=%d torn=%d", len(l2.LoadedTail()), l2.TornBytes())
+	if _, tail := l2.TakeRecovered(); len(tail) != 2 || l2.TornBytes() != 0 {
+		t.Fatalf("tail=%d torn=%d", len(tail), l2.TornBytes())
 	}
 }
 
@@ -256,7 +256,8 @@ func mustTail(t *testing.T, dir string) []Record {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	return l.LoadedTail()
+	_, tail := l.TakeRecovered()
+	return tail
 }
 
 func TestParsePolicy(t *testing.T) {
