@@ -16,11 +16,10 @@ package core
 import (
 	"bufio"
 	"context"
-	"fmt"
 	"io"
 	"strconv"
-	"strings"
 
+	"collabwf/internal/data"
 	"collabwf/internal/faithful"
 	"collabwf/internal/jsonw"
 	"collabwf/internal/program"
@@ -91,49 +90,10 @@ func (e *Explainer) ScenarioRun() (*program.Run, error) {
 // the peer's perspective: one section per transition the peer observed,
 // listing the (possibly invisible) events that caused it.
 func (e *Explainer) Report() *Report {
-	// Describe only the synced prefix: events past it (buffered but not
-	// yet released by the caller) must not leak into the report.
-	return buildReport(e.Run, e.Peer, e.Run.VisibleEvents(e.Peer), e.maint.Len(), e.ExplainEvent)
-}
-
-// buildReport is the report construction shared by the live Explainer and
-// FrozenExplainer: the transitions walkReport yields, in order.
-func buildReport(rr RunReader, peer schema.Peer, visible []int, n int, explain func(int) []int) *Report {
-	rep := &Report{Peer: peer}
-	walkReport(rr, peer, visible, n, explain, func(tr Transition) {
-		rep.Transitions = append(rep.Transitions, tr)
-	})
-	return rep
-}
-
-// walkReport yields a report's transitions in order, one at a time: each
-// visible event below the prefix bound n, described with the explanation
-// function's (ascending) event indices — earlier ones not reported under a
-// previous transition as Because, later ones as Pending.
-func walkReport(rr RunReader, peer schema.Peer, visible []int, n int, explain func(int) []int, yield func(Transition)) {
-	explained := make([]bool, n)
-	for _, i := range visible {
-		if i >= n {
-			break
-		}
-		tr := Transition{Index: i, Event: describeEvent(rr, i, peer)}
-		for _, j := range explain(i) {
-			if j == i || j < n && explained[j] {
-				continue
-			}
-			note := describeEvent(rr, j, peer)
-			if j < i {
-				tr.Because = append(tr.Because, note)
-				explained[j] = true
-			} else {
-				// Boundary faithfulness can pull in later events (e.g. the
-				// deletion closing a lifecycle the transition touched).
-				tr.Pending = append(tr.Pending, note)
-			}
-		}
-		explained[i] = true
-		yield(tr)
-	}
+	// Describe only the synced prefix (the freeze covers exactly it):
+	// events past it (buffered but not yet released by the caller) must
+	// not leak into the report.
+	return e.Freeze().ReportOver(e.Run, e.Run.VisibleEvents(e.Peer))
 }
 
 // Freeze captures the explainer's state as an immutable FrozenExplainer
@@ -198,51 +158,244 @@ func (f *FrozenExplainer) ExplainEvent(i int) []int { return f.fz.Explanation(i)
 // callers must not modify it.
 func (f *FrozenExplainer) Visible() []int { return f.fz.Visible() }
 
+// AppendExplanation appends ExplainEvent(i) to dst and returns the
+// extended slice, so a caller walking many events can reuse one buffer.
+func (f *FrozenExplainer) AppendExplanation(dst []int, i int) []int {
+	return f.fz.AppendExplanation(dst, i)
+}
+
 // ReportOver builds the peer's explanation report over rr, whose first
 // Len() events must be the prefix the explainer was frozen at; visible
 // lists the peer's visible event indices over that prefix (ascending).
 // Semantically identical to Explainer.Report on the same prefix.
 func (f *FrozenExplainer) ReportOver(rr RunReader, visible []int) *Report {
-	return buildReport(rr, f.Peer, visible, f.fz.Len(), f.ExplainEvent)
+	w := f.newReportWriter(rr, visible, nil)
+	rep := &Report{Peer: f.Peer}
+	w.walk(func(i int, because, pending []int) {
+		tr := Transition{Index: i, Event: w.describeEvent(i)}
+		for _, j := range because {
+			tr.Because = append(tr.Because, w.describeEvent(j))
+		}
+		for _, j := range pending {
+			tr.Pending = append(tr.Pending, w.describeEvent(j))
+		}
+		rep.Transitions = append(rep.Transitions, tr)
+	})
+	return rep
 }
 
 // WriteJSON streams the report ReportOver(rr, f.Visible()) builds as
 // encoding/json encodes {"report": rep, "text": rep.String()}, trailing
-// newline included, one transition at a time: neither the report nor its
-// text is ever built whole. The text, as rendered before JSON escaping, is
-// also written to digest when it is non-nil.
-func (f *FrozenExplainer) WriteJSON(w *bufio.Writer, rr RunReader, digest io.Writer) {
-	walk := func(yield func(Transition)) {
-		walkReport(rr, f.Peer, f.Visible(), f.fz.Len(), f.ExplainEvent, yield)
-	}
-	w.WriteString(`{"report":{"Peer":`)
-	jsonw.WriteString(w, string(f.Peer))
-	w.WriteString(`,"Transitions":`)
+// newline included, straight from rr's recorded steps: no note, and
+// neither the report nor its text, is ever built. The text, as rendered
+// before JSON escaping, is also written to digest when it is non-nil.
+func (f *FrozenExplainer) WriteJSON(out *bufio.Writer, rr RunReader, digest io.Writer) {
+	w := f.newReportWriter(rr, f.Visible(), out)
+	out.WriteString(`{"report":{"Peer":`)
+	writeString(w, string(f.Peer))
+	out.WriteString(`,"Transitions":`)
 	sep := byte('[')
-	walk(func(tr Transition) {
-		w.WriteByte(sep)
+	w.walk(func(i int, because, pending []int) {
+		out.WriteByte(sep)
 		sep = ','
-		tr.writeJSON(w)
+		out.WriteString(`{"Index":`)
+		w.writeInt(i)
+		out.WriteString(`,"Event":`)
+		w.writeNote(i)
+		out.WriteString(`,"Because":`)
+		w.writeNotes(because)
+		out.WriteString(`,"Pending":`)
+		w.writeNotes(pending)
+		out.WriteByte('}')
 	})
 	if sep == '[' {
-		w.WriteString("null")
+		out.WriteString("null")
 	} else {
-		w.WriteByte(']')
+		out.WriteByte(']')
 	}
-	w.WriteString(`},"text":"`)
-	line := appendHeader(nil, f.Peer)
-	text := func() {
-		if digest != nil {
-			_, _ = digest.Write(line) // a hash never fails
+	out.WriteString(`},"text":"`)
+	w.change = appendHeader(w.change[:0], f.Peer)
+	w.writeText(digest)
+	w.walk(func(i int, because, pending []int) {
+		w.writeLine(observedLine, i, digest)
+		for _, j := range because {
+			w.writeLine(becauseLine, j, digest)
 		}
-		w.WriteString(jsonw.Escape(string(line)))
-	}
-	text()
-	walk(func(tr Transition) {
-		line = tr.appendText(line[:0], f.Peer)
-		text()
+		for _, j := range pending {
+			w.writeLine(laterLine, j, digest)
+		}
 	})
-	w.WriteString("\"}\n")
+	out.WriteString("\"}\n")
+}
+
+// reportWriter renders one peer's report over a frozen prefix from the
+// run's recorded steps. walk yields each transition's event indices, and
+// every note is rendered from rr.Event, rr.Effects and rr.VisibleAt when it
+// is reached. Nothing is kept per note: the index and byte buffers are
+// reused from one transition, note or line to the next, so a request
+// allocates a handful of buffers whatever the run's length.
+type reportWriter struct {
+	rr      RunReader
+	fz      *faithful.Frozen
+	peer    schema.Peer
+	visible []int
+	// out receives the streamed body (nil when building a Report).
+	out *bufio.Writer
+
+	// explained[j] is set once event j has been reported, as a transition
+	// or under one.
+	explained []bool
+	// ex is the current transition's explanation; because and pending are
+	// its events not reported yet, earlier and later than the transition.
+	ex, because, pending []int
+	// change holds the change or text line being rendered; esc holds what
+	// is written next, JSON-escaped.
+	change, esc []byte
+}
+
+// newReportWriter returns a writer of f's report over rr; out is nil when
+// the writer builds a Report.
+func (f *FrozenExplainer) newReportWriter(rr RunReader, visible []int, out *bufio.Writer) *reportWriter {
+	return &reportWriter{rr: rr, fz: f.fz, peer: f.Peer, visible: visible, out: out, explained: make([]bool, f.fz.Len())}
+}
+
+// walk calls yield for each visible event i below the frozen prefix's
+// length, in order, with the events of i's (ascending) explanation not
+// reported under an earlier transition: the earlier ones as because, the
+// later ones as pending. The slices are reused by the next call.
+func (w *reportWriter) walk(yield func(i int, because, pending []int)) {
+	clear(w.explained)
+	n := w.fz.Len()
+	for _, i := range w.visible {
+		if i >= n {
+			break
+		}
+		w.ex = w.fz.AppendExplanation(w.ex[:0], i)
+		w.because, w.pending = w.because[:0], w.pending[:0]
+		for _, j := range w.ex {
+			switch {
+			case j == i || w.explained[j]:
+			case j < i:
+				w.because = append(w.because, j)
+				w.explained[j] = true
+			default:
+				// Boundary faithfulness can pull in later events (e.g. the
+				// deletion closing a lifecycle the transition touched).
+				w.pending = append(w.pending, j)
+			}
+		}
+		w.explained[i] = true
+		yield(i, w.because, w.pending)
+	}
+}
+
+// describeEvent builds event j's note for a Report.
+func (w *reportWriter) describeEvent(j int) EventNote {
+	e := w.rr.Event(j)
+	n := EventNote{Index: j, Peer: e.Peer(), Rule: e.Rule.Name, Visible: w.rr.VisibleAt(j, w.peer)}
+	w.eachChange(j, func(ef *program.Effect) {
+		w.change = appendChange(w.change[:0], w.rr.Schema(), ef)
+		n.Changes = append(n.Changes, string(w.change))
+	})
+	return n
+}
+
+// eachChange calls f with each effect of event j a report describes, in
+// order: a modification that filled no attribute is left out.
+func (w *reportWriter) eachChange(j int, f func(ef *program.Effect)) {
+	effects := w.rr.Effects(j)
+	for k := range effects {
+		if ef := &effects[k]; ef.Kind != program.Modified || len(ef.Filled) > 0 {
+			f(ef)
+		}
+	}
+}
+
+// writeNotes writes the events' notes as encoding/json encodes the
+// []EventNote describeEvent builds for them.
+func (w *reportWriter) writeNotes(events []int) {
+	if len(events) == 0 {
+		w.out.WriteString("null")
+		return
+	}
+	for k, j := range events {
+		if k == 0 {
+			w.out.WriteByte('[')
+		} else {
+			w.out.WriteByte(',')
+		}
+		w.writeNote(j)
+	}
+	w.out.WriteByte(']')
+}
+
+// writeNote writes event j's note as encoding/json encodes the EventNote
+// describeEvent builds for it.
+func (w *reportWriter) writeNote(j int) {
+	e := w.rr.Event(j)
+	w.out.WriteString(`{"Index":`)
+	w.writeInt(j)
+	w.out.WriteString(`,"Peer":`)
+	writeString(w, string(e.Peer()))
+	w.out.WriteString(`,"Rule":`)
+	writeString(w, e.Rule.Name)
+	if w.rr.VisibleAt(j, w.peer) {
+		w.out.WriteString(`,"Visible":true,"Changes":`)
+	} else {
+		w.out.WriteString(`,"Visible":false,"Changes":`)
+	}
+	sep := byte('[')
+	w.eachChange(j, func(ef *program.Effect) {
+		w.out.WriteByte(sep)
+		sep = ','
+		w.change = appendChange(w.change[:0], w.rr.Schema(), ef)
+		writeString(w, w.change)
+	})
+	if sep == '[' {
+		w.out.WriteString("null}")
+	} else {
+		w.out.WriteString("]}")
+	}
+}
+
+// writeLine renders the text line of the given kind about event j into
+// change and writes it out.
+func (w *reportWriter) writeLine(kind lineKind, j int, digest io.Writer) {
+	e := w.rr.Event(j)
+	n := EventNote{Index: j, Peer: e.Peer(), Rule: e.Rule.Name, Visible: kind == becauseLine && w.rr.VisibleAt(j, w.peer)}
+	w.change = appendLine(w.change[:0], kind, w.peer, &n, func(b []byte) []byte {
+		sep := ""
+		w.eachChange(j, func(ef *program.Effect) {
+			b = appendChange(append(b, sep...), w.rr.Schema(), ef)
+			sep = "; "
+		})
+		return b
+	})
+	w.writeText(digest)
+}
+
+// writeText writes the text in change, JSON-escaped, and feeds it
+// unescaped to digest when that is non-nil.
+func (w *reportWriter) writeText(digest io.Writer) {
+	if digest != nil {
+		_, _ = digest.Write(w.change) // a hash never fails
+	}
+	w.esc = jsonw.AppendEscaped(w.esc[:0], w.change)
+	w.out.Write(w.esc)
+}
+
+// writeInt writes n as a JSON number.
+func (w *reportWriter) writeInt(n int) {
+	w.esc = strconv.AppendInt(w.esc[:0], int64(n), 10)
+	w.out.Write(w.esc)
+}
+
+// writeString writes s as a JSON string literal. It escapes into the
+// writer's own buffer: appending to out's AvailableBuffer would
+// reallocate whenever a string straddles a buffer fill.
+func writeString[S []byte | string](w *reportWriter, s S) {
+	w.esc = jsonw.AppendString(w.esc[:0], s)
+	w.out.Write(w.esc)
 }
 
 // Report is a runtime explanation of a run for one peer.
@@ -272,37 +425,61 @@ type EventNote struct {
 	Changes []string
 }
 
-func describeEvent(r RunReader, i int, peer schema.Peer) EventNote {
-	e := r.Event(i)
-	n := EventNote{Index: i, Peer: e.Peer(), Rule: e.Rule.Name, Visible: r.VisibleAt(i, peer)}
-	for _, ef := range r.Effects(i) {
-		switch ef.Kind {
-		case program.Created:
-			n.Changes = append(n.Changes, fmt.Sprintf("created %s%s", ef.Rel, ef.After))
-		case program.Deleted:
-			n.Changes = append(n.Changes, fmt.Sprintf("deleted %s%s", ef.Rel, ef.Before))
-		case program.Modified:
-			rel := r.Schema().DB.Relation(ef.Rel)
-			attrs := ef.FilledAttrs(rel)
-			if len(attrs) == 0 {
-				continue
-			}
-			parts := make([]string, len(attrs))
-			for k, a := range attrs {
-				pos, _ := rel.Index(a)
-				parts[k] = fmt.Sprintf("%s=%s", a, ef.After[pos])
-			}
-			n.Changes = append(n.Changes, fmt.Sprintf("set %s[%s] %s", ef.Rel, ef.Key, strings.Join(parts, ", ")))
-		}
+// appendChange appends the change ef records as a report describes it:
+// "created R(v, …)", "deleted R(v, …)" or "set R[k] A=v, …" (the filled
+// attributes).
+func appendChange(b []byte, s *schema.Collaborative, ef *program.Effect) []byte {
+	switch ef.Kind {
+	case program.Created:
+		b = append(b, "created "...)
+		b = append(b, ef.Rel...)
+		return appendTuple(b, ef.After)
+	case program.Deleted:
+		b = append(b, "deleted "...)
+		b = append(b, ef.Rel...)
+		return appendTuple(b, ef.Before)
 	}
-	return n
+	rel := s.DB.Relation(ef.Rel)
+	b = append(b, "set "...)
+	b = append(b, ef.Rel...)
+	b = append(b, '[')
+	b = append(b, ef.Key...)
+	b = append(b, "] "...)
+	for k, pos := range ef.Filled {
+		if k > 0 {
+			b = append(b, ", "...)
+		}
+		b = append(b, rel.Attrs[pos]...)
+		b = append(b, '=')
+		b = append(b, ef.After[pos]...)
+	}
+	return b
+}
+
+// appendTuple appends t as data.Tuple.String renders it.
+func appendTuple(b []byte, t data.Tuple) []byte {
+	b = append(b, '(')
+	for i, v := range t {
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = append(b, v...)
+	}
+	return append(b, ')')
 }
 
 // String renders the report as indented text.
 func (rep *Report) String() string {
 	b := appendHeader(nil, rep.Peer)
 	for i := range rep.Transitions {
-		b = rep.Transitions[i].appendText(b, rep.Peer)
+		tr := &rep.Transitions[i]
+		b = appendLine(b, observedLine, rep.Peer, &tr.Event, tr.Event.appendChanges)
+		for k := range tr.Because {
+			b = appendLine(b, becauseLine, rep.Peer, &tr.Because[k], tr.Because[k].appendChanges)
+		}
+		for k := range tr.Pending {
+			b = appendLine(b, laterLine, rep.Peer, &tr.Pending[k], tr.Pending[k].appendChanges)
+		}
 	}
 	return string(b)
 }
@@ -314,120 +491,61 @@ func appendHeader(b []byte, peer schema.Peer) []byte {
 	return append(b, '\n')
 }
 
-// appendText appends the transition's lines of the text of peer's report.
-func (tr *Transition) appendText(b []byte, peer schema.Peer) []byte {
-	b = append(b, "observed "...)
-	b = tr.Event.appendRef(b)
+// lineKind is the role of the event a line of a report's text is about.
+type lineKind uint8
+
+const (
+	observedLine lineKind = iota // a transition the reader observed
+	becauseLine                  // an earlier event it depends on
+	laterLine                    // a later event of its explanation
+)
+
+// appendLine appends the line of reader's report text about n: the
+// kind's label, "#index rule by peer", then ": ", the changes that
+// changes appends ("; "-separated) and a newline. An observed event
+// another peer fired shows its peer as "ω (peer)"; a because line adds
+// the event's visibility. Report.String passes the note's own changes;
+// the streamed report, whose notes carry none, renders them from the run.
+func appendLine(b []byte, kind lineKind, reader schema.Peer, n *EventNote, changes func([]byte) []byte) []byte {
+	switch kind {
+	case observedLine:
+		b = append(b, "observed #"...)
+	case becauseLine:
+		b = append(b, "    because #"...)
+	default:
+		b = append(b, "    later #"...)
+	}
+	b = strconv.AppendInt(b, int64(n.Index), 10)
+	b = append(b, ' ')
+	b = append(b, n.Rule...)
 	b = append(b, " by "...)
-	if tr.Event.Peer != peer {
+	if kind == observedLine && n.Peer != reader {
 		b = append(b, "ω ("...)
-		b = append(b, tr.Event.Peer...)
+		b = append(b, n.Peer...)
 		b = append(b, ')')
 	} else {
-		b = append(b, peer...)
+		b = append(b, n.Peer...)
 	}
-	b = tr.Event.appendChanges(b)
-	for i := range tr.Because {
-		b = tr.Because[i].appendLine(b, "    because ", true)
-	}
-	for i := range tr.Pending {
-		b = tr.Pending[i].appendLine(b, "    later ", false)
-	}
-	return b
-}
-
-// appendLine appends the note's line under a transition: the label, the
-// event and its peer, its visibility when asked for, and its changes.
-func (n *EventNote) appendLine(b []byte, label string, visibility bool) []byte {
-	b = append(b, label...)
-	b = n.appendRef(b)
-	b = append(b, " by "...)
-	b = append(b, n.Peer...)
 	switch {
-	case !visibility:
+	case kind != becauseLine:
 	case n.Visible:
 		b = append(b, " (visible)"...)
 	default:
 		b = append(b, " (invisible)"...)
 	}
-	return n.appendChanges(b)
-}
-
-// appendRef appends "#index rule".
-func (n *EventNote) appendRef(b []byte) []byte {
-	b = append(b, '#')
-	b = strconv.AppendInt(b, int64(n.Index), 10)
-	b = append(b, ' ')
-	return append(b, n.Rule...)
-}
-
-// appendChanges appends ": " and the changes, "; "-separated, ending the
-// line.
-func (n *EventNote) appendChanges(b []byte) []byte {
 	b = append(b, ": "...)
+	return append(changes(b), '\n')
+}
+
+// appendChanges appends the note's changes, "; "-separated.
+func (n *EventNote) appendChanges(b []byte) []byte {
 	for k, c := range n.Changes {
 		if k > 0 {
 			b = append(b, "; "...)
 		}
 		b = append(b, c...)
 	}
-	return append(b, '\n')
-}
-
-// writeJSON writes tr as encoding/json encodes a Transition.
-func (tr *Transition) writeJSON(w *bufio.Writer) {
-	w.WriteString(`{"Index":`)
-	jsonw.WriteInt(w, tr.Index)
-	w.WriteString(`,"Event":`)
-	tr.Event.writeJSON(w)
-	w.WriteString(`,"Because":`)
-	writeNotesJSON(w, tr.Because)
-	w.WriteString(`,"Pending":`)
-	writeNotesJSON(w, tr.Pending)
-	w.WriteByte('}')
-}
-
-// writeNotesJSON writes notes as encoding/json encodes a []EventNote.
-func writeNotesJSON(w *bufio.Writer, notes []EventNote) {
-	if notes == nil {
-		w.WriteString("null")
-		return
-	}
-	w.WriteByte('[')
-	for k := range notes {
-		if k > 0 {
-			w.WriteByte(',')
-		}
-		notes[k].writeJSON(w)
-	}
-	w.WriteByte(']')
-}
-
-// writeJSON writes n as encoding/json encodes an EventNote.
-func (n *EventNote) writeJSON(w *bufio.Writer) {
-	w.WriteString(`{"Index":`)
-	jsonw.WriteInt(w, n.Index)
-	w.WriteString(`,"Peer":`)
-	jsonw.WriteString(w, string(n.Peer))
-	w.WriteString(`,"Rule":`)
-	jsonw.WriteString(w, n.Rule)
-	if n.Visible {
-		w.WriteString(`,"Visible":true,"Changes":`)
-	} else {
-		w.WriteString(`,"Visible":false,"Changes":`)
-	}
-	if n.Changes == nil {
-		w.WriteString("null}")
-		return
-	}
-	w.WriteByte('[')
-	for k, c := range n.Changes {
-		if k > 0 {
-			w.WriteByte(',')
-		}
-		jsonw.WriteString(w, c)
-	}
-	w.WriteString("]}")
+	return b
 }
 
 // Options re-exports the static-analysis search options.

@@ -80,15 +80,17 @@ func newClosure(log []int) *closure {
 // indices returns the whole log; the maintainer's view.
 func (c *closure) indices() []int { return *c.log.Load() }
 
-// asOf returns the set as it was after n processed events, sorted.
-func (c *closure) asOf(n int) []int {
+// appendAsOf appends the set as it was after n processed events to dst,
+// sorted: the log's prefix before its first index ≥ n.
+func (c *closure) appendAsOf(dst []int, n int) []int {
 	log := c.indices()
 	end := slices.IndexFunc(log, func(i int) bool { return i >= n })
 	if end < 0 {
 		end = len(log)
 	}
-	out := append(make([]int, 0, end), log[:end]...)
-	slices.Sort(out)
+	dst = slices.Grow(dst, end)
+	out := append(dst, log[:end]...)
+	slices.Sort(out[len(dst):])
 	return out
 }
 
@@ -293,7 +295,13 @@ func (m *Maintainer) Freeze(p schema.Peer) *Frozen {
 
 // Explanation returns the event indices of T_p^ω(ρ, {f}) for event f, as
 // of the freeze point, ascending.
-func (f *Frozen) Explanation(i int) []int { return f.perEvent[i].asOf(f.n) }
+func (f *Frozen) Explanation(i int) []int { return f.AppendExplanation(nil, i) }
+
+// AppendExplanation appends Explanation(i) to dst and returns the extended
+// slice, so a caller walking many events can reuse one buffer.
+func (f *Frozen) AppendExplanation(dst []int, i int) []int {
+	return f.perEvent[i].appendAsOf(dst, f.n)
+}
 
 // Minimal returns the event indices of the minimal p-faithful scenario as
 // of the freeze point, ascending.

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"hash"
 	"log/slog"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -700,10 +699,11 @@ func (c *Coordinator) notify(ctx context.Context, idx int) {
 	sp.SetAttr("dropped", droppedNow)
 }
 
-// makeNotification assembles a Notification from its parts. The push
-// (buildNotification, over the live run) and poll (snapshot.notification)
-// builders both route through it so the two stay byte-identical; both
-// render the view by the same walk over memoized row lines.
+// makeNotification assembles a Notification from its parts; because is
+// the event's (ascending) explanation. The push (buildNotification, over
+// the live run) and poll (snapshot.notification) builders both route
+// through it so the two stay byte-identical; both render the view by the
+// same walk over memoized row lines.
 func makeNotification(e *program.Event, peer schema.Peer, idx int, view string, because []int) Notification {
 	n := Notification{
 		Index: idx,
@@ -718,7 +718,6 @@ func makeNotification(e *program.Event, peer schema.Peer, idx int, view string, 
 			n.Because = append(n.Because, j)
 		}
 	}
-	sort.Ints(n.Because)
 	return n
 }
 

@@ -150,9 +150,10 @@ func (s *snapshot) viewAt(i int, peer schema.Peer) *schema.ViewInstance {
 // notification builds the peer's notification for event idx from the
 // snapshot alone, leaving View empty for the caller to render or stream —
 // the poll twin of the push path's buildNotification, kept byte-identical
-// through the shared makeNotification assembly.
-func (s *snapshot) notification(peer schema.Peer, idx int) Notification {
-	return makeNotification(s.Event(idx), peer, idx, "", s.exp[peer].ExplainEvent(idx))
+// through the shared makeNotification assembly. ex is the event's
+// explanation (ExplainEvent(idx)).
+func (s *snapshot) notification(peer schema.Peer, idx int, ex []int) Notification {
+	return makeNotification(s.Event(idx), peer, idx, "", ex)
 }
 
 // visibleFrom returns the peer's visible event indices ≥ from.
@@ -171,7 +172,7 @@ func (c *Coordinator) TransitionsAndLen(peer schema.Peer, from int) ([]Notificat
 	}
 	var out []Notification
 	for _, idx := range s.visibleFrom(peer, from) {
-		n := s.notification(peer, idx)
+		n := s.notification(peer, idx, s.exp[peer].ExplainEvent(idx))
 		n.View = s.viewAt(idx, peer).String()
 		out = append(out, n)
 	}
@@ -181,7 +182,8 @@ func (c *Coordinator) TransitionsAndLen(peer schema.Peer, from int) ([]Notificat
 // writeTransitionsJSON streams TransitionsAndLen's answer as encoding/json
 // encodes map[string]any{"transitions": ts, "len": n}: keys sorted, null
 // for no transitions, a trailing newline. Each view is written straight
-// from its rows' memoized lines.
+// from its rows' memoized lines, and every explanation is read into one
+// reused buffer.
 func (s *snapshot) writeTransitionsJSON(w *bufio.Writer, peer schema.Peer, from int) {
 	w.WriteString(`{"len":`)
 	jsonw.WriteInt(w, s.Len())
@@ -192,10 +194,12 @@ func (s *snapshot) writeTransitionsJSON(w *bufio.Writer, peer schema.Peer, from 
 		return
 	}
 	sep := byte('[')
+	var ex []int
 	for _, idx := range idxs {
 		w.WriteByte(sep)
 		sep = ','
-		n := s.notification(peer, idx)
+		ex = s.exp[peer].AppendExplanation(ex[:0], idx)
+		n := s.notification(peer, idx, ex)
 		n.writeJSON(w, s.viewAt(idx, peer))
 	}
 	w.WriteString("]}\n")
