@@ -1,15 +1,16 @@
 // Audit: the master-server architecture from the paper's conclusion, run
 // in-process. An expense workflow is hosted by a coordinator that guards
 // transparency and 3-boundedness for the employee: managers and finance
-// collaborate behind the scenes, the employee subscribes to her visible
-// transitions — each delivered with its faithful explanation — and any
-// attempt to complete an employee-visible step from stale, cross-stage
-// information is rejected by the guard.
+// collaborate behind the scenes, the employee follows the transitions
+// visible to her — each with its faithful explanation — and any attempt to
+// complete an employee-visible step from stale, cross-stage information is
+// rejected by the guard.
 //
 //	go run ./examples/audit
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -31,13 +32,6 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Sue subscribes to her visible transitions.
-	notes, cancel, err := c.Subscribe("sue", 16)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer cancel()
-
 	submit := func(peer collabwf.Peer, rule string, bind map[string]collabwf.Value) *server.SubmitResult {
 		res, err := c.Submit(peer, rule, bind)
 		if err != nil {
@@ -55,16 +49,23 @@ func main() {
 	submit("ceo", "approve", map[string]collabwf.Value{"x": cand})
 	submit("hr", "hire", map[string]collabwf.Value{"x": cand})
 
-	fmt.Println("sue's notifications (with faithful explanations):")
-	for {
-		select {
-		case n := <-notes:
-			fmt.Printf("  event #%d ω=%v view=%s because=%v\n", n.Index, n.Omega, n.View, n.Because)
-		default:
-			goto done
-		}
+	// Sue reads her visible transitions the way every listener does: wait
+	// until the released run is longer than her cursor (here it already
+	// is), then poll Transitions from the cursor.
+	if _, err := c.Wait(context.Background(), 0); err != nil {
+		log.Fatal(err)
 	}
-done:
+	notes, _, err := c.Transitions("sue", 0)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if len(notes) == 0 {
+		log.Fatal("sue observed no transition of the approval episode")
+	}
+	fmt.Println("sue's transitions (with faithful explanations):")
+	for _, n := range notes {
+		fmt.Printf("  event #%d ω=%v view=%s because=%v\n", n.Index, n.Omega, n.View, n.Because)
+	}
 
 	// A second episode where hr tries to reuse last stage's approval: the
 	// guard rejects the hire, protecting sue's transparency.

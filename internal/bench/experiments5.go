@@ -119,7 +119,7 @@ func E17ReadPath(quick bool) (*Table, error) {
 				defer wg.Done()
 				peer := peers[r%len(peers)]
 				var n int64
-				last := 0 // tail-poll cursor, as a real subscriber would keep
+				last := 0 // tail-poll cursor, as a real listener would keep
 				for !stop.Load() {
 					begin := time.Now()
 					var err error
@@ -129,7 +129,7 @@ func E17ReadPath(quick bool) (*Table, error) {
 					case n%2 == 0:
 						_, err = c.View(peer)
 					default:
-						_, last, err = c.TransitionsAndLen(peer, last)
+						_, last, err = c.Transitions(peer, last)
 					}
 					if err != nil {
 						errs <- err

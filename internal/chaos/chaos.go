@@ -13,8 +13,9 @@
 //  2. no event applied twice, despite every client retry (each operation
 //     clears a unique candidate, so a double-apply is a duplicate
 //     valuation in the trace);
-//  3. no notification for a rolled-back event (every notified index is in
-//     the recovered run);
+//  3. no transition for a rolled-back event (every index an in-process
+//     listener observed through Wait + Transitions is in the recovered
+//     run);
 //  4. checksums clean: no WAL record is ever reported corrupt.
 //  5. reader consistency: polling readers observe a monotonically growing
 //     released prefix — the reported length never shrinks (even across
@@ -153,16 +154,17 @@ type harness struct {
 	// dropNext arms the drop-response fault for the next submission.
 	dropNext atomic.Bool
 
-	// m is the current manager generation and notifCancel its
-	// subscriptions; only the orchestrator goroutine touches them (workers
-	// and readers reach the manager over HTTP).
-	m           *server.Manager
-	notifCancel []func()
+	// m is the current manager generation; only the orchestrator goroutine
+	// touches it (workers and readers reach the manager over HTTP).
+	m *server.Manager
 
-	// notified collects each run's notification indices for the current
-	// generation; reset at each recovery.
-	notifMu  sync.Mutex
-	notified map[string][]int
+	// listeners tracks the current generation's in-process listeners (one
+	// per run, see listen); each exits once its coordinator shuts down.
+	// notified collects the transition indices they observed for the
+	// current generation; reset at each recovery.
+	listeners sync.WaitGroup
+	notifMu   sync.Mutex
+	notified  map[string][]int
 
 	// acked maps run → candidate → acknowledged index; ambiguous counts the
 	// candidates whose outcome the client never learned.
@@ -421,9 +423,6 @@ func Run(ctx context.Context, cfg Config) (*Summary, error) {
 	injections++
 
 	m := h.m
-	for _, cancel := range h.notifCancel {
-		cancel()
-	}
 	final := make(map[string]*trace.Trace, len(h.ids))
 	events := make(map[string]int, len(h.ids))
 	for _, id := range h.ids {
@@ -436,7 +435,7 @@ func Run(ctx context.Context, cfg Config) (*Summary, error) {
 	for i := range readers {
 		rl := &readers[i]
 		co, _ := m.Run(rl.run)
-		ts, n, err := co.TransitionsAndLen(schema.Peer(rl.peer), 0)
+		ts, n, err := co.Transitions(schema.Peer(rl.peer), 0)
 		if err != nil {
 			h.violatef("reader(%s/%s): final transitions: %v", rl.run, rl.peer, err)
 			continue
@@ -446,6 +445,7 @@ func Run(ctx context.Context, cfg Config) (*Summary, error) {
 	if err := m.Close(); err != nil {
 		h.violatef("closing fleet: %v", err)
 	}
+	h.listeners.Wait()
 
 	// (6) Decision-log fidelity: with the stream closed (drained to disk),
 	// replay decisions.jsonl against every run's final trace and the ack
@@ -548,7 +548,7 @@ func (h *harness) serve(w http.ResponseWriter, r *http.Request) {
 }
 
 // openManager recovers (or first boots) a manager generation over the data
-// dir and subscribes to every run's notifications; publish then opens it to
+// dir and starts a listener on every run; publish then opens it to
 // traffic. create makes the missing named runs on first boot; recoveries
 // find them in the startup scan.
 func (h *harness) openManager(create bool) error {
@@ -566,7 +566,6 @@ func (h *harness) openManager(create bool) error {
 	if err != nil {
 		return fmt.Errorf("chaos: recovery failed: %w", err)
 	}
-	var cancels []func()
 	for _, id := range h.ids {
 		if _, ok := m.Run(id); !ok && create {
 			if err := m.CreateRun(id); err != nil {
@@ -579,22 +578,36 @@ func (h *harness) openManager(create bool) error {
 			m.Close()
 			return fmt.Errorf("chaos: run %s missing from the recovered fleet", id)
 		}
-		ch, cancel, err := co.Subscribe(schema.Peer("hr"), 8192)
-		if err != nil {
-			m.Close()
-			return err
-		}
-		cancels = append(cancels, cancel)
-		go func() {
-			for n := range ch {
-				h.notifMu.Lock()
-				h.notified[id] = append(h.notified[id], n.Index)
-				h.notifMu.Unlock()
-			}
-		}()
+		h.listeners.Add(1)
+		go h.listen(id, co)
 	}
-	h.m, h.notifCancel = m, cancels
+	h.m = m
 	return nil
+}
+
+// listen follows hr's transitions on one run from the recovered prefix on,
+// as every reader does — Wait for the released prefix to pass the cursor,
+// then poll Transitions from it — recording each index it observes. It
+// returns once the coordinator is shut down and its released prefix read.
+func (h *harness) listen(id string, co *server.Coordinator) {
+	defer h.listeners.Done()
+	from := co.Len()
+	for {
+		if _, err := co.Wait(context.Background(), from); err != nil {
+			return
+		}
+		ts, n, err := co.Transitions("hr", from)
+		if err != nil {
+			h.violatef("run %s: listener: %v", id, err)
+			return
+		}
+		h.notifMu.Lock()
+		for _, t := range ts {
+			h.notified[id] = append(h.notified[id], t.Index)
+		}
+		h.notifMu.Unlock()
+		from = n
+	}
 }
 
 // publish routes the listener to the current manager generation.
@@ -633,9 +646,8 @@ func (h *harness) crashRecover() {
 			}
 		}
 	}
-	for _, cancel := range h.notifCancel {
-		cancel()
-	}
+	// Every listener has read its run's final released prefix and exited.
+	h.listeners.Wait()
 	// Crash() returned with each coordinator lock released, so every
 	// decision the dead generation emitted is queued; drain it the way a
 	// SIGTERM handler would, before the next generation appends its

@@ -132,7 +132,7 @@ func TestCheckRecovery(t *testing.T) {
 		{"diverged", clears("a:1", "a:9"), nil, nil, 0,
 			[]string{"event 1 diverged across recovery"}},
 		{"notified past end", clears("a:1", "a:2"), nil, []int{0, 2}, 0,
-			[]string{"notification delivered for index 2", "has 2 events"}},
+			[]string{"transition observed at index 2", "has 2 events"}},
 		{"corrupt", clears("a:1", "a:2"), nil, nil, 3,
 			[]string{"dropped 3 corrupt records"}},
 	}

@@ -20,7 +20,7 @@ import (
 // checkRecovery checks invariants 1–4 and 7 for one run across one
 // crash/recover cycle: pre is the run's released trace at crash time, post
 // its recovered trace, acked its acknowledged candidates (candidate →
-// index), notified the indices its subscriber was told about, and corrupt
+// index), notified the indices its in-process listener observed, and corrupt
 // the number of records recovery reported corrupt.
 func checkRecovery(run string, pre, post *trace.Trace, acked map[string]int, notified []int, corrupt int) []string {
 	var vs []string
@@ -65,12 +65,12 @@ func checkRecovery(run string, pre, post *trace.Trace, acked map[string]int, not
 		}
 	}
 
-	// (3) No notification for a rolled-back event: every notified index is
-	// inside the recovered run (crashes never cut below the durable =
-	// released prefix).
+	// (3) No transition for a rolled-back event: every index the listener
+	// observed is inside the recovered run (crashes never cut below the
+	// durable = released prefix).
 	for _, idx := range notified {
 		if idx >= len(post.Events) {
-			bad("notification delivered for index %d but the recovered run has %d events",
+			bad("transition observed at index %d but the recovered run has %d events",
 				idx, len(post.Events))
 		}
 	}

@@ -158,7 +158,6 @@ type RunInfo struct {
 	Workflow         string  `json:"workflow"`
 	Events           int     `json:"events"`
 	CommitQueueDepth int     `json:"commit_queue_depth"`
-	Subscribers      int     `json:"subscribers"`
 	Ready            string  `json:"ready"`
 	WALStalled       string  `json:"wal_stalled,omitempty"`
 	SnapshotAge      float64 `json:"snapshot_age_seconds"`

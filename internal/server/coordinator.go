@@ -4,11 +4,13 @@
 // and controls transparency and boundedness for certain peers."
 //
 // The Coordinator serializes concurrent peer submissions into a single
-// global run, maintains every peer's incremental explanations, notifies
-// subscribers of the transitions visible to them (each with its faithful
-// explanation), and — for guarded peers — rejects submissions that would
-// make the run non-transparent or exceed the step budget. An HTTP façade
-// (Handler) exposes the same operations as a JSON API.
+// global run, maintains every peer's incremental explanations, tells each
+// peer the transitions visible to it (each with its faithful explanation)
+// through one change feed — a lock-free published snapshot that listeners
+// Wait on and poll with Transitions — and, for guarded peers, rejects
+// submissions that would make the run non-transparent or exceed the step
+// budget. An HTTP façade (Handler) exposes the same operations as a JSON
+// API.
 package server
 
 import (
@@ -35,16 +37,18 @@ import (
 	"collabwf/internal/wal"
 )
 
-// Notification tells a subscriber about one transition visible to it.
+// Notification tells a peer about one transition visible to it: one
+// (label, view) element of its run view (Definition 3.1), with the event's
+// faithful explanation.
 type Notification struct {
 	// Index is the event's position in the global run.
 	Index int `json:"index"`
 	// Omega is true when another peer performed the event.
 	Omega bool `json:"omega"`
 	// Rule names the fired rule (own events only; hidden behind ω
-	// otherwise — the subscriber learns exactly what its run view shows).
+	// otherwise — the peer learns exactly what its run view shows).
 	Rule string `json:"rule,omitempty"`
-	// View renders the subscriber's view after the transition.
+	// View renders the peer's view after the transition.
 	View string `json:"view"`
 	// Because lists the indices of the events in the faithful explanation
 	// of this transition (excluding the transition itself).
@@ -92,7 +96,7 @@ type Coordinator struct {
 	guard *design.Guard
 
 	// observable is the released prefix length: every read path (View,
-	// Explain, Transitions, Trace, Len, notifications) exposes exactly the
+	// Explain, Transitions, Trace, Len, Wait) exposes exactly the
 	// first observable events. Under group commit the run may hold a
 	// buffered tail past it — events appended to the WAL but not yet
 	// fsynced — which no peer may observe (log-before-accept).
@@ -100,13 +104,16 @@ type Coordinator struct {
 
 	// snap is the published read snapshot (see snapshot.go): an immutable
 	// capture of the released prefix that View/Explain/Scenario/Transitions/
-	// Trace/Len serve without taking mu. releaseLocked swaps a fresh one in
-	// before notifying, so a subscriber that receives notification idx
-	// always observes Len() ≥ idx+1. snapSeq counts publications. No read
-	// result is kept per step: views render from the instance rows' memoized
-	// lines, which live and die with the rows.
+	// Trace/Len serve without taking mu. Each publication stores the fresh
+	// snapshot before closing its predecessor's next channel, so a Wait
+	// woken with n always observes Len() ≥ n. snapSeq counts publications.
+	// No read result is kept per step: views render from the instance rows'
+	// memoized lines, which live and die with the rows.
 	snap    atomic.Pointer[snapshot]
 	snapSeq uint64
+	// done is closed when Close (after its last release) or Crash shuts
+	// the coordinator down, waking every Wait. Immutable after New.
+	done chan struct{}
 	// mread mirrors metrics for the lock-free read paths, which must not
 	// touch mu to read the field InstrumentRun sets under it.
 	mread atomic.Pointer[Metrics]
@@ -114,14 +121,6 @@ type Coordinator struct {
 	// declog.go. Atomic for the same reason as mread: certify/explain emit
 	// without the coordinator lock.
 	dlog atomic.Pointer[declog.Logger]
-
-	subs   map[schema.Peer]map[int]chan Notification
-	nextID int
-	// dropped counts notifications lost to slow subscribers. It counts
-	// delivery attempts on accepted events only: a guard- or WAL-rejected
-	// submission never reaches notify, so it can neither deliver nor drop.
-	// wf_notifications_dropped_total{peer} attributes the same losses.
-	dropped int
 
 	// profiler is the attached rule-engine cost profiler (nil when off);
 	// SetProfiler wires its "engine" scope into the run and the guard-check
@@ -168,7 +167,7 @@ func New(name string, p *program.Program) *Coordinator {
 		run:       run,
 		explainer: core.NewRunExplainerAt(run, p.Peers(), 0),
 		guard:     design.NewGuard(run, nil),
-		subs:      make(map[schema.Peer]map[int]chan Notification),
+		done:      make(chan struct{}),
 		idem:      make(map[string]*idemEntry),
 	}
 	// Publish the empty-prefix snapshot so reads are lock-free from the
@@ -339,7 +338,7 @@ func (c *Coordinator) Submit(peer schema.Peer, ruleName string, bindings map[str
 
 // SubmitCtx is Submit with a caller context, so the submission joins the
 // caller's trace (HTTP request span → coordinator.submit → guard_check /
-// wal.append / wal.fsync / notify child spans) and log lines carry its
+// wal.append / wal.fsync child spans) and log lines carry its
 // trace_id.
 //
 // Under a durable SyncAlways coordinator, submission is a two-stage
@@ -348,9 +347,9 @@ func (c *Coordinator) Submit(peer schema.Peer, ruleName string, bindings map[str
 // committer stage — the lock is dropped while this submitter waits on its
 // batch's commit future, so concurrent submitters pile their records into
 // the same fsync (group commit) and read-only calls proceed while the disk
-// works. The result and notifications are released only after the batch is
-// durable; a failed batch sync rolls every event of the batch back, in
-// reverse order, before any of them became observable.
+// works. The result is returned and the event published only after the
+// batch is durable; a failed batch sync rolls every event of the batch
+// back, in reverse order, before any of them became observable.
 func (c *Coordinator) SubmitCtx(ctx context.Context, peer schema.Peer, ruleName string, bindings map[string]data.Value) (*SubmitResult, error) {
 	return c.submitCtx(ctx, peer, ruleName, bindings, "")
 }
@@ -442,7 +441,7 @@ func (c *Coordinator) submitLocked(ctx context.Context, sp *obs.Span, d *declog.
 	// With pipelined commits a submitter can find its event already released
 	// (a later submitter in the same durable batch re-acquired the lock
 	// first); releaseLocked is idempotent for that case.
-	c.releaseLocked(ctx, idx)
+	c.releaseLocked(idx)
 	d.Decision, d.Index, d.RunLen = declog.Accepted, idx, idx
 	return res, nil
 }
@@ -516,27 +515,20 @@ func (c *Coordinator) resultLocked(idx int) *SubmitResult {
 	return res
 }
 
-// releaseLocked makes every event up to idx observable, notifying
-// subscribers in strict index order. Commits resolve in sequence order, so
-// by the time the submitter of idx holds the lock again every earlier event
-// is durable too — the released prefix is always contiguous.
-//
-// The read snapshot is published before the first notification goes out:
-// a subscriber that receives notification idx and then calls Len() (now
-// lock-free) must observe ≥ idx+1.
-func (c *Coordinator) releaseLocked(ctx context.Context, idx int) {
+// releaseLocked makes every event up to idx observable by publishing a
+// snapshot of the prefix, which wakes every Wait. Commits resolve in
+// sequence order, so by the time the submitter of idx holds the lock again
+// every earlier event is durable too — the released prefix is always
+// contiguous.
+func (c *Coordinator) releaseLocked(idx int) {
 	if idx < c.observable {
 		return
 	}
-	start := c.observable
 	c.observable = idx + 1
 	if c.metrics != nil {
 		c.metrics.runEvents.Set(float64(c.observable))
 	}
 	c.publishSnapshotLocked()
-	for i := start; i <= idx; i++ {
-		c.notify(ctx, i)
-	}
 }
 
 // maybeSnapshotLocked writes a snapshot once enough events accumulated
@@ -649,14 +641,13 @@ func (c *Coordinator) handleWALStallLocked(ctx context.Context) {
 // submission (guard violation or WAL failure) — the dropped suffix is
 // removed in reverse order, O(dropped), not by rebuilding the prefix.
 // Rejection is invisible to every observer: rollback always targets
-// n ≥ observable (notify runs only after an event is released), so rejected
-// events never reach a subscriber channel, and the explainer — synced only
+// n ≥ observable and publishes nothing, so no snapshot ever holds a
+// rejected event, no waiter wakes for one, and the explainer — synced only
 // to the released prefix — stays valid untouched. The guard runs ahead of
 // the release point: a guard rejection never committed its event, so the
 // guard has nothing to drop, while a WAL failure drops admitted events and
-// rewinds it. Only the run length, the subscriber channels' contents, and
-// the dropped counter are guaranteed unchanged — all three are asserted by
-// TestGuardRejectionLeavesNoTrace.
+// rewinds it. TestGuardRejectionLeavesNoTrace asserts that the run length,
+// the snapshot sequence and a blocked waiter are all left as they were.
 func (c *Coordinator) rollbackTo(ctx context.Context, n int) {
 	_, sp := obs.StartSpan(ctx, "coordinator.rollback")
 	sp.SetAttr("from", c.run.Len())
@@ -665,125 +656,6 @@ func (c *Coordinator) rollbackTo(ctx context.Context, n int) {
 	c.metrics.rolledBack()
 	c.run.Truncate(n)
 	c.guard.Truncate(n)
-}
-
-// notify pushes the transition at index idx to every subscriber that sees
-// it. Slow subscribers lose notifications rather than blocking the run.
-func (c *Coordinator) notify(ctx context.Context, idx int) {
-	_, sp := obs.StartSpan(ctx, "coordinator.notify")
-	defer sp.End()
-	sent, droppedNow := 0, 0
-	snap := c.snap.Load()
-	for peer, chans := range c.subs {
-		if len(chans) == 0 || !snap.VisibleAt(idx, peer) {
-			continue
-		}
-		n := c.buildNotification(peer, idx)
-		for _, ch := range chans {
-			select {
-			case ch <- n:
-				sent++
-				if c.metrics != nil {
-					c.metrics.notifSent.Inc()
-				}
-			default:
-				droppedNow++
-				c.dropped++
-				if c.metrics != nil {
-					c.metrics.notifDropped.With(c.metrics.lv(string(peer))...).Inc()
-				}
-			}
-		}
-	}
-	sp.SetAttr("sent", sent)
-	sp.SetAttr("dropped", droppedNow)
-}
-
-// makeNotification assembles a Notification from its parts; because is
-// the event's (ascending) explanation. The push (buildNotification, over
-// the live run) and poll (snapshot.notification) builders both route
-// through it so the two stay byte-identical; both render the view by the
-// same walk over memoized row lines.
-func makeNotification(e *program.Event, peer schema.Peer, idx int, view string, because []int) Notification {
-	n := Notification{
-		Index: idx,
-		Omega: e.Peer() != peer,
-		View:  view,
-	}
-	if !n.Omega {
-		n.Rule = e.Rule.Name
-	}
-	for _, j := range because {
-		if j != idx {
-			n.Because = append(n.Because, j)
-		}
-	}
-	return n
-}
-
-// buildNotification builds the push notification of released event idx;
-// its explanation comes from the published snapshot, which covers idx.
-func (c *Coordinator) buildNotification(peer schema.Peer, idx int) Notification {
-	return makeNotification(c.run.Event(idx), peer, idx,
-		c.run.ViewAt(idx, peer).String(), c.snap.Load().exp[peer].ExplainEvent(idx))
-}
-
-// Subscribe registers a notification channel for the peer's visible
-// transitions; the returned cancel function unregisters it. The channel
-// buffers `buffer` notifications and drops on overflow.
-func (c *Coordinator) Subscribe(peer schema.Peer, buffer int) (<-chan Notification, func(), error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return nil, nil, fmt.Errorf("server: coordinator is shut down")
-	}
-	if !c.prog.Schema.HasPeer(peer) {
-		return nil, nil, fmt.Errorf("server: unknown peer %s", peer)
-	}
-	if buffer < 1 {
-		buffer = 16
-	}
-	ch := make(chan Notification, buffer)
-	if c.subs[peer] == nil {
-		c.subs[peer] = make(map[int]chan Notification)
-	}
-	c.nextID++
-	id := c.nextID
-	c.subs[peer][id] = ch
-	if c.metrics != nil {
-		c.metrics.subscribers.Inc()
-	}
-	// cancel is idempotent and stays safe after Close: it only ever deletes
-	// the channel from the registry — closing is Close's job alone, so a
-	// cancel racing a shutdown can never double-close.
-	cancel := func() {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		if chans := c.subs[peer]; chans != nil {
-			if _, ok := chans[id]; ok && c.metrics != nil {
-				c.metrics.subscribers.Dec()
-			}
-			delete(chans, id)
-		}
-	}
-	return ch, cancel, nil
-}
-
-// closeSubscribersLocked closes every subscriber channel so consumers
-// ranging over them exit at shutdown, and zeroes the subscriber accounting
-// (the wf_subscribers gauge would otherwise stay stale forever). Callers
-// hold the lock and must have released every accepted event first.
-func (c *Coordinator) closeSubscribersLocked() {
-	for peer, chans := range c.subs {
-		for id, ch := range chans {
-			close(ch)
-			delete(chans, id)
-			if c.metrics != nil {
-				c.metrics.subscribers.Dec()
-			}
-		}
-		delete(c.subs, peer)
-	}
 }
 
 // unknownPeerErr is the shared unknown-peer rejection.
@@ -860,15 +732,6 @@ func (c *Coordinator) Scenario(peer schema.Peer) ([]int, error) {
 	return s.exp[peer].MinimalScenario(), nil
 }
 
-// Transitions returns the peer's visible transitions with indices ≥ from,
-// for poll-based observation. Lock-free: the snapshot's visible-index slice
-// and a binary search make a poll O(answer); the underlying cache grows
-// only with newly released events, at release time.
-func (c *Coordinator) Transitions(peer schema.Peer, from int) ([]Notification, error) {
-	out, _, err := c.TransitionsAndLen(peer, from)
-	return out, err
-}
-
 // Trace exports the released run prefix as a replayable trace (operator
 // access). Lock-free: built from the snapshot's captured event prefix.
 func (c *Coordinator) Trace() *trace.Trace {
@@ -878,13 +741,6 @@ func (c *Coordinator) Trace() *trace.Trace {
 
 // Len returns the number of events accepted and released so far. Lock-free.
 func (c *Coordinator) Len() int { return c.snap.Load().Len() }
-
-// Dropped reports notifications lost to slow subscribers.
-func (c *Coordinator) Dropped() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.dropped
-}
 
 // Name returns the workflow name.
 func (c *Coordinator) Name() string {
@@ -908,15 +764,4 @@ func (c *Coordinator) guardsLocked() map[string]int {
 		out[string(p)] = h
 	}
 	return out
-}
-
-// Subscribers returns the number of registered notification channels.
-func (c *Coordinator) Subscribers() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	total := 0
-	for _, chans := range c.subs {
-		total += len(chans)
-	}
-	return total
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log/slog"
 	"time"
@@ -168,6 +169,9 @@ func NewDurable(name string, p *program.Program, cfg DurabilityConfig) (*Coordin
 	return c, nil
 }
 
+// errShutDown is Ready's and Wait's answer once Close or Crash has run.
+var errShutDown = errors.New("server: coordinator is shut down")
+
 // Ready reports whether the coordinator can accept submissions: recovery
 // complete, not shut down, and (when durable) the WAL writable. A failed
 // background snapshot is also surfaced here — events remain durable in the
@@ -176,7 +180,7 @@ func (c *Coordinator) Ready() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		return fmt.Errorf("server: coordinator is shut down")
+		return errShutDown
 	}
 	if c.log != nil {
 		if err := c.log.Healthy(); err != nil {
@@ -236,10 +240,11 @@ func (c *Coordinator) Snapshot() error {
 }
 
 // Close shuts the coordinator down: further submissions are rejected, the
-// commit queue is drained and every durable event released, all subscriber
-// channels are closed (so consumers ranging over them exit), a final
-// snapshot is written, and the WAL is closed. Idempotent; a nil error means
-// the full state is durable in the snapshot alone.
+// commit queue is drained and every durable event released, every Wait is
+// woken (answering the shut-down error once its caller has read the whole
+// released prefix), a final snapshot is written, and the WAL is closed.
+// Idempotent; a nil error means the full state is durable in the snapshot
+// alone.
 func (c *Coordinator) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -248,7 +253,7 @@ func (c *Coordinator) Close() error {
 	}
 	c.closed = true
 	if c.log == nil {
-		c.closeSubscribersLocked()
+		close(c.done)
 		return nil
 	}
 	// Drain in-flight group commits. The committer needs no coordinator
@@ -260,12 +265,12 @@ func (c *Coordinator) Close() error {
 		c.handleWALStallLocked(context.Background())
 	}
 	// Release events that are durable but whose submitters have not
-	// re-acquired the lock yet — notifications must flow before the
-	// channels close, and in index order.
+	// re-acquired the lock yet, before waking the waiters, so a listener
+	// reads every released event before it learns of the shutdown.
 	if n := c.run.Len(); n > c.observable {
-		c.releaseLocked(context.Background(), n-1)
+		c.releaseLocked(n - 1)
 	}
-	c.closeSubscribersLocked()
+	close(c.done)
 	snapErr := c.writeSnapshotLocked(context.Background())
 	if err := c.log.Close(); err != nil && snapErr == nil {
 		snapErr = err
@@ -274,12 +279,12 @@ func (c *Coordinator) Close() error {
 }
 
 // Crash simulates a hard process kill, for fault drills: no flush, no
-// final snapshot, no release of buffered events. In-flight commits resolve
-// with wal.ErrCrashed (their submitters answer ErrUnavailable — outcome
-// unknown) and the WAL file closes as-is. The returned offsets are the
-// log's durable prefix and written size (see wal.Log.Crash), so a harness
-// can truncate the unsynced tail of WALPath — simulating page-cache loss —
-// before handing the directory to NewDurable.
+// final snapshot, no release of buffered events; every Wait is woken as by
+// Close. In-flight commits resolve with wal.ErrCrashed (their submitters
+// answer ErrUnavailable — outcome unknown) and the WAL file closes as-is.
+// The returned offsets are the log's durable prefix and written size (see
+// wal.Log.Crash), so a harness can truncate the unsynced tail of WALPath —
+// simulating page-cache loss — before handing the directory to NewDurable.
 func (c *Coordinator) Crash() (durable, size int64, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -287,7 +292,7 @@ func (c *Coordinator) Crash() (durable, size int64, err error) {
 		return 0, 0, fmt.Errorf("server: coordinator already shut down")
 	}
 	c.closed = true
-	c.closeSubscribersLocked()
+	close(c.done)
 	if c.log == nil {
 		return 0, 0, nil
 	}

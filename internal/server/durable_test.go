@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -192,8 +193,9 @@ func TestRecoverAfterCloseUsesSnapshotOnly(t *testing.T) {
 
 // TestWALFailureRejectsAndRollsBack: a WAL write failure must look to the
 // client exactly like a guard rejection — error returned, run unchanged,
-// no notification — and the coordinator must keep working afterwards,
-// producing the same run the uninterrupted execution would have.
+// nothing published, no transition for a concurrent poller — and the
+// coordinator must keep working afterwards, producing the same run the
+// uninterrupted execution would have.
 func TestWALFailureRejectsAndRollsBack(t *testing.T) {
 	prog := workload.Hiring()
 	fp := wal.NewFailpoints()
@@ -202,25 +204,21 @@ func TestWALFailureRejectsAndRollsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, cancel, err := c.Subscribe("hr", 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cancel()
+	p := startPoller(c, "hr")
 	if _, err := c.Submit("hr", "clear", nil); err != nil {
 		t.Fatal(err)
 	}
-	<-ch
 
 	fp.TornWrite(1, 5)
+	seq, _, _ := c.SnapshotInfo()
 	if _, err := c.Submit("hr", "clear", nil); err == nil {
 		t.Fatal("submit over a failing WAL must be rejected")
 	}
 	if c.Len() != 1 {
 		t.Fatalf("rolled-back run has %d events", c.Len())
 	}
-	if len(ch) != 0 {
-		t.Fatal("rejected event must not notify")
+	if got, _, _ := c.SnapshotInfo(); got != seq {
+		t.Fatalf("snapshot seq %d after the rejection, want %d: a rejected event must publish nothing", got, seq)
 	}
 	if err := c.Ready(); err != nil {
 		t.Fatalf("repaired WAL must stay ready: %v", err)
@@ -234,6 +232,10 @@ func TestWALFailureRejectsAndRollsBack(t *testing.T) {
 	if res.Index != 1 {
 		t.Fatalf("retry landed at %d", res.Index)
 	}
+	// The poller saw index 1 only as the retry, never as the torn event.
+	seen := p.stop(t)
+	checkContiguous(t, seen, 2)
+	checkFeed(t, c, "hr", seen)
 	want := captureState(t, c)
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
@@ -415,9 +417,9 @@ func TestEmptyRunViewAndTransitions(t *testing.T) {
 	if v != "∅" {
 		t.Fatalf("empty-run view = %q, want the initial instance's", v)
 	}
-	ts, err := c.Transitions("sue", 0)
-	if err != nil || len(ts) != 0 {
-		t.Fatalf("transitions=%v err=%v", ts, err)
+	ts, n, err := c.Transitions("sue", 0)
+	if err != nil || len(ts) != 0 || n != 0 {
+		t.Fatalf("transitions=%v len=%d err=%v", ts, n, err)
 	}
 	if _, err := c.Scenario("sue"); err != nil {
 		t.Fatal(err)
@@ -425,9 +427,10 @@ func TestEmptyRunViewAndTransitions(t *testing.T) {
 }
 
 // TestGuardRejectionLeavesNoTrace asserts the rollback contract of
-// Coordinator.rollbackTo: a rejected submission leaves the run length,
-// every subscriber channel, the dropped counter, and every peer's
-// explanation answers exactly as they were — rejected events never notify.
+// Coordinator.rollbackTo: a rejected submission leaves the run length, the
+// snapshot sequence, and every peer's explanation answers exactly as they
+// were — nothing is published, so a waiter blocked at Len() stays blocked
+// and a concurrent poller never observes the rejected event.
 func TestGuardRejectionLeavesNoTrace(t *testing.T) {
 	staged, err := design.Staged(workload.Hiring(), "sue")
 	if err != nil {
@@ -437,11 +440,7 @@ func TestGuardRejectionLeavesNoTrace(t *testing.T) {
 	if err := c.Guard("sue", 2); err != nil {
 		t.Fatal(err)
 	}
-	ch, cancel, err := c.Subscribe("sue", 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cancel()
+	p := startPoller(c, "sue")
 	mustSubmit := func(peer schema.Peer, rule string, bind map[string]data.Value) *SubmitResult {
 		t.Helper()
 		res, err := c.Submit(peer, rule, bind)
@@ -464,9 +463,12 @@ func TestGuardRejectionLeavesNoTrace(t *testing.T) {
 		}
 	}
 	wantLen := c.Len()
-	wantDropped := c.Dropped()
-	wantQueued := len(ch)
+	wantSeq, _, _ := c.SnapshotInfo()
 	wantState := captureState(t, c)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	blocked := startWaiters(c, ctx, 1, wantLen)
+	published := c.snap.Load().next
 
 	if _, err := c.Submit("hr", "hire", map[string]data.Value{"x": cand}); err == nil {
 		t.Fatal("over-budget hire must be rejected by the guard")
@@ -475,12 +477,19 @@ func TestGuardRejectionLeavesNoTrace(t *testing.T) {
 	if c.Len() != wantLen {
 		t.Fatalf("Len %d, want %d", c.Len(), wantLen)
 	}
-	if c.Dropped() != wantDropped {
-		t.Fatalf("Dropped %d, want %d", c.Dropped(), wantDropped)
+	if seq, _, _ := c.SnapshotInfo(); seq != wantSeq {
+		t.Fatalf("snapshot seq %d, want %d: a rejected event must publish nothing", seq, wantSeq)
 	}
-	if len(ch) != wantQueued {
-		t.Fatalf("subscriber queue %d, want %d: rejected events must not notify", len(ch), wantQueued)
+	select {
+	case <-published:
+		t.Fatal("the rejection woke the waiters blocked at Len()")
+	default:
 	}
+	cancel()
+	if r := collect(t, blocked, 1)[0]; !errors.Is(r.err, context.Canceled) {
+		t.Fatalf("waiter blocked at Len() across the rejection returned (%d, %v), want only its cancellation", r.n, r.err)
+	}
+	checkFeed(t, c, "sue", p.stop(t))
 	if got := captureState(t, c); got != wantState {
 		t.Fatalf("explanations changed across a rejection:\n got: %s\nwant: %s", got, wantState)
 	}

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"collabwf/internal/obs"
-	"collabwf/internal/schema"
 	"collabwf/internal/wal"
 	"collabwf/internal/workload"
 )
@@ -33,148 +32,27 @@ func gaugeValue(t *testing.T, reg *obs.Registry, name string) float64 {
 	return 0
 }
 
-// TestCloseClosesSubscriberChannels is the regression test for the shutdown
-// bug: Close used to leave subscriber channels open, so a client ranging
-// over one hung forever and the wf_subscribers gauge stayed stale.
-func TestCloseClosesSubscriberChannels(t *testing.T) {
-	reg := obs.NewRegistry()
-	c := New("Hiring", workload.Hiring())
-	c.InstrumentRun(reg, DefaultRun)
-	ch, cancel, err := c.Subscribe("hr", 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := c.Subscribe("sue", 8); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Submit("hr", "clear", nil); err != nil {
-		t.Fatal(err)
-	}
-
-	done := make(chan int)
-	go func() {
-		// The ranging consumer: must exit once Close closes the channel.
-		got := 0
-		for range ch {
-			got++
-		}
-		done <- got
-	}()
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case got := <-done:
-		if got != 1 {
-			t.Fatalf("consumer received %d notifications, want 1", got)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("ranging consumer still blocked after Close")
-	}
-	if n := c.Subscribers(); n != 0 {
-		t.Fatalf("Subscribers() = %d after Close, want 0", n)
-	}
-	if g := gaugeValue(t, reg, "wf_subscribers"); g != 0 {
-		t.Fatalf("wf_subscribers = %v after Close, want 0", g)
-	}
-	// cancel after Close must be a safe no-op (the channel is already closed
-	// and unregistered; cancel must not double-close or go negative).
-	cancel()
-	cancel()
-	if g := gaugeValue(t, reg, "wf_subscribers"); g != 0 {
-		t.Fatalf("wf_subscribers = %v after post-Close cancel, want 0", g)
-	}
-	if _, _, err := c.Subscribe("hr", 8); err == nil {
-		t.Fatal("Subscribe after Close must be rejected")
-	}
-}
-
-// TestCloseClosesSubscribersDurable runs the same shutdown contract through
-// the durable path, where Close additionally drains the commit queue and
-// writes the final snapshot before closing the channels.
-func TestCloseClosesSubscribersDurable(t *testing.T) {
-	c, err := NewDurable("Hiring", workload.Hiring(), DurabilityConfig{Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch, _, err := c.Subscribe("hr", 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Submit("hr", "clear", nil); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan struct{})
-	go func() {
-		for range ch {
-		}
-		close(done)
-	}()
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("ranging consumer still blocked after durable Close")
-	}
-	if err := c.Close(); err != nil {
-		t.Fatal("second Close must be a nil no-op:", err)
-	}
-}
-
-// TestTransitionsIncrementalMatchesRescan pins the polling optimization:
-// the cached visible-index answer must equal a brute-force rescan of the
-// whole run, for every peer and every from cursor, interleaved with new
-// submissions (which extend the cache incrementally).
+// TestTransitionsIncrementalMatchesRescan pins the polling optimization to
+// the from-scratch replay oracle: after every submission (each extends the
+// snapshot's visible-index logs by one event), every peer's Transitions at
+// every from cursor must equal what compareWithReplay derives from a replay
+// of the served trace with core.NewExplainer and schema.ViewOf.
 func TestTransitionsIncrementalMatchesRescan(t *testing.T) {
 	prog := workload.Hiring()
-	subs := randomWorkload(t, prog, 11, 12)
 	c := New("Hiring", prog)
-
-	// bruteForce recomputes the peer's visible transitions from scratch,
-	// ignoring the cache — the pre-optimization semantics.
-	bruteForce := func(peer schema.Peer, from int) []Notification {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		var out []Notification
-		for idx := 0; idx < c.observable; idx++ {
-			if idx >= from && c.run.VisibleAt(idx, peer) {
-				out = append(out, c.buildNotification(peer, idx))
-			}
-		}
-		return out
-	}
-
-	check := func() {
-		for _, peer := range prog.Peers() {
-			for from := 0; from <= c.Len()+1; from++ {
-				got, err := c.Transitions(peer, from)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := bruteForce(peer, from)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("peer %s from %d:\n got: %+v\nwant: %+v", peer, from, got, want)
-				}
-			}
-		}
-	}
-
-	check() // empty run
-	for i, s := range subs {
+	compareWithReplay(t, c) // empty run
+	for i, s := range randomWorkload(t, prog, 11, 12) {
 		if _, err := c.Submit(s.peer, s.rule, s.bindings); err != nil {
 			t.Fatalf("submission %d: %v", i, err)
 		}
-		// Poll after every event so the cache is repeatedly extended by one.
-		check()
+		compareWithReplay(t, c)
 	}
 }
 
 // TestCrashDuringGroupCommit is the property test for the batched failure
 // path: when the group fsync fails mid-batch, (a) every submitter whose
 // record was in flight gets an error, (b) recovery replays exactly the
-// durable prefix, and (c) no subscriber ever saw a rolled-back event.
+// durable prefix, and (c) a concurrent poller never saw a rolled-back event.
 func TestCrashDuringGroupCommit(t *testing.T) {
 	prog := workload.Hiring()
 	fp := wal.NewFailpoints()
@@ -183,11 +61,7 @@ func TestCrashDuringGroupCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, cancelSub, err := c.Subscribe("hr", 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cancelSub()
+	p := startPoller(c, "hr")
 
 	const durablePrefix = 3
 	for i := 0; i < durablePrefix; i++ {
@@ -232,19 +106,11 @@ func TestCrashDuringGroupCommit(t *testing.T) {
 		t.Fatalf("submit after realign: %v", err)
 	}
 
-	// (c) Notifications cover exactly the released events, in index order —
-	// none for a rolled-back event.
-	want := 0
-	for len(ch) > 0 {
-		n := <-ch
-		if n.Index != want {
-			t.Fatalf("notification index %d, want %d", n.Index, want)
-		}
-		want++
-	}
-	if want != durablePrefix+1 {
-		t.Fatalf("got %d notifications, want %d", want, durablePrefix+1)
-	}
+	// (c) The poller observed exactly the released events, in index order —
+	// none rolled back, though the next accepted event reused index 3.
+	seen := p.stop(t)
+	checkContiguous(t, seen, durablePrefix+1)
+	checkFeed(t, c, "hr", seen)
 
 	// (b) Crash (no Close) and recover: exactly the durable prefix replays.
 	state := captureState(t, c)
@@ -263,7 +129,8 @@ func TestCrashDuringGroupCommit(t *testing.T) {
 
 // TestConcurrentSubmitsReleaseInOrder stresses the pipeline: many
 // concurrent durable submitters, every commit grouped, and still a single
-// totally-ordered run with contiguous in-order notifications.
+// totally-ordered run that a concurrent poller observes contiguously and in
+// order.
 func TestConcurrentSubmitsReleaseInOrder(t *testing.T) {
 	prog := workload.Hiring()
 	dir := t.TempDir()
@@ -272,11 +139,7 @@ func TestConcurrentSubmitsReleaseInOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	const workers, per = 8, 5
-	ch, cancelSub, err := c.Subscribe("hr", workers*per+8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cancelSub()
+	p := startPoller(c, "hr")
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -297,17 +160,9 @@ func TestConcurrentSubmitsReleaseInOrder(t *testing.T) {
 	if got := c.Len(); got != workers*per {
 		t.Fatalf("Len() = %d, want %d", got, workers*per)
 	}
-	next := 0
-	for len(ch) > 0 {
-		n := <-ch
-		if n.Index != next {
-			t.Fatalf("notification index %d, want %d (in-order contiguous release)", n.Index, next)
-		}
-		next++
-	}
-	if next != workers*per {
-		t.Fatalf("received %d notifications, want %d", next, workers*per)
-	}
+	seen := p.stop(t)
+	checkContiguous(t, seen, workers*per)
+	checkFeed(t, c, "hr", seen)
 	state := captureState(t, c)
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
@@ -441,7 +296,7 @@ func TestConcurrentReadersDuringGroupCommits(t *testing.T) {
 					return
 				default:
 				}
-				ts, n, err := c.TransitionsAndLen("hr", 0)
+				ts, n, err := c.Transitions("hr", 0)
 				if err != nil {
 					t.Error(err)
 					return
@@ -485,7 +340,7 @@ func TestConcurrentReadersDuringGroupCommits(t *testing.T) {
 		t.Fatalf("Len() = %d, want %d", got, writers*perWriter)
 	}
 	// Every reader's record must agree with the final state.
-	final, _, err := c.TransitionsAndLen("hr", 0)
+	final, _, err := c.Transitions("hr", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -542,7 +397,7 @@ func TestRollbackDuringReadsInvisible(t *testing.T) {
 		go func(rl *readerLog) {
 			defer rwg.Done()
 			for {
-				ts, n, err := c.TransitionsAndLen("hr", 0)
+				ts, n, err := c.Transitions("hr", 0)
 				if err != nil {
 					t.Error(err)
 					return
@@ -587,7 +442,7 @@ func TestRollbackDuringReadsInvisible(t *testing.T) {
 	close(stop)
 	rwg.Wait()
 
-	final, n, err := c.TransitionsAndLen("hr", 0)
+	final, n, err := c.Transitions("hr", 0)
 	if err != nil {
 		t.Fatal(err)
 	}

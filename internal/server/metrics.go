@@ -42,9 +42,6 @@ type Metrics struct {
 	rollbacks      *obs.Counter
 	idemReplays    *obs.Counter
 	runEvents      *obs.Gauge
-	subscribers    *obs.Gauge
-	notifSent      *obs.Counter
-	notifDropped   obs.CounterVec // peer
 	recoverySecs   *obs.Gauge
 	recoveredEvs   *obs.Gauge
 
@@ -105,12 +102,6 @@ func NewRunMetrics(reg *obs.Registry, run string) *Metrics {
 			"Retried submissions answered from the idempotency window without re-applying."),
 		runEvents: gauge("wf_run_events",
 			"Events accepted into the global run so far."),
-		subscribers: gauge("wf_subscribers",
-			"Registered notification subscribers."),
-		notifSent: counter("wf_notifications_sent_total",
-			"Notifications delivered to subscriber channels."),
-		notifDropped: counterVec("wf_notifications_dropped_total",
-			"Notifications dropped on full subscriber channels, by peer.", "peer"),
 		recoverySecs: gauge("wf_coordinator_recovery_seconds",
 			"Wall time of the last snapshot+WAL recovery."),
 		recoveredEvs: gauge("wf_coordinator_recovered_events",
@@ -253,11 +244,6 @@ func (c *Coordinator) InstrumentRun(reg *obs.Registry, run string) *Metrics {
 	c.metrics = m
 	c.mread.Store(m)
 	m.runEvents.Set(float64(c.observable))
-	total := 0
-	for _, chans := range c.subs {
-		total += len(chans)
-	}
-	m.subscribers.Set(float64(total))
 	if c.recoveryTime > 0 {
 		m.recoverySecs.Set(c.recoveryTime.Seconds())
 		m.recoveredEvs.Set(float64(c.recoveredEvents))

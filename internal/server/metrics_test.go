@@ -166,16 +166,14 @@ func TestCertifyStatsReachRegistry(t *testing.T) {
 	}
 }
 
+// TestStatuszReportsDrops: the one change feed is the published snapshot,
+// which a slow reader cannot overflow, so /statusz reports the released
+// prefix and its snapshot and carries no subscriber or dropped-notification
+// fields.
 func TestStatuszReportsDrops(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := New("Hiring", workload.Hiring())
 	c.InstrumentRun(reg, DefaultRun)
-	_, cancel, err := c.Subscribe("hr", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cancel()
-	// With buffer 1 and no reader, the second notification drops.
 	if _, err := c.Submit("hr", "clear", nil); err != nil {
 		t.Fatal(err)
 	}
@@ -189,19 +187,16 @@ func TestStatuszReportsDrops(t *testing.T) {
 	if err := json.Unmarshal(rr.Body.Bytes(), &st); err != nil {
 		t.Fatalf("statusz is not JSON: %v", err)
 	}
-	if st.DroppedNotifications.Total != 1 {
-		t.Errorf("dropped total = %d, want 1", st.DroppedNotifications.Total)
+	if st.Events != 2 || st.Snapshot.Events != 2 {
+		t.Errorf("events = %d, snapshot events = %d, want 2 and 2", st.Events, st.Snapshot.Events)
 	}
-	if st.Subscribers != 1 {
-		t.Errorf("subscribers = %d, want 1", st.Subscribers)
+	var raw map[string]any
+	if err := json.Unmarshal(rr.Body.Bytes(), &raw); err != nil {
+		t.Fatal(err)
 	}
-	if st.Events != 2 {
-		t.Errorf("events = %d, want 2", st.Events)
-	}
-	if v, ok := seriesValue(reg, "wf_notifications_dropped_total", DefaultRun, "hr"); !ok || v != 1 {
-		t.Errorf("wf_notifications_dropped_total{hr} = %v (ok=%v), want 1", v, ok)
-	}
-	if v, ok := seriesValue(reg, "wf_subscribers", DefaultRun); !ok || v != 1 {
-		t.Errorf("wf_subscribers = %v (ok=%v), want 1", v, ok)
+	for field := range raw {
+		if strings.Contains(field, "subscri") || strings.Contains(field, "notif") {
+			t.Errorf("statusz still reports listener accounting: %q", field)
+		}
 	}
 }

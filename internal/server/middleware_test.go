@@ -157,7 +157,7 @@ func TestStatuszFieldPresence(t *testing.T) {
 	}
 	for _, field := range []string{
 		"workflow", "uptime_seconds", "events", "durable", "ready",
-		"guards", "subscribers", "dropped_notifications", "snapshot", "build",
+		"guards", "snapshot", "build",
 	} {
 		if _, ok := raw[field]; !ok {
 			t.Errorf("statusz lacks field %q", field)

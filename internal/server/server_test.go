@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -113,13 +114,11 @@ func TestGuardRejectsViolations(t *testing.T) {
 	}
 }
 
+// TestSubscriptions: a peer's feed carries exactly the transitions visible
+// to it — sue learns of hr's clear behind ω, with her view after it, and
+// never of cfo's approval.
 func TestSubscriptions(t *testing.T) {
 	c := New("Hiring", workload.Hiring())
-	ch, cancel, err := c.Subscribe("sue", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cancel()
 	res, err := c.Submit("hr", "clear", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -128,48 +127,21 @@ func TestSubscriptions(t *testing.T) {
 	if _, err := c.Submit("cfo", "cfo_ok", map[string]data.Value{"x": cand}); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case n := <-ch:
-		if n.Index != 0 || !n.Omega || !strings.Contains(n.View, "Cleared") {
-			t.Fatalf("notification=%+v", n)
-		}
-	default:
-		t.Fatal("clear notification missing")
+	if n, err := c.Wait(context.Background(), 0); err != nil || n != 2 {
+		t.Fatalf("Wait(0) = (%d, %v), want (2, nil)", n, err)
 	}
-	select {
-	case n := <-ch:
-		t.Fatalf("cfo_ok is invisible to sue, got %+v", n)
-	default:
-	}
-	// After cancel, no more notifications.
-	cancel()
-	if _, err := c.Submit("ceo", "approve", map[string]data.Value{"x": cand}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Submit("hr", "hire", map[string]data.Value{"x": cand}); err != nil {
-		t.Fatal(err)
-	}
-	if len(ch) != 0 {
-		t.Fatal("cancelled subscriber still receives")
-	}
-}
-
-func TestSlowSubscriberDrops(t *testing.T) {
-	c := New("Hiring", workload.Hiring())
-	_, cancel, err := c.Subscribe("hr", 1)
+	ts, n, err := c.Transitions("sue", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cancel()
-	// hr sees every clear; with buffer 1, the second notification drops.
-	if _, err := c.Submit("hr", "clear", nil); err != nil {
-		t.Fatal(err)
+	if n != 2 || len(ts) != 1 {
+		t.Fatalf("sue's feed = (%+v, %d): want only the clear, of a 2-event run", ts, n)
 	}
-	if _, err := c.Submit("hr", "clear", nil); err != nil {
-		t.Fatal(err)
+	if tr := ts[0]; tr.Index != 0 || !tr.Omega || tr.Rule != "" || !strings.Contains(tr.View, "Cleared") {
+		t.Fatalf("clear transition = %+v", tr)
 	}
-	if c.Dropped() != 1 {
-		t.Fatalf("dropped=%d", c.Dropped())
+	if ts, _, err := c.Transitions("sue", 1); err != nil || len(ts) != 0 {
+		t.Fatalf("cfo_ok is invisible to sue, got %+v (%v)", ts, err)
 	}
 }
 

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"context"
 	"sort"
 	"time"
 
@@ -16,8 +17,8 @@ import (
 // snapshot is an immutable capture of the released run prefix, published
 // through Coordinator.snap (an atomic.Pointer) by releaseLocked after every
 // group-commit release. The read paths — View, Explain, Scenario,
-// Transitions, Trace, Len — serve from the latest snapshot without touching
-// the coordinator mutex.
+// Transitions, Trace, Len, Wait — serve from the latest snapshot without
+// touching the coordinator mutex.
 //
 // Why sharing is safe (the memory-model argument, expanded in DESIGN.md):
 //
@@ -42,7 +43,9 @@ import (
 //     the prefix a freeze covers (see faithful.Maintainer.Freeze).
 //   - atomic.Pointer.Store/Load give release/acquire ordering: everything
 //     written before the Store (the prefix, the caches, the freezes) is
-//     visible to any reader that Loads the new pointer.
+//     visible to any reader that Loads the new pointer. The predecessor's
+//     next channel is closed after the Store, so a waiter it wakes Loads
+//     this snapshot or a later one.
 type snapshot struct {
 	name    string
 	prog    *program.Program
@@ -56,6 +59,10 @@ type snapshot struct {
 	// feeding the wf_snapshot_age_seconds gauge.
 	seq  uint64
 	born int64
+	// next is closed by the following publication: the one change signal
+	// every Wait blocks on. It carries nothing, so there is nothing to
+	// buffer or drop.
+	next chan struct{}
 	// cnt is the owning coordinator's condition-eval counter block (nil when
 	// unprofiled): view renders on the snapshot attribute their selection
 	// evaluations to that run. A render counts only the rows whose line for
@@ -108,6 +115,7 @@ func (c *Coordinator) publishSnapshotLocked() {
 		exp[p] = c.explainer.Freeze(p)
 	}
 	c.snapSeq++
+	prev := c.snap.Load()
 	s := &snapshot{
 		name:    c.name,
 		prog:    c.prog,
@@ -116,10 +124,43 @@ func (c *Coordinator) publishSnapshotLocked() {
 		exp:     exp,
 		seq:     c.snapSeq,
 		born:    time.Now().UnixNano(),
+		next:    make(chan struct{}),
 		cnt:     c.profiler.Cond(),
 	}
 	c.snap.Store(s)
+	if prev != nil {
+		close(prev.next)
+	}
 	c.metrics.snapshotSwapped()
+}
+
+// Wait blocks until the released prefix is longer than from and returns
+// its length n > from; a caller then reads the new transitions with
+// Transitions(peer, from), and Len() ≥ n holds on that read. It returns at
+// once when the prefix is already longer, ctx.Err() when ctx ends first, and
+// the shut-down error once Close or Crash has stopped the coordinator and
+// nothing past from was released. Lock-free: a waiter blocks on the
+// published snapshot's next channel, closed by the next publication, so
+// listeners need no registration and a slow one misses nothing — it reads
+// whatever was released since its cursor.
+func (c *Coordinator) Wait(ctx context.Context, from int) (int, error) {
+	for {
+		s := c.snap.Load()
+		if n := s.Len(); n > from {
+			return n, nil
+		}
+		select {
+		case <-s.next:
+		case <-ctx.Done():
+			return 0, ctx.Err()
+		case <-c.done:
+			// Close publishes its last release before closing done.
+			if n := c.snap.Load().Len(); n > from {
+				return n, nil
+			}
+			return 0, errShutDown
+		}
+	}
 }
 
 // SnapshotInfo reports the published snapshot's sequence number, age, and
@@ -148,12 +189,21 @@ func (s *snapshot) viewAt(i int, peer schema.Peer) *schema.ViewInstance {
 }
 
 // notification builds the peer's notification for event idx from the
-// snapshot alone, leaving View empty for the caller to render or stream —
-// the poll twin of the push path's buildNotification, kept byte-identical
-// through the shared makeNotification assembly. ex is the event's
-// explanation (ExplainEvent(idx)).
+// snapshot alone, leaving View empty for the caller to render or stream.
+// ex is the event's (ascending) explanation, ExplainEvent(idx); the event
+// itself is left out of Because.
 func (s *snapshot) notification(peer schema.Peer, idx int, ex []int) Notification {
-	return makeNotification(s.Event(idx), peer, idx, "", ex)
+	e := s.Event(idx)
+	n := Notification{Index: idx, Omega: e.Peer() != peer}
+	if !n.Omega {
+		n.Rule = e.Rule.Name
+	}
+	for _, j := range ex {
+		if j != idx {
+			n.Because = append(n.Because, j)
+		}
+	}
+	return n
 }
 
 // visibleFrom returns the peer's visible event indices ≥ from.
@@ -162,10 +212,12 @@ func (s *snapshot) visibleFrom(peer schema.Peer, from int) []int {
 	return idxs[sort.SearchInts(idxs, from):]
 }
 
-// TransitionsAndLen answers Transitions plus the released length from one
-// snapshot, so pollers get a mutually consistent (transitions, len) pair.
+// Transitions returns the peer's visible transitions with indices ≥ from
+// and the released length, both from one snapshot, so a poller gets a
+// mutually consistent pair and resumes from that length. Lock-free: the
+// snapshot's visible-index log and a binary search make a poll O(answer).
 // /transitions streams the same answer (writeTransitionsJSON).
-func (c *Coordinator) TransitionsAndLen(peer schema.Peer, from int) ([]Notification, int, error) {
+func (c *Coordinator) Transitions(peer schema.Peer, from int) ([]Notification, int, error) {
 	s, err := c.readSnapshot(peer)
 	if err != nil {
 		return nil, 0, err
@@ -179,7 +231,7 @@ func (c *Coordinator) TransitionsAndLen(peer schema.Peer, from int) ([]Notificat
 	return out, s.Len(), nil
 }
 
-// writeTransitionsJSON streams TransitionsAndLen's answer as encoding/json
+// writeTransitionsJSON streams Transitions' answer as encoding/json
 // encodes map[string]any{"transitions": ts, "len": n}: keys sorted, null
 // for no transitions, a trailing newline. Each view is written straight
 // from its rows' memoized lines, and every explanation is read into one

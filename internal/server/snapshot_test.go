@@ -40,7 +40,7 @@ func TestReadsLockFreeWhileMutexHeld(t *testing.T) {
 			if _, err := c.Scenario(peer); err != nil {
 				t.Error(err)
 			}
-			if _, _, err := c.TransitionsAndLen(peer, 0); err != nil {
+			if _, _, err := c.Transitions(peer, 0); err != nil {
 				t.Error(err)
 			}
 		}
@@ -60,9 +60,10 @@ func TestReadsLockFreeWhileMutexHeld(t *testing.T) {
 
 // TestSnapshotReadsMatchReplay pins snapshot serving to an independent
 // oracle: at several prefix lengths, the empty run included, every peer's
-// View, Explain, Scenario and TransitionsAndLen answers must equal what a
-// from-scratch replay of the served trace computes with the program run,
-// core.NewExplainer and schema.ViewOf — no coordinator state involved.
+// View, Explain, Scenario and Transitions answers (the latter at every from
+// cursor) must equal what a from-scratch replay of the served trace
+// computes with the program run, core.NewExplainer and schema.ViewOf — no
+// coordinator state involved.
 func TestSnapshotReadsMatchReplay(t *testing.T) {
 	prog := workload.Hiring()
 	c := New("Hiring", prog)
@@ -130,12 +131,20 @@ func compareWithReplay(t *testing.T, c *Coordinator) {
 		if want := ex.MinimalScenario(); !reflect.DeepEqual(sc, want) {
 			t.Fatalf("len %d, %s: Scenario = %v, replay %v", n, peer, sc, want)
 		}
-		ts, tn, err := c.TransitionsAndLen(peer, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tn != n || !reflect.DeepEqual(ts, wantTrans) {
-			t.Fatalf("len %d, %s: TransitionsAndLen = (%+v, %d), replay (%+v, %d)", n, peer, ts, tn, wantTrans, n)
+		// Every cursor, one past the end included: the answer is the
+		// replay's visible transitions with indices ≥ from.
+		for from := 0; from <= n+1; from++ {
+			for len(wantTrans) > 0 && wantTrans[0].Index < from {
+				wantTrans = wantTrans[1:]
+			}
+			ts, tn, err := c.Transitions(peer, from)
+			if err != nil {
+				t.Fatal(err)
+			}
+			same := len(ts) == 0 && len(wantTrans) == 0 || reflect.DeepEqual(ts, wantTrans)
+			if tn != n || !same {
+				t.Fatalf("len %d, %s, from %d: Transitions = (%+v, %d), replay (%+v, %d)", n, peer, from, ts, tn, wantTrans, n)
+			}
 		}
 	}
 }
@@ -286,7 +295,7 @@ func TestReadPathMetrics(t *testing.T) {
 	if _, err := c.Scenario("hr"); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.TransitionsAndLen("hr", 0); err != nil {
+	if _, _, err := c.Transitions("hr", 0); err != nil {
 		t.Fatal(err)
 	}
 	c.Trace()

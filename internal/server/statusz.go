@@ -27,12 +27,8 @@ type Statusz struct {
 	Ready            string `json:"ready"` // "ok" or the readiness error
 	// WALStalled carries the failed-group-sync error while the WAL refuses
 	// appends (pending realign + Resume); "" when healthy.
-	WALStalled  string         `json:"wal_stalled,omitempty"`
-	Guards      map[string]int `json:"guards,omitempty"`
-	Subscribers int            `json:"subscribers"`
-	// DroppedNotifications surfaces notifications lost to slow subscribers;
-	// wf_notifications_dropped_total{peer} attributes them per peer.
-	DroppedNotifications DroppedNotifications `json:"dropped_notifications"`
+	WALStalled string         `json:"wal_stalled,omitempty"`
+	Guards     map[string]int `json:"guards,omitempty"`
 	// Snapshot describes the published lock-free read snapshot: sequence
 	// number (publications so far), age, and covered events.
 	Snapshot SnapshotStatus `json:"snapshot"`
@@ -69,14 +65,8 @@ type RunStatus struct {
 	Events           int     `json:"events"`
 	CommitQueueDepth int     `json:"commit_queue_depth"`
 	SnapshotAge      float64 `json:"snapshot_age_seconds"`
-	Subscribers      int     `json:"subscribers"`
 	Ready            string  `json:"ready"`
 	WALStalled       string  `json:"wal_stalled,omitempty"`
-}
-
-// DroppedNotifications is the /statusz drop report.
-type DroppedNotifications struct {
-	Total int `json:"total"`
 }
 
 // SnapshotStatus is the /statusz read-snapshot report.
@@ -98,17 +88,15 @@ func StatuszHandler(c *Coordinator) http.Handler {
 // handler serves it as-is, the Manager's fleet handler adds the runs block.
 func statuszFor(c *Coordinator, start time.Time) Statusz {
 	st := Statusz{
-		Workflow:             c.Name(),
-		Run:                  c.RunID(),
-		UptimeSeconds:        time.Since(start).Seconds(),
-		Events:               c.Len(),
-		Durable:              c.Durable(),
-		CommitQueueDepth:     c.CommitQueueDepth(),
-		Ready:                "ok",
-		WALStalled:           c.WALStalled(),
-		Guards:               c.Guards(),
-		Subscribers:          c.Subscribers(),
-		DroppedNotifications: DroppedNotifications{Total: c.Dropped()},
+		Workflow:         c.Name(),
+		Run:              c.RunID(),
+		UptimeSeconds:    time.Since(start).Seconds(),
+		Events:           c.Len(),
+		Durable:          c.Durable(),
+		CommitQueueDepth: c.CommitQueueDepth(),
+		Ready:            "ok",
+		WALStalled:       c.WALStalled(),
+		Guards:           c.Guards(),
 	}
 	seq, age, events := c.SnapshotInfo()
 	st.Snapshot = SnapshotStatus{Seq: seq, AgeSeconds: age.Seconds(), Events: events}
@@ -127,7 +115,6 @@ func runStatus(id string, c *Coordinator) RunStatus {
 		Workflow:         c.Name(),
 		Events:           c.Len(),
 		CommitQueueDepth: c.CommitQueueDepth(),
-		Subscribers:      c.Subscribers(),
 		Ready:            "ok",
 		WALStalled:       c.WALStalled(),
 	}

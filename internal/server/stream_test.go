@@ -23,8 +23,8 @@ func encoded(t *testing.T, v any) string {
 
 // At every step of a crowdsourcing session whose values need escaping, the
 // streamed /transitions (from the start, a tail, past the end) and /view
-// bodies equal json.Encoder over the maps TransitionsAndLen and View
-// answer with.
+// bodies equal json.Encoder over the maps Transitions and View answer
+// with.
 func TestStreamedReadsMatchEncoder(t *testing.T) {
 	c := New("Crowdsourcing", crowdProgram(t))
 	h := Handler(c)
@@ -40,7 +40,7 @@ func TestStreamedReadsMatchEncoder(t *testing.T) {
 		for _, peer := range c.prog.Peers() {
 			n := c.Len()
 			for _, from := range []int{0, n - 3, n} {
-				ts, tn, err := c.TransitionsAndLen(peer, from)
+				ts, tn, err := c.Transitions(peer, from)
 				if err != nil {
 					t.Fatal(err)
 				}

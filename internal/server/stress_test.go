@@ -15,9 +15,9 @@ import (
 // API — each runs the full clear → cfo_ok → approve → hire pipeline for
 // its own candidate — against a durable coordinator under the race
 // detector. The final run length must equal the number of accepted
-// submissions, every subscriber must see a prefix-consistent (strictly
-// increasing, gap-free over its visible events) notification sequence,
-// and the WAL must recover to the same run.
+// submissions, a concurrent poller per peer must observe a
+// prefix-consistent (strictly increasing, gap-free over its visible events)
+// transition sequence, and the WAL must recover to the same run.
 func TestConcurrentSubmitStress(t *testing.T) {
 	prog := workload.Hiring()
 	dir := t.TempDir()
@@ -34,16 +34,7 @@ func TestConcurrentSubmitStress(t *testing.T) {
 	total := workers * perWorker
 
 	// hr sees all four relations; sue only Cleared and Hire.
-	hrCh, hrCancel, err := c.Subscribe("hr", total+8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hrCancel()
-	sueCh, sueCancel, err := c.Subscribe("sue", total+8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sueCancel()
+	hrPoll, suePoll := startPoller(c, "hr"), startPoller(c, "sue")
 
 	var wg sync.WaitGroup
 	errs := make([]error, workers)
@@ -78,44 +69,18 @@ func TestConcurrentSubmitStress(t *testing.T) {
 	if c.Len() != total {
 		t.Fatalf("run length %d, want %d", c.Len(), total)
 	}
-	if c.Dropped() != 0 {
-		t.Fatalf("dropped %d notifications with ample buffers", c.Dropped())
-	}
 
-	// hr sees every event: its notification indices must be exactly
-	// 0..total-1 in order. sue sees a strict subsequence: strictly
-	// increasing indices, each a clear or hire.
-	drain := func(ch <-chan Notification) []Notification {
-		var out []Notification
-		for {
-			select {
-			case n := <-ch:
-				out = append(out, n)
-			default:
-				return out
-			}
-		}
+	// hr sees every event: its observed indices must be exactly
+	// 0..total-1 in order. sue sees a strict subsequence — one clear and
+	// one hire per worker — in the order of the run.
+	hrSeen := hrPoll.stop(t)
+	checkContiguous(t, hrSeen, total)
+	checkFeed(t, c, "hr", hrSeen)
+	sueSeen := suePoll.stop(t)
+	if len(sueSeen) != 2*workers {
+		t.Fatalf("sue observed %d transitions, want %d", len(sueSeen), 2*workers)
 	}
-	hrNotes := drain(hrCh)
-	if len(hrNotes) != total {
-		t.Fatalf("hr saw %d notifications, want %d", len(hrNotes), total)
-	}
-	for i, n := range hrNotes {
-		if n.Index != i {
-			t.Fatalf("hr notification %d has index %d: sequence not prefix-consistent", i, n.Index)
-		}
-	}
-	sueNotes := drain(sueCh)
-	if len(sueNotes) != 2*workers {
-		t.Fatalf("sue saw %d notifications, want %d", len(sueNotes), 2*workers)
-	}
-	last := -1
-	for i, n := range sueNotes {
-		if n.Index <= last {
-			t.Fatalf("sue notification %d has index %d after %d: not prefix-consistent", i, n.Index, last)
-		}
-		last = n.Index
-	}
+	checkFeed(t, c, "sue", sueSeen)
 
 	// The serialized run replays, and recovery reproduces it.
 	want := captureState(t, c)
