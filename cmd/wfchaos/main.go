@@ -21,7 +21,7 @@
 //
 //	wfchaos [-seed 1] [-runs 1] [-ops 400] [-workers max(4,runs)]
 //	        [-readers max(2,runs)] [-injections 200] [-crash-every 12]
-//	        [-snapshot-every 32] [-dir ""] [-timeout 5m] [-v]
+//	        [-dir ""] [-timeout 5m] [-v]
 package main
 
 import (
@@ -44,7 +44,6 @@ func main() {
 	readers := flag.Int("readers", 0, "polling readers asserting prefix-consistent reads (0: max(2, runs); negative disables)")
 	injections := flag.Int("injections", 200, "minimum fault injections before stopping")
 	crashEvery := flag.Int("crash-every", 12, "expected injections per crash/recover cycle")
-	snapshotEvery := flag.Int("snapshot-every", 32, "per-run snapshot threshold (events)")
 	dir := flag.String("dir", "", "data directory (kept after the soak); empty means a temp dir, removed on success")
 	timeout := flag.Duration("timeout", 5*time.Minute, "abort the soak after this long")
 	verbose := flag.Bool("v", false, "log recoveries to stderr")
@@ -59,16 +58,15 @@ func main() {
 	defer cancel()
 
 	sum, err := chaos.Run(ctx, chaos.Config{
-		Seed:          *seed,
-		Runs:          *runs,
-		Ops:           *ops,
-		Workers:       *workers,
-		Readers:       *readers,
-		Injections:    *injections,
-		CrashEveryN:   *crashEvery,
-		SnapshotEvery: *snapshotEvery,
-		Dir:           *dir,
-		Logger:        logger,
+		Seed:        *seed,
+		Runs:        *runs,
+		Ops:         *ops,
+		Workers:     *workers,
+		Readers:     *readers,
+		Injections:  *injections,
+		CrashEveryN: *crashEvery,
+		Dir:         *dir,
+		Logger:      logger,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "wfchaos: %v\n", err)

@@ -14,20 +14,21 @@
 //
 // With -data-dir the fleet is durable: the default run lives at the
 // directory root (a pre-fleet data dir recovers as-is), named runs under
-// <dir>/runs/<id>/, and a restart recovers every non-archived run from its
-// snapshot + WAL tail. Under -fsync always a submission is acknowledged
+// <dir>/runs/<id>/, and a restart recovers every non-archived run by
+// replaying its WAL, the run's only record (a guarded run also keeps its
+// guards in snapshot.json). Under -fsync always a submission is acknowledged
 // only once its WAL record is fsynced, and concurrent submissions share one
 // group fsync; -fsync interval acknowledges at write time and fsyncs a
 // dirty WAL tail every 100ms; -fsync never leaves syncing to the OS.
 // SIGINT/SIGTERM shut the server down gracefully: in-flight submissions
-// drain, every run writes a final snapshot, and the WALs are closed.
+// drain, and every run's WAL is synced and closed.
 //
 // Usage:
 //
 //	wfserve -spec workflow.wf [-addr :8080] [-guard sue=3 -guard bob=2]
 //	        [-data-dir ./data] [-fsync always|interval|never]
 //	        [-wal-strict] [-idem-window 4096]
-//	        [-snapshot-every 256] [-max-inflight 256]
+//	        [-max-inflight 256]
 //	        [-shutdown-timeout 10s]
 //	        [-declog decisions.jsonl|http://collector/v1|stdout]
 //	        [-request-timeout 30s] [-debug-addr :6060] [-profile-rules]
@@ -62,7 +63,7 @@
 // same decision drives its metric, span attributes and log line.
 //
 // Every layer is instrumented: request counts/latency per route, submission
-// accept/reject counters labeled by run, WAL fsync and snapshot latencies,
+// accept/reject counters labeled by run, WAL fsync latency,
 // decider search effort, fleet gauges (wf_runs_active, wf_fleet_events), Go
 // runtime gauges, and request-scoped traces (HTTP → coordinator → WAL span
 // trees, retained per -trace-sample; every log line carries its trace_id).
@@ -100,9 +101,10 @@ func (g *guardFlags) Set(s string) error { *g = append(*g, s); return nil }
 func main() {
 	specPath := flag.String("spec", "", "workflow specification file")
 	addr := flag.String("addr", ":8080", "listen address")
-	dataDir := flag.String("data-dir", "", "durability directory (per-run WALs + snapshots); empty = in-memory only")
+	dataDir := flag.String("data-dir", "", "durability directory (per-run WALs and guard files); empty = in-memory only")
 	fsync := flag.String("fsync", "always", "WAL fsync policy: always, interval or never")
-	snapshotEvery := flag.Int("snapshot-every", 256, "snapshot each run's prefix every N accepted events (0 = only at shutdown)")
+	// Deprecated: ignored; the WAL is the run's only record.
+	flag.Int("snapshot-every", 0, "deprecated and ignored: the WAL is the run's only record")
 	shutdownTimeout := flag.Duration("shutdown-timeout", 10*time.Second, "drain deadline on SIGINT/SIGTERM")
 	requestTimeout := flag.Duration("request-timeout", 30*time.Second, "time to a response's first byte before a 503; a started response completes (0 = unbounded)")
 	maxBody := flag.Int64("max-body", 1<<20, "maximum /submit body size in bytes")
@@ -195,12 +197,11 @@ func main() {
 		Prog:     spec.Program,
 		DataDir:  *dataDir,
 		Durability: server.DurabilityConfig{
-			Sync:          syncPolicy,
-			SnapshotEvery: *snapshotEvery,
-			Strict:        *walStrict,
-			IdemWindow:    *idemWindow,
-			Metrics:       reg,
-			DecisionLog:   declogger,
+			Sync:        syncPolicy,
+			Strict:      *walStrict,
+			IdemWindow:  *idemWindow,
+			Metrics:     reg,
+			DecisionLog: declogger,
 		},
 		HTTP: server.HTTPOptions{
 			RequestTimeout: *requestTimeout,
@@ -280,7 +281,7 @@ func main() {
 	if debugSrv != nil {
 		_ = debugSrv.Shutdown(drainCtx)
 	}
-	// Final snapshot + WAL close for every run (no-op for in-memory fleets).
+	// Sync and close every run's WAL (no-op for in-memory fleets).
 	if err := m.Close(); err != nil {
 		fatal(fmt.Errorf("closing run fleet: %w", err))
 	}

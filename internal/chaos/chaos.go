@@ -95,8 +95,6 @@ type Config struct {
 	// CrashEveryN crash/recover cycles the fleet roughly once per N
 	// injections; ≤ 0 means 12.
 	CrashEveryN int
-	// SnapshotEvery is each run's snapshot threshold; ≤ 0 means 32.
-	SnapshotEvery int
 	// Dir is the fleet data directory (the decision stream lands in
 	// decisions.jsonl there); "" means a fresh temp dir (removed on
 	// success, kept on failure for inspection).
@@ -211,9 +209,6 @@ func Run(ctx context.Context, cfg Config) (*Summary, error) {
 	}
 	if cfg.CrashEveryN <= 0 {
 		cfg.CrashEveryN = 12
-	}
-	if cfg.SnapshotEvery <= 0 {
-		cfg.SnapshotEvery = 32
 	}
 	logger := cfg.Logger
 	if logger == nil {
@@ -557,9 +552,8 @@ func (h *harness) openManager(create bool) error {
 		Prog:     workload.Hiring(),
 		DataDir:  h.dir,
 		Durability: server.DurabilityConfig{
-			Sync:          wal.SyncAlways,
-			SnapshotEvery: h.cfg.SnapshotEvery,
-			DecisionLog:   h.dlog,
+			Sync:        wal.SyncAlways,
+			DecisionLog: h.dlog,
 		},
 		Failpoints: func(run string) *wal.Failpoints { return h.fps[run] },
 	})

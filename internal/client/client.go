@@ -184,8 +184,8 @@ func (c *Client) CreateRun(ctx context.Context, id string) error {
 	return c.attempt(ctx, http.MethodPost, "/runs", body, "", &struct{}{})
 }
 
-// DeleteRun archives a run: its final snapshot is written and its WAL
-// closed; the id disappears from routing.
+// DeleteRun archives a run: its WAL is synced and closed; the id
+// disappears from routing.
 func (c *Client) DeleteRun(ctx context.Context, id string) error {
 	return c.attempt(ctx, http.MethodDelete, "/runs/"+id, nil, "", &struct{}{})
 }

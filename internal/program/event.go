@@ -239,15 +239,6 @@ type Effect struct {
 	Filled []int
 }
 
-// FilledAttrs resolves the filled positions to attribute names.
-func (ef Effect) FilledAttrs(rel *schema.Relation) []data.Attr {
-	out := make([]data.Attr, len(ef.Filled))
-	for i, pos := range ef.Filled {
-		out[i] = rel.Attrs[pos]
-	}
-	return out
-}
-
 // Apply computes the transition I ⊢e J: it checks that every update of the
 // event is applicable on I and returns the successor instance together with
 // the recorded effects. I is not modified. Apply does not re-check the

@@ -203,9 +203,8 @@ func TestChaseMergeInsertAndVisibilitySideEffect(t *testing.T) {
 	if len(efs) != 1 || efs[0].Kind != Modified || len(efs[0].Filled) != 1 {
 		t.Fatalf("publish effects=%v", efs)
 	}
-	relSchema := p.Schema.DB.Relation("Doc")
-	if attrs := efs[0].FilledAttrs(relSchema); len(attrs) != 1 || attrs[0] != "Status" {
-		t.Fatalf("FilledAttrs=%v", attrs)
+	if attr := p.Schema.DB.Relation("Doc").Attrs[efs[0].Filled[0]]; attr != "Status" {
+		t.Fatalf("publish filled %s, want Status", attr)
 	}
 	// Retract deletes.
 	r.MustFireRule("retract", map[string]data.Value{"d": d, "s": "pub"})

@@ -136,19 +136,10 @@ type Coordinator struct {
 	recoveredEvents int
 
 	// log, when non-nil, makes the coordinator durable: every accepted
-	// event is appended (log-before-accept) and the run prefix is
-	// snapshotted every snapshotEvery events. See durable.go.
-	log           *wal.Log
-	snapshotEvery int
-	sinceSnapshot int
-	// lastSnapErr remembers a failed background snapshot (the events are
-	// still safe in the WAL); surfaced via Ready.
-	lastSnapErr error
-	// snapRetryArmed is true while a deferred-snapshot retry timer is in
-	// flight (a threshold snapshot hit wal.ErrBusy); see
-	// armSnapshotRetryLocked.
-	snapRetryArmed bool
-	closed         bool
+	// event is appended (log-before-accept), and the log is the run's only
+	// record. See durable.go.
+	log    *wal.Log
+	closed bool
 
 	// idem is the idempotency dedupe state: key → entry, with idemOrder the
 	// FIFO of resolved keys bounding the window to idemMax (see
@@ -169,6 +160,7 @@ func New(name string, p *program.Program) *Coordinator {
 		guard:     design.NewGuard(run, nil),
 		done:      make(chan struct{}),
 		idem:      make(map[string]*idemEntry),
+		idemMax:   defaultIdemWindow,
 	}
 	// Publish the empty-prefix snapshot so reads are lock-free from the
 	// first request (no "nil snapshot" fallback state exists).
@@ -232,9 +224,10 @@ func (c *Coordinator) Guard(peer schema.Peer, h int) error {
 	c.guard = design.NewGuard(c.run, budgets)
 	c.guard.SetProfiler(c.profiler)
 	// Guards are part of the durable configuration: persist them so a
-	// recovered coordinator enforces the same policy.
+	// recovered coordinator enforces the same policy. The run is empty, so
+	// the log holds nothing they could be out of step with.
 	if c.log != nil {
-		if err := c.writeSnapshotLocked(context.Background()); err != nil {
+		if err := wal.WriteGuards(c.log.Dir(), c.name, c.guardsLocked()); err != nil {
 			c.guard = prev
 			return fmt.Errorf("server: persisting guard: %w", err)
 		}
@@ -372,11 +365,7 @@ func (c *Coordinator) submitCtx(ctx context.Context, peer schema.Peer, ruleName 
 		d.RunLen = c.run.Len()
 	}
 	c.decide(ctx, sp, d, err)
-	if err != nil {
-		return nil, err
-	}
-	c.maybeSnapshotLocked(ctx)
-	return res, nil
+	return res, err
 }
 
 // submitLocked fires the rule, checks the guards, makes the event durable
@@ -436,7 +425,6 @@ func (c *Coordinator) submitLocked(ctx context.Context, sp *obs.Span, d *declog.
 		if err := c.commitLocked(ctx, sp, d, wal.Record{Seq: idx, Event: ev, Idem: d.IdemKey}, prevLen); err != nil {
 			return nil, err
 		}
-		c.sinceSnapshot++
 	}
 	// With pipelined commits a submitter can find its event already released
 	// (a later submitter in the same durable batch re-acquired the lock
@@ -529,58 +517,6 @@ func (c *Coordinator) releaseLocked(idx int) {
 		c.metrics.runEvents.Set(float64(c.observable))
 	}
 	c.publishSnapshotLocked()
-}
-
-// maybeSnapshotLocked writes a snapshot once enough events accumulated
-// since the last one. A failed snapshot is not fatal — the events are safe
-// in the WAL and recovery just replays a longer tail — but it is remembered
-// and surfaced via Ready. wal.ErrBusy (commits still in flight) is not a
-// failure either: the attempt is re-armed on a short-backoff timer, so a
-// deferred snapshot lands as soon as the commit queue drains instead of
-// waiting for the next threshold crossing (the WAL counts each deferral on
-// wf_wal_snapshot_deferred_total).
-func (c *Coordinator) maybeSnapshotLocked(ctx context.Context) {
-	if c.closed || c.snapshotEvery <= 0 || c.sinceSnapshot < c.snapshotEvery {
-		return
-	}
-	switch err := c.writeSnapshotLocked(ctx); {
-	case err == nil:
-	case errors.Is(err, wal.ErrBusy):
-		c.armSnapshotRetryLocked(10 * time.Millisecond)
-	default:
-		c.lastSnapErr = err
-	}
-}
-
-// armSnapshotRetryLocked schedules one retry of a busy-deferred snapshot
-// after delay, doubling (capped at 500ms) while the commit queue stays
-// busy. At most one timer is in flight; a threshold snapshot that lands in
-// the meantime resets sinceSnapshot and the retry becomes a no-op. Callers
-// hold the lock.
-func (c *Coordinator) armSnapshotRetryLocked(delay time.Duration) {
-	if c.snapRetryArmed {
-		return
-	}
-	c.snapRetryArmed = true
-	time.AfterFunc(delay, func() {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		c.snapRetryArmed = false
-		if c.closed || c.snapshotEvery <= 0 || c.sinceSnapshot < c.snapshotEvery {
-			return
-		}
-		switch err := c.writeSnapshotLocked(context.Background()); {
-		case err == nil:
-		case errors.Is(err, wal.ErrBusy):
-			next := delay * 2
-			if next > 500*time.Millisecond {
-				next = 500 * time.Millisecond
-			}
-			c.armSnapshotRetryLocked(next)
-		default:
-			c.lastSnapErr = err
-		}
-	})
 }
 
 // RetryAfterHint derives an honest Retry-After (in whole seconds) from the

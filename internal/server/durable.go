@@ -19,7 +19,8 @@ import (
 
 // DurabilityConfig selects where and how a coordinator persists its run.
 type DurabilityConfig struct {
-	// Dir is the data directory holding wal.log and snapshot.json.
+	// Dir is the data directory holding wal.log and, for a guarded run,
+	// the guard file snapshot.json.
 	Dir string
 	// RunID names the workflow instance this coordinator serves within a
 	// run fleet ("" = single-run mode); recovered and later decision
@@ -27,9 +28,7 @@ type DurabilityConfig struct {
 	RunID string
 	// Sync is the WAL fsync policy (default wal.SyncAlways).
 	Sync wal.SyncPolicy
-	// SnapshotEvery snapshots the run prefix after that many accepted
-	// events, keeping the WAL tail (and recovery time) short. 0 disables
-	// automatic snapshots; one is still written by Close.
+	// Deprecated: ignored; the WAL is the run's only record.
 	SnapshotEvery int
 	// Strict refuses to start when the WAL holds a corrupt complete record,
 	// instead of the default truncate-at-first-bad-record recovery (the
@@ -58,12 +57,13 @@ type DurabilityConfig struct {
 
 // NewDurable starts a durable coordinator rooted at cfg.Dir, recovering the
 // run the directory holds (an empty directory is the trivial recovery): it
-// replays the snapshot's run prefix, re-applies the WAL tail (skipping
-// records the snapshot already covers, truncating a torn trailing record
-// rather than failing), re-installs the persisted guards, and rebuilds the
-// explainer (one shared analysis for every peer) and the guard. Every
-// replayed event passes the full run conditions again, so a tampered log
-// is rejected, not replayed.
+// replays every WAL record (truncating a torn trailing record rather than
+// failing), re-installs the persisted guards, rebuilds the idempotency
+// window from the keyed records, and rebuilds the explainer (one shared
+// analysis for every peer) and the guard. A data dir written by an earlier
+// version may also hold a snapshot of a run prefix: it is replayed first
+// and the records it covers are skipped. Every replayed event passes the
+// full run conditions again, so a tampered log is rejected, not replayed.
 func NewDurable(name string, p *program.Program, cfg DurabilityConfig) (*Coordinator, error) {
 	start := time.Now()
 	var walLog *slog.Logger
@@ -84,13 +84,26 @@ func NewDurable(name string, p *program.Program, cfg DurabilityConfig) (*Coordin
 	c.SetLogger(cfg.Logger)
 	c.runID = cfg.RunID
 	c.log = log
-	c.snapshotEvery = cfg.SnapshotEvery
-	c.idemMax = cfg.IdemWindow
+	if cfg.IdemWindow > 0 {
+		c.idemMax = cfg.IdemWindow
+	}
 
+	// snapshot.json holds the guards; in a legacy dir also a run prefix and
+	// the idempotency window its log reset dropped.
 	snap, tail := log.TakeRecovered()
+	budgets := make(map[schema.Peer]int)
+	var legacyIdem []wal.IdemEntry
 	if snap != nil {
 		if snap.Workflow != "" {
 			c.name = snap.Workflow
+		}
+		for peer, h := range snap.Guards {
+			sp := schema.Peer(peer)
+			if !p.Schema.HasPeer(sp) {
+				log.Close()
+				return nil, fmt.Errorf("server: persisted guard for unknown peer %s", peer)
+			}
+			budgets[sp] = h
 		}
 		run, err := snap.Trace.Replay(p)
 		if err != nil {
@@ -98,11 +111,12 @@ func NewDurable(name string, p *program.Program, cfg DurabilityConfig) (*Coordin
 			return nil, fmt.Errorf("server: replaying snapshot: %w", err)
 		}
 		c.run = run
+		legacyIdem = snap.Idem
 	}
 	for _, rec := range tail {
 		if rec.Seq < c.run.Len() {
-			// Already covered by the snapshot (crash between snapshot
-			// rename and log reset).
+			// Already covered by a legacy snapshot (crash between its
+			// rename and the log reset).
 			continue
 		}
 		if rec.Seq != c.run.Len() {
@@ -116,32 +130,10 @@ func NewDurable(name string, p *program.Program, cfg DurabilityConfig) (*Coordin
 	}
 	// Guards were installed before the run started, so the guard admitted
 	// every recovered event: rebuild it over the recovered run.
-	budgets := make(map[schema.Peer]int)
-	if snap != nil {
-		for peer, h := range snap.Guards {
-			sp := schema.Peer(peer)
-			if !p.Schema.HasPeer(sp) {
-				log.Close()
-				return nil, fmt.Errorf("server: persisted guard for unknown peer %s", peer)
-			}
-			budgets[sp] = h
-		}
-	}
 	c.guard = design.NewGuard(c.run, budgets)
-	// Rebuild the idempotency window: the snapshot's window first (oldest
-	// keys, in its FIFO order), then the keys of the replayed tail records —
-	// so a client retrying a submission that was durable before the crash
-	// gets its original index back instead of double-applying.
-	if snap != nil {
-		for _, ie := range snap.Idem {
-			c.addIdemLocked(ie.Key, ie.Index)
-		}
-	}
-	for _, rec := range tail {
-		if rec.Idem != "" && rec.Seq < c.run.Len() {
-			c.addIdemLocked(rec.Idem, rec.Seq)
-		}
-	}
+	// A client retrying a submission that was durable before the crash gets
+	// its original index back instead of double-applying.
+	c.recoverIdemLocked(legacyIdem, tail)
 	// Everything recovered was durable before the crash: release it all.
 	c.observable = c.run.Len()
 	// New published an empty-prefix snapshot over the pre-replay run, and its
@@ -173,9 +165,7 @@ func NewDurable(name string, p *program.Program, cfg DurabilityConfig) (*Coordin
 var errShutDown = errors.New("server: coordinator is shut down")
 
 // Ready reports whether the coordinator can accept submissions: recovery
-// complete, not shut down, and (when durable) the WAL writable. A failed
-// background snapshot is also surfaced here — events remain durable in the
-// WAL, but the operator should know the tail is growing.
+// complete, not shut down, and (when durable) the WAL writable.
 func (c *Coordinator) Ready() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -183,12 +173,7 @@ func (c *Coordinator) Ready() error {
 		return errShutDown
 	}
 	if c.log != nil {
-		if err := c.log.Healthy(); err != nil {
-			return err
-		}
-		if c.lastSnapErr != nil {
-			return fmt.Errorf("server: last snapshot failed: %w", c.lastSnapErr)
-		}
+		return c.log.Healthy()
 	}
 	return nil
 }
@@ -225,26 +210,11 @@ func (c *Coordinator) WALCorruptRecords() int {
 	return log.CorruptRecords()
 }
 
-// Snapshot forces a snapshot of the current run prefix. In-flight group
-// commits are flushed first so the log reset cannot wipe buffered records.
-func (c *Coordinator) Snapshot() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.log == nil {
-		return fmt.Errorf("server: coordinator is not durable")
-	}
-	if err := c.log.Flush(); err != nil {
-		c.handleWALStallLocked(context.Background())
-	}
-	return c.writeSnapshotLocked(context.Background())
-}
-
 // Close shuts the coordinator down: further submissions are rejected, the
 // commit queue is drained and every durable event released, every Wait is
 // woken (answering the shut-down error once its caller has read the whole
-// released prefix), a final snapshot is written, and the WAL is closed.
-// Idempotent; a nil error means the full state is durable in the snapshot
-// alone.
+// released prefix), and the WAL is synced and closed. Idempotent; a nil
+// error means every released event is durable in the WAL.
 func (c *Coordinator) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -259,8 +229,8 @@ func (c *Coordinator) Close() error {
 	// Drain in-flight group commits. The committer needs no coordinator
 	// lock, so holding it here cannot deadlock; submitters blocked on their
 	// futures resolve now and queue behind this lock. A failed drain means
-	// the WAL stalled — realign so the final snapshot describes exactly the
-	// durable prefix.
+	// the WAL stalled — realign so nothing past the durable prefix is
+	// released.
 	if err := c.log.Flush(); err != nil {
 		c.handleWALStallLocked(context.Background())
 	}
@@ -271,15 +241,11 @@ func (c *Coordinator) Close() error {
 		c.releaseLocked(n - 1)
 	}
 	close(c.done)
-	snapErr := c.writeSnapshotLocked(context.Background())
-	if err := c.log.Close(); err != nil && snapErr == nil {
-		snapErr = err
-	}
-	return snapErr
+	return c.log.Close()
 }
 
 // Crash simulates a hard process kill, for fault drills: no flush, no
-// final snapshot, no release of buffered events; every Wait is woken as by
+// final sync, no release of buffered events; every Wait is woken as by
 // Close. In-flight commits resolve with wal.ErrCrashed (their submitters
 // answer ErrUnavailable — outcome unknown) and the WAL file closes as-is.
 // The returned offsets are the log's durable prefix and written size (see
@@ -307,25 +273,6 @@ func (c *Coordinator) WALPath() string {
 		return ""
 	}
 	return c.log.Path()
-}
-
-// writeSnapshotLocked persists the current run prefix and guards. Callers
-// hold the lock; ctx carries the trace the snapshot should appear in (use
-// context.Background() outside a request).
-func (c *Coordinator) writeSnapshotLocked(ctx context.Context) error {
-	snap := &wal.Snapshot{
-		Workflow: c.name,
-		Guards:   c.guardsLocked(),
-		Len:      c.run.Len(),
-		Trace:    trace.FromRun(c.name, c.run),
-		Idem:     c.idemWindowLocked(),
-	}
-	if err := c.log.WriteSnapshotCtx(ctx, snap); err != nil {
-		return err
-	}
-	c.sinceSnapshot = 0
-	c.lastSnapErr = nil
-	return nil
 }
 
 // applyRecord decodes one WAL record into an event and appends it to the

@@ -1,10 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"math/rand"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -120,13 +122,13 @@ func TestCrashRecoveryAfterEveryEvent(t *testing.T) {
 
 	for k := 1; k <= len(subs); k++ {
 		dir := t.TempDir()
-		cfg := DurabilityConfig{Dir: dir, SnapshotEvery: 3}
+		cfg := DurabilityConfig{Dir: dir}
 		c, err := NewDurable("Hiring", prog, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		mustSubmitAll(t, c, subs[:k])
-		// Crash: no Close, no final snapshot, torn bytes on disk.
+		// Crash: no Close, torn bytes on disk.
 		appendGarbage(t, dir)
 		rc, err := NewDurable("Hiring", prog, cfg)
 		if err != nil {
@@ -142,52 +144,6 @@ func TestCrashRecoveryAfterEveryEvent(t *testing.T) {
 		if err := rc.Close(); err != nil {
 			t.Fatal(err)
 		}
-	}
-}
-
-// TestRecoverAfterCloseUsesSnapshotOnly checks the clean-shutdown path: a
-// Close writes a final snapshot, and recovery from it restores the run
-// without replaying any WAL tail.
-func TestRecoverAfterCloseUsesSnapshotOnly(t *testing.T) {
-	prog := workload.Hiring()
-	subs := randomWorkload(t, prog, 7, 6)
-	dir := t.TempDir()
-	c, err := NewDurable("Hiring", prog, DurabilityConfig{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustSubmitAll(t, c, subs)
-	want := captureState(t, c)
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Submit(subs[0].peer, subs[0].rule, subs[0].bindings); err == nil {
-		t.Fatal("submit after Close must be rejected")
-	}
-	if err := c.Ready(); err == nil {
-		t.Fatal("closed coordinator must not be ready")
-	}
-
-	l, err := wal.Open(dir, wal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, tail := l.TakeRecovered()
-	if snap == nil || snap.Len != len(subs) {
-		t.Fatalf("final snapshot=%+v", snap)
-	}
-	if len(tail) != 0 {
-		t.Fatalf("WAL tail has %d records after a final snapshot", len(tail))
-	}
-	l.Close()
-
-	rc, err := NewDurable("Hiring", prog, DurabilityConfig{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rc.Close()
-	if got := captureState(t, rc); got != want {
-		t.Fatalf("state diverged:\n got: %s\nwant: %s", got, want)
 	}
 }
 
@@ -397,7 +353,7 @@ func TestRecoverRejectsTamperedLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Snapshot covers event 0, so forge the next record.
+	// The log holds event 0, so forge the next record.
 	fmt.Fprintln(f, `{"seq":1,"event":{"rule":"no_such_rule","valuation":{}}}`)
 	f.Close()
 	if _, err := NewDurable("Hiring", prog, DurabilityConfig{Dir: dir}); err == nil {
@@ -501,55 +457,12 @@ func TestGuardRejectionLeavesNoTrace(t *testing.T) {
 	}
 }
 
-// TestSnapshotKeepsTailShort: with automatic snapshots, recovery replays
-// only a short WAL tail, and forcing a snapshot empties it.
-func TestSnapshotKeepsTailShort(t *testing.T) {
-	prog := workload.Hiring()
-	dir := t.TempDir()
-	c, err := NewDurable("Hiring", prog, DurabilityConfig{Dir: dir, SnapshotEvery: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if _, err := c.Submit("hr", "clear", nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// 10 events, snapshots at 4 and 8: tail must hold events 8 and 9 only.
-	l, err := wal.Open(dir, wal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, tail := l.TakeRecovered()
-	l.Close()
-	if snap == nil || snap.Len != 8 {
-		t.Fatalf("snapshot=%+v", snap)
-	}
-	if len(tail) != 2 || tail[0].Seq != 8 {
-		t.Fatalf("tail=%+v", tail)
-	}
-	if err := c.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	l, err = wal.Open(dir, wal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, tail = l.TakeRecovered()
-	l.Close()
-	if snap == nil || snap.Len != 10 || len(tail) != 0 {
-		t.Fatalf("after forced snapshot: snap=%+v tail=%+v", snap, tail)
-	}
-	c.Close()
-}
-
-// TestRecoveryRetainsNoRecords: recovery hands the decoded snapshot and WAL
-// tail over to the replay, and the log keeps neither once NewDurable
-// returns.
+// TestRecoveryRetainsNoRecords: recovery hands the decoded records over to
+// the replay, and the log keeps none once NewDurable returns.
 func TestRecoveryRetainsNoRecords(t *testing.T) {
 	prog := workload.Hiring()
 	dir := t.TempDir()
-	cfg := DurabilityConfig{Dir: dir, SnapshotEvery: 4}
+	cfg := DurabilityConfig{Dir: dir}
 	c, err := NewDurable("Hiring", prog, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -559,7 +472,7 @@ func TestRecoveryRetainsNoRecords(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Crash: no Close, so recovery reads the snapshot at 8 and a 2-record tail.
+	// Crash: no Close, so recovery replays all 10 records.
 	rc, err := NewDurable("Hiring", prog, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -570,5 +483,231 @@ func TestRecoveryRetainsNoRecords(t *testing.T) {
 	}
 	if snap, tail := rc.log.TakeRecovered(); snap != nil || tail != nil {
 		t.Fatalf("the log still holds a snapshot (%v) and %d tail records after recovery", snap != nil, len(tail))
+	}
+}
+
+// TestLegacySnapshotDirRecovers: a data dir written by a version that
+// snapshotted run prefixes recovers unchanged. testdata/legacy-snapshot
+// holds a guard (sue=3), a 2-event snapshot whose idempotency window alone
+// holds the key "snap-only", a leftover log record the snapshot covers
+// (seq 1) and one tail record (seq 2). legacy-snapshot-trace.json is the
+// /trace body that version served after recovering the dir, and the
+// continuation below — indices and the guard's verdict — is what it
+// answered next.
+func TestLegacySnapshotDirRecovers(t *testing.T) {
+	src := filepath.Join("testdata", "legacy-snapshot")
+	dir := t.TempDir()
+	orig := make(map[string][]byte)
+	for _, name := range []string{"snapshot.json", "wal.log"} {
+		b, err := os.ReadFile(filepath.Join(src, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		orig[name] = b
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	prog := workload.Hiring()
+	c, err := NewDurable("Hiring", prog, DurabilityConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	Handler(c).ServeHTTP(rec, httptest.NewRequest("GET", "/trace", nil))
+	want, err := os.ReadFile(filepath.Join("testdata", "legacy-snapshot-trace.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(rec.Body.Bytes(), want) {
+		t.Fatalf("/trace differs from the recorded body:\n got: %s\nwant: %s", rec.Body.Bytes(), want)
+	}
+	if g := c.Guards(); len(g) != 1 || g["sue"] != 3 {
+		t.Fatalf("recovered guards %v, want sue=3", g)
+	}
+	ctx := context.Background()
+	res, err := c.SubmitIdemCtx(ctx, "hr", "clear", nil, "snap-only")
+	if err != nil || res.Index != 0 || c.Len() != 3 {
+		t.Fatalf("retry of the snapshot-only key: res=%+v err=%v len=%d, want index 0 and no append", res, err, c.Len())
+	}
+	x := func(v string) map[string]data.Value { return map[string]data.Value{"x": data.Value(v)} }
+	for i, s := range []struct {
+		peer schema.Peer
+		rule string
+		x    string
+	}{{"cfo", "cfo_ok", "ν2"}, {"ceo", "approve", "ν1"}, {"ceo", "approve", "ν2"}, {"hr", "hire", "ν1"}} {
+		res, err := c.Submit(s.peer, s.rule, x(s.x))
+		if err != nil || res.Index != 3+i {
+			t.Fatalf("%s(%s): res=%+v err=%v, want index %d", s.rule, s.x, res, err, 3+i)
+		}
+	}
+	const verdict = "server: rejected by the transparency guard for sue: uses invisible fact Approved(ν2) from an earlier stage"
+	if _, err := c.Submit("hr", "hire", x("ν2")); err == nil || err.Error() != verdict {
+		t.Fatalf("hire(ν2) = %v, want the recorded guard rejection %q", err, verdict)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The legacy files are history: the snapshot is untouched and the log
+	// only grew.
+	for name, b := range orig {
+		cur, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(cur, b) || (name == "snapshot.json" && len(cur) != len(b)) {
+			t.Fatalf("%s was rewritten", name)
+		}
+	}
+	rc, err := NewDurable("Hiring", prog, DurabilityConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	if res, err := rc.SubmitIdemCtx(ctx, "hr", "clear", nil, "snap-only"); err != nil || res.Index != 0 || rc.Len() != 7 {
+		t.Fatalf("after a second recovery: res=%+v err=%v len=%d, want index 0 of 7 events", res, err, rc.Len())
+	}
+}
+
+// TestIdemWindowSurvivesRecovery: recovery rebuilds exactly the last
+// IdemWindow keys from the WAL records. Each of them replays its original
+// result without appending; an older key has left the window and executes
+// as a new submission.
+func TestIdemWindowSurvivesRecovery(t *testing.T) {
+	prog := workload.Hiring()
+	dir := t.TempDir()
+	cfg := DurabilityConfig{Dir: dir, IdemWindow: 4}
+	c, err := NewDurable("Hiring", prog, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	key := func(i int) string { return fmt.Sprintf("k%d", i) }
+	var orig []*SubmitResult
+	for i := 0; i < 10; i++ {
+		res, err := c.SubmitIdemCtx(ctx, "hr", "clear", nil, key(i))
+		if err != nil || res.Index != i {
+			t.Fatalf("submit %d: res=%+v err=%v", i, res, err)
+		}
+		orig = append(orig, res)
+	}
+	durable, _, err := c.Crash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Cut the log back to its durable offset, then leave a torn record, as a
+	// kill mid-append would.
+	if err := os.Truncate(c.WALPath(), durable); err != nil {
+		t.Fatal(err)
+	}
+	appendGarbage(t, dir)
+
+	rc, err := NewDurable("Hiring", prog, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	if got := len(rc.idemOrder); got != 4 {
+		t.Fatalf("recovered window holds %d keys, want 4", got)
+	}
+	for i := 6; i < 10; i++ {
+		res, err := rc.SubmitIdemCtx(ctx, "hr", "clear", nil, key(i))
+		if err != nil || res.Index != i || strings.Join(res.Updates, ",") != strings.Join(orig[i].Updates, ",") {
+			t.Fatalf("retry of %s: res=%+v err=%v, want %+v", key(i), res, err, orig[i])
+		}
+		if rc.Len() != 10 {
+			t.Fatalf("retry of %s appended: len=%d", key(i), rc.Len())
+		}
+	}
+	res, err := rc.SubmitIdemCtx(ctx, "hr", "clear", nil, key(5))
+	if err != nil || res.Index != 10 || rc.Len() != 11 {
+		t.Fatalf("key %s outside the window: res=%+v err=%v len=%d, want a new event at 10", key(5), res, err, rc.Len())
+	}
+}
+
+// TestDataDirIsAppendOnly is the exact gate that the WAL is the run's only
+// record: across n events → Close → reopen → n more → Close, the data dir
+// of an unguarded run holds nothing but wal.log, which is never replaced,
+// rewritten or truncated — each earlier byte stays an unchanged prefix —
+// and the bytes on disk after 2n events are at most 2.1× those after n.
+// SnapshotEvery is set to pin that the deprecated field is inert.
+func TestDataDirIsAppendOnly(t *testing.T) {
+	prog := workload.Hiring()
+	const n = 24
+	subs := randomWorkload(t, prog, 5, 2*n)
+	dir := t.TempDir()
+	cfg := DurabilityConfig{Dir: dir, SnapshotEvery: 8}
+	var prevInfo os.FileInfo
+	var prev []byte
+	check := func(step string) int {
+		t.Helper()
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != 1 || entries[0].Name() != "wal.log" {
+			t.Fatalf("%s: data dir holds %v, want only wal.log", step, entries)
+		}
+		path := filepath.Join(dir, "wal.log")
+		info, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prevInfo != nil && !os.SameFile(prevInfo, info) {
+			t.Fatalf("%s: wal.log was replaced", step)
+		}
+		if !bytes.HasPrefix(cur, prev) {
+			t.Fatalf("%s: wal.log was rewritten or truncated (%d bytes, %d before)", step, len(cur), len(prev))
+		}
+		prevInfo, prev = info, cur
+		return len(cur)
+	}
+	submitChecked := func(c *Coordinator, subs []submission, from int) {
+		t.Helper()
+		for i, s := range subs {
+			if _, err := c.Submit(s.peer, s.rule, s.bindings); err != nil {
+				t.Fatalf("event %d: %v", from+i+1, err)
+			}
+			check(fmt.Sprintf("event %d", from+i+1))
+		}
+	}
+
+	c, err := NewDurable("Hiring", prog, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("open")
+	submitChecked(c, subs[:n], 0)
+	state := captureState(t, c)
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Submit(subs[n].peer, subs[n].rule, subs[n].bindings); err == nil {
+		t.Fatal("submit after Close must be rejected")
+	}
+	if err := c.Ready(); err == nil {
+		t.Fatal("closed coordinator must not be ready")
+	}
+	atN := check("close")
+
+	rc, err := NewDurable("Hiring", prog, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("reopen")
+	if got := captureState(t, rc); got != state {
+		t.Fatalf("state diverged across Close and reopen:\n got: %s\nwant: %s", got, state)
+	}
+	submitChecked(rc, subs[n:], n)
+	if err := rc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	at2N := check("second close")
+	if float64(at2N) > 2.1*float64(atN) {
+		t.Fatalf("%d bytes on disk after %d events, %d after %d: more than 2.1×", at2N, 2*n, atN, n)
 	}
 }

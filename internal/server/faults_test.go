@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"collabwf/internal/obs"
+	"collabwf/internal/program"
 	"collabwf/internal/wal"
 	"collabwf/internal/workload"
 )
@@ -103,89 +104,6 @@ func TestStalledWALSurfacedInHealth(t *testing.T) {
 	}
 }
 
-// TestSnapshotBusyDeferredAndRetried: a threshold snapshot that lands while
-// commits are in flight is deferred (wal.ErrBusy, counted on
-// wf_wal_snapshot_deferred_total), not failed — and the armed retry writes
-// it as soon as the queue drains, without waiting for the next threshold.
-func TestSnapshotBusyDeferredAndRetried(t *testing.T) {
-	reg := obs.NewRegistry()
-	fp := wal.NewFailpoints()
-	c, err := NewDurable("Hiring", workload.Hiring(), DurabilityConfig{
-		Dir: t.TempDir(), Sync: wal.SyncAlways, SnapshotEvery: 1,
-		Failpoints: fp, Metrics: reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.Submit("hr", "clear", nil); err != nil {
-		t.Fatal(err)
-	}
-	snapsBefore, _ := counterVal(reg, "wf_wal_snapshots_total")
-
-	// Hold a commit in flight (slow fsync, issued outside the submit path so
-	// no submit-side snapshot races the retry timer), then cross the
-	// threshold: the snapshot must defer, not fail.
-	fp.SlowSync(100 * time.Millisecond)
-	cm, err := c.log.AppendBuffered(context.Background(), wal.Record{Seq: c.Len()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.mu.Lock()
-	c.sinceSnapshot = c.snapshotEvery
-	c.maybeSnapshotLocked(context.Background())
-	armed := c.snapRetryArmed
-	snapErr := c.lastSnapErr
-	c.mu.Unlock()
-	if !armed {
-		t.Fatal("busy snapshot did not arm the deferred retry")
-	}
-	if snapErr != nil {
-		t.Fatalf("busy snapshot recorded as a failure: %v", snapErr)
-	}
-	if got, ok := counterVal(reg, "wf_wal_snapshot_deferred_total"); !ok || got < 1 {
-		t.Fatalf("wf_wal_snapshot_deferred_total = %v (ok=%v), want >= 1", got, ok)
-	}
-
-	if err := cm.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	fp.Reset()
-	// The queue has drained; the retry timer must land the snapshot on its
-	// own — nothing else crosses the threshold again.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if got, _ := counterVal(reg, "wf_wal_snapshots_total"); got > snapsBefore {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("deferred snapshot never retried after the queue drained")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	c.mu.Lock()
-	since := c.sinceSnapshot
-	c.mu.Unlock()
-	if since != 0 {
-		t.Fatalf("sinceSnapshot = %d after the deferred snapshot landed, want 0", since)
-	}
-}
-
-// counterVal sums a counter family on the registry.
-func counterVal(reg *obs.Registry, name string) (float64, bool) {
-	for _, fam := range reg.Gather() {
-		if fam.Name != name {
-			continue
-		}
-		total := 0.0
-		for _, s := range fam.Series {
-			total += s.Value
-		}
-		return total, true
-	}
-	return 0, false
-}
-
 // TestRetryAfterHintScalesWithBacklog: the 429/503 Retry-After hint derives
 // from observed fsync latency — an in-memory or idle coordinator says 1s, a
 // coordinator whose fsyncs take over a second says more.
@@ -216,28 +134,47 @@ func TestRetryAfterHintScalesWithBacklog(t *testing.T) {
 	}
 }
 
-// TestRecoverByteFlipMatrix flips every byte of a real wal.log and
-// snapshot.json (one at a time) and recovers: the default policy must
-// either refuse cleanly or come back with a sane prefix of the original
-// run; strict mode must never invent state. Nothing may panic.
+// TestRecoverByteFlipMatrix flips every byte of the wal.log and
+// snapshot.json of two data dirs, one byte at a time, and recovers: the
+// legacy fixture (a 2-event snapshot, then a log holding a record the
+// snapshot covers and a tail record) and a guarded dir written by this code
+// (the log plus the length-0 guard file). The default policy must either
+// refuse cleanly or come back with a prefix of the original run no shorter
+// than the snapshot's; strict mode must never invent state, and no
+// recovery may lose the guard. Nothing may panic.
 func TestRecoverByteFlipMatrix(t *testing.T) {
 	prog := workload.Hiring()
-	seedDir := t.TempDir()
-	c, err := NewDurable("Hiring", prog, DurabilityConfig{Dir: seedDir, SnapshotEvery: 2})
+	guarded := t.TempDir()
+	c, err := NewDurable("Hiring", prog, DurabilityConfig{Dir: guarded})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const origLen = 3
-	for i := 0; i < origLen; i++ {
+	if err := c.Guard("sue", 3); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
 		if _, err := c.Submit("hr", "clear", nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Crash, not Close: Close would fold the tail into a final snapshot and
-	// leave no log bytes to corrupt.
-	if _, _, err := c.Crash(); err != nil {
+	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
+	for _, seed := range []struct {
+		name, dir string
+		// floor is the snapshot's length, full the whole run's.
+		floor, full int
+	}{
+		{"legacy", "testdata/legacy-snapshot", 2, 3},
+		{"guarded", guarded, 0, 3},
+	} {
+		t.Run(seed.name, func(t *testing.T) {
+			flipMatrix(t, prog, seed.dir, seed.floor, seed.full)
+		})
+	}
+}
+
+func flipMatrix(t *testing.T, prog *program.Program, seedDir string, floor, full int) {
 	logBytes, err := os.ReadFile(filepath.Join(seedDir, "wal.log"))
 	if err != nil {
 		t.Fatal(err)
@@ -249,7 +186,6 @@ func TestRecoverByteFlipMatrix(t *testing.T) {
 	if len(logBytes) == 0 {
 		t.Fatal("seed log is empty — the matrix would test nothing")
 	}
-	const snapLen = 2 // SnapshotEvery: 2 of the 3 events are in the snapshot
 
 	root := t.TempDir()
 	tryRecover := func(name string, log, snap []byte, strict bool) (int, error) {
@@ -267,14 +203,16 @@ func TestRecoverByteFlipMatrix(t *testing.T) {
 		if err != nil {
 			return 0, err
 		}
-		n := rc.Len()
-		rc.Close()
-		return n, nil
+		defer rc.Close()
+		if g := rc.Guards(); len(g) != 1 || g["sue"] != 3 {
+			t.Fatalf("%s: recovered guards %v, want sue=3", name, g)
+		}
+		return rc.Len(), nil
 	}
 
 	// Sanity: the pristine pair recovers the full run.
-	if n, err := tryRecover("pristine", logBytes, snapBytes, false); err != nil || n != origLen {
-		t.Fatalf("pristine recovery: len=%d err=%v, want %d,nil", n, err, origLen)
+	if n, err := tryRecover("pristine", logBytes, snapBytes, false); err != nil || n != full {
+		t.Fatalf("pristine recovery: len=%d err=%v, want %d,nil", n, err, full)
 	}
 
 	for i := range logBytes {
@@ -285,9 +223,9 @@ func TestRecoverByteFlipMatrix(t *testing.T) {
 			if err != nil {
 				continue // clean refusal is always acceptable
 			}
-			if n < snapLen || n > origLen {
+			if n < floor || n > full {
 				t.Fatalf("log byte %d (strict=%v): recovered %d events, want in [%d, %d]",
-					i, strict, n, snapLen, origLen)
+					i, strict, n, floor, full)
 			}
 		}
 	}
@@ -302,7 +240,7 @@ func TestRecoverByteFlipMatrix(t *testing.T) {
 			// Accepting a flipped snapshot is only tolerable if the flip was
 			// immaterial (it was not — the CRC covers the whole decoded
 			// value), so a success must reproduce the exact original run.
-			if n != origLen {
+			if n != full {
 				t.Fatalf("snap byte %d (strict=%v): accepted a corrupt snapshot, recovered %d events", i, strict, n)
 			}
 		}

@@ -48,9 +48,9 @@ func FuzzRecover(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// SyncNever and Crash (not Close) keep each exec free of fsyncs and
-		// snapshot writes: the fuzzer needs cheap, deterministic execs or its
-		// corpus minimization crawls.
+		// SyncNever and Crash (not Close) keep each exec free of fsyncs: the
+		// fuzzer needs cheap, deterministic execs or its corpus minimization
+		// crawls.
 		for _, strict := range []bool{false, true} {
 			dir := t.TempDir()
 			if err := os.WriteFile(filepath.Join(dir, "wal.log"), data, 0o644); err != nil {

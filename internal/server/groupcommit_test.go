@@ -134,7 +134,7 @@ func TestCrashDuringGroupCommit(t *testing.T) {
 func TestConcurrentSubmitsReleaseInOrder(t *testing.T) {
 	prog := workload.Hiring()
 	dir := t.TempDir()
-	c, err := NewDurable("Hiring", prog, DurabilityConfig{Dir: dir, Sync: wal.SyncAlways, SnapshotEvery: 7})
+	c, err := NewDurable("Hiring", prog, DurabilityConfig{Dir: dir, Sync: wal.SyncAlways})
 	if err != nil {
 		t.Fatal(err)
 	}

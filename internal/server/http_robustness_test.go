@@ -138,7 +138,7 @@ func TestHealthEndpoints(t *testing.T) {
 
 // TestGracefulShutdownIntegration exercises the wfserve lifecycle against
 // a real listener: serve, submit, report ready, drain via Shutdown, close
-// the coordinator (final snapshot), verify the port is dead and that a
+// the coordinator (final WAL sync), verify the port is dead and that a
 // recovered coordinator carries the full run. After Close, /readyz turns
 // 503 and /submit is refused.
 func TestGracefulShutdownIntegration(t *testing.T) {
@@ -174,7 +174,7 @@ func TestGracefulShutdownIntegration(t *testing.T) {
 	}
 
 	// Drain and stop: Shutdown waits for in-flight requests, then the
-	// coordinator persists its final snapshot.
+	// coordinator syncs and closes its WAL.
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {

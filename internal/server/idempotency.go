@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"slices"
 
 	"collabwf/internal/data"
 	"collabwf/internal/declog"
@@ -21,16 +22,16 @@ type idemEntry struct {
 	err  error
 }
 
-// defaultIdemWindow bounds the dedupe window when DurabilityConfig (or the
-// caller) does not choose one.
+// defaultIdemWindow bounds the dedupe window when DurabilityConfig does not
+// choose one.
 const defaultIdemWindow = 4096
 
 // SubmitIdemCtx is SubmitCtx with an idempotency key. If the key was
 // already accepted within the dedupe window, the original result is
 // returned without re-applying the event; if an identical submission is
 // still in flight, the call waits for it and shares its outcome. The key
-// travels inside the event's WAL record and the recent window rides in
-// every snapshot, so dedupe survives crash recovery — the guarantee a
+// travels inside the event's WAL record, from which recovery rebuilds the
+// window, so dedupe survives crash recovery — the guarantee a
 // client retrying after an ambiguous failure (ErrUnavailable) relies on.
 // An empty key degrades to SubmitCtx. The window belongs to this
 // coordinator, so the same key sent to two runs of a fleet dedupes per run.
@@ -92,42 +93,34 @@ func (c *Coordinator) SubmitIdemCtx(ctx context.Context, peer schema.Peer, ruleN
 // evictIdemLocked trims the dedupe window to its bound, oldest key first.
 // Callers hold the lock.
 func (c *Coordinator) evictIdemLocked() {
-	max := c.idemMax
-	if max <= 0 {
-		max = defaultIdemWindow
-	}
-	for len(c.idemOrder) > max {
+	for len(c.idemOrder) > c.idemMax {
 		delete(c.idem, c.idemOrder[0])
 		c.idemOrder = c.idemOrder[1:]
 	}
 }
 
-// addIdemLocked installs a recovered (already-resolved) idempotency entry:
-// the result is rebuilt from the recovered run so a post-crash retry gets
-// the same answer the original submission did. Callers hold the lock (or
-// own the coordinator exclusively, as NewDurable does).
-func (c *Coordinator) addIdemLocked(key string, index int) {
-	if _, ok := c.idem[key]; ok {
-		return
-	}
-	done := make(chan struct{})
-	close(done)
-	c.idem[key] = &idemEntry{done: done, res: c.resultLocked(index)}
-	c.idemOrder = append(c.idemOrder, key)
-	c.evictIdemLocked()
-}
-
-// idemWindowLocked exports the resolved dedupe window in FIFO order, for
-// snapshots. Callers hold the lock.
-func (c *Coordinator) idemWindowLocked() []wal.IdemEntry {
-	if len(c.idemOrder) == 0 {
-		return nil
-	}
-	out := make([]wal.IdemEntry, 0, len(c.idemOrder))
-	for _, k := range c.idemOrder {
-		if ent := c.idem[k]; ent != nil && ent.res != nil {
-			out = append(out, wal.IdemEntry{Key: k, Index: ent.res.Index})
+// recoverIdemLocked rebuilds the dedupe window after recovery from the
+// keyed records, newest first, then from a legacy snapshot's window, whose
+// keys are older than the records past its prefix. It stops once the window
+// is full, so only the kept keys get a result built: one rebuilt from the
+// recovered run, the answer the original submission got. A key seen twice
+// keeps its newest index, as the live window does. Callers own the
+// coordinator exclusively, as NewDurable does.
+func (c *Coordinator) recoverIdemLocked(legacy []wal.IdemEntry, tail []wal.Record) {
+	keep := func(key string, index int) {
+		if key == "" || c.idem[key] != nil {
+			return
 		}
+		done := make(chan struct{})
+		close(done)
+		c.idem[key] = &idemEntry{done: done, res: c.resultLocked(index)}
+		c.idemOrder = append(c.idemOrder, key)
 	}
-	return out
+	for i := len(tail) - 1; i >= 0 && len(c.idemOrder) < c.idemMax; i-- {
+		keep(tail[i].Idem, tail[i].Seq)
+	}
+	for i := len(legacy) - 1; i >= 0 && len(c.idemOrder) < c.idemMax; i-- {
+		keep(legacy[i].Key, legacy[i].Index)
+	}
+	slices.Reverse(c.idemOrder) // oldest first, the order eviction expects
 }

@@ -26,7 +26,7 @@ const DefaultRun = "default"
 var runIDPattern = regexp.MustCompile(`^[A-Za-z0-9][A-Za-z0-9_.-]{0,63}$`)
 
 // archivedMarker is the file dropped into an archived run's directory so
-// the startup scan skips it (the WAL and final snapshot stay on disk for
+// the startup scan skips it (the WAL and any guard file stay on disk for
 // offline audit).
 const archivedMarker = "archived"
 
@@ -130,7 +130,7 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 		m.runsCreated = reg.Counter("wf_runs_created_total",
 			"Runs created over the manager's lifetime (recovered runs included).")
 		m.runsArchived = reg.Counter("wf_runs_archived_total",
-			"Runs archived (final snapshot written, WAL closed) over the manager's lifetime.")
+			"Runs archived (WAL synced and closed) over the manager's lifetime.")
 		m.fleetEvents = reg.Gauge("wf_fleet_events",
 			"Released events across every live run — the fleet-wide total of the per-run wf_run_events series.")
 		reg.OnGather(func() {
@@ -308,8 +308,8 @@ func (m *Manager) CreateRun(id string) error {
 	return err
 }
 
-// ArchiveRun shuts a run down: a final snapshot is written, its WAL closed,
-// its metric series and gather hook removed, and its directory marked so
+// ArchiveRun shuts a run down: its WAL is synced and closed, its metric
+// series and gather hook removed, and its directory marked so
 // the next startup scan skips it. The default run cannot be archived
 // (legacy paths depend on it).
 func (m *Manager) ArchiveRun(id string) error {
@@ -381,7 +381,7 @@ func (m *Manager) RunsStatus() *RunsStatusz {
 	return st
 }
 
-// Close shuts every shard down (final snapshots + WAL close). Idempotent;
+// Close shuts every shard down (each WAL synced and closed). Idempotent;
 // the first error wins.
 func (m *Manager) Close() error {
 	m.lifecycle.Lock()

@@ -11,7 +11,7 @@ import (
 //
 //	POST   /runs               {"id": "r1"}   create a run
 //	GET    /runs               list the live fleet
-//	DELETE /runs/{id}          archive a run (final snapshot + WAL close)
+//	DELETE /runs/{id}          archive a run (WAL sync + close)
 //	ANY    /runs/{id}/...      the full single-run API, routed to the shard
 //	ANY    /...                legacy single-run paths, aliased to the
 //	                           default run

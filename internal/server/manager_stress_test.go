@@ -37,7 +37,7 @@ func TestFleetStressRace(t *testing.T) {
 		DataDir:  dir,
 		// SyncAlways so everything acked survives the crash below and the
 		// recovered fleet can be compared byte-for-byte.
-		Durability: DurabilityConfig{Sync: wal.SyncAlways, SnapshotEvery: 8},
+		Durability: DurabilityConfig{Sync: wal.SyncAlways},
 	}
 	m := newTestManager(t, cfg)
 

@@ -124,7 +124,7 @@ func TestManagerDurableRecovery(t *testing.T) {
 	dir := t.TempDir()
 	cfg := ManagerConfig{
 		DataDir:    dir,
-		Durability: DurabilityConfig{Sync: wal.SyncAlways, SnapshotEvery: 4},
+		Durability: DurabilityConfig{Sync: wal.SyncAlways},
 	}
 	m := newTestManager(t, cfg)
 	for _, id := range []string{"beta", "gamma"} {
@@ -180,7 +180,7 @@ func TestIdempotencyScopedByRun(t *testing.T) {
 	dir := t.TempDir()
 	cfg := ManagerConfig{
 		DataDir:    dir,
-		Durability: DurabilityConfig{Sync: wal.SyncAlways, SnapshotEvery: 100},
+		Durability: DurabilityConfig{Sync: wal.SyncAlways},
 	}
 	m := newTestManager(t, cfg)
 	if err := m.CreateRun("other"); err != nil {

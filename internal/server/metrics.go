@@ -103,7 +103,7 @@ func NewRunMetrics(reg *obs.Registry, run string) *Metrics {
 		runEvents: gauge("wf_run_events",
 			"Events accepted into the global run so far."),
 		recoverySecs: gauge("wf_coordinator_recovery_seconds",
-			"Wall time of the last snapshot+WAL recovery."),
+			"Wall time of the last WAL recovery."),
 		recoveredEvs: gauge("wf_coordinator_recovered_events",
 			"Events reconstructed by the last recovery."),
 

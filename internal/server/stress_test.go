@@ -23,7 +23,7 @@ func TestConcurrentSubmitStress(t *testing.T) {
 	dir := t.TempDir()
 	fp := wal.NewFailpoints()
 	c, err := NewDurable("Hiring", prog, DurabilityConfig{
-		Dir: dir, Sync: wal.SyncNever, SnapshotEvery: 8, Failpoints: fp,
+		Dir: dir, Sync: wal.SyncNever, Failpoints: fp,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"collabwf/internal/obs"
-	"collabwf/internal/trace"
 )
 
 // TestRecordChecksumRoundTrip: every appended record carries a CRC32C in
@@ -175,29 +174,23 @@ func TestCorruptRecordStrictRefuses(t *testing.T) {
 	}
 }
 
-// TestSnapshotChecksum: the snapshot carries a whole-file checksum; a
+// TestSnapshotChecksum: snapshot.json carries a whole-file checksum; a
 // flipped byte is fatal under BOTH policies (there is no clean prefix to
-// fall back to — a wrong snapshot would silently rewrite history).
+// fall back to — a wrong guard file would silently drop a policy, a wrong
+// legacy snapshot would rewrite history).
 func TestSnapshotChecksum(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{})
-	if err != nil {
+	if err := WriteGuards(dir, "w", map[string]int{"sue": 2}); err != nil {
 		t.Fatal(err)
 	}
-	snap := &Snapshot{Workflow: "w", Len: 1, Guards: map[string]int{"sue": 2},
-		Trace: &trace.Trace{Workflow: "w"}}
-	if err := l.WriteSnapshotCtx(t.Context(), snap); err != nil {
-		t.Fatal(err)
-	}
-	l.Close()
 
-	// Sanity: the clean snapshot loads.
+	// Sanity: the clean guard file loads as a length-0 snapshot.
 	l2, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap, _ := l2.TakeRecovered(); snap == nil || snap.CRC == 0 {
-		t.Fatal("snapshot written without a checksum")
+	if snap, _ := l2.TakeRecovered(); snap == nil || snap.CRC == 0 || snap.Len != 0 || snap.Guards["sue"] != 2 {
+		t.Fatalf("guard file = %+v, want a checksummed length-0 snapshot guarding sue", snap)
 	}
 	l2.Close()
 

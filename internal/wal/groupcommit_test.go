@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"collabwf/internal/obs"
-	"collabwf/internal/trace"
 )
 
 // TestGroupCommitCoalescesBatches pins the tentpole behavior: records
@@ -309,48 +308,6 @@ func TestIntervalSyncFailureIsRetried(t *testing.T) {
 	}
 	if got := len(mustTail(t, dir)); got != 2 {
 		t.Fatalf("recovered %d records, want 2", got)
-	}
-}
-
-// TestIntervalSnapshotWaitsOutTickSync pins that a snapshot taken while an
-// interval fsync is in flight waits for it rather than deferring with
-// ErrBusy (no commit depends on that fsync), and that the log reset is not
-// undone by the fsync's durable-offset update landing after it.
-func TestIntervalSnapshotWaitsOutTickSync(t *testing.T) {
-	fp := NewFailpoints()
-	fp.SlowSync(500 * time.Millisecond)
-	l, err := Open(t.TempDir(), Options{Sync: SyncInterval, Failpoints: fp})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := appendDurable(l, rec(0)); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		l.mu.Lock()
-		syncing := l.syncing
-		l.mu.Unlock()
-		if syncing {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("the committer never started the interval fsync")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if err := l.WriteSnapshotCtx(t.Context(), &Snapshot{Len: 1, Trace: &trace.Trace{}}); err != nil {
-		t.Fatalf("snapshot during an interval fsync: %v", err)
-	}
-	l.mu.Lock()
-	syncing, end, durable := l.syncing, l.end, l.durable
-	l.mu.Unlock()
-	if syncing || end != 0 || durable != 0 {
-		t.Fatalf("after snapshot: syncing=%v end=%d durable=%d, want false 0 0", syncing, end, durable)
-	}
-	fp.Reset()
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
 	}
 }
 

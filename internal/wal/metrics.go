@@ -15,10 +15,6 @@ type walMetrics struct {
 	fsyncs        *obs.Counter
 	fsyncErrors   *obs.Counter
 	fsyncLatency  *obs.Histogram
-	snapshots     *obs.Counter
-	snapErrors    *obs.Counter
-	snapLatency   *obs.Histogram
-	snapBytes     *obs.Gauge
 	openSeconds   *obs.Gauge
 	replayedRecs  *obs.Gauge
 	tornBytes     *obs.Counter
@@ -26,7 +22,6 @@ type walMetrics struct {
 	batchSize     *obs.Histogram
 	pendingRecs   *obs.Gauge
 	corruptRecs   *obs.Counter
-	snapDeferred  *obs.Counter
 }
 
 func newWALMetrics(reg *obs.Registry) *walMetrics {
@@ -44,16 +39,8 @@ func newWALMetrics(reg *obs.Registry) *walMetrics {
 			"WAL fsync calls that failed."),
 		fsyncLatency: reg.Histogram("wf_wal_fsync_duration_seconds",
 			"WAL fsync latency in seconds.", nil),
-		snapshots: reg.Counter("wf_wal_snapshots_total",
-			"Snapshots written (atomic rename + log reset)."),
-		snapErrors: reg.Counter("wf_wal_snapshot_errors_total",
-			"Snapshot writes that failed."),
-		snapLatency: reg.Histogram("wf_wal_snapshot_duration_seconds",
-			"Snapshot write latency in seconds.", nil),
-		snapBytes: reg.Gauge("wf_wal_snapshot_bytes",
-			"Size of the last snapshot written, in bytes."),
 		openSeconds: reg.Gauge("wf_wal_open_seconds",
-			"Wall time of the last Open (snapshot load + log scan + torn-tail repair)."),
+			"Wall time of the last Open (guard file load + log scan + torn-tail repair)."),
 		replayedRecs: reg.Gauge("wf_wal_replayed_records",
 			"Records found in the WAL tail at the last Open."),
 		tornBytes: reg.Counter("wf_wal_torn_bytes_total",
@@ -67,8 +54,6 @@ func newWALMetrics(reg *obs.Registry) *walMetrics {
 			"Buffered records awaiting their group fsync (commit-queue depth)."),
 		corruptRecs: reg.Counter("wf_wal_corrupt_records_total",
 			"Complete-but-corrupt WAL records detected at Open (checksum or parse failure)."),
-		snapDeferred: reg.Counter("wf_wal_snapshot_deferred_total",
-			"Snapshot attempts deferred because commits were in flight (ErrBusy)."),
 	}
 }
 
@@ -95,19 +80,6 @@ func (m *walMetrics) recordFsync(d time.Duration, err error) {
 		return
 	}
 	m.fsyncLatency.Observe(d.Seconds())
-}
-
-func (m *walMetrics) recordSnapshot(d time.Duration, bytes int, err error) {
-	if m == nil {
-		return
-	}
-	m.snapshots.Inc()
-	if err != nil {
-		m.snapErrors.Inc()
-		return
-	}
-	m.snapLatency.Observe(d.Seconds())
-	m.snapBytes.Set(float64(bytes))
 }
 
 func (m *walMetrics) recordOpen(d time.Duration, replayed int, torn int64) {
@@ -153,11 +125,4 @@ func (m *walMetrics) recordCorrupt() {
 		return
 	}
 	m.corruptRecs.Inc()
-}
-
-func (m *walMetrics) recordSnapshotDeferred() {
-	if m == nil {
-		return
-	}
-	m.snapDeferred.Inc()
 }

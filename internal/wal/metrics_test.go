@@ -1,10 +1,12 @@
 package wal
 
 import (
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"collabwf/internal/obs"
-	"collabwf/internal/trace"
 )
 
 // counterValue sums a family's series values (a histogram contributes its
@@ -38,17 +40,12 @@ func TestMetricsRecordAppendsSyncsAndSnapshots(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	snap := &Snapshot{Len: 3, Trace: &trace.Trace{}}
-	if err := l.WriteSnapshotCtx(t.Context(), snap); err != nil {
-		t.Fatal(err)
-	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	for name, want := range map[string]float64{
 		"wf_wal_records_appended_total": 3,
-		"wf_wal_snapshots_total":        1,
 		"wf_wal_append_errors_total":    0,
 		"wf_wal_torn_bytes_total":       0,
 	} {
@@ -56,26 +53,34 @@ func TestMetricsRecordAppendsSyncsAndSnapshots(t *testing.T) {
 			t.Errorf("%s = %v (ok=%v), want %v", name, got, ok, want)
 		}
 	}
-	// SyncAlways fsyncs once per append; the snapshot's log reset may add
-	// more.
+	// SyncAlways fsyncs once per append; Close may add one more.
 	if got, ok := counterValue(reg, "wf_wal_fsync_total"); !ok || got < 3 {
 		t.Errorf("wf_wal_fsync_total = %v (ok=%v), want >= 3", got, ok)
 	}
-	if got, ok := counterValue(reg, "wf_wal_snapshot_bytes"); !ok || got <= 0 {
-		t.Errorf("wf_wal_snapshot_bytes = %v (ok=%v), want > 0", got, ok)
+	// The log is the run's only record: no snapshot family exists and no
+	// snapshot file is written.
+	for _, fam := range reg.Gather() {
+		if strings.Contains(fam.Name, "snapshot") {
+			t.Errorf("snapshot family %s registered", fam.Name)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, snapshotName)); !os.IsNotExist(err) {
+		t.Errorf("stat %s = %v, want not-exist", snapshotName, err)
 	}
 
-	// Reopen on a fresh registry: the snapshot reset the log, so the tail
-	// is empty and recovery telemetry reflects a clean open.
+	// Reopen on a fresh registry: every record is replayed from the log and
+	// recovery telemetry reflects a clean open.
 	reg2 := obs.NewRegistry()
 	l2, err := Open(dir, Options{Metrics: reg2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	_, tail := l2.TakeRecovered()
-	if got, ok := counterValue(reg2, "wf_wal_replayed_records"); !ok || got != float64(len(tail)) {
-		t.Errorf("wf_wal_replayed_records = %v (ok=%v), want %d", got, ok, len(tail))
+	if _, tail := l2.TakeRecovered(); len(tail) != 3 {
+		t.Errorf("reopened log replays %d records, want 3", len(tail))
+	}
+	if got, ok := counterValue(reg2, "wf_wal_replayed_records"); !ok || got != 3 {
+		t.Errorf("wf_wal_replayed_records = %v (ok=%v), want 3", got, ok)
 	}
 	if got, ok := counterValue(reg2, "wf_wal_open_seconds"); !ok || got < 0 {
 		t.Errorf("wf_wal_open_seconds = %v (ok=%v)", got, ok)

@@ -1,10 +1,14 @@
 // Package wal provides the durability substrate for the master server: a
-// write-ahead log of accepted events plus periodic snapshots of the run
-// prefix. The log is a sequence of JSON lines, one Record per accepted
-// event (reusing trace.EventRecord for the payload), so a crashed
-// coordinator is reconstructed by replaying the snapshot trace and then the
-// WAL tail. Torn trailing records — the signature of a crash mid-write —
-// are truncated on open, never fatal.
+// write-ahead log of accepted events, which is the run's only record. The
+// log is a sequence of JSON lines, one Record per accepted event (reusing
+// trace.EventRecord for the payload), so a crashed coordinator is
+// reconstructed by replaying it. Torn trailing records — the signature of a
+// crash mid-write — are truncated on open, never fatal.
+//
+// Beside the log, snapshot.json holds a guarded run's guards: WriteGuards
+// writes it before the run's first event, as a snapshot of length 0. In
+// data dirs written by earlier versions it holds a snapshot of a run
+// prefix, and the log the events after it; Open still loads both.
 //
 // The intended discipline is log-before-accept: the coordinator appends an
 // event's record (and, under the "always" policy, fsyncs it) before the
@@ -75,11 +79,6 @@ func ParsePolicy(s string) (SyncPolicy, error) {
 	return "", fmt.Errorf("wal: unknown fsync policy %q (want always, interval or never)", s)
 }
 
-// ErrBusy is returned by WriteSnapshotCtx while buffered commits are awaiting
-// their group fsync: resetting the log file then would wipe bytes that
-// in-flight submissions still need. Retry once the queue drains.
-var ErrBusy = errors.New("wal: commits in flight, snapshot deferred")
-
 // ErrCrashed resolves commits that were still awaiting their group fsync
 // when Crash was called: their records may or may not be durable — exactly
 // the ambiguity a real power cut leaves. Callers must treat the outcome as
@@ -95,8 +94,8 @@ var ErrCorrupt = errors.New("wal: corrupt record")
 
 // Record is one durable entry: the event's absolute position in the run
 // plus its serialized form. The sequence number makes replay idempotent —
-// records already covered by the snapshot (a crash can land between
-// snapshot rename and log reset) are skipped on recovery.
+// records already covered by a legacy snapshot (a crash could land between
+// its rename and the log reset) are skipped on recovery.
 type Record struct {
 	Seq   int               `json:"seq"`
 	Event trace.EventRecord `json:"event"`
@@ -123,24 +122,25 @@ func (r Record) Checksum() (uint32, error) {
 	return crc32.Checksum(b, castagnoli), nil
 }
 
-// IdemEntry maps one idempotency key to the index of the event it produced;
-// the snapshot carries the coordinator's recent window so dedupe survives a
-// snapshot + restart (the covered WAL records are gone after the log reset).
+// IdemEntry maps one idempotency key to the index of the event it produced.
+// A legacy snapshot carries the window of keys whose records its log reset
+// dropped; recovery reads it before the keyed records of the log.
 type IdemEntry struct {
 	Key   string `json:"key"`
 	Index int    `json:"index"`
 }
 
-// Snapshot is the durable prefix of a coordinator: the replayable trace of
-// the first Len events together with the installed guards. It is written
-// atomically (temp file + rename), so a reader sees either the previous or
-// the new snapshot, never a torn one.
+// Snapshot is the content of snapshot.json: the installed guards and, in
+// data dirs written by earlier versions, the replayable trace of the first
+// Len events. WriteGuards writes it with Len 0 and an empty trace. It is
+// written atomically (temp file + rename), so a reader sees either the
+// previous or the new file, never a torn one.
 type Snapshot struct {
 	Workflow string         `json:"workflow,omitempty"`
 	Guards   map[string]int `json:"guards,omitempty"`
 	Len      int            `json:"len"`
 	Trace    *trace.Trace   `json:"trace"`
-	// Idem is the recent idempotency-key window at snapshot time.
+	// Idem is a legacy snapshot's idempotency-key window.
 	Idem []IdemEntry `json:"idem,omitempty"`
 	// CRC is the whole-file checksum: the CRC32C of the snapshot's COMPACT
 	// JSON encoding with CRC absent, so it is independent of indentation.
@@ -174,8 +174,7 @@ type Options struct {
 	// sync failures.
 	Failpoints *Failpoints
 	// Metrics, when non-nil, registers the wf_wal_* families on the
-	// registry and records appends, fsyncs, snapshots, recovery and
-	// injected faults.
+	// registry and records appends, fsyncs, recovery and injected faults.
 	Metrics *obs.Registry
 	// Logger, when non-nil, reports recovery anomalies (corruption, torn
 	// tails) — silent by default.
@@ -227,11 +226,11 @@ func resolvedCommit(seq int, err error) *Commit {
 }
 
 // Log is an append-only write-ahead log rooted at a directory, holding
-// wal.log (JSON lines of Records) and snapshot.json. Safe for concurrent
-// use.
+// wal.log (JSON lines of Records) beside the read-only snapshot.json. Safe
+// for concurrent use.
 type Log struct {
 	mu   sync.Mutex
-	cond *sync.Cond // signals Flush and snapshot waiters; tied to mu
+	cond *sync.Cond // signals Flush waiters; tied to mu
 	dir  string
 	f    *os.File
 	opts Options
@@ -793,88 +792,6 @@ func (l *Log) Healthy() error {
 	return nil
 }
 
-// WriteSnapshotCtx atomically replaces the snapshot and resets the log:
-// after it returns, recovery replays snap.Trace and then whatever records
-// land after it. A crash between the snapshot rename and the log reset is
-// harmless — the leftover records have Seq < snap.Len and recovery skips
-// them. The write appears as a wal.snapshot span in the caller's trace
-// (e.g. inside the coordinator.submit that crossed the snapshot-every
-// threshold).
-//
-// While buffered commits are in flight it returns ErrBusy without touching
-// anything: the log reset would destroy bytes that unresolved commits still
-// depend on. Callers should Flush first (or simply retry later).
-func (l *Log) WriteSnapshotCtx(ctx context.Context, snap *Snapshot) (err error) {
-	_, sp := obs.StartSpan(ctx, "wal.snapshot")
-	sp.SetAttr("events", snap.Len)
-	defer func() {
-		sp.SetError(err)
-		sp.End()
-	}()
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	// An interval fsync in flight resolves no commits, so it is waited out
-	// rather than deferred: the log reset must not race its durable-offset
-	// update.
-	for l.syncing && l.opts.Sync == SyncInterval {
-		l.cond.Wait()
-	}
-	if l.broken != nil {
-		return fmt.Errorf("wal: log is broken: %w", l.broken)
-	}
-	if l.stalled != nil {
-		return fmt.Errorf("wal: log stalled after failed group sync: %w", l.stalled)
-	}
-	if l.closing {
-		return fmt.Errorf("wal: log is closed")
-	}
-	if len(l.pending) > 0 || l.syncing {
-		l.m.recordSnapshotDeferred()
-		return ErrBusy
-	}
-	start := time.Now()
-	size := 0
-	defer func() { l.m.recordSnapshot(time.Since(start), size, err) }()
-	// Stamp the whole-file checksum on a copy so the caller's snapshot is
-	// not mutated.
-	stamped := *snap
-	stamped.CRC = 0
-	crc, err := stamped.Checksum()
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	stamped.CRC = crc
-	data, err := json.MarshalIndent(&stamped, "", "  ")
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	size = len(data)
-	sp.SetAttr("bytes", size)
-	tmp := filepath.Join(l.dir, snapshotName+".tmp")
-	if err := writeFileSync(tmp, data); err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(l.dir, snapshotName)); err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	if err := syncDir(l.dir); err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	// Reset the log: the snapshot now covers everything in it.
-	if err := l.f.Truncate(0); err != nil {
-		return fmt.Errorf("wal: resetting log after snapshot: %w", err)
-	}
-	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	l.end = 0
-	l.durable = 0
-	return nil
-}
-
 // Close drains the commit queue, stops the committer, syncs (skipped when
 // already broken or stalled) and closes the log file. Close is idempotent.
 func (l *Log) Close() error {
@@ -943,6 +860,35 @@ func (l *Log) Crash() (durable, size int64, err error) {
 		return durable, size, fmt.Errorf("wal: %w", cerr)
 	}
 	return durable, size, nil
+}
+
+// WriteGuards stores a run's guards in dir's snapshot.json, as a snapshot
+// of length 0 with an empty trace, atomically: temp file, fsync, rename,
+// directory fsync. Guards can only be installed before a run's first event,
+// so this file never describes events and the log is never touched. A
+// later call replaces the whole guard set.
+func WriteGuards(dir, workflow string, guards map[string]int) error {
+	snap := &Snapshot{Workflow: workflow, Guards: guards, Trace: &trace.Trace{Workflow: workflow}}
+	crc, err := snap.Checksum()
+	if err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
+	snap.CRC = crc
+	data, err := json.MarshalIndent(snap, "", "  ")
+	if err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
+	tmp := filepath.Join(dir, snapshotName+".tmp")
+	if err := writeFileSync(tmp, data); err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
+	if err := os.Rename(tmp, filepath.Join(dir, snapshotName)); err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
+	if err := syncDir(dir); err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
+	return nil
 }
 
 // writeFileSync writes data to path and fsyncs it before closing.

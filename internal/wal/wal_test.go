@@ -134,38 +134,6 @@ func TestCorruptInteriorLineCutsTail(t *testing.T) {
 	}
 }
 
-func TestSnapshotResetsLog(t *testing.T) {
-	dir := t.TempDir()
-	l, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		appendDurable(l, rec(i))
-	}
-	snap := &Snapshot{Workflow: "w", Len: 4, Guards: map[string]int{"sue": 2},
-		Trace: &trace.Trace{Workflow: "w"}}
-	if err := l.WriteSnapshotCtx(t.Context(), snap); err != nil {
-		t.Fatal(err)
-	}
-	if err := appendDurable(l, rec(4)); err != nil {
-		t.Fatal(err)
-	}
-	l.Close()
-	l2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	got, tail := l2.TakeRecovered()
-	if got == nil || got.Len != 4 || got.Guards["sue"] != 2 {
-		t.Fatalf("snapshot=%+v", got)
-	}
-	if len(tail) != 1 || tail[0].Seq != 4 {
-		t.Fatalf("tail=%+v", tail)
-	}
-}
-
 func TestFailpointAppendRejectedCleanly(t *testing.T) {
 	dir := t.TempDir()
 	fp := NewFailpoints()
