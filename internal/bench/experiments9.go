@@ -16,6 +16,17 @@ import (
 // gave ~4×.
 const e21HeapPerDoubling = 2.2
 
+// A fire's cost at any size may exceed its cost at the first size by at
+// most e21FireBytes× in bytes and, in allocations, by the longer tree path
+// an Append copies (≤ 1.44 nodes per doubling of a relation, plus the
+// rebalancing around it): e21FireAllocs up to 4× the first size, the
+// tier-1 gate's bound, and e21FireAllocsPerDoubling per doubling beyond.
+const (
+	e21FireBytes             = 1.25
+	e21FireAllocs            = 4
+	e21FireAllocsPerDoubling = 3
+)
+
 // E21RunLength — Section 4's promise that a new event costs "a single
 // application of T_p plus set unions" (and Def. 3.1's run as a sequence of
 // instances), measured as a run-length sweep. One hiring run grows episode
@@ -24,14 +35,18 @@ const e21HeapPerDoubling = 2.2
 // path each write copies, rule bodies are checked through a view filter,
 // and explainer unions append only the new events, so the heap a run
 // retains grows linearly in its length and the bytes per event stay flat.
-// The heap bound is exact arithmetic on allocator statistics, not a clock
-// ratio, so it is asserted in every mode.
+// Two more runs grow by client firings whose bindings leave part of the
+// body open (crowdsourcing with a served client's bindings, and a revision
+// chain naming the latest revision), and measure bytes and allocations per
+// Run.FireRule at each size: the seeded, limit-1 body completion keeps them
+// flat. Every bound is exact arithmetic on allocator statistics, not a
+// clock ratio, so it is asserted in every mode.
 func E21RunLength(quick bool) (*Table, error) {
 	t := &Table{
 		ID:      "E21",
-		Title:   "run-length sweep: retained heap and bytes per event of Run.Append and a 4-peer SyncTo (hiring)",
+		Title:   "run-length sweep: retained heap and cost per event of Run.Append and a 4-peer SyncTo (hiring); cost per Run.FireRule (crowdsourcing, revision chain)",
 		Claim:   "§4: each new event costs one T_p application plus set unions — a run's memory is linear in its length",
-		Columns: []string{"events", "heap MB", "×prev", "bound", "Append B/ev", "SyncTo B/ev", "Append allocs/ev"},
+		Columns: []string{"run", "op", "events", "heap MB", "×prev", "bound", "B/op", "allocs/op", "allocs bound", "SyncTo B/ev"},
 	}
 	sizes := []int{1000, 2000, 4000, 8000, 10000}
 	if quick {
@@ -82,11 +97,55 @@ func E21RunLength(quick bool) (*Table, error) {
 		}
 		prevMB = mb
 		fn := float64(n)
-		t.AddRow(fmt.Sprint(n), fmt.Sprintf("%.1f", mb), ratio, bound,
-			fmt.Sprintf("%.0f", float64(appendB)/fn), fmt.Sprintf("%.0f", float64(syncB)/fn),
-			fmt.Sprintf("%.1f", float64(appendAllocs)/fn))
+		t.AddRow("hiring", "Append", fmt.Sprint(n), fmt.Sprintf("%.1f", mb), ratio, bound,
+			fmt.Sprintf("%.0f", float64(appendB)/fn), fmt.Sprintf("%.1f", float64(appendAllocs)/fn), "—",
+			fmt.Sprintf("%.0f", float64(syncB)/fn))
+	}
+	crowd, err := workload.Crowdsourcing(2)
+	if err != nil {
+		return nil, err
+	}
+	for _, sw := range []struct {
+		name string
+		prog *program.Program
+		next func(int) workload.Firing
+	}{
+		{"crowdsourcing", crowd, workload.CrowdFiring},
+		{"revisions", workload.Revisions(), workload.RevisionFiring},
+	} {
+		run := program.NewRun(sw.prog)
+		var b0, m0 float64
+		for k, n := range sizes {
+			for run.Len() < n {
+				f := sw.next(run.Len())
+				if _, err := run.FireRule(f.Rule, f.Bindings); err != nil {
+					return nil, fmt.Errorf("E21: %s event %d: %w", sw.name, run.Len(), err)
+				}
+			}
+			// 700 fires: 100 whole crowdsourcing tasks.
+			b, m, err := workload.FireCost(run, sw.next, 700)
+			if err != nil {
+				return nil, fmt.Errorf("E21: %s: %w", sw.name, err)
+			}
+			if k == 0 {
+				b0, m0 = b, m
+			}
+			allocBound := m0 + e21FireAllocs + e21FireAllocsPerDoubling*max(0, math.Log2(float64(n)/float64(sizes[0]))-2)
+			if b > e21FireBytes*b0 {
+				return nil, fmt.Errorf("E21: %s: bytes per fire grew %.2f× from %d to %d events, bound %.2f×",
+					sw.name, b/b0, sizes[0], n, e21FireBytes)
+			}
+			if m > allocBound {
+				return nil, fmt.Errorf("E21: %s: %.1f allocations per fire at %d events, bound %.1f",
+					sw.name, m, n, allocBound)
+			}
+			t.AddRow(sw.name, "FireRule", fmt.Sprint(n), "—", "—", "—",
+				fmt.Sprintf("%.0f", b), fmt.Sprintf("%.1f", m), fmt.Sprintf("%.1f", allocBound), "—")
+		}
 	}
 	t.Notef("retained heap bound %.1f× per doubling (scaled by log2 of each step), asserted in every mode", e21HeapPerDoubling)
+	t.Notef("FireRule cost bounds against the first size: bytes ≤ %.2f×, allocations ≤ +%d up to 4× and +%d per doubling beyond, asserted in every mode",
+		e21FireBytes, e21FireAllocs, e21FireAllocsPerDoubling)
 	return t, nil
 }
 

@@ -284,49 +284,35 @@ func (r *Run) Candidates(limitPerRule int) []Candidate {
 // Fire instantiates candidate c, binding head-only variables to fresh
 // values, and appends the resulting event to the run. Unbound body
 // variables are completed by evaluating the body on the current instance
-// under the partial binding (first match in deterministic order).
+// seeded with the partial binding, stopping at the first match in
+// deterministic order: the first valuation of the whole body's enumeration
+// that agrees with the binding.
 func (r *Run) Fire(c Candidate) (*Event, error) {
-	val := c.Val.Clone()
 	unbound := false
 	for _, v := range c.Rule.BodyVars() {
-		if _, ok := val[v]; !ok {
+		if _, ok := c.Val[v]; !ok {
 			unbound = true
 			break
 		}
 	}
-	if unbound {
+	var val query.Valuation
+	if !unbound {
+		val = c.Val.Clone()
+	} else {
 		vi := r.ViewAt(len(r.Steps)-1, c.Rule.Peer)
 		var fulls []query.Valuation
 		if r.prof == nil {
-			fulls = c.Rule.Body.Eval(vi, 0)
+			fulls = c.Rule.Body.EvalSeeded(vi, c.Val, 1, nil)
 		} else {
 			var es query.EvalStats
 			start := time.Now()
-			fulls = c.Rule.Body.EvalCollect(vi, 0, &es)
+			fulls = c.Rule.Body.EvalSeeded(vi, c.Val, 1, &es)
 			r.prof.RuleEval(c.Rule.Name, string(c.Rule.Peer), time.Since(start).Nanoseconds(), &es)
 		}
-		found := false
-		for _, full := range fulls {
-			consistent := true
-			for k, v := range val {
-				if fv, bound := full[k]; bound && fv != v {
-					consistent = false
-					break
-				}
-			}
-			if consistent {
-				for k, v := range full {
-					if _, bound := val[k]; !bound {
-						val[k] = v
-					}
-				}
-				found = true
-				break
-			}
+		if len(fulls) == 0 {
+			return nil, fmt.Errorf("program: rule %s: no body valuation extends %s", c.Rule.Name, c.Val)
 		}
-		if !found {
-			return nil, fmt.Errorf("program: rule %s: no body valuation extends %s", c.Rule.Name, val)
-		}
+		val = fulls[0]
 	}
 	for _, v := range c.Rule.FreshVars() {
 		if _, bound := val[v]; bound {

@@ -290,6 +290,18 @@ func (q Query) Eval(vi *schema.ViewInstance, limit int) []Valuation {
 // into it. A nil es takes the branch-free accounting skips and nothing else,
 // so Eval and the profiler-disabled engine pay only the es != nil tests.
 func (q Query) EvalCollect(vi *schema.ViewInstance, limit int, es *EvalStats) []Valuation {
+	return q.EvalSeeded(vi, nil, limit, es)
+}
+
+// EvalSeeded is EvalCollect started from the partial valuation seed instead
+// of the empty one: it returns the satisfying valuations that extend seed,
+// each including seed's bindings, in the order EvalCollect would produce
+// them. A literal whose key the seed binds is a key lookup, and a tuple
+// that disagrees with a seeded variable prunes its branch, so completing a
+// caller's partial binding with limit 1 costs the search the binding
+// leaves open, not an enumeration of the whole view. Seed is not modified;
+// a nil seed is the empty valuation.
+func (q Query) EvalSeeded(vi *schema.ViewInstance, seed Valuation, limit int, es *EvalStats) []Valuation {
 	// Partition into binders (positive atoms/key atoms) and filters.
 	var binders, filters []Literal
 	for _, l := range q {
@@ -299,6 +311,8 @@ func (q Query) EvalCollect(vi *schema.ViewInstance, limit int, es *EvalStats) []
 			filters = append(filters, l)
 		}
 	}
+	// The search never writes a valuation it was handed: unify and the
+	// key scan extend copies, so seed itself can start it.
 	var out []Valuation
 	var rec func(i int, val Valuation) bool
 	rec = func(i int, val Valuation) bool {
@@ -341,16 +355,17 @@ func (q Query) EvalCollect(vi *schema.ViewInstance, limit int, es *EvalStats) []
 			if es != nil {
 				es.Literals++
 			}
-			for _, t := range vi.Tuples(l.Rel) {
+			more := true
+			vi.Each(l.Rel, func(t data.Tuple) bool {
 				if es != nil {
 					es.scanned(l.Rel)
 				}
 				if next, ok := unify(l.Args, t, val); ok {
-					if !rec(i+1, next) {
-						return false
-					}
+					more = rec(i+1, next)
 				}
-			}
+				return more
+			})
+			return more
 		case KeyAtom:
 			if v, ok := val.Apply(l.Arg); ok {
 				if es != nil {
@@ -365,20 +380,21 @@ func (q Query) EvalCollect(vi *schema.ViewInstance, limit int, es *EvalStats) []
 			if es != nil {
 				es.Literals++
 			}
-			for _, t := range vi.Tuples(l.Rel) {
+			more := true
+			vi.Each(l.Rel, func(t data.Tuple) bool {
 				if es != nil {
 					es.scanned(l.Rel)
 				}
 				next := val.Clone()
 				next[l.Arg.Var] = t.Key()
-				if !rec(i+1, next) {
-					return false
-				}
-			}
+				more = rec(i+1, next)
+				return more
+			})
+			return more
 		}
 		return true
 	}
-	rec(0, Valuation{})
+	rec(0, seed)
 	return out
 }
 
@@ -407,27 +423,32 @@ func (q Query) Satisfied(vi *schema.ViewInstance, val Valuation) bool {
 	return true
 }
 
+// unify extends val by matching the atom's arguments against tuple t. The
+// arguments val already determines (constants and bound variables) are
+// compared first, so a tuple that disagrees with any of them is rejected
+// without allocating; only a match copies val. A variable repeated among
+// the unbound arguments, as in R(x, x), is checked while binding.
 func unify(args []Term, t data.Tuple, val Valuation) (Valuation, bool) {
 	if len(args) != len(t) {
 		return nil, false
 	}
-	next := val
-	cloned := false
 	for i, a := range args {
-		if v, ok := next.Apply(a); ok {
+		if v, ok := val.Apply(a); ok && v != t[i] {
+			return nil, false
+		}
+	}
+	next := val.Clone()
+	for i, a := range args {
+		if !a.IsVar {
+			continue
+		}
+		if v, ok := next[a.Var]; ok {
 			if v != t[i] {
 				return nil, false
 			}
 			continue
 		}
-		if !cloned {
-			next = next.Clone()
-			cloned = true
-		}
 		next[a.Var] = t[i]
-	}
-	if !cloned {
-		next = next.Clone()
 	}
 	return next, true
 }

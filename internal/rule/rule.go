@@ -106,6 +106,8 @@ type Rule struct {
 	// built (the whole repo constructs them with &Rule{...} and never
 	// mutates them afterwards), so the caches are computed once and shared;
 	// sync.Once makes first use safe under concurrent searches.
+	bodyOnce   sync.Once
+	bodyCache  []string
 	freshOnce  sync.Once
 	freshCache []string
 	constOnce  sync.Once
@@ -121,8 +123,12 @@ func (r *Rule) String() string {
 	return fmt.Sprintf("%s at %s: %s :- %s", r.Name, r.Peer, strings.Join(heads, ", "), r.Body)
 }
 
-// BodyVars returns the sorted variables of the body.
-func (r *Rule) BodyVars() []string { return r.Body.Vars() }
+// BodyVars returns the sorted variables of the body. The result is
+// memoized; callers must not modify it.
+func (r *Rule) BodyVars() []string {
+	r.bodyOnce.Do(func() { r.bodyCache = r.Body.Vars() })
+	return r.bodyCache
+}
 
 // HeadVars returns the sorted variables of the head.
 func (r *Rule) HeadVars() []string {

@@ -330,6 +330,44 @@ func (vi *ViewInstance) Tuples(rel string) []data.Tuple {
 	return out
 }
 
+// Each calls fn on the visible tuples of rel in key order, stopping once fn
+// returns false. It walks the source relation, applying the view's
+// selection and projection row by row, so a scan that stops early or runs
+// on a view instance built for one query materialises nothing; after
+// Tuples has filled the scan cache it iterates the cache instead. A
+// projected tuple lives in a buffer reused across rows: fn must copy what
+// it keeps of it.
+func (vi *ViewInstance) Each(rel string, fn func(data.Tuple) bool) {
+	if ts, ok := vi.scans[rel]; ok {
+		for _, t := range ts {
+			if !fn(t) {
+				return
+			}
+		}
+		return
+	}
+	v, ok := vi.views[rel]
+	if !ok {
+		return
+	}
+	var buf data.Tuple
+	if !v.identity {
+		buf = make(data.Tuple, len(v.srcIdx))
+	}
+	vi.src.rel(rel).each(func(t data.Tuple) bool {
+		if !v.Sees(t, vi.cnt) {
+			return true
+		}
+		if buf == nil {
+			return fn(t)
+		}
+		for i, src := range v.srcIdx {
+			buf[i] = t[src]
+		}
+		return fn(buf)
+	})
+}
+
 // Relations returns the names of the relations the peer has a view of,
 // sorted.
 func (vi *ViewInstance) Relations() []string {

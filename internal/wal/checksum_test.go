@@ -2,14 +2,17 @@ package wal
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"collabwf/internal/obs"
+	"collabwf/internal/trace"
 )
 
 // TestRecordChecksumRoundTrip: every appended record carries a CRC32C in
@@ -211,4 +214,152 @@ func TestSnapshotChecksum(t *testing.T) {
 			t.Fatalf("strict=%v: open of corrupt snapshot = %v, want ErrCorrupt", strict, err)
 		}
 	}
+}
+
+// recordChecksum is the record CRC as first defined: the CRC32C of the
+// record re-encoded with CRC zeroed. The line checksum is held to it.
+func recordChecksum(r Record) uint32 {
+	r.CRC = 0
+	b, err := json.Marshal(r)
+	if err != nil {
+		panic(err)
+	}
+	return crc32.Checksum(b, castagnoli)
+}
+
+// TestLineChecksumMatchesRecordChecksum: on every line of a log written by
+// this package and of the legacy fixture, the CRC taken over the line's
+// bytes equals the CRC of the re-encoded record, and encoding the parsed
+// record reproduces the line.
+func TestLineChecksumMatchesRecordChecksum(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 6; i++ {
+		r := rec(i)
+		if i%2 == 1 {
+			r.Idem = fmt.Sprintf("key-%d", i)
+		}
+		r.Event.Valuation["note"] = `<&"ν` + " >"
+		if err := appendDurable(l, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.Close()
+	for _, path := range []string{
+		filepath.Join(dir, logName),
+		filepath.Join("..", "server", "testdata", "legacy-snapshot", logName),
+	} {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := bytes.SplitAfter(raw, []byte("\n"))
+		lines = lines[:len(lines)-1] // the empty remainder after the last newline
+		if len(lines) == 0 {
+			t.Fatalf("%s: no records", path)
+		}
+		for i, line := range lines {
+			var r Record
+			if err := json.Unmarshal(line, &r); err != nil {
+				t.Fatalf("%s line %d: %v", path, i, err)
+			}
+			if r.CRC == 0 {
+				t.Fatalf("%s line %d written without a checksum: %s", path, i, line)
+			}
+			sum, ok := lineChecksum(bytes.TrimSpace(line), r.CRC)
+			if !ok || sum != r.CRC || recordChecksum(r) != r.CRC {
+				t.Fatalf("%s line %d: line CRC %08x (found %v), record CRC %08x, stored %08x",
+					path, i, sum, ok, recordChecksum(r), r.CRC)
+			}
+			enc, err := encodeRecord(r)
+			if err != nil || !bytes.Equal(enc, line) {
+				t.Fatalf("%s line %d: re-encoded as %q (err %v), want %q", path, i, enc, err, line)
+			}
+		}
+	}
+}
+
+// TestRecasedFieldIsCorrupt: a record whose "seq" was rewritten as "Seq"
+// still parses to the same record (JSON field names match regardless of
+// case), so re-encoding it would reproduce its checksum; the line checksum
+// sees the changed byte. The default policy truncates there, strict mode
+// refuses.
+func TestRecasedFieldIsCorrupt(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := appendDurable(l, rec(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.Close()
+	path := filepath.Join(dir, logName)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mut := bytes.Replace(raw, []byte(`{"seq":1,`), []byte(`{"Seq":1,`), 1)
+	if bytes.Equal(mut, raw) {
+		t.Fatal("mutation did not apply")
+	}
+	if err := os.WriteFile(path, mut, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir, Options{Strict: true}); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("strict open = %v, want ErrCorrupt", err)
+	}
+	l2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	if _, tail := l2.TakeRecovered(); len(tail) != 1 {
+		t.Fatalf("replayed %d records, want the 1 before the recased one", len(tail))
+	}
+	if got := l2.CorruptRecords(); got != 1 {
+		t.Fatalf("CorruptRecords() = %d, want 1", got)
+	}
+}
+
+// FuzzRecordLine: for any record, the line encodeRecord writes equals the
+// encoding of the record with CRC set to recordChecksum, it verifies, and
+// its line CRC equals recordChecksum.
+func FuzzRecordLine(f *testing.F) {
+	f.Add(0, "clear", "x", "ν1", "")
+	f.Add(-7, `a<b>&"c"`, " ", "line\nbreak", "key-1")
+	f.Add(1<<40, "", "", "", "\xff")
+	f.Fuzz(func(t *testing.T, seq int, rule, k, v, idem string) {
+		r := Record{Seq: seq, Event: trace.EventRecord{Rule: rule, Valuation: map[string]string{k: v}}, Idem: idem}
+		line, err := encodeRecord(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := r
+		want.CRC = recordChecksum(r)
+		old, err := json.Marshal(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(line, append(old, '\n')) {
+			t.Fatalf("line %q, want %q", line, old)
+		}
+		got, err := verifyRecord(line)
+		if err != nil {
+			t.Fatalf("written line does not verify: %v", err)
+		}
+		if got.CRC != want.CRC {
+			t.Fatalf("parsed CRC %08x, want %08x", got.CRC, want.CRC)
+		}
+		if want.CRC != 0 {
+			if sum, ok := lineChecksum(bytes.TrimSpace(line), got.CRC); !ok || sum != want.CRC {
+				t.Fatalf("line CRC %08x (found %v), want %08x", sum, ok, want.CRC)
+			}
+		}
+	})
 }

@@ -39,6 +39,7 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -104,22 +105,52 @@ type Record struct {
 	// before the crash. Empty for server-generated or keyless submissions.
 	Idem string `json:"idem,omitempty"`
 	// CRC is the CRC32C of the record's compact JSON encoding with CRC
-	// itself absent (see Checksum). Zero/absent means unchecksummed —
+	// itself absent (see encodeRecord). Zero/absent means unchecksummed —
 	// records written by pre-checksum versions still replay.
 	CRC uint32 `json:"crc,omitempty"`
 }
 
-// Checksum computes the record's CRC32C: the checksum of the compact JSON
-// encoding of the record with the CRC field zeroed (and therefore omitted).
-// Go's JSON encoding is deterministic — struct fields in declaration order,
-// map keys sorted — so the value survives a decode/re-encode round trip.
-func (r Record) Checksum() (uint32, error) {
-	r.CRC = 0
-	b, err := json.Marshal(r)
+// crcField opens the CRC field of an encoded record. CRC is the record's
+// last field, so a checksummed line ends in crcField, the decimal CRC and
+// the closing brace.
+const crcField = `,"crc":`
+
+var closeBrace = []byte{'}'}
+
+// encodeRecord returns rec's log line, newline included: the compact JSON
+// encoding of rec with CRC set to the CRC32C of its encoding with CRC
+// absent. The record is encoded once, with CRC zeroed, and the field is
+// spliced in before the closing brace — byte for byte what encoding it with
+// CRC set would give. Go's JSON encoding is deterministic (struct fields in
+// declaration order, map keys sorted).
+func encodeRecord(rec Record) ([]byte, error) {
+	rec.CRC = 0
+	b, err := json.Marshal(rec)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	return crc32.Checksum(b, castagnoli), nil
+	crc := crc32.Checksum(b, castagnoli)
+	if crc == 0 {
+		// A zero CRC is omitted like any zero value.
+		return append(b, '\n'), nil
+	}
+	b = append(b[:len(b)-1], crcField...)
+	b = strconv.AppendUint(b, uint64(crc), 10)
+	return append(b, '}', '\n'), nil
+}
+
+// lineChecksum recomputes the CRC of a record line (surrounding space
+// trimmed) whose parsed CRC is crc: the CRC32C of the line with its
+// trailing CRC field cut, the bytes encodeRecord checksummed. ok is false
+// when the line does not end in that field.
+func lineChecksum(line []byte, crc uint32) (sum uint32, ok bool) {
+	var buf [len(crcField) + 11]byte
+	tail := strconv.AppendUint(append(buf[:0], crcField...), uint64(crc), 10)
+	body, ok := bytes.CutSuffix(line, append(tail, '}'))
+	if !ok {
+		return 0, false
+	}
+	return crc32.Update(crc32.Checksum(body, castagnoli), castagnoli, closeBrace), true
 }
 
 // IdemEntry maps one idempotency key to the index of the event it produced.
@@ -148,8 +179,8 @@ type Snapshot struct {
 	CRC uint32 `json:"crc,omitempty"`
 }
 
-// Checksum computes the snapshot's CRC32C the same way Record.Checksum
-// does: over the compact encoding with the CRC field zeroed.
+// Checksum computes the snapshot's CRC32C the same way records are
+// checksummed: over the compact encoding with the CRC field zeroed.
 func (s *Snapshot) Checksum() (uint32, error) {
 	c := *s
 	c.CRC = 0
@@ -366,19 +397,22 @@ func (l *Log) loadSnapshot() error {
 }
 
 // verifyRecord parses one complete log line, checking the record checksum
-// when one is present.
+// when one is present. The checksum is taken over the line's own bytes, so
+// a line that parses to the same record but was not written as encoded
+// (a field name in another case, say) fails it.
 func verifyRecord(line []byte) (Record, error) {
+	line = bytes.TrimSpace(line)
 	var rec Record
-	if err := json.Unmarshal(bytes.TrimSpace(line), &rec); err != nil {
+	if err := json.Unmarshal(line, &rec); err != nil {
 		return rec, fmt.Errorf("%w: parse: %v", ErrCorrupt, err)
 	}
 	if rec.CRC != 0 {
-		want, err := rec.Checksum()
-		if err != nil {
-			return rec, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		got, ok := lineChecksum(line, rec.CRC)
+		if !ok {
+			return rec, fmt.Errorf("%w: seq %d: checksum %08x is not the line's last field", ErrCorrupt, rec.Seq, rec.CRC)
 		}
-		if want != rec.CRC {
-			return rec, fmt.Errorf("%w: seq %d checksum mismatch (stored %08x, computed %08x)", ErrCorrupt, rec.Seq, rec.CRC, want)
+		if got != rec.CRC {
+			return rec, fmt.Errorf("%w: seq %d checksum mismatch (stored %08x, computed %08x)", ErrCorrupt, rec.Seq, rec.CRC, got)
 		}
 	}
 	return rec, nil
@@ -537,18 +571,11 @@ func (l *Log) writeLocked(sp *obs.Span, rec Record) error {
 			return err
 		}
 	}
-	crc, err := rec.Checksum()
+	line, err := encodeRecord(rec)
 	if err != nil {
 		l.m.recordAppend(false)
 		return fmt.Errorf("wal: %w", err)
 	}
-	rec.CRC = crc
-	line, err := json.Marshal(rec)
-	if err != nil {
-		l.m.recordAppend(false)
-		return fmt.Errorf("wal: %w", err)
-	}
-	line = append(line, '\n')
 	sp.SetAttr("bytes", len(line))
 	if fp := l.opts.Failpoints; fp != nil {
 		if n, ok := fp.partialWrite(rec.Seq, len(line)); ok {

@@ -7,6 +7,8 @@
 //   - HittingSet: the NP-hardness gadget of Theorem 3.3
 //   - Formula: the coNP-hardness gadget of Theorem 3.4
 //   - Chain / Wide: parameterized families for the scaling experiments
+//   - Revisions, CrowdFiring: client firing sequences for the run-length
+//     gates on rule firing
 package workload
 
 import (

@@ -10,6 +10,7 @@ import (
 	"collabwf/internal/data"
 	"collabwf/internal/parse"
 	"collabwf/internal/program"
+	"collabwf/internal/workload"
 )
 
 // hiringGrower grows one hiring.wf run episode by episode (clear, cfo_ok,
@@ -136,5 +137,53 @@ func TestRunRetainedHeapBounded(t *testing.T) {
 	t.Logf("retained heap of a 3000-event run with %d explainers: %.1f MB", len(g.exps), mb)
 	if mb > 25 {
 		t.Errorf("retained heap %.1f MB, want ≤ 25 MB", mb)
+	}
+}
+
+// Firing a rule whose body the client binds only in part costs the same at
+// event 4000 as at event 1000. The crowdsourcing submissions carry a served
+// client's bindings, and accept leaves the work key open, so Fire scans
+// Work; the revision chain names the parent revision and leaves its parent
+// open. Completing the body is a search seeded with the bindings that stops
+// at the first match, and a scanned tuple that misses allocates nothing:
+// allocations per fire grow at most by the deeper tree path an Append
+// copies, and bytes per fire stay within 1.25×.
+func TestFireCostFlatInLength(t *testing.T) {
+	crowd, err := workload.Crowdsourcing(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		prog *program.Program
+		next func(int) workload.Firing
+	}{
+		{"crowdsourcing", crowd, workload.CrowdFiring},
+		{"revisions", workload.Revisions(), workload.RevisionFiring},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := program.NewRun(tc.prog)
+			var b, m [2]float64
+			for i, n := range [2]int{1000, 4000} {
+				for r.Len() < n {
+					f := tc.next(r.Len())
+					if _, err := r.FireRule(f.Rule, f.Bindings); err != nil {
+						t.Fatal(err)
+					}
+				}
+				// 700 fires: 100 whole crowdsourcing tasks.
+				if b[i], m[i], err = workload.FireCost(r, tc.next, 700); err != nil {
+					t.Fatal(err)
+				}
+			}
+			t.Logf("FireRule: %.0f B, %.1f allocs at 1000; %.0f B, %.1f allocs at 4000", b[0], m[0], b[1], m[1])
+			if b[1] > 1.25*b[0] {
+				t.Errorf("bytes per fire grew %.2f× from event 1000 to 4000, want ≤ 1.25×", b[1]/b[0])
+			}
+			const extraAllocs = 4
+			if m[1] > m[0]+extraAllocs {
+				t.Errorf("allocations per fire: %.1f at 4000 vs %.1f at 1000, want ≤ +%d", m[1], m[0], extraAllocs)
+			}
+		})
 	}
 }
