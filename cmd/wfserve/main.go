@@ -200,7 +200,6 @@ func main() {
 			Sync:        syncPolicy,
 			Strict:      *walStrict,
 			IdemWindow:  *idemWindow,
-			Metrics:     reg,
 			DecisionLog: declogger,
 		},
 		HTTP: server.HTTPOptions{

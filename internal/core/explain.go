@@ -15,7 +15,6 @@ package core
 
 import (
 	"bufio"
-	"context"
 	"io"
 	"strconv"
 
@@ -24,8 +23,6 @@ import (
 	"collabwf/internal/jsonw"
 	"collabwf/internal/program"
 	"collabwf/internal/schema"
-	"collabwf/internal/synth"
-	"collabwf/internal/transparency"
 )
 
 // RunReader is the read-only view of a run prefix that report building
@@ -546,37 +543,4 @@ func (n *EventNote) appendChanges(b []byte) []byte {
 		b = append(b, c...)
 	}
 	return b
-}
-
-// Options re-exports the static-analysis search options.
-type Options = transparency.Options
-
-// CheckBounded decides h-boundedness of a program for a peer
-// (Theorem 5.10). A nil violation means the program is h-bounded relative
-// to the search caps.
-func CheckBounded(p *program.Program, peer schema.Peer, h int, opts Options) (*transparency.BoundViolation, error) {
-	return transparency.CheckBounded(p, peer, h, opts)
-}
-
-// CheckBoundedCtx is CheckBounded with a cancellable context.
-func CheckBoundedCtx(ctx context.Context, p *program.Program, peer schema.Peer, h int, opts Options) (*transparency.BoundViolation, error) {
-	return transparency.CheckBoundedCtx(ctx, p, peer, h, opts)
-}
-
-// CheckTransparent decides transparency of an h-bounded program for a peer
-// (Theorem 5.11).
-func CheckTransparent(p *program.Program, peer schema.Peer, h int, opts Options) (*transparency.TransparencyViolation, error) {
-	return transparency.CheckTransparent(p, peer, h, opts)
-}
-
-// CheckTransparentCtx is CheckTransparent with a cancellable context.
-func CheckTransparentCtx(ctx context.Context, p *program.Program, peer schema.Peer, h int, opts Options) (*transparency.TransparencyViolation, error) {
-	return transparency.CheckTransparentCtx(ctx, p, peer, h, opts)
-}
-
-// Synthesize constructs the view program P@p of a transparent, h-bounded
-// program (Theorem 5.13). The body of each ω-rule is the provenance — in
-// terms of data the peer sees — of the transition the rule describes.
-func Synthesize(p *program.Program, peer schema.Peer, h int, opts Options) (*synth.Result, error) {
-	return synth.Synthesize(p, peer, h, opts)
 }

@@ -88,28 +88,6 @@ func TestReportRendering(t *testing.T) {
 	}
 }
 
-func TestStaticFacadeRoundTrip(t *testing.T) {
-	p := workload.Hiring()
-	opts := Options{PoolFresh: 2, MaxTuplesPerRelation: 1}
-	if v, err := CheckBounded(p, "sue", 3, opts); err != nil || v != nil {
-		t.Fatalf("bounded: %v %v", v, err)
-	}
-	v, err := CheckTransparent(p, "sue", 3, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v == nil {
-		t.Fatal("hiring is not transparent for sue")
-	}
-	res, err := Synthesize(p, "sue", 3, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.OmegaRules) == 0 {
-		t.Fatal("no rules synthesized")
-	}
-}
-
 func TestReportOnModifications(t *testing.T) {
 	// A run with a Modified effect renders a "set" change.
 	pr, _, err := workload.Chain(2)

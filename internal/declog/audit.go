@@ -13,6 +13,7 @@ import (
 	"collabwf/internal/program"
 	"collabwf/internal/schema"
 	"collabwf/internal/trace"
+	"collabwf/internal/transparency"
 )
 
 // AuditOptions tunes Audit.
@@ -23,7 +24,7 @@ type AuditOptions struct {
 	// Search tunes the decider re-runs under RecheckCertify (pool size,
 	// enumeration caps, parallelism). The zero value uses the deciders'
 	// defaults — the same configuration /certify runs with.
-	Search core.Options
+	Search transparency.Options
 	// MaxMismatches bounds the mismatch list (further ones are counted,
 	// not stored); ≤ 0 means 50.
 	MaxMismatches int
@@ -411,14 +412,14 @@ func (a *auditor) recheckCertify(d Decision) {
 	opts := a.opts.Search
 	opts.Stats = nil
 	ctx := context.Background()
-	bv, err := core.CheckBoundedCtx(ctx, a.prog, peer, d.H, opts)
+	bv, err := transparency.CheckBoundedCtx(ctx, a.prog, peer, d.H, opts)
 	if err != nil {
 		a.mismatch("seq %d: recomputing boundedness for %s (h=%d): %v", d.Seq, d.Peer, d.H, err)
 		return
 	}
 	violated := bv != nil
 	if !violated {
-		tv, err := core.CheckTransparentCtx(ctx, a.prog, peer, d.H, opts)
+		tv, err := transparency.CheckTransparentCtx(ctx, a.prog, peer, d.H, opts)
 		if err != nil {
 			a.mismatch("seq %d: recomputing transparency for %s (h=%d): %v", d.Seq, d.Peer, d.H, err)
 			return

@@ -9,6 +9,7 @@ import (
 	"collabwf/internal/data"
 	"collabwf/internal/program"
 	"collabwf/internal/trace"
+	"collabwf/internal/transparency"
 	"collabwf/internal/workload"
 )
 
@@ -297,7 +298,7 @@ func TestAuditRecheckCertify(t *testing.T) {
 	// so a logged certified verdict is a lie the recheck catches.
 	recs = append(recs, Decision{Seq: uint64(len(recs) + 1), Kind: KindCertify,
 		Decision: Certified, Peer: "sue", H: 3, Index: -1})
-	search := core.Options{PoolFresh: 2, MaxTuplesPerRelation: 1}
+	search := transparency.Options{PoolFresh: 2, MaxTuplesPerRelation: 1}
 	rep, err := Audit(workload.Hiring(), encodeLog(t, recs),
 		AuditOptions{RecheckCertify: true, Search: search})
 	if err != nil {

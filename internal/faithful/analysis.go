@@ -99,8 +99,8 @@ type Analysis struct {
 	lcs []lifecycle
 	// latest maps a key to the id of its newest lifecycle.
 	latest map[lcID]int32
-	// keyLCs row i lists, for the keys of K(R, e_i) in KeyRelations/KeysOf
-	// order, the lifecycle containing i (keys in none are skipped).
+	// keyLCs row i lists, for the keys of K(R, e_i) in Keys order, the
+	// lifecycle containing i (keys in none are skipped).
 	keyLCs rows
 	// closes row i lists the lifecycles event i closed.
 	closes rows
@@ -235,11 +235,9 @@ func (a *Analysis) step(i int) {
 	// relation have distinct keys, so no event both closes and opens
 	// lifecycles of one key: only a key's newest lifecycle can contain i.
 	e := a.Run.Event(i)
-	for _, rel := range e.KeyRelations() {
-		for _, k := range e.KeysOf(rel) {
-			if l, ok := a.latest[lcID{rel, k}]; ok && a.lcs[l].Contains(i) {
-				a.keyLCs.ids = append(a.keyLCs.ids, l)
-			}
+	for _, rk := range e.Keys() {
+		if l, ok := a.latest[lcID{rk.Rel, rk.Key}]; ok && a.lcs[l].Contains(i) {
+			a.keyLCs.ids = append(a.keyLCs.ids, l)
 		}
 	}
 	a.keyLCs.endRow()

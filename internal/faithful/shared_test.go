@@ -175,11 +175,9 @@ func checkInterned(t *testing.T, a *Analysis, r *program.Run) {
 	for i := 0; i < a.Len(); i++ {
 		e := r.Event(i)
 		var wantKeys []Lifecycle
-		for _, rel := range e.KeyRelations() {
-			for _, k := range e.KeysOf(rel) {
-				if c := firstContaining(scan[lcID{rel, k}], i); c != nil {
-					wantKeys = append(wantKeys, c.Lifecycle)
-				}
+		for _, rk := range e.Keys() {
+			if c := firstContaining(scan[lcID{rk.Rel, rk.Key}], i); c != nil {
+				wantKeys = append(wantKeys, c.Lifecycle)
 			}
 		}
 		if got := resolve(a, a.keyLCs.row(i)); !slices.Equal(got, wantKeys) {

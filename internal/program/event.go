@@ -1,8 +1,9 @@
 package program
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"collabwf/internal/cond"
@@ -19,10 +20,15 @@ type Event struct {
 	Val  query.Valuation
 	// Updates are the grounded head updates in head order.
 	Updates []GroundUpdate
-	// keys caches K(R, e) per relation; keyRels lists, sorted, the
-	// relations with a non-empty K(R, e).
-	keys    map[string][]data.Value
-	keyRels []string
+	// keys is K(R, e) for every relation R, sorted by (relation, key).
+	keys []RelKey
+}
+
+// RelKey is one element of K(R, e): Key occurs as a key of relation Rel in
+// the event.
+type RelKey struct {
+	Rel string
+	Key data.Value
 }
 
 // GroundUpdate is a grounded update atom.
@@ -44,8 +50,15 @@ func (g GroundUpdate) String() string {
 }
 
 // NewEvent instantiates rule r with valuation val, which must bind every
-// variable of the rule.
+// variable of the rule. The event keeps a copy of val.
 func NewEvent(r *rule.Rule, val query.Valuation) (*Event, error) {
+	return newEvent(r, val.Clone())
+}
+
+// newEvent is NewEvent adopting val: the event keeps val itself, so the
+// caller must not modify it afterwards. Run.Fire hands over the valuation
+// it has just built.
+func newEvent(r *rule.Rule, val query.Valuation) (*Event, error) {
 	ground := func(t query.Term) (data.Value, error) {
 		v, ok := val.Apply(t)
 		if !ok {
@@ -53,7 +66,7 @@ func NewEvent(r *rule.Rule, val query.Valuation) (*Event, error) {
 		}
 		return v, nil
 	}
-	e := &Event{Rule: r, Val: val.Clone(), keys: make(map[string][]data.Value)}
+	e := &Event{Rule: r, Val: val}
 	for _, u := range r.Head {
 		switch u := u.(type) {
 		case rule.Insert:
@@ -99,13 +112,14 @@ func MustEvent(r *rule.Rule, val query.Valuation) *Event {
 // not occur in normal-form programs, but their keys are included too so the
 // definition degrades gracefully on non-normal-form rules.
 func (e *Event) computeKeys() {
+	e.keys = make([]RelKey, 0, len(e.Rule.Body)+len(e.Updates))
 	add := func(rel string, k data.Value) {
-		for _, existing := range e.keys[rel] {
-			if existing == k {
+		for _, rk := range e.keys {
+			if rk.Rel == rel && rk.Key == k {
 				return
 			}
 		}
-		e.keys[rel] = append(e.keys[rel], k)
+		e.keys = append(e.keys, RelKey{Rel: rel, Key: k})
 	}
 	for _, l := range e.Rule.Body {
 		switch l := l.(type) {
@@ -125,24 +139,21 @@ func (e *Event) computeKeys() {
 	for _, u := range e.Updates {
 		add(u.Rel, u.Key)
 	}
-	for rel := range e.keys {
-		data.SortValues(e.keys[rel])
-		e.keyRels = append(e.keyRels, rel)
-	}
-	sort.Strings(e.keyRels)
+	slices.SortFunc(e.keys, func(a, b RelKey) int {
+		if c := cmp.Compare(a.Rel, b.Rel); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Key, b.Key)
+	})
 }
 
 // Peer returns the peer performing the event.
 func (e *Event) Peer() schema.Peer { return e.Rule.Peer }
 
-// KeysOf returns K(R, e), the keys of relation rel occurring in the event,
-// sorted.
-func (e *Event) KeysOf(rel string) []data.Value { return e.keys[rel] }
-
-// KeyRelations returns the relations with a non-empty K(R, e), sorted. The
-// list is computed once, when the event is built, and shared: callers must
-// not modify it.
-func (e *Event) KeyRelations() []string { return e.keyRels[:len(e.keyRels):len(e.keyRels)] }
+// Keys returns K(R, e) for every relation R, as (relation, key) pairs
+// sorted by relation, then key. The list is computed once, when the event
+// is built, and shared: callers must not modify it.
+func (e *Event) Keys() []RelKey { return e.keys[:len(e.keys):len(e.keys)] }
 
 // FreshValues returns the values assigned to the rule's head-only
 // variables, which runs require to be globally fresh.

@@ -1,7 +1,7 @@
 package program
 
 import (
-	"sort"
+	"slices"
 	"strings"
 	"testing"
 
@@ -342,28 +342,21 @@ func TestEventIdentity(t *testing.T) {
 func TestEventKeys(t *testing.T) {
 	p := hiringProgram(t)
 	e := MustEvent(p.Rule("approve"), query.Valuation{"x": "sue"})
-	// K(Cleared,e) = K(CfoOK,e) = K(Approved,e) = {sue}.
-	for _, rel := range []string{"Cleared", "CfoOK", "Approved"} {
-		ks := e.KeysOf(rel)
-		if len(ks) != 1 || ks[0] != "sue" {
-			t.Fatalf("KeysOf(%s)=%v", rel, ks)
-		}
-	}
-	if len(e.KeysOf("Hire")) != 0 {
-		t.Fatal("Hire does not occur in approve")
-	}
-	rels := e.KeyRelations()
-	if len(rels) != 3 || !sort.StringsAreSorted(rels) {
-		t.Fatalf("KeyRelations=%v", rels)
+	// K(Cleared,e) = K(CfoOK,e) = K(Approved,e) = {sue}; Hire does not occur
+	// in approve. The pairs are sorted by relation.
+	keys := e.Keys()
+	want := []RelKey{{"Approved", "sue"}, {"CfoOK", "sue"}, {"Cleared", "sue"}}
+	if !slices.Equal(keys, want) {
+		t.Fatalf("Keys=%v, want %v", keys, want)
 	}
 	// The list is cached when the event is built: reading it allocates
 	// nothing, and appending to it cannot write into the cache.
-	if n := testing.AllocsPerRun(100, func() { rels = e.KeyRelations() }); n != 0 {
-		t.Fatalf("KeyRelations allocates %.0f times per call, want 0", n)
+	if n := testing.AllocsPerRun(100, func() { keys = e.Keys() }); n != 0 {
+		t.Fatalf("Keys allocates %.0f times per call, want 0", n)
 	}
-	_ = append(rels, "Hire")
-	if got := e.KeyRelations(); len(got) != 3 || got[0] != "Approved" {
-		t.Fatalf("KeyRelations after an append to a returned copy = %v", got)
+	_ = append(keys, RelKey{"Hire", "sue"})
+	if got := e.Keys(); len(got) != 3 || got[0].Rel != "Approved" {
+		t.Fatalf("Keys after an append to a returned copy = %v", got)
 	}
 }
 

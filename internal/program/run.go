@@ -320,7 +320,7 @@ func (r *Run) Fire(c Candidate) (*Event, error) {
 		}
 		val[v] = r.NextFresh()
 	}
-	e, err := NewEvent(c.Rule, val)
+	e, err := newEvent(c.Rule, val)
 	if err != nil {
 		return nil, err
 	}

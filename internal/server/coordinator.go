@@ -11,6 +11,13 @@
 // submissions that would make the run non-transparent or exceed the step
 // budget. An HTTP façade (Handler) exposes the same operations as a JSON
 // API.
+//
+// A coordinator is configured once, at construction: NewDurable builds it
+// from a DurabilityConfig — its data directory (none = in memory), run id,
+// logger, decision log, idempotency window and metric registry — and New
+// is the zero-config in-memory shorthand. Nothing of that changes while
+// the coordinator serves. A Manager builds one coordinator per run from a
+// shared template.
 package server
 
 import (
@@ -80,7 +87,8 @@ type Coordinator struct {
 	name string
 	// runID identifies this coordinator's workflow instance within a run
 	// fleet ("" for the classic single-run server); it is the Run field of
-	// emitted decision records.
+	// emitted decision records. name, runID, prog, dlog, metrics, logger
+	// and log are fixed at construction and read without the lock.
 	runID string
 	prog  *program.Program
 	run   *program.Run
@@ -112,28 +120,20 @@ type Coordinator struct {
 	snap    atomic.Pointer[snapshot]
 	snapSeq uint64
 	// done is closed when Close (after its last release) or Crash shuts
-	// the coordinator down, waking every Wait. Immutable after New.
+	// the coordinator down, waking every Wait. Immutable after construction.
 	done chan struct{}
-	// mread mirrors metrics for the lock-free read paths, which must not
-	// touch mu to read the field InstrumentRun sets under it.
-	mread atomic.Pointer[Metrics]
-	// dlog is the attached decision-log pipeline (nil when none); see
-	// declog.go. Atomic for the same reason as mread: certify/explain emit
-	// without the coordinator lock.
-	dlog atomic.Pointer[declog.Logger]
+	// dlog is the decision-log pipeline (nil when none); see declog.go.
+	dlog *declog.Logger
 
 	// profiler is the attached rule-engine cost profiler (nil when off);
 	// SetProfiler wires its "engine" scope into the run and the guard-check
 	// attribution below. All hooks are nil-safe.
 	profiler *prof.Profiler
 
-	// metrics and logger are the observability hooks (nil-safe); see
-	// metrics.go. recoveryTime/recoveredEvents stamp the last recovery so a
-	// later InstrumentRun can surface it.
-	metrics         *Metrics
-	logger          *slog.Logger
-	recoveryTime    time.Duration
-	recoveredEvents int
+	// metrics (nil without a registry) and logger (never nil) are the
+	// observability hooks; see metrics.go.
+	metrics *Metrics
+	logger  *slog.Logger
 
 	// log, when non-nil, makes the coordinator durable: every accepted
 	// event is appended (log-before-accept), and the log is the run's only
@@ -149,45 +149,13 @@ type Coordinator struct {
 	idemMax   int
 }
 
-// New starts a coordinator for the program from the empty instance.
-func New(name string, p *program.Program) *Coordinator {
-	run := program.NewRun(p)
-	c := &Coordinator{
-		name:      name,
-		prog:      p,
-		run:       run,
-		explainer: core.NewRunExplainerAt(run, p.Peers(), 0),
-		guard:     design.NewGuard(run, nil),
-		done:      make(chan struct{}),
-		idem:      make(map[string]*idemEntry),
-		idemMax:   defaultIdemWindow,
-	}
-	// Publish the empty-prefix snapshot so reads are lock-free from the
-	// first request (no "nil snapshot" fallback state exists).
-	c.publishSnapshotLocked()
-	return c
-}
-
-// SetRunID names the workflow instance this coordinator serves within a
-// run fleet. It must be set before traffic (the Manager sets it at shard
-// construction, NewDurable from its config); "" is the single-run mode.
-func (c *Coordinator) SetRunID(id string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.runID = id
-}
-
 // RunID returns the coordinator's run id ("" in single-run mode).
-func (c *Coordinator) RunID() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.runID
-}
+func (c *Coordinator) RunID() string { return c.runID }
 
 // SetProfiler attaches a rule-engine cost profiler to the coordinator: the
 // live run's candidate enumeration, fires and replays are attributed under
 // the "engine" phase, and every guard check is timed per guarded peer. Call
-// it before serving traffic (like InstrumentRun); nil detaches.
+// it before serving traffic; nil detaches.
 func (c *Coordinator) SetProfiler(p *prof.Profiler) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -246,11 +214,8 @@ func (c *Coordinator) Guard(peer schema.Peer, h int) error {
 // of a large program can be abandoned (e.g. on server shutdown) without
 // waiting for the exhaustive search to finish. The coordinator's lock is
 // not held during the search; submissions proceed concurrently.
-func (c *Coordinator) Certify(ctx context.Context, peer schema.Peer, h int, opts core.Options) error {
-	c.mu.Lock()
-	prog := c.prog
-	m := c.metrics
-	c.mu.Unlock()
+func (c *Coordinator) Certify(ctx context.Context, peer schema.Peer, h int, opts transparency.Options) error {
+	prog, m := c.prog, c.metrics
 	start := time.Now()
 	ctx, sp := obs.StartSpan(ctx, "server.certify")
 	sp.SetAttr("peer", string(peer))
@@ -268,7 +233,7 @@ func (c *Coordinator) Certify(ctx context.Context, peer schema.Peer, h int, opts
 		// families afterwards, and stamp the same delta on the span and the
 		// decision record. Tracing forces collection too, so a /certify trace
 		// always carries its node/cache counters.
-		if (m != nil || sp != nil || c.dlog.Load() != nil) && opts.Stats == nil {
+		if (m != nil || sp != nil || c.dlog != nil) && opts.Stats == nil {
 			opts.Stats = &transparency.Stats{}
 		}
 		var before transparency.Stats
@@ -302,8 +267,8 @@ func (c *Coordinator) Certify(ctx context.Context, peer schema.Peer, h int, opts
 // certifySearch runs the boundedness decider, then the transparency
 // decider, and states the verdict: certified, a violation naming the check
 // that failed, or an error naming the check that could not finish.
-func certifySearch(ctx context.Context, prog *program.Program, peer schema.Peer, h int, opts core.Options, m *Metrics) (decision, reason string, err error) {
-	bv, err := core.CheckBoundedCtx(ctx, prog, peer, h, opts)
+func certifySearch(ctx context.Context, prog *program.Program, peer schema.Peer, h int, opts transparency.Options, m *Metrics) (decision, reason string, err error) {
+	bv, err := transparency.CheckBoundedCtx(ctx, prog, peer, h, opts)
 	m.deciderOutcome("bounded", bv != nil, err)
 	if err != nil {
 		return declog.Errored, "bounded", fmt.Errorf("server: certifying %s: %w", peer, err)
@@ -311,7 +276,7 @@ func certifySearch(ctx context.Context, prog *program.Program, peer schema.Peer,
 	if bv != nil {
 		return declog.Violation, "bounded", fmt.Errorf("server: %s is not %d-bounded: %s", peer, h, bv)
 	}
-	tv, err := core.CheckTransparentCtx(ctx, prog, peer, h, opts)
+	tv, err := transparency.CheckTransparentCtx(ctx, prog, peer, h, opts)
 	m.deciderOutcome("transparent", tv != nil, err)
 	if err != nil {
 		return declog.Errored, "transparent", fmt.Errorf("server: certifying %s: %w", peer, err)
@@ -399,7 +364,7 @@ func (c *Coordinator) submitLocked(ctx context.Context, sp *obs.Span, d *declog.
 	// re-fire the event against the same prefix); with neither attached the
 	// event is not encoded at all.
 	var ev trace.EventRecord
-	if c.log != nil || c.dlog.Load() != nil {
+	if c.log != nil || c.dlog != nil {
 		ev = trace.EncodeEvent(e)
 		d.Valuation = ev.Valuation
 	}
@@ -524,13 +489,10 @@ func (c *Coordinator) releaseLocked(idx int) {
 // recent per-fsync latency, clamped to [1, 30]. In-memory coordinators and
 // an idle queue answer the minimum.
 func (c *Coordinator) RetryAfterHint() int {
-	c.mu.Lock()
-	log := c.log
-	c.mu.Unlock()
-	if log == nil {
+	if c.log == nil {
 		return 1
 	}
-	est := time.Duration(log.Pending()+1) * log.SyncLatency()
+	est := time.Duration(c.log.Pending()+1) * c.log.SyncLatency()
 	secs := int((est + time.Second - 1) / time.Second)
 	if secs < 1 {
 		return 1
@@ -545,13 +507,10 @@ func (c *Coordinator) RetryAfterHint() int {
 // appends, "" when healthy (or in-memory). Surfaced on /statusz so a stall
 // that outlives its submitters is visible to operators, not only in logs.
 func (c *Coordinator) WALStalled() string {
-	c.mu.Lock()
-	log := c.log
-	c.mu.Unlock()
-	if log == nil {
+	if c.log == nil {
 		return ""
 	}
-	if err := log.Stalled(); err != nil {
+	if err := c.log.Stalled(); err != nil {
 		return err.Error()
 	}
 	return ""
@@ -646,7 +605,7 @@ func (c *Coordinator) ExplainCtx(ctx context.Context, peer schema.Peer) (write f
 	}
 	return func(w *bufio.Writer) {
 		var digest hash.Hash64
-		if c.dlog.Load() != nil {
+		if c.dlog != nil {
 			digest = declog.NewDigest()
 		}
 		s.exp[peer].WriteJSON(w, s, digest)
@@ -671,7 +630,7 @@ func (c *Coordinator) Scenario(peer schema.Peer) ([]int, error) {
 // Trace exports the released run prefix as a replayable trace (operator
 // access). Lock-free: built from the snapshot's captured event prefix.
 func (c *Coordinator) Trace() *trace.Trace {
-	c.readMetrics().read()
+	c.metrics.read()
 	return c.snap.Load().trace()
 }
 
@@ -679,11 +638,7 @@ func (c *Coordinator) Trace() *trace.Trace {
 func (c *Coordinator) Len() int { return c.snap.Load().Len() }
 
 // Name returns the workflow name.
-func (c *Coordinator) Name() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.name
-}
+func (c *Coordinator) Name() string { return c.name }
 
 // Guards returns the installed transparency guards (peer → step budget h).
 // The map is a copy.

@@ -12,12 +12,13 @@ import (
 	"testing"
 	"time"
 
-	"collabwf/internal/core"
 	"collabwf/internal/data"
 	"collabwf/internal/declog"
 	"collabwf/internal/design"
 	"collabwf/internal/obs"
+	"collabwf/internal/program"
 	"collabwf/internal/schema"
+	"collabwf/internal/transparency"
 	"collabwf/internal/wal"
 	"collabwf/internal/workload"
 )
@@ -50,12 +51,11 @@ func TestDecisionChannelsAgree(t *testing.T) {
 		return ctx, sp.End
 	}
 
-	// attach wires a coordinator into the shared channels under a run label.
-	attach := func(c *Coordinator, run string) *Coordinator {
-		c.InstrumentRun(reg, run)
-		c.SetLogger(logger)
-		c.SetDecisionLog(dlog)
-		return c
+	// open builds a coordinator wired into the shared channels.
+	open := func(name string, p *program.Program, cfg DurabilityConfig) *Coordinator {
+		t.Helper()
+		cfg.Metrics, cfg.Logger, cfg.DecisionLog = reg, logger, dlog
+		return newCoordinator(t, name, p, cfg)
 	}
 	submitTo := func(c *Coordinator, peer, rule string, bind map[string]data.Value) (*SubmitResult, error) {
 		ctx, end := op("submit")
@@ -72,13 +72,9 @@ func TestDecisionChannelsAgree(t *testing.T) {
 	// The durable run: accepted, replayed, three request rejections, the
 	// WAL failures, an explanation and the closed coordinator.
 	fp := wal.NewFailpoints()
-	dc, err := NewDurable("Hiring", workload.Hiring(), DurabilityConfig{
-		Dir: t.TempDir(), Sync: wal.SyncAlways, Failpoints: fp, Metrics: reg,
+	c := open("Hiring", workload.Hiring(), DurabilityConfig{
+		Dir: t.TempDir(), Sync: wal.SyncAlways, Failpoints: fp,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := attach(dc, DefaultRun)
 	for i := 0; i < 2; i++ {
 		ctx, end := op("submit")
 		if _, err := c.SubmitIdemCtx(ctx, "hr", "clear", nil, "key-1"); err != nil {
@@ -133,7 +129,7 @@ func TestDecisionChannelsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := attach(New("Staged", staged), "staged")
+	g := open("Staged", staged, DurabilityConfig{RunID: "staged"})
 	if err := g.Guard("sue", 2); err != nil {
 		t.Fatal(err)
 	}
@@ -162,16 +158,16 @@ func TestDecisionChannelsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cc := attach(New("Chain", chain), "chain")
+	cc := open("Chain", chain, DurabilityConfig{RunID: "chain"})
 	for _, h := range []int{1, 0} {
 		ctx, end := op("certify")
-		_ = cc.Certify(ctx, "p", h, core.Options{})
+		_ = cc.Certify(ctx, "p", h, transparency.Options{})
 		end()
 	}
 	ctx, end := op("certify")
 	cctx, cancel := context.WithCancel(ctx)
 	cancel()
-	_ = cc.Certify(cctx, "p", 1, core.Options{})
+	_ = cc.Certify(cctx, "p", 1, transparency.Options{})
 	end()
 
 	// Channel 1: the decision records.

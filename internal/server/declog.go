@@ -9,24 +9,6 @@ import (
 	"collabwf/internal/obs"
 )
 
-// SetDecisionLog attaches a decision-log pipeline: from now on every
-// submission verdict, certification, explanation request and guard
-// installation emits one structured record (see internal/declog). Detach
-// with nil. The coordinator does not own the logger — the caller drains and
-// closes it after Close, so records of the final submissions are exported.
-//
-// Emission is strictly fire-and-forget: Emit never blocks (full queues drop
-// their oldest record), so the decision log can never backpressure the
-// submission path.
-func (c *Coordinator) SetDecisionLog(l *declog.Logger) {
-	c.dlog.Store(l)
-}
-
-// DecisionLog returns the attached pipeline, nil when none.
-func (c *Coordinator) DecisionLog() *declog.Logger {
-	return c.dlog.Load()
-}
-
 // decide is the one exit of every coordinator decision. Every channel that
 // reports the decision is derived from d alone, so they cannot disagree:
 //
@@ -36,17 +18,17 @@ func (c *Coordinator) DecisionLog() *declog.Logger {
 //     or error verdict marks it failed with err;
 //   - one "decision" log line, at Error for a WAL rejection, Info for a
 //     guard rejection and Debug for everything else;
-//   - the decision log, when attached, receives d stamped with the
-//     workflow, run and trace id.
+//   - the decision log, when configured, receives d stamped with the
+//     workflow, run and trace id. Emission is fire-and-forget: Emit never
+//     blocks (a full queue drops its oldest record), so the decision log
+//     cannot backpressure the submission path.
 //
-// decide takes no lock: c.name, c.runID and the logger are immutable once
-// the coordinator is handed out (NewDurable and the Manager set them before
-// returning), and the metrics and decision log are atomics. It is called
-// under mu on the submit path and without it by certify, explain and
-// idempotent replays.
+// decide takes no lock: everything it reads is fixed at construction. It
+// is called under mu on the submit path and without it by certify, explain
+// and idempotent replays.
 func (c *Coordinator) decide(ctx context.Context, sp *obs.Span, d declog.Decision, err error) {
 	failed := d.Decision == declog.Rejected || d.Decision == declog.Violation || d.Decision == declog.Errored
-	if m := c.readMetrics(); m != nil && d.Kind == declog.KindSubmit {
+	if m := c.metrics; m != nil && d.Kind == declog.KindSubmit {
 		switch d.Decision {
 		case declog.Accepted:
 			m.submitAccepted.Inc()
@@ -75,7 +57,7 @@ func (c *Coordinator) decide(ctx context.Context, sp *obs.Span, d declog.Decisio
 	case d.Kind == declog.KindSubmit && d.Reason == "guard":
 		level = slog.LevelInfo
 	}
-	if lg := c.logw(); lg.Enabled(ctx, level) {
+	if lg := c.logger; lg.Enabled(ctx, level) {
 		attrs := []slog.Attr{slog.String("kind", d.Kind), slog.String("decision", d.Decision)}
 		for _, kv := range [...][2]string{{"reason", d.Reason}, {"peer", d.Peer}, {"rule", d.Rule}, {"guarded", d.Guarded}} {
 			if kv[1] != "" {
@@ -90,7 +72,7 @@ func (c *Coordinator) decide(ctx context.Context, sp *obs.Span, d declog.Decisio
 		}
 		lg.LogAttrs(ctx, level, "decision", attrs...)
 	}
-	if l := c.dlog.Load(); l != nil {
+	if l := c.dlog; l != nil {
 		d.Workflow, d.Run, d.TraceID = c.name, c.runID, sp.TraceID()
 		l.Emit(d)
 	}

@@ -10,10 +10,10 @@ import (
 	"testing"
 	"time"
 
-	"collabwf/internal/core"
 	"collabwf/internal/data"
 	"collabwf/internal/declog"
 	"collabwf/internal/design"
+	"collabwf/internal/transparency"
 	"collabwf/internal/wal"
 	"collabwf/internal/workload"
 )
@@ -55,9 +55,8 @@ func find(recs []declog.Decision, kind, decision string) []declog.Decision {
 }
 
 func TestCoordinatorEmitsSubmissionDecisions(t *testing.T) {
-	c := New("Hiring", workload.Hiring())
 	l, flush := newTestDeclog(t)
-	c.SetDecisionLog(l)
+	c := newCoordinator(t, "Hiring", workload.Hiring(), DurabilityConfig{DecisionLog: l})
 
 	res, err := c.Submit("hr", "clear", nil)
 	if err != nil {
@@ -121,9 +120,8 @@ func TestCoordinatorEmitsGuardAndCertifyDecisions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := New("Staged", staged)
 	l, flush := newTestDeclog(t)
-	c.SetDecisionLog(l)
+	c := newCoordinator(t, "Staged", staged, DurabilityConfig{DecisionLog: l})
 
 	if err := c.Guard("sue", 2); err != nil {
 		t.Fatal(err)
@@ -155,18 +153,17 @@ func TestCoordinatorEmitsGuardAndCertifyDecisions(t *testing.T) {
 }
 
 func TestCoordinatorEmitsCertifyDecisions(t *testing.T) {
-	c := New("Hiring", workload.Hiring())
 	l, flush := newTestDeclog(t)
-	c.SetDecisionLog(l)
+	c := newCoordinator(t, "Hiring", workload.Hiring(), DurabilityConfig{DecisionLog: l})
 
 	// Hiring is not transparent for sue, so certification reports the
 	// violation as an error to the caller and a violation to the log.
 	err := c.Certify(context.Background(), "sue", 3,
-		core.Options{PoolFresh: 2, MaxTuplesPerRelation: 1})
+		transparency.Options{PoolFresh: 2, MaxTuplesPerRelation: 1})
 	if err == nil {
 		t.Fatal("certify must report the transparency violation")
 	}
-	if err := c.Certify(context.Background(), "nobody", 3, core.Options{}); err == nil {
+	if err := c.Certify(context.Background(), "nobody", 3, transparency.Options{}); err == nil {
 		t.Fatal("unknown peer must fail")
 	}
 
@@ -188,9 +185,8 @@ func TestCoordinatorEmitsCertifyDecisions(t *testing.T) {
 }
 
 func TestCoordinatorEmitsExplainAndReplayDecisions(t *testing.T) {
-	c := New("Hiring", workload.Hiring())
 	l, flush := newTestDeclog(t)
-	c.SetDecisionLog(l)
+	c := newCoordinator(t, "Hiring", workload.Hiring(), DurabilityConfig{DecisionLog: l})
 	ctx := context.Background()
 
 	if _, err := c.SubmitIdemCtx(ctx, "hr", "clear", nil, "key-1"); err != nil {
@@ -248,9 +244,8 @@ func TestCoordinatorEmitsExplainAndReplayDecisions(t *testing.T) {
 // The digest a served /explain records is the digest of the text that
 // response carried: the report is rendered once, for both.
 func TestServedExplainTextMatchesDigest(t *testing.T) {
-	c := New("Hiring", workload.Hiring())
 	l, flush := newTestDeclog(t)
-	c.SetDecisionLog(l)
+	c := newCoordinator(t, "Hiring", workload.Hiring(), DurabilityConfig{DecisionLog: l})
 	for _, rule := range []string{"clear", "clear"} {
 		if _, err := c.Submit("hr", rule, nil); err != nil {
 			t.Fatal(err)
@@ -326,8 +321,7 @@ func TestDecisionLogNeverBlocksSubmissions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := New("Hiring", workload.Hiring())
-	c.SetDecisionLog(l)
+	c := newCoordinator(t, "Hiring", workload.Hiring(), DurabilityConfig{DecisionLog: l})
 	done := make(chan error, 1)
 	go func() {
 		for i := 0; i < 100; i++ {
@@ -367,9 +361,8 @@ func (s blockingSink) Describe() string { return "blocking" }
 func (s blockingSink) Close() error     { return nil }
 
 func TestStatuszReportsDecisionLogAndBuild(t *testing.T) {
-	c := New("Hiring", workload.Hiring())
 	l, _ := newTestDeclog(t)
-	c.SetDecisionLog(l)
+	c := newCoordinator(t, "Hiring", workload.Hiring(), DurabilityConfig{DecisionLog: l})
 	c.Submit("hr", "clear", nil)
 
 	rr := httptest.NewRecorder()

@@ -17,14 +17,18 @@ import (
 	"collabwf/internal/wal"
 )
 
-// DurabilityConfig selects where and how a coordinator persists its run.
+// DurabilityConfig is a coordinator's whole configuration, fixed at
+// construction: where and how it persists its run, and where it reports.
+// The zero value is an in-memory coordinator with no registry, logger or
+// decision log (New).
 type DurabilityConfig struct {
 	// Dir is the data directory holding wal.log and, for a guarded run,
-	// the guard file snapshot.json.
+	// the guard file snapshot.json. Empty keeps the run in memory; Sync,
+	// Strict and Failpoints then have nothing to act on.
 	Dir string
 	// RunID names the workflow instance this coordinator serves within a
-	// run fleet ("" = single-run mode); recovered and later decision
-	// records carry it.
+	// run fleet ("" = single-run mode); it is the Run field of every
+	// decision record and the run label of its metrics.
 	RunID string
 	// Sync is the WAL fsync policy (default wal.SyncAlways).
 	Sync wal.SyncPolicy
@@ -39,113 +43,85 @@ type DurabilityConfig struct {
 	IdemWindow int
 	// Failpoints, when non-nil, injects WAL faults (tests only).
 	Failpoints *wal.Failpoints
-	// Metrics, when non-nil, records WAL and recovery telemetry on the
-	// registry (the wf_wal_* and wf_recovery_* families).
+	// Metrics, when non-nil, is the registry of every family the run
+	// reports: the WAL's (wf_wal_*) and the coordinator's, read-path and
+	// decider families, labelled run=RunID (run="default" when RunID is
+	// empty). NewHandler serves it on /metrics.
 	Metrics *obs.Registry
-	// Logger, when non-nil, lets the WAL report recovery anomalies
-	// (corruption, torn tails) through the "wal" subsystem and is the
-	// coordinator's logger from recovery on, so the recovery decision is
+	// Logger, when non-nil, is the coordinator's logger ("coordinator"
+	// subsystem) and lets the WAL report recovery anomalies (corruption,
+	// torn tails) through the "wal" subsystem, so the recovery decision is
 	// logged like every later one.
 	Logger *slog.Logger
-	// DecisionLog, when non-nil, is attached before recovery completes, so
-	// the audit stream opens with the recovery record and the re-installed
-	// guards — an auditor reading the log from this boot sees which policies
-	// every later verdict was decided under. The coordinator does not own
-	// the logger; close it after Close.
+	// DecisionLog, when non-nil, receives one record per decision from
+	// construction on, so a durable run's audit stream opens with the
+	// recovery record and the re-installed guards — an auditor reading the
+	// log from this boot sees which policies every later verdict was decided
+	// under. The coordinator does not own the logger; close it after Close.
 	DecisionLog *declog.Logger
 }
 
-// NewDurable starts a durable coordinator rooted at cfg.Dir, recovering the
-// run the directory holds (an empty directory is the trivial recovery): it
-// replays every WAL record (truncating a torn trailing record rather than
-// failing), re-installs the persisted guards, rebuilds the idempotency
-// window from the keyed records, and rebuilds the explainer (one shared
-// analysis for every peer) and the guard. A data dir written by an earlier
-// version may also hold a snapshot of a run prefix: it is replayed first
-// and the records it covers are skipped. Every replayed event passes the
-// full run conditions again, so a tampered log is rejected, not replayed.
+// New starts an in-memory coordinator for the program from the empty
+// instance, with nothing attached: NewDurable with the zero config.
+func New(name string, p *program.Program) *Coordinator {
+	c, _ := NewDurable(name, p, DurabilityConfig{}) // only recovery can fail
+	return c
+}
+
+// NewDurable builds a coordinator from cfg. With cfg.Dir set it recovers
+// the run the directory holds (an empty directory is the trivial
+// recovery): it replays every WAL record (truncating a torn trailing
+// record rather than failing), re-installs the persisted guards and
+// rebuilds the idempotency window from the keyed records. A data dir
+// written by an earlier version may also hold a snapshot of a run prefix:
+// it is replayed first and the records it covers are skipped. Every
+// replayed event passes the full run conditions again, so a tampered log
+// is rejected, not replayed. The explainer (one shared analysis for every
+// peer), the guard and the first read snapshot are then built once, over
+// the recovered run.
 func NewDurable(name string, p *program.Program, cfg DurabilityConfig) (*Coordinator, error) {
 	start := time.Now()
-	var walLog *slog.Logger
-	if cfg.Logger != nil {
-		walLog = obs.Sub(cfg.Logger, "wal")
+	c := &Coordinator{
+		name:    name,
+		runID:   cfg.RunID,
+		prog:    p,
+		run:     program.NewRun(p),
+		done:    make(chan struct{}),
+		dlog:    cfg.DecisionLog,
+		logger:  obs.Sub(cfg.Logger, "coordinator"),
+		idem:    make(map[string]*idemEntry),
+		idemMax: defaultIdemWindow,
 	}
-	log, err := wal.Open(cfg.Dir, wal.Options{
-		Sync:       cfg.Sync,
-		Strict:     cfg.Strict,
-		Failpoints: cfg.Failpoints,
-		Metrics:    cfg.Metrics,
-		Logger:     walLog,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("server: %w", err)
-	}
-	c := New(name, p)
-	c.SetLogger(cfg.Logger)
-	c.runID = cfg.RunID
-	c.log = log
 	if cfg.IdemWindow > 0 {
 		c.idemMax = cfg.IdemWindow
 	}
-
-	// snapshot.json holds the guards; in a legacy dir also a run prefix and
-	// the idempotency window its log reset dropped.
-	snap, tail := log.TakeRecovered()
 	budgets := make(map[schema.Peer]int)
-	var legacyIdem []wal.IdemEntry
-	if snap != nil {
-		if snap.Workflow != "" {
-			c.name = snap.Workflow
-		}
-		for peer, h := range snap.Guards {
-			sp := schema.Peer(peer)
-			if !p.Schema.HasPeer(sp) {
-				log.Close()
-				return nil, fmt.Errorf("server: persisted guard for unknown peer %s", peer)
-			}
-			budgets[sp] = h
-		}
-		run, err := snap.Trace.Replay(p)
-		if err != nil {
-			log.Close()
-			return nil, fmt.Errorf("server: replaying snapshot: %w", err)
-		}
-		c.run = run
-		legacyIdem = snap.Idem
-	}
-	for _, rec := range tail {
-		if rec.Seq < c.run.Len() {
-			// Already covered by a legacy snapshot (crash between its
-			// rename and the log reset).
-			continue
-		}
-		if rec.Seq != c.run.Len() {
-			log.Close()
-			return nil, fmt.Errorf("server: WAL gap: record %d follows run of length %d", rec.Seq, c.run.Len())
-		}
-		if err := applyRecord(c.run, rec.Event); err != nil {
-			log.Close()
-			return nil, fmt.Errorf("server: replaying WAL record %d: %w", rec.Seq, err)
+	if cfg.Dir != "" {
+		if err := c.recoverDir(cfg, budgets); err != nil {
+			return nil, err
 		}
 	}
 	// Guards were installed before the run started, so the guard admitted
-	// every recovered event: rebuild it over the recovered run.
+	// every recovered event: build it over the recovered run.
 	c.guard = design.NewGuard(c.run, budgets)
-	// A client retrying a submission that was durable before the crash gets
-	// its original index back instead of double-applying.
-	c.recoverIdemLocked(legacyIdem, tail)
-	// Everything recovered was durable before the crash: release it all.
+	// Everything recovered was durable before the crash: release it all,
+	// building the explainer over the recovered run — one analysis step per
+	// event, shared by every peer — so no peer's first Explain replays the
+	// prefix, and publish the first snapshot, so reads are lock-free from
+	// the first request.
 	c.observable = c.run.Len()
-	// New published an empty-prefix snapshot over the pre-replay run, and its
-	// explainer is bound to that run too: rebuild it against the recovered
-	// run here, during recovery — one analysis step per event, shared by
-	// every peer — so no peer's first Explain replays the whole prefix under
-	// the lock, then swap in the real snapshot. Views need no reset: nothing
-	// caches them per step, and recovery renders none.
 	c.explainer = core.NewRunExplainerAt(c.run, p.Peers(), c.observable)
 	c.publishSnapshotLocked()
-	c.observeRecovery(time.Since(start), c.run.Len())
-	c.dlog.Store(cfg.DecisionLog)
+	if cfg.Metrics != nil {
+		run := cfg.RunID
+		if run == "" {
+			run = DefaultRun
+		}
+		c.instrument(cfg.Metrics, run, time.Since(start))
+	}
+	if c.log == nil {
+		return c, nil
+	}
 	// Open this boot's audit stream: one recovery record, then the guards
 	// now in force. Re-logging recovered guards is deliberate — each log
 	// segment is independently auditable — and the auditor treats a
@@ -159,6 +135,75 @@ func NewDurable(name string, p *program.Program, cfg DurabilityConfig) (*Coordin
 			Reason: "recovered"}, nil)
 	}
 	return c, nil
+}
+
+// recoverDir opens the WAL in cfg.Dir and replays it into the coordinator's
+// run, filling budgets with the persisted guards and rebuilding the
+// idempotency window. On failure the log is closed again.
+func (c *Coordinator) recoverDir(cfg DurabilityConfig, budgets map[schema.Peer]int) error {
+	var walLog *slog.Logger
+	if cfg.Logger != nil {
+		walLog = obs.Sub(cfg.Logger, "wal")
+	}
+	log, err := wal.Open(cfg.Dir, wal.Options{
+		Sync:       cfg.Sync,
+		Strict:     cfg.Strict,
+		Failpoints: cfg.Failpoints,
+		Metrics:    cfg.Metrics,
+		Logger:     walLog,
+	})
+	if err != nil {
+		return fmt.Errorf("server: %w", err)
+	}
+	if err := c.replay(log, budgets); err != nil {
+		log.Close()
+		return err
+	}
+	c.log = log
+	return nil
+}
+
+// replay rebuilds the run from what the log recovered. snapshot.json holds
+// the guards; in a legacy dir also a run prefix and the idempotency window
+// its log reset dropped.
+func (c *Coordinator) replay(log *wal.Log, budgets map[schema.Peer]int) error {
+	snap, tail := log.TakeRecovered()
+	var legacyIdem []wal.IdemEntry
+	if snap != nil {
+		if snap.Workflow != "" {
+			c.name = snap.Workflow
+		}
+		for peer, h := range snap.Guards {
+			sp := schema.Peer(peer)
+			if !c.prog.Schema.HasPeer(sp) {
+				return fmt.Errorf("server: persisted guard for unknown peer %s", peer)
+			}
+			budgets[sp] = h
+		}
+		run, err := snap.Trace.Replay(c.prog)
+		if err != nil {
+			return fmt.Errorf("server: replaying snapshot: %w", err)
+		}
+		c.run = run
+		legacyIdem = snap.Idem
+	}
+	for _, rec := range tail {
+		if rec.Seq < c.run.Len() {
+			// Already covered by a legacy snapshot (crash between its
+			// rename and the log reset).
+			continue
+		}
+		if rec.Seq != c.run.Len() {
+			return fmt.Errorf("server: WAL gap: record %d follows run of length %d", rec.Seq, c.run.Len())
+		}
+		if err := applyRecord(c.run, rec.Event); err != nil {
+			return fmt.Errorf("server: replaying WAL record %d: %w", rec.Seq, err)
+		}
+	}
+	// A client retrying a submission that was durable before the crash gets
+	// its original index back instead of double-applying.
+	c.recoverIdemLocked(legacyIdem, tail)
+	return nil
 }
 
 // errShutDown is Ready's and Wait's answer once Close or Crash has run.
@@ -179,35 +224,25 @@ func (c *Coordinator) Ready() error {
 }
 
 // Durable reports whether the coordinator persists its run.
-func (c *Coordinator) Durable() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.log != nil
-}
+func (c *Coordinator) Durable() bool { return c.log != nil }
 
 // CommitQueueDepth reports how many accepted-but-unfsynced records are
 // queued for the next group commit (always 0 for in-memory coordinators).
 func (c *Coordinator) CommitQueueDepth() int {
-	c.mu.Lock()
-	log := c.log
-	c.mu.Unlock()
-	if log == nil {
+	if c.log == nil {
 		return 0
 	}
-	return log.Pending()
+	return c.log.Pending()
 }
 
 // WALCorruptRecords reports how many complete-but-corrupt records the WAL
 // dropped at the last Open (0 for in-memory coordinators and clean logs).
 // The chaos harness asserts this stays zero across crash/recover cycles.
 func (c *Coordinator) WALCorruptRecords() int {
-	c.mu.Lock()
-	log := c.log
-	c.mu.Unlock()
-	if log == nil {
+	if c.log == nil {
 		return 0
 	}
-	return log.CorruptRecords()
+	return c.log.CorruptRecords()
 }
 
 // Close shuts the coordinator down: further submissions are rejected, the
@@ -266,8 +301,7 @@ func (c *Coordinator) Crash() (durable, size int64, err error) {
 }
 
 // WALPath returns the path of the write-ahead log file the offsets Crash
-// reports refer to, or "" for an in-memory coordinator. The log is fixed at
-// construction, so no lock is needed.
+// reports refer to, or "" for an in-memory coordinator.
 func (c *Coordinator) WALPath() string {
 	if c.log == nil {
 		return ""

@@ -24,7 +24,7 @@ import (
 func TestStalledWALSurfacedInHealth(t *testing.T) {
 	fp := wal.NewFailpoints()
 	c, err := NewDurable("Hiring", workload.Hiring(), DurabilityConfig{
-		Dir: t.TempDir(), Sync: wal.SyncAlways, Failpoints: fp,
+		Dir: t.TempDir(), Sync: wal.SyncAlways, Failpoints: fp, Metrics: obs.NewRegistry(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -34,7 +34,7 @@ func TestStalledWALSurfacedInHealth(t *testing.T) {
 		t.Fatal(err)
 	}
 	// /statusz is only mounted when metrics are wired, as in wfserve.
-	ts := httptest.NewServer(NewHandler(c, HTTPOptions{Metrics: NewRunMetrics(obs.NewRegistry(), DefaultRun)}))
+	ts := httptest.NewServer(NewHandler(c, HTTPOptions{}))
 	defer ts.Close()
 
 	getStatusz := func() Statusz {

@@ -11,11 +11,11 @@ import (
 	"sync"
 	"time"
 
-	"collabwf/internal/core"
 	"collabwf/internal/data"
 	"collabwf/internal/obs"
 	"collabwf/internal/prof"
 	"collabwf/internal/schema"
+	"collabwf/internal/transparency"
 )
 
 // HTTPOptions tunes the graceful-degradation envelope around the API.
@@ -26,10 +26,6 @@ type HTTPOptions struct {
 	RequestTimeout time.Duration
 	// MaxBodyBytes caps the /submit request body; ≤ 0 means 1 MiB.
 	MaxBodyBytes int64
-	// Metrics, when non-nil, instruments every route (request count by
-	// status class, in-flight gauge, latency histogram) and adds the
-	// /metrics (Prometheus text) and /statusz (JSON summary) endpoints.
-	Metrics *Metrics
 	// Logger, when non-nil, enables request-scoped access logging through
 	// the "http" subsystem.
 	Logger *slog.Logger
@@ -67,7 +63,10 @@ func Handler(c *Coordinator) http.Handler {
 	return NewHandler(c, HTTPOptions{})
 }
 
-// NewHandler is Handler with explicit options.
+// NewHandler is Handler with explicit options. A coordinator built with a
+// registry (DurabilityConfig.Metrics) has every route instrumented (request
+// count by status class, in-flight gauge, latency histogram) and serves
+// /metrics (Prometheus text) and /statusz (JSON summary) too.
 func NewHandler(c *Coordinator, opts HTTPOptions) http.Handler {
 	maxBody := opts.MaxBodyBytes
 	if maxBody <= 0 {
@@ -89,7 +88,7 @@ func NewHandler(c *Coordinator, opts HTTPOptions) http.Handler {
 	// recorder.
 	probes := map[string]bool{"/healthz": true, "/readyz": true}
 	handle := func(route string, h http.HandlerFunc) {
-		var wrapped http.Handler = Instrument(opts.Metrics, route, AccessLog(httpLog, route, h))
+		var wrapped http.Handler = Instrument(c.metrics, route, AccessLog(httpLog, route, h))
 		if !probes[route] {
 			wrapped = Trace(opts.Tracer, route, wrapped)
 		}
@@ -97,7 +96,7 @@ func NewHandler(c *Coordinator, opts HTTPOptions) http.Handler {
 	}
 	// Admission sits innermost on /submit so a shed request is still
 	// traced, logged and counted (as a 4xx) like any other response.
-	handle("/submit", Admission(opts.Metrics, opts.MaxInFlight, c.RetryAfterHint, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	handle("/submit", Admission(c.metrics, opts.MaxInFlight, c.RetryAfterHint, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
 			return
@@ -225,7 +224,7 @@ func NewHandler(c *Coordinator, opts HTTPOptions) http.Handler {
 			return
 		}
 		peer := peerParam(r)
-		if err := c.Certify(r.Context(), peer, h, core.Options{Profiler: profiler}); err != nil {
+		if err := c.Certify(r.Context(), peer, h, transparency.Options{Profiler: profiler}); err != nil {
 			if profiler.Enabled() {
 				w.Header().Set("Content-Type", "application/json")
 				w.WriteHeader(http.StatusConflict)
@@ -256,12 +255,13 @@ func NewHandler(c *Coordinator, opts HTTPOptions) http.Handler {
 		writeJSON(w, map[string]any{"status": "ready", "events": c.Len(), "durable": c.Durable()})
 	})
 
-	// Observability endpoints (registered only when a registry is wired):
+	// Observability endpoints (registered only when the coordinator has a
+	// registry):
 	// /metrics serves the Prometheus text format; /statusz a human-oriented
 	// JSON summary. Neither is instrumented — a scraper should not move the
 	// latency histograms it is reading.
-	if opts.Metrics != nil {
-		mux.Handle("/metrics", obs.MetricsHandler(opts.Metrics.Registry()))
+	if c.metrics != nil {
+		mux.Handle("/metrics", obs.MetricsHandler(c.metrics.Registry()))
 		mux.Handle("/statusz", StatuszHandler(c))
 	}
 

@@ -41,19 +41,19 @@ type ManagerConfig struct {
 	// and named runs under DataDir/runs/<id>/. Empty runs the whole fleet
 	// in memory.
 	DataDir string
-	// Durability is the template for every shard's durable configuration;
-	// Dir and RunID are filled in per shard, Failpoints per run via the
-	// Failpoints hook below. Ignored when DataDir is empty.
+	// Durability is the template for every shard's configuration, in memory
+	// or durable alike (IdemWindow and DecisionLog apply to both); Dir and
+	// RunID are filled in per shard, Metrics and Logger from the fields
+	// below, Failpoints per run via the Failpoints hook.
 	Durability DurabilityConfig
-	// HTTP is the template for every shard's handler options; Metrics is
-	// replaced per shard with its run-labeled handle when Registry is set.
+	// HTTP is the template for every shard's handler options.
 	HTTP HTTPOptions
-	// Registry, when non-nil, instruments every shard in the fleet metric
-	// mode (coordinator families labeled by run) and registers the
-	// aggregate families (wf_runs_active, wf_runs_created_total,
+	// Registry, when non-nil, is every shard's Durability.Metrics (its
+	// coordinator families labelled by run) and carries the aggregate
+	// families (wf_runs_active, wf_runs_created_total,
 	// wf_runs_archived_total, wf_fleet_events).
 	Registry *obs.Registry
-	// Logger, when non-nil, is attached to every shard.
+	// Logger, when non-nil, is every shard's Durability.Logger.
 	Logger *slog.Logger
 	// Failpoints, when non-nil, supplies per-run WAL fault injection
 	// (tests and the E20 stall-isolation experiment); called once per
@@ -66,14 +66,12 @@ type ManagerConfig struct {
 }
 
 // shard is one run's slice of the fleet: its own coordinator (lock,
-// observable prefix, explainer caches, WAL segment) and its own handler.
+// observable prefix, explainer caches, WAL segment, metric series) and its
+// own handler.
 type shard struct {
 	id string
 	c  *Coordinator
 	h  http.Handler
-	// metrics is the run's registry handle (nil without a registry);
-	// ArchiveRun closes it.
-	metrics *Metrics
 }
 
 // managerBuckets is the shard-map partition count: requests hash their run
@@ -223,45 +221,20 @@ func (m *Manager) addRun(id string) (*shard, error) {
 	return s, nil
 }
 
-// newShard builds one run's coordinator + handler.
+// newShard builds one run's coordinator + handler: it recovers the run's
+// directory, or starts in memory when the fleet has no data dir.
 func (m *Manager) newShard(id string) (*shard, error) {
-	var c *Coordinator
-	dir := m.runDir(id)
-	fresh := true
-	if dir == "" {
-		c = New(m.cfg.Workflow, m.cfg.Prog)
-		c.SetRunID(id)
-		if m.cfg.Durability.DecisionLog != nil {
-			c.SetDecisionLog(m.cfg.Durability.DecisionLog)
-		}
-	} else {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("server: creating run directory: %w", err)
-		}
-		cfg := m.cfg.Durability
-		cfg.Dir = dir
-		cfg.RunID = id
-		cfg.Logger = m.cfg.Logger
-		if m.cfg.Failpoints != nil {
-			cfg.Failpoints = m.cfg.Failpoints(id)
-		}
-		var err error
-		c, err = NewDurable(m.cfg.Workflow, m.cfg.Prog, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("server: recovering run %q: %w", id, err)
-		}
-		fresh = c.Len() == 0 && len(c.Guards()) == 0
+	cfg := m.cfg.Durability
+	cfg.Dir, cfg.RunID = m.runDir(id), id
+	cfg.Metrics, cfg.Logger = m.cfg.Registry, m.cfg.Logger
+	if m.cfg.Failpoints != nil {
+		cfg.Failpoints = m.cfg.Failpoints(id)
 	}
-	if m.cfg.Logger != nil {
-		c.SetLogger(m.cfg.Logger)
+	c, err := NewDurable(m.cfg.Workflow, m.cfg.Prog, cfg)
+	if err != nil {
+		return nil, fmt.Errorf("server: recovering run %q: %w", id, err)
 	}
-	opts := m.cfg.HTTP
-	var met *Metrics
-	if m.cfg.Registry != nil {
-		met = c.InstrumentRun(m.cfg.Registry, id)
-		opts.Metrics = met
-	}
-	if fresh {
+	if c.Len() == 0 && len(c.Guards()) == 0 {
 		for peer, h := range m.cfg.Guards {
 			if err := c.Guard(schema.Peer(peer), h); err != nil {
 				c.Close()
@@ -269,7 +242,7 @@ func (m *Manager) newShard(id string) (*shard, error) {
 			}
 		}
 	}
-	return &shard{id: id, c: c, h: NewHandler(c, opts), metrics: met}, nil
+	return &shard{id: id, c: c, h: NewHandler(c, m.cfg.HTTP)}, nil
 }
 
 // get returns the live shard for id.
@@ -327,7 +300,7 @@ func (m *Manager) ArchiveRun(id string) error {
 		return fmt.Errorf("server: unknown run %q", id)
 	}
 	err := s.c.Close()
-	s.metrics.Close()
+	s.c.metrics.Close()
 	if dir := m.runDir(id); dir != "" {
 		if merr := os.WriteFile(filepath.Join(dir, archivedMarker), []byte(time.Now().UTC().Format(time.RFC3339)+"\n"), 0o644); merr != nil && err == nil {
 			err = fmt.Errorf("server: marking run %q archived: %w", id, merr)

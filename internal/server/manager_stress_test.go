@@ -9,9 +9,9 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"collabwf/internal/core"
 	"collabwf/internal/data"
 	"collabwf/internal/schema"
+	"collabwf/internal/transparency"
 	"collabwf/internal/wal"
 	"collabwf/internal/workload"
 )
@@ -91,7 +91,7 @@ func TestFleetStressRace(t *testing.T) {
 			defer certifyWG.Done()
 			c, _ := m.Run(id)
 			_ = c.Certify(context.Background(), "sue", 4,
-				core.Options{PoolFresh: 2, MaxTuplesPerRelation: 1})
+				transparency.Options{PoolFresh: 2, MaxTuplesPerRelation: 1})
 		}(id)
 	}
 

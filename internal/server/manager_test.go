@@ -9,12 +9,12 @@ import (
 	"strings"
 	"testing"
 
-	"collabwf/internal/core"
 	"collabwf/internal/data"
 	"collabwf/internal/design"
 	"collabwf/internal/obs"
 	"collabwf/internal/prof"
 	"collabwf/internal/schema"
+	"collabwf/internal/transparency"
 	"collabwf/internal/wal"
 	"collabwf/internal/workload"
 )
@@ -266,7 +266,7 @@ func driveProfiledSession(t *testing.T, c *Coordinator, profiler *prof.Profiler)
 		t.Fatal("over-budget hire must be rejected by the guard")
 	}
 	_ = c.Certify(context.Background(), "sue", 2,
-		core.Options{Profiler: profiler, PoolFresh: 2, MaxTuplesPerRelation: 1})
+		transparency.Options{Profiler: profiler, PoolFresh: 2, MaxTuplesPerRelation: 1})
 }
 
 // TestProfilerPerRunAttribution is the two-coordinator acceptance test for
@@ -504,5 +504,27 @@ func TestManagerSharedHTTPMetrics(t *testing.T) {
 	}
 	if total < 2 {
 		t.Fatalf("wf_http_requests_total = %v, want ≥ 2 (both runs' requests pooled)", total)
+	}
+}
+
+// TestInMemoryFleetIdemWindow: the Durability template configures an
+// in-memory fleet as it does a durable one. With a window of one, accepting
+// k2 evicts k1, so a retried k1 executes again and gets a new index instead
+// of replaying the first.
+func TestInMemoryFleetIdemWindow(t *testing.T) {
+	m := newTestManager(t, ManagerConfig{Durability: DurabilityConfig{IdemWindow: 1}})
+	c := m.Default()
+	submit := func(key string) int {
+		t.Helper()
+		res, err := c.SubmitIdemCtx(context.Background(), "hr", "clear", nil, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Index
+	}
+	first := submit("k1")
+	submit("k2")
+	if again := submit("k1"); again == first {
+		t.Fatalf("retried k1 replayed index %d; a window of 1 must have evicted it", first)
 	}
 }

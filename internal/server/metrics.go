@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"errors"
-	"log/slog"
 	"time"
 
 	"collabwf/internal/obs"
@@ -26,8 +25,8 @@ type Metrics struct {
 	// families are bound to the run's series at construction; vec families
 	// prepend it via lv at the call sites.
 	run string
-	// unhook removes the gather hook InstrumentRun registered (nil when
-	// none was).
+	// unhook removes the snapshot-age gather hook (nil when none was
+	// registered).
 	unhook func()
 
 	// HTTP layer.
@@ -110,7 +109,7 @@ func NewRunMetrics(reg *obs.Registry, run string) *Metrics {
 		reads: counter("wf_read_lockfree_total",
 			"Reads (view, explain, scenario, transitions, trace) served from the published snapshot without the coordinator lock."),
 		snapSwaps: counter("wf_snapshot_swaps_total",
-			"Read-snapshot publications (one per release batch, plus construction and recovery)."),
+			"Read-snapshot publications, one per release batch (the snapshot published at construction or recovery is not counted)."),
 		snapAge: gauge("wf_snapshot_age_seconds",
 			"Age of the published read snapshot at scrape time."),
 
@@ -131,8 +130,8 @@ func NewRunMetrics(reg *obs.Registry, run string) *Metrics {
 	}
 }
 
-// Close detaches the run from its registry: the gather hook InstrumentRun
-// registered (which captures the coordinator) is removed and every
+// Close detaches the run from its registry: the snapshot-age gather hook
+// (which captures the coordinator) is removed and every
 // {run=…} series of the run is deleted, so an archived run is neither
 // sampled nor exported and its coordinator can be collected. Call it once
 // the coordinator has stopped serving. Nil-safe.
@@ -183,13 +182,6 @@ func (m *Metrics) snapshotSwapped() {
 	}
 }
 
-// readMetrics returns the metrics handle for lock-free read paths, which
-// must not take the coordinator lock to reach the field InstrumentRun sets
-// under it. Nil until InstrumentRun runs; every consumer is nil-safe.
-func (c *Coordinator) readMetrics() *Metrics {
-	return c.mread.Load()
-}
-
 // foldSearch folds a decider search-effort delta into the registry.
 // Nil-safe.
 func (m *Metrics) foldSearch(d transparency.Stats) {
@@ -223,14 +215,12 @@ func (m *Metrics) deciderOutcome(check string, violation bool, err error) {
 	m.deciderRuns.With(m.lv(check, outcome)...).Inc()
 }
 
-// InstrumentRun attaches the coordinator to a metric registry under the
-// given run label and returns the Metrics handle (register it with
-// NewHandler via HTTPOptions.Metrics to expose /metrics and instrument the
-// routes). The label keeps N shards on one registry distinguishable: the
-// Manager passes each shard's run id, a standalone coordinator DefaultRun.
-// Gauges are seeded from the current state, so a recovered run is visible
-// immediately. Safe to call once, before or after traffic starts.
-func (c *Coordinator) InstrumentRun(reg *obs.Registry, run string) *Metrics {
+// instrument registers the coordinator's families on reg under the run
+// label, during construction: the gauges are seeded from the constructed
+// state, so a recovered run is visible at once, with recovery the
+// construction's wall time. The publication that construction made is not
+// counted as a swap.
+func (c *Coordinator) instrument(reg *obs.Registry, run string, recovery time.Duration) {
 	m := NewRunMetrics(reg, run)
 	// The snapshot-age gauge is sampled at scrape time (ages advance whether
 	// or not anything is published; a periodic setter would always be stale).
@@ -239,44 +229,10 @@ func (c *Coordinator) InstrumentRun(reg *obs.Registry, run string) *Metrics {
 			m.snapAge.Set(age.Seconds())
 		}
 	})
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.metrics = m
-	c.mread.Store(m)
 	m.runEvents.Set(float64(c.observable))
-	if c.recoveryTime > 0 {
-		m.recoverySecs.Set(c.recoveryTime.Seconds())
-		m.recoveredEvs.Set(float64(c.recoveredEvents))
+	if c.log != nil {
+		m.recoverySecs.Set(recovery.Seconds())
+		m.recoveredEvs.Set(float64(c.observable))
 	}
-	return m
-}
-
-// SetLogger attaches a structured logger; the coordinator logs through the
-// "coordinator" subsystem. A nil logger silences it (the default).
-func (c *Coordinator) SetLogger(l *slog.Logger) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if l == nil {
-		c.logger = obs.Discard()
-		return
-	}
-	c.logger = obs.Sub(l, "coordinator")
-}
-
-// logw returns the coordinator's logger (never nil). Callers hold the lock
-// or tolerate a racy read of an immutable-after-set pointer.
-func (c *Coordinator) logw() *slog.Logger {
-	if c.logger == nil {
-		return obs.Discard()
-	}
-	return c.logger
-}
-
-// observeRecovery stamps recovery telemetry on the coordinator so a later
-// InstrumentRun can surface it.
-func (c *Coordinator) observeRecovery(d time.Duration, events int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.recoveryTime = d
-	c.recoveredEvents = events
+	c.metrics = m
 }

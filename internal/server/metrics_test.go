@@ -9,8 +9,8 @@ import (
 	"strings"
 	"testing"
 
-	"collabwf/internal/core"
 	"collabwf/internal/obs"
+	"collabwf/internal/transparency"
 	"collabwf/internal/workload"
 )
 
@@ -43,9 +43,8 @@ func seriesValue(reg *obs.Registry, name string, labels ...string) (float64, boo
 
 func TestMiddlewareRequestMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
-	c := New("Hiring", workload.Hiring())
-	m := c.InstrumentRun(reg, DefaultRun)
-	srv := httptest.NewServer(NewHandler(c, HTTPOptions{Metrics: m}))
+	c := newCoordinator(t, "Hiring", workload.Hiring(), DurabilityConfig{Metrics: reg})
+	srv := httptest.NewServer(NewHandler(c, HTTPOptions{}))
 	defer srv.Close()
 
 	get := func(path string, want int) {
@@ -142,13 +141,12 @@ func TestMiddlewareRequestMetrics(t *testing.T) {
 
 func TestCertifyStatsReachRegistry(t *testing.T) {
 	reg := obs.NewRegistry()
-	c := New("Hiring", workload.Hiring())
-	c.InstrumentRun(reg, DefaultRun)
+	c := newCoordinator(t, "Hiring", workload.Hiring(), DurabilityConfig{Metrics: reg})
 
 	// Hiring is 3-bounded but not transparent for sue: the bounded check
 	// passes, the transparency check returns a violation — both invocations
 	// and the combined search effort must land in the registry.
-	err := c.Certify(context.Background(), "sue", 3, core.Options{PoolFresh: 2, MaxTuplesPerRelation: 1})
+	err := c.Certify(context.Background(), "sue", 3, transparency.Options{PoolFresh: 2, MaxTuplesPerRelation: 1})
 	if err == nil {
 		t.Fatal("expected a transparency violation for sue")
 	}
@@ -172,8 +170,7 @@ func TestCertifyStatsReachRegistry(t *testing.T) {
 // fields.
 func TestStatuszReportsDrops(t *testing.T) {
 	reg := obs.NewRegistry()
-	c := New("Hiring", workload.Hiring())
-	c.InstrumentRun(reg, DefaultRun)
+	c := newCoordinator(t, "Hiring", workload.Hiring(), DurabilityConfig{Metrics: reg})
 	if _, err := c.Submit("hr", "clear", nil); err != nil {
 		t.Fatal(err)
 	}

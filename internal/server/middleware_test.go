@@ -132,8 +132,7 @@ func TestAccessLogCarriesTraceID(t *testing.T) {
 
 func TestStatuszFieldPresence(t *testing.T) {
 	reg := obs.NewRegistry()
-	c := New("Hiring", workload.Hiring())
-	c.InstrumentRun(reg, DefaultRun)
+	c := newCoordinator(t, "Hiring", workload.Hiring(), DurabilityConfig{Metrics: reg})
 	if err := c.Guard("sue", 3); err != nil {
 		t.Fatal(err)
 	}

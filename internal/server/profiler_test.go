@@ -8,11 +8,11 @@ import (
 	"strings"
 	"testing"
 
-	"collabwf/internal/core"
 	"collabwf/internal/data"
 	"collabwf/internal/design"
 	"collabwf/internal/prof"
 	"collabwf/internal/schema"
+	"collabwf/internal/transparency"
 	"collabwf/internal/workload"
 )
 
@@ -55,7 +55,7 @@ func TestProfilerScriptedSession(t *testing.T) {
 	// A certification folds the decider searches into the same profiler
 	// (the verdict itself is irrelevant here; small caps keep it quick).
 	_ = c.Certify(context.Background(), "sue", 2,
-		core.Options{Profiler: profiler, PoolFresh: 2, MaxTuplesPerRelation: 1})
+		transparency.Options{Profiler: profiler, PoolFresh: 2, MaxTuplesPerRelation: 1})
 
 	snap := profiler.Snapshot()
 	// Six events were appended: five accepted plus the hire the guard

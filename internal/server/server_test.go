@@ -12,10 +12,21 @@ import (
 
 	"collabwf/internal/data"
 	"collabwf/internal/design"
+	"collabwf/internal/program"
 	"collabwf/internal/schema"
 	"collabwf/internal/trace"
 	"collabwf/internal/workload"
 )
+
+// newCoordinator builds a coordinator from cfg, failing the test on error.
+func newCoordinator(t *testing.T, name string, p *program.Program, cfg DurabilityConfig) *Coordinator {
+	t.Helper()
+	c, err := NewDurable(name, p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
 
 func TestSubmitFlowAndExplain(t *testing.T) {
 	c := New("Hiring", workload.Hiring())

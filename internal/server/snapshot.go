@@ -177,7 +177,7 @@ func (c *Coordinator) readSnapshot(peer schema.Peer) (*snapshot, error) {
 	if !s.prog.Schema.HasPeer(peer) {
 		return nil, unknownPeerErr(peer)
 	}
-	c.readMetrics().read()
+	c.metrics.read()
 	return s, nil
 }
 

@@ -277,8 +277,7 @@ func TestOneExplainerPerRun(t *testing.T) {
 func TestReadPathMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	prog := workload.Hiring()
-	c := New("Hiring", prog)
-	c.InstrumentRun(reg, DefaultRun)
+	c := newCoordinator(t, "Hiring", prog, DurabilityConfig{Metrics: reg})
 
 	if _, err := c.Submit("hr", "clear", nil); err != nil {
 		t.Fatal(err)
@@ -304,8 +303,8 @@ func TestReadPathMetrics(t *testing.T) {
 		t.Fatalf("wf_read_lockfree_total = %v, want 5", got)
 	}
 
-	// One publication per release; the construction-time swap predates
-	// InstrumentRun and is uncounted (seq still records it).
+	// One publication per release; the construction-time swap is
+	// uncounted (seq still records it).
 	if got := gaugeValue(t, reg, "wf_snapshot_swaps_total"); got != 1 {
 		t.Fatalf("wf_snapshot_swaps_total = %v, want 1", got)
 	}

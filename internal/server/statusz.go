@@ -101,7 +101,7 @@ func statuszFor(c *Coordinator, start time.Time) Statusz {
 	seq, age, events := c.SnapshotInfo()
 	st.Snapshot = SnapshotStatus{Seq: seq, AgeSeconds: age.Seconds(), Events: events}
 	st.Build = obs.ReadBuild()
-	st.DecisionLog = c.DecisionLog().Status()
+	st.DecisionLog = c.dlog.Status()
 	if err := c.Ready(); err != nil {
 		st.Ready = err.Error()
 	}

@@ -8,8 +8,8 @@ import (
 	"strings"
 	"testing"
 
-	"collabwf/internal/core"
 	"collabwf/internal/obs"
+	"collabwf/internal/transparency"
 	"collabwf/internal/workload"
 )
 
@@ -24,21 +24,16 @@ func spanNames(td *obs.TraceData) map[string]*obs.SpanData {
 
 func TestSubmitTraceEndToEnd(t *testing.T) {
 	dir := t.TempDir()
-	c, err := NewDurable("Hiring", workload.Hiring(), DurabilityConfig{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
 	reg := obs.NewRegistry()
-	metrics := c.InstrumentRun(reg, DefaultRun)
 	var logBuf bytes.Buffer
 	logger, err := obs.NewLogger(&logBuf, "debug", obs.FormatJSON)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetLogger(logger)
+	c := newCoordinator(t, "Hiring", workload.Hiring(), DurabilityConfig{Dir: dir, Metrics: reg, Logger: logger})
+	defer c.Close()
 	tracer := obs.NewTracer(obs.TracerOptions{})
-	h := NewHandler(c, HTTPOptions{Metrics: metrics, Logger: logger, Tracer: tracer})
+	h := NewHandler(c, HTTPOptions{Logger: logger, Tracer: tracer})
 
 	body := `{"peer":"hr","rule":"clear","bindings":{}}`
 	rec := httptest.NewRecorder()
@@ -219,7 +214,7 @@ func TestCertifySpanStatsMatchDirectCall(t *testing.T) {
 	tracer := obs.NewTracer(obs.TracerOptions{})
 	c := New("Hiring", workload.Hiring())
 	ctx, root := obs.StartSpan(obs.ContextWithTracer(context.Background(), tracer), "root")
-	opts := core.Options{PoolFresh: 2, MaxTuplesPerRelation: 1, Parallelism: 1}
+	opts := transparency.Options{PoolFresh: 2, MaxTuplesPerRelation: 1, Parallelism: 1}
 	if err := c.Certify(ctx, "sue", 3, opts); err == nil {
 		t.Fatal("expected a transparency violation for sue")
 	}
@@ -231,8 +226,7 @@ func TestCertifySpanStatsMatchDirectCall(t *testing.T) {
 	}
 
 	reg := obs.NewRegistry()
-	c2 := New("Hiring", workload.Hiring())
-	c2.InstrumentRun(reg, DefaultRun)
+	c2 := newCoordinator(t, "Hiring", workload.Hiring(), DurabilityConfig{Metrics: reg})
 	if err := c2.Certify(context.Background(), "sue", 3, opts); err == nil {
 		t.Fatal("expected a transparency violation for sue")
 	}

@@ -83,13 +83,11 @@ func EnumerateTriples(p *program.Program, peer schema.Peer, h int, opts Options)
 func restrictTriple(p *program.Program, peer schema.Peer, sr SilentRun) (Triple, bool) {
 	keys := make(map[string]data.ValueSet)
 	for _, e := range sr.Run.Events() {
-		for _, rel := range e.KeyRelations() {
-			if keys[rel] == nil {
-				keys[rel] = data.NewValueSet()
+		for _, rk := range e.Keys() {
+			if keys[rk.Rel] == nil {
+				keys[rk.Rel] = data.NewValueSet()
 			}
-			for _, k := range e.KeysOf(rel) {
-				keys[rel].Add(k)
-			}
+			keys[rk.Rel].Add(rk.Key)
 		}
 	}
 	restricted := schema.NewInstance(p.Schema.DB)
