@@ -59,8 +59,10 @@
 // With -declog every coordinator decision (submission verdict, idempotent
 // replay, certification, explanation, guard install, recovery) is one
 // record in the decision log, batched 128 at a time or every second, queued
-// up to 4096 records (drop-oldest), the file sink rotating past 64 MiB. The
-// same decision drives its metric, span attributes and log line.
+// up to 4096 records (drop-oldest), the file sink rotating past 64 MiB. An
+// http(s):// sink posts each batch as gzipped JSON Lines through
+// internal/client, with up to 4 retries, before the batch is counted lost.
+// The same decision drives its metric, span attributes and log line.
 //
 // Every layer is instrumented: request counts/latency per route, submission
 // accept/reject counters labeled by run, WAL fsync latency,
@@ -85,6 +87,7 @@ import (
 	"syscall"
 	"time"
 
+	"collabwf/internal/client"
 	"collabwf/internal/declog"
 	"collabwf/internal/obs"
 	"collabwf/internal/parse"
@@ -300,7 +303,7 @@ func main() {
 func newDeclogSink(dest string, logger *slog.Logger) (declog.Sink, error) {
 	switch {
 	case strings.HasPrefix(dest, "http://") || strings.HasPrefix(dest, "https://"):
-		return declog.NewHTTPSink(dest, declog.HTTPOptions{Logger: logger}), nil
+		return declog.NewHTTPSink(dest, client.Options{Logger: logger}), nil
 	case dest == "stdout" || dest == "-":
 		return declog.NewWriterSink(os.Stdout, "stdout"), nil
 	default:

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"collabwf/internal/client"
 	"collabwf/internal/declog"
 	"collabwf/internal/server"
 	"collabwf/internal/wal"
@@ -71,7 +72,7 @@ func E18DecisionLog(quick bool) (*Table, error) {
 				return 0, nil, err
 			}
 		case "http":
-			sink := declog.NewHTTPSink(collector.URL, declog.HTTPOptions{})
+			sink := declog.NewHTTPSink(collector.URL, client.Options{})
 			if dlog, err = declog.New(declog.Config{Sink: sink}); err != nil {
 				return 0, nil, err
 			}

@@ -152,26 +152,6 @@ func (c *Client) ForRun(id string) *Client {
 	return &out
 }
 
-// RunInfo is one run's row in a /runs listing.
-type RunInfo struct {
-	ID               string  `json:"id"`
-	Workflow         string  `json:"workflow"`
-	Events           int     `json:"events"`
-	CommitQueueDepth int     `json:"commit_queue_depth"`
-	Ready            string  `json:"ready"`
-	WALStalled       string  `json:"wal_stalled,omitempty"`
-	SnapshotAge      float64 `json:"snapshot_age_seconds"`
-}
-
-// RunList is the /runs response: the live fleet plus lifetime tallies.
-type RunList struct {
-	Active   int       `json:"active"`
-	Created  int       `json:"created"`
-	Archived int       `json:"archived"`
-	Events   int       `json:"events"`
-	Runs     []RunInfo `json:"runs"`
-}
-
 // CreateRun creates a run on a fleet server. Creation is not idempotent on
 // the server (a second create of the same id answers 409), so it runs as a
 // single attempt — the caller decides whether an "already exists" after an
@@ -181,22 +161,13 @@ func (c *Client) CreateRun(ctx context.Context, id string) error {
 	if err != nil {
 		return fmt.Errorf("client: %w", err)
 	}
-	return c.attempt(ctx, http.MethodPost, "/runs", body, "", &struct{}{})
+	return c.attempt(ctx, http.MethodPost, "/runs", body, nil, &struct{}{})
 }
 
 // DeleteRun archives a run: its WAL is synced and closed; the id
 // disappears from routing.
 func (c *Client) DeleteRun(ctx context.Context, id string) error {
-	return c.attempt(ctx, http.MethodDelete, "/runs/"+id, nil, "", &struct{}{})
-}
-
-// ListRuns lists the live fleet.
-func (c *Client) ListRuns(ctx context.Context) (*RunList, error) {
-	var out RunList
-	if err := c.do(ctx, http.MethodGet, "/runs", nil, "", &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return c.attempt(ctx, http.MethodDelete, "/runs/"+id, nil, nil, &struct{}{})
 }
 
 // NewKey returns a fresh process-unique idempotency key.
@@ -218,8 +189,12 @@ func (c *Client) SubmitIdem(ctx context.Context, peer, rule string, bindings map
 	if err != nil {
 		return nil, fmt.Errorf("client: %w", err)
 	}
+	var header http.Header
+	if key != "" {
+		header = http.Header{"Idempotency-Key": {key}}
+	}
 	var res SubmitResult
-	if err := c.do(ctx, http.MethodPost, "/submit", body, key, &res); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/submit", body, header, &res); err != nil {
 		return nil, err
 	}
 	return &res, nil
@@ -230,7 +205,7 @@ func (c *Client) View(ctx context.Context, peer string) (string, error) {
 	var out struct {
 		View string `json:"view"`
 	}
-	if err := c.do(ctx, http.MethodGet, "/view?peer="+peer, nil, "", &out); err != nil {
+	if err := c.do(ctx, http.MethodGet, "/view?peer="+peer, nil, nil, &out); err != nil {
 		return "", err
 	}
 	return out.View, nil
@@ -241,7 +216,7 @@ func (c *Client) Explain(ctx context.Context, peer string) (string, error) {
 	var out struct {
 		Text string `json:"text"`
 	}
-	if err := c.do(ctx, http.MethodGet, "/explain?peer="+peer, nil, "", &out); err != nil {
+	if err := c.do(ctx, http.MethodGet, "/explain?peer="+peer, nil, nil, &out); err != nil {
 		return "", err
 	}
 	return out.Text, nil
@@ -266,7 +241,7 @@ func (c *Client) Transitions(ctx context.Context, peer string, from int) ([]Tran
 		Len         int          `json:"len"`
 	}
 	path := fmt.Sprintf("/transitions?peer=%s&from=%d", peer, from)
-	if err := c.do(ctx, http.MethodGet, path, nil, "", &out); err != nil {
+	if err := c.do(ctx, http.MethodGet, path, nil, nil, &out); err != nil {
 		return nil, 0, err
 	}
 	return out.Transitions, out.Len, nil
@@ -276,21 +251,29 @@ func (c *Client) Transitions(ctx context.Context, peer string, from int) ([]Tran
 // the peer. A violation comes back as a definite *APIError (409).
 func (c *Client) Certify(ctx context.Context, peer string, h int) error {
 	path := fmt.Sprintf("/certify?peer=%s&h=%d", peer, h)
-	return c.do(ctx, http.MethodGet, path, nil, "", &struct{}{})
+	return c.do(ctx, http.MethodGet, path, nil, nil, &struct{}{})
 }
 
 // Ready polls /readyz once (no retries): nil means the coordinator has
 // recovered and the WAL accepts appends.
 func (c *Client) Ready(ctx context.Context) error {
-	return c.attempt(ctx, http.MethodGet, "/readyz", nil, "", &struct{}{})
+	return c.attempt(ctx, http.MethodGet, "/readyz", nil, nil, &struct{}{})
+}
+
+// Post sends body to the base URL, with no API path appended, under the
+// retry policy and with the given request headers (e.g. a Content-Type
+// other than JSON); the response body is discarded. It serves endpoints
+// outside the coordinator API, such as a decision-log collector.
+func (c *Client) Post(ctx context.Context, body []byte, header http.Header) error {
+	return c.do(ctx, http.MethodPost, "", body, header, nil)
 }
 
 // do runs one API call under the retry policy.
-func (c *Client) do(ctx context.Context, method, path string, body []byte, idemKey string, out any) error {
+func (c *Client) do(ctx context.Context, method, path string, body []byte, header http.Header, out any) error {
 	backoff := c.opts.BaseBackoff
 	var lastErr error
 	for attempt := 0; ; attempt++ {
-		err := c.attempt(ctx, method, path, body, idemKey, out)
+		err := c.attempt(ctx, method, path, body, header, out)
 		if err == nil {
 			return nil
 		}
@@ -315,7 +298,7 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, idemK
 			sleep = c.opts.MaxBackoff
 		}
 		if l := c.opts.Logger; l != nil {
-			l.Debug("retrying", slog.String("path", path), slog.Int("attempt", attempt+1),
+			l.Debug("retrying", slog.String("url", c.base+path), slog.Int("attempt", attempt+1),
 				slog.Duration("sleep", sleep), slog.Any("error", err))
 		}
 		c.retries.Add(1)
@@ -330,11 +313,12 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, idemK
 		}
 	}
 	return fmt.Errorf("client: %s %s: giving up after %d attempts: %w",
-		method, path, c.opts.MaxRetries+1, lastErr)
+		method, c.base+path, c.opts.MaxRetries+1, lastErr)
 }
 
-// attempt runs one HTTP round trip under the per-attempt deadline.
-func (c *Client) attempt(ctx context.Context, method, path string, body []byte, idemKey string, out any) error {
+// attempt runs one HTTP round trip under the per-attempt deadline. A body
+// is sent as JSON unless header sets its own Content-Type.
+func (c *Client) attempt(ctx context.Context, method, path string, body []byte, header http.Header, out any) error {
 	actx, cancel := context.WithTimeout(ctx, c.opts.RequestTimeout)
 	defer cancel()
 	var rd io.Reader
@@ -348,8 +332,8 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte, 
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	if idemKey != "" {
-		req.Header.Set("Idempotency-Key", idemKey)
+	for k, vv := range header {
+		req.Header[k] = vv
 	}
 	resp, err := c.http.Do(req)
 	if err != nil {

@@ -1,4 +1,4 @@
-package client
+package client_test
 
 import (
 	"context"
@@ -10,13 +10,14 @@ import (
 	"testing"
 	"time"
 
+	"collabwf/internal/client"
 	"collabwf/internal/server"
 	"collabwf/internal/workload"
 )
 
 // fastOpts keeps test retry loops quick and deterministic.
-func fastOpts() Options {
-	return Options{
+func fastOpts() client.Options {
+	return client.Options{
 		RequestTimeout: 2 * time.Second,
 		MaxRetries:     6,
 		BaseBackoff:    time.Millisecond,
@@ -41,7 +42,7 @@ func TestRetriesTemporaryFailures(t *testing.T) {
 		}
 	}))
 	defer ts.Close()
-	c := New(ts.URL, fastOpts())
+	c := client.New(ts.URL, fastOpts())
 	res, err := c.Submit(context.Background(), "hr", "clear", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -66,9 +67,9 @@ func TestDefiniteRejectionNotRetried(t *testing.T) {
 		http.Error(w, `{"error":"rejected by the transparency guard"}`, http.StatusConflict)
 	}))
 	defer ts.Close()
-	c := New(ts.URL, fastOpts())
+	c := client.New(ts.URL, fastOpts())
 	_, err := c.Submit(context.Background(), "hr", "clear", nil)
-	var ae *APIError
+	var ae *client.APIError
 	if !errors.As(err, &ae) || ae.Status != http.StatusConflict {
 		t.Fatalf("err = %v, want 409 APIError", err)
 	}
@@ -91,7 +92,7 @@ func TestRetriesExhausted(t *testing.T) {
 	defer ts.Close()
 	opts := fastOpts()
 	opts.MaxRetries = 3
-	c := New(ts.URL, opts)
+	c := client.New(ts.URL, opts)
 	_, err := c.Submit(context.Background(), "hr", "clear", nil)
 	if err == nil {
 		t.Fatal("want error after exhausted retries")
@@ -111,7 +112,7 @@ func TestContextCancelStopsRetrying(t *testing.T) {
 	opts := fastOpts()
 	opts.BaseBackoff = time.Hour
 	opts.MaxBackoff = time.Hour
-	c := New(ts.URL, opts)
+	c := client.New(ts.URL, opts)
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	_, err := c.Submit(ctx, "hr", "clear", nil)
@@ -152,7 +153,7 @@ func TestIdempotentRetryAfterDroppedResponse(t *testing.T) {
 	ts := httptest.NewServer(&dropOnce{inner: server.Handler(co)})
 	defer ts.Close()
 
-	c := New(ts.URL, fastOpts())
+	c := client.New(ts.URL, fastOpts())
 	res, err := c.Submit(context.Background(), "hr", "clear", map[string]string{"x": "sue"})
 	if err != nil {
 		t.Fatal(err)
@@ -185,7 +186,7 @@ func TestSubmitIdemExplicitKey(t *testing.T) {
 	defer co.Close()
 	ts := httptest.NewServer(server.Handler(co))
 	defer ts.Close()
-	c := New(ts.URL, fastOpts())
+	c := client.New(ts.URL, fastOpts())
 
 	a, err := c.SubmitIdem(context.Background(), "hr", "clear", map[string]string{"x": "sue"}, "key-1")
 	if err != nil {
@@ -214,7 +215,7 @@ func TestViewExplainCertify(t *testing.T) {
 	// restarts the whole search. Reads get a generous per-request budget.
 	opts := fastOpts()
 	opts.RequestTimeout = time.Minute
-	c := New(ts.URL, opts)
+	c := client.New(ts.URL, opts)
 	ctx := context.Background()
 
 	if _, err := c.Submit(ctx, "hr", "clear", map[string]string{"x": "sue"}); err != nil {

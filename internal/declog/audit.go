@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"collabwf/internal/core"
@@ -258,12 +259,7 @@ func auditRun(p *program.Program, records []Decision, opts AuditOptions) *AuditR
 
 	// Pass 2: replay accepted records in index order, re-firing rejection
 	// rechecks against the exact prefix each was decided on.
-	sort.Slice(rechecks, func(i, j int) bool {
-		if rechecks[i].RunLen != rechecks[j].RunLen {
-			return rechecks[i].RunLen < rechecks[j].RunLen
-		}
-		return rechecks[i].Seq < rechecks[j].Seq
-	})
+	sortByRunLen(rechecks)
 	next := 0
 	for {
 		for next < len(rechecks) && rechecks[next].RunLen <= a.run.Len() {
@@ -302,9 +298,7 @@ func auditRun(p *program.Program, records []Decision, opts AuditOptions) *AuditR
 				d.Seq, d.Index, d.Rule, a.run.Event(d.Index).Rule.Name)
 		}
 	}
-	for _, d := range explains {
-		a.recheckExplain(d)
-	}
+	a.recheckExplains(explains)
 	if opts.RecheckCertify {
 		for _, d := range certifies {
 			a.recheckCertify(d)
@@ -372,29 +366,49 @@ func (a *auditor) recheckRejection(d Decision) {
 	}
 }
 
-// recheckExplain recomputes the explanation report at the record's prefix
-// length and compares digests. The report depends only on the prefix, so
-// the check is order-independent — emit order may interleave an explain
-// before the accept records of the prefix it saw.
-func (a *auditor) recheckExplain(d Decision) {
-	if d.Decision != Served || d.Digest == "" {
+// recheckExplains recomputes each served explanation report at its
+// record's prefix length and compares digests. One explainer over the
+// explained peers advances through the replayed run in (RunLen, Seq)
+// order, so a record costs a report over its prefix, not a fresh analysis
+// of it. The report depends only on the prefix, so the check is
+// order-independent — emit order may interleave an explain before the
+// accept records of the prefix it saw.
+func (a *auditor) recheckExplains(records []Decision) {
+	var served []Decision
+	var peers []schema.Peer
+	for _, d := range records {
+		if d.Decision != Served || d.Digest == "" {
+			continue
+		}
+		peer := schema.Peer(d.Peer)
+		if !a.prog.Schema.HasPeer(peer) {
+			a.mismatch("seq %d: explain served for unknown peer %s", d.Seq, d.Peer)
+			continue
+		}
+		if d.RunLen > a.run.Len() {
+			a.mismatch("seq %d: explain for %s over prefix %d, beyond the replayable run (len %d)",
+				d.Seq, d.Peer, d.RunLen, a.run.Len())
+			continue
+		}
+		if !slices.Contains(peers, peer) {
+			peers = append(peers, peer)
+		}
+		served = append(served, d)
+	}
+	if len(served) == 0 {
 		return
 	}
-	peer := schema.Peer(d.Peer)
-	if !a.prog.Schema.HasPeer(peer) {
-		a.mismatch("seq %d: explain served for unknown peer %s", d.Seq, d.Peer)
-		return
-	}
-	if d.RunLen > a.run.Len() {
-		a.mismatch("seq %d: explain for %s over prefix %d, beyond the replayable run (len %d)",
-			d.Seq, d.Peer, d.RunLen, a.run.Len())
-		return
-	}
-	a.rep.RecheckedExplains++
-	got := Digest(core.NewExplainerAt(a.run, peer, d.RunLen).Report().String())
-	if got != d.Digest {
-		a.mismatch("seq %d: explain digest for %s at prefix %d is %s, recomputed %s",
-			d.Seq, d.Peer, d.RunLen, d.Digest, got)
+	sortByRunLen(served)
+	ex := core.NewRunExplainerAt(a.run, peers, 0)
+	for _, d := range served {
+		a.rep.RecheckedExplains++
+		ex.SyncTo(d.RunLen)
+		fz := ex.Freeze(schema.Peer(d.Peer))
+		got := Digest(fz.ReportOver(a.run, fz.Visible()).String())
+		if got != d.Digest {
+			a.mismatch("seq %d: explain digest for %s at prefix %d is %s, recomputed %s",
+				d.Seq, d.Peer, d.RunLen, d.Digest, got)
+		}
 	}
 }
 
@@ -430,6 +444,17 @@ func (a *auditor) recheckCertify(d Decision) {
 		a.mismatch("seq %d: certify verdict for %s (h=%d) logged %s, recomputed %v",
 			d.Seq, d.Peer, d.H, d.Decision, map[bool]string{true: Violation, false: Certified}[violated])
 	}
+}
+
+// sortByRunLen orders records by the prefix they were decided on, ties by
+// sequence number.
+func sortByRunLen(ds []Decision) {
+	sort.Slice(ds, func(i, j int) bool {
+		if ds[i].RunLen != ds[j].RunLen {
+			return ds[i].RunLen < ds[j].RunLen
+		}
+		return ds[i].Seq < ds[j].Seq
+	})
 }
 
 func sameValuation(a, b map[string]string) bool {

@@ -7,6 +7,7 @@ import (
 
 	"collabwf/internal/core"
 	"collabwf/internal/data"
+	"collabwf/internal/engine"
 	"collabwf/internal/program"
 	"collabwf/internal/trace"
 	"collabwf/internal/transparency"
@@ -440,5 +441,57 @@ func TestAuditSingleRunLogStaysLegacy(t *testing.T) {
 	}
 	if rep.Runs != nil {
 		t.Fatalf("legacy log grew a runs breakdown: %v", rep.Runs)
+	}
+}
+
+// randomExplainLog renders the decision log of a seeded random Hiring run
+// of n events followed by k explain records for sue, served over prefixes
+// spread across the second half of the run, each with its true digest.
+func randomExplainLog(t *testing.T, n, k int) []byte {
+	t.Helper()
+	run, err := engine.RandomRun(workload.Hiring(), n, 1, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []Decision
+	for i := 0; i < run.Len(); i++ {
+		e := run.Event(i)
+		recs = append(recs, Decision{Seq: uint64(len(recs) + 1), Kind: KindSubmit,
+			Decision: Accepted, Peer: string(e.Rule.Peer), Rule: e.Rule.Name,
+			Valuation: trace.EncodeEvent(e).Valuation, Index: i, RunLen: i})
+	}
+	for j := 0; j < k; j++ {
+		at := run.Len() - j*run.Len()/(2*k)
+		rep := core.NewExplainerAt(run, "sue", at).Report()
+		recs = append(recs, Decision{Seq: uint64(len(recs) + 1), Kind: KindExplain,
+			Decision: Served, Peer: "sue", Index: -1, RunLen: at, Digest: Digest(rep.String())})
+	}
+	return encodeLog(t, recs).Bytes()
+}
+
+// TestAuditExplainCostFlatInRunLength: the audit advances one explainer
+// through the run for every explain record, so an extra record costs a
+// report over its prefix, not a fresh lifecycle analysis of the prefix.
+// Quadrupling the run length may at most double the allocations an extra
+// record adds.
+func TestAuditExplainCostFlatInRunLength(t *testing.T) {
+	const extra = 8
+	perRecord := func(n int) float64 {
+		allocs := func(k int) float64 {
+			raw := randomExplainLog(t, n, k)
+			return testing.AllocsPerRun(2, func() {
+				rep, err := Audit(workload.Hiring(), bytes.NewReader(raw), AuditOptions{})
+				if err != nil || !rep.Ok() || rep.RecheckedExplains != k {
+					t.Fatalf("n=%d k=%d: audit %+v, %v", n, k, rep, err)
+				}
+			})
+		}
+		return (allocs(1+extra) - allocs(1)) / extra
+	}
+	short, long := perRecord(300), perRecord(1200)
+	t.Logf("allocations per extra explain record: %.0f at 300 events, %.0f at 1200", short, long)
+	if long > 2*short {
+		t.Fatalf("an extra explain record costs %.0f allocations at 1200 events, %.1f× the %.0f at 300: the audit re-analyses each prefix",
+			long, long/short, short)
 	}
 }

@@ -5,18 +5,14 @@ import (
 	"compress/gzip"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
-	"log/slog"
-	"math/rand"
 	"net/http"
 	"os"
-	"strconv"
 	"sync"
 	"time"
 
-	"collabwf/internal/obs"
+	"collabwf/internal/client"
 )
 
 // Sink receives exported decision batches. Export may block and retry
@@ -29,9 +25,9 @@ type Sink interface {
 	Close() error
 }
 
-// encodeJSONL renders a batch as JSON Lines into buf.
-func encodeJSONL(buf *bytes.Buffer, batch []Decision) error {
-	enc := json.NewEncoder(buf)
+// encodeJSONL renders a batch as JSON Lines into w.
+func encodeJSONL(w io.Writer, batch []Decision) error {
+	enc := json.NewEncoder(w)
 	for i := range batch {
 		if err := enc.Encode(&batch[i]); err != nil {
 			return fmt.Errorf("declog: encoding record %d: %w", batch[i].Seq, err)
@@ -173,183 +169,46 @@ func (s *FileSink) Close() error {
 	return err
 }
 
-// HTTPOptions tunes an HTTPSink.
-type HTTPOptions struct {
-	// HTTPClient is the transport; nil means a dedicated http.Client.
-	HTTPClient *http.Client
-	// Timeout bounds each upload attempt; ≤ 0 means 5s.
-	Timeout time.Duration
-	// MaxRetries retries a retryable failure (connection errors, 429, 5xx)
-	// that many times before the batch is abandoned (at-most-once); < 0
-	// disables retries, 0 means 4.
-	MaxRetries int
-	// BaseBackoff is the first retry delay (doubles per attempt, full
-	// jitter, Retry-After honored); ≤ 0 means 50ms.
-	BaseBackoff time.Duration
-	// MaxBackoff caps the backoff and an honored Retry-After; ≤ 0 means 2s.
-	MaxBackoff time.Duration
-	// Rand seeds the jitter, for reproducible tests; nil uses a random seed.
-	Rand *rand.Rand
-	// Logger, when non-nil, logs retries at debug level.
-	Logger *slog.Logger
-	// NoGzip posts the JSONL body uncompressed (debugging).
-	NoGzip bool
-}
-
 // HTTPSink POSTs each batch as gzipped JSON Lines
-// (Content-Type application/x-ndjson, Content-Encoding gzip) with the same
-// retry discipline as internal/client: capped exponential backoff with full
+// (Content-Type application/x-ndjson, Content-Encoding gzip) through
+// internal/client's retry loop: capped exponential backoff with full
 // jitter, Retry-After honored, definite 4xx failures never retried. A batch
 // that exhausts its retries is reported lost to the logger — the sink keeps
 // no queue of its own.
 type HTTPSink struct {
-	url  string
-	http *http.Client
-	opts HTTPOptions
-	log  *slog.Logger
-
-	mu  sync.Mutex
-	rnd *rand.Rand
+	url string
+	c   *client.Client
 }
 
-// NewHTTPSink returns a sink uploading to url.
-func NewHTTPSink(url string, opts HTTPOptions) *HTTPSink {
-	if opts.Timeout <= 0 {
-		opts.Timeout = 5 * time.Second
+// NewHTTPSink returns a sink uploading to url. Zero options keep the
+// sink's own defaults — 5s per attempt, 4 retries, backoff capped at 2s —
+// and internal/client's for the rest.
+func NewHTTPSink(url string, opts client.Options) *HTTPSink {
+	if opts.RequestTimeout <= 0 {
+		opts.RequestTimeout = 5 * time.Second
 	}
 	if opts.MaxRetries == 0 {
 		opts.MaxRetries = 4
 	}
-	if opts.MaxRetries < 0 {
-		opts.MaxRetries = 0
-	}
-	if opts.BaseBackoff <= 0 {
-		opts.BaseBackoff = 50 * time.Millisecond
-	}
 	if opts.MaxBackoff <= 0 {
 		opts.MaxBackoff = 2 * time.Second
 	}
-	rnd := opts.Rand
-	if rnd == nil {
-		rnd = rand.New(rand.NewSource(time.Now().UnixNano()))
-	}
-	hc := opts.HTTPClient
-	if hc == nil {
-		hc = &http.Client{}
-	}
-	s := &HTTPSink{url: url, http: hc, opts: opts, rnd: rnd, log: obs.Discard()}
-	if opts.Logger != nil {
-		s.log = opts.Logger
-	}
-	return s
-}
-
-// statusError is a non-2xx upload response.
-type statusError struct {
-	status     int
-	retryAfter int
-}
-
-func (e *statusError) Error() string { return fmt.Sprintf("declog: upload returned %d", e.status) }
-
-func (e *statusError) temporary() bool {
-	return e.status == http.StatusTooManyRequests || e.status >= 500
+	return &HTTPSink{url: url, c: client.New(url, opts)}
 }
 
 func (s *HTTPSink) Export(ctx context.Context, batch []Decision) error {
-	var raw bytes.Buffer
-	if err := encodeJSONL(&raw, batch); err != nil {
+	var body bytes.Buffer
+	zw := gzip.NewWriter(&body)
+	if err := encodeJSONL(zw, batch); err != nil {
 		return err
 	}
-	body := raw.Bytes()
-	encoding := ""
-	if !s.opts.NoGzip {
-		var zbuf bytes.Buffer
-		zw := gzip.NewWriter(&zbuf)
-		if _, err := zw.Write(body); err == nil && zw.Close() == nil {
-			body, encoding = zbuf.Bytes(), "gzip"
-		}
+	if err := zw.Close(); err != nil {
+		return fmt.Errorf("declog: compressing batch: %w", err)
 	}
-	backoff := s.opts.BaseBackoff
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		err := s.attempt(ctx, body, encoding)
-		if err == nil {
-			return nil
-		}
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		var se *statusError
-		if errors.As(err, &se) && !se.temporary() {
-			return err
-		}
-		lastErr = err
-		if attempt >= s.opts.MaxRetries {
-			break
-		}
-		sleep := s.jitter(backoff)
-		if se != nil && se.retryAfter > 0 {
-			if ra := time.Duration(se.retryAfter) * time.Second; ra > sleep {
-				sleep = ra
-			}
-		}
-		if sleep > s.opts.MaxBackoff {
-			sleep = s.opts.MaxBackoff
-		}
-		s.log.Debug("retrying decision-log upload", slog.Int("attempt", attempt+1),
-			slog.Duration("sleep", sleep), slog.Any("error", err))
-		select {
-		case <-time.After(sleep):
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-		backoff *= 2
-		if backoff > s.opts.MaxBackoff {
-			backoff = s.opts.MaxBackoff
-		}
-	}
-	return fmt.Errorf("declog: giving up on batch after %d attempts: %w", s.opts.MaxRetries+1, lastErr)
-}
-
-func (s *HTTPSink) attempt(ctx context.Context, body []byte, encoding string) error {
-	actx, cancel := context.WithTimeout(ctx, s.opts.Timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(actx, http.MethodPost, s.url, bytes.NewReader(body))
-	if err != nil {
-		return fmt.Errorf("declog: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/x-ndjson")
-	if encoding != "" {
-		req.Header.Set("Content-Encoding", encoding)
-	}
-	resp, err := s.http.Do(req)
-	if err != nil {
-		return fmt.Errorf("declog: uploading batch: %w", err)
-	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		se := &statusError{status: resp.StatusCode}
-		if ra, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil {
-			se.retryAfter = ra
-		}
-		return se
-	}
-	return nil
-}
-
-// jitter draws a full-jitter delay in [d/2, d].
-func (s *HTTPSink) jitter(d time.Duration) time.Duration {
-	if d <= 0 {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	half := d / 2
-	return half + time.Duration(s.rnd.Int63n(int64(half)+1))
+	return s.c.Post(ctx, body.Bytes(), http.Header{
+		"Content-Type":     {"application/x-ndjson"},
+		"Content-Encoding": {"gzip"},
+	})
 }
 
 func (s *HTTPSink) Describe() string { return s.url }

@@ -17,6 +17,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"collabwf/internal/client"
 )
 
 func batchOf(n int) []Decision {
@@ -140,7 +142,7 @@ func TestHTTPSinkUploadsGzippedJSONL(t *testing.T) {
 		got.Store(&recs)
 	}))
 	defer srv.Close()
-	s := NewHTTPSink(srv.URL, HTTPOptions{})
+	s := NewHTTPSink(srv.URL, client.Options{})
 	if err := s.Export(context.Background(), batchOf(5)); err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +164,7 @@ func TestHTTPSinkRetriesTemporaryFailures(t *testing.T) {
 		}
 	}))
 	defer srv.Close()
-	s := NewHTTPSink(srv.URL, HTTPOptions{
+	s := NewHTTPSink(srv.URL, client.Options{
 		BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond,
 		Rand: rand.New(rand.NewSource(1)),
 	})
@@ -181,7 +183,7 @@ func TestHTTPSinkDoesNotRetryDefiniteFailures(t *testing.T) {
 		w.WriteHeader(http.StatusBadRequest)
 	}))
 	defer srv.Close()
-	s := NewHTTPSink(srv.URL, HTTPOptions{BaseBackoff: time.Millisecond})
+	s := NewHTTPSink(srv.URL, client.Options{BaseBackoff: time.Millisecond})
 	if err := s.Export(context.Background(), batchOf(1)); err == nil {
 		t.Fatal("definite 4xx must fail")
 	}
@@ -197,7 +199,7 @@ func TestHTTPSinkGivesUpAfterMaxRetries(t *testing.T) {
 		w.WriteHeader(http.StatusInternalServerError)
 	}))
 	defer srv.Close()
-	s := NewHTTPSink(srv.URL, HTTPOptions{
+	s := NewHTTPSink(srv.URL, client.Options{
 		MaxRetries: 2, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond,
 		Rand: rand.New(rand.NewSource(1)),
 	})
@@ -228,7 +230,7 @@ func TestHTTPSinkHonorsRetryAfter(t *testing.T) {
 		}
 	}))
 	defer srv.Close()
-	s := NewHTTPSink(srv.URL, HTTPOptions{
+	s := NewHTTPSink(srv.URL, client.Options{
 		BaseBackoff: time.Millisecond, MaxBackoff: 5 * time.Second,
 		Rand: rand.New(rand.NewSource(1)),
 	})
@@ -245,7 +247,7 @@ func TestHTTPSinkContextCancellation(t *testing.T) {
 		w.WriteHeader(http.StatusInternalServerError)
 	}))
 	defer srv.Close()
-	s := NewHTTPSink(srv.URL, HTTPOptions{
+	s := NewHTTPSink(srv.URL, client.Options{
 		MaxRetries: 100, BaseBackoff: 50 * time.Millisecond,
 		Rand: rand.New(rand.NewSource(1)),
 	})

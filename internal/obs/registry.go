@@ -358,10 +358,6 @@ func NewRegistry() *Registry {
 	return &Registry{families: make(map[string]*family)}
 }
 
-// Default is the process-wide registry used when components are not handed
-// an explicit one.
-var Default = NewRegistry()
-
 func validName(s string) bool {
 	if s == "" {
 		return false

@@ -80,8 +80,6 @@ func (v Valuation) String() string {
 
 // Literal is one conjunct of an FCQ¬ query.
 type Literal interface {
-	// Neg reports whether the literal is negated.
-	Negated() bool
 	// Vars adds the literal's variables to set.
 	Vars(set map[string]struct{})
 	// binds reports whether the literal can bind variables (positive
@@ -110,15 +108,6 @@ type Compare struct {
 	Neg  bool // true for ≠
 	L, R Term
 }
-
-// Negated implements Literal.
-func (a Atom) Negated() bool { return a.Neg }
-
-// Negated implements Literal.
-func (k KeyAtom) Negated() bool { return k.Neg }
-
-// Negated implements Literal.
-func (c Compare) Negated() bool { return c.Neg }
 
 // Vars implements Literal.
 func (a Atom) Vars(set map[string]struct{}) {

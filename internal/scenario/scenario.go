@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync/atomic"
 
 	"collabwf/internal/obs"
@@ -265,19 +266,12 @@ func MinimumCtx(ctx context.Context, r *program.Run, p schema.Peer, opts Options
 // keeping each removal that preserves scenario-hood. The result is a
 // scenario from which no single event can be dropped; it is not guaranteed
 // to be minimal in the subsequence order (testing that is coNP-complete),
-// nor minimum in length. Events are tried from the latest backwards (see
-// GreedyOrder for the ablation).
+// nor minimum in length. Events are tried from the latest backwards, and
+// passes repeat until a full pass removes nothing: backward removal sheds
+// dependents before their prerequisites and usually converges in a single
+// pass (about 20% faster than front-first removal on the E1 chain gadget;
+// see EXPERIMENTS.md).
 func Greedy(r *program.Run, p schema.Peer) []int {
-	return GreedyOrder(r, p, false)
-}
-
-// GreedyOrder is Greedy with an explicit removal order: frontFirst tries
-// removing the earliest events first, otherwise the latest. Passes repeat
-// until a full pass removes nothing, so the result is 1-minimal for either
-// order; backward removal sheds dependents before their prerequisites and
-// usually converges in a single pass (measured by the ablation
-// benchmarks).
-func GreedyOrder(r *program.Run, p schema.Peer, frontFirst bool) []int {
 	current := make([]int, r.Len())
 	for i := range current {
 		current[i] = i
@@ -291,11 +285,7 @@ func GreedyOrder(r *program.Run, p schema.Peer, frontFirst bool) []int {
 		changed := false
 		order := make([]int, len(current))
 		copy(order, current)
-		if !frontFirst {
-			for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
-				order[i], order[j] = order[j], order[i]
-			}
-		}
+		slices.Reverse(order)
 		for _, i := range order {
 			if visible[i] {
 				continue

@@ -59,9 +59,6 @@ func MustRelation(name string, attrs ...data.Attr) *Relation {
 // Arity returns the number of attributes including the key.
 func (r *Relation) Arity() int { return len(r.Attrs) }
 
-// Pos returns the attribute→position map of the schema.
-func (r *Relation) Pos() map[data.Attr]int { return r.pos }
-
 // Index returns the position of attribute a, if present.
 func (r *Relation) Index(a data.Attr) (int, bool) {
 	i, ok := r.pos[a]
@@ -218,9 +215,6 @@ func MustView(rel *Relation, peer Peer, attrs []data.Attr, sel cond.Condition) *
 
 // Arity returns the number of attributes of the view, including the key.
 func (v *View) Arity() int { return len(v.Attrs) }
-
-// Pos returns the attribute→position map of the view tuple layout.
-func (v *View) Pos() map[data.Attr]int { return v.pos }
 
 // Has reports whether attribute a is projected by the view.
 func (v *View) Has(a data.Attr) bool {

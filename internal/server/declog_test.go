@@ -3,13 +3,20 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"compress/gzip"
 	"context"
 	"encoding/json"
+	"io"
+	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"collabwf/internal/client"
 	"collabwf/internal/data"
 	"collabwf/internal/declog"
 	"collabwf/internal/design"
@@ -376,5 +383,114 @@ func TestStatuszReportsDecisionLogAndBuild(t *testing.T) {
 	}
 	if st.Build.GoVersion == "" {
 		t.Fatalf("statusz build=%+v", st.Build)
+	}
+}
+
+// TestDecisionLogOverHTTPAuditsClean drives a coordinator over HTTP with
+// its decision log posted through an HTTPSink to a collector that answers
+// its first two uploads 503: after Close every emitted record has arrived
+// exactly once, and the collected log audits clean.
+func TestDecisionLogOverHTTPAuditsClean(t *testing.T) {
+	var (
+		mu        sync.Mutex
+		collected bytes.Buffer
+		uploads   atomic.Int64
+	)
+	collector := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if uploads.Add(1) <= 2 {
+			w.Header().Set("Retry-After", "0")
+			w.WriteHeader(http.StatusServiceUnavailable)
+			return
+		}
+		zr, err := gzip.NewReader(r.Body)
+		if err != nil {
+			t.Errorf("upload not gzipped: %v", err)
+			w.WriteHeader(http.StatusBadRequest)
+			return
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if _, err := io.Copy(&collected, zr); err != nil {
+			t.Errorf("reading upload: %v", err)
+		}
+	}))
+	defer collector.Close()
+	sink := declog.NewHTTPSink(collector.URL, client.Options{
+		BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond,
+		Rand: rand.New(rand.NewSource(1)),
+	})
+	l, err := declog.New(declog.Config{Sink: sink, BatchSize: 4, FlushInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newCoordinator(t, "Hiring", workload.Hiring(), DurabilityConfig{DecisionLog: l})
+	if err := c.Guard("sue", 3); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(Handler(c))
+	defer ts.Close()
+	api := client.New(ts.URL, client.Options{})
+	ctx := context.Background()
+	for round := 0; round < 3; round++ {
+		res, err := api.Submit(ctx, "hr", "clear", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := map[string]string{"x": strings.TrimSuffix(strings.TrimPrefix(res.Updates[0], "+Cleared("), ")")}
+		if _, err := api.Submit(ctx, "ceo", "approve", x); err == nil {
+			t.Fatal("approve before cfo_ok must be rejected")
+		}
+		for _, step := range []struct{ peer, rule string }{{"cfo", "cfo_ok"}, {"ceo", "approve"}, {"hr", "hire"}} {
+			if _, err := api.Submit(ctx, step.peer, step.rule, x); err != nil {
+				t.Fatalf("%s: %v", step.rule, err)
+			}
+		}
+		for _, peer := range []string{"sue", "hr"} {
+			if _, err := api.Explain(ctx, peer); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := l.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	st := l.Status()
+	if st.Dropped != 0 || st.ExportFailures != 0 {
+		t.Fatalf("pipeline lost records: %+v", st)
+	}
+	if uploads.Load() < 4 {
+		t.Fatalf("collector saw %d uploads, want the two refusals and their retries", uploads.Load())
+	}
+	mu.Lock()
+	raw := bytes.Clone(collected.Bytes())
+	mu.Unlock()
+	var recs []declog.Decision
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	for dec.More() {
+		var d declog.Decision
+		if err := dec.Decode(&d); err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, d)
+	}
+	seen := make(map[uint64]int)
+	for _, d := range recs {
+		seen[d.Seq]++
+	}
+	for seq := uint64(1); seq <= st.Emitted; seq++ {
+		if seen[seq] != 1 {
+			t.Fatalf("record %d arrived %d times", seq, seen[seq])
+		}
+	}
+	if uint64(len(recs)) != st.Emitted {
+		t.Fatalf("collected %d records, emitted %d", len(recs), st.Emitted)
+	}
+	rep, err := declog.Audit(workload.Hiring(), bytes.NewReader(raw), declog.AuditOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Ok() || rep.Accepted != 12 || rep.RecheckedRejections != 3 || rep.RecheckedExplains != 6 {
+		t.Fatalf("audit of the collected log: %+v", rep)
 	}
 }

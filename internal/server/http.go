@@ -29,9 +29,10 @@ type HTTPOptions struct {
 	// Logger, when non-nil, enables request-scoped access logging through
 	// the "http" subsystem.
 	Logger *slog.Logger
-	// Tracer, when non-nil, wraps every route in a request span (joining a
-	// remote trace when the client sent a W3C traceparent header), so the
-	// flight recorder retains the full HTTP → coordinator → WAL span tree.
+	// Tracer, when non-nil, wraps every route but the probes in a request
+	// span (joining a remote trace when the client sent a W3C traceparent
+	// header), so the flight recorder retains the full HTTP → coordinator →
+	// WAL span tree.
 	Tracer *obs.Tracer
 	// MaxInFlight caps concurrent /submit requests: excess load is shed
 	// immediately with 429 + Retry-After instead of convoying on the
@@ -77,22 +78,17 @@ func NewHandler(c *Coordinator, opts HTTPOptions) http.Handler {
 		httpLog = nil
 	}
 	mux := http.NewServeMux()
-	// handle wraps every route with the tracing, instrumentation and
-	// access-log middleware (all no-ops when unconfigured). Trace sits
-	// outermost so the inner layers see the request span in the context:
-	// Instrument attaches its trace id to the latency exemplar and
-	// AccessLog's line carries it via the trace-aware slog handler.
-	// Liveness/readiness probes are instrumented and logged but NOT traced:
-	// a kubelet polling /healthz every few seconds would otherwise evict
-	// every interesting submit/certify trace from the bounded flight
-	// recorder.
-	probes := map[string]bool{"/healthz": true, "/readyz": true}
+	// handle wraps every route in observe: its span, metrics and access-log
+	// line (each a no-op when unconfigured). Liveness/readiness probes are
+	// instrumented and logged but NOT traced: a kubelet polling /healthz
+	// every few seconds would otherwise evict every interesting
+	// submit/certify trace from the bounded flight recorder.
 	handle := func(route string, h http.HandlerFunc) {
-		var wrapped http.Handler = Instrument(c.metrics, route, AccessLog(httpLog, route, h))
-		if !probes[route] {
-			wrapped = Trace(opts.Tracer, route, wrapped)
+		tracer := opts.Tracer
+		if route == "/healthz" || route == "/readyz" {
+			tracer = nil
 		}
-		mux.Handle(route, wrapped)
+		mux.Handle(route, observe(tracer, c.metrics, httpLog, route, h))
 	}
 	// Admission sits innermost on /submit so a shed request is still
 	// traced, logged and counted (as a 4xx) like any other response.

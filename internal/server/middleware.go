@@ -13,21 +13,11 @@ import (
 	"collabwf/internal/obs"
 )
 
-// statusWriter records the first status code a handler set, so the
-// instrumentation middleware can classify the response.
+// statusWriter records the first status code a handler set, so observe
+// can classify the response.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
-}
-
-// wrapStatus returns w as a *statusWriter, reusing it when an outer
-// middleware already wrapped — the whole Trace → Instrument → AccessLog
-// chain shares one writer (and hence one recorded status) per request.
-func wrapStatus(w http.ResponseWriter) *statusWriter {
-	if sw, ok := w.(*statusWriter); ok {
-		return sw
-	}
-	return &statusWriter{ResponseWriter: w}
 }
 
 func (w *statusWriter) WriteHeader(code int) {
@@ -75,95 +65,82 @@ func statusClass(code int) string {
 	}
 }
 
-// Trace wraps one route with a span covering the whole request: the root
-// of the request's trace (or a child of a remote trace joined via the W3C
-// traceparent header). It must sit OUTSIDE Instrument and AccessLog so the
-// latency exemplar and the access-log line see the live span in the request
-// context. A nil tracer returns next unchanged.
-func Trace(t *obs.Tracer, route string, next http.Handler) http.Handler {
-	if t == nil {
+// observe wraps one route with everything the server records about a
+// request, each part skipped when its sink is nil (all nil returns next
+// unchanged, so an unobserved server pays nothing):
+//
+//   - tracer: an "http <route>" span covering the whole request — the root
+//     of the request's trace, or a child of a remote trace joined via the
+//     W3C traceparent header. It is started first, so the exemplar and the
+//     log line below carry its trace id, and it ends even when the handler
+//     panics (Recovery sits outside), marked failed before the panic
+//     continues.
+//   - metrics: the per-route request count by status class, the in-flight
+//     gauge, and the latency histogram with the trace id as exemplar.
+//   - logger: one access-log line per completed request with route,
+//     method, status, duration and client address; debug level, warn for
+//     5xx.
+func observe(t *obs.Tracer, m *Metrics, l *slog.Logger, route string, next http.Handler) http.Handler {
+	if t == nil && m == nil && l == nil {
 		return next
 	}
+	var latency *obs.Histogram
+	if m != nil {
+		latency = m.httpLatency.With(route)
+	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ctx := obs.ContextWithTracer(r.Context(), t)
-		if traceID, spanID, ok := obs.ParseTraceparent(r.Header.Get("traceparent")); ok {
-			ctx = obs.ContextWithRemoteParent(ctx, traceID, spanID)
+		var sp *obs.Span
+		if t != nil {
+			ctx := obs.ContextWithTracer(r.Context(), t)
+			if traceID, spanID, ok := obs.ParseTraceparent(r.Header.Get("traceparent")); ok {
+				ctx = obs.ContextWithRemoteParent(ctx, traceID, spanID)
+			}
+			ctx, sp = obs.StartSpan(ctx, "http "+route)
+			sp.SetAttr("method", r.Method)
+			sp.SetAttr("remote", r.RemoteAddr)
+			r = r.WithContext(ctx)
 		}
-		ctx, sp := obs.StartSpan(ctx, "http "+route)
-		sp.SetAttr("method", r.Method)
-		sp.SetAttr("remote", r.RemoteAddr)
-		sw := wrapStatus(w)
-		defer func() {
-			// Complete the trace even when the handler panics (Recovery sits
-			// outside this middleware), then let the panic continue.
-			code := sw.status
-			if code == 0 {
-				code = http.StatusOK
-			}
-			if v := recover(); v != nil {
-				sp.SetError(fmt.Errorf("panic: %v", v))
-				sp.SetAttr("status", http.StatusInternalServerError)
-				sp.End()
-				panic(v)
-			}
-			sp.SetAttr("status", code)
+		if m != nil {
+			m.httpInFlight.Inc()
+			defer m.httpInFlight.Dec()
+		}
+		if sp != nil {
+			defer func() {
+				if v := recover(); v != nil {
+					sp.SetError(fmt.Errorf("panic: %v", v))
+					sp.SetAttr("status", http.StatusInternalServerError)
+					sp.End()
+					panic(v)
+				}
+			}()
+		}
+		sw := &statusWriter{ResponseWriter: w}
+		start := time.Now()
+		next.ServeHTTP(sw, r)
+		elapsed := time.Since(start)
+		code := sw.status
+		if code == 0 {
+			code = http.StatusOK
+		}
+		if m != nil {
+			m.httpRequests.With(route, statusClass(code)).Inc()
+			latency.ObserveExemplar(elapsed.Seconds(), obs.SpanFrom(r.Context()).TraceID())
+		}
+		if l != nil {
+			lvl := slog.LevelDebug
 			if code >= 500 {
-				sp.SetError(fmt.Errorf("HTTP %d", code))
+				lvl = slog.LevelWarn
 			}
-			sp.End()
-		}()
-		next.ServeHTTP(sw, r.WithContext(ctx))
-	})
-}
-
-// Instrument wraps one route with request metrics: per-route request count
-// by status class, in-flight gauge, and a latency histogram (with the
-// request's trace id as the bucket exemplar when tracing is active). A nil
-// Metrics returns next unchanged, so uninstrumented servers pay nothing.
-func Instrument(m *Metrics, route string, next http.Handler) http.Handler {
-	if m == nil {
-		return next
-	}
-	requests := m.httpRequests
-	latency := m.httpLatency.With(route)
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		m.httpInFlight.Inc()
-		defer m.httpInFlight.Dec()
-		sw := wrapStatus(w)
-		start := time.Now()
-		next.ServeHTTP(sw, r)
-		code := sw.status
-		if code == 0 {
-			code = http.StatusOK
+			l.Log(r.Context(), lvl, "request",
+				slog.String("route", route), slog.String("method", r.Method),
+				slog.Int("status", code), slog.Duration("duration", elapsed),
+				slog.String("remote", r.RemoteAddr))
 		}
-		requests.With(route, statusClass(code)).Inc()
-		latency.ObserveExemplar(time.Since(start).Seconds(), obs.SpanFrom(r.Context()).TraceID())
-	})
-}
-
-// AccessLog wraps one route with request-scoped structured logging: each
-// completed request is logged with route, method, status, duration and the
-// client address. A nil logger returns next unchanged.
-func AccessLog(l *slog.Logger, route string, next http.Handler) http.Handler {
-	if l == nil {
-		return next
-	}
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		sw := wrapStatus(w)
-		start := time.Now()
-		next.ServeHTTP(sw, r)
-		code := sw.status
-		if code == 0 {
-			code = http.StatusOK
-		}
-		lvl := slog.LevelDebug
+		sp.SetAttr("status", code)
 		if code >= 500 {
-			lvl = slog.LevelWarn
+			sp.SetError(fmt.Errorf("HTTP %d", code))
 		}
-		l.Log(r.Context(), lvl, "request",
-			slog.String("route", route), slog.String("method", r.Method),
-			slog.Int("status", code), slog.Duration("duration", time.Since(start)),
-			slog.String("remote", r.RemoteAddr))
+		sp.End()
 	})
 }
 

@@ -29,8 +29,8 @@ func TestStatusClass(t *testing.T) {
 	}
 }
 
-// accessLogLine drives one request through AccessLog and returns the decoded
-// JSON record.
+// accessLogLine drives one request through observe's access log and
+// returns the decoded JSON record.
 func accessLogLine(t *testing.T, level string, status int) map[string]any {
 	t.Helper()
 	var buf bytes.Buffer
@@ -38,7 +38,7 @@ func accessLogLine(t *testing.T, level string, status int) map[string]any {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := AccessLog(logger, "/view", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	h := observe(nil, nil, logger, "/view", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(status)
 	}))
 	rec := httptest.NewRecorder()
@@ -94,8 +94,8 @@ func TestAccessLogLevels(t *testing.T) {
 	if entry := accessLogLine(t, "info", http.StatusOK); entry != nil {
 		t.Errorf("2xx should not log at info level, got %v", entry)
 	}
-	// A nil logger disables the middleware entirely.
-	h := AccessLog(nil, "/view", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
+	// No sink at all disables the middleware entirely.
+	h := observe(nil, nil, nil, "/view", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/view", nil))
 	if rec.Code != http.StatusOK {
@@ -110,10 +110,9 @@ func TestAccessLogCarriesTraceID(t *testing.T) {
 		t.Fatal(err)
 	}
 	tracer := obs.NewTracer(obs.TracerOptions{})
-	// Trace outside AccessLog, as NewHandler wires them.
-	h := Trace(tracer, "/view", AccessLog(logger, "/view", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	h := observe(tracer, nil, logger, "/view", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
-	})))
+	}))
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/view", nil))
 
