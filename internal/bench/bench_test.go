@@ -1,8 +1,12 @@
 package bench
 
 import (
+	"math"
 	"strings"
 	"testing"
+
+	"collabwf/internal/program"
+	"collabwf/internal/workload"
 )
 
 // Every experiment runs green in quick mode and renders a non-empty table.
@@ -23,6 +27,44 @@ func TestAllExperimentsQuick(t *testing.T) {
 			text := tbl.Render()
 			if !strings.Contains(text, tbl.Claim) || !strings.Contains(text, tbl.Columns[0]) {
 				t.Fatalf("render incomplete:\n%s", text)
+			}
+		})
+	}
+}
+
+// The explainer stores the requirement graph, not each event's closure:
+// the heap an explainer of every peer retains grows at most 2.2× per
+// doubling from 1000 to 4000 events, on the revision chain (each event
+// depends on the whole chain before it) and on crowdsourcing.
+func TestExplainerHeapLinearInLength(t *testing.T) {
+	crowd, err := workload.Crowdsourcing(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		prog *program.Program
+		next func(int) workload.Firing
+	}{
+		{"crowdsourcing", crowd, workload.CrowdFiring},
+		{"revisions", workload.Revisions(), workload.RevisionFiring},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := program.NewRun(tc.prog)
+			var mb [2]float64
+			for i, n := range [2]int{1000, 4000} {
+				for run.Len() < n {
+					f := tc.next(run.Len())
+					if _, err := run.FireRule(f.Rule, f.Bindings); err != nil {
+						t.Fatal(err)
+					}
+				}
+				mb[i], _ = explainerFootprint(run, n)
+			}
+			bound := math.Pow(e21HeapPerDoubling, 2)
+			t.Logf("retained explainer heap: %.2f MB at 1000 events, %.2f MB at 4000", mb[0], mb[1])
+			if mb[1] > bound*mb[0] {
+				t.Errorf("retained explainer heap grew %.2f× from 1000 to 4000 events, want ≤ %.2f×", mb[1]/mb[0], bound)
 			}
 		})
 	}

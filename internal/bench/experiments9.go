@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"time"
 
 	"collabwf/internal/core"
 	"collabwf/internal/data"
@@ -39,14 +40,16 @@ const (
 // body open (crowdsourcing with a served client's bindings, and a revision
 // chain naming the latest revision), and measure bytes and allocations per
 // Run.FireRule at each size: the seeded, limit-1 body completion keeps them
-// flat. Every bound is exact arithmetic on allocator statistics, not a
-// clock ratio, so it is asserted in every mode.
+// flat. At each size an explainer of every peer over the run retains heap
+// linear in it, even on the revision chain. Every bound is exact
+// arithmetic on allocator statistics, not a clock ratio, so it is asserted
+// in every mode; SyncTo's µs per event is reported only.
 func E21RunLength(quick bool) (*Table, error) {
 	t := &Table{
 		ID:      "E21",
-		Title:   "run-length sweep: retained heap and cost per event of Run.Append and a 4-peer SyncTo (hiring); cost per Run.FireRule (crowdsourcing, revision chain)",
+		Title:   "run-length sweep: retained heap and cost per event of Run.Append and a 4-peer SyncTo (hiring); cost per Run.FireRule and the explainer's retained heap and SyncTo cost (crowdsourcing, revision chain)",
 		Claim:   "§4: each new event costs one T_p application plus set unions — a run's memory is linear in its length",
-		Columns: []string{"run", "op", "events", "heap MB", "×prev", "bound", "B/op", "allocs/op", "allocs bound", "SyncTo B/ev"},
+		Columns: []string{"run", "op", "events", "heap MB", "×prev", "bound", "B/op", "allocs/op", "allocs bound", "SyncTo B/ev", "SyncTo µs/ev"},
 	}
 	sizes := []int{1000, 2000, 4000, 8000, 10000}
 	if quick {
@@ -85,21 +88,15 @@ func E21RunLength(quick bool) (*Table, error) {
 		live := liveHeapBytes()
 		mb := float64(live-min(base, live)) / (1 << 20)
 		runtime.KeepAlive(exps)
-		ratio, bound := "—", "—"
-		if k > 0 {
-			r := mb / prevMB
-			limit := math.Pow(e21HeapPerDoubling, math.Log2(float64(n)/float64(sizes[k-1])))
-			ratio, bound = fmt.Sprintf("%.2f", r), fmt.Sprintf("%.2f", limit)
-			if r > limit {
-				return nil, fmt.Errorf("E21: retained heap grew %.2f× from %d to %d events, bound %.2f× (%.1f× per doubling)",
-					r, sizes[k-1], n, limit, e21HeapPerDoubling)
-			}
+		ratio, bound, err := heapGrowth("hiring", prevMB, mb, sizes, k)
+		if err != nil {
+			return nil, err
 		}
 		prevMB = mb
 		fn := float64(n)
 		t.AddRow("hiring", "Append", fmt.Sprint(n), fmt.Sprintf("%.1f", mb), ratio, bound,
 			fmt.Sprintf("%.0f", float64(appendB)/fn), fmt.Sprintf("%.1f", float64(appendAllocs)/fn), "—",
-			fmt.Sprintf("%.0f", float64(syncB)/fn))
+			fmt.Sprintf("%.0f", float64(syncB)/fn), "—")
 	}
 	crowd, err := workload.Crowdsourcing(2)
 	if err != nil {
@@ -114,7 +111,7 @@ func E21RunLength(quick bool) (*Table, error) {
 		{"revisions", workload.Revisions(), workload.RevisionFiring},
 	} {
 		run := program.NewRun(sw.prog)
-		var b0, m0 float64
+		var b0, m0, prevMB float64
 		for k, n := range sizes {
 			for run.Len() < n {
 				f := sw.next(run.Len())
@@ -122,6 +119,14 @@ func E21RunLength(quick bool) (*Table, error) {
 					return nil, fmt.Errorf("E21: %s event %d: %w", sw.name, run.Len(), err)
 				}
 			}
+			mb, syncUS := explainerFootprint(run, n)
+			ratio, bound, err := heapGrowth(sw.name+" explainer", prevMB, mb, sizes, k)
+			if err != nil {
+				return nil, err
+			}
+			prevMB = mb
+			t.AddRow(sw.name, "explainer", fmt.Sprint(n), fmt.Sprintf("%.2f", mb), ratio, bound, "—", "—", "—", "—",
+				fmt.Sprintf("%.1f", syncUS))
 			// 700 fires: 100 whole crowdsourcing tasks.
 			b, m, err := workload.FireCost(run, sw.next, 700)
 			if err != nil {
@@ -140,13 +145,44 @@ func E21RunLength(quick bool) (*Table, error) {
 					sw.name, m, n, allocBound)
 			}
 			t.AddRow(sw.name, "FireRule", fmt.Sprint(n), "—", "—", "—",
-				fmt.Sprintf("%.0f", b), fmt.Sprintf("%.1f", m), fmt.Sprintf("%.1f", allocBound), "—")
+				fmt.Sprintf("%.0f", b), fmt.Sprintf("%.1f", m), fmt.Sprintf("%.1f", allocBound), "—", "—")
 		}
 	}
 	t.Notef("retained heap bound %.1f× per doubling (scaled by log2 of each step), asserted in every mode", e21HeapPerDoubling)
 	t.Notef("FireRule cost bounds against the first size: bytes ≤ %.2f×, allocations ≤ +%d up to 4× and +%d per doubling beyond, asserted in every mode",
 		e21FireBytes, e21FireAllocs, e21FireAllocsPerDoubling)
 	return t, nil
+}
+
+// heapGrowth checks the growth of retained heap from mb0 MB at sizes[k-1]
+// events to mb at sizes[k] against e21HeapPerDoubling and returns both as
+// table cells, dashes at the first size.
+func heapGrowth(what string, mb0, mb float64, sizes []int, k int) (ratio, bound string, err error) {
+	if k == 0 {
+		return "—", "—", nil
+	}
+	n0, n := sizes[k-1], sizes[k]
+	r := mb / mb0
+	limit := math.Pow(e21HeapPerDoubling, math.Log2(float64(n)/float64(n0)))
+	if r > limit {
+		return "", "", fmt.Errorf("E21: %s retained heap grew %.2f× from %d to %d events, bound %.2f× (%.1f× per doubling)",
+			what, r, n0, n, limit, e21HeapPerDoubling)
+	}
+	return fmt.Sprintf("%.2f", r), fmt.Sprintf("%.2f", limit), nil
+}
+
+// explainerFootprint builds an explainer of every peer over the first n
+// events of run and returns the heap it retains, in MB, and its SyncTo's
+// µs per event.
+func explainerFootprint(run *program.Run, n int) (mb, usPerEvent float64) {
+	base := liveHeapBytes()
+	start := time.Now()
+	ex := core.NewRunExplainerAt(run, run.Prog.Peers(), 0)
+	ex.SyncTo(n)
+	usPerEvent = float64(time.Since(start).Nanoseconds()) / 1e3 / float64(n)
+	live := liveHeapBytes()
+	runtime.KeepAlive(ex)
+	return float64(live-min(base, live)) / (1 << 20), usPerEvent
 }
 
 // liveHeapBytes is the heap still reachable after two full collections.

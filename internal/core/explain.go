@@ -7,10 +7,10 @@
 // equivalent for p and faithful to what actually happened — and per-event
 // explanations, using the incremental algorithm of Section 4.
 //
-// Static explanations (Section 5): Synthesize builds, for transparent and
-// h-bounded programs, a view program whose rules describe every transition
-// the peer can observe together with its provenance; CheckBounded and
-// CheckTransparent decide the two hypotheses.
+// Static explanations (Section 5) live in their own packages: synth builds,
+// for transparent and h-bounded programs, a view program whose rules
+// describe every transition the peer can observe together with its
+// provenance, and transparency decides the two hypotheses.
 package core
 
 import (
@@ -22,6 +22,7 @@ import (
 	"collabwf/internal/faithful"
 	"collabwf/internal/jsonw"
 	"collabwf/internal/program"
+	"collabwf/internal/scenario"
 	"collabwf/internal/schema"
 )
 
@@ -75,12 +76,10 @@ func (e *Explainer) MinimalScenario() []int { return e.maint.Minimal(e.Peer).Sor
 // depends on (plus itself), whether or not it is visible to the peer.
 func (e *Explainer) ExplainEvent(i int) []int { return e.maint.Explanation(e.Peer, i).Sorted() }
 
-// ScenarioRun replays the minimal faithful scenario as a standalone run
-// (Lemma 4.6 guarantees this succeeds).
+// ScenarioRun replays the minimal faithful scenario of the synced prefix
+// as a standalone run (Lemma 4.6 guarantees this succeeds).
 func (e *Explainer) ScenarioRun() (*program.Run, error) {
-	a := faithful.NewAnalysis(e.Run)
-	_, sub, err := faithful.Minimal(a, e.Peer)
-	return sub, err
+	return scenario.Replay(e.Run, e.MinimalScenario())
 }
 
 // Report builds a structured, human-readable explanation of the run from
@@ -90,7 +89,8 @@ func (e *Explainer) Report() *Report {
 	// Describe only the synced prefix (the freeze covers exactly it):
 	// events past it (buffered but not yet released by the caller) must
 	// not leak into the report.
-	return e.Freeze().ReportOver(e.Run, e.Run.VisibleEvents(e.Peer))
+	fz := e.Freeze()
+	return fz.ReportOver(e.Run, fz.Visible())
 }
 
 // Freeze captures the explainer's state as an immutable FrozenExplainer
@@ -155,11 +155,10 @@ func (f *FrozenExplainer) ExplainEvent(i int) []int { return f.fz.Explanation(i)
 // callers must not modify it.
 func (f *FrozenExplainer) Visible() []int { return f.fz.Visible() }
 
-// AppendExplanation appends ExplainEvent(i) to dst and returns the
-// extended slice, so a caller walking many events can reuse one buffer.
-func (f *FrozenExplainer) AppendExplanation(dst []int, i int) []int {
-	return f.fz.AppendExplanation(dst, i)
-}
+// Walker returns a walker of the capture's explanations: its Explain(i)
+// is ExplainEvent(i) in a slice the next call reuses, so a caller walking
+// many events reuses one scratch.
+func (f *FrozenExplainer) Walker() *faithful.Walker { return f.fz.Walker() }
 
 // ReportOver builds the peer's explanation report over rr, whose first
 // Len() events must be the prefix the explainer was frozen at; visible
@@ -233,7 +232,7 @@ func (f *FrozenExplainer) WriteJSON(out *bufio.Writer, rr RunReader, digest io.W
 // allocates a handful of buffers whatever the run's length.
 type reportWriter struct {
 	rr      RunReader
-	fz      *faithful.Frozen
+	walker  *faithful.Walker
 	peer    schema.Peer
 	visible []int
 	// out receives the streamed body (nil when building a Report).
@@ -242,9 +241,9 @@ type reportWriter struct {
 	// explained[j] is set once event j has been reported, as a transition
 	// or under one.
 	explained []bool
-	// ex is the current transition's explanation; because and pending are
-	// its events not reported yet, earlier and later than the transition.
-	ex, because, pending []int
+	// because and pending are the current transition's explanation's
+	// events not reported yet, earlier and later than the transition.
+	because, pending []int
 	// change holds the change or text line being rendered; esc holds what
 	// is written next, JSON-escaped.
 	change, esc []byte
@@ -253,7 +252,7 @@ type reportWriter struct {
 // newReportWriter returns a writer of f's report over rr; out is nil when
 // the writer builds a Report.
 func (f *FrozenExplainer) newReportWriter(rr RunReader, visible []int, out *bufio.Writer) *reportWriter {
-	return &reportWriter{rr: rr, fz: f.fz, peer: f.Peer, visible: visible, out: out, explained: make([]bool, f.fz.Len())}
+	return &reportWriter{rr: rr, walker: f.fz.Walker(), peer: f.Peer, visible: visible, out: out, explained: make([]bool, f.fz.Len())}
 }
 
 // walk calls yield for each visible event i below the frozen prefix's
@@ -262,14 +261,12 @@ func (f *FrozenExplainer) newReportWriter(rr RunReader, visible []int, out *bufi
 // later ones as pending. The slices are reused by the next call.
 func (w *reportWriter) walk(yield func(i int, because, pending []int)) {
 	clear(w.explained)
-	n := w.fz.Len()
 	for _, i := range w.visible {
-		if i >= n {
+		if i >= len(w.explained) {
 			break
 		}
-		w.ex = w.fz.AppendExplanation(w.ex[:0], i)
 		w.because, w.pending = w.because[:0], w.pending[:0]
-		for _, j := range w.ex {
+		for _, j := range w.walker.Explain(i) {
 			switch {
 			case j == i || w.explained[j]:
 			case j < i:

@@ -52,6 +52,29 @@ func TestExplainerIncrementalSync(t *testing.T) {
 	}
 }
 
+// An explainer synced to a prefix replays the scenario of that prefix,
+// not of the whole run: events appended after it do not leak in.
+func TestScenarioRunCoversSyncedPrefix(t *testing.T) {
+	p := workload.Hiring()
+	r := program.NewRun(p)
+	e := r.MustFireRule("clear", nil)
+	cand := e.Updates[0].Key
+	r.MustFireRule("cfo_ok", map[string]data.Value{"x": cand})
+	r.MustFireRule("approve", map[string]data.Value{"x": cand})
+	r.MustFireRule("hire", map[string]data.Value{"x": cand})
+	ex := NewExplainerAt(r, "sue", 2)
+	if got := ex.MinimalScenario(); len(got) != 1 || got[0] != 0 {
+		t.Fatalf("MinimalScenario at 2 of 4 events = %v, want [0]", got)
+	}
+	sub, err := ex.ScenarioRun()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sub.Len() != 1 || sub.Event(0).Rule.Name != "clear" {
+		t.Fatalf("ScenarioRun at 2 of 4 events has %d events, want the one clear", sub.Len())
+	}
+}
+
 func TestReportRendering(t *testing.T) {
 	p := workload.Hiring()
 	r := program.NewRun(p)

@@ -71,14 +71,21 @@ type fill struct {
 	pos []int
 }
 
-// rows is a ragged per-event table of lifecycle ids: row i is
-// ids[off[i]:off[i+1]], and off starts at 0.
+// rows is a ragged per-event table of ids (lifecycles or events): row i
+// is ids[off[i]:off[i+1]], and off starts at 0.
 type rows struct {
 	off []int32
 	ids []int32
 }
 
 func (t *rows) row(i int) []int32 { return t.ids[t.off[i]:t.off[i+1]] }
+
+// prefix returns the table of the first n rows, its slices capped so that
+// appending to t never writes what it reads.
+func (t *rows) prefix(n int) rows {
+	end := t.off[n]
+	return rows{off: t.off[: n+1 : n+1], ids: t.ids[:end:end]}
+}
 
 // endRow closes the next event's row, holding the ids added since the
 // previous call.

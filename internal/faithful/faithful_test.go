@@ -2,9 +2,11 @@ package faithful
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"collabwf/internal/data"
+	"collabwf/internal/parse"
 	"collabwf/internal/program"
 	"collabwf/internal/query"
 	"collabwf/internal/rule"
@@ -330,6 +332,54 @@ func TestMaintainerAcrossLifecycles(t *testing.T) {
 	}
 	if m.Len() != 4 {
 		t.Fatalf("Len=%d", m.Len())
+	}
+}
+
+// An event visible at p whose other key's lifecycle is later closed by an
+// event p does not see pulls that closing event into the minimal scenario
+// (boundary faithfulness), though nothing visible depends on it yet.
+func TestMinimalFollowsInvisibleRightBoundary(t *testing.T) {
+	spec, err := parse.Parse(`workflow Drop
+relation R(K)
+relation S(K)
+peer p {
+    view S(K)
+}
+peer q {
+    view R(K)
+    view S(K)
+}
+rule make at q:
+    +R(x), +S(y) :- true
+rule drop at q:
+    -R(x) :- R(x)
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := program.NewRun(spec.Program)
+	e := r.MustFireRule("make", nil)
+	r.MustFireRule("make", nil)
+	var x data.Value
+	for _, u := range e.Updates {
+		if u.Rel == "R" {
+			x = u.Key
+		}
+	}
+	r.MustFireRule("drop", map[string]data.Value{"x": x})
+	if r.VisibleAt(2, "p") {
+		t.Fatal("drop is visible at p")
+	}
+	m := NewMaintainer(r, "p")
+	want := Fixpoint(NewAnalysis(r), NewSeq(r.VisibleEvents("p")...), "p")
+	if !want.Equal(NewSeq(0, 1, 2)) {
+		t.Fatalf("fixpoint %v, want [0 1 2]", want)
+	}
+	if got := m.Minimal("p"); !got.Equal(want) {
+		t.Fatalf("Minimal %v, fixpoint %v", got, want)
+	}
+	if got := m.Freeze("p").Minimal(); !slices.Equal(got, want.Sorted()) {
+		t.Fatalf("frozen Minimal %v, fixpoint %v", got, want)
 	}
 }
 

@@ -38,9 +38,10 @@ import (
 //     per (step, peer): a read renders the view from the rows' memoized
 //     lines, straight into the response.
 //   - exp holds O(1) per-peer freezes of the coordinator's explainer:
-//     length-capped headers of append-only logs (explanations, minimal
-//     scenario, visible events), which the maintainer only extends past
-//     the prefix a freeze covers (see faithful.Maintainer.Freeze).
+//     length-capped headers of append-only tables (requirement graph,
+//     minimal scenario, visible events) the maintainer extends only past
+//     a freeze's prefix, and right boundaries, each stored once
+//     atomically and followed only below that prefix (see faithful.Frozen).
 //   - atomic.Pointer.Store/Load give release/acquire ordering: everything
 //     written before the Store (the prefix, the caches, the freezes) is
 //     visible to any reader that Loads the new pointer. The predecessor's
@@ -223,8 +224,9 @@ func (c *Coordinator) Transitions(peer schema.Peer, from int) ([]Notification, i
 		return nil, 0, err
 	}
 	var out []Notification
+	ex := s.exp[peer].Walker()
 	for _, idx := range s.visibleFrom(peer, from) {
-		n := s.notification(peer, idx, s.exp[peer].ExplainEvent(idx))
+		n := s.notification(peer, idx, ex.Explain(idx))
 		n.View = s.viewAt(idx, peer).String()
 		out = append(out, n)
 	}
@@ -234,8 +236,8 @@ func (c *Coordinator) Transitions(peer schema.Peer, from int) ([]Notification, i
 // writeTransitionsJSON streams Transitions' answer as encoding/json
 // encodes map[string]any{"transitions": ts, "len": n}: keys sorted, null
 // for no transitions, a trailing newline. Each view is written straight
-// from its rows' memoized lines, and every explanation is read into one
-// reused buffer.
+// from its rows' memoized lines, and every explanation is walked with one
+// reused scratch.
 func (s *snapshot) writeTransitionsJSON(w *bufio.Writer, peer schema.Peer, from int) {
 	w.WriteString(`{"len":`)
 	jsonw.WriteInt(w, s.Len())
@@ -246,12 +248,11 @@ func (s *snapshot) writeTransitionsJSON(w *bufio.Writer, peer schema.Peer, from 
 		return
 	}
 	sep := byte('[')
-	var ex []int
+	ex := s.exp[peer].Walker()
 	for _, idx := range idxs {
 		w.WriteByte(sep)
 		sep = ','
-		ex = s.exp[peer].AppendExplanation(ex[:0], idx)
-		n := s.notification(peer, idx, ex)
+		n := s.notification(peer, idx, ex.Explain(idx))
 		n.writeJSON(w, s.viewAt(idx, peer))
 	}
 	w.WriteString("]}\n")
