@@ -3,7 +3,10 @@
 // JSON HTTP API, a per-run coordinator serializes them into that run, and
 // each peer can fetch its view, its visible transitions, and faithful
 // explanations of what it observed. Optional guards enforce transparency
-// and h-boundedness for selected peers by rejecting violating submissions.
+// and h-boundedness for selected peers by rejecting violating submissions:
+// -guard installs them on every run that starts with no event and no
+// guard (a named run at creation, a data dir on its first boot), and a
+// recovered run keeps the guards it was started with.
 //
 // Every request is hash-routed to its run's shard — an independent
 // coordinator with its own lock, observable-prefix snapshot, explainer
@@ -49,7 +52,8 @@
 // With -profile-rules the rule-engine profiler attributes evaluation cost
 // per rule on the default run (wf_rule_* / wf_query_* metric families and
 // /debug/rules rankings); off by default because attribution adds clock
-// reads to the submit path.
+// reads to the submit path. It is attached when the run is built, so a
+// recovered run's reads are counted from the first request.
 //
 // -request-timeout bounds the time to each response's first byte: a
 // handler that has written nothing by then is answered 503, while a
@@ -188,6 +192,17 @@ func main() {
 		fmt.Printf("decision log streaming to %s\n", sink.Describe())
 	}
 
+	// The rule-engine profiler attributes evaluation cost per rule across
+	// the default run's live run, reads and guard checks. The Manager gives
+	// it to the default run only, so sibling runs in the fleet never bleed
+	// into its tallies.
+	var profiler *prof.Profiler
+	if *profileRules {
+		profiler = prof.New()
+		profiler.Instrument(reg)
+		fmt.Println("rule-engine profiler on for the default run (wf_rule_*, /debug/rules)")
+	}
+
 	var syncPolicy wal.SyncPolicy
 	if *dataDir != "" {
 		syncPolicy, err = wal.ParsePolicy(*fsync)
@@ -204,6 +219,8 @@ func main() {
 			Strict:      *walStrict,
 			IdemWindow:  *idemWindow,
 			DecisionLog: declogger,
+			Guards:      guardMap,
+			Profiler:    profiler,
 		},
 		HTTP: server.HTTPOptions{
 			RequestTimeout: *requestTimeout,
@@ -214,7 +231,6 @@ func main() {
 		},
 		Registry: reg,
 		Logger:   logger,
-		Guards:   guardMap,
 	})
 	if err != nil {
 		fatal(err)
@@ -228,17 +244,6 @@ func main() {
 		if events > 0 || len(runs) > 1 {
 			fmt.Printf("recovered %d runs (%d events) from %s\n", len(runs), events, *dataDir)
 		}
-	}
-	// The rule-engine profiler attributes evaluation cost per rule across
-	// the default run's live run, reads, guard checks and decider searches.
-	// Every count reaches it through the default run's own sink, so sibling
-	// runs in the fleet never bleed into its tallies.
-	var profiler *prof.Profiler
-	if *profileRules {
-		profiler = prof.New()
-		m.Default().SetProfiler(profiler)
-		profiler.Instrument(reg)
-		fmt.Println("rule-engine profiler on for the default run (wf_rule_*, /debug/rules)")
 	}
 
 	srv := &http.Server{Addr: *addr, Handler: m.Handler()}

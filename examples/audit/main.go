@@ -27,8 +27,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	c := server.New("StagedHiring", staged)
-	if err := c.Guard("sue", 3); err != nil {
+	c, err := server.NewDurable("StagedHiring", staged,
+		server.DurabilityConfig{Guards: map[string]int{"sue": 3}})
+	if err != nil {
 		log.Fatal(err)
 	}
 

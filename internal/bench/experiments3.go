@@ -73,11 +73,13 @@ func E14Coordinator(quick bool) (*Table, error) {
 	for _, k := range episodes {
 		script := buildHiringScript(k)
 		runOnce := func(guard bool) (time.Duration, int, error) {
-			c := server.New("Staged", staged)
+			var cfg server.DurabilityConfig
 			if guard {
-				if err := c.Guard("sue", 3); err != nil {
-					return 0, 0, err
-				}
+				cfg.Guards = map[string]int{"sue": 3}
+			}
+			c, err := server.NewDurable("Staged", staged, cfg)
+			if err != nil {
+				return 0, 0, err
 			}
 			start := time.Now()
 			if err := playOnCoordinator(c, script); err != nil {

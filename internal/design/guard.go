@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"collabwf/internal/prof"
 	"collabwf/internal/program"
 	"collabwf/internal/schema"
 )
@@ -20,7 +19,6 @@ type Guard struct {
 	run      *program.Run
 	mons     []*Monitor // sorted by peer: Check reports the first violated
 	admitted int
-	prof     *prof.Profiler
 }
 
 // NewGuard guards the peers of budgets (peer → step budget h) on r,
@@ -34,10 +32,6 @@ func NewGuard(r *program.Run, budgets map[schema.Peer]int) *Guard {
 	sort.Slice(g.mons, func(i, j int) bool { return g.mons[i].peer < g.mons[j].peer })
 	return g
 }
-
-// SetProfiler attributes each per-peer check to the profiler's guard
-// series (wf_guard_*); nil detaches.
-func (g *Guard) SetProfiler(p *prof.Profiler) { g.prof = p }
 
 // Peers returns the guarded peers in check order.
 func (g *Guard) Peers() []schema.Peer {
@@ -60,15 +54,18 @@ func (g *Guard) Budgets() map[schema.Peer]int {
 // Check tests the run's newest event, the only one not yet committed,
 // against every guarded peer in order without changing any monitor. It
 // returns the first peer the event would violate and the reason, or ok.
+// Each per-peer check is attributed to the guard series (wf_guard_*) of the
+// run's profiler, when it has one.
 func (g *Guard) Check() (peer schema.Peer, reason string, ok bool) {
 	i := g.run.Len() - 1
 	if i != g.admitted {
 		panic(fmt.Sprintf("design: Guard.Check on a run of %d events, %d admitted", i+1, g.admitted))
 	}
 	e := g.run.Event(i)
+	p := g.run.Profiler().Profiler()
 	for _, m := range g.mons {
 		var start time.Time
-		if g.prof.Enabled() {
+		if p.Enabled() {
 			start = time.Now()
 		}
 		// Exactly the events processOne records as violations fail.
@@ -76,8 +73,8 @@ func (g *Guard) Check() (peer schema.Peer, reason string, ok bool) {
 		if g.run.VisibleAt(i, m.peer) {
 			ok, _, reason = m.eventStatus(i, e)
 		}
-		if g.prof.Enabled() {
-			g.prof.GuardCheck(string(m.peer), time.Since(start).Nanoseconds(), !ok)
+		if p.Enabled() {
+			p.GuardCheck(string(m.peer), time.Since(start).Nanoseconds(), !ok)
 		}
 		if !ok {
 			return m.peer, reason, false

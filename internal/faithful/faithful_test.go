@@ -335,10 +335,11 @@ func TestMaintainerAcrossLifecycles(t *testing.T) {
 	}
 }
 
-// An event visible at p whose other key's lifecycle is later closed by an
-// event p does not see pulls that closing event into the minimal scenario
-// (boundary faithfulness), though nothing visible depends on it yet.
-func TestMinimalFollowsInvisibleRightBoundary(t *testing.T) {
+// dropProgram is a two-key head whose first key q can later delete: p sees
+// every make (its S key) but no drop, so each drop closes, out of p's
+// sight, a lifecycle holding a key of an event p saw.
+func dropProgram(tb testing.TB) *program.Program {
+	tb.Helper()
 	spec, err := parse.Parse(`workflow Drop
 relation R(K)
 relation S(K)
@@ -355,9 +356,16 @@ rule drop at q:
     -R(x) :- R(x)
 `)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	r := program.NewRun(spec.Program)
+	return spec.Program
+}
+
+// An event visible at p whose other key's lifecycle is later closed by an
+// event p does not see pulls that closing event into the minimal scenario
+// (boundary faithfulness), though nothing visible depends on it yet.
+func TestMinimalFollowsInvisibleRightBoundary(t *testing.T) {
+	r := program.NewRun(dropProgram(t))
 	e := r.MustFireRule("make", nil)
 	r.MustFireRule("make", nil)
 	var x data.Value

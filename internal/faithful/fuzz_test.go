@@ -8,10 +8,11 @@ import (
 	"collabwf/internal/workload"
 )
 
-// FuzzFrozenMatchesFixpoint grows a seeded random run of one of three
+// FuzzFrozenMatchesFixpoint grows a seeded random run of one of four
 // programs — crowdsourcing with two workers, the revision chain (random
-// revise bindings make it a revision tree) or Hiring — through one
-// maintainer of every peer, freezing after each event. Once the run is
+// revise bindings make it a revision tree), Hiring, or Drop, whose events
+// invisible to p close lifecycles holding keys of events p saw — through
+// one maintainer of every peer, freezing after each event. Once the run is
 // complete, every capture's Minimal and Explanation(f) must equal the
 // from-scratch fixpoint over the capture's prefix.
 //
@@ -21,7 +22,7 @@ func FuzzFrozenMatchesFixpoint(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	progs := []*program.Program{crowd, workload.Revisions(), workload.Hiring()}
+	progs := []*program.Program{crowd, workload.Revisions(), workload.Hiring(), dropProgram(f)}
 	for k := range progs {
 		f.Add(uint8(k), int64(1), uint8(40))
 	}

@@ -14,10 +14,10 @@
 //
 // A coordinator is configured once, at construction: NewDurable builds it
 // from a DurabilityConfig — its data directory (none = in memory), run id,
-// logger, decision log, idempotency window and metric registry — and New
-// is the zero-config in-memory shorthand. Nothing of that changes while
-// the coordinator serves. A Manager builds one coordinator per run from a
-// shared template.
+// logger, decision log, idempotency window, metric registry, the guards of
+// a fresh run and the rule-engine profiler — and New is the zero-config
+// in-memory shorthand. Nothing of that changes while the coordinator
+// serves. A Manager builds one coordinator per run from a shared template.
 package server
 
 import (
@@ -36,7 +36,6 @@ import (
 	"collabwf/internal/declog"
 	"collabwf/internal/design"
 	"collabwf/internal/obs"
-	"collabwf/internal/prof"
 	"collabwf/internal/program"
 	"collabwf/internal/schema"
 	"collabwf/internal/trace"
@@ -125,11 +124,6 @@ type Coordinator struct {
 	// dlog is the decision-log pipeline (nil when none); see declog.go.
 	dlog *declog.Logger
 
-	// profiler is the attached rule-engine cost profiler (nil when off);
-	// SetProfiler wires its "engine" scope into the run and the guard-check
-	// attribution below. All hooks are nil-safe.
-	profiler *prof.Profiler
-
 	// metrics (nil without a registry) and logger (never nil) are the
 	// observability hooks; see metrics.go.
 	metrics *Metrics
@@ -151,61 +145,6 @@ type Coordinator struct {
 
 // RunID returns the coordinator's run id ("" in single-run mode).
 func (c *Coordinator) RunID() string { return c.runID }
-
-// SetProfiler attaches a rule-engine cost profiler to the coordinator: the
-// live run's candidate enumeration, fires and replays are attributed under
-// the "engine" phase, and every guard check is timed per guarded peer. Call
-// it before serving traffic; nil detaches.
-func (c *Coordinator) SetProfiler(p *prof.Profiler) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.profiler = p
-	c.run.SetProfiler(p.Scope("engine"))
-	c.guard.SetProfiler(p)
-}
-
-// Profiler returns the attached profiler (nil when profiling is off).
-func (c *Coordinator) Profiler() *prof.Profiler {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.profiler
-}
-
-// Guard enforces transparency and h-boundedness for the peer: submissions
-// (by anyone) that would violate either are rejected. Must be called
-// before any submission.
-func (c *Coordinator) Guard(peer schema.Peer, h int) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.prog.Schema.HasPeer(peer) {
-		return fmt.Errorf("server: unknown peer %s", peer)
-	}
-	if c.run.Len() > 0 {
-		return fmt.Errorf("server: guards must be installed before the run starts")
-	}
-	if h < 1 {
-		return fmt.Errorf("server: guard budget must be ≥ 1")
-	}
-	prev := c.guard
-	budgets := prev.Budgets()
-	budgets[peer] = h
-	c.guard = design.NewGuard(c.run, budgets)
-	c.guard.SetProfiler(c.profiler)
-	// Guards are part of the durable configuration: persist them so a
-	// recovered coordinator enforces the same policy. The run is empty, so
-	// the log holds nothing they could be out of step with.
-	if c.log != nil {
-		if err := wal.WriteGuards(c.log.Dir(), c.name, c.guardsLocked()); err != nil {
-			c.guard = prev
-			return fmt.Errorf("server: persisting guard: %w", err)
-		}
-	}
-	// Logged so an audit of the decision stream knows which policies the
-	// later submission verdicts were decided under.
-	c.decide(context.Background(), nil, declog.Decision{Kind: declog.KindGuard,
-		Decision: declog.Installed, Peer: string(peer), H: h, Index: -1}, nil)
-	return nil
-}
 
 // Certify statically certifies the coordinator's program for a peer: it
 // runs the h-boundedness and transparency deciders (Theorems 5.10/5.11) so
@@ -291,13 +230,16 @@ func certifySearch(ctx context.Context, prog *program.Program, peer schema.Peer,
 // rule must belong to the submitting peer. Under guards, a violating event
 // is rejected and the run left unchanged.
 func (c *Coordinator) Submit(peer schema.Peer, ruleName string, bindings map[string]data.Value) (*SubmitResult, error) {
-	return c.SubmitCtx(context.Background(), peer, ruleName, bindings)
+	return c.submitCtx(context.Background(), peer, ruleName, bindings, "")
 }
 
-// SubmitCtx is Submit with a caller context, so the submission joins the
-// caller's trace (HTTP request span → coordinator.submit → guard_check /
-// wal.append / wal.fsync child spans) and log lines carry its
-// trace_id.
+// submitCtx is the submission pipeline shared by Submit (no key) and
+// SubmitIdemCtx (key reserved by the caller); idemKey rides inside the WAL
+// record so a recovered coordinator can dedupe post-crash retries. Every
+// submission ends in exactly one decision, emitted here. The submission
+// joins the caller's trace (HTTP request span → coordinator.submit →
+// guard_check / wal.append / wal.fsync child spans) and its log lines
+// carry the trace_id.
 //
 // Under a durable SyncAlways coordinator, submission is a two-stage
 // pipeline: run mutation, guard checks and the WAL *buffer* append happen
@@ -308,14 +250,6 @@ func (c *Coordinator) Submit(peer schema.Peer, ruleName string, bindings map[str
 // works. The result is returned and the event published only after the
 // batch is durable; a failed batch sync rolls every event of the batch
 // back, in reverse order, before any of them became observable.
-func (c *Coordinator) SubmitCtx(ctx context.Context, peer schema.Peer, ruleName string, bindings map[string]data.Value) (*SubmitResult, error) {
-	return c.submitCtx(ctx, peer, ruleName, bindings, "")
-}
-
-// submitCtx is the submission pipeline shared by SubmitCtx (no key) and
-// SubmitIdemCtx (key reserved by the caller); idemKey rides inside the WAL
-// record so a recovered coordinator can dedupe post-crash retries. Every
-// submission ends in exactly one decision, emitted here.
 func (c *Coordinator) submitCtx(ctx context.Context, peer schema.Peer, ruleName string, bindings map[string]data.Value, idemKey string) (*SubmitResult, error) {
 	ctx, sp := obs.StartSpan(ctx, "coordinator.submit")
 	sp.SetAttr("peer", string(peer))

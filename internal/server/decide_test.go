@@ -60,7 +60,7 @@ func TestDecisionChannelsAgree(t *testing.T) {
 	submitTo := func(c *Coordinator, peer, rule string, bind map[string]data.Value) (*SubmitResult, error) {
 		ctx, end := op("submit")
 		defer end()
-		return c.SubmitCtx(ctx, schema.Peer(peer), rule, bind)
+		return c.SubmitIdemCtx(ctx, schema.Peer(peer), rule, bind, "")
 	}
 	mustReject := func(c *Coordinator, peer, rule string, bind map[string]data.Value) {
 		t.Helper()
@@ -129,10 +129,7 @@ func TestDecisionChannelsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := open("Staged", staged, DurabilityConfig{RunID: "staged"})
-	if err := g.Guard("sue", 2); err != nil {
-		t.Fatal(err)
-	}
+	g := open("Staged", staged, DurabilityConfig{RunID: "staged", Guards: map[string]int{"sue": 2}})
 	var cand data.Value
 	for _, s := range []struct{ peer, rule string }{
 		{"hr", "stage_refresh_hr"}, {"hr", "clear"}, {"cfo", "stage_refresh_cfo"},

@@ -128,11 +128,9 @@ func TestCoordinatorEmitsGuardAndCertifyDecisions(t *testing.T) {
 		t.Fatal(err)
 	}
 	l, flush := newTestDeclog(t)
-	c := newCoordinator(t, "Staged", staged, DurabilityConfig{DecisionLog: l})
+	c := newCoordinator(t, "Staged", staged, DurabilityConfig{DecisionLog: l,
+		Guards: map[string]int{"sue": 2}})
 
-	if err := c.Guard("sue", 2); err != nil {
-		t.Fatal(err)
-	}
 	c.Submit("hr", "stage_refresh_hr", nil)
 	res, _ := c.Submit("hr", "clear", nil)
 	cand := data.Value(strings.TrimSuffix(strings.TrimPrefix(res.Updates[0], "+Cleared("), ")"))
@@ -284,11 +282,9 @@ func TestServedExplainTextMatchesDigest(t *testing.T) {
 
 func TestRecoveryOpensDecisionStream(t *testing.T) {
 	dir := t.TempDir()
-	c, err := NewDurable("Hiring", workload.Hiring(), DurabilityConfig{Dir: dir, Sync: wal.SyncAlways})
+	c, err := NewDurable("Hiring", workload.Hiring(), DurabilityConfig{Dir: dir, Sync: wal.SyncAlways,
+		Guards: map[string]int{"sue": 3}})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Guard("sue", 3); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Submit("hr", "clear", nil); err != nil {
@@ -314,6 +310,41 @@ func TestRecoveryOpensDecisionStream(t *testing.T) {
 	g := find(recs, declog.KindGuard, declog.Installed)
 	if len(g) != 1 || g[0].Peer != "sue" || g[0].H != 3 || g[0].Reason != "recovered" {
 		t.Fatalf("recovered guard records=%+v", g)
+	}
+}
+
+// TestFreshGuardsLoggedInPeerOrder: a fresh durable run guarded for two
+// peers persists both budgets in its guard file and opens its decision
+// stream with the recovery record, then one guard record per peer in peer
+// order, whatever the config map's iteration order.
+func TestFreshGuardsLoggedInPeerOrder(t *testing.T) {
+	guards := map[string]int{"sue": 2, "hr": 3}
+	for i := 0; i < 8; i++ {
+		dir := t.TempDir()
+		l, flush := newTestDeclog(t)
+		c, err := NewDurable("Hiring", workload.Hiring(), DurabilityConfig{
+			Dir: dir, DecisionLog: l, Guards: guards,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Close()
+		var got []string
+		for _, d := range flush() {
+			got = append(got, d.Kind+":"+d.Peer+":"+d.Reason)
+		}
+		want := "recover::,guard:hr:,guard:sue:"
+		if strings.Join(got, ",") != want {
+			t.Fatalf("decision stream %v, want %s", got, want)
+		}
+		rc, err := NewDurable("Hiring", workload.Hiring(), DurabilityConfig{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g := rc.Guards(); len(g) != 2 || g["sue"] != 2 || g["hr"] != 3 {
+			t.Fatalf("recovered guards %v, want %v", g, guards)
+		}
+		rc.Close()
 	}
 }
 
@@ -423,10 +454,8 @@ func TestDecisionLogOverHTTPAuditsClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := newCoordinator(t, "Hiring", workload.Hiring(), DurabilityConfig{DecisionLog: l})
-	if err := c.Guard("sue", 3); err != nil {
-		t.Fatal(err)
-	}
+	c := newCoordinator(t, "Hiring", workload.Hiring(), DurabilityConfig{DecisionLog: l,
+		Guards: map[string]int{"sue": 3}})
 	ts := httptest.NewServer(Handler(c))
 	defer ts.Close()
 	api := client.New(ts.URL, client.Options{})

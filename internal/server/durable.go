@@ -11,6 +11,7 @@ import (
 	"collabwf/internal/declog"
 	"collabwf/internal/design"
 	"collabwf/internal/obs"
+	"collabwf/internal/prof"
 	"collabwf/internal/program"
 	"collabwf/internal/schema"
 	"collabwf/internal/trace"
@@ -23,8 +24,9 @@ import (
 // decision log (New).
 type DurabilityConfig struct {
 	// Dir is the data directory holding wal.log and, for a guarded run,
-	// the guard file snapshot.json. Empty keeps the run in memory; Sync,
-	// Strict and Failpoints then have nothing to act on.
+	// the guard file snapshot.json, written once when Guards are
+	// installed. Empty keeps the run in memory; Sync, Strict and
+	// Failpoints then have nothing to act on.
 	Dir string
 	// RunID names the workflow instance this coordinator serves within a
 	// run fleet ("" = single-run mode); it is the Run field of every
@@ -59,6 +61,16 @@ type DurabilityConfig struct {
 	// log from this boot sees which policies every later verdict was decided
 	// under. The coordinator does not own the logger; close it after Close.
 	DecisionLog *declog.Logger
+	// Guards (peer → step budget h ≥ 1) are the transparency guards of a
+	// fresh run: installed, persisted and logged at construction when the
+	// run recovers empty and holds no guards of its own. A recovered run
+	// keeps the guards it was started with and ignores these.
+	Guards map[string]int
+	// Profiler, when non-nil, attributes the run's rule-engine cost: its
+	// candidate enumeration, fires and replays under the "engine" phase,
+	// its guard checks per guarded peer and the condition evaluations of
+	// its reads. Recovery itself is not attributed.
+	Profiler *prof.Profiler
 }
 
 // New starts an in-memory coordinator for the program from the empty
@@ -72,15 +84,24 @@ func New(name string, p *program.Program) *Coordinator {
 // the run the directory holds (an empty directory is the trivial
 // recovery): it replays every WAL record (truncating a torn trailing
 // record rather than failing), re-installs the persisted guards and
-// rebuilds the idempotency window from the keyed records. A data dir
+// rebuilds the idempotency window from the keyed records. A run that
+// recovers empty and unguarded takes cfg.Guards instead. A data dir
 // written by an earlier version may also hold a snapshot of a run prefix:
 // it is replayed first and the records it covers are skipped. Every
 // replayed event passes the full run conditions again, so a tampered log
 // is rejected, not replayed. The explainer (one shared analysis for every
 // peer), the guard and the first read snapshot are then built once, over
-// the recovered run.
+// the recovered run, and the profiler is attached before that snapshot.
 func NewDurable(name string, p *program.Program, cfg DurabilityConfig) (*Coordinator, error) {
 	start := time.Now()
+	for peer, h := range cfg.Guards {
+		if !p.Schema.HasPeer(schema.Peer(peer)) {
+			return nil, fmt.Errorf("server: guard for unknown peer %s", peer)
+		}
+		if h < 1 {
+			return nil, fmt.Errorf("server: guard budget for %s must be ≥ 1", peer)
+		}
+	}
 	c := &Coordinator{
 		name:    name,
 		runID:   cfg.RunID,
@@ -101,8 +122,21 @@ func NewDurable(name string, p *program.Program, cfg DurabilityConfig) (*Coordin
 			return nil, err
 		}
 	}
-	// Guards were installed before the run started, so the guard admitted
-	// every recovered event: build it over the recovered run.
+	// Guards are installed before a run's first event, so the guard
+	// admitted every recovered event: build it over the recovered run.
+	install := c.run.Len() == 0 && len(budgets) == 0 && len(cfg.Guards) > 0
+	if install {
+		for peer, h := range cfg.Guards {
+			budgets[schema.Peer(peer)] = h
+		}
+		// Persisted so a recovered coordinator enforces the same policy.
+		if c.log != nil {
+			if err := wal.WriteGuards(c.log.Dir(), c.name, cfg.Guards); err != nil {
+				c.log.Close()
+				return nil, fmt.Errorf("server: persisting guards: %w", err)
+			}
+		}
+	}
 	c.guard = design.NewGuard(c.run, budgets)
 	// Everything recovered was durable before the crash: release it all,
 	// building the explainer over the recovered run — one analysis step per
@@ -111,6 +145,7 @@ func NewDurable(name string, p *program.Program, cfg DurabilityConfig) (*Coordin
 	// the first request.
 	c.observable = c.run.Len()
 	c.explainer = core.NewRunExplainerAt(c.run, p.Peers(), c.observable)
+	c.run.SetProfiler(cfg.Profiler.Scope("engine"))
 	c.publishSnapshotLocked()
 	if cfg.Metrics != nil {
 		run := cfg.RunID
@@ -119,20 +154,24 @@ func NewDurable(name string, p *program.Program, cfg DurabilityConfig) (*Coordin
 		}
 		c.instrument(cfg.Metrics, run, time.Since(start))
 	}
-	if c.log == nil {
-		return c, nil
+	// Open this boot's audit stream: a durable run's recovery record, then
+	// the guards now in force, in peer order, so an audit knows which
+	// policies every later verdict was decided under. Re-logging recovered
+	// guards is deliberate — each log segment is independently auditable —
+	// and the auditor treats a re-install with an unchanged bound as benign.
+	if c.log != nil {
+		c.decide(context.Background(), nil, declog.Decision{Kind: declog.KindRecover,
+			Decision: declog.Recovered, RunLen: c.run.Len(), Index: -1,
+			DurationNS: time.Since(start).Nanoseconds()}, nil)
 	}
-	// Open this boot's audit stream: one recovery record, then the guards
-	// now in force. Re-logging recovered guards is deliberate — each log
-	// segment is independently auditable — and the auditor treats a
-	// re-install with an unchanged bound as benign.
-	c.decide(context.Background(), nil, declog.Decision{Kind: declog.KindRecover,
-		Decision: declog.Recovered, RunLen: c.run.Len(), Index: -1,
-		DurationNS: time.Since(start).Nanoseconds()}, nil)
+	reason := "recovered"
+	if install {
+		reason = ""
+	}
 	for _, peer := range c.guard.Peers() {
 		c.decide(context.Background(), nil, declog.Decision{Kind: declog.KindGuard,
 			Decision: declog.Installed, Peer: string(peer), H: budgets[peer], Index: -1,
-			Reason: "recovered"}, nil)
+			Reason: reason}, nil)
 	}
 	return c, nil
 }

@@ -214,11 +214,8 @@ func TestGuardPersistedAcrossRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	c, err := NewDurable("Staged", staged, DurabilityConfig{Dir: dir})
+	c, err := NewDurable("Staged", staged, DurabilityConfig{Dir: dir, Guards: map[string]int{"sue": 2}})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Guard("sue", 2); err != nil {
 		t.Fatal(err)
 	}
 	mustSubmit := func(c *Coordinator, peer schema.Peer, rule string, bind map[string]data.Value) *SubmitResult {
@@ -254,6 +251,51 @@ func TestGuardPersistedAcrossRecovery(t *testing.T) {
 	}
 }
 
+// TestConfigGuardsOnlyGuardFreshRuns: Guards are installed before a run's
+// first event or not at all. A recovered non-empty unguarded run stays
+// unguarded, a recovered guarded run keeps its persisted budgets even when
+// it holds no event, and a config naming an unknown peer or a budget below
+// 1 is refused.
+func TestConfigGuardsOnlyGuardFreshRuns(t *testing.T) {
+	prog := workload.Hiring()
+	open := func(dir string, guards map[string]int) *Coordinator {
+		t.Helper()
+		c, err := NewDurable("Hiring", prog, DurabilityConfig{Dir: dir, Guards: guards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	started := t.TempDir()
+	c := open(started, nil)
+	if _, err := c.Submit("hr", "clear", nil); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	c = open(started, map[string]int{"sue": 2})
+	if g := c.Guards(); len(g) != 0 {
+		t.Fatalf("recovered non-empty run took config guards %v", g)
+	}
+	c.Close()
+	if _, err := os.Stat(filepath.Join(started, "snapshot.json")); !os.IsNotExist(err) {
+		t.Fatalf("an unguarded run wrote a guard file (stat: %v)", err)
+	}
+
+	guarded := t.TempDir()
+	open(guarded, map[string]int{"sue": 2}).Close()
+	c = open(guarded, map[string]int{"sue": 5, "hr": 1})
+	if g := c.Guards(); len(g) != 1 || g["sue"] != 2 {
+		t.Fatalf("recovered guarded run has guards %v, want its persisted sue=2", g)
+	}
+	c.Close()
+
+	for _, bad := range []map[string]int{{"nobody": 2}, {"sue": 0}} {
+		if _, err := NewDurable("Hiring", prog, DurabilityConfig{Guards: bad}); err == nil {
+			t.Fatalf("guards %v accepted", bad)
+		}
+	}
+}
+
 // TestGuardRewindsAfterFailedGroupSync: a failed group fsync drops an event
 // the guard had admitted — a clear that closes sue's stage — and the stall
 // rollback rewinds the guard with the run. Every later submission gets the
@@ -265,15 +307,13 @@ func TestGuardRewindsAfterFailedGroupSync(t *testing.T) {
 		t.Fatal(err)
 	}
 	fp := wal.NewFailpoints()
-	c, err := NewDurable("Staged", staged, DurabilityConfig{Dir: t.TempDir(), Sync: wal.SyncAlways, Failpoints: fp})
+	c, err := NewDurable("Staged", staged, DurabilityConfig{Dir: t.TempDir(), Sync: wal.SyncAlways, Failpoints: fp,
+		Guards: map[string]int{"sue": 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	budgets := map[schema.Peer]int{"sue": 3}
-	if err := c.Guard("sue", 3); err != nil {
-		t.Fatal(err)
-	}
 	mustSubmit := func(peer schema.Peer, rule string, bind map[string]data.Value) *SubmitResult {
 		t.Helper()
 		res, err := c.Submit(peer, rule, bind)
@@ -392,10 +432,7 @@ func TestGuardRejectionLeavesNoTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := New("Staged", staged)
-	if err := c.Guard("sue", 2); err != nil {
-		t.Fatal(err)
-	}
+	c := newCoordinator(t, "Staged", staged, DurabilityConfig{Guards: map[string]int{"sue": 2}})
 	p := startPoller(c, "sue")
 	mustSubmit := func(peer schema.Peer, rule string, bind map[string]data.Value) *SubmitResult {
 		t.Helper()

@@ -145,11 +145,8 @@ func TestRetryAfterHintScalesWithBacklog(t *testing.T) {
 func TestRecoverByteFlipMatrix(t *testing.T) {
 	prog := workload.Hiring()
 	guarded := t.TempDir()
-	c, err := NewDurable("Hiring", prog, DurabilityConfig{Dir: guarded})
+	c, err := NewDurable("Hiring", prog, DurabilityConfig{Dir: guarded, Guards: map[string]int{"sue": 3}})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Guard("sue", 3); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {

@@ -26,15 +26,16 @@ type idemEntry struct {
 // choose one.
 const defaultIdemWindow = 4096
 
-// SubmitIdemCtx is SubmitCtx with an idempotency key. If the key was
-// already accepted within the dedupe window, the original result is
-// returned without re-applying the event; if an identical submission is
-// still in flight, the call waits for it and shares its outcome. The key
-// travels inside the event's WAL record, from which recovery rebuilds the
-// window, so dedupe survives crash recovery — the guarantee a
-// client retrying after an ambiguous failure (ErrUnavailable) relies on.
-// An empty key degrades to SubmitCtx. The window belongs to this
-// coordinator, so the same key sent to two runs of a fleet dedupes per run.
+// SubmitIdemCtx is Submit with a caller context, whose span the submission
+// joins, and an idempotency key. If the key was already accepted within the
+// dedupe window, the original result is returned without re-applying the
+// event; if an identical submission is still in flight, the call waits for
+// it and shares its outcome. The key travels inside the event's WAL record,
+// from which recovery rebuilds the window, so dedupe survives crash
+// recovery — the guarantee a client retrying after an ambiguous failure
+// (ErrUnavailable) relies on. An empty key submits without dedupe. The
+// window belongs to this coordinator, so the same key sent to two runs of a
+// fleet dedupes per run.
 func (c *Coordinator) SubmitIdemCtx(ctx context.Context, peer schema.Peer, ruleName string, bindings map[string]data.Value, key string) (*SubmitResult, error) {
 	if key == "" {
 		return c.submitCtx(ctx, peer, ruleName, bindings, "")

@@ -14,7 +14,6 @@ import (
 
 	"collabwf/internal/obs"
 	"collabwf/internal/program"
-	"collabwf/internal/schema"
 	"collabwf/internal/wal"
 )
 
@@ -42,9 +41,11 @@ type ManagerConfig struct {
 	// in memory.
 	DataDir string
 	// Durability is the template for every shard's configuration, in memory
-	// or durable alike (IdemWindow and DecisionLog apply to both); Dir and
-	// RunID are filled in per shard, Metrics and Logger from the fields
-	// below, Failpoints per run via the Failpoints hook.
+	// or durable alike (IdemWindow, DecisionLog and Guards apply to both);
+	// Dir and RunID are filled in per shard, Metrics and Logger from the
+	// fields below, Failpoints per run via the Failpoints hook. Guards are
+	// installed on every run that starts fresh; the Profiler is given to the
+	// default run only, so sibling runs never bleed into its tallies.
 	Durability DurabilityConfig
 	// HTTP is the template for every shard's handler options.
 	HTTP HTTPOptions
@@ -59,10 +60,6 @@ type ManagerConfig struct {
 	// (tests and the E20 stall-isolation experiment); called once per
 	// shard with its run id.
 	Failpoints func(run string) *wal.Failpoints
-	// Guards, when non-empty, installs the given transparency guards
-	// (peer → h) on every *fresh* run — recovered runs keep their
-	// persisted guards.
-	Guards map[string]int
 }
 
 // shard is one run's slice of the fleet: its own coordinator (lock,
@@ -230,17 +227,12 @@ func (m *Manager) newShard(id string) (*shard, error) {
 	if m.cfg.Failpoints != nil {
 		cfg.Failpoints = m.cfg.Failpoints(id)
 	}
+	if id != DefaultRun {
+		cfg.Profiler = nil
+	}
 	c, err := NewDurable(m.cfg.Workflow, m.cfg.Prog, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("server: recovering run %q: %w", id, err)
-	}
-	if c.Len() == 0 && len(c.Guards()) == 0 {
-		for peer, h := range m.cfg.Guards {
-			if err := c.Guard(schema.Peer(peer), h); err != nil {
-				c.Close()
-				return nil, fmt.Errorf("server: guarding run %q: %w", id, err)
-			}
-		}
 	}
 	return &shard{id: id, c: c, h: NewHandler(c, m.cfg.HTTP)}, nil
 }

@@ -171,6 +171,42 @@ func TestManagerDurableRecovery(t *testing.T) {
 	}
 }
 
+// TestManagerGuardsFreshRunsOnly: the template's guards reach every run
+// that starts with no event and no guard — a created run, and a recovered
+// one that is still empty — but not the default run that already holds an
+// event; a restart with other guards leaves every run's budgets as they
+// were.
+func TestManagerGuardsFreshRunsOnly(t *testing.T) {
+	dir := t.TempDir()
+	m := newTestManager(t, ManagerConfig{DataDir: dir})
+	if _, err := m.Default().Submit("hr", "clear", nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.CreateRun("alpha"); err != nil {
+		t.Fatal(err)
+	}
+	m.Close()
+	cfg := ManagerConfig{DataDir: dir, Durability: DurabilityConfig{Guards: map[string]int{"sue": 3}}}
+	m = newTestManager(t, cfg)
+	if err := m.CreateRun("beta"); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]int{DefaultRun: 0, "alpha": 1, "beta": 1}
+	check := func(m *Manager) {
+		t.Helper()
+		for id, n := range want {
+			c, _ := m.Run(id)
+			if g := c.Guards(); len(g) != n || (n == 1 && g["sue"] != 3) {
+				t.Fatalf("run %s guards %v, want %d guard(s) sue=3", id, g, n)
+			}
+		}
+	}
+	check(m)
+	m.Close()
+	cfg.Durability.Guards = map[string]int{"hr": 1}
+	check(newTestManager(t, cfg))
+}
+
 // TestIdempotencyScopedByRun is the regression test for the fleet bugfix:
 // the dedupe map used to be keyed by the raw client key, so the same
 // Idempotency-Key on two different runs collided — the second run's
@@ -281,12 +317,8 @@ func TestProfilerPerRunAttribution(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := New("Staged", staged)
 		p := prof.New()
-		c.SetProfiler(p)
-		if err := c.Guard("sue", 2); err != nil {
-			t.Fatal(err)
-		}
+		c := newCoordinator(t, "Staged", staged, DurabilityConfig{Guards: map[string]int{"sue": 2}, Profiler: p})
 		return c, p
 	}
 
@@ -338,9 +370,8 @@ func TestProfilerPerRunAttribution(t *testing.T) {
 // evaluations to whichever profiler had installed it.)
 func TestUnprofiledRunLeavesProfiledCondsAlone(t *testing.T) {
 	prog := workload.Hiring()
-	a, b := New("Hiring", prog), New("Hiring", prog)
 	pa := prof.New()
-	a.SetProfiler(pa)
+	a, b := newCoordinator(t, "Hiring", prog, DurabilityConfig{Profiler: pa}), New("Hiring", prog)
 	if _, err := a.Submit("hr", "clear", nil); err != nil {
 		t.Fatal(err)
 	}
@@ -369,9 +400,8 @@ func TestUnprofiledRunLeavesProfiledCondsAlone(t *testing.T) {
 // profiled, submits and view reads on /runs/alpha leave the default run's
 // condition counts where they were.
 func TestManagerProfilerIgnoresSiblingRuns(t *testing.T) {
-	m := newTestManager(t, ManagerConfig{})
 	p := prof.New()
-	m.Default().SetProfiler(p)
+	m := newTestManager(t, ManagerConfig{Durability: DurabilityConfig{Profiler: p}})
 	h := m.Handler()
 	if rec := fleetPost(t, h, "/submit", `{"peer":"hr","rule":"clear","bindings":{"x":"ann"}}`); rec.Code != http.StatusOK {
 		t.Fatalf("default submit: %d: %s", rec.Code, rec.Body.String())

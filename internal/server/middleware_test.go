@@ -131,10 +131,8 @@ func TestAccessLogCarriesTraceID(t *testing.T) {
 
 func TestStatuszFieldPresence(t *testing.T) {
 	reg := obs.NewRegistry()
-	c := newCoordinator(t, "Hiring", workload.Hiring(), DurabilityConfig{Metrics: reg})
-	if err := c.Guard("sue", 3); err != nil {
-		t.Fatal(err)
-	}
+	c := newCoordinator(t, "Hiring", workload.Hiring(), DurabilityConfig{Metrics: reg,
+		Guards: map[string]int{"sue": 3}})
 	if _, err := c.Submit("hr", "clear", nil); err != nil {
 		t.Fatal(err)
 	}

@@ -25,15 +25,8 @@ func TestProfilerScriptedSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := New("Staged", staged)
 	profiler := prof.New()
-	c.SetProfiler(profiler)
-	if c.Profiler() != profiler {
-		t.Fatal("Profiler() does not return the installed profiler")
-	}
-	if err := c.Guard("sue", 2); err != nil {
-		t.Fatal(err)
-	}
+	c := newCoordinator(t, "Staged", staged, DurabilityConfig{Guards: map[string]int{"sue": 2}, Profiler: profiler})
 	mustSubmit := func(peer schema.Peer, rule string, bind map[string]data.Value) *SubmitResult {
 		t.Helper()
 		res, err := c.Submit(peer, rule, bind)
@@ -148,6 +141,28 @@ func TestProfilerScriptedSession(t *testing.T) {
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/rules?top=zero", nil))
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("bad top: status %d, want 400", rec.Code)
+	}
+}
+
+// TestRecoveredProfiledRunCountsFirstRead: the profiler is attached before
+// a recovered run publishes its first snapshot, so a read served before any
+// submission is attributed to it.
+func TestRecoveredProfiledRunCountsFirstRead(t *testing.T) {
+	dir := t.TempDir()
+	c := newCoordinator(t, "Hiring", workload.Hiring(), DurabilityConfig{Dir: dir})
+	if _, err := c.Submit("hr", "clear", nil); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	p := prof.New()
+	rc := newCoordinator(t, "Hiring", workload.Hiring(), DurabilityConfig{Dir: dir, Profiler: p})
+	defer rc.Close()
+	before := p.Snapshot().Cond.Total
+	if _, err := rc.View("sue"); err != nil {
+		t.Fatal(err)
+	}
+	if after := p.Snapshot().Cond.Total; after == before {
+		t.Fatalf("a view of the recovered run counted no condition evaluations (total %d)", after)
 	}
 }
 

@@ -94,10 +94,7 @@ func TestGuardRejectsViolations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := New("Staged", staged)
-	if err := c.Guard("sue", 2); err != nil {
-		t.Fatal(err)
-	}
+	c := newCoordinator(t, "Staged", staged, DurabilityConfig{Guards: map[string]int{"sue": 2}})
 	mustSubmit := func(peer schema.Peer, rule string, bind map[string]data.Value) *SubmitResult {
 		t.Helper()
 		res, err := c.Submit(peer, rule, bind)
@@ -118,10 +115,6 @@ func TestGuardRejectsViolations(t *testing.T) {
 	}
 	if c.Len() != before {
 		t.Fatal("rejected event must not remain in the run")
-	}
-	// Guards must be installed before the run starts.
-	if err := c.Guard("hr", 2); err == nil {
-		t.Fatal("late guard installation must fail")
 	}
 }
 

@@ -126,7 +126,7 @@ func (c *Coordinator) publishSnapshotLocked() {
 		seq:     c.snapSeq,
 		born:    time.Now().UnixNano(),
 		next:    make(chan struct{}),
-		cnt:     c.profiler.Cond(),
+		cnt:     c.run.Profiler().Profiler().Cond(),
 	}
 	c.snap.Store(s)
 	if prev != nil {

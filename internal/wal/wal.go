@@ -891,9 +891,9 @@ func (l *Log) Crash() (durable, size int64, err error) {
 
 // WriteGuards stores a run's guards in dir's snapshot.json, as a snapshot
 // of length 0 with an empty trace, atomically: temp file, fsync, rename,
-// directory fsync. Guards can only be installed before a run's first event,
-// so this file never describes events and the log is never touched. A
-// later call replaces the whole guard set.
+// directory fsync. A run's guards are installed together, before its
+// first event, so this file is written once, never describes events, and
+// the log is never touched.
 func WriteGuards(dir, workflow string, guards map[string]int) error {
 	snap := &Snapshot{Workflow: workflow, Guards: guards, Trace: &trace.Trace{Workflow: workflow}}
 	crc, err := snap.Checksum()
