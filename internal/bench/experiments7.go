@@ -9,10 +9,9 @@ import (
 	"collabwf/internal/workload"
 )
 
-// E19RuleProfiler — ROADMAP item 3 (rule/guard indexing) is blocked on a
-// measurement gap: nobody knows which rules the naive match loop spends its
-// time on. This experiment establishes the baseline the future indexing PR
-// must beat. It drives chain programs of 125..1000 rules under the
+// E19RuleProfiler — a rule or guard index needs a measured baseline: which
+// rules the naive match loop spends its time on. This experiment
+// establishes the baseline an index must beat. It drives chain programs of 125..1000 rules under the
 // evaluation profiler and shows (a) total match cost grows superlinearly
 // with program size — every step attempts every rule, so attempts = n² for
 // an n-rule chain driven to completion — with exact per-rule attribution,
@@ -23,7 +22,7 @@ func E19RuleProfiler(quick bool) (*Table, error) {
 	t := &Table{
 		ID:      "E19",
 		Title:   "rule-engine cost profile vs program size (chain family)",
-		Claim:   "ROADMAP item 3 baseline: naive rule matching costs Θ(rules) per step — attempts grow quadratically in chain size — and the profiler attributes it per rule at ≤ 2% disabled overhead",
+		Claim:   "rule-indexing baseline: naive rule matching costs Θ(rules) per step — attempts grow quadratically in chain size — and the profiler attributes it per rule at ≤ 2% disabled overhead",
 		Columns: []string{"rules", "events", "attempts", "cands", "fires", "eval", "key gets", "att ×prev"},
 	}
 	sizes := []int{125, 250, 500, 1000}

@@ -13,7 +13,7 @@ import (
 	"collabwf/internal/workload"
 )
 
-// E20Fleet — ROADMAP item 1 (multi-run serving). One Manager shards a fleet
+// E20Fleet — multi-run serving. One Manager shards a fleet
 // of workflow runs, each with its own coordinator lock and WAL segment.
 // Under SyncAlways a single run serializes every submission behind one
 // fsync stream; spreading the same client load over N runs gives the fleet
@@ -26,7 +26,7 @@ func E20Fleet(quick bool) (*Table, error) {
 	t := &Table{
 		ID:      "E20",
 		Title:   "fleet submit throughput vs shard count (SyncAlways), stalled-shard isolation",
-		Claim:   "ROADMAP item 1: a sharded run fleet scales durable submit throughput with the shard count and isolates per-run fsync stalls",
+		Claim:   "multi-run serving: a sharded run fleet scales durable submit throughput with the shard count and isolates per-run fsync stalls",
 		Columns: []string{"runs", "workers", "ev/s", "×1-run"},
 	}
 	shardCounts := []int{1, 2, 4, 8}

@@ -139,6 +139,14 @@ func (f *FreshSource) Next() Value {
 	return Value(fmt.Sprintf("%s%d", f.prefix, f.n.Add(1)))
 }
 
+// Clone returns a source that continues independently from f's position:
+// both issue the same next value, and neither advances the other.
+func (f *FreshSource) Clone() *FreshSource {
+	c := &FreshSource{prefix: f.prefix}
+	c.n.Store(f.n.Load())
+	return c
+}
+
 // Peek reports how many values have been issued.
 func (f *FreshSource) Peek() uint64 { return f.n.Load() }
 

@@ -99,6 +99,21 @@ func (m *Maintainer) SyncTo(n int) {
 // peer has processed too.
 func (m *Maintainer) Len() int { return m.a.Len() }
 
+// Stored reports the size of the requirement graph: the past edges in
+// every maintained peer's rows, and the right boundaries recorded, one per
+// closed lifecycle.
+func (m *Maintainer) Stored() (pastEdges, rightBoundaries int) {
+	for _, ps := range m.peers {
+		pastEdges += len(ps.past.ids)
+	}
+	for i := range m.right {
+		if m.right[i].Load() >= 0 {
+			rightBoundaries++
+		}
+	}
+	return pastEdges, rightBoundaries
+}
+
 // peer returns p's state; p must be one of the maintained peers.
 func (m *Maintainer) peer(p schema.Peer) *peerState {
 	for _, ps := range m.peers {

@@ -2,7 +2,7 @@
 // the evaluation work the engine performs. Where the tracer answers "what
 // did this request do", the profiler answers "which rules, relations and
 // conditions is the engine burning its time on" — the measurement baseline
-// the rule/guard indexing work (ROADMAP item 3) must beat.
+// any rule or guard index must beat.
 //
 // A Profiler aggregates four kinds of attribution:
 //

@@ -155,28 +155,6 @@ func (e *Event) Peer() schema.Peer { return e.Rule.Peer }
 // is built, and shared: callers must not modify it.
 func (e *Event) Keys() []RelKey { return e.keys[:len(e.keys):len(e.keys)] }
 
-// FreshValues returns the values assigned to the rule's head-only
-// variables, which runs require to be globally fresh.
-func (e *Event) FreshValues() []data.Value {
-	var out []data.Value
-	for _, v := range e.Rule.FreshVars() {
-		out = append(out, e.Val[v])
-	}
-	return out
-}
-
-// Values returns every value occurring in the event (via its valuation and
-// constants) — adom(e) in the paper's notation.
-func (e *Event) Values() data.ValueSet {
-	set := e.Rule.Constants()
-	for _, v := range e.Val {
-		if !v.IsNull() {
-			set.Add(v)
-		}
-	}
-	return set
-}
-
 // Equal reports whether two events are the same instantiation: same rule
 // name and same valuation.
 func (e *Event) Equal(other *Event) bool {

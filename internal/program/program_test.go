@@ -401,10 +401,6 @@ func TestNormalFormProgram(t *testing.T) {
 func TestEventValuesAndString(t *testing.T) {
 	p := hiringProgram(t)
 	e := MustEvent(p.Rule("approve"), query.Valuation{"x": "sue"})
-	vals := e.Values()
-	if !vals.Has("sue") {
-		t.Fatalf("Values=%v", vals.Sorted())
-	}
 	s := e.String()
 	if !strings.Contains(s, "approve@ceo") || !strings.Contains(s, "+Approved(sue)") {
 		t.Fatalf("String()=%q", s)

@@ -2,6 +2,8 @@ package program
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 	"time"
 
@@ -19,10 +21,6 @@ type Step struct {
 	Event    *Event
 	Instance *schema.Instance
 	Effects  []Effect
-
-	// added records the values this step contributed to the run's freshness
-	// ledger, so Truncate can undo the step exactly.
-	added []data.Value
 }
 
 // Run is a run of a program: a sequence of steps starting from an initial
@@ -37,8 +35,13 @@ type Run struct {
 	Steps   []Step
 
 	consts data.ValueSet // const(P)
-	seen   data.ValueSet // values of the initial and all later instances
-	fresh  *data.FreshSource
+	// seen is the freshness ledger: adom of the initial instance plus the
+	// fresh values of every event. Every other value of an event is a
+	// constant of P or a value of the instance it fires on (bodies are
+	// safe, a deletion needs an existing key), so const(P) ∪ seen is
+	// exactly const(P) ∪ ⋃ adom(Iᵢ) over the instances so far.
+	seen  data.ValueSet
+	fresh *data.FreshSource
 
 	// prof, when non-nil, attributes candidate-enumeration and replay cost
 	// to the evaluation profiler. Nil (the default) keeps the original
@@ -188,54 +191,64 @@ func (r *Run) Append(e *Event) error {
 	if !satisfied {
 		return fmt.Errorf("program: event %s: body not satisfied at step %d", e, len(r.Steps))
 	}
-	freshVals := e.FreshValues()
-	inEvent := data.NewValueSet()
-	for _, v := range freshVals {
+	fvs := e.Rule.FreshVars()
+	for i, fv := range fvs {
+		v := e.Val[fv]
 		if v.IsNull() {
 			return fmt.Errorf("program: event %s: fresh variable bound to ⊥", e)
 		}
-		if r.consts.Has(v) || r.seen.Has(v) {
+		if !r.Fresh(v) {
 			return fmt.Errorf("program: event %s: value %s is not globally fresh", e, v)
 		}
-		if !inEvent.Add(v) {
-			return fmt.Errorf("program: event %s: fresh variables share value %s", e, v)
+		for _, prev := range fvs[:i] {
+			if e.Val[prev] == v {
+				return fmt.Errorf("program: event %s: fresh variables share value %s", e, v)
+			}
 		}
 	}
 	next, effects, err := Apply(cur, e, r.Prog.Schema, r.conds())
 	if err != nil {
 		return err
 	}
-	// Every value of the successor instance comes from the predecessor or
-	// from the event itself (the chase only moves existing values), so the
-	// freshness ledger grows by the event's values only. The newly seen
-	// values are recorded on the step so Truncate can undo them.
-	var added []data.Value
-	for v := range e.Values() {
-		if r.seen.Add(v) {
-			added = append(added, v)
-		}
+	for _, fv := range fvs {
+		r.seen.Add(e.Val[fv])
 	}
-	r.Steps = append(r.Steps, Step{Event: e, Instance: next, Effects: effects, added: added})
+	r.Steps = append(r.Steps, Step{Event: e, Instance: next, Effects: effects})
 	r.prof.RuleFired(e.Rule.Name, string(e.Peer()))
 	return nil
 }
 
 // Truncate discards all events after the first n, restoring the run to the
 // state it had before they were appended: the freshness ledger forgets the
-// values the dropped steps introduced. It is the O(dropped)-cost inverse
-// of Append that the backtracking searches rely on (rebuilding the prefix
-// would re-check every body and re-apply every event).
+// fresh values of the dropped events, which no earlier instance holds. It
+// is the O(dropped)-cost inverse of Append that the backtracking searches
+// rely on (rebuilding the prefix would re-check every body and re-apply
+// every event).
 func (r *Run) Truncate(n int) {
 	if n < 0 || n > len(r.Steps) {
 		panic(fmt.Sprintf("program: Truncate(%d) out of range [0,%d]", n, len(r.Steps)))
 	}
 	for i := len(r.Steps) - 1; i >= n; i-- {
-		for _, v := range r.Steps[i].added {
-			delete(r.seen, v)
+		e := r.Steps[i].Event
+		for _, fv := range e.Rule.FreshVars() {
+			delete(r.seen, e.Val[fv])
 		}
 		r.Steps[i] = Step{} // release the instance
 	}
 	r.Steps = r.Steps[:n]
+}
+
+// Clone returns an independent copy of the run: appending to or truncating
+// either leaves the other unchanged. The copy shares the immutable events,
+// instances and effects and the profiler scope, copies the step list and
+// the freshness ledger, and draws NextFresh values from where the
+// original's source stands.
+func (r *Run) Clone() *Run {
+	c := *r
+	c.Steps = slices.Clone(r.Steps)
+	c.seen = maps.Clone(r.seen)
+	c.fresh = r.fresh.Clone()
+	return &c
 }
 
 // MustAppend is Append panicking on error.
@@ -353,11 +366,17 @@ func (r *Run) MustFireRule(name string, bindings map[string]data.Value) *Event {
 	return e
 }
 
+// Fresh reports whether v may be bound to a head-only variable of the next
+// event: v is not ⊥, not a constant of the program, and absent from the
+// initial instance and every instance of the run so far.
+func (r *Run) Fresh(v data.Value) bool {
+	return !v.IsNull() && !r.consts.Has(v) && !r.seen.Has(v)
+}
+
 // NextFresh returns a value that is globally fresh for this run.
 func (r *Run) NextFresh() data.Value {
 	for {
-		v := r.fresh.Next()
-		if !r.consts.Has(v) && !r.seen.Has(v) {
+		if v := r.fresh.Next(); r.Fresh(v) {
 			return v
 		}
 	}

@@ -35,12 +35,8 @@ func MatchRun(res *Result, r *program.Run, peer schema.Peer) (*program.Run, erro
 			if err := vrun.Append(e); err != nil {
 				return nil, fmt.Errorf("synth: own event %d not replayable: %w", n, err)
 			}
-		} else {
-			next, err := fireOmegaMatching(res, vrun, entry.After, peer)
-			if err != nil {
-				return nil, fmt.Errorf("synth: transition %d (to %s): %w", n, entry.After, err)
-			}
-			vrun = next
+		} else if err := fireOmegaMatching(res, vrun, entry.After, peer); err != nil {
+			return nil, fmt.Errorf("synth: transition %d (to %s): %w", n, entry.After, err)
 		}
 		got := schema.ViewOf(vrun.Current(), res.Program.Schema, peer)
 		if !got.Equal(entry.After) {
@@ -52,20 +48,16 @@ func MatchRun(res *Result, r *program.Run, peer schema.Peer) (*program.Run, erro
 
 // fireOmegaMatching extends vrun with one ω-event whose result view equals
 // target, trying every synthesized rule, body valuation, and assignment of
-// head-only variables to the target's new values.
-func fireOmegaMatching(res *Result, vrun *program.Run, target *schema.ViewInstance, peer schema.Peer) (*program.Run, error) {
-	// Values available for fresh variables: values of the target view the
-	// run has never seen.
-	seen := data.NewValueSet()
-	seen.AddAll(vrun.Prog.Constants())
-	for i := -1; i < vrun.Len(); i++ {
-		seen.AddAll(vrun.InstanceAt(i).ADom())
-	}
+// head-only variables to the target's new values. Each try is appended to
+// vrun and truncated away again unless it matches.
+func fireOmegaMatching(res *Result, vrun *program.Run, target *schema.ViewInstance, peer schema.Peer) error {
+	// Values available for fresh variables: values of the target view that
+	// are still fresh for the run.
 	var freshCandidates []data.Value
 	for _, rel := range target.Relations() {
 		for _, t := range target.Tuples(rel) {
 			for _, v := range t {
-				if !v.IsNull() && !seen.Has(v) {
+				if vrun.Fresh(v) {
 					freshCandidates = append(freshCandidates, v)
 				}
 			}
@@ -100,21 +92,17 @@ func fireOmegaMatching(res *Result, vrun *program.Run, target *schema.ViewInstan
 			}
 			for _, v := range assignments {
 				e, err := program.NewEvent(rl, v)
-				if err != nil {
+				if err != nil || vrun.Append(e) != nil {
 					continue
 				}
-				candidate := cloneRun(vrun)
-				if err := candidate.Append(e); err != nil {
-					continue
+				if schema.ViewOf(vrun.Current(), res.Program.Schema, peer).Equal(target) {
+					return nil
 				}
-				got := schema.ViewOf(candidate.Current(), res.Program.Schema, peer)
-				if got.Equal(target) {
-					return candidate, nil
-				}
+				vrun.Truncate(vrun.Len() - 1)
 			}
 		}
 	}
-	return nil, fmt.Errorf("no ω-rule realizes the transition")
+	return fmt.Errorf("no ω-rule realizes the transition")
 }
 
 // FindSourceRun checks the soundness direction for one run: given a run rv
@@ -135,7 +123,7 @@ func FindSourceRun(p *program.Program, peer schema.Peer, rv *program.Run, maxDep
 	var dfs func(matched int) (*program.Run, error)
 	dfs = func(matched int) (*program.Run, error) {
 		if matched == len(target.Entries) {
-			return cloneRun(run), nil
+			return run.Clone(), nil
 		}
 		if run.Len() >= maxDepth {
 			return nil, nil
@@ -152,15 +140,10 @@ func FindSourceRun(p *program.Program, peer schema.Peer, rv *program.Run, maxDep
 			fvs := c.Rule.FreshVars()
 			var freshVals []data.Value
 			if len(fvs) > 0 {
-				seen := data.NewValueSet()
-				seen.AddAll(p.Constants())
-				for i := -1; i < run.Len(); i++ {
-					seen.AddAll(run.InstanceAt(i).ADom())
-				}
 				for _, rel := range entry.After.Relations() {
 					for _, t := range entry.After.Tuples(rel) {
 						for _, v := range t {
-							if !v.IsNull() && !seen.Has(v) {
+							if run.Fresh(v) {
 								freshVals = append(freshVals, v)
 							}
 						}
@@ -182,34 +165,23 @@ func FindSourceRun(p *program.Program, peer schema.Peer, rv *program.Run, maxDep
 			}
 			for _, v := range assignments {
 				e, err := program.NewEvent(c.Rule, v)
-				if err != nil {
+				if err != nil || run.Append(e) != nil {
 					continue
 				}
-				before := run
-				candidate := cloneRun(run)
-				if err := candidate.Append(e); err != nil {
-					continue
-				}
-				last := candidate.Len() - 1
-				visible := candidate.VisibleAt(last, peer)
-				nextMatched := matched
-				if visible {
+				last := run.Len() - 1
+				nextMatched, ok := matched, true
+				if run.VisibleAt(last, peer) {
 					// The transition must match the next target entry.
-					if entry.Omega == (e.Peer() == peer) {
-						continue
-					}
-					if !entry.Omega && !entry.Event.Equal(e) {
-						continue
-					}
-					got := schema.ViewOf(candidate.Current(), p.Schema, peer)
-					if !got.Equal(entry.After) {
-						continue
-					}
+					ok = entry.Omega != (e.Peer() == peer) &&
+						(entry.Omega || entry.Event.Equal(e)) &&
+						schema.ViewOf(run.Current(), p.Schema, peer).Equal(entry.After)
 					nextMatched = matched + 1
 				}
-				run = candidate
-				found, err := dfs(nextMatched)
-				run = before
+				var found *program.Run
+				if ok {
+					found, err = dfs(nextMatched)
+				}
+				run.Truncate(last)
 				if err != nil || found != nil {
 					return found, err
 				}
@@ -225,12 +197,4 @@ func FindSourceRun(p *program.Program, peer schema.Peer, rv *program.Run, maxDep
 		return nil, fmt.Errorf("synth: no source run of length ≤ %d matches the view-program run", maxDepth)
 	}
 	return found, nil
-}
-
-func cloneRun(r *program.Run) *program.Run {
-	out := program.NewRunFrom(r.Prog, r.Initial)
-	for i := 0; i < r.Len(); i++ {
-		out.MustAppend(r.Event(i))
-	}
-	return out
 }

@@ -76,7 +76,6 @@ func CheckBoundedCtx(ctx context.Context, p *program.Program, peer schema.Peer, 
 	if err != nil {
 		return nil, err
 	}
-	s.cacheADoms(instances)
 	jobs, err := s.branchJobs(ctx, instances)
 	if err != nil {
 		return nil, err
@@ -218,7 +217,6 @@ func CheckTransparentCtx(ctx context.Context, p *program.Program, peer schema.Pe
 	if err != nil {
 		return nil, err
 	}
-	s.cacheADoms(fresh)
 	// Group fresh instances by their p-view. The grouping keeps exact
 	// string fingerprints: a hash collision here could merge two distinct
 	// p-views and fabricate a violation, where a collision in the dedup and
@@ -233,17 +231,26 @@ func CheckTransparentCtx(ctx context.Context, p *program.Program, peer schema.Pe
 		groupKeys = append(groupKeys, k)
 	}
 	sort.Strings(groupKeys)
-	type pairJob struct{ src, dst *schema.Instance }
+	// A pair job carries adom(J), which the silent runs from I must not
+	// draw new values from; each J's domain is computed once.
+	type pairJob struct {
+		src, dst *schema.Instance
+		dstADom  data.ValueSet
+	}
 	var jobs []pairJob
 	for _, gk := range groupKeys {
 		group := groups[gk]
 		if len(group) < 2 {
 			continue
 		}
+		adoms := make([]data.ValueSet, len(group))
+		for i, in := range group {
+			adoms[i] = in.ADom()
+		}
 		for _, src := range group {
-			for _, dst := range group {
+			for di, dst := range group {
 				if src != dst {
-					jobs = append(jobs, pairJob{src, dst})
+					jobs = append(jobs, pairJob{src, dst, adoms[di]})
 				}
 			}
 		}
@@ -256,7 +263,7 @@ func CheckTransparentCtx(ctx context.Context, p *program.Program, peer schema.Pe
 	idx, err := par.ForEachOrdered(ctx, s.opts.workers(), len(jobs), func(jctx context.Context, i int) (bool, error) {
 		j := jobs[i]
 		avoid := data.NewValueSet()
-		avoid.AddAll(s.adomOf(j.dst))
+		avoid.AddAll(j.dstADom)
 		err := s.silentRuns(jctx, j.src, h+1, allBranches, avoid, func(sr SilentRun) bool {
 			if reason := replayMatches(s, sr, j.dst); reason != "" {
 				found[i] = &TransparencyViolation{I: j.src, J: j.dst, Events: sr.Run.Events(), Reason: reason}

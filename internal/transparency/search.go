@@ -122,33 +122,10 @@ type searcher struct {
 	nodes  atomic.Int64
 	cands  *candCache
 	states int64
-	// adoms caches the active domains of the enumerated instances; built
-	// sequentially before any fan-out, read-only during it.
-	adoms map[*schema.Instance]data.ValueSet
 	// profSilent and profFresh are the profiler scopes of the two search
 	// phases (nil when profiling is off). Scopes are concurrency-safe, so
 	// the worker pool shares them.
 	profSilent, profFresh *prof.Scope
-}
-
-// adomOf returns the cached active domain of an enumerated instance (or
-// computes it for instances outside the cache). The result is shared and
-// read-only.
-func (s *searcher) adomOf(in *schema.Instance) data.ValueSet {
-	if ad, ok := s.adoms[in]; ok {
-		return ad
-	}
-	return in.ADom()
-}
-
-// cacheADoms fills the adom cache for the given instances.
-func (s *searcher) cacheADoms(instances []*schema.Instance) {
-	if s.adoms == nil {
-		s.adoms = make(map[*schema.Instance]data.ValueSet, len(instances))
-	}
-	for _, in := range instances {
-		s.adoms[in] = in.ADom()
-	}
 }
 
 func newSearcher(p *program.Program, peer schema.Peer, h int, opts Options) *searcher {
@@ -442,25 +419,19 @@ const allBranches = -1
 // silentRuns enumerates the minimum p-faithful runs from initial instance
 // `in` whose events are all silent at p except a visible last one, with
 // length ≤ maxLen. Head-only variables are instantiated with the first
-// unused pool constants (sound up to isomorphism, Lemma A.2); constants in
-// `avoid` are never used as fresh values (needed by the transparency check,
-// which requires adom(J) ∩ new(α) = ∅). Each discovered run is passed to
-// yield; enumeration stops early when yield returns false.
+// pool constants the run still holds fresh (sound up to isomorphism, Lemma
+// A.2); constants in `avoid` are never used as fresh values (needed by the
+// transparency check, which requires adom(J) ∩ new(α) = ∅). Each
+// discovered run is passed to yield as a clone; enumeration stops early
+// when yield returns false.
 //
 // branch restricts the DFS to the branch of the given root candidate index
 // (allBranches explores them all) — the unit of top-level fan-out for the
-// parallel deciders. Backtracking uses Run.Truncate, and the per-run value
-// ledger (`used`) is maintained incrementally, so a node costs O(event)
-// instead of O(run²).
+// parallel deciders. Backtracking uses Run.Truncate, which also rewinds the
+// run's freshness ledger, so a node costs O(event) instead of O(run²).
 func (s *searcher) silentRuns(ctx context.Context, in *schema.Instance, maxLen, branch int, avoid data.ValueSet, yield func(SilentRun) bool) error {
 	run := program.NewRunFrom(s.prog, in)
 	run.SetProfiler(s.profSilent)
-	// used holds every value the run has touched: adom of the initial
-	// instance plus the values of each appended event (a superset of the
-	// historical active domains, matching Append's freshness ledger), so
-	// pickFresh is O(pool) instead of re-uniting all instance domains.
-	used := data.NewValueSet()
-	used.AddAll(s.adomOf(in))
 	stop := false
 	var dfs func(depth int) error
 	dfs = func(depth int) error {
@@ -478,7 +449,7 @@ func (s *searcher) silentRuns(ctx context.Context, in *schema.Instance, maxLen, 
 			val := c.Val.Clone()
 			ok := true
 			for _, fv := range c.Rule.FreshVars() {
-				v, found := s.pickFresh(used, avoid)
+				v, found := s.pickFresh(run, avoid)
 				if !found {
 					ok = false
 					break
@@ -502,16 +473,10 @@ func (s *searcher) silentRuns(ctx context.Context, in *schema.Instance, maxLen, 
 				}
 				continue
 			}
-			var added []data.Value
-			for v := range e.Values() {
-				if used.Add(v) {
-					added = append(added, v)
-				}
-			}
 			last := run.Len() - 1
 			if run.VisibleAt(last, s.peer) {
 				if s.isMinimumFaithful(run) {
-					if !yield(SilentRun{Initial: in, Run: cloneRun(run)}) {
+					if !yield(SilentRun{Initial: in, Run: run.Clone()}) {
 						stop = true
 					}
 				}
@@ -519,9 +484,6 @@ func (s *searcher) silentRuns(ctx context.Context, in *schema.Instance, maxLen, 
 				return err
 			}
 			run.Truncate(last)
-			for _, v := range added {
-				delete(used, v)
-			}
 			for _, fv := range c.Rule.FreshVars() {
 				delete(avoid, val[fv])
 			}
@@ -534,14 +496,13 @@ func (s *searcher) silentRuns(ctx context.Context, in *schema.Instance, maxLen, 
 	return dfs(0)
 }
 
-// pickFresh returns the first pool constant outside const(P), the run's
-// value ledger, and avoid.
-func (s *searcher) pickFresh(used, avoid data.ValueSet) (data.Value, bool) {
+// pickFresh returns the first pool constant that is fresh for the run and
+// not in avoid.
+func (s *searcher) pickFresh(run *program.Run, avoid data.ValueSet) (data.Value, bool) {
 	for _, v := range s.pool {
-		if s.consts.Has(v) || used.Has(v) || avoid.Has(v) {
-			continue
+		if run.Fresh(v) && !avoid.Has(v) {
+			return v, true
 		}
-		return v, true
 	}
 	return data.Null, false
 }
@@ -552,18 +513,4 @@ func (s *searcher) isMinimumFaithful(run *program.Run) bool {
 	a := faithful.NewAnalysis(run)
 	fix := faithful.Fixpoint(a, faithful.NewSeq(run.VisibleEvents(s.peer)...), s.peer)
 	return fix.Len() == run.Len()
-}
-
-// rebuild reconstructs the run from its first n events (instances are
-// immutable snapshots, so replay reuses the stored events).
-func rebuild(p *program.Program, initial *schema.Instance, run *program.Run, n int) *program.Run {
-	out := program.NewRunFrom(p, initial)
-	for i := 0; i < n; i++ {
-		out.MustAppend(run.Event(i))
-	}
-	return out
-}
-
-func cloneRun(run *program.Run) *program.Run {
-	return rebuild(run.Prog, run.Initial, run, run.Len())
 }
