@@ -166,16 +166,38 @@ func NewAnalysis(r *program.Run) *Analysis {
 // NewAnalysisPartial builds an analysis that has processed no events yet;
 // the caller advances it with SyncTo. The incremental maintainer uses this
 // to observe the run's lifecycle state as of each historical step.
-func NewAnalysisPartial(r *program.Run) *Analysis {
+func NewAnalysisPartial(r *program.Run) *Analysis { return newAnalysis(r, 0) }
+
+// newAnalysis is NewAnalysisPartial with its tables sized for the first n
+// events of r: the lifecycles are those of the initial instance plus one
+// per Created effect, a key row holds at most the event's keys, and a
+// closes row one id per Deleted effect.
+func newAnalysis(r *program.Run, n int) *Analysis {
+	s := r.Prog.Schema
+	lcs, keys, closes := 0, 0, 0
+	for _, name := range s.DB.Names() {
+		lcs += r.Initial.Count(name)
+	}
+	for i := range n {
+		for _, ef := range r.Effects(i) {
+			switch ef.Kind {
+			case program.Created:
+				lcs++
+			case program.Deleted:
+				closes++
+			}
+		}
+		keys += len(r.Event(i).Keys())
+	}
 	a := &Analysis{
 		Run:      r,
-		latest:   make(map[lcID]int32),
-		keyLCs:   rows{off: []int32{0}},
-		closes:   rows{off: []int32{0}},
-		relevant: relevantSets(r.Prog.Schema),
+		lcs:      make([]lifecycle, 0, lcs),
+		latest:   make(map[lcID]int32, lcs),
+		keyLCs:   rows{off: append(make([]int32, 0, n+1), 0), ids: make([]int32, 0, keys)},
+		closes:   rows{off: append(make([]int32, 0, n+1), 0), ids: make([]int32, 0, closes)},
+		relevant: relevantSets(s),
 		reqMemo:  make(map[schema.Peer][][]int),
 	}
-	s := r.Prog.Schema
 	// Tuples of the initial instance live in lifecycles opened "before"
 	// the run (Left = -1).
 	for _, name := range s.DB.Names() {

@@ -65,9 +65,16 @@ func NewMaintainer(r *program.Run, peers ...schema.Peer) *Maintainer {
 // (e.g. a coordinator whose tail is not yet durable) gets explanations over
 // exactly that prefix. Later events are processed by SyncTo/Sync.
 func NewMaintainerAt(r *program.Run, n int, peers ...schema.Peer) *Maintainer {
-	m := &Maintainer{a: NewAnalysisPartial(r)}
+	n = min(n, r.Len())
+	a := newAnalysis(r, n)
+	m := &Maintainer{a: a, right: make([]atomic.Int32, 0, cap(a.lcs))}
 	for _, p := range peers {
-		m.peers = append(m.peers, &peerState{p: p, past: rows{off: []int32{0}}})
+		m.peers = append(m.peers, &peerState{
+			p:      p,
+			past:   rows{off: append(make([]int32, 0, n+1), 0)},
+			inMain: make([]bool, 0, n),
+			mainLC: make([]bool, 0, cap(a.lcs)),
+		})
 	}
 	m.SyncTo(n)
 	return m

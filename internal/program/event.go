@@ -50,15 +50,10 @@ func (g GroundUpdate) String() string {
 }
 
 // NewEvent instantiates rule r with valuation val, which must bind every
-// variable of the rule. The event keeps a copy of val.
+// variable of the rule. The event adopts val: it keeps the map itself, so
+// the caller must not modify it afterwards. Run.Fire and the trace and WAL
+// decoders hand over a valuation they have just built.
 func NewEvent(r *rule.Rule, val query.Valuation) (*Event, error) {
-	return newEvent(r, val.Clone())
-}
-
-// newEvent is NewEvent adopting val: the event keeps val itself, so the
-// caller must not modify it afterwards. Run.Fire hands over the valuation
-// it has just built.
-func newEvent(r *rule.Rule, val query.Valuation) (*Event, error) {
 	ground := func(t query.Term) (data.Value, error) {
 		v, ok := val.Apply(t)
 		if !ok {
@@ -66,7 +61,7 @@ func newEvent(r *rule.Rule, val query.Valuation) (*Event, error) {
 		}
 		return v, nil
 	}
-	e := &Event{Rule: r, Val: val}
+	e := &Event{Rule: r, Val: val, Updates: make([]GroundUpdate, 0, len(r.Head))}
 	for _, u := range r.Head {
 		switch u := u.(type) {
 		case rule.Insert:
@@ -215,6 +210,8 @@ func (k EffectKind) String() string {
 }
 
 // Effect records one update's observable change to the global instance.
+// Before and After are the instances' own stored tuples, which are
+// immutable: callers must not modify them.
 type Effect struct {
 	Kind EffectKind
 	Rel  string
@@ -235,8 +232,13 @@ type Effect struct {
 // The visibility checks on the updated tuples count their condition
 // evaluations into cs (nil = uncounted).
 func Apply(in *schema.Instance, e *Event, s *schema.Collaborative, cs *cond.EvalCounts) (*schema.Instance, []Effect, error) {
-	cur := in
-	var effects []Effect
+	// The updates write one copy of I in place, so an event costs one
+	// instance version however many updates it has.
+	next := in
+	if len(e.Updates) > 0 {
+		next = in.Clone()
+	}
+	effects := make([]Effect, 0, len(e.Updates))
 	for _, u := range e.Updates {
 		v, ok := s.View(e.Peer(), u.Rel)
 		if !ok {
@@ -245,51 +247,58 @@ func Apply(in *schema.Instance, e *Event, s *schema.Collaborative, cs *cond.Eval
 		if u.IsDelete {
 			// A peer can delete only a tuple it sees: the key must be in
 			// I@p(R@p).
-			t, exists := cur.Get(u.Rel, u.Key)
+			t, exists := next.Get(u.Rel, u.Key)
 			if !exists || !v.Sees(t, cs) {
 				return nil, nil, fmt.Errorf("program: deletion %s not applicable: key not visible at %s", u, e.Peer())
 			}
-			next := cur.Clone()
 			next.Delete(u.Rel, u.Key)
-			effects = append(effects, Effect{Kind: Deleted, Rel: u.Rel, Key: u.Key, Before: t.Clone()})
-			cur = next
+			effects = append(effects, Effect{Kind: Deleted, Rel: u.Rel, Key: u.Key, Before: t})
 			continue
 		}
 		// Insertion: J = chase_K(I ∪ {R(u^⊥)}) must be valid and u must be
 		// subsumed by a tuple of J@p(R@p).
-		padded := v.Pad(u.Args)
-		before, existed := cur.Get(u.Rel, u.Key)
-		next, merged, err := cur.ChaseInsert(u.Rel, padded)
+		before, existed := next.Get(u.Rel, u.Key)
+		merged, err := next.Chase(u.Rel, v.Pad(u.Args))
 		if err != nil {
 			return nil, nil, fmt.Errorf("program: insertion %s not applicable: %w", u, err)
 		}
 		if !v.Sees(merged, cs) || !v.Project(merged).Subsumes(u.Args) {
 			return nil, nil, fmt.Errorf("program: insertion %s not applicable: inserted tuple not subsumed by %s's view", u, e.Peer())
 		}
-		ef := Effect{Rel: u.Rel, Key: u.Key, After: merged.Clone()}
+		// Stored tuples are immutable: the effect shares merged, which the
+		// chase has just stored, and before, which the instance held.
+		ef := Effect{Kind: Created, Rel: u.Rel, Key: u.Key, After: merged, Filled: filled(before, merged)}
 		if existed {
-			ef.Kind = Modified
-			ef.Before = before.Clone()
-			for i := range merged {
-				if before[i].IsNull() && !merged[i].IsNull() {
-					ef.Filled = append(ef.Filled, i)
-				}
-			}
 			// An insertion that changes nothing is still an event, but it
 			// has no effect entry content beyond the identity; record it
 			// anyway so provenance sees the touch.
-		} else {
-			ef.Kind = Created
-			for i := range merged {
-				if !merged[i].IsNull() {
-					ef.Filled = append(ef.Filled, i)
-				}
-			}
+			ef.Kind = Modified
+			ef.Before = before
 		}
 		effects = append(effects, ef)
-		cur = next
 	}
-	return cur, effects, nil
+	return next, effects, nil
+}
+
+// filled returns the positions that are ⊥ in before (nil: absent) and set
+// in after, in one allocation, or nil when there are none.
+func filled(before, after data.Tuple) []int {
+	n := 0
+	for i := range after {
+		if !after[i].IsNull() && (before == nil || before[i].IsNull()) {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]int, 0, n)
+	for i := range after {
+		if !after[i].IsNull() && (before == nil || before[i].IsNull()) {
+			out = append(out, i)
+		}
+	}
+	return out
 }
 
 // Applicable reports whether event e can fire on instance I: its body must

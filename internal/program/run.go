@@ -218,6 +218,10 @@ func (r *Run) Append(e *Event) error {
 	return nil
 }
 
+// Grow makes room for n more steps, so appending a known number of events
+// (a replay) grows the step list once.
+func (r *Run) Grow(n int) { r.Steps = slices.Grow(r.Steps, n) }
+
 // Truncate discards all events after the first n, restoring the run to the
 // state it had before they were appended: the freshness ledger forgets the
 // fresh values of the dropped events, which no earlier instance holds. It
@@ -333,7 +337,7 @@ func (r *Run) Fire(c Candidate) (*Event, error) {
 		}
 		val[v] = r.NextFresh()
 	}
-	e, err := newEvent(c.Rule, val)
+	e, err := NewEvent(c.Rule, val)
 	if err != nil {
 		return nil, err
 	}

@@ -443,13 +443,16 @@ func unify(args []Term, t data.Tuple, val Valuation) (Valuation, bool) {
 }
 
 func evalAtomGround(a Atom, vi *schema.ViewInstance, val Valuation) bool {
-	ground := make(data.Tuple, len(a.Args))
-	for i, t := range a.Args {
+	// The ground tuple is only compared, so it lives on the stack for the
+	// arities relations have in practice.
+	var buf [8]data.Value
+	ground := data.Tuple(buf[:0])
+	for _, t := range a.Args {
 		v, ok := val.Apply(t)
 		if !ok {
 			return false
 		}
-		ground[i] = v
+		ground = append(ground, v)
 	}
 	tup, ok := vi.Get(a.Rel, ground.Key())
 	match := ok && tup.Equal(ground)

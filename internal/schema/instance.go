@@ -137,34 +137,46 @@ func (in *Instance) Delete(rel string, key data.Value) bool {
 // It returns the merged tuple as stored. The result shares every other row
 // with the receiver.
 func (in *Instance) ChaseInsert(rel string, t data.Tuple) (*Instance, data.Tuple, error) {
+	out := in.Clone()
+	merged, err := out.Chase(rel, t.Clone())
+	if err != nil {
+		return nil, nil, err
+	}
+	return out, merged, nil
+}
+
+// Chase is ChaseInsert in place, for a caller that owns the receiver (a
+// Clone it has not shared) and t: t is filled from the stored tuple with
+// its key and stored itself, so the caller must not modify it afterwards.
+// It returns the merged tuple as stored. On error the receiver is
+// unchanged.
+func (in *Instance) Chase(rel string, t data.Tuple) (data.Tuple, error) {
 	r := in.db.Relation(rel)
 	if r == nil {
-		return nil, nil, fmt.Errorf("schema: unknown relation %s", rel)
+		return nil, fmt.Errorf("schema: unknown relation %s", rel)
 	}
 	if len(t) != r.Arity() {
-		return nil, nil, fmt.Errorf("schema: tuple %v has arity %d, want %d for %s", t, len(t), r.Arity(), rel)
+		return nil, fmt.Errorf("schema: tuple %v has arity %d, want %d for %s", t, len(t), r.Arity(), rel)
 	}
 	if t.Key().IsNull() {
-		return nil, nil, fmt.Errorf("schema: insertion with ⊥ key into %s", rel)
+		return nil, fmt.Errorf("schema: insertion with ⊥ key into %s", rel)
 	}
-	merged := t.Clone()
 	i := in.db.idx[rel]
 	if old, ok := in.rels[i].get(t.Key()); ok {
-		for i := range merged {
+		for j := range t {
 			switch {
-			case merged[i].IsNull():
-				merged[i] = old[i]
-			case old[i].IsNull() || old[i] == merged[i]:
+			case t[j].IsNull():
+				t[j] = old[j]
+			case old[j].IsNull() || old[j] == t[j]:
 				// compatible
 			default:
-				return nil, nil, fmt.Errorf("schema: chase conflict in %s on key %s attribute %s: %s vs %s",
-					rel, t.Key(), r.Attrs[i], old[i], merged[i])
+				return nil, fmt.Errorf("schema: chase conflict in %s on key %s attribute %s: %s vs %s",
+					rel, t.Key(), r.Attrs[j], old[j], t[j])
 			}
 		}
 	}
-	out := in.Clone()
-	out.rels[i] = out.rels[i].with(merged.Key(), merged)
-	return out, merged, nil
+	in.rels[i] = in.rels[i].with(t.Key(), t)
+	return t, nil
 }
 
 // Equal reports whether two instances over the same schema hold the same

@@ -47,7 +47,9 @@ func mk(l, src, r *pnode) *pnode {
 		h = hr
 	}
 	n := &pnode{key: src.key, tup: src.tup, left: l, right: r, h: h + 1}
-	n.lines.Store(src.lines.Load())
+	if lines := src.lines.Load(); lines != nil {
+		n.lines.Store(lines)
+	}
 	return n
 }
 

@@ -82,9 +82,10 @@ func New(name string, p *program.Program) *Coordinator {
 
 // NewDurable builds a coordinator from cfg. With cfg.Dir set it recovers
 // the run the directory holds (an empty directory is the trivial
-// recovery): it replays every WAL record (truncating a torn trailing
-// record rather than failing), re-installs the persisted guards and
-// rebuilds the idempotency window from the keyed records. A run that
+// recovery): it replays every WAL record as the log is read, decoded once
+// into the event it appends (truncating a torn trailing record rather
+// than failing), re-installs the persisted guards and rebuilds the
+// idempotency window from the keyed records. A run that
 // recovers empty and unguarded takes cfg.Guards instead. A data dir
 // written by an earlier version may also hold a snapshot of a run prefix:
 // it is replayed first and the records it covers are skipped. Every
@@ -176,38 +177,48 @@ func NewDurable(name string, p *program.Program, cfg DurabilityConfig) (*Coordin
 	return c, nil
 }
 
-// recoverDir opens the WAL in cfg.Dir and replays it into the coordinator's
-// run, filling budgets with the persisted guards and rebuilding the
-// idempotency window. On failure the log is closed again.
+// recoverDir opens the WAL in cfg.Dir, replaying it into the coordinator's
+// run as it is read, fills budgets with the persisted guards and rebuilds
+// the idempotency window. On failure the log is closed again.
 func (c *Coordinator) recoverDir(cfg DurabilityConfig, budgets map[schema.Peer]int) error {
 	var walLog *slog.Logger
 	if cfg.Logger != nil {
 		walLog = obs.Sub(cfg.Logger, "wal")
 	}
+	rp := &replayer{c: c, budgets: budgets}
 	log, err := wal.Open(cfg.Dir, wal.Options{
 		Sync:       cfg.Sync,
 		Strict:     cfg.Strict,
 		Failpoints: cfg.Failpoints,
 		Metrics:    cfg.Metrics,
 		Logger:     walLog,
-	})
+	}, rp)
 	if err != nil {
 		return fmt.Errorf("server: %w", err)
 	}
-	if err := c.replay(log, budgets); err != nil {
-		log.Close()
-		return err
-	}
 	c.log = log
+	// A client retrying a submission that was durable before the crash gets
+	// its original index back instead of double-applying.
+	c.recoverIdemLocked(rp.legacyIdem, rp.keyed)
 	return nil
 }
 
-// replay rebuilds the run from what the log recovered. snapshot.json holds
-// the guards; in a legacy dir also a run prefix and the idempotency window
-// its log reset dropped.
-func (c *Coordinator) replay(log *wal.Log, budgets map[schema.Peer]int) error {
-	snap, tail := log.TakeRecovered()
-	var legacyIdem []wal.IdemEntry
+// replayer rebuilds a coordinator's run from what wal.Open recovers.
+// snapshot.json holds the guards; in a legacy dir also a run prefix and the
+// idempotency window its log reset dropped. Each record is appended as it
+// is read, re-checking every run condition; of a keyed record only its
+// (key, index) pair is kept, for the idempotency window.
+type replayer struct {
+	c          *Coordinator
+	budgets    map[schema.Peer]int
+	legacyIdem []wal.IdemEntry
+	keyed      []wal.IdemEntry
+}
+
+// Start replays the snapshot, if any, and sizes the step list for the
+// log's records.
+func (rp *replayer) Start(snap *wal.Snapshot, lines int) error {
+	c := rp.c
 	if snap != nil {
 		if snap.Workflow != "" {
 			c.name = snap.Workflow
@@ -215,33 +226,42 @@ func (c *Coordinator) replay(log *wal.Log, budgets map[schema.Peer]int) error {
 		for peer, h := range snap.Guards {
 			sp := schema.Peer(peer)
 			if !c.prog.Schema.HasPeer(sp) {
-				return fmt.Errorf("server: persisted guard for unknown peer %s", peer)
+				return fmt.Errorf("persisted guard for unknown peer %s", peer)
 			}
-			budgets[sp] = h
+			rp.budgets[sp] = h
 		}
 		run, err := snap.Trace.Replay(c.prog)
 		if err != nil {
-			return fmt.Errorf("server: replaying snapshot: %w", err)
+			return fmt.Errorf("replaying snapshot: %w", err)
 		}
 		c.run = run
-		legacyIdem = snap.Idem
+		rp.legacyIdem = snap.Idem
 	}
-	for _, rec := range tail {
-		if rec.Seq < c.run.Len() {
-			// Already covered by a legacy snapshot (crash between its
-			// rename and the log reset).
-			continue
-		}
-		if rec.Seq != c.run.Len() {
-			return fmt.Errorf("server: WAL gap: record %d follows run of length %d", rec.Seq, c.run.Len())
-		}
-		if err := applyRecord(c.run, rec.Event); err != nil {
-			return fmt.Errorf("server: replaying WAL record %d: %w", rec.Seq, err)
-		}
+	c.run.Grow(lines)
+	return nil
+}
+
+// Record appends the record's event to the run.
+func (rp *replayer) Record(e wal.Entry) error {
+	r := rp.c.run
+	if e.Idem != "" {
+		rp.keyed = append(rp.keyed, wal.IdemEntry{Key: e.Idem, Index: e.Seq})
 	}
-	// A client retrying a submission that was durable before the crash gets
-	// its original index back instead of double-applying.
-	c.recoverIdemLocked(legacyIdem, tail)
+	if e.Seq < r.Len() {
+		// Already covered by a legacy snapshot (crash between its rename
+		// and the log reset).
+		return nil
+	}
+	if e.Seq != r.Len() {
+		return fmt.Errorf("WAL gap: record %d follows run of length %d", e.Seq, r.Len())
+	}
+	ev, err := trace.DecodeEvent(r.Prog, e.Rule, e.Val)
+	if err == nil {
+		err = r.Append(ev)
+	}
+	if err != nil {
+		return fmt.Errorf("replaying WAL record %d: %w", e.Seq, err)
+	}
 	return nil
 }
 
@@ -346,14 +366,4 @@ func (c *Coordinator) WALPath() string {
 		return ""
 	}
 	return c.log.Path()
-}
-
-// applyRecord decodes one WAL record into an event and appends it to the
-// run, re-checking all run conditions.
-func applyRecord(r *program.Run, rec trace.EventRecord) error {
-	e, err := rec.Decode(r.Prog)
-	if err != nil {
-		return err
-	}
-	return r.Append(e)
 }

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -494,8 +495,9 @@ func TestGuardRejectionLeavesNoTrace(t *testing.T) {
 	}
 }
 
-// TestRecoveryRetainsNoRecords: recovery hands the decoded records over to
-// the replay, and the log keeps none once NewDurable returns.
+// TestRecoveryRetainsNoRecords: recovery replays each record as the log
+// is read, and of the records only the keyed ones' (key, index) pairs
+// outlive the scan, for the idempotency window.
 func TestRecoveryRetainsNoRecords(t *testing.T) {
 	prog := workload.Hiring()
 	dir := t.TempDir()
@@ -505,21 +507,28 @@ func TestRecoveryRetainsNoRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if _, err := c.Submit("hr", "clear", nil); err != nil {
+		key := ""
+		if i%3 == 0 {
+			key = fmt.Sprintf("k%d", i)
+		}
+		if _, err := c.SubmitIdemCtx(context.Background(), "hr", "clear", nil, key); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Crash: no Close, so recovery replays all 10 records.
-	rc, err := NewDurable("Hiring", prog, cfg)
+	rc := &Coordinator{prog: prog, run: program.NewRun(prog)}
+	rp := &replayer{c: rc, budgets: map[schema.Peer]int{}}
+	log, err := wal.Open(dir, wal.Options{}, rp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rc.Close()
-	if rc.Len() != 10 {
-		t.Fatalf("recovered %d events, want 10", rc.Len())
+	defer log.Close()
+	if rc.run.Len() != 10 {
+		t.Fatalf("replayed %d events, want 10", rc.run.Len())
 	}
-	if snap, tail := rc.log.TakeRecovered(); snap != nil || tail != nil {
-		t.Fatalf("the log still holds a snapshot (%v) and %d tail records after recovery", snap != nil, len(tail))
+	want := []wal.IdemEntry{{Key: "k0", Index: 0}, {Key: "k3", Index: 3}, {Key: "k6", Index: 6}, {Key: "k9", Index: 9}}
+	if !slices.Equal(rp.keyed, want) {
+		t.Fatalf("replay kept %v, want the keyed pairs %v", rp.keyed, want)
 	}
 }
 

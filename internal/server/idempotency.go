@@ -101,13 +101,14 @@ func (c *Coordinator) evictIdemLocked() {
 }
 
 // recoverIdemLocked rebuilds the dedupe window after recovery from the
-// keyed records, newest first, then from a legacy snapshot's window, whose
-// keys are older than the records past its prefix. It stops once the window
-// is full, so only the kept keys get a result built: one rebuilt from the
-// recovered run, the answer the original submission got. A key seen twice
-// keeps its newest index, as the live window does. Callers own the
-// coordinator exclusively, as NewDurable does.
-func (c *Coordinator) recoverIdemLocked(legacy []wal.IdemEntry, tail []wal.Record) {
+// keyed records' (key, index) pairs, newest first, then from a legacy
+// snapshot's window, whose keys are older than the records past its
+// prefix. It stops once the window is full, so only the kept keys get a
+// result built: one rebuilt from the recovered run, the answer the
+// original submission got. A key seen twice keeps its newest index, as the
+// live window does. Callers own the coordinator exclusively, as NewDurable
+// does.
+func (c *Coordinator) recoverIdemLocked(legacy, keyed []wal.IdemEntry) {
 	keep := func(key string, index int) {
 		if key == "" || c.idem[key] != nil {
 			return
@@ -117,8 +118,8 @@ func (c *Coordinator) recoverIdemLocked(legacy []wal.IdemEntry, tail []wal.Recor
 		c.idem[key] = &idemEntry{done: done, res: c.resultLocked(index)}
 		c.idemOrder = append(c.idemOrder, key)
 	}
-	for i := len(tail) - 1; i >= 0 && len(c.idemOrder) < c.idemMax; i-- {
-		keep(tail[i].Idem, tail[i].Seq)
+	for i := len(keyed) - 1; i >= 0 && len(c.idemOrder) < c.idemMax; i-- {
+		keep(keyed[i].Key, keyed[i].Index)
 	}
 	for i := len(legacy) - 1; i >= 0 && len(c.idemOrder) < c.idemMax; i-- {
 		keep(legacy[i].Key, legacy[i].Index)

@@ -54,15 +54,23 @@ func EncodeEvent(e *program.Event) EventRecord {
 	return rec
 }
 
-// Decode converts the record back into an event of program p.
+// Decode converts the record back into an event of program p. The event
+// adopts the valuation Decode builds.
 func (rec EventRecord) Decode(p *program.Program) (*program.Event, error) {
-	rl := p.Rule(rec.Rule)
-	if rl == nil {
-		return nil, fmt.Errorf("trace: unknown rule %q", rec.Rule)
-	}
 	val := make(query.Valuation, len(rec.Valuation))
 	for k, v := range rec.Valuation {
 		val[k] = data.Value(v)
+	}
+	return DecodeEvent(p, rec.Rule, val)
+}
+
+// DecodeEvent returns the event of program p that fires the named rule
+// under val. The event adopts val, so the caller must not modify it
+// afterwards: the WAL decoder hands over the valuation it has just parsed.
+func DecodeEvent(p *program.Program, rule string, val query.Valuation) (*program.Event, error) {
+	rl := p.Rule(rule)
+	if rl == nil {
+		return nil, fmt.Errorf("trace: unknown rule %q", rule)
 	}
 	return program.NewEvent(rl, val)
 }
@@ -117,6 +125,7 @@ func (t *Trace) Replay(p *program.Program) (*program.Run, error) {
 // run condition. WAL recovery uses this to replay a tail of records onto a
 // snapshot-restored run.
 func (t *Trace) ApplyTo(r *program.Run) error {
+	r.Grow(len(t.Events))
 	for i, rec := range t.Events {
 		e, err := rec.Decode(r.Prog)
 		if err != nil {

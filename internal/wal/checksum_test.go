@@ -19,7 +19,7 @@ import (
 // the file and replays clean on reopen.
 func TestRecordChecksumRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{})
+	l, err := Open(dir, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,12 +40,12 @@ func TestRecordChecksumRoundTrip(t *testing.T) {
 		}
 	}
 
-	l2, err := Open(dir, Options{})
+	l2, got, err := openRecovered(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	if _, tail := l2.TakeRecovered(); len(tail) != 4 {
+	if tail := got.entries; len(tail) != 4 {
 		t.Fatalf("replayed %d records, want 4", len(tail))
 	}
 	if got := l2.CorruptRecords(); got != 0 {
@@ -63,12 +63,12 @@ func TestUnchecksummedRecordStillReplays(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, strict := range []bool{false, true} {
-		l, err := Open(dir, Options{Strict: strict})
+		l, got, err := openRecovered(dir, Options{Strict: strict})
 		if err != nil {
 			t.Fatalf("strict=%v: %v", strict, err)
 		}
-		_, tail := l.TakeRecovered()
-		if len(tail) != 1 || tail[0].Event.Rule != "legacy" {
+		tail := got.entries
+		if len(tail) != 1 || tail[0].Rule != "legacy" {
 			t.Fatalf("strict=%v: tail = %+v, want the legacy record", strict, tail)
 		}
 		if l.CorruptRecords() != 0 {
@@ -101,7 +101,7 @@ func corruptMiddleRecord(t *testing.T, dir string, seq int) {
 // the record and everything after it, counts it, and keeps serving.
 func TestCorruptRecordTruncatesByDefault(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{})
+	l, err := Open(dir, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,12 +114,12 @@ func TestCorruptRecordTruncatesByDefault(t *testing.T) {
 	corruptMiddleRecord(t, dir, 2)
 
 	reg := obs.NewRegistry()
-	l2, err := Open(dir, Options{Metrics: reg})
+	l2, got, err := openRecovered(dir, Options{Metrics: reg})
 	if err != nil {
 		t.Fatalf("default policy must recover, got %v", err)
 	}
 	defer l2.Close()
-	if _, tail := l2.TakeRecovered(); len(tail) != 2 {
+	if tail := got.entries; len(tail) != 2 {
 		t.Fatalf("replayed %d records, want the 2 before the corruption", len(tail))
 	}
 	if got := l2.CorruptRecords(); got != 1 {
@@ -142,7 +142,7 @@ func TestCorruptRecordTruncatesByDefault(t *testing.T) {
 // for inspection.
 func TestCorruptRecordStrictRefuses(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{})
+	l, err := Open(dir, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestCorruptRecordStrictRefuses(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, err = Open(dir, Options{Strict: true})
+	_, err = Open(dir, Options{Strict: true}, nil)
 	if err == nil {
 		t.Fatal("strict open must refuse a corrupt record")
 	}
@@ -188,11 +188,11 @@ func TestSnapshotChecksum(t *testing.T) {
 	}
 
 	// Sanity: the clean guard file loads as a length-0 snapshot.
-	l2, err := Open(dir, Options{})
+	l2, got, err := openRecovered(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap, _ := l2.TakeRecovered(); snap == nil || snap.CRC == 0 || snap.Len != 0 || snap.Guards["sue"] != 2 {
+	if snap := got.snap; snap == nil || snap.CRC == 0 || snap.Len != 0 || snap.Guards["sue"] != 2 {
 		t.Fatalf("guard file = %+v, want a checksummed length-0 snapshot guarding sue", snap)
 	}
 	l2.Close()
@@ -210,7 +210,7 @@ func TestSnapshotChecksum(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, strict := range []bool{false, true} {
-		if _, err := Open(dir, Options{Strict: strict}); !errors.Is(err, ErrCorrupt) {
+		if _, err := Open(dir, Options{Strict: strict}, nil); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("strict=%v: open of corrupt snapshot = %v, want ErrCorrupt", strict, err)
 		}
 	}
@@ -233,7 +233,7 @@ func recordChecksum(r Record) uint32 {
 // record reproduces the line.
 func TestLineChecksumMatchesRecordChecksum(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{})
+	l, err := Open(dir, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestLineChecksumMatchesRecordChecksum(t *testing.T) {
 // refuses.
 func TestRecasedFieldIsCorrupt(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{})
+	l, err := Open(dir, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,15 +311,15 @@ func TestRecasedFieldIsCorrupt(t *testing.T) {
 	if err := os.WriteFile(path, mut, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir, Options{Strict: true}); !errors.Is(err, ErrCorrupt) {
+	if _, err := Open(dir, Options{Strict: true}, nil); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("strict open = %v, want ErrCorrupt", err)
 	}
-	l2, err := Open(dir, Options{})
+	l2, got, err := openRecovered(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	if _, tail := l2.TakeRecovered(); len(tail) != 1 {
+	if tail := got.entries; len(tail) != 1 {
 		t.Fatalf("replayed %d records, want the 1 before the recased one", len(tail))
 	}
 	if got := l2.CorruptRecords(); got != 1 {

@@ -7,8 +7,9 @@ import (
 
 // Failpoints injects failures into a Log for crash and fault testing:
 // appends that fail before touching disk, partial writes (a record torn
-// mid-line, as a real crash would leave it), and fsync errors. All hooks
-// are safe to arm and disarm concurrently with appends.
+// mid-line, as a real crash would leave it), fsync errors, and slow or
+// held fsyncs. All hooks are safe to arm and disarm concurrently with
+// appends.
 type Failpoints struct {
 	mu sync.Mutex
 	// failBefore rejects the append of the given seq before any bytes are
@@ -22,6 +23,10 @@ type Failpoints struct {
 	// slowSync delays every sync attempt; used to force group-commit
 	// batching deterministically in tests.
 	slowSync time.Duration
+	// hold, while non-nil, blocks every sync attempt until it is closed;
+	// held counts the attempts blocked on it.
+	hold chan struct{}
+	held int
 }
 
 // NewFailpoints returns an empty failpoint set.
@@ -62,7 +67,36 @@ func (fp *Failpoints) SlowSync(d time.Duration) {
 	fp.slowSync = d
 }
 
-// Reset disarms every failpoint.
+// HoldSync blocks every sync attempt from now until release is called, so
+// a test can keep one group commit pending for as long as it needs, with
+// no clock involved. release is idempotent.
+func (fp *Failpoints) HoldSync() (release func()) {
+	ch := make(chan struct{})
+	fp.mu.Lock()
+	fp.hold = ch
+	fp.mu.Unlock()
+	var once sync.Once
+	return func() {
+		once.Do(func() {
+			fp.mu.Lock()
+			if fp.hold == ch {
+				fp.hold = nil
+			}
+			fp.mu.Unlock()
+			close(ch)
+		})
+	}
+}
+
+// HeldSyncs reports how many sync attempts are blocked on a HoldSync.
+func (fp *Failpoints) HeldSyncs() int {
+	fp.mu.Lock()
+	defer fp.mu.Unlock()
+	return fp.held
+}
+
+// Reset disarms every failpoint. A sync attempt already blocked on a
+// HoldSync stays blocked until that hold is released.
 func (fp *Failpoints) Reset() {
 	fp.mu.Lock()
 	defer fp.mu.Unlock()
@@ -70,6 +104,7 @@ func (fp *Failpoints) Reset() {
 	fp.partial = make(map[int]int)
 	fp.nextSync = nil
 	fp.slowSync = 0
+	fp.hold = nil
 }
 
 func (fp *Failpoints) beforeAppend(seq int) error {
@@ -106,12 +141,22 @@ func (fp *Failpoints) syncErr() error {
 	return err
 }
 
-// slowSyncDelay sleeps for the armed SlowSync duration (no-op when
-// disarmed). Called off-lock by the sync path.
-func (fp *Failpoints) slowSyncDelay() {
+// delaySync blocks while a HoldSync is armed, then sleeps for the armed
+// SlowSync duration (no-op when neither is armed). Called off-lock by the
+// sync path.
+func (fp *Failpoints) delaySync() {
 	fp.mu.Lock()
-	d := fp.slowSync
+	hold, d := fp.hold, fp.slowSync
+	if hold != nil {
+		fp.held++
+	}
 	fp.mu.Unlock()
+	if hold != nil {
+		<-hold
+		fp.mu.Lock()
+		fp.held--
+		fp.mu.Unlock()
+	}
 	if d > 0 {
 		time.Sleep(d)
 	}

@@ -21,7 +21,7 @@ func TestGroupCommitCoalescesBatches(t *testing.T) {
 	// Slow every fsync down so the records appended during the first sync
 	// pile up deterministically into one batch.
 	fp.SlowSync(30 * time.Millisecond)
-	l, err := Open(dir, Options{Sync: SyncAlways, Failpoints: fp, Metrics: reg})
+	l, err := Open(dir, Options{Sync: SyncAlways, Failpoints: fp, Metrics: reg}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,13 +65,51 @@ func TestGroupCommitCoalescesBatches(t *testing.T) {
 	}
 }
 
+// TestHoldSyncBlocksUntilReleased: a held sync keeps its commit pending,
+// with no clock involved, until the hold is released; later syncs are not
+// held.
+func TestHoldSyncBlocksUntilReleased(t *testing.T) {
+	fp := NewFailpoints()
+	l, err := Open(t.TempDir(), Options{Sync: SyncAlways, Failpoints: fp}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	release := fp.HoldSync()
+	cm, err := l.AppendBuffered(t.Context(), rec(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); fp.HeldSyncs() != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the sync never reached the hold")
+		}
+	}
+	select {
+	case <-cm.Done():
+		t.Fatal("a commit resolved while its sync was held")
+	default:
+	}
+	release()
+	release()
+	if err := cm.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if got := fp.HeldSyncs(); got != 0 {
+		t.Fatalf("HeldSyncs() = %d after release", got)
+	}
+	if err := appendDurable(l, rec(1)); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestGroupSyncFailureFailsBatchAndStalls pins the failure contract: when
 // the batch fsync fails, every queued submitter gets the error, the durable
 // prefix on disk is untouched, and the log refuses appends until Resume.
 func TestGroupSyncFailureFailsBatchAndStalls(t *testing.T) {
 	dir := t.TempDir()
 	fp := NewFailpoints()
-	l, err := Open(dir, Options{Sync: SyncAlways, Failpoints: fp})
+	l, err := Open(dir, Options{Sync: SyncAlways, Failpoints: fp}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +186,7 @@ func TestFlushDrainsPending(t *testing.T) {
 	dir := t.TempDir()
 	fp := NewFailpoints()
 	fp.SlowSync(20 * time.Millisecond)
-	l, err := Open(dir, Options{Sync: SyncAlways, Failpoints: fp})
+	l, err := Open(dir, Options{Sync: SyncAlways, Failpoints: fp}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +228,7 @@ func TestIdleFlushTimerSyncsIdleTail(t *testing.T) {
 	dir := t.TempDir()
 	reg := obs.NewRegistry()
 	fp := NewFailpoints()
-	l, err := Open(dir, Options{Sync: SyncInterval, Failpoints: fp, Metrics: reg})
+	l, err := Open(dir, Options{Sync: SyncInterval, Failpoints: fp, Metrics: reg}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +273,7 @@ func TestIntervalAppendNeverWaitsOnFsync(t *testing.T) {
 	fp := NewFailpoints()
 	const delay = time.Second
 	fp.SlowSync(delay)
-	l, err := Open(dir, Options{Sync: SyncInterval, Failpoints: fp})
+	l, err := Open(dir, Options{Sync: SyncInterval, Failpoints: fp}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +311,7 @@ func TestIntervalSyncFailureIsRetried(t *testing.T) {
 	reg := obs.NewRegistry()
 	fp := NewFailpoints()
 	fp.FailNextSync(errors.New("EIO"))
-	l, err := Open(dir, Options{Sync: SyncInterval, Failpoints: fp, Metrics: reg})
+	l, err := Open(dir, Options{Sync: SyncInterval, Failpoints: fp, Metrics: reg}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +353,7 @@ func TestIntervalSyncFailureIsRetried(t *testing.T) {
 // goroutines and the file must be torn down exactly once.
 func TestCloseIsIdempotent(t *testing.T) {
 	for _, p := range []SyncPolicy{SyncAlways, SyncInterval, SyncNever} {
-		l, err := Open(t.TempDir(), Options{Sync: p})
+		l, err := Open(t.TempDir(), Options{Sync: p}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

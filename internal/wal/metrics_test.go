@@ -31,7 +31,7 @@ func counterValue(reg *obs.Registry, name string) (float64, bool) {
 func TestMetricsRecordAppendsSyncsAndSnapshots(t *testing.T) {
 	reg := obs.NewRegistry()
 	dir := t.TempDir()
-	l, err := Open(dir, Options{Metrics: reg})
+	l, err := Open(dir, Options{Metrics: reg}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,12 +71,12 @@ func TestMetricsRecordAppendsSyncsAndSnapshots(t *testing.T) {
 	// Reopen on a fresh registry: every record is replayed from the log and
 	// recovery telemetry reflects a clean open.
 	reg2 := obs.NewRegistry()
-	l2, err := Open(dir, Options{Metrics: reg2})
+	l2, got, err := openRecovered(dir, Options{Metrics: reg2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	if _, tail := l2.TakeRecovered(); len(tail) != 3 {
+	if tail := got.entries; len(tail) != 3 {
 		t.Errorf("reopened log replays %d records, want 3", len(tail))
 	}
 	if got, ok := counterValue(reg2, "wf_wal_replayed_records"); !ok || got != 3 {
@@ -92,7 +92,7 @@ func TestMetricsRecordFailpointsAndTornTail(t *testing.T) {
 	dir := t.TempDir()
 	fp := NewFailpoints()
 	fp.TornWrite(2, 4)
-	l, err := Open(dir, Options{Metrics: reg, Failpoints: fp})
+	l, err := Open(dir, Options{Metrics: reg, Failpoints: fp}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

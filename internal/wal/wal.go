@@ -5,6 +5,18 @@
 // reconstructed by replaying it. Torn trailing records — the signature of a
 // crash mid-write — are truncated on open, never fatal.
 //
+// Open reads the log file once, into one buffer, and hands each verified
+// record to the caller's Replayer as an Entry, keeping none itself. A line
+// in the fixed shape encodeRecord writes is decoded without reflection:
+// its CRC is checked first, over the line's own bytes, then the fields are
+// parsed in their fixed order straight into the seq, the rule name, a
+// query.Valuation and the idempotency key, with every name and value
+// interned once per recovery. Any other line — a legacy one without a CRC,
+// a string with an escape, a key in another case or order, a CRC that does
+// not match — goes through encoding/json and the same line checksum
+// (verifyRecord), so every line is accepted or rejected, and decoded,
+// exactly as that path alone would do it.
+//
 // Beside the log, snapshot.json holds a guarded run's guards: WriteGuards
 // writes it before the run's first event, as a snapshot of length 0. In
 // data dirs written by earlier versions it holds a snapshot of a run
@@ -28,7 +40,6 @@
 package wal
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -295,9 +306,7 @@ type Log struct {
 	// appends.
 	broken error
 
-	loadedSnapshot *Snapshot
-	loadedTail     []Record
-	tornBytes      int64
+	tornBytes int64
 	// corruptRecords counts complete records dropped at Open for failing
 	// their checksum or parse (default policy only; Strict refuses instead).
 	corruptRecords int
@@ -320,10 +329,23 @@ func (l *Log) logw() *slog.Logger {
 	return obs.Discard()
 }
 
+// A Replayer rebuilds state from what Open recovers, while Open reads it.
+// Start receives the snapshot (nil when the dir holds none) and the number
+// of complete lines in the log, a bound on the records to come; Record then
+// receives each verified record of the clean prefix, in log order, and may
+// keep its valuation. The first error either returns ends the replay: Open
+// still handles a torn or corrupt tail as it would have, then closes the
+// log and returns that error.
+type Replayer interface {
+	Start(snap *Snapshot, lines int) error
+	Record(e Entry) error
+}
+
 // Open opens (creating if necessary) the log rooted at dir, loading the
-// snapshot and scanning the existing records. A torn trailing record is
-// truncated away; its byte count is reported by TornBytes.
-func Open(dir string, opts Options) (*Log, error) {
+// snapshot and scanning the existing records into rp (nil = verify only).
+// A torn trailing record is truncated away; its byte count is reported by
+// TornBytes.
+func Open(dir string, opts Options, rp Replayer) (*Log, error) {
 	if opts.Sync == "" {
 		opts.Sync = SyncAlways
 	}
@@ -333,7 +355,8 @@ func Open(dir string, opts Options) (*Log, error) {
 	start := time.Now()
 	l := &Log{dir: dir, opts: opts, m: newWALMetrics(opts.Metrics)}
 	l.cond = sync.NewCond(&l.mu)
-	if err := l.loadSnapshot(); err != nil {
+	snap, err := loadSnapshot(dir)
+	if err != nil {
 		return nil, err
 	}
 	f, err := os.OpenFile(filepath.Join(dir, logName), os.O_CREATE|os.O_RDWR, 0o644)
@@ -341,7 +364,14 @@ func Open(dir string, opts Options) (*Log, error) {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
 	l.f = f
-	if err := l.scan(); err != nil {
+	if snap != nil {
+		l.accepted = snap.Len
+	}
+	records, replayErr, err := l.scan(snap, rp)
+	if err == nil {
+		err = replayErr
+	}
+	if err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -350,20 +380,12 @@ func Open(dir string, opts Options) (*Log, error) {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
 	l.durable = l.end
-	if l.loadedSnapshot != nil {
-		l.accepted = l.loadedSnapshot.Len
-	}
-	for _, rec := range l.loadedTail {
-		if rec.Seq+1 > l.accepted {
-			l.accepted = rec.Seq + 1
-		}
-	}
 	if opts.Sync != SyncNever {
 		l.wake = make(chan struct{}, 1)
 		l.committerDone = make(chan struct{})
 		go l.committer()
 	}
-	l.m.recordOpen(time.Since(start), len(l.loadedTail), l.tornBytes)
+	l.m.recordOpen(time.Since(start), records, l.tornBytes)
 	return l, nil
 }
 
@@ -371,35 +393,35 @@ func Open(dir string, opts Options) (*Log, error) {
 // checksum when one is recorded. A corrupt snapshot is always fatal — it
 // cannot be partially used the way a log tail can be truncated — so both
 // the default and the strict policy refuse to start on one.
-func (l *Log) loadSnapshot() error {
-	data, err := os.ReadFile(filepath.Join(l.dir, snapshotName))
+func loadSnapshot(dir string) (*Snapshot, error) {
+	data, err := os.ReadFile(filepath.Join(dir, snapshotName))
 	if os.IsNotExist(err) {
-		return nil
+		return nil, nil
 	}
 	if err != nil {
-		return fmt.Errorf("wal: %w", err)
+		return nil, fmt.Errorf("wal: %w", err)
 	}
 	var s Snapshot
 	if err := json.Unmarshal(data, &s); err != nil {
-		return fmt.Errorf("wal: corrupt snapshot (rename is atomic; this is not crash damage): %w", err)
+		return nil, fmt.Errorf("wal: corrupt snapshot (rename is atomic; this is not crash damage): %w", err)
 	}
 	if s.CRC != 0 {
 		want, err := s.Checksum()
 		if err != nil {
-			return fmt.Errorf("wal: %w", err)
+			return nil, fmt.Errorf("wal: %w", err)
 		}
 		if want != s.CRC {
-			return fmt.Errorf("wal: corrupt snapshot: checksum mismatch (stored %08x, computed %08x): %w", s.CRC, want, ErrCorrupt)
+			return nil, fmt.Errorf("wal: corrupt snapshot: checksum mismatch (stored %08x, computed %08x): %w", s.CRC, want, ErrCorrupt)
 		}
 	}
-	l.loadedSnapshot = &s
-	return nil
+	return &s, nil
 }
 
-// verifyRecord parses one complete log line, checking the record checksum
-// when one is present. The checksum is taken over the line's own bytes, so
-// a line that parses to the same record but was not written as encoded
-// (a field name in another case, say) fails it.
+// verifyRecord parses one complete log line with encoding/json, checking
+// the record checksum when one is present: the decoder's path for lines
+// outside the fixed shape. The checksum is taken over the line's own
+// bytes, so a line that parses to the same record but was not written as
+// encoded (a field name in another case, say) fails it.
 func verifyRecord(line []byte) (Record, error) {
 	line = bytes.TrimSpace(line)
 	var rec Record
@@ -418,76 +440,76 @@ func verifyRecord(line []byte) (Record, error) {
 	return rec, nil
 }
 
-// scan reads the record lines, keeping the offset of the last good record.
-// A final line without its newline is a torn record (crash mid-write) and
-// is truncated under either policy. A COMPLETE line that fails to parse or
-// fails its checksum is silent corruption: by default the log is truncated
-// at the first bad record — loudly, with the corrupt-record counter bumped
-// — while Options.Strict refuses to open (leaving the file untouched for
-// inspection).
-func (l *Log) scan() error {
-	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
+// scan reads the log file into one buffer and decodes its record lines in
+// order, handing them to rp (started with snap) and keeping the offset of
+// the last good record. A final line without its newline is a torn record
+// (crash mid-write) and is truncated under either policy. A COMPLETE line
+// that fails to parse or fails its checksum is silent corruption: by
+// default the log is truncated at the first bad record — loudly, with the
+// corrupt-record counter bumped — while Options.Strict refuses to open
+// (leaving the file untouched for inspection). A replay error stops the
+// replay but not the scan, so the tail is handled the same either way; it
+// is returned as replayErr, and the log's own failures as err.
+func (l *Log) scan(snap *Snapshot, rp Replayer) (records int, replayErr, err error) {
 	fi, err := l.f.Stat()
 	if err != nil {
-		return fmt.Errorf("wal: %w", err)
+		return 0, nil, fmt.Errorf("wal: %w", err)
 	}
 	size := fi.Size()
-	r := bufio.NewReader(l.f)
-	var off int64
+	buf := make([]byte, size)
+	if _, err := io.ReadFull(l.f, buf); err != nil {
+		return 0, nil, fmt.Errorf("wal: %w", err)
+	}
+	lines := bytes.Count(buf, []byte{'\n'})
+	if rp != nil {
+		replayErr = rp.Start(snap, lines)
+	}
+	d := newDecoder(lines)
+	var off int
 	var corrupt error
 	for {
-		line, err := r.ReadBytes('\n')
-		if err == io.EOF {
+		n := bytes.IndexByte(buf[off:], '\n')
+		if n < 0 {
 			// A final line without its newline is a torn record.
 			break
 		}
-		if err != nil {
-			return fmt.Errorf("wal: %w", err)
-		}
-		rec, verr := verifyRecord(line)
+		line := buf[off : off+n+1]
+		e, verr := d.decode(line)
 		if verr != nil {
 			// Everything from the corrupt record on is untrusted.
 			corrupt = verr
 			break
 		}
-		l.loadedTail = append(l.loadedTail, rec)
-		off += int64(len(line))
+		records++
+		l.accepted = max(l.accepted, e.Seq+1)
+		if rp != nil && replayErr == nil {
+			replayErr = rp.Record(e)
+		}
+		off += len(line)
 	}
 	if corrupt != nil {
 		if l.opts.Strict {
-			return fmt.Errorf("wal: corrupt record at offset %d (strict mode, refusing to start; %d clean records precede it): %w", off, len(l.loadedTail), corrupt)
+			return 0, nil, fmt.Errorf("wal: corrupt record at offset %d (strict mode, refusing to start; %d clean records precede it): %w", off, records, corrupt)
 		}
 		l.corruptRecords++
 		l.m.recordCorrupt()
 		l.logw().Error("corrupt WAL record: truncating log at first bad record",
-			slog.Int64("offset", off),
-			slog.Int64("dropped_bytes", size-off),
-			slog.Int("clean_records", len(l.loadedTail)),
+			slog.Int("offset", off),
+			slog.Int64("dropped_bytes", size-int64(off)),
+			slog.Int("clean_records", records),
 			slog.Any("error", corrupt))
 	}
-	l.end = off
-	if off < size {
-		l.tornBytes = size - off
-		if err := l.f.Truncate(off); err != nil {
-			return fmt.Errorf("wal: truncating torn tail: %w", err)
+	l.end = int64(off)
+	if l.end < size {
+		l.tornBytes = size - l.end
+		if err := l.f.Truncate(l.end); err != nil {
+			return 0, nil, fmt.Errorf("wal: truncating torn tail: %w", err)
 		}
 		if err := l.f.Sync(); err != nil {
-			return fmt.Errorf("wal: %w", err)
+			return 0, nil, fmt.Errorf("wal: %w", err)
 		}
 	}
-	return nil
-}
-
-// TakeRecovered hands over what Open found — the snapshot (nil if none)
-// and the log records after it — and forgets both, so the decoded prefix
-// lives only as long as the caller replaying it needs it. Later calls
-// return nothing.
-func (l *Log) TakeRecovered() (*Snapshot, []Record) {
-	snap, tail := l.loadedSnapshot, l.loadedTail
-	l.loadedSnapshot, l.loadedTail = nil, nil
-	return snap, tail
+	return records, replayErr, nil
 }
 
 // TornBytes reports how many trailing bytes were truncated at Open time.
@@ -707,11 +729,12 @@ func (l *Log) committer() {
 // bytes than the mark is harmless (the extra records resolve with a later
 // batch).
 func (l *Log) syncFile() error {
-	// The clock starts before the failpoints so an injected slow sync reads
-	// as a slow device in the latency metrics and the Retry-After EWMA.
+	// The clock starts before the failpoints so an injected slow or held
+	// sync reads as a slow device in the latency metrics and the
+	// Retry-After EWMA.
 	start := time.Now()
 	if fp := l.opts.Failpoints; fp != nil {
-		fp.slowSyncDelay()
+		fp.delaySync()
 		if err := fp.syncErr(); err != nil {
 			l.m.recordFailpoint()
 			l.m.recordFsync(0, err)

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"collabwf/internal/data"
 	"collabwf/internal/trace"
 )
 
@@ -17,6 +18,29 @@ func rec(seq int) Record {
 		Rule:      fmt.Sprintf("rule%d", seq),
 		Valuation: map[string]string{"x": fmt.Sprintf("v%d", seq)},
 	}}
+}
+
+// recovered collects what Open replays.
+type recovered struct {
+	snap    *Snapshot
+	entries []Entry
+}
+
+func (r *recovered) Start(snap *Snapshot, _ int) error {
+	r.snap = snap
+	return nil
+}
+
+func (r *recovered) Record(e Entry) error {
+	r.entries = append(r.entries, e)
+	return nil
+}
+
+// openRecovered opens the log in dir, collecting what it replays.
+func openRecovered(dir string, opts Options) (*Log, *recovered, error) {
+	got := &recovered{}
+	l, err := Open(dir, opts, got)
+	return l, got, err
 }
 
 // appendDurable appends r through the one append path and waits for its
@@ -31,7 +55,7 @@ func appendDurable(l *Log, r Record) error {
 
 func TestAppendReopenRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{})
+	l, err := Open(dir, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,17 +67,17 @@ func TestAppendReopenRoundTrip(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	l2, err := Open(dir, Options{})
+	l2, got, err := openRecovered(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	_, tail := l2.TakeRecovered()
+	tail := got.entries
 	if len(tail) != 5 {
 		t.Fatalf("tail=%d records", len(tail))
 	}
 	for i, r := range tail {
-		if r.Seq != i || r.Event.Rule != fmt.Sprintf("rule%d", i) || r.Event.Valuation["x"] != fmt.Sprintf("v%d", i) {
+		if r.Seq != i || r.Rule != fmt.Sprintf("rule%d", i) || r.Val["x"] != data.Value(fmt.Sprintf("v%d", i)) {
 			t.Fatalf("record %d = %+v", i, r)
 		}
 	}
@@ -64,7 +88,7 @@ func TestAppendReopenRoundTrip(t *testing.T) {
 
 func TestTornTailTruncatedOnOpen(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{})
+	l, err := Open(dir, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,11 +109,11 @@ func TestTornTailTruncatedOnOpen(t *testing.T) {
 	}
 	f.Close()
 
-	l2, err := Open(dir, Options{})
+	l2, got, err := openRecovered(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, tail := l2.TakeRecovered(); len(tail) != 3 {
+	if tail := got.entries; len(tail) != 3 {
 		t.Fatalf("tail=%d records after torn write", len(tail))
 	}
 	if l2.TornBytes() == 0 {
@@ -101,19 +125,19 @@ func TestTornTailTruncatedOnOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	l2.Close()
-	l3, err := Open(dir, Options{})
+	l3, got, err := openRecovered(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l3.Close()
-	if _, tail := l3.TakeRecovered(); len(tail) != 4 || l3.TornBytes() != 0 {
+	if tail := got.entries; len(tail) != 4 || l3.TornBytes() != 0 {
 		t.Fatalf("tail=%d torn=%d after repair", len(tail), l3.TornBytes())
 	}
 }
 
 func TestCorruptInteriorLineCutsTail(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{})
+	l, err := Open(dir, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,12 +148,12 @@ func TestCorruptInteriorLineCutsTail(t *testing.T) {
 	f.WriteString("not json at all\n")
 	f.Close()
 	// Everything from the corrupt line on is untrusted.
-	l2, err := Open(dir, Options{})
+	l2, got, err := openRecovered(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	if _, tail := l2.TakeRecovered(); len(tail) != 1 || l2.TornBytes() == 0 {
+	if tail := got.entries; len(tail) != 1 || l2.TornBytes() == 0 {
 		t.Fatalf("tail=%d torn=%d", len(tail), l2.TornBytes())
 	}
 }
@@ -137,7 +161,7 @@ func TestCorruptInteriorLineCutsTail(t *testing.T) {
 func TestFailpointAppendRejectedCleanly(t *testing.T) {
 	dir := t.TempDir()
 	fp := NewFailpoints()
-	l, err := Open(dir, Options{Failpoints: fp})
+	l, err := Open(dir, Options{Failpoints: fp}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +184,7 @@ func TestFailpointAppendRejectedCleanly(t *testing.T) {
 func TestFailpointTornWriteRepairs(t *testing.T) {
 	dir := t.TempDir()
 	fp := NewFailpoints()
-	l, err := Open(dir, Options{Failpoints: fp})
+	l, err := Open(dir, Options{Failpoints: fp}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,12 +204,12 @@ func TestFailpointTornWriteRepairs(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.Close()
-	l2, err := Open(dir, Options{})
+	l2, got, err := openRecovered(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	if _, tail := l2.TakeRecovered(); len(tail) != 2 || l2.TornBytes() != 0 {
+	if tail := got.entries; len(tail) != 2 || l2.TornBytes() != 0 {
 		t.Fatalf("tail=%d torn=%d", len(tail), l2.TornBytes())
 	}
 }
@@ -193,7 +217,7 @@ func TestFailpointTornWriteRepairs(t *testing.T) {
 func TestFailpointSyncErrorRejects(t *testing.T) {
 	dir := t.TempDir()
 	fp := NewFailpoints()
-	l, err := Open(dir, Options{Sync: SyncAlways, Failpoints: fp})
+	l, err := Open(dir, Options{Sync: SyncAlways, Failpoints: fp}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,14 +241,14 @@ func TestFailpointSyncErrorRejects(t *testing.T) {
 	}
 }
 
-func mustTail(t *testing.T, dir string) []Record {
+func mustTail(t *testing.T, dir string) []Entry {
 	t.Helper()
-	l, err := Open(dir, Options{})
+	l, got, err := openRecovered(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	_, tail := l.TakeRecovered()
+	tail := got.entries
 	return tail
 }
 
@@ -242,7 +266,7 @@ func TestParsePolicy(t *testing.T) {
 func TestSyncPolicies(t *testing.T) {
 	for _, p := range []SyncPolicy{SyncAlways, SyncInterval, SyncNever} {
 		dir := t.TempDir()
-		l, err := Open(dir, Options{Sync: p})
+		l, err := Open(dir, Options{Sync: p}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
