@@ -12,15 +12,15 @@
 // recomputable verdict).
 //
 // The pipeline is OPA-shaped (buffer → batch → upload, with an explicit
-// drop policy): Emit appends to a fixed-capacity ring and never blocks the
-// coordinator — when the ring is full the oldest record is dropped and
-// counted (wf_declog_dropped_total). A flusher goroutine exports batches
-// through a pluggable Sink when a full batch accumulates or the flush
-// interval elapses, whichever is first. Delivery is at-most-once per batch:
-// a batch whose export fails (after the sink's own bounded retries) is
-// counted and discarded, never retried from the logger — the coordinator
-// must not accumulate unbounded audit backlog, and the WAL, not the
-// decision log, is the durability story.
+// drop policy): Emit appends to a ring that grows on demand up to a fixed
+// capacity and never blocks the coordinator — when the ring holds capacity
+// records the oldest one is dropped and counted (wf_declog_dropped_total).
+// A flusher goroutine exports batches through a pluggable Sink when a full
+// batch accumulates or the flush interval elapses, whichever is first.
+// Delivery is at-most-once per batch: a batch whose export fails (after
+// the sink's own bounded retries) is counted and discarded, never retried
+// from the logger — the coordinator must not accumulate unbounded audit
+// backlog, and the WAL, not the decision log, is the durability story.
 package declog
 
 import (
@@ -201,12 +201,16 @@ type Logger struct {
 	log      *slog.Logger
 	m        *pipeMetrics
 
-	mu     sync.Mutex
-	buf    []Decision // fixed-capacity ring
-	head   int
-	n      int
-	seq    uint64
-	closed bool
+	mu sync.Mutex
+	// buf is the queue, a ring of n records from head. It starts empty and
+	// doubles when full, up to capacity records; at capacity the oldest
+	// record is dropped instead.
+	buf      []Decision
+	head     int
+	n        int
+	capacity int
+	seq      uint64
+	closed   bool
 	// status counters (mirrored on the registry when one is wired, but kept
 	// here too so Status works without one).
 	emittedN, droppedN, batchesN, failuresN, failedRecs uint64
@@ -247,7 +251,7 @@ func New(cfg Config) (*Logger, error) {
 		batch:    batch,
 		interval: interval,
 		log:      obs.Discard(),
-		buf:      make([]Decision, capacity),
+		capacity: capacity,
 		wake:     make(chan struct{}, 1),
 		done:     make(chan struct{}),
 		stopped:  make(chan struct{}),
@@ -279,7 +283,7 @@ func (l *Logger) Emit(d Decision) {
 	if d.Time.IsZero() {
 		d.Time = time.Now()
 	}
-	if l.n == len(l.buf) {
+	if l.n == l.capacity {
 		// Drop-oldest: audit freshness beats audit completeness under
 		// overload, and the drop is counted, never silent.
 		l.head = (l.head + 1) % len(l.buf)
@@ -288,6 +292,8 @@ func (l *Logger) Emit(d Decision) {
 		if l.m != nil {
 			l.m.dropped.Inc()
 		}
+	} else if l.n == len(l.buf) {
+		l.grow()
 	}
 	l.buf[(l.head+l.n)%len(l.buf)] = d
 	l.n++
@@ -307,6 +313,15 @@ func (l *Logger) Emit(d Decision) {
 	}
 }
 
+// grow doubles the full ring's room, up to the capacity, keeping the
+// records in order. Called with mu held.
+func (l *Logger) grow() {
+	buf := make([]Decision, min(max(2*len(l.buf), 16), l.capacity))
+	n := copy(buf, l.buf[l.head:])
+	copy(buf[n:], l.buf[:l.head])
+	l.buf, l.head = buf, 0
+}
+
 // takeBatch removes and returns up to l.batch queued records.
 func (l *Logger) takeBatch() []Decision {
 	l.mu.Lock()
@@ -320,7 +335,9 @@ func (l *Logger) takeBatch() []Decision {
 	}
 	out := make([]Decision, n)
 	for i := 0; i < n; i++ {
-		out[i] = l.buf[(l.head+i)%len(l.buf)]
+		j := (l.head + i) % len(l.buf)
+		out[i] = l.buf[j]
+		l.buf[j] = Decision{} // the exported record is the batch's now
 	}
 	l.head = (l.head + n) % len(l.buf)
 	l.n -= n
@@ -456,7 +473,7 @@ func (l *Logger) Status() *Status {
 	st := &Status{
 		Sink:           l.sink.Describe(),
 		QueueDepth:     l.n,
-		Capacity:       len(l.buf),
+		Capacity:       l.capacity,
 		BatchSize:      l.batch,
 		Emitted:        l.emittedN,
 		Dropped:        l.droppedN,

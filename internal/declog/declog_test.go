@@ -185,6 +185,59 @@ func TestLoggerDropsOldestWhenFull(t *testing.T) {
 	}
 }
 
+// The queue starts empty and grows on demand, keeping its records in
+// order as it grows around a wrapped ring, up to Capacity records; past
+// it drop-oldest holds, and Status reports the configured capacity
+// throughout.
+func TestLoggerQueueGrowsToCapacity(t *testing.T) {
+	for _, c := range []struct {
+		emits, dropped int
+		want           []int
+	}{
+		{emits: 40, want: seq(0, 50)},
+		{emits: 70, dropped: 20, want: append(seq(0, 10), seq(30, 80)...)},
+	} {
+		sink := &gateSink{entered: make(chan []Decision), release: make(chan struct{})}
+		l, err := New(Config{Sink: sink, Capacity: 50, BatchSize: 10, FlushInterval: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(l.buf) != 0 || l.Status().Capacity != 50 {
+			t.Fatalf("a new logger holds a %d-record ring, capacity %d; want none, 50", len(l.buf), l.Status().Capacity)
+		}
+		for i := 0; i < 10; i++ {
+			l.Emit(Decision{Kind: KindSubmit, Index: i})
+		}
+		if held := indices(<-sink.entered); fmt.Sprint(held) != fmt.Sprint(seq(0, 10)) {
+			t.Fatalf("stalled export holds indices %v, want 0–9", held)
+		}
+		// With the flusher stalled, the ring, its head now past its start,
+		// grows on the emits that find it full.
+		for i := 10; i < 10+c.emits; i++ {
+			l.Emit(Decision{Kind: KindSubmit, Index: i})
+		}
+		if st := l.Status(); st.QueueDepth != min(c.emits, 50) || st.Capacity != 50 || st.Dropped != uint64(c.dropped) {
+			t.Fatalf("%d emits: status %+v, want depth %d, capacity 50, %d dropped", c.emits, st, min(c.emits, 50), c.dropped)
+		}
+		close(sink.release)
+		if err := l.Close(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if got := indices(sink.records()); fmt.Sprint(got) != fmt.Sprint(c.want) {
+			t.Fatalf("%d emits: exported indices %v, want %v", c.emits, got, c.want)
+		}
+	}
+}
+
+// seq returns the integers in [from, to).
+func seq(from, to int) []int {
+	out := make([]int, 0, to-from)
+	for i := from; i < to; i++ {
+		out = append(out, i)
+	}
+	return out
+}
+
 func TestLoggerCountsFailedExports(t *testing.T) {
 	sink := &collectSink{fail: true}
 	l, err := New(Config{Sink: sink, BatchSize: 1, FlushInterval: time.Hour})

@@ -72,8 +72,10 @@ func NewMaintainerAt(r *program.Run, n int, peers ...schema.Peer) *Maintainer {
 		m.peers = append(m.peers, &peerState{
 			p:      p,
 			past:   rows{off: append(make([]int32, 0, n+1), 0)},
+			main:   make([]int, 0, n),
 			inMain: make([]bool, 0, n),
 			mainLC: make([]bool, 0, cap(a.lcs)),
+			vis:    make([]int, 0, n),
 		})
 	}
 	m.SyncTo(n)

@@ -1,8 +1,8 @@
 // Package jsonw escapes and writes JSON strings byte for byte as
 // encoding/json's default encoder would (HTML-escaping on), so a response
 // streamed piece by piece stays identical to json.Encoder output.
-// AppendEscaped is the one escaper, a port of encoding/json's own; Escape
-// and WriteString wrap it. Write errors are left to the bufio.Writer, which
+// AppendEscaped is the one escaper, a port of encoding/json's own;
+// WriteString wraps it. Write errors are left to the bufio.Writer, which
 // keeps the first one and returns it from Flush.
 package jsonw
 
@@ -82,9 +82,9 @@ func AppendString[Bytes []byte | string](dst []byte, src Bytes) []byte {
 	return append(dst, '"')
 }
 
-// plain reports whether encoding/json writes s verbatim between its
+// Plain reports whether encoding/json writes s verbatim between its
 // quotes: s is valid UTF-8 with no byte or rune AppendEscaped rewrites.
-func plain(s string) bool {
+func Plain(s string) bool {
 	for i := 0; i < len(s); {
 		if b := s[i]; b < utf8.RuneSelf {
 			if !htmlSafe(b) {
@@ -100,15 +100,6 @@ func plain(s string) bool {
 		i += size
 	}
 	return true
-}
-
-// Escape returns s as encoding/json writes it between quotes; a plain s
-// comes back unchanged, without a copy.
-func Escape(s string) string {
-	if plain(s) {
-		return s
-	}
-	return string(AppendEscaped(nil, s))
 }
 
 // WriteString writes s as a JSON string literal.

@@ -52,8 +52,8 @@ func TestAppendEscaped(t *testing.T) {
 		if got := string(AppendEscaped([]byte("x"), []byte(c.in))); got != "x"+c.want {
 			t.Errorf("[]byte %q: got %q, want %q", c.in, got, "x"+c.want)
 		}
-		if got := Escape(c.in); got != c.want {
-			t.Errorf("Escape(%q) = %q, want %q", c.in, got, c.want)
+		if got := Plain(c.in); got != (c.in == c.want) {
+			t.Errorf("Plain(%q) = %v, want %v", c.in, got, c.in == c.want)
 		}
 	}
 }
@@ -75,6 +75,9 @@ func FuzzAppendEscaped(f *testing.F) {
 		}
 		if got := AppendEscaped(nil, []byte(s)); !bytes.Equal(got, want) {
 			t.Fatalf("[]byte %q: got %q, want %q", s, got, want)
+		}
+		if got := Plain(s); got != (string(want) == s) {
+			t.Fatalf("Plain(%q) = %v, want %v", s, got, string(want) == s)
 		}
 	})
 }

@@ -107,15 +107,9 @@ func MustEvent(r *rule.Rule, val query.Valuation) *Event {
 // not occur in normal-form programs, but their keys are included too so the
 // definition degrades gracefully on non-normal-form rules.
 func (e *Event) computeKeys() {
-	e.keys = make([]RelKey, 0, len(e.Rule.Body)+len(e.Updates))
-	add := func(rel string, k data.Value) {
-		for _, rk := range e.keys {
-			if rk.Rel == rel && rk.Key == k {
-				return
-			}
-		}
-		e.keys = append(e.keys, RelKey{Rel: rel, Key: k})
-	}
+	// Collected on the stack, then kept at their exact length.
+	var buf [8]RelKey
+	keys := buf[:0]
 	for _, l := range e.Rule.Body {
 		switch l := l.(type) {
 		case query.Atom:
@@ -123,23 +117,34 @@ func (e *Event) computeKeys() {
 				continue
 			}
 			if v, ok := e.Val.Apply(l.Args[0]); ok {
-				add(l.Rel, v)
+				keys = addKey(keys, l.Rel, v)
 			}
 		case query.KeyAtom:
 			if v, ok := e.Val.Apply(l.Arg); ok {
-				add(l.Rel, v)
+				keys = addKey(keys, l.Rel, v)
 			}
 		}
 	}
 	for _, u := range e.Updates {
-		add(u.Rel, u.Key)
+		keys = addKey(keys, u.Rel, u.Key)
 	}
-	slices.SortFunc(e.keys, func(a, b RelKey) int {
+	slices.SortFunc(keys, func(a, b RelKey) int {
 		if c := cmp.Compare(a.Rel, b.Rel); c != 0 {
 			return c
 		}
 		return cmp.Compare(a.Key, b.Key)
 	})
+	e.keys = append(make([]RelKey, 0, len(keys)), keys...)
+}
+
+// addKey adds (rel, k) to keys unless it is there already.
+func addKey(keys []RelKey, rel string, k data.Value) []RelKey {
+	for _, rk := range keys {
+		if rk.Rel == rel && rk.Key == k {
+			return keys
+		}
+	}
+	return append(keys, RelKey{Rel: rel, Key: k})
 }
 
 // Peer returns the peer performing the event.
@@ -238,18 +243,28 @@ func Apply(in *schema.Instance, e *Event, s *schema.Collaborative, cs *cond.Eval
 	if len(e.Updates) > 0 {
 		next = in.Clone()
 	}
+	effects, err := applyTo(next, e, s, cs)
+	if err != nil {
+		return nil, nil, err
+	}
+	return next, effects, nil
+}
+
+// applyTo is Apply writing the successor into next itself, which the
+// caller owns. On an error next may hold some of the event's updates.
+func applyTo(next *schema.Instance, e *Event, s *schema.Collaborative, cs *cond.EvalCounts) ([]Effect, error) {
 	effects := make([]Effect, 0, len(e.Updates))
 	for _, u := range e.Updates {
 		v, ok := s.View(e.Peer(), u.Rel)
 		if !ok {
-			return nil, nil, fmt.Errorf("program: event %s updates %s, invisible at %s", e, u.Rel, e.Peer())
+			return nil, fmt.Errorf("program: event %s updates %s, invisible at %s", e, u.Rel, e.Peer())
 		}
 		if u.IsDelete {
 			// A peer can delete only a tuple it sees: the key must be in
 			// I@p(R@p).
 			t, exists := next.Get(u.Rel, u.Key)
 			if !exists || !v.Sees(t, cs) {
-				return nil, nil, fmt.Errorf("program: deletion %s not applicable: key not visible at %s", u, e.Peer())
+				return nil, fmt.Errorf("program: deletion %s not applicable: key not visible at %s", u, e.Peer())
 			}
 			next.Delete(u.Rel, u.Key)
 			effects = append(effects, Effect{Kind: Deleted, Rel: u.Rel, Key: u.Key, Before: t})
@@ -257,18 +272,17 @@ func Apply(in *schema.Instance, e *Event, s *schema.Collaborative, cs *cond.Eval
 		}
 		// Insertion: J = chase_K(I ∪ {R(u^⊥)}) must be valid and u must be
 		// subsumed by a tuple of J@p(R@p).
-		before, existed := next.Get(u.Rel, u.Key)
-		merged, err := next.Chase(u.Rel, v.Pad(u.Args))
+		merged, before, err := next.Chase(u.Rel, v.Pad(u.Args))
 		if err != nil {
-			return nil, nil, fmt.Errorf("program: insertion %s not applicable: %w", u, err)
+			return nil, fmt.Errorf("program: insertion %s not applicable: %w", u, err)
 		}
 		if !v.Sees(merged, cs) || !v.Project(merged).Subsumes(u.Args) {
-			return nil, nil, fmt.Errorf("program: insertion %s not applicable: inserted tuple not subsumed by %s's view", u, e.Peer())
+			return nil, fmt.Errorf("program: insertion %s not applicable: inserted tuple not subsumed by %s's view", u, e.Peer())
 		}
 		// Stored tuples are immutable: the effect shares merged, which the
 		// chase has just stored, and before, which the instance held.
 		ef := Effect{Kind: Created, Rel: u.Rel, Key: u.Key, After: merged, Filled: filled(before, merged)}
-		if existed {
+		if before != nil {
 			// An insertion that changes nothing is still an event, but it
 			// has no effect entry content beyond the identity; record it
 			// anyway so provenance sees the touch.
@@ -277,7 +291,20 @@ func Apply(in *schema.Instance, e *Event, s *schema.Collaborative, cs *cond.Eval
 		}
 		effects = append(effects, ef)
 	}
-	return next, effects, nil
+	return effects, nil
+}
+
+// redo writes the step's recorded effects into in: I_{i-1} becomes I_i.
+// Each stored row is adopted as it is, so a redone instance shares its
+// rows with the one the event first produced.
+func (st *Step) redo(in *schema.Instance) {
+	for _, ef := range st.Effects {
+		if ef.Kind == Deleted {
+			in.Delete(ef.Rel, ef.Key)
+		} else {
+			in.Adopt(ef.Rel, ef.After)
+		}
+	}
 }
 
 // filled returns the positions that are ⊥ in before (nil: absent) and set

@@ -15,10 +15,14 @@ import (
 	"collabwf/internal/schema"
 )
 
-// Step is one transition of a run: the event together with the instance it
-// produced and the recorded effects.
+// Step is one transition of a run: the event together with the recorded
+// effects and, when the run keeps it, the instance it produced.
 type Step struct {
-	Event    *Event
+	Event *Event
+	// Instance is I_i, the instance after the event, or nil when the run
+	// keeps no version of it: a released step keeps one only every
+	// keepEvery steps (see Run.Release). The effects determine it from
+	// the nearest kept version before it (Cursor).
 	Instance *schema.Instance
 	Effects  []Effect
 }
@@ -27,12 +31,26 @@ type Step struct {
 // instance (the empty instance unless constructed with NewRunFrom). The run
 // enforces the freshness condition on head-only variables.
 //
+// A run keeps its current instance and the instance version of every step
+// past its released prefix; of the released steps it keeps every
+// keepEvery-th version (Release). A run nobody releases, such as a
+// decider's search, keeps every version, so Truncate stays O(dropped).
+//
 // A Run is not safe for concurrent use; the server package's Coordinator
 // serializes concurrent peers onto one run.
 type Run struct {
 	Prog    *Program
 	Initial *schema.Instance
 	Steps   []Step
+
+	// cur is I_{len(Steps)-1}. After Replay it is transient until the
+	// next other call settles it.
+	cur *schema.Instance
+	// released is the released prefix's length and base its last instance,
+	// I_{released-1}, which Truncate returns to when it drops the whole
+	// unreleased tail.
+	released int
+	base     *schema.Instance
 
 	consts data.ValueSet // const(P)
 	// seen is the freshness ledger: adom of the initial instance plus the
@@ -73,6 +91,7 @@ func NewRunFrom(p *Program, initial *schema.Instance) *Run {
 		seen:    data.NewValueSet(),
 		fresh:   data.NewFreshSource("ν"),
 	}
+	r.cur, r.base = r.Initial, r.Initial
 	r.seen.AddAll(initial.ADom())
 	return r
 }
@@ -96,16 +115,29 @@ func (r *Run) Events() []*Event {
 func (r *Run) Effects(i int) []Effect { return r.Steps[i].Effects }
 
 // InstanceAt returns I_i, the instance after event i; InstanceAt(-1) is the
-// initial instance.
+// initial instance. A version the run does not keep is rebuilt from the
+// nearest kept one before it, by redoing at most keepEvery-1 steps'
+// effects.
 func (r *Run) InstanceAt(i int) *schema.Instance {
-	if i < 0 {
+	r.settle()
+	switch {
+	case i < 0:
 		return r.Initial
+	case i == len(r.Steps)-1:
+		return r.cur
+	case i == r.released-1:
+		return r.base
+	case r.Steps[i].Instance != nil:
+		return r.Steps[i].Instance
 	}
-	return r.Steps[i].Instance
+	return r.Cursor().Version(i)
 }
 
 // Current returns the latest instance of the run.
-func (r *Run) Current() *schema.Instance { return r.InstanceAt(len(r.Steps) - 1) }
+func (r *Run) Current() *schema.Instance {
+	r.settle()
+	return r.cur
+}
 
 // ViewAt returns I_i@p, a filter over the instance; i may be -1 for the
 // initial instance. The run's own counter block receives the condition
@@ -178,8 +210,27 @@ func (r *Run) VisibleEvents(p schema.Peer) []int {
 // fresh (absent from const(P), the initial instance, and every instance so
 // far) and pairwise distinct.
 func (r *Run) Append(e *Event) error {
-	cur := r.Current()
-	vi := r.ViewAt(len(r.Steps)-1, e.Peer())
+	r.settle()
+	if err := r.check(e); err != nil {
+		return err
+	}
+	next, effects, err := Apply(r.cur, e, r.Prog.Schema, r.conds())
+	if err != nil {
+		return err
+	}
+	r.record(e)
+	r.cur = next
+	r.Steps = append(r.Steps, Step{Event: e, Instance: next, Effects: effects})
+	r.prof.RuleFired(e.Rule.Name, string(e.Peer()))
+	return nil
+}
+
+// check tests the run conditions of appending e to the run as it stands:
+// its body holds on the current instance, and its fresh values are fresh
+// and pairwise distinct. The applicability of its updates is Apply's to
+// check.
+func (r *Run) check(e *Event) error {
+	vi := r.viewNow(e.Peer())
 	var satisfied bool
 	if r.prof == nil {
 		satisfied = e.Rule.Body.Satisfied(vi, e.Val)
@@ -206,21 +257,31 @@ func (r *Run) Append(e *Event) error {
 			}
 		}
 	}
-	next, effects, err := Apply(cur, e, r.Prog.Schema, r.conds())
-	if err != nil {
-		return err
-	}
-	for _, fv := range fvs {
-		r.seen.Add(e.Val[fv])
-	}
-	r.Steps = append(r.Steps, Step{Event: e, Instance: next, Effects: effects})
-	r.prof.RuleFired(e.Rule.Name, string(e.Peer()))
 	return nil
 }
 
+// viewNow is ViewAt of the current instance, as it stands: a replay's
+// transient is not settled first.
+func (r *Run) viewNow(p schema.Peer) *schema.ViewInstance {
+	return schema.ViewOf(r.cur, r.Prog.Schema, p).CountConds(r.conds())
+}
+
+// record adds an appended event's fresh values to the freshness ledger.
+func (r *Run) record(e *Event) {
+	for _, fv := range e.Rule.FreshVars() {
+		r.seen.Add(e.Val[fv])
+	}
+}
+
 // Grow makes room for n more steps, so appending a known number of events
-// (a replay) grows the step list once.
-func (r *Run) Grow(n int) { r.Steps = slices.Grow(r.Steps, n) }
+// (a replay) grows the step list once, and sizes the freshness ledger for
+// one fresh value per event.
+func (r *Run) Grow(n int) {
+	r.Steps = slices.Grow(r.Steps, n)
+	seen := make(data.ValueSet, len(r.seen)+n)
+	maps.Copy(seen, r.seen)
+	r.seen = seen
+}
 
 // Truncate discards all events after the first n, restoring the run to the
 // state it had before they were appended: the freshness ledger forgets the
@@ -228,10 +289,14 @@ func (r *Run) Grow(n int) { r.Steps = slices.Grow(r.Steps, n) }
 // is the O(dropped)-cost inverse of Append that the backtracking searches
 // rely on (rebuilding the prefix would re-check every body and re-apply
 // every event).
+//
+// Released steps are never dropped: n must be at least the released
+// length.
 func (r *Run) Truncate(n int) {
-	if n < 0 || n > len(r.Steps) {
-		panic(fmt.Sprintf("program: Truncate(%d) out of range [0,%d]", n, len(r.Steps)))
+	if n < r.released || n > len(r.Steps) {
+		panic(fmt.Sprintf("program: Truncate(%d) out of range [%d,%d]", n, r.released, len(r.Steps)))
 	}
+	r.settle()
 	for i := len(r.Steps) - 1; i >= n; i-- {
 		e := r.Steps[i].Event
 		for _, fv := range e.Rule.FreshVars() {
@@ -240,6 +305,11 @@ func (r *Run) Truncate(n int) {
 		r.Steps[i] = Step{} // release the instance
 	}
 	r.Steps = r.Steps[:n]
+	if n == r.released {
+		r.cur = r.base
+	} else {
+		r.cur = r.Steps[n-1].Instance
+	}
 }
 
 // Clone returns an independent copy of the run: appending to or truncating
@@ -248,6 +318,7 @@ func (r *Run) Truncate(n int) {
 // the freshness ledger, and draws NextFresh values from where the
 // original's source stands.
 func (r *Run) Clone() *Run {
+	r.settle()
 	c := *r
 	c.Steps = slices.Clone(r.Steps)
 	c.seen = maps.Clone(r.seen)
@@ -279,8 +350,9 @@ func (c Candidate) String() string { return c.Rule.Name + c.Val.String() }
 // updates are only checked when fired.
 func (r *Run) Candidates(limitPerRule int) []Candidate {
 	var out []Candidate
+	r.settle()
 	for _, rl := range r.Prog.Rules() {
-		vi := r.ViewAt(len(r.Steps)-1, rl.Peer)
+		vi := r.viewNow(rl.Peer)
 		if r.prof == nil {
 			for _, val := range rl.Body.Eval(vi, limitPerRule) {
 				out = append(out, Candidate{Rule: rl, Val: val})
@@ -316,7 +388,8 @@ func (r *Run) Fire(c Candidate) (*Event, error) {
 	if !unbound {
 		val = c.Val.Clone()
 	} else {
-		vi := r.ViewAt(len(r.Steps)-1, c.Rule.Peer)
+		r.settle()
+		vi := r.viewNow(c.Rule.Peer)
 		var fulls []query.Valuation
 		if r.prof == nil {
 			fulls = c.Rule.Body.EvalSeeded(vi, c.Val, 1, nil)

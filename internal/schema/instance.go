@@ -19,9 +19,17 @@ import (
 // costs O(log |R|) and never disturbs the instance it was copied from.
 // Stored tuples are immutable (Put and ChaseInsert clone their inputs;
 // callers must not mutate tuples returned by Get or Tuples).
+//
+// A transient instance (Transient) writes in place the tree nodes its own
+// earlier writes allocated. It is for one owner that rolls an instance
+// forward through many writes, such as a replay: nobody else may hold it
+// while it is written, and Clone hands out persistent versions of it.
 type Instance struct {
 	db   *Database
 	rels []prel // indexed like db.Names()
+	// edit is the edit token of a transient instance, nil for a
+	// persistent one.
+	edit *edit
 }
 
 // NewInstance returns the empty instance of db.
@@ -32,10 +40,34 @@ func NewInstance(db *Database) *Instance {
 // DB returns the schema of the instance.
 func (in *Instance) DB() *Database { return in.db }
 
-// Clone returns an independent copy of the instance in O(#relations): the
-// copy shares every row with the receiver until one of them is written.
+// Clone returns an independent, persistent copy of the instance in
+// O(#relations): the copy shares every row with the receiver until one of
+// them is written. A transient receiver retires its edit token first, so
+// its later writes copy every node the copy holds instead of rewriting it.
 func (in *Instance) Clone() *Instance {
+	in.share()
 	return &Instance{db: in.db, rels: append([]prel(nil), in.rels...)}
+}
+
+// Transient returns a copy of the instance, like Clone, whose writes are
+// made in place on the nodes it allocated itself: a run of writes through
+// it copies each path at most once, where a persistent instance copies it
+// on every write. Versions the receiver shared before the call never
+// change.
+func (in *Instance) Transient() *Instance {
+	in.share()
+	return &Instance{db: in.db, rels: append([]prel(nil), in.rels...), edit: new(edit)}
+}
+
+// IsTransient reports whether the instance was made by Transient.
+func (in *Instance) IsTransient() bool { return in.edit != nil }
+
+// share retires a transient receiver's edit token before its nodes are
+// shared: no node tagged with the old token can be written in place again.
+func (in *Instance) share() {
+	if in.edit != nil {
+		in.edit = new(edit)
+	}
 }
 
 // rel returns the rows of the named relation (empty when unknown).
@@ -108,7 +140,7 @@ func (in *Instance) Put(rel string, t data.Tuple) error {
 		return fmt.Errorf("schema: tuple %v has ⊥ key", t)
 	}
 	i := in.db.idx[rel]
-	in.rels[i] = in.rels[i].with(t.Key(), t.Clone())
+	in.rels[i] = in.rels[i].with(t.Key(), t.Clone(), in.edit)
 	return nil
 }
 
@@ -126,9 +158,18 @@ func (in *Instance) Delete(rel string, key data.Value) bool {
 	if !ok {
 		return false
 	}
-	r, ok := in.rels[i].without(key)
+	r, ok := in.rels[i].without(key, in.edit)
 	in.rels[i] = r
 	return ok
+}
+
+// Adopt stores t in rel under its key, replacing any tuple with that key,
+// and keeps t itself, unchecked: t must be a valid tuple of rel that no one
+// modifies, such as a row another instance stores. Redoing a recorded
+// effect writes its stored tuple back this way.
+func (in *Instance) Adopt(rel string, t data.Tuple) {
+	i := in.db.idx[rel]
+	in.rels[i] = in.rels[i].with(t.Key(), t, in.edit)
 }
 
 // ChaseInsert computes chase_K(I ∪ {R(t)}) without modifying I: if a tuple
@@ -138,7 +179,7 @@ func (in *Instance) Delete(rel string, key data.Value) bool {
 // with the receiver.
 func (in *Instance) ChaseInsert(rel string, t data.Tuple) (*Instance, data.Tuple, error) {
 	out := in.Clone()
-	merged, err := out.Chase(rel, t.Clone())
+	merged, _, err := out.Chase(rel, t.Clone())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -148,35 +189,34 @@ func (in *Instance) ChaseInsert(rel string, t data.Tuple) (*Instance, data.Tuple
 // Chase is ChaseInsert in place, for a caller that owns the receiver (a
 // Clone it has not shared) and t: t is filled from the stored tuple with
 // its key and stored itself, so the caller must not modify it afterwards.
-// It returns the merged tuple as stored. On error the receiver is
-// unchanged.
-func (in *Instance) Chase(rel string, t data.Tuple) (data.Tuple, error) {
+// It returns the merged tuple as stored and the tuple it replaced (nil when
+// the key was absent). On error the receiver is unchanged.
+func (in *Instance) Chase(rel string, t data.Tuple) (merged, old data.Tuple, err error) {
 	r := in.db.Relation(rel)
 	if r == nil {
-		return nil, fmt.Errorf("schema: unknown relation %s", rel)
+		return nil, nil, fmt.Errorf("schema: unknown relation %s", rel)
 	}
 	if len(t) != r.Arity() {
-		return nil, fmt.Errorf("schema: tuple %v has arity %d, want %d for %s", t, len(t), r.Arity(), rel)
+		return nil, nil, fmt.Errorf("schema: tuple %v has arity %d, want %d for %s", t, len(t), r.Arity(), rel)
 	}
 	if t.Key().IsNull() {
-		return nil, fmt.Errorf("schema: insertion with ⊥ key into %s", rel)
+		return nil, nil, fmt.Errorf("schema: insertion with ⊥ key into %s", rel)
 	}
 	i := in.db.idx[rel]
-	if old, ok := in.rels[i].get(t.Key()); ok {
-		for j := range t {
-			switch {
-			case t[j].IsNull():
-				t[j] = old[j]
-			case old[j].IsNull() || old[j] == t[j]:
-				// compatible
-			default:
-				return nil, fmt.Errorf("schema: chase conflict in %s on key %s attribute %s: %s vs %s",
-					rel, t.Key(), r.Attrs[j], old[j], t[j])
-			}
+	old, _ = in.rels[i].get(t.Key())
+	for j := range old {
+		switch {
+		case t[j].IsNull():
+			t[j] = old[j]
+		case old[j].IsNull() || old[j] == t[j]:
+			// compatible
+		default:
+			return nil, nil, fmt.Errorf("schema: chase conflict in %s on key %s attribute %s: %s vs %s",
+				rel, t.Key(), r.Attrs[j], old[j], t[j])
 		}
 	}
-	in.rels[i] = in.rels[i].with(t.Key(), t)
-	return t, nil
+	in.rels[i] = in.rels[i].with(t.Key(), t, in.edit)
+	return t, old, nil
 }
 
 // Equal reports whether two instances over the same schema hold the same
@@ -437,15 +477,17 @@ func (vi *ViewInstance) Fingerprint() string {
 
 // viewLine is one view's rendering of a stored row: line is "R@p(…)", the
 // row projected onto the view, or "" when the view's selection rejects the
-// row; js is line escaped for a JSON string (the same string when nothing
-// needs escaping). Each node keeps a list of them,
+// row; plain reports that a JSON string holds line verbatim, so only the
+// rare line that needs escaping is escaped as it is written, and no
+// escaped copy is kept. Each node keeps a list of them,
 // newest first, one per view that has rendered its row. Entries are
 // immutable once published, and the list only grows by a CAS on its head,
 // so readers sharing a node never see a partly built entry.
 type viewLine struct {
-	view     *View
-	line, js string
-	next     *viewLine
+	view  *View
+	line  string
+	plain bool
+	next  *viewLine
 }
 
 // line returns v's rendering of n's row, rendering and publishing it on
@@ -462,7 +504,7 @@ func (n *pnode) line(v *View, cs *cond.EvalCounts) *viewLine {
 	l := &viewLine{view: v}
 	if v.Sees(n.tup, cs) {
 		l.line = v.render(n.tup)
-		l.js = jsonw.Escape(l.line)
+		l.plain = jsonw.Plain(l.line)
 	}
 	for {
 		l.next = head
@@ -520,7 +562,11 @@ func (vi *ViewInstance) WriteJSON(w *bufio.Writer) {
 			w.WriteByte(' ')
 		}
 		first = false
-		w.WriteString(l.js)
+		if l.plain {
+			w.WriteString(l.line)
+		} else {
+			w.Write(jsonw.AppendEscaped(w.AvailableBuffer(), l.line))
+		}
 	})
 	if first {
 		w.WriteString("∅")

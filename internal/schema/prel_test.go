@@ -21,17 +21,17 @@ func checkTree(t *testing.T, r prel) {
 			return 0
 		}
 		hl := rec(n.left)
-		if count > 0 && !(prev < n.key) {
-			t.Fatalf("keys out of order: %s then %s", prev, n.key)
+		if count > 0 && !(prev < n.key()) {
+			t.Fatalf("keys out of order: %s then %s", prev, n.key())
 		}
-		prev = n.key
+		prev = n.key()
 		count++
 		hr := rec(n.right)
 		if hl-hr > 2 || hr-hl > 2 {
-			t.Fatalf("unbalanced at %s: heights %d/%d", n.key, hl, hr)
+			t.Fatalf("unbalanced at %s: heights %d/%d", n.key(), hl, hr)
 		}
 		if h := max(hl, hr) + 1; n.h != h {
-			t.Fatalf("stale height at %s: %d, want %d", n.key, n.h, h)
+			t.Fatalf("stale height at %s: %d, want %d", n.key(), n.h, h)
 		}
 		return n.h
 	}

@@ -135,12 +135,14 @@ type Coordinator struct {
 	log    *wal.Log
 	closed bool
 
-	// idem is the idempotency dedupe state: key → entry, with idemOrder the
-	// FIFO of resolved keys bounding the window to idemMax (see
-	// idempotency.go).
-	idem      map[string]*idemEntry
-	idemOrder []string
-	idemMax   int
+	// idem is the idempotency dedupe window: the key of each accepted
+	// keyed submission → its event's index, with idemOrder the FIFO of its
+	// keys bounding it to idemMax; idemFlight holds the keyed submissions
+	// still in flight (see idempotency.go).
+	idem       map[string]int
+	idemOrder  []string
+	idemMax    int
+	idemFlight map[string]*idemFlight
 }
 
 // RunID returns the coordinator's run id ("" in single-run mode).
@@ -502,7 +504,7 @@ func (c *Coordinator) View(peer schema.Peer) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return s.viewAt(s.Len()-1, peer).String(), nil
+	return s.viewOf(s.last, peer).String(), nil
 }
 
 // Explain returns the peer's runtime explanation report of the run so far.

@@ -104,15 +104,16 @@ func NewDurable(name string, p *program.Program, cfg DurabilityConfig) (*Coordin
 		}
 	}
 	c := &Coordinator{
-		name:    name,
-		runID:   cfg.RunID,
-		prog:    p,
-		run:     program.NewRun(p),
-		done:    make(chan struct{}),
-		dlog:    cfg.DecisionLog,
-		logger:  obs.Sub(cfg.Logger, "coordinator"),
-		idem:    make(map[string]*idemEntry),
-		idemMax: defaultIdemWindow,
+		name:       name,
+		runID:      cfg.RunID,
+		prog:       p,
+		run:        program.NewRun(p),
+		done:       make(chan struct{}),
+		dlog:       cfg.DecisionLog,
+		logger:     obs.Sub(cfg.Logger, "coordinator"),
+		idem:       make(map[string]int),
+		idemMax:    defaultIdemWindow,
+		idemFlight: make(map[string]*idemFlight),
 	}
 	if cfg.IdemWindow > 0 {
 		c.idemMax = cfg.IdemWindow
@@ -257,7 +258,7 @@ func (rp *replayer) Record(e wal.Entry) error {
 	}
 	ev, err := trace.DecodeEvent(r.Prog, e.Rule, e.Val)
 	if err == nil {
-		err = r.Append(ev)
+		err = r.Replay(ev)
 	}
 	if err != nil {
 		return fmt.Errorf("replaying WAL record %d: %w", e.Seq, err)

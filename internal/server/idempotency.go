@@ -11,15 +11,15 @@ import (
 	"collabwf/internal/wal"
 )
 
-// idemEntry tracks one idempotency key. While the original submission is
-// in flight, concurrent retries wait on done; once it resolves, res holds
-// the outcome. Only successful entries stay in the map — a failed
-// submission deletes its key (under the same lock that closes done), so a
-// corrected retry executes instead of replaying the failure.
-type idemEntry struct {
-	done chan struct{}
-	res  *SubmitResult
-	err  error
+// idemFlight is a keyed submission in flight: concurrent retries of its
+// key wait on done, then read its outcome. Once it resolves, an accepted
+// submission's key keeps only its index in the window (Coordinator.idem),
+// and a replay rebuilds the result from the run; a failed one leaves no
+// trace, so a corrected retry executes instead of replaying the failure.
+type idemFlight struct {
+	done  chan struct{}
+	index int
+	err   error
 }
 
 // defaultIdemWindow bounds the dedupe window when DurabilityConfig does not
@@ -42,53 +42,60 @@ func (c *Coordinator) SubmitIdemCtx(ctx context.Context, peer schema.Peer, ruleN
 	}
 	c.mu.Lock()
 	for {
-		ent, ok := c.idem[key]
+		if idx, ok := c.idem[key]; ok {
+			return c.replayIdemLocked(ctx, peer, ruleName, key, idx), nil
+		}
+		fl, ok := c.idemFlight[key]
 		if !ok {
 			break
 		}
+		// The original is still in flight: wait off-lock, then replay its
+		// outcome, or look again if it failed.
+		c.mu.Unlock()
 		select {
-		case <-ent.done:
-		default:
-			// The original is still in flight: wait off-lock, then re-check —
-			// the entry may have resolved either way, or been deleted.
-			c.mu.Unlock()
-			select {
-			case <-ent.done:
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-			c.mu.Lock()
+		case <-fl.done:
+		case <-ctx.Done():
+			return nil, ctx.Err()
 		}
-		// A failed original deleted its entry before closing done (both
-		// under the lock): look again. A successful one is replayed — the
-		// client is acked again for an already-applied submission, so the
-		// decision is recorded even though no event is appended.
-		if ent.err == nil {
-			c.mu.Unlock()
-			c.decide(ctx, obs.SpanFrom(ctx), declog.Decision{Kind: declog.KindSubmit, Decision: declog.Replayed,
-				Peer: string(peer), Rule: ruleName, Index: ent.res.Index, RunLen: ent.res.Index, IdemKey: key}, nil)
-			return ent.res, nil
+		c.mu.Lock()
+		if fl.err == nil {
+			return c.replayIdemLocked(ctx, peer, ruleName, key, fl.index), nil
 		}
 	}
-	ent := &idemEntry{done: make(chan struct{})}
-	c.idem[key] = ent
+	fl := &idemFlight{done: make(chan struct{})}
+	c.idemFlight[key] = fl
 	c.mu.Unlock()
 
 	res, err := c.submitCtx(ctx, peer, ruleName, bindings, key)
 
 	c.mu.Lock()
-	ent.res, ent.err = res, err
-	if err != nil {
-		// Not applied (a crash-ambiguous record, if durable, is rediscovered
-		// from the WAL at recovery); free the key so a retry can execute.
-		delete(c.idem, key)
-	} else {
+	delete(c.idemFlight, key)
+	fl.err = err
+	if err == nil {
+		fl.index = res.Index
+		c.idem[key] = res.Index
 		c.idemOrder = append(c.idemOrder, key)
 		c.evictIdemLocked()
 	}
-	close(ent.done)
+	// A failed original is not applied (a crash-ambiguous record, if
+	// durable, is rediscovered from the WAL at recovery): its key is free
+	// for a retry to execute.
+	close(fl.done)
 	c.mu.Unlock()
 	return res, err
+}
+
+// replayIdemLocked answers a retry of the accepted submission idx with the
+// result the original got, rebuilt from the run, and records the replay: the
+// client is acked again for an already-applied submission, so the decision
+// is recorded even though no event is appended. Callers hold the lock;
+// replayIdemLocked releases it.
+func (c *Coordinator) replayIdemLocked(ctx context.Context, peer schema.Peer, ruleName, key string, idx int) *SubmitResult {
+	res := c.resultLocked(idx)
+	c.mu.Unlock()
+	c.decide(ctx, obs.SpanFrom(ctx), declog.Decision{Kind: declog.KindSubmit, Decision: declog.Replayed,
+		Peer: string(peer), Rule: ruleName, Index: idx, RunLen: idx, IdemKey: key}, nil)
+	return res
 }
 
 // evictIdemLocked trims the dedupe window to its bound, oldest key first.
@@ -103,19 +110,15 @@ func (c *Coordinator) evictIdemLocked() {
 // recoverIdemLocked rebuilds the dedupe window after recovery from the
 // keyed records' (key, index) pairs, newest first, then from a legacy
 // snapshot's window, whose keys are older than the records past its
-// prefix. It stops once the window is full, so only the kept keys get a
-// result built: one rebuilt from the recovered run, the answer the
-// original submission got. A key seen twice keeps its newest index, as the
-// live window does. Callers own the coordinator exclusively, as NewDurable
-// does.
+// prefix. It stops once the window is full. A key seen twice keeps its
+// newest index, as the live window does. Callers own the coordinator
+// exclusively, as NewDurable does.
 func (c *Coordinator) recoverIdemLocked(legacy, keyed []wal.IdemEntry) {
 	keep := func(key string, index int) {
-		if key == "" || c.idem[key] != nil {
+		if _, ok := c.idem[key]; key == "" || ok {
 			return
 		}
-		done := make(chan struct{})
-		close(done)
-		c.idem[key] = &idemEntry{done: done, res: c.resultLocked(index)}
+		c.idem[key] = index
 		c.idemOrder = append(c.idemOrder, key)
 	}
 	for i := len(keyed) - 1; i >= 0 && len(c.idemOrder) < c.idemMax; i-- {

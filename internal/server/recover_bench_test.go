@@ -105,8 +105,10 @@ func BenchmarkRecover(b *testing.B) {
 // the program parsed beforehand. Decoding each WAL line once into the
 // valuation its event adopts, writing one instance copy per event, and
 // sizing the step list, the effects and the explainer's tables up front
-// brought it from 6302 allocations (45.0 per event) to 2777 (19.8); the
-// bound is that count plus 10%.
+// brought it from 6302 allocations (45.0 per event) to 2777 (19.8).
+// Replaying into one in-place instance that keeps a version every 32
+// steps, and sizing each peer's scenario and visible-event lists up front,
+// brought it to 1893 (13.5); the bound is that count plus 10%.
 func TestRecoverAllocsPerEvent(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector adds allocations")
@@ -115,7 +117,7 @@ func TestRecoverAllocsPerEvent(t *testing.T) {
 	writeCrowdPrefix(t, dir, 1, 20)
 	prog := crowdProgram(t)
 	allocs := testing.AllocsPerRun(20, func() { recoverOnce(t, prog, dir, 140) })
-	const bound = 2777 * 11 / 10
+	const bound = 1893 * 11 / 10
 	if allocs > bound {
 		t.Fatalf("recovering 140 events took %.0f allocations (%.1f per event), bound %d", allocs, allocs/140, bound)
 	}

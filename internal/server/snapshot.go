@@ -23,14 +23,27 @@ import (
 // Why sharing is safe (the memory-model argument, expanded in DESIGN.md):
 //
 //   - steps is a length-capped slice header over the live run's Steps
-//     backing array. The released prefix is append-only and immutable:
-//     Append writes only indices ≥ len(steps), and rollbackTo always
-//     targets n ≥ observable, so Truncate zeroes only indices ≥ len(steps).
-//     Readers and the writer touch disjoint memory.
-//   - Instances are persistent: each relation is an immutable tree and a
-//     step's write allocates a new root path, sharing every other node with
-//     its predecessor, so a view over steps[i].Instance — itself an
-//     immutable filter over that instance — reads rows nobody writes.
+//     backing array, and no field of a step a published snapshot can see
+//     is ever written. Append writes only indices ≥ len(steps), and
+//     rollbackTo always targets n ≥ observable, so Truncate zeroes only
+//     indices ≥ len(steps). Run.Release, called here just before the
+//     prefix is published, drops the versions of the newly released steps
+//     that keep none — all but every 32nd — so it too writes only steps
+//     no earlier snapshot holds. Readers and the writer touch disjoint
+//     memory.
+//   - The instances a snapshot reaches — last, and the versions its steps
+//     keep — are persistent: each relation is a tree whose rows and links
+//     no write changes, as a write copies the path it changes. The only
+//     in-place writes are a transient's, to nodes tagged with its own
+//     live edit token, and no shared version holds such a node: recovery
+//     retires its transient's token each time it freezes a version and
+//     when the transient settles into the run's current instance, before
+//     the first publication.
+//   - Every other instance of the prefix is rebuilt by the reader that
+//     needs it: /transitions rolls one private cursor (program.Cursor)
+//     forward from the nearest kept version, redoing the steps' recorded
+//     effects into its own transient, and renders each view before it
+//     moves on. /view reads last.
 //   - The one field of a shared node that changes is its memo of rendered
 //     view lines: readers rendering the same row publish an immutable line
 //     with a CAS on the memo head (schema's pnode.line), so concurrent
@@ -53,6 +66,8 @@ type snapshot struct {
 	initial *schema.Instance
 	// steps is the released prefix; len(steps) == observable at publication.
 	steps []program.Step
+	// last is the prefix's last instance (initial when it is empty).
+	last *schema.Instance
 	// exp[p] answers p's explanation queries over exactly this prefix, and
 	// lists p's visible event indices over it.
 	exp map[schema.Peer]*core.FrozenExplainer
@@ -85,14 +100,6 @@ func (s *snapshot) VisibleAt(i int, p schema.Peer) bool {
 	return len(idxs) > 0 && idxs[0] == i
 }
 
-// instanceAt returns I_i of the captured prefix; -1 is the initial instance.
-func (s *snapshot) instanceAt(i int) *schema.Instance {
-	if i < 0 {
-		return s.initial
-	}
-	return s.steps[i].Instance
-}
-
 // events decodes the captured prefix's event sequence.
 func (s *snapshot) events() []*program.Event {
 	out := make([]*program.Event, len(s.steps))
@@ -110,6 +117,7 @@ func (s *snapshot) events() []*program.Event {
 // (event, peer) visibility check happens there, once.
 func (c *Coordinator) publishSnapshotLocked() {
 	c.explainer.SyncTo(c.observable)
+	c.run.Release(c.observable)
 	peers := c.prog.Peers()
 	exp := make(map[schema.Peer]*core.FrozenExplainer, len(peers))
 	for _, p := range peers {
@@ -122,6 +130,7 @@ func (c *Coordinator) publishSnapshotLocked() {
 		prog:    c.prog,
 		initial: c.run.Initial,
 		steps:   c.run.Steps[:c.observable:c.observable],
+		last:    c.run.InstanceAt(c.observable - 1),
 		exp:     exp,
 		seq:     c.snapSeq,
 		born:    time.Now().UnixNano(),
@@ -182,11 +191,17 @@ func (c *Coordinator) readSnapshot(peer schema.Peer) (*snapshot, error) {
 	return s, nil
 }
 
-// viewAt returns the peer's view after step i of the snapshot (−1 = the
-// initial instance): a filter over the immutable instance that renders
-// through its rows' memoized lines, so nothing is kept per step.
-func (s *snapshot) viewAt(i int, peer schema.Peer) *schema.ViewInstance {
-	return schema.ViewOf(s.instanceAt(i), s.prog.Schema, peer).CountConds(s.cnt)
+// viewOf returns the peer's view of in, an instance of the snapshot's
+// prefix: a filter over the instance that renders through its rows'
+// memoized lines, so nothing is kept per step.
+func (s *snapshot) viewOf(in *schema.Instance, peer schema.Peer) *schema.ViewInstance {
+	return schema.ViewOf(in, s.prog.Schema, peer).CountConds(s.cnt)
+}
+
+// cursor returns a private cursor over the prefix's instances: a read of
+// several of them rolls one transient forward from the kept versions.
+func (s *snapshot) cursor() *program.Cursor {
+	return program.NewCursor(s.initial, s.steps, s.last)
 }
 
 // notification builds the peer's notification for event idx from the
@@ -225,9 +240,10 @@ func (c *Coordinator) Transitions(peer schema.Peer, from int) ([]Notification, i
 	}
 	var out []Notification
 	ex := s.exp[peer].Walker()
+	cur := s.cursor()
 	for _, idx := range s.visibleFrom(peer, from) {
 		n := s.notification(peer, idx, ex.Explain(idx))
-		n.View = s.viewAt(idx, peer).String()
+		n.View = s.viewOf(cur.At(idx), peer).String()
 		out = append(out, n)
 	}
 	return out, s.Len(), nil
@@ -249,11 +265,12 @@ func (s *snapshot) writeTransitionsJSON(w *bufio.Writer, peer schema.Peer, from 
 	}
 	sep := byte('[')
 	ex := s.exp[peer].Walker()
+	cur := s.cursor()
 	for _, idx := range idxs {
 		w.WriteByte(sep)
 		sep = ','
 		n := s.notification(peer, idx, ex.Explain(idx))
-		n.writeJSON(w, s.viewAt(idx, peer))
+		n.writeJSON(w, s.viewOf(cur.At(idx), peer))
 	}
 	w.WriteString("]}\n")
 }
@@ -262,7 +279,7 @@ func (s *snapshot) writeTransitionsJSON(w *bufio.Writer, peer schema.Peer, from 
 // map[string]string{"view": v}.
 func (s *snapshot) writeViewJSON(w *bufio.Writer, peer schema.Peer) {
 	w.WriteString(`{"view":`)
-	s.viewAt(s.Len()-1, peer).WriteJSON(w)
+	s.viewOf(s.last, peer).WriteJSON(w)
 	w.WriteString("}\n")
 }
 

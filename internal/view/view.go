@@ -31,15 +31,18 @@ type RunView struct {
 	Entries []Entry
 }
 
-// Of computes ρ@p.
+// Of computes ρ@p. The instances the run does not keep are rolled forward
+// by one cursor, so the views cost one pass over the run's effects.
 func Of(r *program.Run, p schema.Peer) *RunView {
 	rv := &RunView{Peer: p}
+	cur := r.Cursor()
 	for i := 0; i < r.Len(); i++ {
 		if !r.VisibleAt(i, p) {
 			continue
 		}
 		e := r.Event(i)
-		entry := Entry{Index: i, After: r.ViewAt(i, p)}
+		after := schema.ViewOf(cur.Version(i), r.Schema(), p).CountConds(r.Profiler().Profiler().Cond())
+		entry := Entry{Index: i, After: after}
 		if e.Peer() == p {
 			entry.Event = e
 		} else {

@@ -5,8 +5,9 @@
 // reconstructed by replaying it. Torn trailing records — the signature of a
 // crash mid-write — are truncated on open, never fatal.
 //
-// Open reads the log file once, into one buffer, and hands each verified
-// record to the caller's Replayer as an Entry, keeping none itself. A line
+// Open reads the log file through one reused 64 KiB buffer, counting its
+// lines first, and hands each verified record to the caller's Replayer as
+// an Entry, keeping none itself. A line
 // in the fixed shape encodeRecord writes is decoded without reflection:
 // its CRC is checked first, over the line's own bytes, then the fields are
 // parsed in their fixed order straight into the seq, the rule name, a
@@ -50,11 +51,13 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"collabwf/internal/jsonw"
 	"collabwf/internal/obs"
 	"collabwf/internal/trace"
 )
@@ -130,24 +133,56 @@ var closeBrace = []byte{'}'}
 
 // encodeRecord returns rec's log line, newline included: the compact JSON
 // encoding of rec with CRC set to the CRC32C of its encoding with CRC
-// absent. The record is encoded once, with CRC zeroed, and the field is
-// spliced in before the closing brace — byte for byte what encoding it with
-// CRC set would give. Go's JSON encoding is deterministic (struct fields in
-// declaration order, map keys sorted).
-func encodeRecord(rec Record) ([]byte, error) {
-	rec.CRC = 0
-	b, err := json.Marshal(rec)
-	if err != nil {
-		return nil, err
+// absent. The fixed shape decodeFixed reads is appended directly, byte for
+// byte what encoding/json writes — fields in declaration order, valuation
+// keys sorted, strings escaped by jsonw — then the CRC field is spliced in
+// before the closing brace.
+func encodeRecord(rec Record) []byte {
+	val := rec.Event.Valuation
+	// Unescaped, the line takes at most 93 bytes beside its strings (a
+	// 20-digit seq, a 10-digit CRC, a null valuation), and 6 per binding.
+	size := 93 + len(rec.Event.Rule) + len(rec.Idem)
+	var keyBuf [8]string
+	keys := keyBuf[:0]
+	for k, v := range val {
+		keys = append(keys, k)
+		size += len(k) + len(v) + 6
 	}
+	slices.Sort(keys)
+	b := make([]byte, 0, size)
+	b = append(b, `{"seq":`...)
+	b = strconv.AppendInt(b, int64(rec.Seq), 10)
+	b = append(b, `,"event":{"rule":`...)
+	b = jsonw.AppendString(b, rec.Event.Rule)
+	b = append(b, `,"valuation":`...)
+	if val == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '{')
+		for i, k := range keys {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = jsonw.AppendString(b, k)
+			b = append(b, ':')
+			b = jsonw.AppendString(b, val[k])
+		}
+		b = append(b, '}')
+	}
+	b = append(b, '}')
+	if rec.Idem != "" {
+		b = append(b, `,"idem":`...)
+		b = jsonw.AppendString(b, rec.Idem)
+	}
+	b = append(b, '}')
 	crc := crc32.Checksum(b, castagnoli)
 	if crc == 0 {
 		// A zero CRC is omitted like any zero value.
-		return append(b, '\n'), nil
+		return append(b, '\n')
 	}
 	b = append(b[:len(b)-1], crcField...)
 	b = strconv.AppendUint(b, uint64(crc), 10)
-	return append(b, '}', '\n'), nil
+	return append(b, '}', '\n')
 }
 
 // lineChecksum recomputes the CRC of a record line (surrounding space
@@ -440,40 +475,75 @@ func verifyRecord(line []byte) (Record, error) {
 	return rec, nil
 }
 
-// scan reads the log file into one buffer and decodes its record lines in
-// order, handing them to rp (started with snap) and keeping the offset of
-// the last good record. A final line without its newline is a torn record
-// (crash mid-write) and is truncated under either policy. A COMPLETE line
-// that fails to parse or fails its checksum is silent corruption: by
-// default the log is truncated at the first bad record — loudly, with the
-// corrupt-record counter bumped — while Options.Strict refuses to open
-// (leaving the file untouched for inspection). A replay error stops the
-// replay but not the scan, so the tail is handled the same either way; it
-// is returned as replayErr, and the log's own failures as err.
+// scanChunk is the size of the buffer scan reads the log through.
+const scanChunk = 64 << 10
+
+// scan reads the log file through one reused buffer and decodes its record
+// lines in order, handing them to rp (started with snap) and keeping the
+// offset of the last good record. A first pass counts the lines, so rp and
+// the decoder are sized once. A final line without its newline is a torn
+// record (crash mid-write) and is truncated under either policy. A
+// COMPLETE line that fails to parse or fails its checksum is silent
+// corruption: by default the log is truncated at the first bad record —
+// loudly, with the corrupt-record counter bumped — while Options.Strict
+// refuses to open (leaving the file untouched for inspection). A replay
+// error stops the replay but not the scan, so the tail is handled the same
+// either way; it is returned as replayErr, and the log's own failures as
+// err.
 func (l *Log) scan(snap *Snapshot, rp Replayer) (records int, replayErr, err error) {
 	fi, err := l.f.Stat()
 	if err != nil {
 		return 0, nil, fmt.Errorf("wal: %w", err)
 	}
 	size := fi.Size()
-	buf := make([]byte, size)
-	if _, err := io.ReadFull(l.f, buf); err != nil {
-		return 0, nil, fmt.Errorf("wal: %w", err)
+	buf := make([]byte, min(size, scanChunk))
+	lines := 0
+	for at := int64(0); at < size; {
+		n, err := l.f.ReadAt(buf[:min(int64(len(buf)), size-at)], at)
+		if err != nil && err != io.EOF {
+			return 0, nil, fmt.Errorf("wal: %w", err)
+		}
+		if n == 0 {
+			return 0, nil, fmt.Errorf("wal: %w", io.ErrUnexpectedEOF)
+		}
+		lines += bytes.Count(buf[:n], []byte{'\n'})
+		at += int64(n)
 	}
-	lines := bytes.Count(buf, []byte{'\n'})
 	if rp != nil {
 		replayErr = rp.Start(snap, lines)
 	}
 	d := newDecoder(lines)
-	var off int
+	// buf[start:end] holds the file's bytes from off, the start of the
+	// next line; read is the offset of the next byte to read.
+	var off int64
+	start, end := 0, 0
+	read := int64(0)
 	var corrupt error
 	for {
-		n := bytes.IndexByte(buf[off:], '\n')
+		n := bytes.IndexByte(buf[start:end], '\n')
 		if n < 0 {
-			// A final line without its newline is a torn record.
-			break
+			if read == size {
+				// A final line without its newline is a torn record.
+				break
+			}
+			end = copy(buf, buf[start:end])
+			start = 0
+			if end == len(buf) {
+				// A line longer than the buffer: grow it.
+				buf = append(buf, make([]byte, len(buf))...)
+			}
+			m, err := l.f.ReadAt(buf[end:min(int64(len(buf)), int64(end)+size-read)], read)
+			if err != nil && err != io.EOF {
+				return 0, nil, fmt.Errorf("wal: %w", err)
+			}
+			if m == 0 {
+				return 0, nil, fmt.Errorf("wal: %w", io.ErrUnexpectedEOF)
+			}
+			end += m
+			read += int64(m)
+			continue
 		}
-		line := buf[off : off+n+1]
+		line := buf[start : start+n+1]
 		e, verr := d.decode(line)
 		if verr != nil {
 			// Everything from the corrupt record on is untrusted.
@@ -485,7 +555,8 @@ func (l *Log) scan(snap *Snapshot, rp Replayer) (records int, replayErr, err err
 		if rp != nil && replayErr == nil {
 			replayErr = rp.Record(e)
 		}
-		off += len(line)
+		start += len(line)
+		off += int64(len(line))
 	}
 	if corrupt != nil {
 		if l.opts.Strict {
@@ -494,12 +565,12 @@ func (l *Log) scan(snap *Snapshot, rp Replayer) (records int, replayErr, err err
 		l.corruptRecords++
 		l.m.recordCorrupt()
 		l.logw().Error("corrupt WAL record: truncating log at first bad record",
-			slog.Int("offset", off),
-			slog.Int64("dropped_bytes", size-int64(off)),
+			slog.Int64("offset", off),
+			slog.Int64("dropped_bytes", size-off),
 			slog.Int("clean_records", records),
 			slog.Any("error", corrupt))
 	}
-	l.end = int64(off)
+	l.end = off
 	if l.end < size {
 		l.tornBytes = size - l.end
 		if err := l.f.Truncate(l.end); err != nil {
@@ -593,11 +664,7 @@ func (l *Log) writeLocked(sp *obs.Span, rec Record) error {
 			return err
 		}
 	}
-	line, err := encodeRecord(rec)
-	if err != nil {
-		l.m.recordAppend(false)
-		return fmt.Errorf("wal: %w", err)
-	}
+	line := encodeRecord(rec)
 	sp.SetAttr("bytes", len(line))
 	if fp := l.opts.Failpoints; fp != nil {
 		if n, ok := fp.partialWrite(rec.Seq, len(line)); ok {

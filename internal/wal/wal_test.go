@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"collabwf/internal/data"
+	"collabwf/internal/query"
 	"collabwf/internal/trace"
 )
 
@@ -282,4 +284,88 @@ func TestSyncPolicies(t *testing.T) {
 			t.Fatalf("%s: %d records", p, got)
 		}
 	}
+}
+
+// A log several scan chunks long is read through the one buffer: lines
+// that straddle chunk edges, and a line longer than a chunk, replay intact
+// and in order, and a torn or a corrupt record past the first chunk cuts
+// the log exactly there.
+func TestScanAcrossChunks(t *testing.T) {
+	long := strings.Repeat("ν", scanChunk) // 2 bytes a rune: a line of two chunks
+	build := func(t *testing.T) (dir string, want []Entry, sizes []int64) {
+		dir = t.TempDir()
+		l, err := Open(dir, Options{Sync: SyncNever}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var size int64
+		for i := 0; i < 3000; i++ {
+			r := rec(i)
+			if i == 1700 {
+				r.Event.Valuation["long"] = long
+			}
+			if err := appendDurable(l, r); err != nil {
+				t.Fatal(err)
+			}
+			size += int64(len(encodeRecord(r)))
+			sizes = append(sizes, size)
+			val := query.Valuation{}
+			for k, v := range r.Event.Valuation {
+				val[k] = data.Value(v)
+			}
+			want = append(want, Entry{Seq: i, Rule: r.Event.Rule, Val: val})
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if size < 3*scanChunk {
+			t.Fatalf("log of %d bytes spans fewer than 3 chunks", size)
+		}
+		return dir, want, sizes
+	}
+	check := func(t *testing.T, dir string, want []Entry, torn int64) {
+		t.Helper()
+		l, got, err := openRecovered(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		if len(got.entries) != len(want) || l.TornBytes() != torn {
+			t.Fatalf("replayed %d records, %d torn bytes; want %d, %d", len(got.entries), l.TornBytes(), len(want), torn)
+		}
+		for i, e := range got.entries {
+			if e.Seq != want[i].Seq || e.Rule != want[i].Rule || !maps.Equal(e.Val, want[i].Val) {
+				t.Fatalf("record %d = %+v, want %+v", i, e, want[i])
+			}
+		}
+	}
+	t.Run("clean", func(t *testing.T) {
+		dir, want, _ := build(t)
+		check(t, dir, want, 0)
+	})
+	t.Run("torn", func(t *testing.T) {
+		dir, want, _ := build(t)
+		f, err := os.OpenFile(filepath.Join(dir, logName), os.O_APPEND|os.O_WRONLY, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tail := `{"seq":3000,"event":{"ru`
+		f.WriteString(tail)
+		f.Close()
+		check(t, dir, want, int64(len(tail)))
+	})
+	t.Run("corrupt", func(t *testing.T) {
+		dir, want, sizes := build(t)
+		// Flip a byte of record 2500, well past the first chunk.
+		path := filepath.Join(dir, logName)
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b[sizes[2499]+10] ^= 1
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		check(t, dir, want[:2500], int64(len(b))-sizes[2499])
+	})
 }
