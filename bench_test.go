@@ -267,7 +267,7 @@ func buildStagedRun(b *testing.B, staged *program.Program, rounds int) *program.
 		if err != nil {
 			b.Fatal(err)
 		}
-		cand := e.Updates[0].Key
+		cand := e.Updates()[0].Key
 		if _, err := r.FireRule("stage_refresh_cfo", nil); err != nil {
 			b.Fatal(err)
 		}

@@ -29,7 +29,7 @@ func reviewRun(t *testing.T) (*collabwf.Program, *collabwf.Run, collabwf.Value) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc := d.Updates[0].Key
+	doc := d.Updates()[0].Key
 	if _, err := run.FireRule("publish", map[string]collabwf.Value{"d": doc, "x": "alice"}); err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ rule publish at editor: +Doc(d, x, "pub") :- Doc(d, x, null)
 	}
 	run := collabwf.NewRun(spec.Program)
 	d, _ := run.FireRule("draft", map[string]collabwf.Value{"a": "alice"})
-	run.FireRule("publish", map[string]collabwf.Value{"d": d.Updates[0].Key, "x": "alice"})
+	run.FireRule("publish", map[string]collabwf.Value{"d": d.Updates()[0].Key, "x": "alice"})
 
 	fmt.Print(collabwf.NewExplainer(run, "reader").Report())
 	// Output:
@@ -55,7 +55,7 @@ rule gossip at q: +Noise(x) :- true
 	a, _ := run.FireRule("mkA", nil)
 	run.FireRule("gossip", nil) // irrelevant to p
 	run.FireRule("gossip", nil) // irrelevant to p
-	run.FireRule("mkB", map[string]collabwf.Value{"x": a.Updates[0].Key})
+	run.FireRule("mkB", map[string]collabwf.Value{"x": a.Updates()[0].Key})
 
 	indices, sub, err := collabwf.MinimalFaithfulScenario(run, "p")
 	if err != nil {

@@ -37,8 +37,8 @@ func main() {
 	}
 
 	// The requester posts two tasks.
-	t1 := fire("post", nil).Updates[0].Key
-	t2 := fire("post", nil).Updates[0].Key
+	t1 := fire("post", nil).Updates()[0].Key
+	t2 := fire("post", nil).Updates()[0].Key
 
 	// Workers race: w0 and w1 claim task 1, w2 claims task 2.
 	fire("claim0", map[string]collabwf.Value{"t": t1})

@@ -34,7 +34,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sue := clear.Updates[0].Key
+	sue := clear.Updates()[0].Key
 	for _, step := range []string{"cfo_ok", "approve", "hire"} {
 		if _, err := run.FireRule(step, map[string]collabwf.Value{"x": sue}); err != nil {
 			log.Fatal(err)
@@ -77,7 +77,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cand := c.Updates[0].Key
+	cand := c.Updates()[0].Key
 	mustFire(sr, "stage_refresh_cfo", nil)
 	mustFire(sr, "cfo_ok", map[string]collabwf.Value{"x": cand})
 	mustFire(sr, "approve", map[string]collabwf.Value{"x": cand})

@@ -52,7 +52,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	doc1 := d1.Updates[0].Key
+	doc1 := d1.Updates()[0].Key
 	if _, err := run.FireRule("draft", map[string]collabwf.Value{"a": "bob"}); err != nil {
 		log.Fatal(err)
 	}

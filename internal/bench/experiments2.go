@@ -276,7 +276,7 @@ func playScript(p *program.Program, steps []scriptStep) (*program.Run, error) {
 			return nil, fmt.Errorf("%s: %w", st.rule, err)
 		}
 		if st.rule == "clear" {
-			cand = e.Updates[0].Key
+			cand = e.Updates()[0].Key
 		}
 	}
 	return r, nil

@@ -33,7 +33,7 @@ func TestExplainerIncrementalSync(t *testing.T) {
 	r := program.NewRun(p)
 	ex := NewExplainer(r, "sue")
 	e := r.MustFireRule("clear", nil)
-	cand := e.Updates[0].Key
+	cand := e.Updates()[0].Key
 	ex.Sync()
 	if got := ex.MinimalScenario(); len(got) != 1 || got[0] != 0 {
 		t.Fatalf("after clear: %v", got)
@@ -58,7 +58,7 @@ func TestScenarioRunCoversSyncedPrefix(t *testing.T) {
 	p := workload.Hiring()
 	r := program.NewRun(p)
 	e := r.MustFireRule("clear", nil)
-	cand := e.Updates[0].Key
+	cand := e.Updates()[0].Key
 	r.MustFireRule("cfo_ok", map[string]data.Value{"x": cand})
 	r.MustFireRule("approve", map[string]data.Value{"x": cand})
 	r.MustFireRule("hire", map[string]data.Value{"x": cand})
@@ -79,7 +79,7 @@ func TestReportRendering(t *testing.T) {
 	p := workload.Hiring()
 	r := program.NewRun(p)
 	e := r.MustFireRule("clear", nil)
-	cand := e.Updates[0].Key
+	cand := e.Updates()[0].Key
 	r.MustFireRule("cfo_ok", map[string]data.Value{"x": cand})
 	r.MustFireRule("approve", map[string]data.Value{"x": cand})
 	r.MustFireRule("hire", map[string]data.Value{"x": cand})

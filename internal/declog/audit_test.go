@@ -41,7 +41,7 @@ func hiringLog(t *testing.T) ([]Decision, *program.Run) {
 			Valuation: rec.Valuation, Index: idx, RunLen: idx})
 	}
 	fire("clear", nil)
-	cand := run.Event(0).Updates[0].Key
+	cand := run.Event(0).Updates()[0].Key
 	// An applicability rejection decided against the 1-event prefix: approve
 	// needs the CFO's ok first.
 	recs = append(recs, Decision{Seq: uint64(len(recs) + 1), Kind: KindSubmit,
@@ -150,7 +150,7 @@ func guardedHiringLog(t *testing.T) []Decision {
 			Valuation: trace.EncodeEvent(e).Valuation, Index: idx, RunLen: idx})
 	}
 	fire("clear", nil)
-	cand := map[string]data.Value{"x": run.Event(0).Updates[0].Key}
+	cand := map[string]data.Value{"x": run.Event(0).Updates()[0].Key}
 	fire("cfo_ok", cand)
 	fire("approve", cand)
 	fire("hire", cand)

@@ -52,7 +52,7 @@ func playStagedHiring(t *testing.T, p *program.Program) (*program.Run, data.Valu
 	r := program.NewRun(p)
 	r.MustFireRule("stage_refresh_hr", nil)
 	e := r.MustFireRule("clear", nil) // closes the stage
-	cand := e.Updates[0].Key
+	cand := e.Updates()[0].Key
 	r.MustFireRule("stage_refresh_cfo", nil)
 	r.MustFireRule("cfo_ok", map[string]data.Value{"x": cand})
 	r.MustFireRule("approve", map[string]data.Value{"x": cand})
@@ -248,7 +248,7 @@ func TestMonitorFlagsCrossStageUse(t *testing.T) {
 	p := workload.Hiring()
 	r := program.NewRun(p)
 	e := r.MustFireRule("clear", nil) // stage 1 ends (visible)
-	cand := e.Updates[0].Key
+	cand := e.Updates()[0].Key
 	r.MustFireRule("cfo_ok", map[string]data.Value{"x": cand})  // silent
 	r.MustFireRule("approve", map[string]data.Value{"x": cand}) // silent
 	r.MustFireRule("hire", map[string]data.Value{"x": cand})    // visible: ok, same stage
@@ -259,7 +259,7 @@ func TestMonitorFlagsCrossStageUse(t *testing.T) {
 	// visible use: approve's Approved fact comes from the previous stage.
 	r2 := program.NewRun(p)
 	e2 := r2.MustFireRule("clear", nil)
-	c2 := e2.Updates[0].Key
+	c2 := e2.Updates()[0].Key
 	r2.MustFireRule("cfo_ok", map[string]data.Value{"x": c2})
 	r2.MustFireRule("approve", map[string]data.Value{"x": c2})
 	r2.MustFireRule("clear", nil) // visible: stage boundary
@@ -355,7 +355,7 @@ func TestRewriteRunsProjectToTransparentRuns(t *testing.T) {
 	}
 	fire("stage_refresh_hr", nil)
 	e := fireVariant("clear", nil)
-	cand := e.Updates[0].Key
+	cand := e.Updates()[0].Key
 	fire("stage_refresh_cfo", nil)
 	fireVariant("cfo_ok", map[string]data.Value{"x": cand})
 	fireVariant("approve", map[string]data.Value{"x": cand})
@@ -409,7 +409,7 @@ func TestRewriteOpaqueFactsBlockVisibleEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := mustFireByOrigin("clear", nil, false)
-	cand := e.Updates[0].Key
+	cand := e.Updates()[0].Key
 	if _, err := r.FireRule("stage_refresh_cfo", nil); err != nil {
 		t.Fatal(err)
 	}

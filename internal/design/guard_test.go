@@ -66,7 +66,7 @@ func TestGuardedRunAcceptsTransparentEpisode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cand := e.Updates[0].Key
+	cand := e.Updates()[0].Key
 	mustGuard(t, g, "stage_refresh_cfo", nil)
 	mustGuard(t, g, "cfo_ok", map[string]data.Value{"x": cand})
 	mustGuard(t, g, "approve", map[string]data.Value{"x": cand})
@@ -92,7 +92,7 @@ func TestGuardedRunRejectsOverBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cand := e.Updates[0].Key
+	cand := e.Updates()[0].Key
 	mustGuard(t, g, "stage_refresh_cfo", nil)
 	mustGuard(t, g, "cfo_ok", map[string]data.Value{"x": cand})
 	mustGuard(t, g, "approve", map[string]data.Value{"x": cand})
@@ -126,7 +126,7 @@ func TestGuardedRunBlocksCrossStageUse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cand := e.Updates[0].Key
+	cand := e.Updates()[0].Key
 	mustGuard(t, g, "cfo_ok", map[string]data.Value{"x": cand})
 	mustGuard(t, g, "approve", map[string]data.Value{"x": cand})
 	// A second visible clear opens a new stage…
@@ -241,7 +241,7 @@ rule pub at q: +V(x) :- S(x)
 		t.Fatal(err)
 	}
 	g := newGuardedRun(spec.Program, map[schema.Peer]int{"b": 1, "a": 1})
-	x := mustFire(t, g, "mk", nil).Updates[0].Key
+	x := mustFire(t, g, "mk", nil).Updates()[0].Key
 	// pub's step-provenance {mk, pub} exceeds h=1 for both a and b.
 	if _, err := g.fire("pub", map[string]data.Value{"x": x}); err == nil || !strings.Contains(err.Error(), "guard for a:") {
 		t.Fatalf("pub must be rejected for a, got %v", err)
@@ -253,7 +253,7 @@ rule pub at q: +V(x) :- S(x)
 // the admitted prefix is replayed.
 func TestGuardRejectionsReplayNothing(t *testing.T) {
 	g := newGuardedRun(workload.Hiring(), map[schema.Peer]int{"sue": 3, "ceo": 3})
-	cand := mustFire(t, g, "clear", nil).Updates[0].Key
+	cand := mustFire(t, g, "clear", nil).Updates()[0].Key
 	mustGuard(t, g, "cfo_ok", map[string]data.Value{"x": cand})
 	mustGuard(t, g, "approve", map[string]data.Value{"x": cand})
 	mustGuard(t, g, "clear", nil)
@@ -280,7 +280,7 @@ func TestGuardRejectionsReplayNothing(t *testing.T) {
 // those of a fresh guard over the shortened run.
 func TestGuardTruncateRewinds(t *testing.T) {
 	g := newGuardedRun(workload.Hiring(), map[schema.Peer]int{"sue": 3})
-	cand := mustFire(t, g, "clear", nil).Updates[0].Key
+	cand := mustFire(t, g, "clear", nil).Updates()[0].Key
 	mustGuard(t, g, "cfo_ok", map[string]data.Value{"x": cand})
 	mustGuard(t, g, "approve", map[string]data.Value{"x": cand})
 	mustGuard(t, g, "clear", nil)

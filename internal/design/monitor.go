@@ -163,7 +163,7 @@ func (m *Monitor) eventStatus(i int, e *program.Event) (bool, map[int]struct{}, 
 			if _, pVisible := m.run.Prog.Schema.View(m.peer, l.Rel); pVisible {
 				continue
 			}
-			key, ok := e.Val.Apply(l.Args[0])
+			key, ok := e.Apply(l.Args[0])
 			if !ok {
 				continue
 			}
@@ -184,7 +184,7 @@ func (m *Monitor) eventStatus(i int, e *program.Event) (bool, map[int]struct{}, 
 			if _, pVisible := m.run.Prog.Schema.View(m.peer, l.Rel); pVisible {
 				continue
 			}
-			key, ok := e.Val.Apply(l.Arg)
+			key, ok := e.Apply(l.Arg)
 			if !ok {
 				continue
 			}

@@ -438,18 +438,7 @@ func ProjectRun(pt *program.Run, original *program.Program) (*program.Run, error
 		if orig == nil {
 			return nil, fmt.Errorf("design: projected rule %s not in the original program", name)
 		}
-		val := make(query.Valuation)
-		for _, v := range orig.BodyVars() {
-			if x, ok := e.Val[v]; ok {
-				val[v] = x
-			}
-		}
-		for _, v := range orig.HeadVars() {
-			if x, ok := e.Val[v]; ok {
-				val[v] = x
-			}
-		}
-		oe, err := program.NewEvent(orig, val)
+		oe, err := e.As(orig)
 		if err != nil {
 			return nil, err
 		}

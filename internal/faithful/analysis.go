@@ -111,6 +111,8 @@ type Analysis struct {
 	keyLCs rows
 	// closes row i lists the lifecycles event i closed.
 	closes rows
+	// keyBuf holds the keys of the event step is recording.
+	keyBuf []program.RelKey
 
 	// relevant[rel][peer][pos] reports whether attribute pos of rel is in
 	// att(R, q) = att(R@q) ∪ att(σ(R@q)).
@@ -187,7 +189,7 @@ func newAnalysis(r *program.Run, n int) *Analysis {
 				closes++
 			}
 		}
-		keys += len(r.Event(i).Keys())
+		keys += len(r.Event(i).Rule.Layout().Keys)
 	}
 	a := &Analysis{
 		Run:      r,
@@ -263,8 +265,8 @@ func (a *Analysis) step(i int) {
 	// No lifecycle starts after i yet, and a program's updates of one
 	// relation have distinct keys, so no event both closes and opens
 	// lifecycles of one key: only a key's newest lifecycle can contain i.
-	e := a.Run.Event(i)
-	for _, rk := range e.Keys() {
+	a.keyBuf = a.Run.Event(i).AppendKeys(a.keyBuf[:0])
+	for _, rk := range a.keyBuf {
 		if l, ok := a.latest[lcID{rk.Rel, rk.Key}]; ok && a.lcs[l].Contains(i) {
 			a.keyLCs.ids = append(a.keyLCs.ids, l)
 		}

@@ -369,7 +369,7 @@ func TestMinimalFollowsInvisibleRightBoundary(t *testing.T) {
 	e := r.MustFireRule("make", nil)
 	r.MustFireRule("make", nil)
 	var x data.Value
-	for _, u := range e.Updates {
+	for _, u := range e.Updates() {
 		if u.Rel == "R" {
 			x = u.Key
 		}

@@ -175,7 +175,7 @@ func checkInterned(t *testing.T, a *Analysis, r *program.Run) {
 	for i := 0; i < a.Len(); i++ {
 		e := r.Event(i)
 		var wantKeys []Lifecycle
-		for _, rk := range e.Keys() {
+		for _, rk := range e.AppendKeys(nil) {
 			if c := firstContaining(scan[lcID{rk.Rel, rk.Key}], i); c != nil {
 				wantKeys = append(wantKeys, c.Lifecycle)
 			}

@@ -14,14 +14,13 @@ import (
 )
 
 // Event is a rule instantiation νr: a rule together with a total valuation
-// of its variables. The grounded body and updates are precomputed.
+// of its variables. The valuation is one value per slot of the rule's
+// Layout, in the order of its sorted variables; the grounded updates and
+// K(R, e) are derived from the layout's templates when they are used.
+// Events are immutable once built.
 type Event struct {
 	Rule *rule.Rule
-	Val  query.Valuation
-	// Updates are the grounded head updates in head order.
-	Updates []GroundUpdate
-	// keys is K(R, e) for every relation R, sorted by (relation, key).
-	keys []RelKey
+	vals []data.Value
 }
 
 // RelKey is one element of K(R, e): Key occurs as a key of relation Rel in
@@ -50,46 +49,20 @@ func (g GroundUpdate) String() string {
 }
 
 // NewEvent instantiates rule r with valuation val, which must bind every
-// variable of the rule. The event adopts val: it keeps the map itself, so
-// the caller must not modify it afterwards. Run.Fire and the trace and WAL
-// decoders hand over a valuation they have just built.
+// variable of the rule. The values are copied into the event's slots; a
+// name of val that is no variable of r is dropped (Run.FireRule rejects
+// one first).
 func NewEvent(r *rule.Rule, val query.Valuation) (*Event, error) {
-	ground := func(t query.Term) (data.Value, error) {
-		v, ok := val.Apply(t)
+	vars := r.Layout().Vars
+	vals := make([]data.Value, len(vars))
+	for i, v := range vars {
+		x, ok := val[v]
 		if !ok {
-			return data.Null, fmt.Errorf("program: event over %s: unbound variable %s", r.Name, t)
+			return nil, fmt.Errorf("program: event over %s: unbound variable %s", r.Name, v)
 		}
-		return v, nil
+		vals[i] = x
 	}
-	e := &Event{Rule: r, Val: val, Updates: make([]GroundUpdate, 0, len(r.Head))}
-	for _, u := range r.Head {
-		switch u := u.(type) {
-		case rule.Insert:
-			args := make(data.Tuple, len(u.Args))
-			for i, t := range u.Args {
-				v, err := ground(t)
-				if err != nil {
-					return nil, err
-				}
-				args[i] = v
-			}
-			e.Updates = append(e.Updates, GroundUpdate{Rel: u.Rel, Key: args.Key(), Args: args})
-		case rule.Delete:
-			k, err := ground(u.Key)
-			if err != nil {
-				return nil, err
-			}
-			e.Updates = append(e.Updates, GroundUpdate{IsDelete: true, Rel: u.Rel, Key: k})
-		}
-	}
-	// Verify body variables are bound too (Satisfied would silently fail).
-	for _, v := range r.BodyVars() {
-		if _, ok := val[v]; !ok {
-			return nil, fmt.Errorf("program: event over %s: unbound body variable %s", r.Name, v)
-		}
-	}
-	e.computeKeys()
-	return e, nil
+	return &Event{Rule: r, vals: vals}, nil
 }
 
 // MustEvent is NewEvent panicking on error.
@@ -101,59 +74,124 @@ func MustEvent(r *rule.Rule, val query.Valuation) *Event {
 	return e
 }
 
-// computeKeys fills K(R, e): k occurs as a key of R in e if it occurs in a
-// body literal R@q(k, ū) or ¬Key_R@q(k), or in a head update of R
-// (Section 4). Positive key literals and negative relational literals do
-// not occur in normal-form programs, but their keys are included too so the
-// definition degrades gracefully on non-normal-form rules.
-func (e *Event) computeKeys() {
-	// Collected on the stack, then kept at their exact length.
-	var buf [8]RelKey
-	keys := buf[:0]
-	for _, l := range e.Rule.Body {
-		switch l := l.(type) {
-		case query.Atom:
-			if len(l.Args) == 0 {
-				continue
-			}
-			if v, ok := e.Val.Apply(l.Args[0]); ok {
-				keys = addKey(keys, l.Rel, v)
-			}
-		case query.KeyAtom:
-			if v, ok := e.Val.Apply(l.Arg); ok {
-				keys = addKey(keys, l.Rel, v)
-			}
+// MakeEvent returns the event of rule r whose slot values are vals, one per
+// variable of r.Layout().Vars, as a value, so a caller building many events
+// at once (a recovery) can keep them in one array. The event adopts vals:
+// the caller must not modify it afterwards.
+func MakeEvent(r *rule.Rule, vals []data.Value) Event {
+	if len(vals) != len(r.Layout().Vars) {
+		panic(fmt.Sprintf("program: event over %s: %d slot values for %d variables", r.Name, len(vals), len(r.Layout().Vars)))
+	}
+	return Event{Rule: r, vals: vals}
+}
+
+// Vals returns the event's slot values, in the order of
+// e.Rule.Layout().Vars. The slice is the event's own: callers must not
+// modify it.
+func (e *Event) Vals() []data.Value { return e.vals }
+
+// Value returns the value the event binds to variable name, and false when
+// the rule has no such variable.
+func (e *Event) Value(name string) (data.Value, bool) {
+	i, ok := e.Rule.Layout().Index(name)
+	if !ok {
+		return data.Null, false
+	}
+	return e.vals[i], true
+}
+
+// Apply resolves a term of the rule under the event's valuation, like
+// query.Valuation.Apply.
+func (e *Event) Apply(t query.Term) (data.Value, bool) {
+	if !t.IsVar {
+		return t.Const, true
+	}
+	return e.Value(t.Var)
+}
+
+// Valuation returns the event's valuation as a fresh map, for the edges
+// that speak in maps.
+func (e *Event) Valuation() query.Valuation {
+	vars := e.Rule.Layout().Vars
+	val := make(query.Valuation, len(vars))
+	for i, v := range vars {
+		val[v] = e.vals[i]
+	}
+	return val
+}
+
+// As returns the event of rule r that binds r's variables as e binds them:
+// r is e's rule in another program, such as a synthesized view program, or
+// the rule it was derived from. A variable of r that e does not bind is an
+// error; a variable of e's rule that r lacks is dropped.
+func (e *Event) As(r *rule.Rule) (*Event, error) {
+	vars := r.Layout().Vars
+	if slices.Equal(vars, e.Rule.Layout().Vars) {
+		return &Event{Rule: r, vals: e.vals}, nil
+	}
+	vals := make([]data.Value, len(vars))
+	for i, v := range vars {
+		x, ok := e.Value(v)
+		if !ok {
+			return nil, fmt.Errorf("program: event over %s: unbound variable %s", r.Name, v)
+		}
+		vals[i] = x
+	}
+	return &Event{Rule: r, vals: vals}, nil
+}
+
+// update returns the i-th head update grounded.
+func (e *Event) update(i int) GroundUpdate {
+	u := e.Rule.Layout().Head[i]
+	if u.Delete {
+		return GroundUpdate{IsDelete: true, Rel: u.Rel, Key: u.Args[0].Get(e.vals)}
+	}
+	args := make(data.Tuple, len(u.Args))
+	for j, a := range u.Args {
+		args[j] = a.Get(e.vals)
+	}
+	return GroundUpdate{Rel: u.Rel, Key: args.Key(), Args: args}
+}
+
+// Updates returns the grounded head updates in head order, built on each
+// call.
+func (e *Event) Updates() []GroundUpdate {
+	out := make([]GroundUpdate, len(e.Rule.Layout().Head))
+	for i := range out {
+		out[i] = e.update(i)
+	}
+	return out
+}
+
+// AppendKeys appends K(R, e) for every relation R to dst, as (relation,
+// key) pairs sorted by relation, then key: k occurs as a key of R in e if
+// it occurs in a body literal R@q(k, ū) or ¬Key_R@q(k), or in a head
+// update of R (Section 4). Positive key literals and negative relational
+// literals do not occur in normal-form programs, but their keys are
+// included too so the definition degrades gracefully on non-normal-form
+// rules. The pairs are derived from the rule's layout on each call; a
+// caller walking many events reuses one buffer.
+func (e *Event) AppendKeys(dst []RelKey) []RelKey {
+	n := len(dst)
+	keys := e.Rule.Layout().Keys
+	dst = slices.Grow(dst, len(keys))
+	for _, ks := range keys {
+		k := RelKey{Rel: ks.Rel, Key: ks.Key.Get(e.vals)}
+		if !slices.Contains(dst[n:], k) {
+			dst = append(dst, k)
 		}
 	}
-	for _, u := range e.Updates {
-		keys = addKey(keys, u.Rel, u.Key)
-	}
-	slices.SortFunc(keys, func(a, b RelKey) int {
+	slices.SortFunc(dst[n:], func(a, b RelKey) int {
 		if c := cmp.Compare(a.Rel, b.Rel); c != 0 {
 			return c
 		}
 		return cmp.Compare(a.Key, b.Key)
 	})
-	e.keys = append(make([]RelKey, 0, len(keys)), keys...)
-}
-
-// addKey adds (rel, k) to keys unless it is there already.
-func addKey(keys []RelKey, rel string, k data.Value) []RelKey {
-	for _, rk := range keys {
-		if rk.Rel == rel && rk.Key == k {
-			return keys
-		}
-	}
-	return append(keys, RelKey{Rel: rel, Key: k})
+	return dst
 }
 
 // Peer returns the peer performing the event.
 func (e *Event) Peer() schema.Peer { return e.Rule.Peer }
-
-// Keys returns K(R, e) for every relation R, as (relation, key) pairs
-// sorted by relation, then key. The list is computed once, when the event
-// is built, and shared: callers must not modify it.
-func (e *Event) Keys() []RelKey { return e.keys[:len(e.keys):len(e.keys)] }
 
 // Equal reports whether two events are the same instantiation: same rule
 // name and same valuation.
@@ -161,29 +199,24 @@ func (e *Event) Equal(other *Event) bool {
 	if other == nil {
 		return e == nil
 	}
-	if e.Rule.Name != other.Rule.Name || len(e.Val) != len(other.Val) {
-		return false
-	}
-	for k, v := range e.Val {
-		if other.Val[k] != v {
-			return false
-		}
-	}
-	return true
+	return e.Rule.Name == other.Rule.Name &&
+		slices.Equal(e.Rule.Layout().Vars, other.Rule.Layout().Vars) &&
+		slices.Equal(e.vals, other.vals)
 }
 
 // Fingerprint returns a canonical identity string for the event.
 func (e *Event) Fingerprint() string {
-	return e.Rule.Name + e.Val.String()
+	return e.Rule.Name + e.Valuation().String()
 }
 
-// String renders the event as rule[valuation].
+// String renders the event as rule@peer[valuation]{updates}.
 func (e *Event) String() string {
-	ups := make([]string, len(e.Updates))
-	for i, u := range e.Updates {
-		ups[i] = u.String()
+	ups := e.Updates()
+	parts := make([]string, len(ups))
+	for i, u := range ups {
+		parts[i] = u.String()
 	}
-	return fmt.Sprintf("%s@%s[%s]{%s}", e.Rule.Name, e.Rule.Peer, e.Val, strings.Join(ups, ", "))
+	return fmt.Sprintf("%s@%s[%s]{%s}", e.Rule.Name, e.Rule.Peer, e.Valuation(), strings.Join(parts, ", "))
 }
 
 // EffectKind classifies how an update changed the global instance.
@@ -240,7 +273,7 @@ func Apply(in *schema.Instance, e *Event, s *schema.Collaborative, cs *cond.Eval
 	// The updates write one copy of I in place, so an event costs one
 	// instance version however many updates it has.
 	next := in
-	if len(e.Updates) > 0 {
+	if len(e.Rule.Layout().Head) > 0 {
 		next = in.Clone()
 	}
 	effects, err := applyTo(next, e, s, cs)
@@ -253,35 +286,45 @@ func Apply(in *schema.Instance, e *Event, s *schema.Collaborative, cs *cond.Eval
 // applyTo is Apply writing the successor into next itself, which the
 // caller owns. On an error next may hold some of the event's updates.
 func applyTo(next *schema.Instance, e *Event, s *schema.Collaborative, cs *cond.EvalCounts) ([]Effect, error) {
-	effects := make([]Effect, 0, len(e.Updates))
-	for _, u := range e.Updates {
+	head := e.Rule.Layout().Head
+	effects := make([]Effect, 0, len(head))
+	for i, u := range head {
 		v, ok := s.View(e.Peer(), u.Rel)
 		if !ok {
 			return nil, fmt.Errorf("program: event %s updates %s, invisible at %s", e, u.Rel, e.Peer())
 		}
-		if u.IsDelete {
+		key := u.Args[0].Get(e.vals)
+		if u.Delete {
 			// A peer can delete only a tuple it sees: the key must be in
 			// I@p(R@p).
-			t, exists := next.Get(u.Rel, u.Key)
+			t, exists := next.Get(u.Rel, key)
 			if !exists || !v.Sees(t, cs) {
-				return nil, fmt.Errorf("program: deletion %s not applicable: key not visible at %s", u, e.Peer())
+				return nil, fmt.Errorf("program: deletion %s not applicable: key not visible at %s", e.update(i), e.Peer())
 			}
-			next.Delete(u.Rel, u.Key)
-			effects = append(effects, Effect{Kind: Deleted, Rel: u.Rel, Key: u.Key, Before: t})
+			next.Delete(u.Rel, key)
+			effects = append(effects, Effect{Kind: Deleted, Rel: u.Rel, Key: key, Before: t})
 			continue
 		}
 		// Insertion: J = chase_K(I ∪ {R(u^⊥)}) must be valid and u must be
-		// subsumed by a tuple of J@p(R@p).
-		merged, before, err := next.Chase(u.Rel, v.Pad(u.Args))
-		if err != nil {
-			return nil, fmt.Errorf("program: insertion %s not applicable: %w", u, err)
+		// subsumed by a tuple of J@p(R@p). The padded tuple u^⊥ is built
+		// straight from the slots, and the chase stores it.
+		pad := make(data.Tuple, v.Rel.Arity())
+		for j := range pad {
+			pad[j] = data.Null
 		}
-		if !v.Sees(merged, cs) || !v.Project(merged).Subsumes(u.Args) {
-			return nil, fmt.Errorf("program: insertion %s not applicable: inserted tuple not subsumed by %s's view", u, e.Peer())
+		for j, a := range u.Args {
+			pad[v.Pos(j)] = a.Get(e.vals)
+		}
+		merged, before, err := next.Chase(u.Rel, pad)
+		if err != nil {
+			return nil, fmt.Errorf("program: insertion %s not applicable: %w", e.update(i), err)
+		}
+		if !v.Sees(merged, cs) || !subsumed(v, merged, u.Args, e.vals) {
+			return nil, fmt.Errorf("program: insertion %s not applicable: inserted tuple not subsumed by %s's view", e.update(i), e.Peer())
 		}
 		// Stored tuples are immutable: the effect shares merged, which the
 		// chase has just stored, and before, which the instance held.
-		ef := Effect{Kind: Created, Rel: u.Rel, Key: u.Key, After: merged, Filled: filled(before, merged)}
+		ef := Effect{Kind: Created, Rel: u.Rel, Key: key, After: merged, Filled: filled(before, merged)}
 		if before != nil {
 			// An insertion that changes nothing is still an event, but it
 			// has no effect entry content beyond the identity; record it
@@ -292,6 +335,18 @@ func applyTo(next *schema.Instance, e *Event, s *schema.Collaborative, cs *cond.
 		effects = append(effects, ef)
 	}
 	return effects, nil
+}
+
+// subsumed reports whether the projection of the full tuple t onto view v
+// subsumes the view tuple args grounds under vals: each non-⊥ argument is
+// t's value at the attribute it fills.
+func subsumed(v *schema.View, t data.Tuple, args []rule.Slot, vals []data.Value) bool {
+	for j, a := range args {
+		if x := a.Get(vals); !x.IsNull() && t[v.Pos(j)] != x {
+			return false
+		}
+	}
+	return true
 }
 
 // redo writes the step's recorded effects into in: I_{i-1} becomes I_i.
@@ -332,7 +387,7 @@ func filled(before, after data.Tuple) []int {
 // hold in I@p under its valuation and all updates must be applicable.
 func Applicable(in *schema.Instance, e *Event, s *schema.Collaborative) bool {
 	vi := schema.ViewOf(in, s, e.Peer())
-	if !e.Rule.Body.Satisfied(vi, e.Val) {
+	if !e.Rule.Layout().Satisfied(vi, e.vals) {
 		return false
 	}
 	_, _, err := Apply(in, e, s, nil)

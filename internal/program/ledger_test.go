@@ -125,7 +125,7 @@ func TestFreshLedgerMatchesActiveDomains(t *testing.T) {
 func TestCloneIsIndependent(t *testing.T) {
 	p := loadSpec(t, "hiring.wf")
 	r := program.NewRun(p)
-	x := r.MustFireRule("clear", nil).Val["x"]
+	x := r.MustFireRule("clear", nil).Valuation()["x"]
 	r.MustFireRule("cfo_ok", map[string]data.Value{"x": x})
 	// Names drawn but never used stay fresh for the ledger; only the
 	// source's position says they were issued.
@@ -147,7 +147,7 @@ func TestCloneIsIndependent(t *testing.T) {
 	// array, and the original's new value is fresh for the clone.
 	events := r.Events()
 	r.Truncate(1)
-	z := r.MustFireRule("clear", nil).Val["x"]
+	z := r.MustFireRule("clear", nil).Valuation()["x"]
 	if c.Len() != 2 || c.Event(0) != events[0] || c.Event(1) != events[1] {
 		t.Fatalf("truncating and appending to the original changed the clone: %s", c)
 	}
@@ -157,12 +157,12 @@ func TestCloneIsIndependent(t *testing.T) {
 
 	// The clone's source stands where the original's stood at the clone,
 	// so it mints the same name the original just did.
-	y := c.MustFireRule("clear", nil).Val["x"]
+	y := c.MustFireRule("clear", nil).Valuation()["x"]
 	if y != z {
 		t.Fatalf("clone minted %s, want %s", y, z)
 	}
 	c.MustFireRule("approve", map[string]data.Value{"x": x})
-	if r.Len() != 2 || r.Event(0) != events[0] || r.Event(1).Val["x"] != z {
+	if r.Len() != 2 || r.Event(0) != events[0] || r.Event(1).Valuation()["x"] != z {
 		t.Fatalf("appending to the clone changed the original: %s", r)
 	}
 

@@ -117,14 +117,7 @@ func (p *Program) MaxHeadUpdates() int {
 func (p *Program) MaxRuleVars() int {
 	m := 0
 	for _, r := range p.rules {
-		set := make(map[string]struct{})
-		for _, v := range r.BodyVars() {
-			set[v] = struct{}{}
-		}
-		for _, v := range r.HeadVars() {
-			set[v] = struct{}{}
-		}
-		m = max(m, len(set))
+		m = max(m, len(r.Layout().Vars))
 	}
 	return m
 }

@@ -101,7 +101,7 @@ func TestRunHappyPath(t *testing.T) {
 	p := hiringProgram(t)
 	r := NewRun(p)
 	e := r.MustFireRule("clear", nil) // x is head-only, bound fresh
-	sue := e.Updates[0].Key
+	sue := e.Updates()[0].Key
 	r.MustFireRule("cfo_ok", map[string]data.Value{"x": sue})
 	r.MustFireRule("approve", map[string]data.Value{"x": sue})
 	r.MustFireRule("hire", map[string]data.Value{"x": sue})
@@ -182,7 +182,7 @@ func TestChaseMergeInsertAndVisibilitySideEffect(t *testing.T) {
 	p := multiAttr(t)
 	r := NewRun(p)
 	e1 := r.MustFireRule("draft", map[string]data.Value{"a": "alice"})
-	d := e1.Updates[0].Key // fresh key ν1
+	d := e1.Updates()[0].Key // fresh key ν1
 	if got, _ := r.Current().Get("Doc", d); !got.Equal(data.Tuple{d, "alice", data.Null}) {
 		t.Fatalf("after draft: %v", got)
 	}
@@ -220,7 +220,7 @@ func TestInsertConflictRejected(t *testing.T) {
 	p := multiAttr(t)
 	r := NewRun(p)
 	e1 := r.MustFireRule("draft", map[string]data.Value{"a": "alice"})
-	d := e1.Updates[0].Key
+	d := e1.Updates()[0].Key
 	r.MustFireRule("publish", map[string]data.Value{"d": d})
 	// The publish rule requires Status=⊥ in editor's view; re-publishing
 	// fails at the body.
@@ -253,7 +253,7 @@ func TestDeleteRequiresVisibility(t *testing.T) {
 	p := MustNew(s, rules)
 	r := NewRun(p)
 	e := r.MustFireRule("mk", map[string]data.Value{"s": "draft"})
-	d := e.Updates[0].Key
+	d := e.Updates()[0].Key
 	// Body Doc@reader(d) fails: reader does not see the draft.
 	if _, err := r.FireRule("del", map[string]data.Value{"d": d}); err == nil {
 		t.Fatal("reader cannot delete an invisible tuple")
@@ -344,19 +344,20 @@ func TestEventKeys(t *testing.T) {
 	e := MustEvent(p.Rule("approve"), query.Valuation{"x": "sue"})
 	// K(Cleared,e) = K(CfoOK,e) = K(Approved,e) = {sue}; Hire does not occur
 	// in approve. The pairs are sorted by relation.
-	keys := e.Keys()
+	keys := e.AppendKeys(nil)
 	want := []RelKey{{"Approved", "sue"}, {"CfoOK", "sue"}, {"Cleared", "sue"}}
 	if !slices.Equal(keys, want) {
 		t.Fatalf("Keys=%v, want %v", keys, want)
 	}
-	// The list is cached when the event is built: reading it allocates
-	// nothing, and appending to it cannot write into the cache.
-	if n := testing.AllocsPerRun(100, func() { keys = e.Keys() }); n != 0 {
-		t.Fatalf("Keys allocates %.0f times per call, want 0", n)
+	// K(R, e) is derived from the rule's layout on each call: into a
+	// buffer with room AppendKeys allocates nothing.
+	buf := make([]RelKey, 0, 8)
+	if n := testing.AllocsPerRun(100, func() { buf = e.AppendKeys(buf[:0]) }); n != 0 || !slices.Equal(buf, want) {
+		t.Fatalf("AppendKeys allocates %.0f times per call and returns %v, want 0 and %v", n, buf, want)
 	}
-	_ = append(keys, RelKey{"Hire", "sue"})
-	if got := e.Keys(); len(got) != 3 || got[0].Rel != "Approved" {
-		t.Fatalf("Keys after an append to a returned copy = %v", got)
+	// AppendKeys sorts and deduplicates only the part it appends.
+	if got := e.AppendKeys([]RelKey{{"Hire", "sue"}}); len(got) != 4 || got[0].Rel != "Hire" || !slices.Equal(got[1:], want) {
+		t.Fatalf("AppendKeys after one element = %v", got)
 	}
 }
 
@@ -364,6 +365,22 @@ func TestEventUnboundVariable(t *testing.T) {
 	p := hiringProgram(t)
 	if _, err := NewEvent(p.Rule("approve"), query.Valuation{}); err == nil {
 		t.Fatal("unbound variables must be rejected")
+	}
+}
+
+// FireRule rejects a binding that names no variable of the rule, naming
+// it, and leaves the run unchanged; NewEvent, the decoders' constructor,
+// drops such a name instead.
+func TestFireRuleRejectsUnknownBinding(t *testing.T) {
+	p := hiringProgram(t)
+	r := NewRun(p)
+	_, err := r.FireRule("clear", map[string]data.Value{"x": "sue", "bogus": "b"})
+	if err == nil || !strings.Contains(err.Error(), "clear has no variable bogus") || r.Len() != 0 {
+		t.Fatalf("FireRule with an unknown binding: %v, run of %d events", err, r.Len())
+	}
+	e := MustEvent(p.Rule("clear"), query.Valuation{"x": "sue", "bogus": "b"})
+	if got := e.Fingerprint(); got != "clear{x↦sue}" {
+		t.Fatalf("event %s", got)
 	}
 }
 
@@ -435,7 +452,7 @@ func TestRunAccessors(t *testing.T) {
 	if !strings.Contains(r.String(), "clear@hr") {
 		t.Fatalf("Run.String()=%q", r.String())
 	}
-	ev2 := MustEvent(p.Rule("cfo_ok"), query.Valuation{"x": e.Updates[0].Key})
+	ev2 := MustEvent(p.Rule("cfo_ok"), query.Valuation{"x": e.Updates()[0].Key})
 	r.MustAppend(ev2)
 	if r.Len() != 2 {
 		t.Fatal("MustAppend failed")

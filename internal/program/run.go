@@ -231,28 +231,28 @@ func (r *Run) Append(e *Event) error {
 // check.
 func (r *Run) check(e *Event) error {
 	vi := r.viewNow(e.Peer())
+	l := e.Rule.Layout()
 	var satisfied bool
 	if r.prof == nil {
-		satisfied = e.Rule.Body.Satisfied(vi, e.Val)
+		satisfied = l.Satisfied(vi, e.vals)
 	} else {
 		start := time.Now()
-		satisfied = e.Rule.Body.Satisfied(vi, e.Val)
+		satisfied = l.Satisfied(vi, e.vals)
 		r.prof.RuleReplay(e.Rule.Name, string(e.Peer()), time.Since(start).Nanoseconds())
 	}
 	if !satisfied {
 		return fmt.Errorf("program: event %s: body not satisfied at step %d", e, len(r.Steps))
 	}
-	fvs := e.Rule.FreshVars()
-	for i, fv := range fvs {
-		v := e.Val[fv]
+	for i, fs := range l.Fresh {
+		v := e.vals[fs]
 		if v.IsNull() {
 			return fmt.Errorf("program: event %s: fresh variable bound to ⊥", e)
 		}
 		if !r.Fresh(v) {
 			return fmt.Errorf("program: event %s: value %s is not globally fresh", e, v)
 		}
-		for _, prev := range fvs[:i] {
-			if e.Val[prev] == v {
+		for _, prev := range l.Fresh[:i] {
+			if e.vals[prev] == v {
 				return fmt.Errorf("program: event %s: fresh variables share value %s", e, v)
 			}
 		}
@@ -268,8 +268,8 @@ func (r *Run) viewNow(p schema.Peer) *schema.ViewInstance {
 
 // record adds an appended event's fresh values to the freshness ledger.
 func (r *Run) record(e *Event) {
-	for _, fv := range e.Rule.FreshVars() {
-		r.seen.Add(e.Val[fv])
+	for _, fs := range e.Rule.Layout().Fresh {
+		r.seen.Add(e.vals[fs])
 	}
 }
 
@@ -299,8 +299,8 @@ func (r *Run) Truncate(n int) {
 	r.settle()
 	for i := len(r.Steps) - 1; i >= n; i-- {
 		e := r.Steps[i].Event
-		for _, fv := range e.Rule.FreshVars() {
-			delete(r.seen, e.Val[fv])
+		for _, fs := range e.Rule.Layout().Fresh {
+			delete(r.seen, e.vals[fs])
 		}
 		r.Steps[i] = Step{} // release the instance
 	}
@@ -421,14 +421,18 @@ func (r *Run) Fire(c Candidate) (*Event, error) {
 }
 
 // FireRule fires the named rule with the given body bindings, a convenience
-// for examples and tests.
+// for examples and tests. A binding must name a variable of the rule.
 func (r *Run) FireRule(name string, bindings map[string]data.Value) (*Event, error) {
 	rl := r.Prog.Rule(name)
 	if rl == nil {
 		return nil, fmt.Errorf("program: no rule named %s", name)
 	}
+	l := rl.Layout()
 	val := make(query.Valuation, len(bindings))
 	for k, v := range bindings {
+		if _, ok := l.Index(k); !ok {
+			return nil, fmt.Errorf("program: rule %s has no variable %s", name, k)
+		}
 		val[k] = v
 	}
 	return r.Fire(Candidate{Rule: rl, Val: val})

@@ -177,7 +177,7 @@ func TestSeededCompletionMatchesFilter(t *testing.T) {
 						fired++
 						for _, v := range rl.FreshVars() {
 							if _, bound := want[v]; !bound {
-								want[v] = e.Val[v]
+								want[v] = e.Valuation()[v]
 							}
 						}
 						if oe := program.MustEvent(rl, want); !e.Equal(oe) {

@@ -144,7 +144,7 @@ func TestReplayRejectionLeavesRunUnchanged(t *testing.T) {
 		if err := run.Replay(e); err != nil {
 			t.Fatal(err)
 		}
-		clash := program.MustEvent(p.Rule("clash"), query.Valuation{"x": e.Val["y"], "z": "z"})
+		clash := program.MustEvent(p.Rule("clash"), query.Valuation{"x": e.Valuation()["y"], "z": "z"})
 		if err := run.Replay(clash); err == nil {
 			t.Fatalf("replaying %s succeeded", clash)
 		}

@@ -15,7 +15,7 @@ func hiringRun(t *testing.T) *program.Run {
 	p := workload.Hiring()
 	r := program.NewRun(p)
 	e := r.MustFireRule("clear", nil)
-	cand := e.Updates[0].Key
+	cand := e.Updates()[0].Key
 	r.MustFireRule("cfo_ok", map[string]data.Value{"x": cand})
 	r.MustFireRule("approve", map[string]data.Value{"x": cand})
 	r.MustFireRule("hire", map[string]data.Value{"x": cand})

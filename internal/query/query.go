@@ -394,8 +394,9 @@ func (q Query) Holds(vi *schema.ViewInstance) bool {
 }
 
 // Satisfied reports whether the view instance satisfies the query under the
-// given (total) valuation — used to re-check event applicability when
-// replaying subruns.
+// given (total) valuation. Events re-check their bodies over slots
+// (rule.Layout.Satisfied); this map form is the oracle that check is
+// tested against.
 func (q Query) Satisfied(vi *schema.ViewInstance, val Valuation) bool {
 	for _, l := range q {
 		switch l := l.(type) {

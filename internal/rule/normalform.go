@@ -185,10 +185,7 @@ type freshVars struct {
 
 func newFreshVars(r *Rule) *freshVars {
 	used := make(map[string]struct{})
-	for _, v := range r.BodyVars() {
-		used[v] = struct{}{}
-	}
-	for _, v := range r.HeadVars() {
+	for _, v := range r.Layout().Vars {
 		used[v] = struct{}{}
 	}
 	return &freshVars{used: used}

@@ -106,12 +106,14 @@ type Rule struct {
 	// built (the whole repo constructs them with &Rule{...} and never
 	// mutates them afterwards), so the caches are computed once and shared;
 	// sync.Once makes first use safe under concurrent searches.
-	bodyOnce   sync.Once
-	bodyCache  []string
-	freshOnce  sync.Once
-	freshCache []string
-	constOnce  sync.Once
-	constCache []data.Value
+	bodyOnce    sync.Once
+	bodyCache   []string
+	freshOnce   sync.Once
+	freshCache  []string
+	constOnce   sync.Once
+	constCache  []data.Value
+	layoutOnce  sync.Once
+	layoutCache *Layout
 }
 
 // String renders the rule as "name at peer: head :- body".
@@ -128,20 +130,6 @@ func (r *Rule) String() string {
 func (r *Rule) BodyVars() []string {
 	r.bodyOnce.Do(func() { r.bodyCache = r.Body.Vars() })
 	return r.bodyCache
-}
-
-// HeadVars returns the sorted variables of the head.
-func (r *Rule) HeadVars() []string {
-	set := make(map[string]struct{})
-	for _, u := range r.Head {
-		u.Vars(set)
-	}
-	out := make([]string, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // FreshVars returns the variables that occur in the head but not in the

@@ -1,6 +1,7 @@
 package rule
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -45,13 +46,15 @@ func TestRuleStringAndVars(t *testing.T) {
 	if !strings.Contains(s, "replace at hr:") || !strings.Contains(s, "-Assign(k)") {
 		t.Fatalf("String()=%q", s)
 	}
-	hv := r.HeadVars()
-	if len(hv) != 4 { // k, k2, x2, y
-		t.Fatalf("HeadVars=%v", hv)
-	}
 	fv := r.FreshVars()
 	if len(fv) != 1 || fv[0] != "k2" {
 		t.Fatalf("FreshVars=%v", fv)
+	}
+	// The layout holds the body and head variables in sorted order, and
+	// the fresh variable's slot.
+	l := r.Layout()
+	if !slices.Equal(l.Vars, []string{"k", "k2", "r", "x", "x2", "y"}) || !slices.Equal(l.Fresh, []int{1}) {
+		t.Fatalf("Layout Vars=%v Fresh=%v", l.Vars, l.Fresh)
 	}
 }
 

@@ -274,6 +274,9 @@ func (v *View) render(t data.Tuple) string {
 	return b.String()
 }
 
+// Pos returns the position in R of the view's i-th attribute.
+func (v *View) Pos(i int) int { return v.srcIdx[i] }
+
 // Pad expands a view tuple u to a full tuple over R, filling the hidden
 // attributes with ⊥ — the J^⊥ padding of the paper.
 func (v *View) Pad(u data.Tuple) data.Tuple {

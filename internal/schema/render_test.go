@@ -164,7 +164,7 @@ func TestViewRenderCountsOncePerRow(t *testing.T) {
 		t.Fatal(err)
 	}
 	render()
-	if got, writes := cs.Total()-int64(rows), len(e.Updates); got != int64(writes) {
+	if got, writes := cs.Total()-int64(rows), len(e.Updates()); got != int64(writes) {
 		t.Fatalf("the appended step evaluated %d selections, want one per row its event wrote (%d)", got, writes)
 	}
 }

@@ -295,14 +295,12 @@ func (c *Coordinator) submitLocked(ctx context.Context, sp *obs.Span, d *declog.
 		d.Reason, d.Detail, d.Valuation = "not_applicable", err.Error(), encodeBindings(bindings)
 		return nil, err
 	}
-	// The event exists from here on. One encoding serves the WAL record and
-	// the decision's valuation (rejections log it too, so an audit can
-	// re-fire the event against the same prefix); with neither attached the
-	// event is not encoded at all.
-	var ev trace.EventRecord
-	if c.log != nil || c.dlog != nil {
-		ev = trace.EncodeEvent(e)
-		d.Valuation = ev.Valuation
+	// The event exists from here on. The WAL writes its record from the
+	// event's slots; the decision carries its valuation as a map
+	// (rejections log it too, so an audit can re-fire the event against
+	// the same prefix) only when a decision log is attached.
+	if c.dlog != nil {
+		d.Valuation = trace.EncodeEvent(e).Valuation
 	}
 	// Guard check: a pure test of the new event, so a rejection leaves the
 	// guard untouched and only the run sheds the event.
@@ -323,7 +321,7 @@ func (c *Coordinator) submitLocked(ctx context.Context, sp *obs.Span, d *declog.
 	// immutable, so it stays valid across the off-lock commit wait.
 	res := c.resultLocked(idx)
 	if c.log != nil {
-		if err := c.commitLocked(ctx, sp, d, wal.Record{Seq: idx, Event: ev, Idem: d.IdemKey}, prevLen); err != nil {
+		if err := c.commitLocked(ctx, sp, d, wal.Record{Seq: idx, Fired: e, Idem: d.IdemKey}, prevLen); err != nil {
 			return nil, err
 		}
 	}
@@ -393,7 +391,7 @@ func (c *Coordinator) resultLocked(idx int) *SubmitResult {
 	if idx < 0 || idx >= c.run.Len() {
 		return res
 	}
-	for _, u := range c.run.Event(idx).Updates {
+	for _, u := range c.run.Event(idx).Updates() {
 		res.Updates = append(res.Updates, u.String())
 	}
 	for _, q := range c.prog.Peers() {

@@ -131,12 +131,15 @@ func TestDecisionChannelsAgree(t *testing.T) {
 	}
 	g := open("Staged", staged, DurabilityConfig{RunID: "staged", Guards: map[string]int{"sue": 2}})
 	var cand data.Value
-	for _, s := range []struct{ peer, rule string }{
-		{"hr", "stage_refresh_hr"}, {"hr", "clear"}, {"cfo", "stage_refresh_cfo"},
-		{"cfo", "cfo_ok"}, {"ceo", "approve"},
+	for _, s := range []struct {
+		peer, rule string
+		onX        bool // the rule is over the candidate x
+	}{
+		{"hr", "stage_refresh_hr", false}, {"hr", "clear", false}, {"cfo", "stage_refresh_cfo", false},
+		{"cfo", "cfo_ok", true}, {"ceo", "approve", true},
 	} {
 		var bind map[string]data.Value
-		if cand != "" {
+		if s.onX {
 			bind = map[string]data.Value{"x": cand}
 		}
 		res, err := submitTo(g, s.peer, s.rule, bind)

@@ -216,6 +216,10 @@ type replayer struct {
 	keyed      []wal.IdemEntry
 }
 
+// Program is the coordinator's program: the log's records are decoded into
+// the slots of its rules.
+func (rp *replayer) Program() *program.Program { return rp.c.prog }
+
 // Start replays the snapshot, if any, and sizes the step list for the
 // log's records.
 func (rp *replayer) Start(snap *wal.Snapshot, lines int) error {
@@ -256,7 +260,11 @@ func (rp *replayer) Record(e wal.Entry) error {
 	if e.Seq != r.Len() {
 		return fmt.Errorf("WAL gap: record %d follows run of length %d", e.Seq, r.Len())
 	}
-	ev, err := trace.DecodeEvent(r.Prog, e.Rule, e.Val)
+	ev := e.Event
+	var err error
+	if ev == nil {
+		ev, err = trace.DecodeEvent(r.Prog, e.Rule, e.Val)
+	}
 	if err == nil {
 		err = r.Replay(ev)
 	}

@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"collabwf/internal/data"
@@ -108,7 +109,11 @@ func BenchmarkRecover(b *testing.B) {
 // brought it from 6302 allocations (45.0 per event) to 2777 (19.8).
 // Replaying into one in-place instance that keeps a version every 32
 // steps, and sizing each peer's scenario and visible-event lists up front,
-// brought it to 1893 (13.5); the bound is that count plus 10%.
+// brought it to 1893 (13.5). Storing each event as its rule and one slot
+// array, decoded into two arenas, and padding each insert once from the
+// slots brought it to 1030 (7.4), and the bytes allocated per recovered
+// event from 1603 to 1025. Bytes, not counts, decide when the first GC
+// cycle starts. Each bound is its measured figure plus 10%.
 func TestRecoverAllocsPerEvent(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector adds allocations")
@@ -117,8 +122,18 @@ func TestRecoverAllocsPerEvent(t *testing.T) {
 	writeCrowdPrefix(t, dir, 1, 20)
 	prog := crowdProgram(t)
 	allocs := testing.AllocsPerRun(20, func() { recoverOnce(t, prog, dir, 140) })
-	const bound = 1893 * 11 / 10
+	const bound = 1030 * 11 / 10
 	if allocs > bound {
 		t.Fatalf("recovering 140 events took %.0f allocations (%.1f per event), bound %d", allocs, allocs/140, bound)
+	}
+	const runs, bytesBound = 20, 1025 * 11 / 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		recoverOnce(t, prog, dir, 140)
+	}
+	runtime.ReadMemStats(&after)
+	if perEvent := float64(after.TotalAlloc-before.TotalAlloc) / runs / 140; perEvent > bytesBound {
+		t.Fatalf("recovering 140 events allocated %.0f bytes per event, bound %d", perEvent, bytesBound)
 	}
 }

@@ -61,7 +61,7 @@ func TestCompletenessHiring(t *testing.T) {
 	}
 	r := program.NewRun(p)
 	e := r.MustFireRule("clear", nil)
-	cand := e.Updates[0].Key
+	cand := e.Updates()[0].Key
 	r.MustFireRule("cfo_ok", map[string]data.Value{"x": cand})
 	r.MustFireRule("approve", map[string]data.Value{"x": cand})
 	r.MustFireRule("hire", map[string]data.Value{"x": cand})

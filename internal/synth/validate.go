@@ -28,7 +28,7 @@ func MatchRun(res *Result, r *program.Run, peer schema.Peer) (*program.Run, erro
 			if rl == nil {
 				return nil, fmt.Errorf("synth: view program lacks %s's rule %s", peer, entry.Event.Rule.Name)
 			}
-			e, err := program.NewEvent(rl, entry.Event.Val)
+			e, err := entry.Event.As(rl)
 			if err != nil {
 				return nil, err
 			}

@@ -43,19 +43,19 @@ type EventRecord struct {
 	Valuation map[string]string `json:"valuation"`
 }
 
-// EncodeEvent serializes one event in the trace wire form. The WAL reuses
-// this record-level encoding, so a log entry and a trace entry are the
-// same bytes.
+// EncodeEvent serializes one event in the trace wire form. A WAL record
+// holds the same bytes, written from the event's slots.
 func EncodeEvent(e *program.Event) EventRecord {
-	rec := EventRecord{Rule: e.Rule.Name, Valuation: make(map[string]string, len(e.Val))}
-	for k, v := range e.Val {
-		rec.Valuation[k] = string(v)
+	vars := e.Rule.Layout().Vars
+	rec := EventRecord{Rule: e.Rule.Name, Valuation: make(map[string]string, len(vars))}
+	for i, v := range e.Vals() {
+		rec.Valuation[vars[i]] = string(v)
 	}
 	return rec
 }
 
-// Decode converts the record back into an event of program p. The event
-// adopts the valuation Decode builds.
+// Decode converts the record back into an event of program p. A name of
+// the valuation that is no variable of the rule is dropped.
 func (rec EventRecord) Decode(p *program.Program) (*program.Event, error) {
 	val := make(query.Valuation, len(rec.Valuation))
 	for k, v := range rec.Valuation {
@@ -65,8 +65,8 @@ func (rec EventRecord) Decode(p *program.Program) (*program.Event, error) {
 }
 
 // DecodeEvent returns the event of program p that fires the named rule
-// under val. The event adopts val, so the caller must not modify it
-// afterwards: the WAL decoder hands over the valuation it has just parsed.
+// under val, copied into the rule's slots: recovery hands over the
+// valuation of a record its decoder could not lay out in slots itself.
 func DecodeEvent(p *program.Program, rule string, val query.Valuation) (*program.Event, error) {
 	rl := p.Rule(rule)
 	if rl == nil {

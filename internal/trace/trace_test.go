@@ -78,7 +78,7 @@ rule fill at p: +R(k, "v") :- R(k, null)
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := e.Updates[0].Key
+	k := e.Updates()[0].Key
 	if _, err := r.FireRule("fill", map[string]data.Value{"k": k}); err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,6 @@
 package transparency
 
 import (
-	"sort"
-
 	"collabwf/internal/data"
 	"collabwf/internal/program"
 	"collabwf/internal/schema"
@@ -133,15 +131,11 @@ func canonName(n int) string {
 func hashEvent(h *hash64, e *program.Event) {
 	h.writeString(e.Rule.Name)
 	h.writeByte(0x04)
-	vars := make([]string, 0, len(e.Val))
-	for v := range e.Val {
-		vars = append(vars, v)
-	}
-	sort.Strings(vars)
-	for _, v := range vars {
-		h.writeString(v)
+	vars := e.Rule.Layout().Vars
+	for i, x := range e.Vals() {
+		h.writeString(vars[i])
 		h.writeByte(0x00)
-		h.writeString(string(e.Val[v]))
+		h.writeString(string(x))
 		h.writeByte(0x00)
 	}
 	h.writeByte(0x05)

@@ -82,8 +82,10 @@ func EnumerateTriples(p *program.Program, peer schema.Peer, h int, opts Options)
 // restriction — sound by Lemma A.3(i).
 func restrictTriple(p *program.Program, peer schema.Peer, sr SilentRun) (Triple, bool) {
 	keys := make(map[string]data.ValueSet)
+	var buf []program.RelKey
 	for _, e := range sr.Run.Events() {
-		for _, rk := range e.Keys() {
+		buf = e.AppendKeys(buf[:0])
+		for _, rk := range buf {
 			if keys[rk.Rel] == nil {
 				keys[rk.Rel] = data.NewValueSet()
 			}

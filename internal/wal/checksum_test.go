@@ -12,7 +12,11 @@ import (
 	"strings"
 	"testing"
 
+	"collabwf/internal/data"
 	"collabwf/internal/obs"
+	"collabwf/internal/program"
+	"collabwf/internal/query"
+	"collabwf/internal/rule"
 	"collabwf/internal/trace"
 )
 
@@ -370,6 +374,14 @@ func FuzzRecordLine(f *testing.F) {
 		if old := marshalRecord(r); !bytes.Equal(line, old) {
 			t.Fatalf("line %q, encoding/json wrote %q", line, old)
 		}
+		// The same valuation as an event of a rule over its names, written
+		// from the slots.
+		e := slotEvent(rule, val)
+		fired := Record{Seq: seq, Fired: e, Idem: idem}
+		mapped := Record{Seq: seq, Event: trace.EncodeEvent(e), Idem: idem}
+		if got, old := encodeRecord(fired), marshalRecord(mapped); !bytes.Equal(got, old) {
+			t.Fatalf("slot line %q, encoding/json wrote %q", got, old)
+		}
 		want := r
 		want.CRC = recordChecksum(r)
 		old, err := json.Marshal(want)
@@ -394,12 +406,32 @@ func FuzzRecordLine(f *testing.F) {
 	})
 }
 
+// slotEvent is the event binding val of a rule named name whose variables
+// are val's names.
+func slotEvent(name string, val map[string]string) *program.Event {
+	var args []query.Term
+	qv := make(query.Valuation, len(val))
+	for k, v := range val {
+		args = append(args, query.V(k))
+		qv[k] = data.Value(v)
+	}
+	if len(args) == 0 {
+		args = append(args, query.C("c"))
+	}
+	return program.MustEvent(&rule.Rule{Name: name, Head: []rule.Update{rule.Insert{Rel: "R", Args: args}}}, qv)
+}
+
 // TestEncodeRecordAllocs: encoding a record allocates its line and
-// nothing else — no reflection, no sorted key copy.
+// nothing else — no reflection, no sorted key copy — whether its
+// valuation is a map or a fired event's slots.
 func TestEncodeRecordAllocs(t *testing.T) {
-	r := Record{Seq: 2099, Event: trace.EventRecord{Rule: "submit0",
-		Valuation: map[string]string{"t": "p.299", "c": "c0p.299", "x": "x0p.299"}}, Idem: "k-2099"}
-	if allocs := testing.AllocsPerRun(100, func() { encodeRecord(r) }); allocs != 1 {
-		t.Fatalf("encodeRecord made %.0f allocations, want 1", allocs)
+	val := map[string]string{"t": "p.299", "c": "c0p.299", "x": "x0p.299"}
+	for _, r := range []Record{
+		{Seq: 2099, Event: trace.EventRecord{Rule: "submit0", Valuation: val}, Idem: "k-2099"},
+		{Seq: 2099, Fired: slotEvent("submit0", val), Idem: "k-2099"},
+	} {
+		if allocs := testing.AllocsPerRun(100, func() { encodeRecord(r) }); allocs != 1 {
+			t.Fatalf("encodeRecord made %.0f allocations, want 1", allocs)
+		}
 	}
 }

@@ -6,38 +6,55 @@ import (
 	"unicode/utf8"
 
 	"collabwf/internal/data"
+	"collabwf/internal/program"
 	"collabwf/internal/query"
+	"collabwf/internal/rule"
 )
 
 // Entry is one verified log record as recovery replays it: its sequence
-// number, its event's rule name and valuation, decoded straight into the
-// query.Valuation the replayed event adopts, and its idempotency key.
+// number, its event and its idempotency key. A line of the fixed shape
+// whose rule is one of the replayer's program, and which binds every
+// variable of the rule, is decoded straight into the event's slots: Event
+// is that event, and a name that is no variable of the rule is dropped.
+// Any other record keeps its valuation as the line names it, in Val, for
+// the replayer to turn into an event or reject.
 type Entry struct {
-	Seq  int
-	Rule string
-	Val  query.Valuation
-	Idem string
+	Seq   int
+	Rule  string
+	Event *program.Event
+	Val   query.Valuation
+	Idem  string
 }
 
-// decoder verifies and decodes the record lines of one recovery. It
-// interns the rule names, variables and values it reads, so a value every
-// event of an episode binds is one string however many records hold it.
+// decoder verifies and decodes the record lines of one recovery. The
+// events it decodes into slots live in two arenas sized from the line
+// count, one of events and one of slot values, so a line of the fixed
+// shape costs one allocation: the string its values share.
 type decoder struct {
-	strs map[string]string
+	// rules are the program's rules by name; nil without a program.
+	rules  map[string]*rule.Rule
+	events []program.Event
+	slots  []data.Value
+	// buf collects a line's value bytes before they become one string.
+	buf []byte
 }
 
-func newDecoder(records int) *decoder {
-	return &decoder{strs: make(map[string]string, records)}
-}
-
-// intern returns b as a string, allocating each distinct string once.
-func (d *decoder) intern(b []byte) string {
-	if s, ok := d.strs[string(b)]; ok {
-		return s
+// newDecoder returns a decoder for at most lines records of the given
+// rules (none: keep every valuation a map).
+func newDecoder(rules []*rule.Rule, lines int) *decoder {
+	d := &decoder{}
+	if len(rules) == 0 {
+		return d
 	}
-	s := string(b)
-	d.strs[s] = s
-	return s
+	width := 0
+	d.rules = make(map[string]*rule.Rule, len(rules))
+	for _, rl := range rules {
+		d.rules[rl.Name] = rl
+		width = max(width, len(rl.Layout().Vars))
+	}
+	d.events = make([]program.Event, 0, lines)
+	d.slots = make([]data.Value, 0, lines*width)
+	return d
 }
 
 // decode verifies and decodes one complete record line, newline included.
@@ -53,11 +70,12 @@ func (d *decoder) decode(line []byte) (Entry, error) {
 	if err != nil {
 		return Entry{}, err
 	}
-	val := make(query.Valuation, len(rec.Event.Valuation))
+	e := Entry{Seq: rec.Seq, Rule: rec.Event.Rule, Idem: rec.Idem}
+	e.Val = make(query.Valuation, len(rec.Event.Valuation))
 	for k, v := range rec.Event.Valuation {
-		val[k] = data.Value(v)
+		e.Val[k] = data.Value(v)
 	}
-	return Entry{Seq: rec.Seq, Rule: rec.Event.Rule, Val: val, Idem: rec.Idem}, nil
+	return e, nil
 }
 
 // decodeFixed decodes a line of exactly the shape encodeRecord writes for a
@@ -98,11 +116,12 @@ func (d *decoder) decodeFixed(line []byte) (e Entry, ok bool) {
 	if !ok || !p.lit(`,"event":{"rule":`) {
 		return e, false
 	}
-	rule, ok := p.str()
+	name, ok := p.str()
 	if !ok || !p.lit(`,"valuation":{`) {
 		return e, false
 	}
-	// Collect the pairs first, so the map is made at its size.
+	// Collect the pairs first: the line must be whole before any of it is
+	// kept.
 	var pairs [8][2][]byte
 	kv := pairs[:0]
 	if !p.lit(`}`) {
@@ -136,15 +155,76 @@ func (d *decoder) decodeFixed(line []byte) (e Entry, ok bool) {
 	if len(p.b) != 0 {
 		return e, false
 	}
-	e = Entry{Seq: int(seq), Rule: d.intern(rule), Val: make(query.Valuation, len(kv))}
-	for _, pair := range kv {
-		// A repeated key keeps its last value, as encoding/json does.
-		e.Val[d.intern(pair[0])] = data.Value(d.intern(pair[1]))
-	}
+	e.Seq = int(seq)
 	if len(idem) > 0 {
 		e.Idem = string(idem)
 	}
+	if rl := d.rules[string(name)]; rl != nil {
+		e.Rule = rl.Name
+		if e.Event = d.event(rl, kv); e.Event != nil {
+			return e, true
+		}
+	} else {
+		e.Rule = string(name)
+	}
+	e.Val = make(query.Valuation, len(kv))
+	for _, pair := range kv {
+		// A repeated key keeps its last value, as encoding/json does.
+		e.Val[string(pair[0])] = data.Value(pair[1])
+	}
 	return e, true
+}
+
+// event builds the event of rl binding the (name, value) pairs kv, in the
+// decoder's arenas, or returns nil when kv leaves a variable of rl unbound
+// (or rl has more variables than a mask holds). A pair naming no variable
+// of rl is dropped, and a repeated name keeps its last value.
+func (d *decoder) event(rl *rule.Rule, kv [][2][]byte) *program.Event {
+	vars := rl.Layout().Vars
+	if len(vars) > 64 {
+		return nil
+	}
+	// The values' bytes are copied into d.buf, pair j's at at[j], and
+	// become one string that the slots share.
+	var atBuf, idxBuf [8]int
+	at, idx := atBuf[:0], idxBuf[:0]
+	var bound uint64
+	d.buf = d.buf[:0]
+	for _, pair := range kv {
+		i := 0
+		for i < len(vars) && vars[i] != string(pair[0]) {
+			i++
+		}
+		if i == len(vars) {
+			continue
+		}
+		at = append(at, len(d.buf))
+		idx = append(idx, i)
+		d.buf = append(d.buf, pair[1]...)
+		bound |= 1 << i
+	}
+	if bound != 1<<len(vars)-1 {
+		return nil
+	}
+	if cap(d.slots)-len(d.slots) < len(vars) {
+		d.slots = make([]data.Value, 0, max(len(vars), cap(d.slots)))
+	}
+	n := len(d.slots)
+	d.slots = d.slots[:n+len(vars)]
+	vals := d.slots[n:len(d.slots):len(d.slots)]
+	s := string(d.buf)
+	for j, i := range idx {
+		end := len(s)
+		if j+1 < len(at) {
+			end = at[j+1]
+		}
+		vals[i] = data.Value(s[at[j]:end])
+	}
+	if len(d.events) == cap(d.events) {
+		d.events = make([]program.Event, 0, max(1, cap(d.events)))
+	}
+	d.events = append(d.events, program.MakeEvent(rl, vals))
+	return &d.events[len(d.events)-1]
 }
 
 // parseUint parses b as a canonical JSON unsigned integer of at most max

@@ -10,6 +10,8 @@ import (
 	"testing"
 	"unsafe"
 
+	"collabwf/internal/query"
+	"collabwf/internal/rule"
 	"collabwf/internal/trace"
 )
 
@@ -67,6 +69,9 @@ func decodeSeeds(t testing.TB) [][]byte {
 		withCRC(`{"seq":6,"event":{"rule":"r","valuation":{"x":"` + "\xff" + `"}}`),
 		withCRC(`{"seq":7,"event":{"rule":"r","valuation":{"x":"ν1"}},"idem":""`),
 		withCRC(`{"seq":8,"event":{"rule":"r","valuation":{}}`),
+		withCRC(`{"seq":8,"event":{"rule":"two","valuation":{"x":"a"}}`),
+		withCRC(`{"seq":8,"event":{"rule":"two","valuation":{"z":"b","x":"a","q":"c"}}`),
+		[]byte(`{"seq":8,"event":{"rule":"pay","valuation":{"y":"1","t":"2","w":"3","ν":"4"}}}` + "\n"),
 		append(bytes.TrimSuffix(plain, []byte("\n")), "  \r\n"...),
 		[]byte(`{"seq":9,"event":{"rule":"r","valuation":{"x":"v"}},"crc":0}` + "\n"),
 		[]byte(`{"seq":9,"event":{"rule":"r","valuation":{"x":"v"}},"crc":00}` + "\n"),
@@ -78,28 +83,69 @@ func decodeSeeds(t testing.TB) [][]byte {
 	return seeds
 }
 
+// testRules are the rules the slot decoder of the decode tests knows: "r"
+// and "rule1" over x, "pay" over t, w and y, "two" over x and z, and
+// "noop", which has no variable.
+func testRules() []*rule.Rule {
+	ins := func(name string, args ...query.Term) *rule.Rule {
+		return &rule.Rule{Name: name, Head: []rule.Update{rule.Insert{Rel: "R", Args: args}}}
+	}
+	return []*rule.Rule{
+		ins("r", query.V("x")),
+		ins("rule1", query.V("x")),
+		ins("pay", query.V("y"), query.V("t"), query.V("w")),
+		ins("two", query.V("x"), query.V("z")),
+		ins("noop", query.C("c")),
+	}
+}
+
 // checkDecodeAgrees requires the decoder and referenceRecord to agree on
 // line: both accept or both reject, with the same ErrCorrupt class, and an
-// accepted line decodes to the same record.
+// accepted line decodes to the same record. A decoder without rules keeps
+// every valuation a map; one with testRules decodes a line of the fixed
+// shape whose rule is known and binds each of its variables into the
+// rule's slots, dropping any other name, and keeps the map otherwise.
 func checkDecodeAgrees(t *testing.T, line []byte) {
 	t.Helper()
 	want, werr := referenceRecord(line)
-	got, err := newDecoder(1).decode(line)
-	if (err == nil) != (werr == nil) || errors.Is(err, ErrCorrupt) != errors.Is(werr, ErrCorrupt) {
-		t.Fatalf("%q: decoder error %v, reference error %v", line, err, werr)
+	_, fixed := newDecoder(nil, 1).decodeFixed(line)
+	for _, d := range []*decoder{newDecoder(nil, 1), newDecoder(testRules(), 1)} {
+		got, err := d.decode(line)
+		if (err == nil) != (werr == nil) || errors.Is(err, ErrCorrupt) != errors.Is(werr, ErrCorrupt) {
+			t.Fatalf("%q: decoder error %v, reference error %v", line, err, werr)
+		}
+		if err != nil {
+			return
+		}
+		val := want.Event.Valuation
+		same := got.Seq == want.Seq && got.Rule == want.Event.Rule && got.Idem == want.Idem
+		if rl := d.rules[want.Event.Rule]; rl != nil && fixed && bindsAll(rl, val) {
+			same = same && got.Val == nil && got.Event != nil && got.Event.Rule == rl
+			for _, v := range rl.Layout().Vars {
+				gv, _ := got.Event.Value(v)
+				same = same && string(gv) == val[v]
+			}
+		} else {
+			same = same && got.Event == nil && len(got.Val) == len(val)
+			for k, v := range val {
+				gv, ok := got.Val[k]
+				same = same && ok && string(gv) == v
+			}
+		}
+		if !same {
+			t.Fatalf("%q: decoded %+v, reference %+v", line, got, want)
+		}
 	}
-	if err != nil {
-		return
+}
+
+// bindsAll reports whether val binds every variable of rl.
+func bindsAll(rl *rule.Rule, val map[string]string) bool {
+	for _, v := range rl.Layout().Vars {
+		if _, ok := val[v]; !ok {
+			return false
+		}
 	}
-	same := got.Seq == want.Seq && got.Rule == want.Event.Rule && got.Idem == want.Idem &&
-		len(got.Val) == len(want.Event.Valuation)
-	for k, v := range want.Event.Valuation {
-		gv, ok := got.Val[k]
-		same = same && ok && string(gv) == v
-	}
-	if !same {
-		t.Fatalf("%q: decoded %+v, reference %+v", line, got, want)
-	}
+	return true
 }
 
 // FuzzDecodeRecordLine: on arbitrary bytes, not only encoder output, the
@@ -133,7 +179,7 @@ func FuzzDecodeRecordLine(f *testing.F) {
 			return
 		}
 		if bytes.Equal(encodeRecord(want), b) {
-			if _, ok := newDecoder(1).decodeFixed(b); !ok {
+			if _, ok := newDecoder(nil, 1).decodeFixed(b); !ok {
 				t.Fatalf("encoder line %q fell back to encoding/json", b)
 			}
 		}
@@ -145,11 +191,12 @@ func FuzzDecodeRecordLine(f *testing.F) {
 // by the fixed-shape path, not by the encoding/json fallback, and the
 // seeds outside the shape fall back and still agree.
 func TestDecodeFixedTakesEncoderLines(t *testing.T) {
-	d := newDecoder(1)
+	d := newDecoder(testRules(), 1)
 	for i, r := range []Record{
 		rec(0), rec(123456),
 		{Seq: 9, Event: trace.EventRecord{Rule: "pay", Valuation: map[string]string{"t": "p.1", "w": "w0", "y": "yp.1", "ν": "ν12 ✓"}}, Idem: "k-9"},
 		{Seq: 10, Event: trace.EventRecord{Rule: "noop", Valuation: map[string]string{}}},
+		{Seq: 11, Event: trace.EventRecord{Rule: "two", Valuation: map[string]string{"x": "a"}}},
 	} {
 		line := encoded(t, r)
 		if _, ok := d.decodeFixed(line); !ok {
@@ -160,10 +207,28 @@ func TestDecodeFixedTakesEncoderLines(t *testing.T) {
 	for _, s := range decodeSeeds(t) {
 		checkDecodeAgrees(t, s)
 	}
-	// Recovery interns: one string per distinct name or value.
-	a, _ := d.decodeFixed(encoded(t, rec(7)))
-	b, _ := d.decodeFixed(encoded(t, rec(7)))
-	if unsafe.StringData(string(a.Val["x"])) != unsafe.StringData(string(b.Val["x"])) || unsafe.StringData(a.Rule) != unsafe.StringData(b.Rule) {
-		t.Fatal("a repeated value was decoded into two strings")
+}
+
+// TestDecodeIntoSlots: a record of a known rule is decoded into the
+// decoder's arenas: its values share one string, which is the line's one
+// allocation, and a name that is no variable of the rule (a record written
+// before /submit rejected such a binding) is dropped.
+func TestDecodeIntoSlots(t *testing.T) {
+	line := encoded(t, Record{Seq: 3, Event: trace.EventRecord{Rule: "pay",
+		Valuation: map[string]string{"t": "p.1", "w": "w0", "y": "yp.1", "bogus": "b"}}})
+	d := newDecoder(testRules(), 200)
+	e, ok := d.decodeFixed(line)
+	if !ok || e.Event == nil || e.Val != nil {
+		t.Fatalf("decoded %+v (fixed shape %v), want a slot event", e, ok)
+	}
+	if got := e.Event.Fingerprint(); got != "pay{t↦p.1, w↦w0, y↦yp.1}" {
+		t.Fatalf("event %s", got)
+	}
+	vals := e.Event.Vals()
+	if unsafe.Add(unsafe.Pointer(unsafe.StringData(string(vals[0]))), 5) != unsafe.Pointer(unsafe.StringData(string(vals[2]))) {
+		t.Fatal("the line's values are not one string")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { d.decodeFixed(line) }); allocs != 1 {
+		t.Fatalf("decoding a line into slots made %.0f allocations, want 1", allocs)
 	}
 }

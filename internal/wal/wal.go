@@ -7,13 +7,15 @@
 //
 // Open reads the log file through one reused 64 KiB buffer, counting its
 // lines first, and hands each verified record to the caller's Replayer as
-// an Entry, keeping none itself. A line
-// in the fixed shape encodeRecord writes is decoded without reflection:
-// its CRC is checked first, over the line's own bytes, then the fields are
-// parsed in their fixed order straight into the seq, the rule name, a
-// query.Valuation and the idempotency key, with every name and value
-// interned once per recovery. Any other line — a legacy one without a CRC,
-// a string with an escape, a key in another case or order, a CRC that does
+// an Entry, keeping none itself. A line in the fixed shape encodeRecord
+// writes is decoded without reflection: its CRC is checked first, over the
+// line's own bytes, then the fields are parsed in their fixed order
+// straight into the seq, the event and the idempotency key. The event of
+// a rule of the replayer's program is laid out in the rule's slots: each
+// key of the valuation is matched against the rule's sorted variable
+// names, and the values go into one arena of slots per recovery, sized
+// from the line count. Any other line — a legacy one without a CRC, a
+// string with an escape, a key in another case or order, a CRC that does
 // not match — goes through encoding/json and the same line checksum
 // (verifyRecord), so every line is accepted or rejected, and decoded,
 // exactly as that path alone would do it.
@@ -57,8 +59,11 @@ import (
 	"sync/atomic"
 	"time"
 
+	"collabwf/internal/data"
 	"collabwf/internal/jsonw"
 	"collabwf/internal/obs"
+	"collabwf/internal/program"
+	"collabwf/internal/rule"
 	"collabwf/internal/trace"
 )
 
@@ -114,6 +119,10 @@ var ErrCorrupt = errors.New("wal: corrupt record")
 type Record struct {
 	Seq   int               `json:"seq"`
 	Event trace.EventRecord `json:"event"`
+	// Fired, when set, is the event itself, and Event is not read: the
+	// line is written from its rule's sorted variable names and its slot
+	// values, the bytes Event = trace.EncodeEvent(Fired) would give.
+	Fired *program.Event `json:"-"`
 	// Idem is the submitter's idempotency key, persisted so that a recovered
 	// coordinator can recognise a client retry of an event that was durable
 	// before the crash. Empty for server-generated or keyless submissions.
@@ -136,36 +145,52 @@ var closeBrace = []byte{'}'}
 // absent. The fixed shape decodeFixed reads is appended directly, byte for
 // byte what encoding/json writes — fields in declaration order, valuation
 // keys sorted, strings escaped by jsonw — then the CRC field is spliced in
-// before the closing brace.
+// before the closing brace. A record of a fired event is written from the
+// event's slots, whose variables are sorted already; only a record given
+// as a map sorts its keys.
 func encodeRecord(rec Record) []byte {
-	val := rec.Event.Valuation
+	name, val := rec.Event.Rule, rec.Event.Valuation
+	var names []string
+	var slots []data.Value
+	var keyBuf [8]string
+	if e := rec.Fired; e != nil {
+		name, names, slots = e.Rule.Name, e.Rule.Layout().Vars, e.Vals()
+	} else {
+		names = keyBuf[:0]
+		for k := range val {
+			names = append(names, k)
+		}
+		slices.Sort(names)
+	}
+	value := func(i int) string {
+		if rec.Fired != nil {
+			return string(slots[i])
+		}
+		return val[names[i]]
+	}
 	// Unescaped, the line takes at most 93 bytes beside its strings (a
 	// 20-digit seq, a 10-digit CRC, a null valuation), and 6 per binding.
-	size := 93 + len(rec.Event.Rule) + len(rec.Idem)
-	var keyBuf [8]string
-	keys := keyBuf[:0]
-	for k, v := range val {
-		keys = append(keys, k)
-		size += len(k) + len(v) + 6
+	size := 93 + len(name) + len(rec.Idem)
+	for i, k := range names {
+		size += len(k) + len(value(i)) + 6
 	}
-	slices.Sort(keys)
 	b := make([]byte, 0, size)
 	b = append(b, `{"seq":`...)
 	b = strconv.AppendInt(b, int64(rec.Seq), 10)
 	b = append(b, `,"event":{"rule":`...)
-	b = jsonw.AppendString(b, rec.Event.Rule)
+	b = jsonw.AppendString(b, name)
 	b = append(b, `,"valuation":`...)
-	if val == nil {
+	if rec.Fired == nil && val == nil {
 		b = append(b, "null"...)
 	} else {
 		b = append(b, '{')
-		for i, k := range keys {
+		for i, k := range names {
 			if i > 0 {
 				b = append(b, ',')
 			}
 			b = jsonw.AppendString(b, k)
 			b = append(b, ':')
-			b = jsonw.AppendString(b, val[k])
+			b = jsonw.AppendString(b, value(i))
 		}
 		b = append(b, '}')
 	}
@@ -365,13 +390,16 @@ func (l *Log) logw() *slog.Logger {
 }
 
 // A Replayer rebuilds state from what Open recovers, while Open reads it.
-// Start receives the snapshot (nil when the dir holds none) and the number
-// of complete lines in the log, a bound on the records to come; Record then
-// receives each verified record of the clean prefix, in log order, and may
-// keep its valuation. The first error either returns ends the replay: Open
-// still handles a torn or corrupt tail as it would have, then closes the
-// log and returns that error.
+// Program names the program whose rules the records fire (nil: none), so
+// each record is decoded into its rule's slots. Start receives the
+// snapshot (nil when the dir holds none) and the number of complete lines
+// in the log, a bound on the records to come; Record then receives each
+// verified record of the clean prefix, in log order, and may keep its
+// event and valuation. The first error either returns ends the replay:
+// Open still handles a torn or corrupt tail as it would have, then closes
+// the log and returns that error.
 type Replayer interface {
+	Program() *program.Program
 	Start(snap *Snapshot, lines int) error
 	Record(e Entry) error
 }
@@ -509,10 +537,14 @@ func (l *Log) scan(snap *Snapshot, rp Replayer) (records int, replayErr, err err
 		lines += bytes.Count(buf[:n], []byte{'\n'})
 		at += int64(n)
 	}
+	var rules []*rule.Rule
 	if rp != nil {
+		if p := rp.Program(); p != nil {
+			rules = p.Rules()
+		}
 		replayErr = rp.Start(snap, lines)
 	}
-	d := newDecoder(lines)
+	d := newDecoder(rules, lines)
 	// buf[start:end] holds the file's bytes from off, the start of the
 	// next line; read is the offset of the next byte to read.
 	var off int64

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"collabwf/internal/data"
+	"collabwf/internal/program"
 	"collabwf/internal/query"
 	"collabwf/internal/trace"
 )
@@ -27,6 +28,8 @@ type recovered struct {
 	snap    *Snapshot
 	entries []Entry
 }
+
+func (r *recovered) Program() *program.Program { return nil }
 
 func (r *recovered) Start(snap *Snapshot, _ int) error {
 	r.snap = snap

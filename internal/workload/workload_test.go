@@ -150,7 +150,7 @@ func TestCrowdsourcingFlow(t *testing.T) {
 	}
 	r := program.NewRun(p)
 	post := r.MustFireRule("post", nil)
-	task := post.Updates[0].Key
+	task := post.Updates()[0].Key
 	r.MustFireRule("claim0", map[string]data.Value{"t": task})
 	r.MustFireRule("submit0", map[string]data.Value{"t": task})
 	r.MustFireRule("accept", map[string]data.Value{"t": task, "w": "w0"})

@@ -42,7 +42,7 @@ func sortedKeys(rows map[data.Value]data.Tuple) []data.Value {
 // chases the padded view tuple into the row, a deletion drops the row.
 func (mi mapInstance) apply(s *schema.Collaborative, e *program.Event) mapInstance {
 	next := mi.clone()
-	for _, u := range e.Updates {
+	for _, u := range e.Updates() {
 		rows := next[u.Rel]
 		if rows == nil {
 			rows = map[data.Value]data.Tuple{}
