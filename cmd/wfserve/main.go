@@ -24,7 +24,18 @@
 // group fsync; -fsync interval acknowledges at write time and fsyncs a
 // dirty WAL tail every 100ms; -fsync never leaves syncing to the OS.
 // SIGINT/SIGTERM shut the server down gracefully: in-flight submissions
-// drain, and every run's WAL is synced and closed.
+// drain, and every run's WAL is synced and closed; a signal that arrives
+// during recovery takes effect once recovery ends.
+//
+// Startup runs in a fixed order: bind, lock, recover, serve. -addr and
+// -debug-addr are bound first, before the decision log opens or the data
+// dir is touched, so a taken address fails at once and leaves every file
+// as it was. Each run's WAL is then locked, so a second server on a live
+// data dir fails whatever its port, and recovered; only then does the
+// server serve. A client that connects during recovery is not refused: its
+// connection waits in the listen backlog and is answered as soon as the
+// fleet is ready. The "serving" line is printed then, with the bound
+// address.
 //
 // Usage:
 //
@@ -82,7 +93,9 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -105,42 +118,74 @@ type guardFlags []string
 func (g *guardFlags) String() string     { return strings.Join(*g, ",") }
 func (g *guardFlags) Set(s string) error { *g = append(*g, s); return nil }
 
+// errUsage marks a command line wfserve cannot run with; main exits 2.
+var errUsage = errors.New("usage")
+
 func main() {
-	specPath := flag.String("spec", "", "workflow specification file")
-	addr := flag.String("addr", ":8080", "listen address")
-	dataDir := flag.String("data-dir", "", "durability directory (per-run WALs and guard files); empty = in-memory only")
-	fsync := flag.String("fsync", "always", "WAL fsync policy: always, interval or never")
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	// The first signal starts a graceful shutdown; a second one kills.
+	context.AfterFunc(ctx, stop)
+	err := run(ctx, os.Args[1:], os.Stdout, os.Stderr, nil)
+	stop()
+	switch {
+	case err == nil:
+	case errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
+		os.Exit(2)
+	default:
+		fmt.Fprintln(os.Stderr, "wfserve:", err)
+		os.Exit(1)
+	}
+}
+
+// run is wfserve on the command line args, until ctx is done: it binds
+// the listeners, recovers the fleet, serves it, and on ctx's end drains
+// and closes everything. bound, when not nil, is called with the API
+// listener's address once the listeners are bound, before the decision
+// log opens and the data dir is touched.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer, bound func(net.Addr)) error {
+	fs := flag.NewFlagSet("wfserve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	specPath := fs.String("spec", "", "workflow specification file")
+	addr := fs.String("addr", ":8080", "listen address")
+	dataDir := fs.String("data-dir", "", "durability directory (per-run WALs and guard files); empty = in-memory only")
+	fsync := fs.String("fsync", "always", "WAL fsync policy: always, interval or never")
 	// Deprecated: ignored; the WAL is the run's only record.
-	flag.Int("snapshot-every", 0, "deprecated and ignored: the WAL is the run's only record")
-	shutdownTimeout := flag.Duration("shutdown-timeout", 10*time.Second, "drain deadline on SIGINT/SIGTERM")
-	requestTimeout := flag.Duration("request-timeout", 30*time.Second, "time to a response's first byte before a 503; a started response completes (0 = unbounded)")
-	maxBody := flag.Int64("max-body", 1<<20, "maximum /submit body size in bytes")
-	maxInFlight := flag.Int("max-inflight", 0, "max concurrent /submit requests per run before shedding with 429 (0 = unbounded)")
-	walStrict := flag.Bool("wal-strict", false, "refuse to start on a corrupt WAL record instead of truncating at the first bad record")
-	idemWindow := flag.Int("idem-window", 0, "idempotency-key dedupe window in submissions per run (0 = 4096)")
-	declogDest := flag.String("declog", "", "decision-log sink: a JSONL file path, an http(s):// collector URL, or 'stdout'; empty = disabled")
-	debugAddr := flag.String("debug-addr", "", "debug listener (pprof + /metrics + /debug/traces); empty = disabled")
-	traceSample := flag.String("trace-sample", "always", "trace sampling policy: always, error, slow or off")
-	traceSlow := flag.Duration("trace-slow", 100*time.Millisecond, "root-span duration threshold for -trace-sample slow")
-	traceBuffer := flag.Int("trace-buffer", 256, "completed traces retained by the flight recorder")
-	logFlags := obs.RegisterLogFlags(flag.CommandLine, "info")
-	profileRules := flag.Bool("profile-rules", false, "enable the rule-engine cost profiler on the default run (see /debug/rules)")
+	fs.Int("snapshot-every", 0, "deprecated and ignored: the WAL is the run's only record")
+	shutdownTimeout := fs.Duration("shutdown-timeout", 10*time.Second, "drain deadline on SIGINT/SIGTERM")
+	requestTimeout := fs.Duration("request-timeout", 30*time.Second, "time to a response's first byte before a 503; a started response completes (0 = unbounded)")
+	maxBody := fs.Int64("max-body", 1<<20, "maximum /submit body size in bytes")
+	maxInFlight := fs.Int("max-inflight", 0, "max concurrent /submit requests per run before shedding with 429 (0 = unbounded)")
+	walStrict := fs.Bool("wal-strict", false, "refuse to start on a corrupt WAL record instead of truncating at the first bad record")
+	idemWindow := fs.Int("idem-window", 0, "idempotency-key dedupe window in submissions per run (0 = 4096)")
+	declogDest := fs.String("declog", "", "decision-log sink: a JSONL file path, an http(s):// collector URL, or 'stdout'; empty = disabled")
+	debugAddr := fs.String("debug-addr", "", "debug listener (pprof + /metrics + /debug/traces); empty = disabled")
+	traceSample := fs.String("trace-sample", "always", "trace sampling policy: always, error, slow or off")
+	traceSlow := fs.Duration("trace-slow", 100*time.Millisecond, "root-span duration threshold for -trace-sample slow")
+	traceBuffer := fs.Int("trace-buffer", 256, "completed traces retained by the flight recorder")
+	logFlags := obs.RegisterLogFlags(fs, "info")
+	profileRules := fs.Bool("profile-rules", false, "enable the rule-engine cost profiler on the default run (see /debug/rules)")
 	var guards guardFlags
-	flag.Var(&guards, "guard", "peer=h transparency guard installed on every fresh run (repeatable)")
-	flag.Parse()
+	fs.Var(&guards, "guard", "peer=h transparency guard installed on every fresh run (repeatable)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return fmt.Errorf("%w: %v", errUsage, err)
+	}
 
 	if *specPath == "" {
-		fmt.Fprintln(os.Stderr, "wfserve: -spec is required")
-		flag.Usage()
-		os.Exit(2)
+		fmt.Fprintln(stderr, "wfserve: -spec is required")
+		fs.Usage()
+		return fmt.Errorf("%w: -spec is required", errUsage)
 	}
-	logger, err := logFlags.NewLogger(os.Stderr)
+	logger, err := logFlags.NewLogger(stderr)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	policy, err := obs.ParseSamplePolicy(*traceSample)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	var tracer *obs.Tracer
 	if policy != obs.SampleOff {
@@ -152,25 +197,53 @@ func main() {
 	}
 	src, err := os.ReadFile(*specPath)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	spec, err := parse.Parse(string(src))
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	guardMap := make(map[string]int)
 	for _, g := range guards {
 		peer, hs, ok := strings.Cut(g, "=")
 		if !ok {
-			fatal(fmt.Errorf("bad -guard %q, want peer=h", g))
+			return fmt.Errorf("bad -guard %q, want peer=h", g)
 		}
 		h, err := strconv.Atoi(hs)
 		if err != nil {
-			fatal(fmt.Errorf("bad -guard budget %q: %v", hs, err))
+			return fmt.Errorf("bad -guard budget %q: %v", hs, err)
 		}
 		guardMap[peer] = h
-		fmt.Printf("guarding transparency and %d-boundedness for %s (fresh runs)\n", h, peer)
+		fmt.Fprintf(stdout, "guarding transparency and %d-boundedness for %s (fresh runs)\n", h, peer)
+	}
+	var syncPolicy wal.SyncPolicy
+	if *dataDir != "" {
+		syncPolicy, err = wal.ParsePolicy(*fsync)
+		if err != nil {
+			return err
+		}
+	}
+
+	// Bind before anything is opened: a taken address fails here, having
+	// touched no data dir and no decision log, and a client that connects
+	// while the fleet recovers waits in the listen backlog and is answered
+	// once Serve starts, instead of being refused. Serve and Shutdown close
+	// the listeners; the deferred closes cover the returns before them.
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return err
+	}
+	defer ln.Close()
+	var debugLn net.Listener
+	if *debugAddr != "" {
+		if debugLn, err = net.Listen("tcp", *debugAddr); err != nil {
+			return err
+		}
+		defer debugLn.Close()
+	}
+	if bound != nil {
+		bound(ln.Addr())
 	}
 
 	reg := obs.NewRegistry()
@@ -181,15 +254,24 @@ func main() {
 	// stream's first record for every run (see DurabilityConfig.DecisionLog).
 	var declogger *declog.Logger
 	if *declogDest != "" {
-		sink, err := newDeclogSink(*declogDest, logger)
+		sink, err := newDeclogSink(*declogDest, stdout, logger)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		declogger, err = declog.New(declog.Config{Sink: sink, Registry: reg, Logger: logger})
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("decision log streaming to %s\n", sink.Describe())
+		fmt.Fprintf(stdout, "decision log streaming to %s\n", sink.Describe())
+	}
+	// closeDeclog drains whatever the queue holds and closes the sink; it
+	// runs once no more decisions can be emitted.
+	closeDeclog := func(ctx context.Context) {
+		if declogger != nil {
+			if err := declogger.Close(ctx); err != nil {
+				fmt.Fprintln(stderr, "wfserve: closing decision log:", err)
+			}
+		}
 	}
 
 	// The rule-engine profiler attributes evaluation cost per rule across
@@ -200,16 +282,11 @@ func main() {
 	if *profileRules {
 		profiler = prof.New()
 		profiler.Instrument(reg)
-		fmt.Println("rule-engine profiler on for the default run (wf_rule_*, /debug/rules)")
+		fmt.Fprintln(stdout, "rule-engine profiler on for the default run (wf_rule_*, /debug/rules)")
 	}
 
-	var syncPolicy wal.SyncPolicy
-	if *dataDir != "" {
-		syncPolicy, err = wal.ParsePolicy(*fsync)
-		if err != nil {
-			fatal(err)
-		}
-	}
+	// Each run's WAL is locked before it is read, so a second server on a
+	// live data dir stops here, whatever port it was given.
 	m, err := server.NewManager(server.ManagerConfig{
 		Workflow: spec.Name,
 		Prog:     spec.Program,
@@ -233,7 +310,10 @@ func main() {
 		Logger:   logger,
 	})
 	if err != nil {
-		fatal(err)
+		drainCtx, cancel := context.WithTimeout(context.WithoutCancel(ctx), *shutdownTimeout)
+		defer cancel()
+		closeDeclog(drainCtx)
+		return err
 	}
 	runs := m.Runs()
 	if *dataDir != "" {
@@ -242,81 +322,67 @@ func main() {
 			events += r.Events
 		}
 		if events > 0 || len(runs) > 1 {
-			fmt.Printf("recovered %d runs (%d events) from %s\n", len(runs), events, *dataDir)
+			fmt.Fprintf(stdout, "recovered %d runs (%d events) from %s\n", len(runs), events, *dataDir)
 		}
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: m.Handler()}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
+	srv := &http.Server{Handler: m.Handler()}
 	var debugSrv *http.Server
-	if *debugAddr != "" {
+	if debugLn != nil {
 		debugMux := obs.DebugMux(reg, tracer)
 		// Ranked per-rule cost listing; serves {"enabled": false} when the
 		// profiler is off so probes need not special-case the flag.
 		debugMux.Handle("/debug/rules", prof.RulesHandler(profiler))
-		debugSrv = &http.Server{Addr: *debugAddr, Handler: debugMux}
+		debugSrv = &http.Server{Handler: debugMux}
+		logger.Info("debug listener up", "addr", debugLn.Addr().String())
 		go func() {
-			logger.Info("debug listener up", "addr", *debugAddr)
-			if err := debugSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
+			if err := debugSrv.Serve(debugLn); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				logger.Error("debug listener failed", "err", err)
 			}
 		}()
 	}
-
+	fmt.Fprintf(stdout, "serving workflow %s on %s (%d runs)\n", spec.Name, ln.Addr(), len(runs))
 	errCh := make(chan error, 1)
-	go func() {
-		fmt.Printf("serving workflow %s on %s (%d runs)\n", spec.Name, *addr, len(runs))
-		errCh <- srv.ListenAndServe()
-	}()
+	go func() { errCh <- srv.Serve(ln) }()
 
+	var serveErr error
 	select {
-	case err := <-errCh:
+	case serveErr = <-errCh:
 		// Listener failure before any signal.
-		fatal(err)
 	case <-ctx.Done():
+		fmt.Fprintln(stdout, "wfserve: shutting down, draining in-flight requests")
 	}
-	stop()
-	fmt.Println("wfserve: shutting down, draining in-flight requests")
-	drainCtx, cancel := context.WithTimeout(context.Background(), *shutdownTimeout)
+	drainCtx, cancel := context.WithTimeout(context.WithoutCancel(ctx), *shutdownTimeout)
 	defer cancel()
 	if err := srv.Shutdown(drainCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		fmt.Fprintln(os.Stderr, "wfserve: shutdown:", err)
+		fmt.Fprintln(stderr, "wfserve: shutdown:", err)
 	}
 	if debugSrv != nil {
 		_ = debugSrv.Shutdown(drainCtx)
 	}
 	// Sync and close every run's WAL (no-op for in-memory fleets).
 	if err := m.Close(); err != nil {
-		fatal(fmt.Errorf("closing run fleet: %w", err))
+		return fmt.Errorf("closing run fleet: %w", err)
 	}
-	// The fleet is closed, so no new decisions can be emitted: drain
-	// whatever the queue still holds and close the sink.
-	if declogger != nil {
-		if err := declogger.Close(drainCtx); err != nil {
-			fmt.Fprintln(os.Stderr, "wfserve: closing decision log:", err)
-		}
+	// The fleet is closed, so no new decisions can be emitted.
+	closeDeclog(drainCtx)
+	if serveErr != nil {
+		return serveErr
 	}
-	fmt.Println("wfserve: state persisted, bye")
+	fmt.Fprintln(stdout, "wfserve: state persisted, bye")
+	return nil
 }
 
 // newDeclogSink builds the -declog sink: an http(s):// URL uploads gzipped
 // batches with retries, "stdout" (or "-") writes JSONL to standard output,
 // anything else is a file path rotated past 64 MiB.
-func newDeclogSink(dest string, logger *slog.Logger) (declog.Sink, error) {
+func newDeclogSink(dest string, stdout io.Writer, logger *slog.Logger) (declog.Sink, error) {
 	switch {
 	case strings.HasPrefix(dest, "http://") || strings.HasPrefix(dest, "https://"):
 		return declog.NewHTTPSink(dest, client.Options{Logger: logger}), nil
 	case dest == "stdout" || dest == "-":
-		return declog.NewWriterSink(os.Stdout, "stdout"), nil
+		return declog.NewWriterSink(stdout, "stdout"), nil
 	default:
 		return declog.NewFileSink(dest, declog.FileOptions{MaxBytes: 64 << 20})
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "wfserve:", err)
-	os.Exit(1)
 }

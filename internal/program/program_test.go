@@ -229,6 +229,44 @@ func TestInsertConflictRejected(t *testing.T) {
 	}
 }
 
+// An insertion whose non-⊥ attribute conflicts with the stored row is
+// rejected by the chase, and one that agrees merges into a row that keeps
+// every inserted value. Apply relies on this for the subsumption half of
+// condition (ii): it checks only that the inserting peer sees the merged
+// row, so a chase that let a stored value win over an inserted one would
+// silently accept a tuple the peer never wrote.
+func TestInsertConflictRejectedByChase(t *testing.T) {
+	p := multiAttr(t)
+	r := NewRun(p)
+	e1 := r.MustFireRule("draft", map[string]data.Value{"a": "alice"})
+	d := e1.Updates()[0].Key
+	r.MustFireRule("publish", map[string]data.Value{"d": d})
+	in := r.Current()
+	stored, _ := in.Get("Doc", d)
+
+	conflict := MustEvent(p.Rule("draft"), query.Valuation{"d": d, "a": "bob"})
+	_, _, err := Apply(in, conflict, p.Schema, nil)
+	if err == nil || !strings.Contains(err.Error(), "chase conflict") {
+		t.Fatalf("Apply of a conflicting Author: err = %v, want a chase conflict", err)
+	}
+	if got, _ := in.Get("Doc", d); !got.Equal(stored) {
+		t.Fatalf("rejected insertion changed the row: %v → %v", stored, got)
+	}
+
+	agree := MustEvent(p.Rule("draft"), query.Valuation{"d": d, "a": "alice"})
+	next, efs, err := Apply(in, agree, p.Schema, nil)
+	if err != nil {
+		t.Fatalf("Apply of an agreeing Author: %v", err)
+	}
+	want := data.Tuple{d, "alice", "pub"}
+	if got, _ := next.Get("Doc", d); !got.Equal(want) {
+		t.Fatalf("merged row %v, want %v", got, want)
+	}
+	if len(efs) != 1 || efs[0].Kind != Modified || !efs[0].After.Equal(want) || efs[0].Filled != nil {
+		t.Fatalf("effects %+v", efs)
+	}
+}
+
 func TestDeleteRequiresVisibility(t *testing.T) {
 	// reader sees only published docs and has a delete rule; deleting an
 	// unpublished doc must fail even with a correct key.

@@ -129,7 +129,10 @@ func TestCrashRecoveryAfterEveryEvent(t *testing.T) {
 			t.Fatal(err)
 		}
 		mustSubmitAll(t, c, subs[:k])
-		// Crash: no Close, torn bytes on disk.
+		// Crash: no final sync, torn bytes on disk.
+		if _, _, err := c.Crash(); err != nil {
+			t.Fatal(err)
+		}
 		appendGarbage(t, dir)
 		rc, err := NewDurable("Hiring", prog, cfg)
 		if err != nil {
@@ -233,6 +236,9 @@ func TestGuardPersistedAcrossRecovery(t *testing.T) {
 	mustSubmit(c, "cfo", "stage_refresh_cfo", nil)
 
 	// Crash without Close; recover and continue.
+	if _, _, err := c.Crash(); err != nil {
+		t.Fatal(err)
+	}
 	rc, err := NewDurable("Staged", staged, DurabilityConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
@@ -516,6 +522,9 @@ func TestRecoveryRetainsNoRecords(t *testing.T) {
 		}
 	}
 	// Crash: no Close, so recovery replays all 10 records.
+	if _, _, err := c.Crash(); err != nil {
+		t.Fatal(err)
+	}
 	rc := &Coordinator{prog: prog, run: program.NewRun(prog)}
 	rp := &replayer{c: rc, budgets: map[schema.Peer]int{}}
 	log, err := wal.Open(dir, wal.Options{}, rp)

@@ -114,6 +114,9 @@ func TestCrashDuringGroupCommit(t *testing.T) {
 
 	// (b) Crash (no Close) and recover: exactly the durable prefix replays.
 	state := captureState(t, c)
+	if _, _, err := c.Crash(); err != nil {
+		t.Fatal(err)
+	}
 	rc, err := NewDurable("Hiring", prog, DurabilityConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)

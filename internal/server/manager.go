@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"regexp"
 	"sort"
 	"sync"
 	"time"
@@ -20,9 +19,25 @@ import (
 // DefaultRun is the id of the run that legacy single-run paths alias to.
 const DefaultRun = "default"
 
-// runIDPattern validates run ids: path- and filesystem-safe, bounded, no
-// leading separator characters.
-var runIDPattern = regexp.MustCompile(`^[A-Za-z0-9][A-Za-z0-9_.-]{0,63}$`)
+// validRunID reports whether id is a valid run id: 1 to 64 bytes of
+// [A-Za-z0-9_.-], the first a letter or digit, so an id is path- and
+// filesystem-safe, bounded, and never starts with a separator character.
+// It is a byte loop rather than a regexp, which would cost every start a
+// compile at package init.
+func validRunID(id string) bool {
+	if len(id) == 0 || len(id) > 64 {
+		return false
+	}
+	for i := 0; i < len(id); i++ {
+		switch c := id[i]; {
+		case 'A' <= c && c <= 'Z', 'a' <= c && c <= 'z', '0' <= c && c <= '9':
+		case i > 0 && (c == '_' || c == '.' || c == '-'):
+		default:
+			return false
+		}
+	}
+	return true
+}
 
 // archivedMarker is the file dropped into an archived run's directory so
 // the startup scan skips it (the WAL and any guard file stay on disk for
@@ -152,7 +167,7 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 				continue
 			}
 			id := ent.Name()
-			if !runIDPattern.MatchString(id) {
+			if !validRunID(id) {
 				m.Close()
 				return nil, fmt.Errorf("server: run directory %q is not a valid run id", id)
 			}
@@ -190,7 +205,7 @@ func (m *Manager) runDir(id string) string {
 // across construction so a concurrent create of the same id waits and then
 // fails on the exists check rather than double-recovering one directory.
 func (m *Manager) addRun(id string) (*shard, error) {
-	if !runIDPattern.MatchString(id) {
+	if !validRunID(id) {
 		return nil, fmt.Errorf("server: invalid run id %q", id)
 	}
 	b := m.bucket(id)

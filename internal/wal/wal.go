@@ -112,6 +112,11 @@ var ErrCrashed = errors.New("wal: log crashed before the commit resolved")
 // record instead.
 var ErrCorrupt = errors.New("wal: corrupt record")
 
+// ErrInUse is returned by Open when another open log holds dir: a second
+// server on a live data dir, in this process or another. That open has
+// neither truncated nor replayed anything.
+var ErrInUse = errors.New("wal: data dir in use")
+
 // Record is one durable entry: the event's absolute position in the run
 // plus its serialized form. The sequence number makes replay idempotent —
 // records already covered by a legacy snapshot (a crash could land between
@@ -407,7 +412,8 @@ type Replayer interface {
 // Open opens (creating if necessary) the log rooted at dir, loading the
 // snapshot and scanning the existing records into rp (nil = verify only).
 // A torn trailing record is truncated away; its byte count is reported by
-// TornBytes.
+// TornBytes. The log holds an exclusive lock on wal.log until Close or
+// Crash: while it does, a second Open of dir fails with ErrInUse.
 func Open(dir string, opts Options, rp Replayer) (*Log, error) {
 	if opts.Sync == "" {
 		opts.Sync = SyncAlways
@@ -418,13 +424,23 @@ func Open(dir string, opts Options, rp Replayer) (*Log, error) {
 	start := time.Now()
 	l := &Log{dir: dir, opts: opts, m: newWALMetrics(opts.Metrics)}
 	l.cond = sync.NewCond(&l.mu)
-	snap, err := loadSnapshot(dir)
-	if err != nil {
-		return nil, err
-	}
 	f, err := os.OpenFile(filepath.Join(dir, logName), os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
+	}
+	// One log per dir: the lock is taken before anything is read, so a
+	// second opener touches nothing. Close and Crash release it.
+	if err := lockFile(f); err != nil {
+		f.Close()
+		if errors.Is(err, ErrInUse) {
+			return nil, fmt.Errorf("%w: %s: %s is locked by another open log", ErrInUse, dir, logName)
+		}
+		return nil, fmt.Errorf("wal: locking %s: %w", logName, err)
+	}
+	snap, err := loadSnapshot(dir)
+	if err != nil {
+		f.Close()
+		return nil, err
 	}
 	l.f = f
 	if snap != nil {

@@ -241,6 +241,9 @@ func TestFailpointSyncErrorRejects(t *testing.T) {
 	if err := appendDurable(l, rec(0)); err != nil {
 		t.Fatal(err)
 	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
 	if len(mustTail(t, dir)) != 1 {
 		t.Fatal("exactly one record must be on disk")
 	}
