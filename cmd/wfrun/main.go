@@ -8,18 +8,22 @@
 // flaky network or a mid-run server restart cannot double-apply an event.
 // The views are then fetched from the server rather than computed locally.
 //
-// Usage:
-//
 // With -audit the run is not scheduled at all: the given decision-log JSONL
 // file (wfserve -declog, see internal/declog) is replayed against the spec —
 // accepted records rebuild the run, logged rejection/explanation verdicts
 // are recomputed and compared — and wfrun exits non-zero on any divergence.
+//
+// With -upgrade nothing is run either: the wfserve data dir it names, laid
+// out as wfserve recovers it, has each run written by an earlier version
+// rewritten in the current log format (see server.Upgrade), the old files
+// kept beside as *.legacy. wfserve refuses such a dir until then.
 //
 // Usage:
 //
 //	wfrun -spec workflow.wf [-steps 20] [-seed 1] [-peer sue]
 //	      [-server http://127.0.0.1:8080]
 //	      [-audit decisions.jsonl [-audit-certify]]
+//	      [-upgrade data-dir]
 //	      [-profile [-profile-top 15]]
 //	      [-log-level info] [-log-format auto|text|json]
 //
@@ -43,6 +47,7 @@ import (
 	"collabwf/internal/parse"
 	"collabwf/internal/prof"
 	"collabwf/internal/program"
+	"collabwf/internal/server"
 	"collabwf/internal/trace"
 	"collabwf/internal/view"
 
@@ -57,6 +62,7 @@ func main() {
 	out := flag.String("out", "", "write the run as a JSON trace to this file")
 	serverURL := flag.String("server", "", "replay the run against this coordinator URL instead of locally")
 	auditPath := flag.String("audit", "", "audit a decision-log JSONL file against the spec instead of running")
+	upgrade := flag.String("upgrade", "", "rewrite the runs of this wfserve data dir written by an earlier version in the current log format, instead of running")
 	auditCertify := flag.Bool("audit-certify", false, "with -audit, also recompute certification verdicts (runs the deciders)")
 	logFlags := obs.RegisterLogFlags(flag.CommandLine, "warn")
 	profFlags := prof.RegisterFlags(flag.CommandLine)
@@ -81,6 +87,17 @@ func main() {
 	}
 	if *auditPath != "" {
 		os.Exit(auditDecisions(spec.Program, *auditPath, *auditCertify))
+	}
+	if *upgrade != "" {
+		dirs, err := server.Upgrade(*upgrade, spec.Name, spec.Program)
+		for _, dir := range dirs {
+			fmt.Printf("upgraded %s\n", dir)
+		}
+		if err != nil {
+			fatal(err)
+		}
+		fmt.Printf("%s: %d runs upgraded\n", *upgrade, len(dirs))
+		return
 	}
 	logger.Debug("spec loaded", "workflow", spec.Name, "rules", len(spec.Program.Rules()), "peers", len(spec.Program.Peers()))
 	if err := spec.Program.Schema.CheckLossless(); err != nil {

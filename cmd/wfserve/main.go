@@ -18,8 +18,9 @@
 // With -data-dir the fleet is durable: the default run lives at the
 // directory root (a pre-fleet data dir recovers as-is), named runs under
 // <dir>/runs/<id>/, and a restart recovers every non-archived run by
-// replaying its WAL, the run's only record (a guarded run also keeps its
-// guards in snapshot.json). Under -fsync always a submission is acknowledged
+// replaying its WAL, the run's only record, whose header holds the run's
+// guards. A data dir written by an earlier version is refused until
+// `wfrun -spec SPEC -upgrade DIR` rewrites it. Under -fsync always a submission is acknowledged
 // only once its WAL record is fsynced, and concurrent submissions share one
 // group fsync; -fsync interval acknowledges at write time and fsyncs a
 // dirty WAL tail every 100ms; -fsync never leaves syncing to the OS.
@@ -148,7 +149,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, bound fun
 	fs.SetOutput(stderr)
 	specPath := fs.String("spec", "", "workflow specification file")
 	addr := fs.String("addr", ":8080", "listen address")
-	dataDir := fs.String("data-dir", "", "durability directory (per-run WALs and guard files); empty = in-memory only")
+	dataDir := fs.String("data-dir", "", "durability directory (per-run WALs); empty = in-memory only")
 	fsync := fs.String("fsync", "always", "WAL fsync policy: always, interval or never")
 	// Deprecated: ignored; the WAL is the run's only record.
 	fs.Int("snapshot-every", 0, "deprecated and ignored: the WAL is the run's only record")

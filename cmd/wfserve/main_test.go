@@ -241,8 +241,9 @@ func TestSecondServerOnLiveDirRefused(t *testing.T) {
 	args := []string{"-spec", hiringSpec, "-data-dir", dir, "-declog", declog,
 		"-addr", "127.0.0.1:0", "-log-level", "error"}
 	err := run(refusedCtx(t), args, &stdout, io.Discard, nil)
-	if !errors.Is(err, wal.ErrInUse) || !strings.Contains(err.Error(), dir) {
-		t.Fatalf("second server on a live dir: err = %v, want ErrInUse naming %s", err, dir)
+	want := `server: recovering run "default": wal: data dir in use: ` + dir + `: wal.log is locked by another open log`
+	if !errors.Is(err, wal.ErrInUse) || err.Error() != want {
+		t.Fatalf("second server on a live dir: err = %v, want ErrInUse: %s", err, want)
 	}
 	if after := readWAL(t, dir); !bytes.Equal(before, after) {
 		t.Fatalf("refused server changed wal.log: %d bytes → %d", len(before), len(after))
@@ -255,6 +256,47 @@ func TestSecondServerOnLiveDirRefused(t *testing.T) {
 	}
 	// The first server is unaffected.
 	waitReady(t, first.addr)
+}
+
+// TestLegacyDirRefused: a server on a data dir written by an earlier
+// version (a log without the format header, beside its guard file) is
+// refused with wal.ErrLegacy naming the offline upgrade, before it
+// replays or truncates anything or emits a decision.
+func TestLegacyDirRefused(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "data")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	files := map[string]string{
+		"wal.log":       `{"seq":0,"event":{"rule":"clear","valuation":{"x":"ν1"}}}` + "\n" + `{"seq":1,"ev`,
+		"snapshot.json": `{"guards":{"sue":3},"len":0,"trace":null}`,
+	}
+	for name, b := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(b), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	declog := filepath.Join(t.TempDir(), "decisions.jsonl")
+	var stdout lockedBuffer
+	args := []string{"-spec", hiringSpec, "-data-dir", dir, "-declog", declog,
+		"-addr", "127.0.0.1:0", "-log-level", "error"}
+	err := run(refusedCtx(t), args, &stdout, io.Discard, nil)
+	want := `server: recovering run "default": wal: legacy data dir: ` + dir + ` holds snapshot.json; ` +
+		"stop the server and upgrade the dir offline with `wfrun -spec SPEC -upgrade " + dir + "`"
+	if !errors.Is(err, wal.ErrLegacy) || err.Error() != want {
+		t.Fatalf("server on a legacy dir: err = %v, want ErrLegacy: %s", err, want)
+	}
+	for name, b := range files {
+		if cur, err := os.ReadFile(filepath.Join(dir, name)); err != nil || string(cur) != b {
+			t.Fatalf("refused server changed %s: %q", name, cur)
+		}
+	}
+	if b, err := os.ReadFile(declog); err != nil || len(b) != 0 {
+		t.Fatalf("refused server's decision log: %q, %v", b, err)
+	}
+	if strings.Contains(stdout.String(), "serving") {
+		t.Fatalf("refused server printed a serving line: %q", stdout.String())
+	}
 }
 
 // refusedCtx bounds a run that should be refused at startup, so a server

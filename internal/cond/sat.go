@@ -46,7 +46,6 @@ type term struct {
 
 func attrTerm(a data.Attr) term       { return term{attr: a} }
 func constTerm(v data.Value) term     { return term{isConst: true, val: v} }
-func (t term) sameKind(u term) bool   { return t.isConst == u.isConst }
 func (t term) equalConst(u term) bool { return t.isConst && u.isConst && t.val == u.val }
 
 // unionFind is a simple union-find over terms.

@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"maps"
 	"net/http"
@@ -64,31 +63,20 @@ func TestSubmitRejectsUnknownBinding(t *testing.T) {
 	}
 }
 
-// A record written before /submit rejected such bindings still replays:
-// recovery drops the name that is no variable of the rule, from a line of
-// the writer's fixed shape and from a legacy line without a checksum
-// alike, and /trace shows the events without it.
+// A record written before /submit rejected such bindings is upgraded with
+// the name that is no variable of the rule dropped, from a checksummed
+// line and a legacy line without a checksum alike, and /trace shows the
+// events without it. A log of this format naming it is refused.
 func TestRecoverDropsUnknownBinding(t *testing.T) {
 	dir := t.TempDir()
-	l, err := wal.Open(dir, wal.Options{Sync: wal.SyncNever}, nil)
-	if err != nil {
+	log := legacyLine(`{"seq":0,"event":{"rule":"post","valuation":{"bogus":"b","d":"dp.1","t":"p.1"}}`) +
+		`{"seq":1,"event":{"rule":"claim0","valuation":{"c":"c0p.1","extra":"e","t":"p.1","d":"dp.1"}}}` + "\n"
+	if err := os.WriteFile(filepath.Join(dir, "wal.log"), []byte(log), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cm, err := l.AppendBuffered(context.Background(), wal.Record{Seq: 0, Event: trace.EventRecord{Rule: "post",
-		Valuation: map[string]string{"t": "p.1", "d": "dp.1", "bogus": "b"}}})
-	if err != nil || cm.Wait() != nil {
+	if _, err := Upgrade(dir, "Crowdsourcing", crowdProgram(t)); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.OpenFile(filepath.Join(dir, "wal.log"), os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.WriteString(`{"seq":1,"event":{"rule":"claim0","valuation":{"c":"c0p.1","extra":"e","t":"p.1","d":"dp.1"}}}` + "\n")
-	f.Close()
-
 	c := newCoordinator(t, "Crowdsourcing", crowdProgram(t), DurabilityConfig{Dir: dir, Sync: wal.SyncNever})
 	defer c.Close()
 	if c.Len() != 2 {
@@ -108,5 +96,24 @@ func TestRecoverDropsUnknownBinding(t *testing.T) {
 	want := []map[string]string{{"t": "p.1", "d": "dp.1"}, {"c": "c0p.1", "t": "p.1", "d": "dp.1"}}
 	if len(tr.Events) != 2 || !maps.Equal(tr.Events[0].Valuation, want[0]) || !maps.Equal(tr.Events[1].Valuation, want[1]) {
 		t.Fatalf("/trace events %+v, want valuations %v", tr.Events, want)
+	}
+}
+
+// TestStampedLogKeepsUnknownBindingOut: in a log of this format, a record
+// that names a name that is no variable of its rule — a checksummed line
+// this version never writes — fails recovery under either policy.
+func TestStampedLogKeepsUnknownBindingOut(t *testing.T) {
+	dir := t.TempDir()
+	newCoordinator(t, "Crowdsourcing", crowdProgram(t), DurabilityConfig{Dir: dir, Sync: wal.SyncNever}).Close()
+	f, err := os.OpenFile(filepath.Join(dir, "wal.log"), os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.WriteString(legacyLine(`{"seq":0,"event":{"rule":"post","valuation":{"bogus":"b","d":"dp.1","t":"p.1"}}`))
+	f.Close()
+	for _, strict := range []bool{false, true} {
+		if _, err := NewDurable("Crowdsourcing", crowdProgram(t), DurabilityConfig{Dir: dir, Strict: strict}); err == nil || !strings.Contains(err.Error(), "record 0") {
+			t.Fatalf("strict=%v: recovery of a record binding bogus = %v", strict, err)
+		}
 	}
 }

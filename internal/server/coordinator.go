@@ -321,7 +321,7 @@ func (c *Coordinator) submitLocked(ctx context.Context, sp *obs.Span, d *declog.
 	// immutable, so it stays valid across the off-lock commit wait.
 	res := c.resultLocked(idx)
 	if c.log != nil {
-		if err := c.commitLocked(ctx, sp, d, wal.Record{Seq: idx, Fired: e, Idem: d.IdemKey}, prevLen); err != nil {
+		if err := c.commitLocked(ctx, sp, d, wal.Record{Seq: idx, Event: e, Idem: d.IdemKey}, prevLen); err != nil {
 			return nil, err
 		}
 	}

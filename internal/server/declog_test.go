@@ -314,7 +314,7 @@ func TestRecoveryOpensDecisionStream(t *testing.T) {
 }
 
 // TestFreshGuardsLoggedInPeerOrder: a fresh durable run guarded for two
-// peers persists both budgets in its guard file and opens its decision
+// peers persists both budgets in its log's header and opens its decision
 // stream with the recovery record, then one guard record per peer in peer
 // order, whatever the config map's iteration order.
 func TestFreshGuardsLoggedInPeerOrder(t *testing.T) {

@@ -13,8 +13,8 @@ import (
 	"collabwf/internal/obs"
 	"collabwf/internal/prof"
 	"collabwf/internal/program"
+	"collabwf/internal/rule"
 	"collabwf/internal/schema"
-	"collabwf/internal/trace"
 	"collabwf/internal/wal"
 )
 
@@ -23,10 +23,9 @@ import (
 // The zero value is an in-memory coordinator with no registry, logger or
 // decision log (New).
 type DurabilityConfig struct {
-	// Dir is the data directory holding wal.log and, for a guarded run,
-	// the guard file snapshot.json, written once when Guards are
-	// installed. Empty keeps the run in memory; Sync, Strict and
-	// Failpoints then have nothing to act on.
+	// Dir is the data directory holding wal.log, whose header holds the
+	// run's workflow and guards. Empty keeps the run in memory; Sync,
+	// Strict and Failpoints then have nothing to act on.
 	Dir string
 	// RunID names the workflow instance this coordinator serves within a
 	// run fleet ("" = single-run mode); it is the Run field of every
@@ -62,9 +61,10 @@ type DurabilityConfig struct {
 	// under. The coordinator does not own the logger; close it after Close.
 	DecisionLog *declog.Logger
 	// Guards (peer → step budget h ≥ 1) are the transparency guards of a
-	// fresh run: installed, persisted and logged at construction when the
-	// run recovers empty and holds no guards of its own. A recovered run
-	// keeps the guards it was started with and ignores these.
+	// fresh run: installed, written into the log's header and logged at
+	// construction when the run recovers empty and holds no guards of its
+	// own. A recovered run keeps the guards it was started with and
+	// ignores these.
 	Guards map[string]int
 	// Profiler, when non-nil, attributes the run's rule-engine cost: its
 	// candidate enumeration, fires and replays under the "engine" phase,
@@ -84,15 +84,14 @@ func New(name string, p *program.Program) *Coordinator {
 // the run the directory holds (an empty directory is the trivial
 // recovery): it replays every WAL record as the log is read, decoded once
 // into the event it appends (truncating a torn trailing record rather
-// than failing), re-installs the persisted guards and rebuilds the
-// idempotency window from the keyed records. A run that
-// recovers empty and unguarded takes cfg.Guards instead. A data dir
-// written by an earlier version may also hold a snapshot of a run prefix:
-// it is replayed first and the records it covers are skipped. Every
-// replayed event passes the full run conditions again, so a tampered log
-// is rejected, not replayed. The explainer (one shared analysis for every
-// peer), the guard and the first read snapshot are then built once, over
-// the recovered run, and the profiler is attached before that snapshot.
+// than failing), re-installs the guards of the log's header and rebuilds
+// the idempotency window from the keyed records. A new log is created with
+// cfg.Guards in its header, and so is a log holding no record whose header
+// names no guards. Every replayed event passes the full run conditions
+// again, so a tampered log is rejected, not replayed. The explainer (one
+// shared analysis for every peer), the guard and the first read snapshot
+// are then built once, over the recovered run, and the profiler is
+// attached before that snapshot.
 func NewDurable(name string, p *program.Program, cfg DurabilityConfig) (*Coordinator, error) {
 	start := time.Now()
 	for peer, h := range cfg.Guards {
@@ -123,22 +122,14 @@ func NewDurable(name string, p *program.Program, cfg DurabilityConfig) (*Coordin
 		if err := c.recoverDir(cfg, budgets); err != nil {
 			return nil, err
 		}
-	}
-	// Guards are installed before a run's first event, so the guard
-	// admitted every recovered event: build it over the recovered run.
-	install := c.run.Len() == 0 && len(budgets) == 0 && len(cfg.Guards) > 0
-	if install {
+	} else {
 		for peer, h := range cfg.Guards {
 			budgets[schema.Peer(peer)] = h
 		}
-		// Persisted so a recovered coordinator enforces the same policy.
-		if c.log != nil {
-			if err := wal.WriteGuards(c.log.Dir(), c.name, cfg.Guards); err != nil {
-				c.log.Close()
-				return nil, fmt.Errorf("server: persisting guards: %w", err)
-			}
-		}
 	}
+	// Guards are installed before a run's first event, so the guard
+	// admitted every recovered event: build it over the recovered run.
+	install := len(cfg.Guards) > 0 && (c.log == nil || c.log.Stamped())
 	c.guard = design.NewGuard(c.run, budgets)
 	// Everything recovered was durable before the crash: release it all,
 	// building the explainer over the recovered run — one analysis step per
@@ -178,16 +169,17 @@ func NewDurable(name string, p *program.Program, cfg DurabilityConfig) (*Coordin
 	return c, nil
 }
 
-// recoverDir opens the WAL in cfg.Dir, replaying it into the coordinator's
-// run as it is read, fills budgets with the persisted guards and rebuilds
-// the idempotency window. On failure the log is closed again.
+// recoverDir opens the WAL in cfg.Dir, creating it with cfg.Guards in its
+// header when new, replays it into the coordinator's run as it is read,
+// fills budgets with the guards of its header and rebuilds the idempotency
+// window.
 func (c *Coordinator) recoverDir(cfg DurabilityConfig, budgets map[schema.Peer]int) error {
 	var walLog *slog.Logger
 	if cfg.Logger != nil {
 		walLog = obs.Sub(cfg.Logger, "wal")
 	}
 	rp := &replayer{c: c, budgets: budgets}
-	log, err := wal.Open(cfg.Dir, wal.Options{
+	log, err := wal.Open(cfg.Dir, wal.Header{Workflow: c.name, Guards: cfg.Guards}, wal.Options{
 		Sync:       cfg.Sync,
 		Strict:     cfg.Strict,
 		Failpoints: cfg.Failpoints,
@@ -195,52 +187,42 @@ func (c *Coordinator) recoverDir(cfg DurabilityConfig, budgets map[schema.Peer]i
 		Logger:     walLog,
 	}, rp)
 	if err != nil {
-		return fmt.Errorf("server: %w", err)
+		return err
 	}
 	c.log = log
 	// A client retrying a submission that was durable before the crash gets
 	// its original index back instead of double-applying.
-	c.recoverIdemLocked(rp.legacyIdem, rp.keyed)
+	c.recoverIdemLocked(rp.keyed)
 	return nil
 }
 
-// replayer rebuilds a coordinator's run from what wal.Open recovers.
-// snapshot.json holds the guards; in a legacy dir also a run prefix and the
-// idempotency window its log reset dropped. Each record is appended as it
-// is read, re-checking every run condition; of a keyed record only its
-// (key, index) pair is kept, for the idempotency window.
+// replayer rebuilds a coordinator's run from what wal.Open recovers: the
+// header's workflow and guards, then each record, appended as it is read,
+// re-checking every run condition. Of a keyed record only its (key, index)
+// pair is kept, for the idempotency window.
 type replayer struct {
-	c          *Coordinator
-	budgets    map[schema.Peer]int
-	legacyIdem []wal.IdemEntry
-	keyed      []wal.IdemEntry
+	c       *Coordinator
+	budgets map[schema.Peer]int
+	keyed   []wal.IdemEntry
 }
 
-// Program is the coordinator's program: the log's records are decoded into
-// the slots of its rules.
-func (rp *replayer) Program() *program.Program { return rp.c.prog }
+// Rules are the coordinator's program's: the log's records are decoded
+// into their slots.
+func (rp *replayer) Rules() []*rule.Rule { return rp.c.prog.Rules() }
 
-// Start replays the snapshot, if any, and sizes the step list for the
-// log's records.
-func (rp *replayer) Start(snap *wal.Snapshot, lines int) error {
+// Start takes the header's workflow and guards, and sizes the step list
+// for the log's records.
+func (rp *replayer) Start(h wal.Header, lines int) error {
 	c := rp.c
-	if snap != nil {
-		if snap.Workflow != "" {
-			c.name = snap.Workflow
+	if h.Workflow != "" {
+		c.name = h.Workflow
+	}
+	for peer, b := range h.Guards {
+		sp := schema.Peer(peer)
+		if !c.prog.Schema.HasPeer(sp) {
+			return fmt.Errorf("persisted guard for unknown peer %s", peer)
 		}
-		for peer, h := range snap.Guards {
-			sp := schema.Peer(peer)
-			if !c.prog.Schema.HasPeer(sp) {
-				return fmt.Errorf("persisted guard for unknown peer %s", peer)
-			}
-			rp.budgets[sp] = h
-		}
-		run, err := snap.Trace.Replay(c.prog)
-		if err != nil {
-			return fmt.Errorf("replaying snapshot: %w", err)
-		}
-		c.run = run
-		rp.legacyIdem = snap.Idem
+		rp.budgets[sp] = b
 	}
 	c.run.Grow(lines)
 	return nil
@@ -252,23 +234,13 @@ func (rp *replayer) Record(e wal.Entry) error {
 	if e.Idem != "" {
 		rp.keyed = append(rp.keyed, wal.IdemEntry{Key: e.Idem, Index: e.Seq})
 	}
-	if e.Seq < r.Len() {
-		// Already covered by a legacy snapshot (crash between its rename
-		// and the log reset).
-		return nil
-	}
 	if e.Seq != r.Len() {
 		return fmt.Errorf("WAL gap: record %d follows run of length %d", e.Seq, r.Len())
 	}
-	ev := e.Event
-	var err error
-	if ev == nil {
-		ev, err = trace.DecodeEvent(r.Prog, e.Rule, e.Val)
+	if e.Event == nil {
+		return fmt.Errorf("replaying WAL record %d: it names no rule of the program with exactly its variables (rule %q)", e.Seq, e.Rule)
 	}
-	if err == nil {
-		err = r.Replay(ev)
-	}
-	if err != nil {
+	if err := r.Replay(e.Event); err != nil {
 		return fmt.Errorf("replaying WAL record %d: %w", e.Seq, err)
 	}
 	return nil

@@ -260,8 +260,9 @@ func TestGuardPersistedAcrossRecovery(t *testing.T) {
 
 // TestConfigGuardsOnlyGuardFreshRuns: Guards are installed before a run's
 // first event or not at all. A recovered non-empty unguarded run stays
-// unguarded, a recovered guarded run keeps its persisted budgets even when
-// it holds no event, and a config naming an unknown peer or a budget below
+// unguarded, one that holds no event takes the config's guards, a
+// recovered guarded run keeps its persisted budgets even when it holds no
+// event, and a config naming an unknown peer or a budget below
 // 1 is refused.
 func TestConfigGuardsOnlyGuardFreshRuns(t *testing.T) {
 	prog := workload.Hiring()
@@ -285,8 +286,18 @@ func TestConfigGuardsOnlyGuardFreshRuns(t *testing.T) {
 	}
 	c.Close()
 	if _, err := os.Stat(filepath.Join(started, "snapshot.json")); !os.IsNotExist(err) {
-		t.Fatalf("an unguarded run wrote a guard file (stat: %v)", err)
+		t.Fatalf("a run wrote snapshot.json (stat: %v)", err)
 	}
+
+	// A run that holds no record yet takes the guards: its header is
+	// rewritten with them.
+	empty := t.TempDir()
+	open(empty, nil).Close()
+	c = open(empty, map[string]int{"sue": 4})
+	if g := c.Guards(); len(g) != 1 || g["sue"] != 4 {
+		t.Fatalf("record-less unguarded run has guards %v, want the config's sue=4", g)
+	}
+	c.Close()
 
 	guarded := t.TempDir()
 	open(guarded, map[string]int{"sue": 2}).Close()
@@ -400,8 +411,8 @@ func TestRecoverRejectsTamperedLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The log holds event 0, so forge the next record.
-	fmt.Fprintln(f, `{"seq":1,"event":{"rule":"no_such_rule","valuation":{}}}`)
+	// The log holds event 0, so forge the next record, checksum and all.
+	f.WriteString(legacyLine(`{"seq":1,"event":{"rule":"no_such_rule","valuation":{}}`))
 	f.Close()
 	if _, err := NewDurable("Hiring", prog, DurabilityConfig{Dir: dir}); err == nil {
 		t.Fatal("tampered WAL must be rejected")
@@ -527,7 +538,7 @@ func TestRecoveryRetainsNoRecords(t *testing.T) {
 	}
 	rc := &Coordinator{prog: prog, run: program.NewRun(prog)}
 	rp := &replayer{c: rc, budgets: map[schema.Peer]int{}}
-	log, err := wal.Open(dir, wal.Options{}, rp)
+	log, err := wal.Open(dir, wal.Header{}, wal.Options{}, rp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -542,27 +553,16 @@ func TestRecoveryRetainsNoRecords(t *testing.T) {
 }
 
 // TestLegacySnapshotDirRecovers: a data dir written by a version that
-// snapshotted run prefixes recovers unchanged. testdata/legacy-snapshot
-// holds a guard (sue=3), a 2-event snapshot whose idempotency window alone
-// holds the key "snap-only", a leftover log record the snapshot covers
-// (seq 1) and one tail record (seq 2). legacy-snapshot-trace.json is the
-// /trace body that version served after recovering the dir, and the
-// continuation below — indices and the guard's verdict — is what it
-// answered next.
+// snapshotted run prefixes upgrades to a dir that recovers unchanged.
+// testdata/legacy-snapshot holds a guard (sue=3), a 2-event snapshot whose
+// idempotency window alone holds the key "snap-only", a leftover log
+// record the snapshot covers (seq 1) and one tail record (seq 2).
+// legacy-snapshot-trace.json is the /trace body that version served after
+// recovering the dir, and the continuation below — indices and the
+// guard's verdict — is what it answered next.
 func TestLegacySnapshotDirRecovers(t *testing.T) {
-	src := filepath.Join("testdata", "legacy-snapshot")
-	dir := t.TempDir()
-	orig := make(map[string][]byte)
-	for _, name := range []string{"snapshot.json", "wal.log"} {
-		b, err := os.ReadFile(filepath.Join(src, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		orig[name] = b
-		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	dir, orig := copyDir(t, filepath.Join("testdata", "legacy-snapshot"))
+	upgrade(t, dir, orig)
 	prog := workload.Hiring()
 	c, err := NewDurable("Hiring", prog, DurabilityConfig{Dir: dir})
 	if err != nil {
@@ -603,15 +603,10 @@ func TestLegacySnapshotDirRecovers(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// The legacy files are history: the snapshot is untouched and the log
-	// only grew.
+	// The legacy files are history: both are kept as they were.
 	for name, b := range orig {
-		cur, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.HasPrefix(cur, b) || (name == "snapshot.json" && len(cur) != len(b)) {
-			t.Fatalf("%s was rewritten", name)
+		if cur, err := os.ReadFile(filepath.Join(dir, name+".legacy")); err != nil || !bytes.Equal(cur, b) {
+			t.Fatalf("%s.legacy was rewritten", name)
 		}
 	}
 	rc, err := NewDurable("Hiring", prog, DurabilityConfig{Dir: dir})

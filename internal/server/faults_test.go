@@ -1,9 +1,11 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -70,7 +72,7 @@ func TestStalledWALSurfacedInHealth(t *testing.T) {
 	// Stall the WAL underneath the coordinator: a failed group sync on an
 	// append issued outside the submit path (so nothing auto-realigns).
 	fp.FailNextSync(fmt.Errorf("EIO: disk on fire"))
-	cm, err := c.log.AppendBuffered(context.Background(), wal.Record{Seq: c.Len()})
+	cm, err := c.log.AppendBuffered(context.Background(), wal.Record{Seq: c.Len(), Event: c.run.Events()[0]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,13 +136,15 @@ func TestRetryAfterHintScalesWithBacklog(t *testing.T) {
 	}
 }
 
-// TestRecoverByteFlipMatrix flips every byte of the wal.log and
-// snapshot.json of two data dirs, one byte at a time, and recovers: the
-// legacy fixture (a 2-event snapshot, then a log holding a record the
-// snapshot covers and a tail record) and a guarded dir written by this code
-// (the log plus the length-0 guard file). The default policy must either
-// refuse cleanly or come back with a prefix of the original run no shorter
-// than the snapshot's; strict mode must never invent state, and no
+// TestRecoverByteFlipMatrix flips every byte of the files of two data
+// dirs, one byte at a time, and recovers: the legacy fixture (a 2-event
+// snapshot, then a log holding a record the snapshot covers and a tail
+// record), upgraded first, and a guarded dir written by this code (the
+// log alone, its header holding the guard). The default policy must
+// either refuse cleanly or come back with a prefix of the original run no
+// shorter than the snapshot's; strict mode must never invent state; a flip
+// in the header refuses under both policies, and so does one in the
+// snapshot unless it leaves the decoded snapshot as it was; and no
 // recovery may lose the guard. Nothing may panic.
 func TestRecoverByteFlipMatrix(t *testing.T) {
 	prog := workload.Hiring()
@@ -172,29 +176,38 @@ func TestRecoverByteFlipMatrix(t *testing.T) {
 }
 
 func flipMatrix(t *testing.T, prog *program.Program, seedDir string, floor, full int) {
-	logBytes, err := os.ReadFile(filepath.Join(seedDir, "wal.log"))
-	if err != nil {
-		t.Fatal(err)
+	files := make(map[string][]byte)
+	for _, name := range []string{"wal.log", "snapshot.json"} {
+		if b, err := os.ReadFile(filepath.Join(seedDir, name)); err == nil {
+			files[name] = b
+		}
 	}
-	snapBytes, err := os.ReadFile(filepath.Join(seedDir, "snapshot.json"))
-	if err != nil {
-		t.Fatal(err)
+	_, legacy := files["snapshot.json"]
+	// header is the length of the log's header, a flip in which must be
+	// refused.
+	header := 0
+	if !legacy {
+		header = bytes.IndexByte(files["wal.log"], '\n') + 1
 	}
-	if len(logBytes) == 0 {
+	if len(files["wal.log"]) == 0 {
 		t.Fatal("seed log is empty — the matrix would test nothing")
 	}
 
 	root := t.TempDir()
-	tryRecover := func(name string, log, snap []byte, strict bool) (int, error) {
+	tryRecover := func(name string, mut map[string][]byte, strict bool) (int, error) {
 		dir := filepath.Join(root, name)
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(dir, "wal.log"), log, 0o644); err != nil {
-			t.Fatal(err)
+		for file, b := range mut {
+			if err := os.WriteFile(filepath.Join(dir, file), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err := os.WriteFile(filepath.Join(dir, "snapshot.json"), snap, 0o644); err != nil {
-			t.Fatal(err)
+		if legacy {
+			if _, err := Upgrade(dir, "Hiring", prog); err != nil {
+				return 0, err
+			}
 		}
 		rc, err := NewDurable("Hiring", prog, DurabilityConfig{Dir: dir, Strict: strict})
 		if err != nil {
@@ -207,38 +220,30 @@ func flipMatrix(t *testing.T, prog *program.Program, seedDir string, floor, full
 		return rc.Len(), nil
 	}
 
-	// Sanity: the pristine pair recovers the full run.
-	if n, err := tryRecover("pristine", logBytes, snapBytes, false); err != nil || n != full {
+	// Sanity: the pristine files recover the full run.
+	if n, err := tryRecover("pristine", files, false); err != nil || n != full {
 		t.Fatalf("pristine recovery: len=%d err=%v, want %d,nil", n, err, full)
 	}
 
-	for i := range logBytes {
-		mut := append([]byte(nil), logBytes...)
-		mut[i] ^= 0xFF
-		for _, strict := range []bool{false, true} {
-			n, err := tryRecover(fmt.Sprintf("log-%d-%v", i, strict), mut, snapBytes, strict)
-			if err != nil {
-				continue // clean refusal is always acceptable
-			}
-			if n < floor || n > full {
-				t.Fatalf("log byte %d (strict=%v): recovered %d events, want in [%d, %d]",
-					i, strict, n, floor, full)
-			}
-		}
-	}
-	for i := range snapBytes {
-		mut := append([]byte(nil), snapBytes...)
-		mut[i] ^= 0xFF
-		for _, strict := range []bool{false, true} {
-			n, err := tryRecover(fmt.Sprintf("snap-%d-%v", i, strict), logBytes, mut, strict)
-			if err != nil {
-				continue // a corrupt snapshot is fatal under both policies
-			}
-			// Accepting a flipped snapshot is only tolerable if the flip was
-			// immaterial (it was not — the CRC covers the whole decoded
-			// value), so a success must reproduce the exact original run.
-			if n != full {
-				t.Fatalf("snap byte %d (strict=%v): accepted a corrupt snapshot, recovered %d events", i, strict, n)
+	for file, b := range files {
+		for i := range b {
+			mut := maps.Clone(files)
+			mut[file] = append([]byte(nil), b...)
+			mut[file][i] ^= 0xFF
+			for _, strict := range []bool{false, true} {
+				n, err := tryRecover(fmt.Sprintf("%s-%d-%v", file, i, strict), mut, strict)
+				if err == nil && (file == "wal.log" && i < header || file == "snapshot.json" && n != full) {
+					// The snapshot's CRC covers its decoded value, so only
+					// an immaterial flip may pass, reproducing the run.
+					t.Fatalf("%s byte %d (strict=%v): accepted, recovered %d events", file, i, strict, n)
+				}
+				if err != nil {
+					continue // clean refusal is always acceptable
+				}
+				if n < floor || n > full {
+					t.Fatalf("%s byte %d (strict=%v): recovered %d events, want in [%d, %d]",
+						file, i, strict, n, floor, full)
+				}
 			}
 		}
 	}

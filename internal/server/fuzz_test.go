@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -15,7 +16,8 @@ import (
 // never panic and never recover more state than the bytes can justify.
 //
 // CI runs a short -fuzz smoke; the corpus seeds cover a pristine log, a
-// legacy (unchecksummed) record, a torn tail, and structured garbage. Pass
+// torn tail, and, each behind the log's header and without it, a record
+// without a checksum, a forged record and structured garbage. Pass
 // -fuzzminimizetime=5s alongside -fuzz: recovery spawns goroutines and
 // fsyncs, so its coverage is timing-noisy, and the default one-minute
 // minimization budget per interesting input stalls the whole run.
@@ -42,10 +44,17 @@ func FuzzRecover(f *testing.F) {
 	}
 	f.Add(real)
 	f.Add(real[:len(real)/2])
-	f.Add([]byte(`{"seq":0,"event":{"rule":"clear","valuation":{"x":"p0"}}}` + "\n"))
-	f.Add([]byte(`{"seq":7,"event":{"rule":"nope"},"crc":123}` + "\n"))
-	f.Add([]byte("\x00\xff{not json\n\n"))
-	f.Add([]byte{})
+	header := real[:bytes.IndexByte(real, '\n')+1]
+	for _, tail := range []string{
+		`{"seq":0,"event":{"rule":"clear","valuation":{"x":"p0"}}}` + "\n",
+		`{"seq":7,"event":{"rule":"nope"},"crc":123}` + "\n",
+		legacyLine(`{"seq":0,"event":{"rule":"clear","valuation":{"x":"a\u003c\n"}}`),
+		"\x00\xff{not json\n\n",
+		"",
+	} {
+		f.Add([]byte(tail))
+		f.Add(append(header[:len(header):len(header)], tail...))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// SyncNever and Crash (not Close) keep each exec free of fsyncs: the

@@ -108,24 +108,15 @@ func (c *Coordinator) evictIdemLocked() {
 }
 
 // recoverIdemLocked rebuilds the dedupe window after recovery from the
-// keyed records' (key, index) pairs, newest first, then from a legacy
-// snapshot's window, whose keys are older than the records past its
-// prefix. It stops once the window is full. A key seen twice keeps its
-// newest index, as the live window does. Callers own the coordinator
-// exclusively, as NewDurable does.
-func (c *Coordinator) recoverIdemLocked(legacy, keyed []wal.IdemEntry) {
-	keep := func(key string, index int) {
-		if _, ok := c.idem[key]; key == "" || ok {
-			return
-		}
-		c.idem[key] = index
-		c.idemOrder = append(c.idemOrder, key)
-	}
+// keyed records' (key, index) pairs, newest first, until the window is
+// full. A key seen twice keeps its newest index, as the live window does.
+// Callers own the coordinator exclusively, as NewDurable does.
+func (c *Coordinator) recoverIdemLocked(keyed []wal.IdemEntry) {
 	for i := len(keyed) - 1; i >= 0 && len(c.idemOrder) < c.idemMax; i-- {
-		keep(keyed[i].Key, keyed[i].Index)
-	}
-	for i := len(legacy) - 1; i >= 0 && len(c.idemOrder) < c.idemMax; i-- {
-		keep(legacy[i].Key, legacy[i].Index)
+		if _, ok := c.idem[keyed[i].Key]; !ok {
+			c.idem[keyed[i].Key] = keyed[i].Index
+			c.idemOrder = append(c.idemOrder, keyed[i].Key)
+		}
 	}
 	slices.Reverse(c.idemOrder) // oldest first, the order eviction expects
 }

@@ -40,8 +40,7 @@ func validRunID(id string) bool {
 }
 
 // archivedMarker is the file dropped into an archived run's directory so
-// the startup scan skips it (the WAL and any guard file stay on disk for
-// offline audit).
+// the startup scan skips it (the WAL stays on disk for offline audit).
 const archivedMarker = "archived"
 
 // ManagerConfig configures a run fleet.
@@ -154,33 +153,46 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 	if _, err := m.addRun(DefaultRun); err != nil {
 		return nil, err
 	}
-	// Recover the named runs. ReadDir returns entries sorted by name, so
-	// recovery order is deterministic.
-	if cfg.DataDir != "" {
-		entries, err := os.ReadDir(filepath.Join(cfg.DataDir, "runs"))
-		if err != nil && !os.IsNotExist(err) {
+	ids, err := liveRuns(cfg.DataDir)
+	if err != nil {
+		m.Close()
+		return nil, err
+	}
+	for _, id := range ids {
+		if _, err := m.addRun(id); err != nil {
 			m.Close()
-			return nil, fmt.Errorf("server: scanning run directories: %w", err)
-		}
-		for _, ent := range entries {
-			if !ent.IsDir() {
-				continue
-			}
-			id := ent.Name()
-			if !validRunID(id) {
-				m.Close()
-				return nil, fmt.Errorf("server: run directory %q is not a valid run id", id)
-			}
-			if _, err := os.Stat(filepath.Join(cfg.DataDir, "runs", id, archivedMarker)); err == nil {
-				continue // archived: skip, keep on disk for offline audit
-			}
-			if _, err := m.addRun(id); err != nil {
-				m.Close()
-				return nil, err
-			}
+			return nil, err
 		}
 	}
 	return m, nil
+}
+
+// liveRuns lists the named runs of a data dir ("": none) that a startup
+// recovers: every non-archived directory under runs/, in sorted order, so
+// recovery order is deterministic.
+func liveRuns(dataDir string) ([]string, error) {
+	if dataDir == "" {
+		return nil, nil
+	}
+	entries, err := os.ReadDir(filepath.Join(dataDir, "runs"))
+	if err != nil && !os.IsNotExist(err) {
+		return nil, fmt.Errorf("server: scanning run directories: %w", err)
+	}
+	var ids []string
+	for _, ent := range entries {
+		if !ent.IsDir() {
+			continue
+		}
+		id := ent.Name()
+		if !validRunID(id) {
+			return nil, fmt.Errorf("server: run directory %q is not a valid run id", id)
+		}
+		if _, err := os.Stat(filepath.Join(dataDir, "runs", id, archivedMarker)); err == nil {
+			continue // archived: skip, keep on disk for offline audit
+		}
+		ids = append(ids, id)
+	}
+	return ids, nil
 }
 
 // bucket returns the shard bucket for a run id (FNV-1a hash routing).

@@ -57,20 +57,13 @@ func EncodeEvent(e *program.Event) EventRecord {
 // Decode converts the record back into an event of program p. A name of
 // the valuation that is no variable of the rule is dropped.
 func (rec EventRecord) Decode(p *program.Program) (*program.Event, error) {
+	rl := p.Rule(rec.Rule)
+	if rl == nil {
+		return nil, fmt.Errorf("trace: unknown rule %q", rec.Rule)
+	}
 	val := make(query.Valuation, len(rec.Valuation))
 	for k, v := range rec.Valuation {
 		val[k] = data.Value(v)
-	}
-	return DecodeEvent(p, rec.Rule, val)
-}
-
-// DecodeEvent returns the event of program p that fires the named rule
-// under val, copied into the rule's slots: recovery hands over the
-// valuation of a record its decoder could not lay out in slots itself.
-func DecodeEvent(p *program.Program, rule string, val query.Valuation) (*program.Event, error) {
-	rl := p.Rule(rule)
-	if rl == nil {
-		return nil, fmt.Errorf("trace: unknown rule %q", rule)
 	}
 	return program.NewEvent(rl, val)
 }

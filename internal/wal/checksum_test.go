@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"collabwf/internal/data"
 	"collabwf/internal/obs"
@@ -24,7 +25,7 @@ import (
 // the file and replays clean on reopen.
 func TestRecordChecksumRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{}, nil)
+	l, err := Open(dir, Header{}, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,8 +60,8 @@ func TestRecordChecksumRoundTrip(t *testing.T) {
 }
 
 // TestUnchecksummedRecordStillReplays: records written before checksums
-// existed (no crc field) replay without complaint — the upgrade is
-// backward compatible with logs on disk.
+// existed (no crc field) are refused by Open, which leaves the file as it
+// was, and still read by ReadLegacy, from which the upgrade replays them.
 func TestUnchecksummedRecordStillReplays(t *testing.T) {
 	dir := t.TempDir()
 	line := `{"seq":0,"event":{"rule":"legacy","valuation":{"x":"v0"}}}` + "\n"
@@ -68,18 +69,23 @@ func TestUnchecksummedRecordStillReplays(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, strict := range []bool{false, true} {
-		l, got, err := openRecovered(dir, Options{Strict: strict})
-		if err != nil {
-			t.Fatalf("strict=%v: %v", strict, err)
+		var rp callCounter
+		if _, err := Open(dir, Header{}, Options{Strict: strict}, &rp); !errors.Is(err, ErrLegacy) || !strings.Contains(err.Error(), "wfrun -spec SPEC -upgrade "+dir) {
+			t.Fatalf("strict=%v: open of a legacy log = %v, want ErrLegacy naming the upgrade", strict, err)
 		}
-		tail := got.entries
-		if len(tail) != 1 || tail[0].Rule != "legacy" {
-			t.Fatalf("strict=%v: tail = %+v, want the legacy record", strict, tail)
+		if rp.starts != 0 {
+			t.Fatalf("strict=%v: the replayer was started", strict)
 		}
-		if l.CorruptRecords() != 0 {
-			t.Fatalf("strict=%v: legacy record counted as corrupt", strict)
-		}
-		l.Close()
+	}
+	if b, err := os.ReadFile(filepath.Join(dir, logName)); err != nil || string(b) != line {
+		t.Fatalf("refused open changed the log: %q, %v", b, err)
+	}
+	old, err := ReadLegacy(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(old.Records) != 1 || old.Records[0].Event.Rule != "legacy" || old.Records[0].Event.Valuation["x"] != "v0" {
+		t.Fatalf("legacy records %+v, want the unchecksummed one", old.Records)
 	}
 }
 
@@ -106,7 +112,7 @@ func corruptMiddleRecord(t *testing.T, dir string, seq int) {
 // the record and everything after it, counts it, and keeps serving.
 func TestCorruptRecordTruncatesByDefault(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{}, nil)
+	l, err := Open(dir, Header{}, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +153,7 @@ func TestCorruptRecordTruncatesByDefault(t *testing.T) {
 // for inspection.
 func TestCorruptRecordStrictRefuses(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{}, nil)
+	l, err := Open(dir, Header{}, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +169,7 @@ func TestCorruptRecordStrictRefuses(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, err = Open(dir, Options{Strict: true}, nil)
+	_, err = Open(dir, Header{}, Options{Strict: true}, nil)
 	if err == nil {
 		t.Fatal("strict open must refuse a corrupt record")
 	}
@@ -182,72 +188,109 @@ func TestCorruptRecordStrictRefuses(t *testing.T) {
 	}
 }
 
-// TestSnapshotChecksum: snapshot.json carries a whole-file checksum; a
-// flipped byte is fatal under BOTH policies (there is no clean prefix to
-// fall back to — a wrong guard file would silently drop a policy, a wrong
-// legacy snapshot would rewrite history).
+// TestSnapshotChecksum: the header, which holds the guards a legacy dir
+// kept in snapshot.json, is checksummed like that file was: a flipped
+// guard is fatal under BOTH policies (there is no clean prefix to fall back
+// to — a wrong guard would silently drop a policy). ReadLegacy verifies a
+// legacy snapshot.json's whole-file checksum the same way.
 func TestSnapshotChecksum(t *testing.T) {
 	dir := t.TempDir()
-	if err := WriteGuards(dir, "w", map[string]int{"sue": 2}); err != nil {
+	l, err := Open(dir, Header{Workflow: "w", Guards: map[string]int{"sue": 2}}, Options{}, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Sanity: the clean guard file loads as a length-0 snapshot.
+	l.Close()
+	// A header's guards are kept, not overwritten by the caller's.
 	l2, got, err := openRecovered(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap := got.snap; snap == nil || snap.CRC == 0 || snap.Len != 0 || snap.Guards["sue"] != 2 {
-		t.Fatalf("guard file = %+v, want a checksummed length-0 snapshot guarding sue", snap)
+	if h := got.header; h.Workflow != "w" || len(h.Guards) != 1 || h.Guards["sue"] != 2 || l2.Stamped() {
+		t.Fatalf("header = %+v (stamped %v), want workflow w guarding sue=2", h, l2.Stamped())
 	}
 	l2.Close()
-
-	path := filepath.Join(dir, snapshotName)
+	path := filepath.Join(dir, logName)
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mut := bytes.Replace(raw, []byte(`"sue"`), []byte(`"bob"`), 1)
-	if bytes.Equal(mut, raw) {
-		t.Fatal("mutation did not apply")
+	for _, mut := range [][]byte{
+		bytes.Replace(raw, []byte(`"sue"`), []byte(`"bob"`), 1),
+		bytes.Replace(raw, []byte(`{"wal":1`), []byte(`{"wal":2`), 1),
+	} {
+		if bytes.Equal(mut, raw) {
+			t.Fatal("mutation did not apply")
+		}
+		if err := os.WriteFile(path, mut, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, strict := range []bool{false, true} {
+			if _, err := Open(dir, Header{}, Options{Strict: strict}, nil); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("strict=%v: open of a corrupt header = %v, want ErrCorrupt", strict, err)
+			}
+		}
 	}
-	if err := os.WriteFile(path, mut, 0o644); err != nil {
+
+	legacy := t.TempDir()
+	snap := filepath.Join("..", "server", "testdata", "legacy-snapshot", snapshotName)
+	raw, err = os.ReadFile(snap)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, strict := range []bool{false, true} {
-		if _, err := Open(dir, Options{Strict: strict}, nil); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("strict=%v: open of corrupt snapshot = %v, want ErrCorrupt", strict, err)
+	for i, b := range [][]byte{raw, bytes.Replace(raw, []byte(`"sue"`), []byte(`"bob"`), 1)} {
+		if err := os.WriteFile(filepath.Join(legacy, snapshotName), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		old, err := ReadLegacy(legacy)
+		if i == 0 && (err != nil || old.Snapshot.Guards["sue"] != 3 || old.Snapshot.Len != 2) {
+			t.Fatalf("legacy snapshot = %+v, %v", old, err)
+		}
+		if i == 1 && !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("ReadLegacy of a corrupt snapshot = %v, want ErrCorrupt", err)
 		}
 	}
 }
 
+// lineChecksum recomputes the CRC of a line (surrounding space trimmed)
+// whose parsed CRC is crc, as encoding/json parses it: the CRC32C of the
+// line with its trailing CRC field cut. ok is false when the line does not
+// end in that field. It is the reference checkCRC is held to.
+func lineChecksum(line []byte, crc uint32) (sum uint32, ok bool) {
+	var buf [len(crcField) + 11]byte
+	tail := strconv.AppendUint(append(buf[:0], crcField...), uint64(crc), 10)
+	body, ok := bytes.CutSuffix(line, append(tail, '}'))
+	if !ok {
+		return 0, false
+	}
+	return crc32.Update(crc32.Checksum(body, castagnoli()), castagnoli(), closeBrace), true
+}
+
 // recordChecksum is the record CRC as first defined: the CRC32C of the
 // record re-encoded with CRC zeroed. The line checksum is held to it.
-func recordChecksum(r Record) uint32 {
+func recordChecksum(r LegacyRecord) uint32 {
 	r.CRC = 0
 	b, err := json.Marshal(r)
 	if err != nil {
 		panic(err)
 	}
-	return crc32.Checksum(b, castagnoli)
+	return crc32.Checksum(b, castagnoli())
 }
 
-// TestLineChecksumMatchesRecordChecksum: on every line of a log written by
-// this package and of the legacy fixture, the CRC taken over the line's
-// bytes equals the CRC of the re-encoded record, and encoding the parsed
-// record reproduces the line.
+// TestLineChecksumMatchesRecordChecksum: on every record line of a log
+// written by this package and of the legacy fixture, the CRC taken over
+// the line's bytes equals the CRC of the re-encoded record, and encoding
+// the parsed record's event reproduces the line.
 func TestLineChecksumMatchesRecordChecksum(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{}, nil)
+	l, err := Open(dir, Header{}, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 6; i++ {
-		r := rec(i)
+		r := Record{Seq: i, Event: ev("two", fmt.Sprintf("v%d", i), `<&"ν`+" >")}
 		if i%2 == 1 {
 			r.Idem = fmt.Sprintf("key-%d", i)
 		}
-		r.Event.Valuation["note"] = `<&"ν` + " >"
 		if err := appendDurable(l, r); err != nil {
 			t.Fatal(err)
 		}
@@ -263,11 +306,14 @@ func TestLineChecksumMatchesRecordChecksum(t *testing.T) {
 		}
 		lines := bytes.SplitAfter(raw, []byte("\n"))
 		lines = lines[:len(lines)-1] // the empty remainder after the last newline
+		if bytes.HasPrefix(lines[0], []byte(headerOpen)) {
+			lines = lines[1:]
+		}
 		if len(lines) == 0 {
 			t.Fatalf("%s: no records", path)
 		}
 		for i, line := range lines {
-			var r Record
+			var r LegacyRecord
 			if err := json.Unmarshal(line, &r); err != nil {
 				t.Fatalf("%s line %d: %v", path, i, err)
 			}
@@ -279,7 +325,8 @@ func TestLineChecksumMatchesRecordChecksum(t *testing.T) {
 				t.Fatalf("%s line %d: line CRC %08x (found %v), record CRC %08x, stored %08x",
 					path, i, sum, ok, recordChecksum(r), r.CRC)
 			}
-			if enc := encodeRecord(r); !bytes.Equal(enc, line) {
+			enc := encodeRecord(Record{Seq: r.Seq, Event: slotEvent(r.Event.Rule, r.Event.Valuation), Idem: r.Idem})
+			if !bytes.Equal(enc, line) {
 				t.Fatalf("%s line %d: re-encoded as %q, want %q", path, i, enc, line)
 			}
 		}
@@ -293,7 +340,7 @@ func TestLineChecksumMatchesRecordChecksum(t *testing.T) {
 // refuses.
 func TestRecasedFieldIsCorrupt(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{}, nil)
+	l, err := Open(dir, Header{}, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +362,7 @@ func TestRecasedFieldIsCorrupt(t *testing.T) {
 	if err := os.WriteFile(path, mut, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir, Options{Strict: true}, nil); !errors.Is(err, ErrCorrupt) {
+	if _, err := Open(dir, Header{}, Options{Strict: true}, nil); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("strict open = %v, want ErrCorrupt", err)
 	}
 	l2, got, err := openRecovered(dir, Options{})
@@ -334,34 +381,32 @@ func TestRecasedFieldIsCorrupt(t *testing.T) {
 // marshalRecord is encodeRecord as it was written before it appended the
 // record's fixed shape itself: encoding/json, with the CRC field spliced
 // in. It is the oracle the encoder's bytes are held to.
-func marshalRecord(rec Record) []byte {
+func marshalRecord(rec LegacyRecord) []byte {
 	rec.CRC = 0
 	b, err := json.Marshal(rec)
 	if err != nil {
 		panic(err)
 	}
-	crc := crc32.Checksum(b, castagnoli)
-	if crc == 0 {
-		return append(b, '\n')
-	}
+	crc := crc32.Checksum(b, castagnoli())
 	b = append(b[:len(b)-1], crcField...)
 	b = strconv.AppendUint(b, uint64(crc), 10)
 	return append(b, '}', '\n')
 }
 
-// FuzzRecordLine: for any record — a valuation of up to three bindings, or
-// none at all (nil) — the line encodeRecord writes equals marshalRecord's
-// and the encoding of the record with CRC set to recordChecksum, it
-// verifies, and its line CRC equals recordChecksum.
+// FuzzRecordLine: for any record — an event binding up to three
+// variables, or none — the line encodeRecord writes equals
+// marshalRecord's, whose CRC is recordChecksum, and the line decodes back
+// to the record: to its event when its strings are valid UTF-8, which
+// jsonw writes unchanged or as escapes the decoder resolves.
 func FuzzRecordLine(f *testing.F) {
 	f.Add(0, "clear", "x", "ν1", "", "", "", 1)
 	f.Add(-7, `a<b>&"c"`, "\u2028", "line\nbreak", "key-1", "b\u2029", "\x00", 3)
 	f.Add(1<<40, "", "", "", "\xff", "", "\xc3", 0)
 	f.Add(5, "pay", "y", "ν2", "", "t", "w0", 2)
-	f.Fuzz(func(t *testing.T, seq int, rule, k, v, idem, k2, v2 string, n int) {
-		var val map[string]string
+	f.Fuzz(func(t *testing.T, seq int, name, k, v, idem, k2, v2 string, n int) {
+		val := map[string]string{}
 		if n%4 != 0 {
-			val = map[string]string{k: v}
+			val[k] = v
 		}
 		if n%4 >= 2 {
 			val[k2] = v2
@@ -369,39 +414,36 @@ func FuzzRecordLine(f *testing.F) {
 		if n%4 == 3 {
 			val[k+k2] = v + v2
 		}
-		r := Record{Seq: seq, Event: trace.EventRecord{Rule: rule, Valuation: val}, Idem: idem}
+		e := slotEvent(name, val)
+		r := Record{Seq: seq, Event: e, Idem: idem}
 		line := encodeRecord(r)
-		if old := marshalRecord(r); !bytes.Equal(line, old) {
-			t.Fatalf("line %q, encoding/json wrote %q", line, old)
+		old := LegacyRecord{Seq: seq, Event: trace.EncodeEvent(e), Idem: idem}
+		if want := marshalRecord(old); !bytes.Equal(line, want) {
+			t.Fatalf("line %q, encoding/json wrote %q", line, want)
 		}
-		// The same valuation as an event of a rule over its names, written
-		// from the slots.
-		e := slotEvent(rule, val)
-		fired := Record{Seq: seq, Fired: e, Idem: idem}
-		mapped := Record{Seq: seq, Event: trace.EncodeEvent(e), Idem: idem}
-		if got, old := encodeRecord(fired), marshalRecord(mapped); !bytes.Equal(got, old) {
-			t.Fatalf("slot line %q, encoding/json wrote %q", got, old)
-		}
-		want := r
-		want.CRC = recordChecksum(r)
-		old, err := json.Marshal(want)
-		if err != nil {
+		var got LegacyRecord
+		if err := json.Unmarshal(line, &got); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(line, append(old, '\n')) {
-			t.Fatalf("line %q, want %q", line, old)
+		if got.CRC != recordChecksum(old) {
+			t.Fatalf("parsed CRC %08x, want %08x", got.CRC, recordChecksum(old))
 		}
-		got, err := verifyRecord(line)
+		if sum, ok := lineChecksum(bytes.TrimSpace(line), got.CRC); !ok || sum != got.CRC {
+			t.Fatalf("line CRC %08x (found %v), want %08x", sum, ok, got.CRC)
+		}
+		if seq < 0 || seq >= 1e18 {
+			return
+		}
+		dec, err := newDecoder([]*rule.Rule{e.Rule}, 1).decode(line)
 		if err != nil {
-			t.Fatalf("written line does not verify: %v", err)
+			t.Fatalf("written line %q does not decode: %v", line, err)
 		}
-		if got.CRC != want.CRC {
-			t.Fatalf("parsed CRC %08x, want %08x", got.CRC, want.CRC)
+		valid := true
+		for _, s := range []string{name, idem, k, v, k2, v2} {
+			valid = valid && utf8.ValidString(s)
 		}
-		if want.CRC != 0 {
-			if sum, ok := lineChecksum(bytes.TrimSpace(line), got.CRC); !ok || sum != want.CRC {
-				t.Fatalf("line CRC %08x (found %v), want %08x", sum, ok, want.CRC)
-			}
+		if valid && (dec.Seq != seq || dec.Idem != idem || dec.Event == nil || dec.Event.Fingerprint() != e.Fingerprint()) {
+			t.Fatalf("line %q decoded to %+v", line, dec)
 		}
 	})
 }
@@ -422,16 +464,38 @@ func slotEvent(name string, val map[string]string) *program.Event {
 }
 
 // TestEncodeRecordAllocs: encoding a record allocates its line and
-// nothing else — no reflection, no sorted key copy — whether its
-// valuation is a map or a fired event's slots.
+// nothing else — no reflection, no sorted key copy.
 func TestEncodeRecordAllocs(t *testing.T) {
-	val := map[string]string{"t": "p.299", "c": "c0p.299", "x": "x0p.299"}
-	for _, r := range []Record{
-		{Seq: 2099, Event: trace.EventRecord{Rule: "submit0", Valuation: val}, Idem: "k-2099"},
-		{Seq: 2099, Fired: slotEvent("submit0", val), Idem: "k-2099"},
-	} {
-		if allocs := testing.AllocsPerRun(100, func() { encodeRecord(r) }); allocs != 1 {
-			t.Fatalf("encodeRecord made %.0f allocations, want 1", allocs)
+	r := Record{Seq: 2099, Event: slotEvent("submit0", map[string]string{"t": "p.299", "c": "c0p.299", "x": "x0p.299"}), Idem: "k-2099"}
+	if allocs := testing.AllocsPerRun(100, func() { encodeRecord(r) }); allocs != 1 {
+		t.Fatalf("encodeRecord made %.0f allocations, want 1", allocs)
+	}
+}
+
+// TestHeaderLine: the header line is what encoding/json writes for the
+// header beside its format stamp, with the CRC field spliced in, and
+// parses back to the header.
+func TestHeaderLine(t *testing.T) {
+	for _, h := range []Header{{}, {Workflow: "Hiring"}, {Workflow: `<"w">` + " ", Guards: map[string]int{"sue": 3, "hr": 12, "a&b": 1}}} {
+		b, err := json.Marshal(struct {
+			Format int `json:"wal"`
+			Header
+		}{1, h})
+		if err != nil {
+			t.Fatal(err)
+		}
+		line := encodeHeader(h)
+		if want := appendCRC(b); !bytes.Equal(line, want) {
+			t.Fatalf("header line %q, encoding/json wrote %q", line, want)
+		}
+		got, err := parseHeader(line[:len(line)-1])
+		if err != nil || got.Workflow != h.Workflow || len(got.Guards) != len(h.Guards) {
+			t.Fatalf("%q parsed to %+v, %v", line, got, err)
+		}
+		for p, n := range h.Guards {
+			if got.Guards[p] != n {
+				t.Fatalf("%q parsed to %+v", line, got)
+			}
 		}
 	}
 }

@@ -2,45 +2,45 @@ package wal
 
 import (
 	"bytes"
+	"fmt"
 	"hash/crc32"
+	"strconv"
+	"strings"
+	"unicode/utf16"
 	"unicode/utf8"
 
 	"collabwf/internal/data"
 	"collabwf/internal/program"
-	"collabwf/internal/query"
 	"collabwf/internal/rule"
 )
 
 // Entry is one verified log record as recovery replays it: its sequence
-// number, its event and its idempotency key. A line of the fixed shape
-// whose rule is one of the replayer's program, and which binds every
-// variable of the rule, is decoded straight into the event's slots: Event
-// is that event, and a name that is no variable of the rule is dropped.
-// Any other record keeps its valuation as the line names it, in Val, for
-// the replayer to turn into an event or reject.
+// number, the name of its rule, its event and its idempotency key. Event
+// is nil when the rule is none the replayer knows, or when the line does
+// not name exactly the rule's variables, in their sorted order.
 type Entry struct {
 	Seq   int
 	Rule  string
 	Event *program.Event
-	Val   query.Valuation
 	Idem  string
 }
 
 // decoder verifies and decodes the record lines of one recovery. The
-// events it decodes into slots live in two arenas sized from the line
-// count, one of events and one of slot values, so a line of the fixed
-// shape costs one allocation: the string its values share.
+// events it decodes live in two arenas sized from the line count, one of
+// events and one of slot values, so a line of a known rule costs one
+// allocation: the string its values share.
 type decoder struct {
-	// rules are the program's rules by name; nil without a program.
+	// rules are the replayer's rules by name; nil without any.
 	rules  map[string]*rule.Rule
 	events []program.Event
 	slots  []data.Value
-	// buf collects a line's value bytes before they become one string.
-	buf []byte
+	// buf collects a line's value bytes before they become one string;
+	// name holds the name being matched.
+	buf, name []byte
 }
 
 // newDecoder returns a decoder for at most lines records of the given
-// rules (none: keep every valuation a map).
+// rules.
 func newDecoder(rules []*rule.Rule, lines int) *decoder {
 	d := &decoder{}
 	if len(rules) == 0 {
@@ -57,168 +57,124 @@ func newDecoder(rules []*rule.Rule, lines int) *decoder {
 	return d
 }
 
-// decode verifies and decodes one complete record line, newline included.
-// A line in the fixed shape encodeRecord writes is decoded by decodeFixed;
-// every other line goes through verifyRecord's encoding/json path, so each
-// line is accepted or rejected, and decoded, exactly as verifyRecord alone
-// would do it.
-func (d *decoder) decode(line []byte) (Entry, error) {
-	if e, ok := d.decodeFixed(line); ok {
-		return e, nil
+// errShape is the verdict on a line outside the shapes encodeHeader and
+// encodeRecord write.
+var errShape = fmt.Errorf("%w: not a line of this log format", ErrCorrupt)
+
+// decode verifies and decodes one complete record line, newline included,
+// of exactly the shape encodeRecord writes,
+//
+//	{"seq":N,"event":{"rule":"R","valuation":{"k":"v",…}}[,"idem":"K"],"crc":C}
+//
+// The CRC is checked first, over the line's own bytes. A string may hold
+// any JSON escape but that of a UTF-16 surrogate, which jsonw never
+// writes, and its raw bytes must be valid UTF-8 with no control byte. Any
+// other line — surrounding space, another key case or order, a negative
+// seq or one of more than 18 digits, a CRC that does not match — is
+// corrupt. So the decoder accepts only lines encoding/json accepts, with
+// the same record.
+func (d *decoder) decode(line []byte) (e Entry, err error) {
+	n := len(line)
+	if n < 2 || line[n-1] != '\n' {
+		return e, errShape
 	}
-	rec, err := verifyRecord(line)
+	body, err := checkCRC(line[:n-1])
 	if err != nil {
-		return Entry{}, err
+		return e, err
 	}
-	e := Entry{Seq: rec.Seq, Rule: rec.Event.Rule, Idem: rec.Idem}
-	e.Val = make(query.Valuation, len(rec.Event.Valuation))
-	for k, v := range rec.Event.Valuation {
-		e.Val[k] = data.Value(v)
+	p := fixedParser{b: body}
+	if !p.lit(`{"seq":`) {
+		return e, errShape
+	}
+	seq, ok := parseUint(p.digits(), 18)
+	if !ok || !p.lit(`,"event":{"rule":`) {
+		return e, errShape
+	}
+	if d.name, ok = p.str(d.name[:0]); !ok || !p.lit(`,"valuation":{`) {
+		return e, errShape
+	}
+	rl := d.rules[string(d.name)]
+	var vars []string
+	if rl != nil {
+		e.Rule, vars = rl.Name, rl.Layout().Vars
+	} else {
+		e.Rule = string(d.name)
+	}
+	// The values' bytes are copied into d.buf, the j-th from at[j].
+	var atBuf [8]int
+	at := atBuf[:0]
+	match := rl != nil
+	d.buf = d.buf[:0]
+	for j := 0; !p.lit(`}`); j++ {
+		if j > 0 && !p.lit(`,`) {
+			return e, errShape
+		}
+		if d.name, ok = p.str(d.name[:0]); !ok || !p.lit(`:`) {
+			return e, errShape
+		}
+		match = match && j < len(vars) && string(d.name) == vars[j]
+		at = append(at, len(d.buf))
+		if d.buf, ok = p.str(d.buf); !ok {
+			return e, errShape
+		}
+	}
+	if !p.lit(`}`) {
+		return e, errShape
+	}
+	if p.lit(`,"idem":`) {
+		if d.name, ok = p.str(d.name[:0]); !ok {
+			return e, errShape
+		}
+		if len(d.name) > 0 {
+			e.Idem = string(d.name)
+		}
+	}
+	if len(p.b) != 0 {
+		return e, errShape
+	}
+	e.Seq = int(seq)
+	if match && len(at) == len(vars) {
+		e.Event = d.event(rl, at)
 	}
 	return e, nil
 }
 
-// decodeFixed decodes a line of exactly the shape encodeRecord writes for a
-// checksummed record,
-//
-//	{"seq":N,"event":{"rule":"R","valuation":{"k":"v",…}}[,"idem":"K"],"crc":C}
-//
-// followed by its newline. The CRC is checked first, over the line's own
-// bytes. ok is false for any line outside that shape: surrounding space,
-// another key case or order, a negative seq or one of more than 18 digits,
-// a string holding an escape, a control byte or invalid UTF-8, a CRC of 0,
-// or a CRC that does not match. On such a line encoding/json and
-// lineChecksum decide, so decodeFixed accepts only lines they accept, with
-// the same record.
-func (d *decoder) decodeFixed(line []byte) (e Entry, ok bool) {
+// checkCRC verifies a line (its newline cut) that ends in its CRC field,
+// the CRC of the bytes before that field and a closing brace, and returns
+// those bytes.
+func checkCRC(line []byte) ([]byte, error) {
 	n := len(line)
-	if n < 2 || line[0] != '{' || line[n-2] != '}' || line[n-1] != '\n' {
-		return e, false
-	}
-	line = line[:n-2]
 	i := bytes.LastIndex(line, []byte(crcField))
-	if i < 0 {
-		return e, false
+	if i < 0 || line[n-1] != '}' {
+		return nil, errShape
 	}
-	crc, ok := parseUint(line[i+len(crcField):], 10)
-	if !ok || crc == 0 || crc > 1<<32-1 {
-		return e, false
+	crc, ok := parseUint(line[i+len(crcField):n-1], 10)
+	if !ok || crc > 1<<32-1 {
+		return nil, errShape
 	}
 	body := line[:i]
-	if crc32.Update(crc32.Checksum(body, castagnoli), castagnoli, closeBrace) != uint32(crc) {
-		return e, false
+	if sum := crc32.Update(crc32.Checksum(body, castagnoli()), castagnoli(), closeBrace); sum != uint32(crc) {
+		return nil, fmt.Errorf("%w: checksum mismatch (stored %08x, computed %08x)", ErrCorrupt, crc, sum)
 	}
-	p := fixedParser{b: body}
-	if !p.lit(`{"seq":`) {
-		return e, false
-	}
-	seq, ok := parseUint(p.digits(), 18)
-	if !ok || !p.lit(`,"event":{"rule":`) {
-		return e, false
-	}
-	name, ok := p.str()
-	if !ok || !p.lit(`,"valuation":{`) {
-		return e, false
-	}
-	// Collect the pairs first: the line must be whole before any of it is
-	// kept.
-	var pairs [8][2][]byte
-	kv := pairs[:0]
-	if !p.lit(`}`) {
-		for {
-			k, ok := p.str()
-			if !ok || !p.lit(`:`) {
-				return e, false
-			}
-			v, ok := p.str()
-			if !ok {
-				return e, false
-			}
-			kv = append(kv, [2][]byte{k, v})
-			if p.lit(`}`) {
-				break
-			}
-			if !p.lit(`,`) {
-				return e, false
-			}
-		}
-	}
-	if !p.lit(`}`) {
-		return e, false
-	}
-	var idem []byte
-	if p.lit(`,"idem":`) {
-		if idem, ok = p.str(); !ok {
-			return e, false
-		}
-	}
-	if len(p.b) != 0 {
-		return e, false
-	}
-	e.Seq = int(seq)
-	if len(idem) > 0 {
-		e.Idem = string(idem)
-	}
-	if rl := d.rules[string(name)]; rl != nil {
-		e.Rule = rl.Name
-		if e.Event = d.event(rl, kv); e.Event != nil {
-			return e, true
-		}
-	} else {
-		e.Rule = string(name)
-	}
-	e.Val = make(query.Valuation, len(kv))
-	for _, pair := range kv {
-		// A repeated key keeps its last value, as encoding/json does.
-		e.Val[string(pair[0])] = data.Value(pair[1])
-	}
-	return e, true
+	return body, nil
 }
 
-// event builds the event of rl binding the (name, value) pairs kv, in the
-// decoder's arenas, or returns nil when kv leaves a variable of rl unbound
-// (or rl has more variables than a mask holds). A pair naming no variable
-// of rl is dropped, and a repeated name keeps its last value.
-func (d *decoder) event(rl *rule.Rule, kv [][2][]byte) *program.Event {
-	vars := rl.Layout().Vars
-	if len(vars) > 64 {
-		return nil
-	}
-	// The values' bytes are copied into d.buf, pair j's at at[j], and
-	// become one string that the slots share.
-	var atBuf, idxBuf [8]int
-	at, idx := atBuf[:0], idxBuf[:0]
-	var bound uint64
-	d.buf = d.buf[:0]
-	for _, pair := range kv {
-		i := 0
-		for i < len(vars) && vars[i] != string(pair[0]) {
-			i++
-		}
-		if i == len(vars) {
-			continue
-		}
-		at = append(at, len(d.buf))
-		idx = append(idx, i)
-		d.buf = append(d.buf, pair[1]...)
-		bound |= 1 << i
-	}
-	if bound != 1<<len(vars)-1 {
-		return nil
-	}
-	if cap(d.slots)-len(d.slots) < len(vars) {
-		d.slots = make([]data.Value, 0, max(len(vars), cap(d.slots)))
+// event builds the event of rl whose j-th slot value is d.buf from at[j]
+// to at[j+1], in the decoder's arenas.
+func (d *decoder) event(rl *rule.Rule, at []int) *program.Event {
+	if cap(d.slots)-len(d.slots) < len(at) {
+		d.slots = make([]data.Value, 0, max(len(at), cap(d.slots)))
 	}
 	n := len(d.slots)
-	d.slots = d.slots[:n+len(vars)]
+	d.slots = d.slots[:n+len(at)]
 	vals := d.slots[n:len(d.slots):len(d.slots)]
 	s := string(d.buf)
-	for j, i := range idx {
+	for j := range at {
 		end := len(s)
 		if j+1 < len(at) {
 			end = at[j+1]
 		}
-		vals[i] = data.Value(s[at[j]:end])
+		vals[j] = data.Value(s[at[j]:end])
 	}
 	if len(d.events) == cap(d.events) {
 		d.events = make([]program.Event, 0, max(1, cap(d.events)))
@@ -268,28 +224,63 @@ func (p *fixedParser) digits() []byte {
 	return out
 }
 
-// str consumes a JSON string that encoding/json decodes to its own bytes:
-// valid UTF-8 with no escape and no control byte. It returns the bytes
-// between the quotes.
-func (p *fixedParser) str() ([]byte, bool) {
-	if len(p.b) == 0 || p.b[0] != '"' {
-		return nil, false
+// str consumes a JSON string and appends its value to dst: the bytes
+// between the quotes, each escape resolved. It refuses the escape of a
+// UTF-16 surrogate, a raw control byte and raw bytes that are not valid
+// UTF-8, none of which jsonw writes.
+func (p *fixedParser) str(dst []byte) ([]byte, bool) {
+	b := p.b
+	if len(b) == 0 || b[0] != '"' {
+		return dst, false
 	}
-	ascii := true
-	for i := 1; i < len(p.b); i++ {
-		switch c := p.b[i]; {
-		case c == '"':
-			s := p.b[1:i]
-			if !ascii && !utf8.Valid(s) {
-				return nil, false
+	from, ascii, start := len(dst), true, 1
+	for i := 1; i < len(b); i++ {
+		c := b[i]
+		if c >= 0x20 && c != '"' && c != '\\' {
+			ascii = ascii && c < utf8.RuneSelf
+			continue
+		}
+		dst = append(dst, b[start:i]...)
+		switch c {
+		case '"':
+			// Escapes write valid UTF-8, so the value is valid iff its raw
+			// bytes are.
+			if !ascii && !utf8.Valid(dst[from:]) {
+				return dst, false
 			}
-			p.b = p.b[i+1:]
-			return s, true
-		case c < 0x20 || c == '\\':
-			return nil, false
-		case c >= utf8.RuneSelf:
-			ascii = false
+			p.b = b[i+1:]
+			return dst, true
+		case '\\':
+			if i+1 == len(b) {
+				return dst, false
+			}
+			r, n := unescape(b[i+1:])
+			if n == 0 {
+				return dst, false
+			}
+			dst = utf8.AppendRune(dst, r)
+			i += n
+			start = i + 1
+		default:
+			return dst, false
 		}
 	}
-	return nil, false
+	return dst, false
+}
+
+// unescape decodes the JSON escape that b starts with, after its
+// backslash: its rune and length, or n = 0 for an invalid escape or one of
+// a UTF-16 surrogate.
+func unescape(b []byte) (r rune, n int) {
+	if i := strings.IndexByte(`"\/bfnrt`, b[0]); i >= 0 {
+		return rune("\"\\/\b\f\n\r\t"[i]), 1
+	}
+	if len(b) < 5 || b[0] != 'u' {
+		return 0, 0
+	}
+	v, err := strconv.ParseUint(string(b[1:5]), 16, 16)
+	if err != nil || utf16.IsSurrogate(rune(v)) {
+		return 0, 0
+	}
+	return rune(v), 5
 }

@@ -7,8 +7,8 @@ import (
 
 // Failpoints injects failures into a Log for crash and fault testing:
 // appends that fail before touching disk, partial writes (a record torn
-// mid-line, as a real crash would leave it), fsync errors, and slow or
-// held fsyncs. All hooks are safe to arm and disarm concurrently with
+// mid-line, as a real crash would leave it), fsync errors of the log and
+// of the directories a new log's header syncs, and slow or held fsyncs. All hooks are safe to arm and disarm concurrently with
 // appends.
 type Failpoints struct {
 	mu sync.Mutex
@@ -20,6 +20,9 @@ type Failpoints struct {
 	partial map[int]int
 	// nextSync is returned (and cleared) by the next sync attempt.
 	nextSync error
+	// nextDirSync is returned (and cleared) by the next directory sync of
+	// a header write.
+	nextDirSync error
 	// slowSync delays every sync attempt; used to force group-commit
 	// batching deterministically in tests.
 	slowSync time.Duration
@@ -56,6 +59,14 @@ func (fp *Failpoints) FailNextSync(err error) {
 	fp.mu.Lock()
 	defer fp.mu.Unlock()
 	fp.nextSync = err
+}
+
+// FailNextDirSync arms an error for the next directory sync of a header
+// write: the one that makes a new log's directory entries durable.
+func (fp *Failpoints) FailNextDirSync(err error) {
+	fp.mu.Lock()
+	defer fp.mu.Unlock()
+	fp.nextDirSync = err
 }
 
 // SlowSync delays every sync attempt by d until disarmed (d = 0 or Reset).
@@ -103,6 +114,7 @@ func (fp *Failpoints) Reset() {
 	fp.failBefore = make(map[int]error)
 	fp.partial = make(map[int]int)
 	fp.nextSync = nil
+	fp.nextDirSync = nil
 	fp.slowSync = 0
 	fp.hold = nil
 }
@@ -138,6 +150,14 @@ func (fp *Failpoints) syncErr() error {
 	defer fp.mu.Unlock()
 	err := fp.nextSync
 	fp.nextSync = nil
+	return err
+}
+
+func (fp *Failpoints) dirSyncErr() error {
+	fp.mu.Lock()
+	defer fp.mu.Unlock()
+	err := fp.nextDirSync
+	fp.nextDirSync = nil
 	return err
 }
 

@@ -21,7 +21,7 @@ func TestGroupCommitCoalescesBatches(t *testing.T) {
 	// Slow every fsync down so the records appended during the first sync
 	// pile up deterministically into one batch.
 	fp.SlowSync(30 * time.Millisecond)
-	l, err := Open(dir, Options{Sync: SyncAlways, Failpoints: fp, Metrics: reg}, nil)
+	l, err := Open(dir, Header{}, Options{Sync: SyncAlways, Failpoints: fp, Metrics: reg}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestGroupCommitCoalescesBatches(t *testing.T) {
 // held.
 func TestHoldSyncBlocksUntilReleased(t *testing.T) {
 	fp := NewFailpoints()
-	l, err := Open(t.TempDir(), Options{Sync: SyncAlways, Failpoints: fp}, nil)
+	l, err := Open(t.TempDir(), Header{}, Options{Sync: SyncAlways, Failpoints: fp}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestHoldSyncBlocksUntilReleased(t *testing.T) {
 func TestGroupSyncFailureFailsBatchAndStalls(t *testing.T) {
 	dir := t.TempDir()
 	fp := NewFailpoints()
-	l, err := Open(dir, Options{Sync: SyncAlways, Failpoints: fp}, nil)
+	l, err := Open(dir, Header{}, Options{Sync: SyncAlways, Failpoints: fp}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestFlushDrainsPending(t *testing.T) {
 	dir := t.TempDir()
 	fp := NewFailpoints()
 	fp.SlowSync(20 * time.Millisecond)
-	l, err := Open(dir, Options{Sync: SyncAlways, Failpoints: fp}, nil)
+	l, err := Open(dir, Header{}, Options{Sync: SyncAlways, Failpoints: fp}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestIdleFlushTimerSyncsIdleTail(t *testing.T) {
 	dir := t.TempDir()
 	reg := obs.NewRegistry()
 	fp := NewFailpoints()
-	l, err := Open(dir, Options{Sync: SyncInterval, Failpoints: fp, Metrics: reg}, nil)
+	l, err := Open(dir, Header{}, Options{Sync: SyncInterval, Failpoints: fp, Metrics: reg}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestIntervalAppendNeverWaitsOnFsync(t *testing.T) {
 	fp := NewFailpoints()
 	const delay = time.Second
 	fp.SlowSync(delay)
-	l, err := Open(dir, Options{Sync: SyncInterval, Failpoints: fp}, nil)
+	l, err := Open(dir, Header{}, Options{Sync: SyncInterval, Failpoints: fp}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +311,7 @@ func TestIntervalSyncFailureIsRetried(t *testing.T) {
 	reg := obs.NewRegistry()
 	fp := NewFailpoints()
 	fp.FailNextSync(errors.New("EIO"))
-	l, err := Open(dir, Options{Sync: SyncInterval, Failpoints: fp, Metrics: reg}, nil)
+	l, err := Open(dir, Header{}, Options{Sync: SyncInterval, Failpoints: fp, Metrics: reg}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +353,7 @@ func TestIntervalSyncFailureIsRetried(t *testing.T) {
 // goroutines and the file must be torn down exactly once.
 func TestCloseIsIdempotent(t *testing.T) {
 	for _, p := range []SyncPolicy{SyncAlways, SyncInterval, SyncNever} {
-		l, err := Open(t.TempDir(), Options{Sync: p}, nil)
+		l, err := Open(t.TempDir(), Header{}, Options{Sync: p}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

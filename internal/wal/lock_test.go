@@ -10,15 +10,15 @@ import (
 	"strings"
 	"testing"
 
-	"collabwf/internal/program"
+	"collabwf/internal/rule"
 )
 
 // callCounter counts a replayer's calls.
 type callCounter struct{ starts, records int }
 
-func (c *callCounter) Program() *program.Program  { return nil }
-func (c *callCounter) Start(*Snapshot, int) error { c.starts++; return nil }
-func (c *callCounter) Record(Entry) error         { c.records++; return nil }
+func (c *callCounter) Rules() []*rule.Rule     { return nil }
+func (c *callCounter) Start(Header, int) error { c.starts++; return nil }
+func (c *callCounter) Record(Entry) error      { c.records++; return nil }
 
 // TestOpenRefusesLiveDir: while one log holds a dir, a second Open fails
 // with ErrInUse naming the dir, before it reads anything: the replayer is
@@ -26,7 +26,7 @@ func (c *callCounter) Record(Entry) error         { c.records++; return nil }
 // in-flight append — stays on disk. Close and Crash both release the dir.
 func TestOpenRefusesLiveDir(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{}, nil)
+	l, err := Open(dir, Header{}, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestOpenRefusesLiveDir(t *testing.T) {
 	}
 
 	var rp callCounter
-	if l2, err := Open(dir, Options{}, &rp); !errors.Is(err, ErrInUse) {
+	if l2, err := Open(dir, Header{}, Options{}, &rp); !errors.Is(err, ErrInUse) {
 		if l2 != nil {
 			l2.Close()
 		}
@@ -84,7 +84,7 @@ func TestOpenRefusesLiveDir(t *testing.T) {
 	if err := l2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	l3, err := Open(dir, Options{}, nil)
+	l3, err := Open(dir, Header{}, Options{}, nil)
 	if err != nil {
 		t.Fatalf("Open after Close: %v", err)
 	}

@@ -40,7 +40,7 @@ func newWALMetrics(reg *obs.Registry) *walMetrics {
 		fsyncLatency: reg.Histogram("wf_wal_fsync_duration_seconds",
 			"WAL fsync latency in seconds.", nil),
 		openSeconds: reg.Gauge("wf_wal_open_seconds",
-			"Wall time of the last Open (guard file load + log scan + torn-tail repair)."),
+			"Wall time of the last Open (header read + log scan + torn-tail repair)."),
 		replayedRecs: reg.Gauge("wf_wal_replayed_records",
 			"Records found in the WAL tail at the last Open."),
 		tornBytes: reg.Counter("wf_wal_torn_bytes_total",

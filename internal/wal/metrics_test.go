@@ -31,7 +31,7 @@ func counterValue(reg *obs.Registry, name string) (float64, bool) {
 func TestMetricsRecordAppendsSyncsAndSnapshots(t *testing.T) {
 	reg := obs.NewRegistry()
 	dir := t.TempDir()
-	l, err := Open(dir, Options{Metrics: reg}, nil)
+	l, err := Open(dir, Header{}, Options{Metrics: reg}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestMetricsRecordFailpointsAndTornTail(t *testing.T) {
 	dir := t.TempDir()
 	fp := NewFailpoints()
 	fp.TornWrite(2, 4)
-	l, err := Open(dir, Options{Metrics: reg, Failpoints: fp}, nil)
+	l, err := Open(dir, Header{}, Options{Metrics: reg, Failpoints: fp}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

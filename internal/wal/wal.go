@@ -1,29 +1,31 @@
 // Package wal provides the durability substrate for the master server: a
 // write-ahead log of accepted events, which is the run's only record. The
-// log is a sequence of JSON lines, one Record per accepted event (reusing
-// trace.EventRecord for the payload), so a crashed coordinator is
-// reconstructed by replaying it. Torn trailing records — the signature of a
-// crash mid-write — are truncated on open, never fatal.
+// log is a sequence of JSON lines: a header, then one record per accepted
+// event, so a crashed coordinator is reconstructed by replaying it. Torn
+// trailing records — the signature of a crash mid-write — are truncated on
+// open, never fatal.
+//
+// The header is the log's first line and its format stamp: it holds the
+// format number, the run's workflow and its transparency guards, and a
+// checksum. Open writes it when it creates a log, syncing the file and
+// every directory entry that leads to it, so a created run survives a
+// power cut. A corrupt header is fatal under either policy: the guards
+// have no other record. A dir holding a log without the header, or a
+// snapshot.json, was written by an earlier version: Open refuses it with
+// ErrLegacy, touching nothing, and `wfrun -upgrade` rewrites it offline
+// from ReadLegacy's decoding.
 //
 // Open reads the log file through one reused 64 KiB buffer, counting its
 // lines first, and hands each verified record to the caller's Replayer as
-// an Entry, keeping none itself. A line in the fixed shape encodeRecord
-// writes is decoded without reflection: its CRC is checked first, over the
-// line's own bytes, then the fields are parsed in their fixed order
-// straight into the seq, the event and the idempotency key. The event of
-// a rule of the replayer's program is laid out in the rule's slots: each
-// key of the valuation is matched against the rule's sorted variable
-// names, and the values go into one arena of slots per recovery, sized
-// from the line count. Any other line — a legacy one without a CRC, a
-// string with an escape, a key in another case or order, a CRC that does
-// not match — goes through encoding/json and the same line checksum
-// (verifyRecord), so every line is accepted or rejected, and decoded,
-// exactly as that path alone would do it.
-//
-// Beside the log, snapshot.json holds a guarded run's guards: WriteGuards
-// writes it before the run's first event, as a snapshot of length 0. In
-// data dirs written by earlier versions it holds a snapshot of a run
-// prefix, and the log the events after it; Open still loads both.
+// an Entry, keeping none itself. Every record line has the one shape
+// encodeRecord writes, which is decoded without reflection: its CRC is
+// checked first, over the line's own bytes, then the fields are parsed in
+// their fixed order straight into the seq, the event and the idempotency
+// key. The event of a rule the replayer knows is laid out in the rule's
+// slots: the line names the rule's variables in its sorted order, and the
+// values go into one arena of slots per recovery, sized from the line
+// count. A line of any other shape, or with a CRC that does not match, is
+// corrupt.
 //
 // The intended discipline is log-before-accept: the coordinator appends an
 // event's record (and, under the "always" policy, fsyncs it) before the
@@ -45,7 +47,6 @@ package wal
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -59,17 +60,17 @@ import (
 	"sync/atomic"
 	"time"
 
-	"collabwf/internal/data"
 	"collabwf/internal/jsonw"
 	"collabwf/internal/obs"
 	"collabwf/internal/program"
 	"collabwf/internal/rule"
-	"collabwf/internal/trace"
 )
 
-// castagnoli is the CRC32C polynomial table shared by record and snapshot
-// checksums (the same polynomial storage systems use for on-disk pages).
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+// castagnoli returns the CRC32C polynomial table shared by header and
+// record checksums (the same polynomial storage systems use for on-disk
+// pages). It is built on first use, so a process that never checksums
+// builds none.
+var castagnoli = sync.OnceValue(func() *crc32.Table { return crc32.MakeTable(crc32.Castagnoli) })
 
 // SyncPolicy selects when the log fsyncs appended records.
 type SyncPolicy string
@@ -109,7 +110,7 @@ var ErrCrashed = errors.New("wal: log crashed before the commit resolved")
 // ends in a newline) — silent disk corruption rather than the torn tail of
 // a crash mid-write. Under Options.Strict, Open refuses to start with an
 // error wrapping it; by default the log is truncated at the first corrupt
-// record instead.
+// record instead. A corrupt header is refused under either policy.
 var ErrCorrupt = errors.New("wal: corrupt record")
 
 // ErrInUse is returned by Open when another open log holds dir: a second
@@ -117,154 +118,156 @@ var ErrCorrupt = errors.New("wal: corrupt record")
 // neither truncated nor replayed anything.
 var ErrInUse = errors.New("wal: data dir in use")
 
-// Record is one durable entry: the event's absolute position in the run
-// plus its serialized form. The sequence number makes replay idempotent —
-// records already covered by a legacy snapshot (a crash could land between
-// its rename and the log reset) are skipped on recovery.
+// ErrLegacy is returned by Open for a dir written by an earlier version: it
+// holds a snapshot.json, or a log without the header. That open has
+// neither truncated nor replayed anything; `wfrun -upgrade` rewrites the
+// dir in this format.
+var ErrLegacy = errors.New("wal: legacy data dir")
+
+// Header is the log's first line beside its format stamp: the run's
+// workflow and the transparency guards it was created with.
+type Header struct {
+	Workflow string         `json:"workflow,omitempty"`
+	Guards   map[string]int `json:"guards,omitempty"`
+}
+
+// format is the log format this version writes and reads, the header's
+// "wal" field; headerOpen opens every header line and no record line.
+const (
+	format     = 1
+	headerOpen = `{"wal":`
+)
+
+// encodeHeader returns h's header line, newline included, in the shape
+// encoding/json writes: {"wal":1[,"workflow":"W"][,"guards":{"p":h,…}],"crc":C}.
+func encodeHeader(h Header) []byte {
+	b := strconv.AppendInt([]byte(headerOpen), format, 10)
+	if h.Workflow != "" {
+		b = jsonw.AppendString(append(b, `,"workflow":`...), h.Workflow)
+	}
+	if len(h.Guards) > 0 {
+		peers := make([]string, 0, len(h.Guards))
+		for peer := range h.Guards {
+			peers = append(peers, peer)
+		}
+		slices.Sort(peers)
+		b = append(b, `,"guards":{`...)
+		for i, peer := range peers {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendInt(append(jsonw.AppendString(b, peer), ':'), int64(h.Guards[peer]), 10)
+		}
+		b = append(b, '}')
+	}
+	return appendCRC(append(b, '}'))
+}
+
+// parseHeader verifies and decodes a header line, its newline cut.
+func parseHeader(line []byte) (h Header, err error) {
+	body, err := checkCRC(line)
+	if err != nil {
+		return h, err
+	}
+	p := fixedParser{b: body}
+	if !p.lit(headerOpen) {
+		return h, errShape
+	}
+	if f, ok := parseUint(p.digits(), 9); !ok || f != format {
+		return h, fmt.Errorf("wal: log format %d, this version reads format %d", f, format)
+	}
+	if p.lit(`,"workflow":`) {
+		w, ok := p.str(nil)
+		if !ok {
+			return h, errShape
+		}
+		h.Workflow = string(w)
+	}
+	if p.lit(`,"guards":{`) {
+		h.Guards = make(map[string]int)
+		for j := 0; !p.lit(`}`); j++ {
+			if j > 0 && !p.lit(`,`) {
+				return h, errShape
+			}
+			peer, ok := p.str(nil)
+			if !ok || !p.lit(`:`) {
+				return h, errShape
+			}
+			v, ok := parseUint(p.digits(), 9)
+			if !ok {
+				return h, errShape
+			}
+			h.Guards[string(peer)] = int(v)
+		}
+	}
+	if len(p.b) != 0 {
+		return h, errShape
+	}
+	return h, nil
+}
+
+// Record is one durable entry: the event's absolute position in the run,
+// the event and the submitter's idempotency key.
 type Record struct {
-	Seq   int               `json:"seq"`
-	Event trace.EventRecord `json:"event"`
-	// Fired, when set, is the event itself, and Event is not read: the
-	// line is written from its rule's sorted variable names and its slot
-	// values, the bytes Event = trace.EncodeEvent(Fired) would give.
-	Fired *program.Event `json:"-"`
+	Seq   int
+	Event *program.Event
 	// Idem is the submitter's idempotency key, persisted so that a recovered
 	// coordinator can recognise a client retry of an event that was durable
 	// before the crash. Empty for server-generated or keyless submissions.
-	Idem string `json:"idem,omitempty"`
-	// CRC is the CRC32C of the record's compact JSON encoding with CRC
-	// itself absent (see encodeRecord). Zero/absent means unchecksummed —
-	// records written by pre-checksum versions still replay.
-	CRC uint32 `json:"crc,omitempty"`
+	Idem string
 }
 
-// crcField opens the CRC field of an encoded record. CRC is the record's
-// last field, so a checksummed line ends in crcField, the decimal CRC and
-// the closing brace.
+// crcField opens the CRC field of an encoded line. CRC is the line's last
+// field, so a line ends in crcField, the decimal CRC and the closing brace.
 const crcField = `,"crc":`
 
 var closeBrace = []byte{'}'}
 
-// encodeRecord returns rec's log line, newline included: the compact JSON
-// encoding of rec with CRC set to the CRC32C of its encoding with CRC
-// absent. The fixed shape decodeFixed reads is appended directly, byte for
-// byte what encoding/json writes — fields in declaration order, valuation
-// keys sorted, strings escaped by jsonw — then the CRC field is spliced in
-// before the closing brace. A record of a fired event is written from the
-// event's slots, whose variables are sorted already; only a record given
-// as a map sorts its keys.
+// appendCRC closes b, a JSON object, with its CRC field and the newline:
+// the CRC32C of b itself.
+func appendCRC(b []byte) []byte {
+	crc := crc32.Checksum(b, castagnoli())
+	b = append(b[:len(b)-1], crcField...)
+	b = strconv.AppendUint(b, uint64(crc), 10)
+	return append(b, '}', '\n')
+}
+
+// encodeRecord returns rec's log line, newline included:
+//
+//	{"seq":N,"event":{"rule":"R","valuation":{"k":"v",…}}[,"idem":"K"],"crc":C}
+//
+// appended directly, byte for byte what encoding/json writes for the
+// record — the valuation's keys are the rule's variables, sorted already,
+// and strings are escaped by jsonw — with the CRC field of the bytes
+// before it.
 func encodeRecord(rec Record) []byte {
-	name, val := rec.Event.Rule, rec.Event.Valuation
-	var names []string
-	var slots []data.Value
-	var keyBuf [8]string
-	if e := rec.Fired; e != nil {
-		name, names, slots = e.Rule.Name, e.Rule.Layout().Vars, e.Vals()
-	} else {
-		names = keyBuf[:0]
-		for k := range val {
-			names = append(names, k)
-		}
-		slices.Sort(names)
-	}
-	value := func(i int) string {
-		if rec.Fired != nil {
-			return string(slots[i])
-		}
-		return val[names[i]]
-	}
-	// Unescaped, the line takes at most 93 bytes beside its strings (a
-	// 20-digit seq, a 10-digit CRC, a null valuation), and 6 per binding.
-	size := 93 + len(name) + len(rec.Idem)
+	name, names, vals := rec.Event.Rule.Name, rec.Event.Rule.Layout().Vars, rec.Event.Vals()
+	// Unescaped, the line takes at most 91 bytes beside its strings (a
+	// 20-digit seq, a 10-digit CRC), and 6 per binding.
+	size := 91 + len(name) + len(rec.Idem)
 	for i, k := range names {
-		size += len(k) + len(value(i)) + 6
+		size += len(k) + len(vals[i]) + 6
 	}
 	b := make([]byte, 0, size)
 	b = append(b, `{"seq":`...)
 	b = strconv.AppendInt(b, int64(rec.Seq), 10)
 	b = append(b, `,"event":{"rule":`...)
 	b = jsonw.AppendString(b, name)
-	b = append(b, `,"valuation":`...)
-	if rec.Fired == nil && val == nil {
-		b = append(b, "null"...)
-	} else {
-		b = append(b, '{')
-		for i, k := range names {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = jsonw.AppendString(b, k)
-			b = append(b, ':')
-			b = jsonw.AppendString(b, value(i))
+	b = append(b, `,"valuation":{`...)
+	for i, k := range names {
+		if i > 0 {
+			b = append(b, ',')
 		}
-		b = append(b, '}')
+		b = jsonw.AppendString(b, k)
+		b = append(b, ':')
+		b = jsonw.AppendString(b, string(vals[i]))
 	}
-	b = append(b, '}')
+	b = append(b, "}}"...)
 	if rec.Idem != "" {
 		b = append(b, `,"idem":`...)
 		b = jsonw.AppendString(b, rec.Idem)
 	}
-	b = append(b, '}')
-	crc := crc32.Checksum(b, castagnoli)
-	if crc == 0 {
-		// A zero CRC is omitted like any zero value.
-		return append(b, '\n')
-	}
-	b = append(b[:len(b)-1], crcField...)
-	b = strconv.AppendUint(b, uint64(crc), 10)
-	return append(b, '}', '\n')
-}
-
-// lineChecksum recomputes the CRC of a record line (surrounding space
-// trimmed) whose parsed CRC is crc: the CRC32C of the line with its
-// trailing CRC field cut, the bytes encodeRecord checksummed. ok is false
-// when the line does not end in that field.
-func lineChecksum(line []byte, crc uint32) (sum uint32, ok bool) {
-	var buf [len(crcField) + 11]byte
-	tail := strconv.AppendUint(append(buf[:0], crcField...), uint64(crc), 10)
-	body, ok := bytes.CutSuffix(line, append(tail, '}'))
-	if !ok {
-		return 0, false
-	}
-	return crc32.Update(crc32.Checksum(body, castagnoli), castagnoli, closeBrace), true
-}
-
-// IdemEntry maps one idempotency key to the index of the event it produced.
-// A legacy snapshot carries the window of keys whose records its log reset
-// dropped; recovery reads it before the keyed records of the log.
-type IdemEntry struct {
-	Key   string `json:"key"`
-	Index int    `json:"index"`
-}
-
-// Snapshot is the content of snapshot.json: the installed guards and, in
-// data dirs written by earlier versions, the replayable trace of the first
-// Len events. WriteGuards writes it with Len 0 and an empty trace. It is
-// written atomically (temp file + rename), so a reader sees either the
-// previous or the new file, never a torn one.
-type Snapshot struct {
-	Workflow string         `json:"workflow,omitempty"`
-	Guards   map[string]int `json:"guards,omitempty"`
-	Len      int            `json:"len"`
-	Trace    *trace.Trace   `json:"trace"`
-	// Idem is a legacy snapshot's idempotency-key window.
-	Idem []IdemEntry `json:"idem,omitempty"`
-	// CRC is the whole-file checksum: the CRC32C of the snapshot's COMPACT
-	// JSON encoding with CRC absent, so it is independent of indentation.
-	// Zero/absent means unchecksummed (pre-checksum snapshots still load).
-	CRC uint32 `json:"crc,omitempty"`
-}
-
-// Checksum computes the snapshot's CRC32C the same way records are
-// checksummed: over the compact encoding with the CRC field zeroed.
-func (s *Snapshot) Checksum() (uint32, error) {
-	c := *s
-	c.CRC = 0
-	b, err := json.Marshal(&c)
-	if err != nil {
-		return 0, err
-	}
-	return crc32.Checksum(b, castagnoli), nil
+	return appendCRC(append(b, '}'))
 }
 
 // Options configures a Log.
@@ -333,14 +336,16 @@ func resolvedCommit(seq int, err error) *Commit {
 }
 
 // Log is an append-only write-ahead log rooted at a directory, holding
-// wal.log (JSON lines of Records) beside the read-only snapshot.json. Safe
-// for concurrent use.
+// wal.log (JSON lines: the header, then Records). Safe for concurrent use.
 type Log struct {
 	mu   sync.Mutex
 	cond *sync.Cond // signals Flush waiters; tied to mu
 	dir  string
 	f    *os.File
 	opts Options
+	// top is the directory whose entry anchors dir: the parent of the
+	// topmost directory Open created, or "" for dir's parent.
+	top string
 
 	// end is the offset of the end of the last fully-written record; a
 	// failed append truncates back to it.
@@ -371,6 +376,8 @@ type Log struct {
 	// appends.
 	broken error
 
+	// stamped is set when Open wrote the header.
+	stamped   bool
 	tornBytes int64
 	// corruptRecords counts complete records dropped at Open for failing
 	// their checksum or parse (default policy only; Strict refuses instead).
@@ -395,34 +402,47 @@ func (l *Log) logw() *slog.Logger {
 }
 
 // A Replayer rebuilds state from what Open recovers, while Open reads it.
-// Program names the program whose rules the records fire (nil: none), so
-// each record is decoded into its rule's slots. Start receives the
-// snapshot (nil when the dir holds none) and the number of complete lines
-// in the log, a bound on the records to come; Record then receives each
+// Rules names the rules the records fire (none: no record is decoded into
+// an event). Start receives the log's header and the number of complete
+// record lines, a bound on the records to come; Record then receives each
 // verified record of the clean prefix, in log order, and may keep its
-// event and valuation. The first error either returns ends the replay:
-// Open still handles a torn or corrupt tail as it would have, then closes
-// the log and returns that error.
+// event. The first error either returns ends the replay: Open still
+// handles a torn or corrupt tail as it would have, then closes the log and
+// returns that error.
 type Replayer interface {
-	Program() *program.Program
-	Start(snap *Snapshot, lines int) error
+	Rules() []*rule.Rule
+	Start(h Header, lines int) error
 	Record(e Entry) error
 }
 
-// Open opens (creating if necessary) the log rooted at dir, loading the
-// snapshot and scanning the existing records into rp (nil = verify only).
-// A torn trailing record is truncated away; its byte count is reported by
-// TornBytes. The log holds an exclusive lock on wal.log until Close or
-// Crash: while it does, a second Open of dir fails with ErrInUse.
-func Open(dir string, opts Options, rp Replayer) (*Log, error) {
+// Open opens the log rooted at dir and scans its records into rp (nil =
+// verify only). A new log — dir holds none, or one whose creation was cut
+// before its header's newline — is created holding h's header, and so is
+// a log holding no record whose header names no guards, when h names some:
+// a run takes guards only before its first event. A torn trailing record is
+// truncated away; its byte count is reported by TornBytes. The log holds an
+// exclusive lock on wal.log until Close or Crash: while it does, a second
+// Open of dir fails with ErrInUse.
+func Open(dir string, h Header, opts Options, rp Replayer) (*Log, error) {
 	if opts.Sync == "" {
 		opts.Sync = SyncAlways
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("wal: %w", err)
+	// A dir holding snapshot.json is legacy whatever its log holds; refuse
+	// it before the log file is created.
+	if _, err := os.Stat(filepath.Join(dir, snapshotName)); err == nil {
+		return nil, legacyErr(dir, snapshotName)
 	}
 	start := time.Now()
 	l := &Log{dir: dir, opts: opts, m: newWALMetrics(opts.Metrics)}
+	if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
+		l.top = filepath.Dir(dir)
+		for _, err := os.Stat(l.top); os.IsNotExist(err) && filepath.Dir(l.top) != l.top; _, err = os.Stat(l.top) {
+			l.top = filepath.Dir(l.top)
+		}
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return nil, fmt.Errorf("wal: %w", err)
+		}
+	}
 	l.cond = sync.NewCond(&l.mu)
 	f, err := os.OpenFile(filepath.Join(dir, logName), os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
@@ -430,23 +450,11 @@ func Open(dir string, opts Options, rp Replayer) (*Log, error) {
 	}
 	// One log per dir: the lock is taken before anything is read, so a
 	// second opener touches nothing. Close and Crash release it.
-	if err := lockFile(f); err != nil {
-		f.Close()
-		if errors.Is(err, ErrInUse) {
-			return nil, fmt.Errorf("%w: %s: %s is locked by another open log", ErrInUse, dir, logName)
-		}
-		return nil, fmt.Errorf("wal: locking %s: %w", logName, err)
-	}
-	snap, err := loadSnapshot(dir)
-	if err != nil {
-		f.Close()
+	if err := lockLog(dir, f); err != nil {
 		return nil, err
 	}
 	l.f = f
-	if snap != nil {
-		l.accepted = snap.Len
-	}
-	records, replayErr, err := l.scan(snap, rp)
+	records, replayErr, err := l.scan(h, rp)
 	if err == nil {
 		err = replayErr
 	}
@@ -468,73 +476,83 @@ func Open(dir string, opts Options, rp Replayer) (*Log, error) {
 	return l, nil
 }
 
-// loadSnapshot reads snapshot.json if present, verifying its whole-file
-// checksum when one is recorded. A corrupt snapshot is always fatal — it
-// cannot be partially used the way a log tail can be truncated — so both
-// the default and the strict policy refuse to start on one.
-func loadSnapshot(dir string) (*Snapshot, error) {
-	data, err := os.ReadFile(filepath.Join(dir, snapshotName))
-	if os.IsNotExist(err) {
-		return nil, nil
+// lockLog takes the lock of dir's log file f, closing f when it cannot.
+func lockLog(dir string, f *os.File) error {
+	err := lockFile(f)
+	if err == nil {
+		return nil
 	}
-	if err != nil {
-		return nil, fmt.Errorf("wal: %w", err)
+	f.Close()
+	if errors.Is(err, ErrInUse) {
+		return fmt.Errorf("%w: %s: %s is locked by another open log", ErrInUse, dir, logName)
 	}
-	var s Snapshot
-	if err := json.Unmarshal(data, &s); err != nil {
-		return nil, fmt.Errorf("wal: corrupt snapshot (rename is atomic; this is not crash damage): %w", err)
-	}
-	if s.CRC != 0 {
-		want, err := s.Checksum()
-		if err != nil {
-			return nil, fmt.Errorf("wal: %w", err)
-		}
-		if want != s.CRC {
-			return nil, fmt.Errorf("wal: corrupt snapshot: checksum mismatch (stored %08x, computed %08x): %w", s.CRC, want, ErrCorrupt)
-		}
-	}
-	return &s, nil
+	return fmt.Errorf("wal: locking %s: %w", logName, err)
 }
 
-// verifyRecord parses one complete log line with encoding/json, checking
-// the record checksum when one is present: the decoder's path for lines
-// outside the fixed shape. The checksum is taken over the line's own
-// bytes, so a line that parses to the same record but was not written as
-// encoded (a field name in another case, say) fails it.
-func verifyRecord(line []byte) (Record, error) {
-	line = bytes.TrimSpace(line)
-	var rec Record
-	if err := json.Unmarshal(line, &rec); err != nil {
-		return rec, fmt.Errorf("%w: parse: %v", ErrCorrupt, err)
-	}
-	if rec.CRC != 0 {
-		got, ok := lineChecksum(line, rec.CRC)
-		if !ok {
-			return rec, fmt.Errorf("%w: seq %d: checksum %08x is not the line's last field", ErrCorrupt, rec.Seq, rec.CRC)
-		}
-		if got != rec.CRC {
-			return rec, fmt.Errorf("%w: seq %d checksum mismatch (stored %08x, computed %08x)", ErrCorrupt, rec.Seq, rec.CRC, got)
-		}
-	}
-	return rec, nil
+// legacyErr is Open's refusal of a dir written by an earlier version.
+func legacyErr(dir, why string) error {
+	return fmt.Errorf("%w: %s holds %s; stop the server and upgrade the dir offline with `wfrun -spec SPEC -upgrade %s`",
+		ErrLegacy, dir, why, dir)
 }
+
+// stamp makes the file hold h's header alone. Unless the policy is
+// SyncNever, the file is then synced, and so is each directory from the
+// log's up to top, so the header and the entries leading to it survive a
+// power cut; on failure the file is emptied again, and a later Open
+// stamps it anew.
+func (l *Log) stamp(h Header) error {
+	line := encodeHeader(h)
+	err := l.f.Truncate(0)
+	if err == nil {
+		_, err = l.f.WriteAt(line, 0)
+	}
+	if err == nil && l.opts.Sync != SyncNever {
+		err = l.f.Sync()
+	}
+	top := l.top
+	if top == "" {
+		top = filepath.Dir(l.dir)
+	}
+	for d := filepath.Clean(l.dir); err == nil && l.opts.Sync != SyncNever; d = filepath.Dir(d) {
+		if fp := l.opts.Failpoints; fp != nil {
+			err = fp.dirSyncErr()
+		}
+		if err == nil {
+			err = syncDir(d)
+		}
+		if d == top || filepath.Dir(d) == d {
+			break
+		}
+	}
+	if err != nil {
+		l.f.Truncate(0)
+		return fmt.Errorf("wal: writing header: %w", err)
+	}
+	l.end, l.stamped = int64(len(line)), true
+	return nil
+}
+
+// Stamped reports whether Open wrote the log's header, creating the log or
+// giving a record-less unguarded one the guards of its header argument.
+func (l *Log) Stamped() bool { return l.stamped }
 
 // scanChunk is the size of the buffer scan reads the log through.
 const scanChunk = 64 << 10
 
-// scan reads the log file through one reused buffer and decodes its record
-// lines in order, handing them to rp (started with snap) and keeping the
-// offset of the last good record. A first pass counts the lines, so rp and
-// the decoder are sized once. A final line without its newline is a torn
-// record (crash mid-write) and is truncated under either policy. A
-// COMPLETE line that fails to parse or fails its checksum is silent
-// corruption: by default the log is truncated at the first bad record —
-// loudly, with the corrupt-record counter bumped — while Options.Strict
-// refuses to open (leaving the file untouched for inspection). A replay
-// error stops the replay but not the scan, so the tail is handled the same
-// either way; it is returned as replayErr, and the log's own failures as
-// err.
-func (l *Log) scan(snap *Snapshot, rp Replayer) (records int, replayErr, err error) {
+// scan reads the header, stamping the log when Open's rule says so, then
+// reads the log file through one reused buffer and decodes its record
+// lines in order, handing them to rp (started with the header in force)
+// and keeping the offset of the last good record. A first pass counts the
+// lines, so rp and the decoder are sized once. A final line without its
+// newline is a torn record (crash mid-write) and is truncated under either
+// policy. A COMPLETE line that fails to parse or fails its checksum is
+// silent corruption: by default the log is truncated at the first bad
+// record — loudly, with the corrupt-record counter bumped — while
+// Options.Strict refuses to open (leaving the file untouched for
+// inspection). A replay error stops the replay but not the scan, so the
+// tail is handled the same either way; it is returned as replayErr, and
+// the log's own failures as err.
+func (l *Log) scan(h Header, rp Replayer) (records int, replayErr, err error) {
 	fi, err := l.f.Stat()
 	if err != nil {
 		return 0, nil, fmt.Errorf("wal: %w", err)
@@ -542,6 +560,8 @@ func (l *Log) scan(snap *Snapshot, rp Replayer) (records int, replayErr, err err
 	size := fi.Size()
 	buf := make([]byte, min(size, scanChunk))
 	lines := 0
+	// hdrEnd is the offset of the first newline, the end of the header.
+	hdrEnd := int64(-1)
 	for at := int64(0); at < size; {
 		n, err := l.f.ReadAt(buf[:min(int64(len(buf)), size-at)], at)
 		if err != nil && err != io.EOF {
@@ -550,22 +570,65 @@ func (l *Log) scan(snap *Snapshot, rp Replayer) (records int, replayErr, err err
 		if n == 0 {
 			return 0, nil, fmt.Errorf("wal: %w", io.ErrUnexpectedEOF)
 		}
+		if i := bytes.IndexByte(buf[:n], '\n'); hdrEnd < 0 && i >= 0 {
+			hdrEnd = at + int64(i)
+		}
 		lines += bytes.Count(buf[:n], []byte{'\n'})
 		at += int64(n)
 	}
+	// The first line, or what there is of a torn one, is read into buf;
+	// the header keeps none of it.
+	n := min(size, int64(len(headerOpen)))
+	if hdrEnd >= 0 {
+		n = hdrEnd
+	}
+	if int64(len(buf)) < n {
+		buf = make([]byte, n)
+	}
+	first := buf[:n]
+	if _, err := l.f.ReadAt(first, 0); err != nil && err != io.EOF {
+		return 0, nil, fmt.Errorf("wal: %w", err)
+	}
+	switch {
+	case hdrEnd < 0 && (bytes.HasPrefix(first, []byte(headerOpen)) || bytes.HasPrefix([]byte(headerOpen), first)):
+		// No log yet, or a header torn by a crash during creation.
+		if err := l.stamp(h); err != nil {
+			return 0, nil, err
+		}
+		l.tornBytes = size
+	case !bytes.HasPrefix(first, []byte(headerOpen)):
+		return 0, nil, legacyErr(l.dir, "a log without a format header")
+	default:
+		stored, err := parseHeader(first)
+		if err != nil {
+			return 0, nil, fmt.Errorf("wal: corrupt header (refusing to start under either policy): %w", err)
+		}
+		if lines > 1 || len(stored.Guards) > 0 || len(h.Guards) == 0 {
+			h = stored
+			break
+		}
+		// A run takes guards before its first event: restamp, dropping
+		// any torn record.
+		if err := l.stamp(h); err != nil {
+			return 0, nil, err
+		}
+		l.tornBytes = size - hdrEnd - 1
+	}
+	lines = max(lines-1, 0)
 	var rules []*rule.Rule
 	if rp != nil {
-		if p := rp.Program(); p != nil {
-			rules = p.Rules()
-		}
-		replayErr = rp.Start(snap, lines)
+		rules = rp.Rules()
+		replayErr = rp.Start(h, lines)
+	}
+	if l.stamped {
+		return 0, replayErr, nil // nothing follows the new header
 	}
 	d := newDecoder(rules, lines)
 	// buf[start:end] holds the file's bytes from off, the start of the
 	// next line; read is the offset of the next byte to read.
-	var off int64
+	off := hdrEnd + 1
 	start, end := 0, 0
-	read := int64(0)
+	read := off
 	var corrupt error
 	for {
 		n := bytes.IndexByte(buf[start:end], '\n')
@@ -633,9 +696,6 @@ func (l *Log) scan(snap *Snapshot, rp Replayer) (records int, replayErr, err err
 
 // TornBytes reports how many trailing bytes were truncated at Open time.
 func (l *Log) TornBytes() int64 { return l.tornBytes }
-
-// Dir returns the log's root directory.
-func (l *Log) Dir() string { return l.dir }
 
 // Path returns the log file's path, the file Crash's offsets refer to.
 func (l *Log) Path() string { return filepath.Join(l.dir, logName) }
@@ -1027,53 +1087,8 @@ func (l *Log) Crash() (durable, size int64, err error) {
 	return durable, size, nil
 }
 
-// WriteGuards stores a run's guards in dir's snapshot.json, as a snapshot
-// of length 0 with an empty trace, atomically: temp file, fsync, rename,
-// directory fsync. A run's guards are installed together, before its
-// first event, so this file is written once, never describes events, and
-// the log is never touched.
-func WriteGuards(dir, workflow string, guards map[string]int) error {
-	snap := &Snapshot{Workflow: workflow, Guards: guards, Trace: &trace.Trace{Workflow: workflow}}
-	crc, err := snap.Checksum()
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	snap.CRC = crc
-	data, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	tmp := filepath.Join(dir, snapshotName+".tmp")
-	if err := writeFileSync(tmp, data); err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, snapshotName)); err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	if err := syncDir(dir); err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	return nil
-}
-
-// writeFileSync writes data to path and fsyncs it before closing.
-func writeFileSync(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// syncDir fsyncs a directory so a rename inside it is durable.
+// syncDir fsyncs a directory so an entry created or renamed inside it is
+// durable.
 func syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {

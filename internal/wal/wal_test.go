@@ -1,10 +1,10 @@
 package wal
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"maps"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,27 +12,40 @@ import (
 
 	"collabwf/internal/data"
 	"collabwf/internal/program"
-	"collabwf/internal/query"
-	"collabwf/internal/trace"
+	"collabwf/internal/rule"
 )
 
+// ev is the event of the test rule name binding its variables, in their
+// sorted order, to vals.
+func ev(name string, vals ...string) *program.Event {
+	var rl *rule.Rule
+	for _, r := range testRules() {
+		if r.Name == name {
+			rl = r
+		}
+	}
+	slots := make([]data.Value, len(vals))
+	for i, v := range vals {
+		slots[i] = data.Value(v)
+	}
+	e := program.MakeEvent(rl, slots)
+	return &e
+}
+
 func rec(seq int) Record {
-	return Record{Seq: seq, Event: trace.EventRecord{
-		Rule:      fmt.Sprintf("rule%d", seq),
-		Valuation: map[string]string{"x": fmt.Sprintf("v%d", seq)},
-	}}
+	return Record{Seq: seq, Event: ev("r", fmt.Sprintf("v%d", seq))}
 }
 
 // recovered collects what Open replays.
 type recovered struct {
-	snap    *Snapshot
+	header  Header
 	entries []Entry
 }
 
-func (r *recovered) Program() *program.Program { return nil }
+func (r *recovered) Rules() []*rule.Rule { return testRules() }
 
-func (r *recovered) Start(snap *Snapshot, _ int) error {
-	r.snap = snap
+func (r *recovered) Start(h Header, _ int) error {
+	r.header = h
 	return nil
 }
 
@@ -44,7 +57,7 @@ func (r *recovered) Record(e Entry) error {
 // openRecovered opens the log in dir, collecting what it replays.
 func openRecovered(dir string, opts Options) (*Log, *recovered, error) {
 	got := &recovered{}
-	l, err := Open(dir, opts, got)
+	l, err := Open(dir, Header{}, opts, got)
 	return l, got, err
 }
 
@@ -60,7 +73,7 @@ func appendDurable(l *Log, r Record) error {
 
 func TestAppendReopenRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{}, nil)
+	l, err := Open(dir, Header{}, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +95,7 @@ func TestAppendReopenRoundTrip(t *testing.T) {
 		t.Fatalf("tail=%d records", len(tail))
 	}
 	for i, r := range tail {
-		if r.Seq != i || r.Rule != fmt.Sprintf("rule%d", i) || r.Val["x"] != data.Value(fmt.Sprintf("v%d", i)) {
+		if r.Seq != i || r.Rule != "r" || r.Event.Fingerprint() != rec(i).Event.Fingerprint() {
 			t.Fatalf("record %d = %+v", i, r)
 		}
 	}
@@ -93,7 +106,7 @@ func TestAppendReopenRoundTrip(t *testing.T) {
 
 func TestTornTailTruncatedOnOpen(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{}, nil)
+	l, err := Open(dir, Header{}, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +155,7 @@ func TestTornTailTruncatedOnOpen(t *testing.T) {
 
 func TestCorruptInteriorLineCutsTail(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{}, nil)
+	l, err := Open(dir, Header{}, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +179,7 @@ func TestCorruptInteriorLineCutsTail(t *testing.T) {
 func TestFailpointAppendRejectedCleanly(t *testing.T) {
 	dir := t.TempDir()
 	fp := NewFailpoints()
-	l, err := Open(dir, Options{Failpoints: fp}, nil)
+	l, err := Open(dir, Header{}, Options{Failpoints: fp}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +202,7 @@ func TestFailpointAppendRejectedCleanly(t *testing.T) {
 func TestFailpointTornWriteRepairs(t *testing.T) {
 	dir := t.TempDir()
 	fp := NewFailpoints()
-	l, err := Open(dir, Options{Failpoints: fp}, nil)
+	l, err := Open(dir, Header{}, Options{Failpoints: fp}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +235,7 @@ func TestFailpointTornWriteRepairs(t *testing.T) {
 func TestFailpointSyncErrorRejects(t *testing.T) {
 	dir := t.TempDir()
 	fp := NewFailpoints()
-	l, err := Open(dir, Options{Sync: SyncAlways, Failpoints: fp}, nil)
+	l, err := Open(dir, Header{}, Options{Sync: SyncAlways, Failpoints: fp}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +287,7 @@ func TestParsePolicy(t *testing.T) {
 func TestSyncPolicies(t *testing.T) {
 	for _, p := range []SyncPolicy{SyncAlways, SyncInterval, SyncNever} {
 		dir := t.TempDir()
-		l, err := Open(dir, Options{Sync: p}, nil)
+		l, err := Open(dir, Header{}, Options{Sync: p}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -300,26 +313,22 @@ func TestScanAcrossChunks(t *testing.T) {
 	long := strings.Repeat("ν", scanChunk) // 2 bytes a rune: a line of two chunks
 	build := func(t *testing.T) (dir string, want []Entry, sizes []int64) {
 		dir = t.TempDir()
-		l, err := Open(dir, Options{Sync: SyncNever}, nil)
+		l, err := Open(dir, Header{}, Options{Sync: SyncNever}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var size int64
+		size := int64(len(encodeHeader(Header{})))
 		for i := 0; i < 3000; i++ {
 			r := rec(i)
 			if i == 1700 {
-				r.Event.Valuation["long"] = long
+				r.Event = ev("two", "v1700", long)
 			}
 			if err := appendDurable(l, r); err != nil {
 				t.Fatal(err)
 			}
 			size += int64(len(encodeRecord(r)))
 			sizes = append(sizes, size)
-			val := query.Valuation{}
-			for k, v := range r.Event.Valuation {
-				val[k] = data.Value(v)
-			}
-			want = append(want, Entry{Seq: i, Rule: r.Event.Rule, Val: val})
+			want = append(want, Entry{Seq: i, Rule: r.Event.Rule.Name, Event: r.Event})
 		}
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
@@ -340,7 +349,7 @@ func TestScanAcrossChunks(t *testing.T) {
 			t.Fatalf("replayed %d records, %d torn bytes; want %d, %d", len(got.entries), l.TornBytes(), len(want), torn)
 		}
 		for i, e := range got.entries {
-			if e.Seq != want[i].Seq || e.Rule != want[i].Rule || !maps.Equal(e.Val, want[i].Val) {
+			if e.Seq != want[i].Seq || e.Rule != want[i].Rule || e.Event.Fingerprint() != want[i].Event.Fingerprint() {
 				t.Fatalf("record %d = %+v, want %+v", i, e, want[i])
 			}
 		}
@@ -374,4 +383,49 @@ func TestScanAcrossChunks(t *testing.T) {
 		}
 		check(t, dir, want[:2500], int64(len(b))-sizes[2499])
 	})
+}
+
+// TestTornHeaderRestamped: a log whose creation was cut before its
+// header's newline holds no run yet: Open stamps it afresh with the
+// caller's header, under either policy, and the log takes records.
+func TestTornHeaderRestamped(t *testing.T) {
+	hdr := encodeHeader(Header{Workflow: "w", Guards: map[string]int{"sue": 2}})
+	for _, n := range []int{0, 3, len(headerOpen), len(hdr) - 1} {
+		for _, strict := range []bool{false, true} {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, logName), hdr[:n], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			got := &recovered{}
+			l, err := Open(dir, Header{Workflow: "w", Guards: map[string]int{"sue": 2}}, Options{Strict: strict}, got)
+			if err != nil {
+				t.Fatalf("%d torn header bytes (strict=%v): %v", n, strict, err)
+			}
+			if !l.Stamped() || l.TornBytes() != int64(n) || got.header.Guards["sue"] != 2 {
+				t.Fatalf("%d torn header bytes: stamped %v, torn %d, header %+v", n, l.Stamped(), l.TornBytes(), got.header)
+			}
+			if err := appendDurable(l, rec(0)); err != nil {
+				t.Fatal(err)
+			}
+			l.Close()
+			if b, _ := os.ReadFile(filepath.Join(dir, logName)); !bytes.HasPrefix(b, hdr) || len(mustTail(t, dir)) != 1 {
+				t.Fatalf("%d torn header bytes: log %q", n, b)
+			}
+		}
+	}
+}
+
+// TestSnapshotFileRefused: a dir holding snapshot.json is legacy whatever
+// its log holds, even none: Open refuses it before it creates the log.
+func TestSnapshotFileRefused(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, snapshotName), []byte(`{"len":0}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir, Header{}, Options{}, nil); !errors.Is(err, ErrLegacy) {
+		t.Fatalf("open = %v, want ErrLegacy", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, logName)); !os.IsNotExist(err) {
+		t.Fatalf("the refused open created the log (stat: %v)", err)
+	}
 }
