@@ -8,22 +8,24 @@
 // guard (a named run at creation, a data dir on its first boot), and a
 // recovered run keeps the guards it was started with.
 //
-// Every request is hash-routed to its run's shard — an independent
-// coordinator with its own lock, observable-prefix snapshot, explainer
-// caches and WAL directory — so one run's load (or fsync stall) never
-// blocks another's. The lifecycle API creates, lists and archives runs at
-// runtime; legacy single-run paths alias to the "default" run, so
-// pre-fleet clients keep working unchanged.
+// Every request is routed by its run id to the run's shard — an
+// independent coordinator with its own lock, observable-prefix snapshot,
+// explainer caches and WAL directory — so one run's load (or fsync stall)
+// never blocks another's, and neither does another run's creation,
+// recovery or archiving. The lifecycle API creates, lists and archives
+// runs at runtime; a durable fleet never reuses an archived run's id
+// (POST /runs answers 409). Legacy single-run paths alias to the "default"
+// run, so pre-fleet clients keep working unchanged.
 //
 // With -data-dir the fleet is durable: the default run lives at the
 // directory root (a pre-fleet data dir recovers as-is), named runs under
 // <dir>/runs/<id>/, and a restart recovers every non-archived run by
 // replaying its WAL, the run's only record, whose header holds the run's
 // guards. A data dir written by an earlier version is refused until
-// `wfrun -spec SPEC -upgrade DIR` rewrites it. Under -fsync always a submission is acknowledged
-// only once its WAL record is fsynced, and concurrent submissions share one
-// group fsync; -fsync interval acknowledges at write time and fsyncs a
-// dirty WAL tail every 100ms; -fsync never leaves syncing to the OS.
+// `wfrun -spec SPEC -upgrade DIR` rewrites it. Under -fsync always a
+// submission is acknowledged only once its WAL record is fsynced, and
+// concurrent submissions share one group fsync; -fsync never acknowledges
+// at write time and leaves syncing to the OS.
 // SIGINT/SIGTERM shut the server down gracefully: in-flight submissions
 // drain, and every run's WAL is synced and closed; a signal that arrives
 // during recovery takes effect once recovery ends.
@@ -41,7 +43,7 @@
 // Usage:
 //
 //	wfserve -spec workflow.wf [-addr :8080] [-guard sue=3 -guard bob=2]
-//	        [-data-dir ./data] [-fsync always|interval|never]
+//	        [-data-dir ./data] [-fsync always|never]
 //	        [-wal-strict] [-idem-window 4096]
 //	        [-max-inflight 256]
 //	        [-shutdown-timeout 10s]
@@ -150,7 +152,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, bound fun
 	specPath := fs.String("spec", "", "workflow specification file")
 	addr := fs.String("addr", ":8080", "listen address")
 	dataDir := fs.String("data-dir", "", "durability directory (per-run WALs); empty = in-memory only")
-	fsync := fs.String("fsync", "always", "WAL fsync policy: always, interval or never")
+	fsync := fs.String("fsync", "always", "WAL fsync policy: always or never")
 	// Deprecated: ignored; the WAL is the run's only record.
 	fs.Int("snapshot-every", 0, "deprecated and ignored: the WAL is the run's only record")
 	shutdownTimeout := fs.Duration("shutdown-timeout", 10*time.Second, "drain deadline on SIGINT/SIGTERM")

@@ -1,6 +1,12 @@
 package server
 
 import (
+	"bytes"
+	"errors"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -118,5 +124,69 @@ func TestArchivedCoordinatorIsCollected(t *testing.T) {
 				time.Sleep(10 * time.Millisecond)
 			}
 		}
+	}
+}
+
+// A durable fleet never reuses an archived id: POST /runs answers 409, the
+// archived run's log stays byte-identical, and a restart still serves
+// nothing under the id. Reusing it would bring the old run back, and the
+// archived marker would hide every event acknowledged after that from the
+// next startup scan.
+func TestArchivedIDNotReusedDurable(t *testing.T) {
+	dir := t.TempDir()
+	cfg := ManagerConfig{DataDir: dir, Durability: DurabilityConfig{Sync: wal.SyncAlways}}
+	m := newTestManager(t, cfg)
+	h := m.Handler()
+	if rec := fleetPost(t, h, "/runs", `{"id":"beta"}`); rec.Code != http.StatusCreated {
+		t.Fatalf("create beta: status %d: %s", rec.Code, rec.Body.String())
+	}
+	if rec := fleetPost(t, h, "/runs/beta/submit", `{"peer":"hr","rule":"clear","bindings":{"x":"sue"}}`); rec.Code != http.StatusOK {
+		t.Fatalf("submit beta: status %d: %s", rec.Code, rec.Body.String())
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodDelete, "/runs/beta", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("archive beta: status %d: %s", rec.Code, rec.Body.String())
+	}
+	log := filepath.Join(dir, "runs", "beta", "wal.log")
+	before, err := os.ReadFile(log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec := fleetPost(t, h, "/runs", `{"id":"beta"}`); rec.Code != http.StatusConflict {
+		t.Fatalf("re-create of archived beta: status %d, want 409: %s", rec.Code, rec.Body.String())
+	}
+	if err := m.CreateRun("beta"); !errors.Is(err, ErrRunArchived) {
+		t.Fatalf("CreateRun(archived beta) = %v, want ErrRunArchived", err)
+	}
+	if after, err := os.ReadFile(log); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("the refused create touched the archived log (err %v)", err)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	h = newTestManager(t, cfg).Handler()
+	for _, path := range []string{"/runs/beta/view?peer=hr", "/runs/beta/trace"} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		if rec.Code != http.StatusNotFound {
+			t.Fatalf("after restart GET %s: status %d, want 404", path, rec.Code)
+		}
+	}
+}
+
+// An in-memory fleet keeps nothing of an archived run, so its id starts a
+// new, empty run.
+func TestArchivedIDReusedInMemory(t *testing.T) {
+	reg := obs.NewRegistry()
+	m := newTestManager(t, ManagerConfig{Registry: reg})
+	archivedRun(t, m, reg, "again", nil)
+	if err := m.CreateRun("again"); err != nil {
+		t.Fatalf("in-memory re-create of an archived id: %v", err)
+	}
+	c, ok := m.Run("again")
+	if !ok || c.Len() != 0 {
+		t.Fatalf("re-created run: routable %v, want an empty run", ok)
 	}
 }

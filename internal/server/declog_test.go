@@ -352,13 +352,18 @@ func TestDecisionLogNeverBlocksSubmissions(t *testing.T) {
 	// A sink that hangs forever must not stall the coordinator: records
 	// accumulate in the ring (dropping the oldest), submissions proceed.
 	blocked := make(chan struct{})
-	t.Cleanup(func() { close(blocked) })
 	sink := blockingSink{unblock: blocked}
 	l, err := declog.New(declog.Config{Sink: sink, Capacity: 8, BatchSize: 1,
 		FlushInterval: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Release the hung export, then stop the flusher: left running, its
+	// 1 ms ticker would wake the scheduler through every later test.
+	t.Cleanup(func() {
+		close(blocked)
+		l.Close(context.Background())
+	})
 	c := newCoordinator(t, "Hiring", workload.Hiring(), DurabilityConfig{DecisionLog: l})
 	done := make(chan error, 1)
 	go func() {
@@ -381,9 +386,6 @@ func TestDecisionLogNeverBlocksSubmissions(t *testing.T) {
 	if st := l.Status(); st.Dropped == 0 {
 		t.Fatalf("drop-oldest must have engaged: %+v", st)
 	}
-	// The cleanup closes `blocked`, releasing the hung export so the
-	// flusher goroutine can exit; Close is deliberately not called here —
-	// a hung sink parks the flusher until its context or channel yields.
 }
 
 type blockingSink struct{ unblock chan struct{} }

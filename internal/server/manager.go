@@ -1,8 +1,8 @@
 package server
 
 import (
+	"errors"
 	"fmt"
-	"hash/fnv"
 	"log/slog"
 	"net/http"
 	"os"
@@ -76,6 +76,16 @@ type ManagerConfig struct {
 	Failpoints func(run string) *wal.Failpoints
 }
 
+// The lifecycle errors: an id that is live or reserved by a create or
+// archive in flight, one that names no live run, one a durable fleet
+// archived (never reused), and any create or archive after Close.
+var (
+	ErrRunExists     = errors.New("server: run already exists")
+	ErrUnknownRun    = errors.New("server: unknown run")
+	ErrRunArchived   = errors.New("server: run is archived")
+	errManagerClosed = errors.New("server: manager is shut down")
+)
+
 // shard is one run's slice of the fleet: its own coordinator (lock,
 // observable prefix, explainer caches, WAL segment, metric series) and its
 // own handler.
@@ -85,37 +95,30 @@ type shard struct {
 	h  http.Handler
 }
 
-// managerBuckets is the shard-map partition count: requests hash their run
-// id to a bucket, so create/archive of one run never contends with routing
-// to another.
-const managerBuckets = 16
-
-type managerBucket struct {
-	mu     sync.RWMutex
-	shards map[string]*shard
-}
-
-// Manager serves a fleet of workflow runs: requests are hash-routed to
+// Manager serves a fleet of workflow runs: requests are routed by run id to
 // per-run shards, each an independent Coordinator with its own lock,
 // observable-prefix snapshot, explainer caches and WAL directory. The
 // lifecycle API creates, lists and archives runs at runtime; legacy
 // single-run paths alias to the default run.
 type Manager struct {
-	cfg     ManagerConfig
-	start   time.Time
-	buckets [managerBuckets]managerBucket
+	cfg   ManagerConfig
+	start time.Time
 
-	// lifecycle serializes create/archive against Close and carries the
-	// lifetime tallies the fleet gauges report.
-	lifecycle sync.Mutex
-	created   int
-	archived  int
-	closed    bool
+	// mu guards shards, the lifetime tallies and closed. It is held only
+	// to read or update the map: a nil entry reserves an id while its run
+	// is being created or archived, so the recovery or close runs outside
+	// the lock, routing skips the id and a second create of it fails.
+	mu       sync.RWMutex
+	shards   map[string]*shard
+	created  int
+	archived int
+	closed   bool
+	// busy counts the creates and archives in flight; it is added to under
+	// mu while the fleet is open, and Close waits for it.
+	busy sync.WaitGroup
 
-	runsActive   *obs.Gauge
 	runsCreated  *obs.Counter
 	runsArchived *obs.Counter
-	fleetEvents  *obs.Gauge
 }
 
 // NewManager recovers (or starts) a run fleet: the default run from the
@@ -129,28 +132,27 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 	if cfg.Workflow == "" {
 		cfg.Workflow = "workflow"
 	}
-	m := &Manager{cfg: cfg, start: time.Now()}
-	for i := range m.buckets {
-		m.buckets[i].shards = make(map[string]*shard)
-	}
+	m := &Manager{cfg: cfg, start: time.Now(), shards: make(map[string]*shard)}
 	if reg := cfg.Registry; reg != nil {
-		m.runsActive = reg.Gauge("wf_runs_active",
+		runsActive := reg.Gauge("wf_runs_active",
 			"Live workflow runs (shards) served by the manager.")
 		m.runsCreated = reg.Counter("wf_runs_created_total",
 			"Runs created over the manager's lifetime (recovered runs included).")
 		m.runsArchived = reg.Counter("wf_runs_archived_total",
 			"Runs archived (WAL synced and closed) over the manager's lifetime.")
-		m.fleetEvents = reg.Gauge("wf_fleet_events",
+		fleetEvents := reg.Gauge("wf_fleet_events",
 			"Released events across every live run — the fleet-wide total of the per-run wf_run_events series.")
 		reg.OnGather(func() {
+			shards := m.allShards()
 			total := 0
-			for _, s := range m.allShards() {
+			for _, s := range shards {
 				total += s.c.Len()
 			}
-			m.fleetEvents.Set(float64(total))
+			runsActive.Set(float64(len(shards)))
+			fleetEvents.Set(float64(total))
 		})
 	}
-	if _, err := m.addRun(DefaultRun); err != nil {
+	if err := m.CreateRun(DefaultRun); err != nil {
 		return nil, err
 	}
 	ids, err := liveRuns(cfg.DataDir)
@@ -159,7 +161,7 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 		return nil, err
 	}
 	for _, id := range ids {
-		if _, err := m.addRun(id); err != nil {
+		if err := m.CreateRun(id); err != nil {
 			m.Close()
 			return nil, err
 		}
@@ -195,13 +197,6 @@ func liveRuns(dataDir string) ([]string, error) {
 	return ids, nil
 }
 
-// bucket returns the shard bucket for a run id (FNV-1a hash routing).
-func (m *Manager) bucket(id string) *managerBucket {
-	h := fnv.New32a()
-	h.Write([]byte(id))
-	return &m.buckets[h.Sum32()%managerBuckets]
-}
-
 // runDir returns the durable directory of a run ("" for in-memory fleets).
 func (m *Manager) runDir(id string) string {
 	if m.cfg.DataDir == "" {
@@ -213,36 +208,63 @@ func (m *Manager) runDir(id string) string {
 	return filepath.Join(m.cfg.DataDir, "runs", id)
 }
 
-// addRun constructs and registers a shard for id. The bucket lock is held
-// across construction so a concurrent create of the same id waits and then
-// fails on the exists check rather than double-recovering one directory.
-func (m *Manager) addRun(id string) (*shard, error) {
+// CreateRun creates (and, when durable, persists) a new run shard, built
+// outside the fleet lock while a nil entry reserves id. A durable fleet
+// never reuses an archived id, whose directory still holds the old run; an
+// in-memory fleet has nothing to bring back and starts the id afresh.
+func (m *Manager) CreateRun(id string) error {
 	if !validRunID(id) {
-		return nil, fmt.Errorf("server: invalid run id %q", id)
+		return fmt.Errorf("server: invalid run id %q", id)
 	}
-	b := m.bucket(id)
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if _, ok := b.shards[id]; ok {
-		return nil, fmt.Errorf("server: run %q already exists", id)
+	if _, err := m.claim(id, false); err != nil {
+		return err
 	}
 	s, err := m.newShard(id)
 	if err != nil {
-		return nil, err
+		m.settle(id, nil, nil)
+		return err
 	}
-	b.shards[id] = s
-	m.lifecycle.Lock()
-	m.created++
-	active := m.created - m.archived
-	m.lifecycle.Unlock()
+	m.settle(id, s, &m.created)
 	if m.runsCreated != nil {
 		m.runsCreated.Inc()
-		// The bucket lock is still held: derive the active count from the
-		// lifecycle tallies rather than re-walking the buckets via allShards,
-		// which would self-deadlock on this bucket.
-		m.runsActive.Set(float64(active))
 	}
+	return nil
+}
+
+// claim reserves id with a nil entry for a create (the id must be free) or
+// an archive (it must name a live run, which is returned). Close waits
+// for every claim to settle.
+func (m *Manager) claim(id string, archive bool) (*shard, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	s, taken := m.shards[id]
+	switch {
+	case m.closed:
+		return nil, errManagerClosed
+	case archive && s == nil:
+		return nil, fmt.Errorf("%w %q", ErrUnknownRun, id)
+	case !archive && taken:
+		return nil, fmt.Errorf("%w: %q", ErrRunExists, id)
+	}
+	m.shards[id] = nil
+	m.busy.Add(1)
 	return s, nil
+}
+
+// settle ends a claim of id, registering s under it (nil: removing the
+// entry) and adding one to tally, the created or archived count, if any.
+func (m *Manager) settle(id string, s *shard, tally *int) {
+	m.mu.Lock()
+	if s != nil {
+		m.shards[id] = s
+	} else {
+		delete(m.shards, id)
+	}
+	if tally != nil {
+		*tally++
+	}
+	m.mu.Unlock()
+	m.busy.Done()
 }
 
 // newShard builds one run's coordinator + handler: it recovers the run's
@@ -257,6 +279,11 @@ func (m *Manager) newShard(id string) (*shard, error) {
 	if id != DefaultRun {
 		cfg.Profiler = nil
 	}
+	if cfg.Dir != "" {
+		if _, err := os.Stat(filepath.Join(cfg.Dir, archivedMarker)); err == nil {
+			return nil, fmt.Errorf("%w: %q", ErrRunArchived, id)
+		}
+	}
 	c, err := NewDurable(m.cfg.Workflow, m.cfg.Prog, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("server: recovering run %q: %w", id, err)
@@ -266,38 +293,24 @@ func (m *Manager) newShard(id string) (*shard, error) {
 
 // get returns the live shard for id.
 func (m *Manager) get(id string) (*shard, bool) {
-	b := m.bucket(id)
-	b.mu.RLock()
-	s, ok := b.shards[id]
-	b.mu.RUnlock()
-	return s, ok
+	m.mu.RLock()
+	s := m.shards[id]
+	m.mu.RUnlock()
+	return s, s != nil
 }
 
 // allShards snapshots the live shards, sorted by id.
 func (m *Manager) allShards() []*shard {
-	var out []*shard
-	for i := range m.buckets {
-		b := &m.buckets[i]
-		b.mu.RLock()
-		for _, s := range b.shards {
+	m.mu.RLock()
+	out := make([]*shard, 0, len(m.shards))
+	for _, s := range m.shards {
+		if s != nil {
 			out = append(out, s)
 		}
-		b.mu.RUnlock()
 	}
+	m.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
 	return out
-}
-
-// CreateRun creates (and, when durable, persists) a new run shard.
-func (m *Manager) CreateRun(id string) error {
-	m.lifecycle.Lock()
-	closed := m.closed
-	m.lifecycle.Unlock()
-	if closed {
-		return fmt.Errorf("server: manager is shut down")
-	}
-	_, err := m.addRun(id)
-	return err
 }
 
 // ArchiveRun shuts a run down: its WAL is synced and closed, its metric
@@ -308,29 +321,20 @@ func (m *Manager) ArchiveRun(id string) error {
 	if id == DefaultRun {
 		return fmt.Errorf("server: the default run cannot be archived")
 	}
-	b := m.bucket(id)
-	b.mu.Lock()
-	s, ok := b.shards[id]
-	if ok {
-		delete(b.shards, id)
+	s, err := m.claim(id, true)
+	if err != nil {
+		return err
 	}
-	b.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("server: unknown run %q", id)
-	}
-	err := s.c.Close()
+	err = s.c.Close()
 	s.c.metrics.Close()
 	if dir := m.runDir(id); dir != "" {
 		if merr := os.WriteFile(filepath.Join(dir, archivedMarker), []byte(time.Now().UTC().Format(time.RFC3339)+"\n"), 0o644); merr != nil && err == nil {
 			err = fmt.Errorf("server: marking run %q archived: %w", id, merr)
 		}
 	}
-	m.lifecycle.Lock()
-	m.archived++
-	m.lifecycle.Unlock()
+	m.settle(id, nil, &m.archived)
 	if m.runsArchived != nil {
 		m.runsArchived.Inc()
-		m.runsActive.Set(float64(len(m.allShards())))
 	}
 	return err
 }
@@ -363,9 +367,9 @@ func (m *Manager) Runs() []RunStatus {
 // RunsStatus assembles the fleet block for /statusz.
 func (m *Manager) RunsStatus() *RunsStatusz {
 	runs := m.Runs()
-	m.lifecycle.Lock()
+	m.mu.RLock()
 	created, archived := m.created, m.archived
-	m.lifecycle.Unlock()
+	m.mu.RUnlock()
 	st := &RunsStatusz{Active: len(runs), Created: created, Archived: archived, Runs: runs}
 	for _, r := range runs {
 		st.Events += r.Events
@@ -373,16 +377,18 @@ func (m *Manager) RunsStatus() *RunsStatusz {
 	return st
 }
 
-// Close shuts every shard down (each WAL synced and closed). Idempotent;
+// Close refuses further creates and archives, waits for those in flight,
+// then shuts every shard down (each WAL synced and closed). Idempotent;
 // the first error wins.
 func (m *Manager) Close() error {
-	m.lifecycle.Lock()
+	m.mu.Lock()
 	if m.closed {
-		m.lifecycle.Unlock()
+		m.mu.Unlock()
 		return nil
 	}
 	m.closed = true
-	m.lifecycle.Unlock()
+	m.mu.Unlock()
+	m.busy.Wait()
 	var first error
 	for _, s := range m.allShards() {
 		if err := s.c.Close(); err != nil && first == nil {

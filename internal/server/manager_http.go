@@ -2,16 +2,18 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
-	"strings"
 )
 
 // Handler exposes the fleet as one HTTP API:
 //
-//	POST   /runs               {"id": "r1"}   create a run
+//	POST   /runs               {"id": "r1"}   create a run (409 for a live
+//	                           id, or an archived one in a durable fleet)
 //	GET    /runs               list the live fleet
-//	DELETE /runs/{id}          archive a run (WAL sync + close)
+//	DELETE /runs/{id}          archive a run (WAL sync + close; 404 for an
+//	                           unknown run)
 //	ANY    /runs/{id}/...      the full single-run API, routed to the shard
 //	ANY    /...                legacy single-run paths, aliased to the
 //	                           default run
@@ -36,7 +38,7 @@ func (m *Manager) Handler() http.Handler {
 		}
 		if err := m.CreateRun(req.ID); err != nil {
 			status := http.StatusBadRequest
-			if strings.Contains(err.Error(), "already exists") {
+			if errors.Is(err, ErrRunExists) || errors.Is(err, ErrRunArchived) {
 				status = http.StatusConflict
 			}
 			httpError(w, status, err)
@@ -54,7 +56,7 @@ func (m *Manager) Handler() http.Handler {
 		id := r.PathValue("id")
 		if err := m.ArchiveRun(id); err != nil {
 			status := http.StatusBadRequest
-			if strings.Contains(err.Error(), "unknown run") {
+			if errors.Is(err, ErrUnknownRun) {
 				status = http.StatusNotFound
 			}
 			httpError(w, status, err)
@@ -70,7 +72,7 @@ func (m *Manager) Handler() http.Handler {
 		id := r.PathValue("id")
 		s, ok := m.get(id)
 		if !ok {
-			httpError(w, http.StatusNotFound, fmt.Errorf("server: unknown run %q", id))
+			httpError(w, http.StatusNotFound, fmt.Errorf("%w %q", ErrUnknownRun, id))
 			return
 		}
 		http.StripPrefix("/runs/"+id, s.h).ServeHTTP(w, r)

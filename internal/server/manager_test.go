@@ -3,11 +3,14 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"collabwf/internal/data"
 	"collabwf/internal/design"
@@ -556,5 +559,173 @@ func TestInMemoryFleetIdemWindow(t *testing.T) {
 	submit("k2")
 	if again := submit("k1"); again == first {
 		t.Fatalf("retried k1 replayed index %d; a window of 1 must have evicted it", first)
+	}
+}
+
+// holdCreate returns a ManagerConfig.Failpoints hook that holds the
+// creation of run id inside the hook: held is closed once it is there, and
+// release lets it go on (safe to call more than once).
+func holdCreate(id string) (hook func(string) *wal.Failpoints, held <-chan struct{}, release func()) {
+	in, out := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	hook = func(run string) *wal.Failpoints {
+		if run == id {
+			close(in)
+			<-out
+		}
+		return nil
+	}
+	return hook, in, func() { once.Do(func() { close(out) }) }
+}
+
+// A read of a live run answers while another run's create is held in the
+// Failpoints hook — slow11, slow2 and the default run shared one routing
+// bucket when the fleet map was split 16 ways by hash — and the held id is
+// neither routable nor created twice until its create returns.
+func TestRoutingIgnoresHeldCreate(t *testing.T) {
+	hook, held, release := holdCreate("slow2")
+	defer release()
+	m := newTestManager(t, ManagerConfig{DataDir: t.TempDir(), Failpoints: hook})
+	if err := m.CreateRun("slow11"); err != nil {
+		t.Fatal(err)
+	}
+	h := m.Handler()
+	get := func(path string) int {
+		t.Helper()
+		code := make(chan int, 1)
+		go func() {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+			code <- rec.Code
+		}()
+		select {
+		case c := <-code:
+			return c
+		case <-time.After(5 * time.Second):
+			t.Fatalf("GET %s blocked behind the held create of slow2", path)
+			return 0
+		}
+	}
+	created := make(chan error, 1)
+	go func() { created <- m.CreateRun("slow2") }()
+	<-held
+	for _, path := range []string{"/runs/slow11/view?peer=hr", "/view?peer=hr", "/runs"} {
+		if c := get(path); c != http.StatusOK {
+			t.Fatalf("GET %s during the held create: status %d, want 200", path, c)
+		}
+	}
+	if c := get("/runs/slow2/view?peer=hr"); c != http.StatusNotFound {
+		t.Fatalf("GET of the run being created: status %d, want 404", c)
+	}
+	if err := m.CreateRun("slow2"); !errors.Is(err, ErrRunExists) {
+		t.Fatalf("second create of slow2 = %v, want ErrRunExists", err)
+	}
+	if err := m.ArchiveRun("slow2"); !errors.Is(err, ErrUnknownRun) {
+		t.Fatalf("archive of the run being created = %v, want ErrUnknownRun", err)
+	}
+	release()
+	if err := <-created; err != nil {
+		t.Fatal(err)
+	}
+	if c := get("/runs/slow2/view?peer=hr"); c != http.StatusOK {
+		t.Fatalf("GET of the created run: status %d, want 200", c)
+	}
+}
+
+// Close racing a create held in the Failpoints hook returns only after the
+// created shard is closed too, so a new manager opens the dir without
+// wal.ErrInUse and recovers the run; the closed fleet refuses further
+// creates and archives.
+func TestCloseWaitsForHeldCreate(t *testing.T) {
+	hook, held, release := holdCreate("late")
+	defer release()
+	cfg := ManagerConfig{Workflow: "Hiring", Prog: workload.Hiring(), DataDir: t.TempDir(),
+		Durability: DurabilityConfig{Sync: wal.SyncAlways}, Failpoints: hook}
+	m := newTestManager(t, cfg)
+	created := make(chan error, 1)
+	go func() { created <- m.CreateRun("late") }()
+	<-held
+	closed := make(chan error, 1)
+	go func() { closed <- m.Close() }()
+	// No event marks Close waiting; give it time to get there, and it must
+	// not return while the create is held.
+	select {
+	case err := <-closed:
+		t.Fatalf("Close returned (%v) while the create of late was held", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	release()
+	if err := <-created; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	c, ok := m.Run("late")
+	if !ok {
+		t.Fatal("the create that raced Close is not registered")
+	}
+	if c.Ready() == nil {
+		t.Fatal("Close returned with the raced create's shard still open")
+	}
+	if err := m.CreateRun("after"); err == nil {
+		t.Fatal("a closed fleet created a run")
+	}
+	if err := m.ArchiveRun("late"); err == nil {
+		t.Fatal("a closed fleet archived a run")
+	}
+	cfg.Failpoints = nil
+	m2, err := NewManager(cfg)
+	if err != nil {
+		t.Fatalf("reopening the dir after Close: %v", err)
+	}
+	defer m2.Close()
+	if _, ok := m2.Run("late"); !ok {
+		t.Fatal("run late not recovered")
+	}
+}
+
+// Concurrent creates of one id leave exactly one winner and ErrRunExists
+// for the rest; concurrent archives of it, one winner and ErrUnknownRun.
+// Listing and scraping the fleet run alongside.
+func TestConcurrentLifecycleOfOneID(t *testing.T) {
+	reg := obs.NewRegistry()
+	m := newTestManager(t, ManagerConfig{DataDir: t.TempDir(), Registry: reg})
+	race := func(op func() error, lost error) {
+		t.Helper()
+		const n = 8
+		errs := make(chan error, n)
+		var wg sync.WaitGroup
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs <- op()
+			}()
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			m.Runs()
+			reg.Gather()
+		}()
+		wg.Wait()
+		close(errs)
+		won := 0
+		for err := range errs {
+			if err == nil {
+				won++
+			} else if !errors.Is(err, lost) {
+				t.Fatalf("a losing call returned %v, want %v", err, lost)
+			}
+		}
+		if won != 1 {
+			t.Fatalf("%d of %d calls succeeded, want 1", won, n)
+		}
+	}
+	race(func() error { return m.CreateRun("dup") }, ErrRunExists)
+	race(func() error { return m.ArchiveRun("dup") }, ErrUnknownRun)
+	if st := m.RunsStatus(); st.Active != 1 || st.Created != 2 || st.Archived != 1 {
+		t.Fatalf("fleet status = %+v, want the default run active, 2 created, 1 archived", st)
 	}
 }

@@ -117,21 +117,25 @@ func upgradeDir(dir, workflow string, p *program.Program) (bool, error) {
 	if err := os.RemoveAll(tmp); err != nil {
 		return false, err
 	}
-	l, err := wal.Open(tmp, h, wal.Options{Sync: wal.SyncInterval}, nil)
+	// The records are group-committed as they queue; Flush reports a
+	// failed sync, which Close, skipping its sync on a stalled log, would
+	// not.
+	l, err := wal.Open(tmp, h, wal.Options{Sync: wal.SyncAlways}, nil)
 	if err != nil {
 		return false, err
 	}
 	for i, e := range run.Events() {
-		cm, err := l.AppendBuffered(context.Background(), wal.Record{Seq: i, Event: e, Idem: keys[i]})
-		if err == nil {
-			err = cm.Wait()
-		}
-		if err != nil {
-			l.Close()
-			return false, err
+		if _, err = l.AppendBuffered(context.Background(), wal.Record{Seq: i, Event: e, Idem: keys[i]}); err != nil {
+			break
 		}
 	}
-	if err := l.Close(); err != nil {
+	if err == nil {
+		err = l.Flush()
+	}
+	if cerr := l.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		return false, err
 	}
 	// The old log is linked as wal.log.legacy before the new one replaces

@@ -215,144 +215,10 @@ func TestFlushDrainsPending(t *testing.T) {
 	wg.Wait()
 }
 
-// TestIdleFlushTimerSyncsIdleTail pins that under SyncInterval an idle
-// dirty tail becomes durable on its own: the committer's timer fsyncs it
-// with no further appends and no Close.
-//
-// A real crash cannot be simulated in-process (a reopen reads the page
-// cache, synced or not), so the test pins the mechanism: the timer-driven
-// fsync fires (wf_wal_fsync_total) and leaves the tail clean, and the
-// records survive a close whose own final sync is made to fail —
-// durability came from the timer, not from Close.
-func TestIdleFlushTimerSyncsIdleTail(t *testing.T) {
-	dir := t.TempDir()
-	reg := obs.NewRegistry()
-	fp := NewFailpoints()
-	l, err := Open(dir, Header{}, Options{Sync: SyncInterval, Failpoints: fp, Metrics: reg}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := appendDurable(l, rec(0)); err != nil {
-		t.Fatal(err)
-	}
-	if err := appendDurable(l, rec(1)); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		synced, _ := counterValue(reg, "wf_wal_fsync_total")
-		l.mu.Lock()
-		clean := l.end == l.durable
-		l.mu.Unlock()
-		if synced >= 1 && clean {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("the committer's timer never fsynced the idle dirty tail")
-		}
-		time.Sleep(syncInterval / 4)
-	}
-	// "Crash": the final sync in Close fails, so if the tail were still only
-	// page-cache-buffered nothing would have made it durable.
-	fp.FailNextSync(errors.New("power cut"))
-	if err := l.Close(); err == nil {
-		t.Fatal("Close swallowed the injected sync failure")
-	}
-	tail := mustTail(t, dir)
-	if len(tail) != 2 {
-		t.Fatalf("recovered %d records, want 2", len(tail))
-	}
-}
-
-// TestIntervalAppendNeverWaitsOnFsync pins that SyncInterval keeps fsync
-// off the append path: even when every fsync takes a second, an append
-// returns an already-resolved commit immediately, and the slow sync happens
-// later on the committer.
-func TestIntervalAppendNeverWaitsOnFsync(t *testing.T) {
-	dir := t.TempDir()
-	fp := NewFailpoints()
-	const delay = time.Second
-	fp.SlowSync(delay)
-	l, err := Open(dir, Header{}, Options{Sync: SyncInterval, Failpoints: fp}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	cm, err := l.AppendBuffered(t.Context(), rec(0))
-	elapsed := time.Since(start)
-	if err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-cm.Done():
-	default:
-		t.Fatal("interval append returned an unresolved commit")
-	}
-	if err := cm.Err(); err != nil {
-		t.Fatalf("commit: %v", err)
-	}
-	if elapsed >= delay/4 {
-		t.Fatalf("append took %v with a %v fsync: it waited on the disk", elapsed, delay)
-	}
-	fp.Reset()
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(mustTail(t, dir)); got != 1 {
-		t.Fatalf("recovered %d records, want 1", got)
-	}
-}
-
-// TestIntervalSyncFailureIsRetried pins that a failed interval fsync is not
-// fatal: it is counted, the acknowledged record stays in the log, the log
-// keeps accepting appends, and the next tick makes the tail durable.
-func TestIntervalSyncFailureIsRetried(t *testing.T) {
-	dir := t.TempDir()
-	reg := obs.NewRegistry()
-	fp := NewFailpoints()
-	fp.FailNextSync(errors.New("EIO"))
-	l, err := Open(dir, Header{}, Options{Sync: SyncInterval, Failpoints: fp, Metrics: reg}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := appendDurable(l, rec(0)); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		failed, _ := counterValue(reg, "wf_wal_fsync_errors_total")
-		l.mu.Lock()
-		clean := l.end == l.durable
-		l.mu.Unlock()
-		if failed >= 1 && clean {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("the failed interval fsync was never retried")
-		}
-		time.Sleep(syncInterval / 4)
-	}
-	if err := l.Healthy(); err != nil {
-		t.Fatalf("a failed interval fsync broke the log: %v", err)
-	}
-	if got := l.Accepted(); got != 1 {
-		t.Fatalf("Accepted() = %d, want 1", got)
-	}
-	if err := appendDurable(l, rec(1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(mustTail(t, dir)); got != 2 {
-		t.Fatalf("recovered %d records, want 2", got)
-	}
-}
-
 // TestCloseIsIdempotent guards the double-close path: the background
 // goroutines and the file must be torn down exactly once.
 func TestCloseIsIdempotent(t *testing.T) {
-	for _, p := range []SyncPolicy{SyncAlways, SyncInterval, SyncNever} {
+	for _, p := range []SyncPolicy{SyncAlways, SyncNever} {
 		l, err := Open(t.TempDir(), Header{}, Options{Sync: p}, nil)
 		if err != nil {
 			t.Fatal(err)

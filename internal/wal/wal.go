@@ -40,8 +40,8 @@
 // truncates the file back to the durable prefix, fails every queued commit,
 // and stalls the log until the caller realigns its in-memory state
 // (Truncate the run back to Accepted()) and calls Resume — so a crash or
-// I/O error can never leave a sequence gap. Under "interval" commits resolve
-// at write time and the committer fsyncs a dirty tail once per interval.
+// I/O error can never leave a sequence gap. Under "never" commits resolve
+// at write time and no goroutine runs.
 package wal
 
 import (
@@ -79,25 +79,17 @@ const (
 	// SyncAlways fsyncs after every append: an accepted event survives any
 	// crash. This is the default.
 	SyncAlways SyncPolicy = "always"
-	// SyncInterval fsyncs a dirty tail once per syncInterval, off the
-	// append path; a crash may lose the records appended since the last
-	// sync (they are still valid on disk unless the OS lost them).
-	SyncInterval SyncPolicy = "interval"
 	// SyncNever leaves syncing to the OS page cache.
 	SyncNever SyncPolicy = "never"
 )
 
-// syncInterval is the fsync cadence under SyncInterval: the committer makes
-// a dirty tail durable at most this long after it was written.
-const syncInterval = 100 * time.Millisecond
-
 // ParsePolicy converts a flag string into a SyncPolicy.
 func ParsePolicy(s string) (SyncPolicy, error) {
 	switch SyncPolicy(s) {
-	case SyncAlways, SyncInterval, SyncNever:
+	case SyncAlways, SyncNever:
 		return SyncPolicy(s), nil
 	}
-	return "", fmt.Errorf("wal: unknown fsync policy %q (want always, interval or never)", s)
+	return "", fmt.Errorf("wal: unknown fsync policy %q (want always or never)", s)
 }
 
 // ErrCrashed resolves commits that were still awaiting their group fsync
@@ -297,8 +289,8 @@ const (
 )
 
 // Commit is the future for a buffered append: it resolves once the record's
-// batch has been fsynced (or the group sync failed). Appends under relaxed
-// policies (SyncInterval, SyncNever) return an already-resolved Commit.
+// batch has been fsynced (or the group sync failed). Appends under
+// SyncNever return an already-resolved Commit.
 type Commit struct {
 	seq   int
 	ready chan struct{}
@@ -325,7 +317,7 @@ func (c *Commit) Done() <-chan struct{} { return c.ready }
 func (c *Commit) Err() error { return c.err }
 
 // BatchSize reports how many records the resolving fsync covered (1 under
-// the relaxed policies). Only valid after Wait or Done.
+// SyncNever). Only valid after Wait or Done.
 func (c *Commit) BatchSize() int { return c.batch }
 
 // resolvedCommit returns a Commit that is already done.
@@ -351,11 +343,10 @@ type Log struct {
 	// failed append truncates back to it.
 	end int64
 	// durable is the offset covered by the last successful fsync; a failed
-	// group sync truncates the file back to it. The tail is dirty while
-	// end > durable.
+	// group sync truncates the file back to it.
 	durable int64
 	// accepted counts records the log considers accepted: durable under
-	// SyncAlways, written under the relaxed policies. After a failed group
+	// SyncAlways, written under SyncNever. After a failed group
 	// sync the caller must truncate its in-memory run to this length.
 	accepted int
 	// pending holds buffered commits awaiting the next group fsync.
@@ -704,9 +695,8 @@ func (l *Log) Path() string { return filepath.Join(l.dir, logName) }
 // future that resolves once the record is durable. Under SyncAlways the
 // fsync is delegated to the committer goroutine, which coalesces every
 // record buffered while the previous sync was in flight into one group
-// fsync; under the relaxed policies the returned Commit is already
-// resolved (durability is best-effort by policy) and the append never
-// waits on an fsync.
+// fsync; under SyncNever the returned Commit is already resolved
+// (durability is left to the OS) and the append never waits on an fsync.
 //
 // On a write failure nothing of the record remains on disk and no future is
 // returned. On a GROUP SYNC failure every commit in the batch (and every
@@ -726,10 +716,8 @@ func (l *Log) AppendBuffered(ctx context.Context, rec Record) (cm *Commit, err e
 	if err := l.writeLocked(sp, rec); err != nil {
 		return nil, err
 	}
-	if l.opts.Sync != SyncAlways {
-		// Relaxed policies: the record is accepted as soon as it is
-		// written; under SyncInterval the committer's next tick makes it
-		// durable.
+	if l.opts.Sync == SyncNever {
+		// The record is accepted as soon as it is written.
 		l.accepted = rec.Seq + 1
 		l.m.recordAppend(true)
 		return resolvedCommit(rec.Seq, nil), nil
@@ -792,47 +780,25 @@ func (l *Log) writeLocked(sp *obs.Span, rec Record) error {
 	return nil
 }
 
-// committer is the log's one background goroutine (Open starts none under
-// SyncNever). Every record fsync it issues runs off-lock, so appends keep
-// flowing while the disk works:
-//
-//   - SyncAlways: woken by each append, it takes every queued commit as one
-//     batch, fsyncs once and resolves the whole batch (group commit). A
-//     failed batch sync truncates the file back to the durable prefix,
-//     fails the batch and everything queued behind it, and stalls the log.
-//   - SyncInterval: commits resolve at write time, so the queue stays
-//     empty; once per syncInterval it fsyncs a dirty tail. A failed fsync
-//     is counted and retried on the next tick — the policy tolerates loss,
-//     so acknowledged bytes are never truncated and the log never stalls.
-//
-// It exits once the log is closing and the queue is empty.
+// committer is the log's one background goroutine, run under SyncAlways
+// only. Woken by each append, it takes every queued commit as one batch,
+// fsyncs once off-lock, so appends keep flowing while the disk works, and
+// resolves the whole batch (group commit). A failed batch sync truncates
+// the file back to the durable prefix, fails the batch and everything
+// queued behind it, and stalls the log. It exits once the log is closing
+// and the queue is empty.
 func (l *Log) committer() {
 	defer close(l.committerDone)
-	var tick <-chan time.Time
-	if l.opts.Sync == SyncInterval {
-		t := time.NewTicker(syncInterval)
-		defer t.Stop()
-		tick = t.C
-	}
 	l.mu.Lock()
 	for {
-		if len(l.pending) == 0 {
+		for len(l.pending) == 0 {
 			if l.closing {
 				l.mu.Unlock()
 				return
 			}
 			l.mu.Unlock()
-			ticked := false
-			select {
-			case <-l.wake:
-			case <-tick:
-				ticked = true
-			}
+			<-l.wake
 			l.mu.Lock()
-			dirty := l.end > l.durable
-			if !ticked || !dirty || l.broken != nil {
-				continue
-			}
 		}
 		batch := l.pending
 		l.pending = nil
@@ -844,13 +810,8 @@ func (l *Log) committer() {
 		// A group fsync span joins the FIRST submitter's trace: that
 		// submitter is blocked in Wait, so its parent span is still open.
 		// End the span BEFORE resolving the batch, or the trace would
-		// complete with the fsync unfinished. An interval tick serves no
-		// request and records no span.
-		ctx := context.Background()
-		if len(batch) > 0 {
-			ctx = batch[0].ctx
-		}
-		_, sp := obs.StartSpan(ctx, "wal.fsync")
+		// complete with the fsync unfinished.
+		_, sp := obs.StartSpan(batch[0].ctx, "wal.fsync")
 		sp.SetAttr("batch", len(batch))
 		err := l.syncFile()
 		sp.SetError(err)
@@ -858,21 +819,15 @@ func (l *Log) committer() {
 
 		l.mu.Lock()
 		l.syncing = false
-		switch {
-		case err == nil:
+		if err == nil {
 			l.durable = mark
-			if len(batch) > 0 {
-				l.accepted = batch[len(batch)-1].seq + 1
-				l.m.recordGroupCommit(len(batch))
-			}
+			l.accepted = batch[len(batch)-1].seq + 1
+			l.m.recordGroupCommit(len(batch))
 			for _, cm := range batch {
 				cm.batch = len(batch)
 				close(cm.ready)
 			}
-		case len(batch) == 0:
-			// A failed interval fsync: syncFile counted it, the tail stays
-			// dirty and the next tick retries.
-		default:
+		} else {
 			// Nothing past the durable prefix can be trusted: truncate it
 			// away so the tail holds no record of an unacknowledged event,
 			// then fail the batch AND everything queued behind it (their
@@ -950,7 +905,7 @@ func (l *Log) Stalled() error {
 }
 
 // Accepted returns how many records the log considers accepted (durable
-// under SyncAlways, written under relaxed policies). After a stall, the
+// under SyncAlways, written under SyncNever). After a stall, the
 // caller must truncate its in-memory state to exactly this many events
 // before calling Resume.
 func (l *Log) Accepted() int {

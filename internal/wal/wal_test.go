@@ -274,18 +274,20 @@ func mustTail(t *testing.T, dir string) []Entry {
 }
 
 func TestParsePolicy(t *testing.T) {
-	for _, ok := range []string{"always", "interval", "never"} {
+	for _, ok := range []string{"always", "never"} {
 		if _, err := ParsePolicy(ok); err != nil {
 			t.Fatalf("%s: %v", ok, err)
 		}
 	}
-	if _, err := ParsePolicy("sometimes"); err == nil {
-		t.Fatal("bad policy accepted")
+	for _, bad := range []string{"sometimes", "interval"} {
+		if _, err := ParsePolicy(bad); err == nil || !strings.Contains(err.Error(), "always or never") {
+			t.Fatalf("ParsePolicy(%q) = %v, want an error naming always or never", bad, err)
+		}
 	}
 }
 
 func TestSyncPolicies(t *testing.T) {
-	for _, p := range []SyncPolicy{SyncAlways, SyncInterval, SyncNever} {
+	for _, p := range []SyncPolicy{SyncAlways, SyncNever} {
 		dir := t.TempDir()
 		l, err := Open(dir, Header{}, Options{Sync: p}, nil)
 		if err != nil {
