@@ -37,28 +37,34 @@ func TestAllExperimentsQuick(t *testing.T) {
 // the heap an explainer of every peer retains grows at most 2.2× per
 // doubling from 1000 to 4000 events, on the revision chain (each event
 // depends on the whole chain before it) and on crowdsourcing. The graph
-// itself is counted exactly at 1000, 2000 and 4000 events: past edges and
-// right boundaries grow in proportion to the run, whatever the heap's
-// allocator slack.
+// and the lifecycle table are counted exactly at 1000, 2000 and 4000
+// events: modification edges, key edges and right boundaries, and the
+// table's entries and bytes, grow in proportion to the run, whatever the
+// heap's allocator slack.
 func TestExplainerHeapLinearInLength(t *testing.T) {
 	crowd, err := workload.Crowdsourcing(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sizes := [3]int{1000, 2000, 4000}
-	type stored struct{ edges, rights int }
+	type stored struct{ edges, keys, rights, lifecycles, tableBytes int }
 	for _, tc := range []struct {
 		name string
 		prog *program.Program
 		next func(int) workload.Firing
 		want [3]stored
 	}{
-		// Crowdsourcing, over all its peers: 5.14 past edges and 0.14
-		// right boundaries per event at every size.
-		{"crowdsourcing", crowd, workload.CrowdFiring, [3]stored{{5144, 143}, {10284, 285}, {20572, 571}}},
-		// The revision chain: one edge per revision, to its parent; no
-		// deletions, so no right boundary.
-		{"revisions", workload.Revisions(), workload.RevisionFiring, [3]stored{{999, 0}, {1999, 0}, {3999, 0}}},
+		// Crowdsourcing, over all its peers: no event fills an attribute
+		// of a tuple an earlier event created, so no modification edge;
+		// 2.43 key edges, 0.14 right boundaries and 1.14 lifecycles (40
+		// bytes each) per event at every size.
+		{"crowdsourcing", crowd, workload.CrowdFiring, [3]stored{
+			{0, 2429, 143, 1143, 45720}, {0, 4857, 285, 2286, 91440}, {0, 9715, 571, 4572, 182880}}},
+		// The revision chain: each revision is one lifecycle, and its keys
+		// are its own and its parent's, whose left boundary is the edge
+		// to the parent; no fills and no deletions.
+		{"revisions", workload.Revisions(), workload.RevisionFiring, [3]stored{
+			{0, 1999, 0, 1000, 40000}, {0, 3999, 0, 2000, 80000}, {0, 7999, 0, 4000, 160000}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			run := program.NewRun(tc.prog)
@@ -71,10 +77,12 @@ func TestExplainerHeapLinearInLength(t *testing.T) {
 					}
 				}
 				mb[i], _ = explainerFootprint(run, n)
+				m := faithful.NewMaintainerAt(run, n, run.Prog.Peers()...)
 				var got stored
-				got.edges, got.rights = faithful.NewMaintainerAt(run, n, run.Prog.Peers()...).Stored()
-				t.Logf("%d events: %d past edges (%.2f per event), %d right boundaries (%.2f per event)",
-					n, got.edges, float64(got.edges)/float64(n), got.rights, float64(got.rights)/float64(n))
+				got.edges, got.keys, got.rights = m.Stored()
+				got.lifecycles, got.tableBytes = m.LifecycleTable()
+				t.Logf("%d events: %d modification edges, %d key edges (%.2f per event), %d right boundaries (%.2f per event), %d lifecycles in %d bytes",
+					n, got.edges, got.keys, float64(got.keys)/float64(n), got.rights, float64(got.rights)/float64(n), got.lifecycles, got.tableBytes)
 				if got != tc.want[i] {
 					t.Errorf("%d events: stored %+v, want %+v", n, got, tc.want[i])
 				}

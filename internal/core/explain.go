@@ -16,6 +16,7 @@ package core
 import (
 	"bufio"
 	"io"
+	"math/bits"
 	"strconv"
 
 	"collabwf/internal/data"
@@ -89,8 +90,7 @@ func (e *Explainer) Report() *Report {
 	// Describe only the synced prefix (the freeze covers exactly it):
 	// events past it (buffered but not yet released by the caller) must
 	// not leak into the report.
-	fz := e.Freeze()
-	return fz.ReportOver(e.Run, fz.Visible())
+	return e.Freeze().Report(e.Run)
 }
 
 // Freeze captures the explainer's state as an immutable FrozenExplainer
@@ -151,9 +151,9 @@ func (f *FrozenExplainer) MinimalScenario() []int { return f.fz.Minimal() }
 func (f *FrozenExplainer) ExplainEvent(i int) []int { return f.fz.Explanation(i) }
 
 // Visible returns the peer's visible event indices over the captured
-// prefix, ascending — the same list ReportOver takes. The slice is shared:
+// prefix, ascending — the list Report reads. The slice is shared:
 // callers must not modify it.
-func (f *FrozenExplainer) Visible() []int { return f.fz.Visible() }
+func (f *FrozenExplainer) Visible() []int32 { return f.fz.Visible() }
 
 // Walker returns a walker of the capture's explanations: its Explain(i)
 // is ExplainEvent(i) in a slice the next call reuses, so a caller walking
@@ -165,6 +165,18 @@ func (f *FrozenExplainer) Walker() *faithful.Walker { return f.fz.Walker() }
 // lists the peer's visible event indices over that prefix (ascending).
 // Semantically identical to Explainer.Report on the same prefix.
 func (f *FrozenExplainer) ReportOver(rr RunReader, visible []int) *Report {
+	vis := make([]int32, len(visible))
+	for k, i := range visible {
+		vis[k] = int32(i)
+	}
+	return f.report(rr, vis)
+}
+
+// Report is ReportOver(rr, f.Visible()): the peer's report over the
+// captured prefix.
+func (f *FrozenExplainer) Report(rr RunReader) *Report { return f.report(rr, f.Visible()) }
+
+func (f *FrozenExplainer) report(rr RunReader, visible []int32) *Report {
 	w := f.newReportWriter(rr, visible, nil)
 	rep := &Report{Peer: f.Peer}
 	w.walk(func(i int, because, pending []int) {
@@ -180,7 +192,7 @@ func (f *FrozenExplainer) ReportOver(rr RunReader, visible []int) *Report {
 	return rep
 }
 
-// WriteJSON streams the report ReportOver(rr, f.Visible()) builds as
+// WriteJSON streams the report Report(rr) builds as
 // encoding/json encodes {"report": rep, "text": rep.String()}, trailing
 // newline included, straight from rr's recorded steps: no note, and
 // neither the report nor its text, is ever built. The text, as rendered
@@ -234,7 +246,7 @@ type reportWriter struct {
 	rr      RunReader
 	walker  *faithful.Walker
 	peer    schema.Peer
-	visible []int
+	visible []int32
 	// out receives the streamed body (nil when building a Report).
 	out *bufio.Writer
 
@@ -251,7 +263,7 @@ type reportWriter struct {
 
 // newReportWriter returns a writer of f's report over rr; out is nil when
 // the writer builds a Report.
-func (f *FrozenExplainer) newReportWriter(rr RunReader, visible []int, out *bufio.Writer) *reportWriter {
+func (f *FrozenExplainer) newReportWriter(rr RunReader, visible []int32, out *bufio.Writer) *reportWriter {
 	return &reportWriter{rr: rr, walker: f.fz.Walker(), peer: f.Peer, visible: visible, out: out, explained: make([]bool, f.fz.Len())}
 }
 
@@ -261,7 +273,8 @@ func (f *FrozenExplainer) newReportWriter(rr RunReader, visible []int, out *bufi
 // later ones as pending. The slices are reused by the next call.
 func (w *reportWriter) walk(yield func(i int, because, pending []int)) {
 	clear(w.explained)
-	for _, i := range w.visible {
+	for _, v := range w.visible {
+		i := int(v)
 		if i >= len(w.explained) {
 			break
 		}
@@ -299,7 +312,7 @@ func (w *reportWriter) describeEvent(j int) EventNote {
 func (w *reportWriter) eachChange(j int, f func(ef *program.Effect)) {
 	effects := w.rr.Effects(j)
 	for k := range effects {
-		if ef := &effects[k]; ef.Kind != program.Modified || len(ef.Filled) > 0 {
+		if ef := &effects[k]; ef.Kind != program.Modified || ef.Filled != 0 {
 			f(ef)
 		}
 	}
@@ -423,29 +436,32 @@ type EventNote struct {
 // "created R(v, …)", "deleted R(v, …)" or "set R[k] A=v, …" (the filled
 // attributes).
 func appendChange(b []byte, s *schema.Collaborative, ef *program.Effect) []byte {
+	rel := s.DB.RelationAt(ef.Rel)
+	name := rel.Name
 	switch ef.Kind {
 	case program.Created:
 		b = append(b, "created "...)
-		b = append(b, ef.Rel...)
-		return appendTuple(b, ef.After)
+		b = append(b, name...)
+		return appendTuple(b, ef.After.Tuple())
 	case program.Deleted:
 		b = append(b, "deleted "...)
-		b = append(b, ef.Rel...)
-		return appendTuple(b, ef.Before)
+		b = append(b, name...)
+		return appendTuple(b, ef.Before.Tuple())
 	}
-	rel := s.DB.Relation(ef.Rel)
+	after := ef.After.Tuple()
 	b = append(b, "set "...)
-	b = append(b, ef.Rel...)
+	b = append(b, name...)
 	b = append(b, '[')
-	b = append(b, ef.Key...)
+	b = append(b, after.Key()...)
 	b = append(b, "] "...)
-	for k, pos := range ef.Filled {
-		if k > 0 {
+	for m := ef.Filled; m != 0; m &= m - 1 {
+		if m != ef.Filled {
 			b = append(b, ", "...)
 		}
+		pos := bits.TrailingZeros64(m)
 		b = append(b, rel.Attrs[pos]...)
 		b = append(b, '=')
-		b = append(b, ef.After[pos]...)
+		b = append(b, after[pos]...)
 	}
 	return b
 }

@@ -7,7 +7,7 @@ import (
 	"io"
 	"math/rand"
 	"os"
-	"sort"
+	"slices"
 	"testing"
 
 	"collabwf/internal/data"
@@ -21,12 +21,12 @@ import (
 // of being recomputed from the step.
 type frozenReader struct {
 	*program.Run
-	visible []int
+	visible []int32
 }
 
 func (r frozenReader) VisibleAt(i int, _ schema.Peer) bool {
-	k := sort.SearchInts(r.visible, i)
-	return k < len(r.visible) && r.visible[k] == i
+	_, ok := slices.BinarySearch(r.visible, int32(i))
+	return ok
 }
 
 // crowdRun fires seeded crowdsourcing episodes — a task posted, claimed

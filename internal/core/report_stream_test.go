@@ -66,7 +66,7 @@ func TestWriteJSONMatchesReport(t *testing.T) {
 				ex := NewRunExplainerAt(r, peers, n)
 				for _, peer := range peers {
 					fz := ex.Freeze(peer)
-					rep := fz.ReportOver(r, fz.Visible())
+					rep := fz.Report(r)
 					repJSON, err := json.Marshal(rep)
 					if err != nil {
 						t.Fatal(err)

@@ -404,7 +404,7 @@ func (a *auditor) recheckExplains(records []Decision) {
 		a.rep.RecheckedExplains++
 		ex.SyncTo(d.RunLen)
 		fz := ex.Freeze(schema.Peer(d.Peer))
-		got := Digest(fz.ReportOver(a.run, fz.Visible()).String())
+		got := Digest(fz.Report(a.run).String())
 		if got != d.Digest {
 			a.mismatch("seq %d: explain digest for %s at prefix %d is %s, recomputed %s",
 				d.Seq, d.Peer, d.RunLen, d.Digest, got)

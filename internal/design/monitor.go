@@ -33,6 +33,8 @@ type Monitor struct {
 	peer schema.Peer
 	h    int
 	run  *program.Run
+	// views is the peer's view table, indexed by relation handle.
+	views []*schema.View
 
 	processed  int
 	facts      map[factID]*factState
@@ -45,7 +47,7 @@ type Monitor struct {
 }
 
 type factID struct {
-	rel string
+	rel schema.RelID
 	key data.Value
 }
 
@@ -61,16 +63,17 @@ func NewMonitor(r *program.Run, peer schema.Peer, h int) *Monitor {
 		peer:      peer,
 		h:         h,
 		run:       r,
+		views:     r.Prog.Schema.ViewTable(peer),
 		facts:     make(map[factID]*factState),
 		deleted:   make(map[factID]bool),
 		firstSeen: make(map[factID]int),
 	}
-	for _, rel := range r.Prog.Schema.DB.Names() {
-		if _, pVisible := r.Prog.Schema.View(peer, rel); pVisible {
+	for i, rel := range r.Prog.Schema.DB.Names() {
+		if m.views[i] != nil {
 			continue
 		}
 		for _, k := range r.Initial.Keys(rel) {
-			m.firstSeen[factID{rel, k}] = -1
+			m.firstSeen[factID{schema.RelID(i), k}] = -1
 		}
 	}
 	m.Sync()
@@ -104,10 +107,10 @@ func (m *Monitor) processOne(i int) {
 
 	// Apply the event's effects to the fact state.
 	for _, ef := range m.run.Effects(i) {
-		if _, pVisible := m.run.Prog.Schema.View(m.peer, ef.Rel); pVisible {
+		if m.views[ef.Rel] != nil {
 			continue // visible facts are transparent by definition
 		}
-		id := factID{ef.Rel, ef.Key}
+		id := factID{ef.Rel, ef.Key()}
 		if _, seen := m.firstSeen[id]; !seen && ef.Kind == program.Created {
 			m.firstSeen[id] = i
 		}
@@ -160,14 +163,15 @@ func (m *Monitor) eventStatus(i int, e *program.Event) (bool, map[int]struct{}, 
 			if l.Neg {
 				continue
 			}
-			if _, pVisible := m.run.Prog.Schema.View(m.peer, l.Rel); pVisible {
+			rel, invisible := m.invisible(l.Rel)
+			if !invisible {
 				continue
 			}
 			key, ok := e.Apply(l.Args[0])
 			if !ok {
 				continue
 			}
-			fs := m.facts[factID{l.Rel, key}]
+			fs := m.facts[factID{rel, key}]
 			if fs == nil {
 				return false, nil, fmt.Sprintf("uses invisible fact %s(%s) from an earlier stage", l.Rel, key)
 			}
@@ -181,14 +185,15 @@ func (m *Monitor) eventStatus(i int, e *program.Event) (bool, map[int]struct{}, 
 			if !l.Neg {
 				continue
 			}
-			if _, pVisible := m.run.Prog.Schema.View(m.peer, l.Rel); pVisible {
+			rel, invisible := m.invisible(l.Rel)
+			if !invisible {
 				continue
 			}
 			key, ok := e.Apply(l.Arg)
 			if !ok {
 				continue
 			}
-			id := factID{l.Rel, key}
+			id := factID{rel, key}
 			if !m.deleted[id] && m.keyEverExisted(i, id) {
 				return false, nil, fmt.Sprintf("uses invisible negative fact ¬Key_%s(%s) not established transparently this stage", l.Rel, key)
 			}
@@ -198,6 +203,16 @@ func (m *Monitor) eventStatus(i int, e *program.Event) (bool, map[int]struct{}, 
 		return false, nil, fmt.Sprintf("step-provenance %d exceeds the budget h=%d", len(prov), m.h)
 	}
 	return true, prov, ""
+}
+
+// invisible returns the handle of the named relation (-1 when the schema
+// has none, which no fact carries) and whether the peer has no view of it.
+func (m *Monitor) invisible(rel string) (schema.RelID, bool) {
+	id, ok := m.run.Prog.Schema.DB.ID(rel)
+	if !ok {
+		return -1, true
+	}
+	return id, m.views[id] == nil
 }
 
 // keyEverExisted reports whether a tuple with this key (of a p-invisible

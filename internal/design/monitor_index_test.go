@@ -17,7 +17,7 @@ import (
 // the key is in some instance strictly before event i.
 func scanEverExisted(r *program.Run, i int, id factID) bool {
 	for j := -1; j < i; j++ {
-		if r.InstanceAt(j).HasKey(id.rel, id.key) {
+		if r.InstanceAt(j).HasKey(r.Prog.Schema.DB.RelationAt(id.rel).Name, id.key) {
 			return true
 		}
 	}
@@ -34,14 +34,14 @@ func checkFirstSeenIndex(t *testing.T, r *program.Run, peer schema.Peer) {
 	m := NewMonitor(r, peer, 3)
 	var ids []factID
 	seen := map[factID]bool{}
-	for _, rel := range r.Prog.Schema.DB.Names() {
+	for i, rel := range r.Prog.Schema.DB.Names() {
 		if _, pVisible := r.Prog.Schema.View(peer, rel); pVisible {
 			continue
 		}
-		ids = append(ids, factID{rel, "never-a-key"})
+		ids = append(ids, factID{schema.RelID(i), "never-a-key"})
 		for j := -1; j < r.Len(); j++ {
 			for _, k := range r.InstanceAt(j).Keys(rel) {
-				if id := (factID{rel, k}); !seen[id] {
+				if id := (factID{schema.RelID(i), k}); !seen[id] {
 					seen[id] = true
 					ids = append(ids, id)
 				}
@@ -51,7 +51,7 @@ func checkFirstSeenIndex(t *testing.T, r *program.Run, peer schema.Peer) {
 	for i := 0; i <= r.Len(); i++ {
 		for _, id := range ids {
 			if got, want := m.keyEverExisted(i, id), scanEverExisted(r, i, id); got != want {
-				t.Fatalf("peer %s: keyEverExisted(%d, %s(%s)) = %v, scan says %v", peer, i, id.rel, id.key, got, want)
+				t.Fatalf("peer %s: keyEverExisted(%d, %s(%s)) = %v, scan says %v", peer, i, r.Prog.Schema.DB.RelationAt(id.rel).Name, id.key, got, want)
 			}
 		}
 	}

@@ -47,28 +47,42 @@ func (lc Lifecycle) String() string {
 	return fmt.Sprintf("%s[%s]:[%d,∞)", lc.Rel, lc.Key, lc.Left)
 }
 
+// lcID names a key of a relation, by the relation's handle.
 type lcID struct {
-	rel string
+	rel schema.RelID
 	key data.Value
 }
 
-// lifecycle is an interned R-lifecycle with the per-lifecycle facts the
-// faithfulness conditions read.
+// lifecycle is an interned R-lifecycle, in 40 bytes, with the
+// per-lifecycle facts the faithfulness conditions read.
 type lifecycle struct {
-	Lifecycle
+	key data.Value
+	rel schema.RelID
+	// left is the creating event, -1 when the tuple existed in the
+	// initial instance; right is the deleting event, -1 while open.
+	left, right int32
 	// prev is the id of the key's previous lifecycle, -1 for none.
 	prev int32
-	// fills lists, by ascending event, the attribute fills (⊥ → value) on
-	// the tuple during the lifecycle: the raw material of modification
-	// faithfulness.
-	fills []fill
+	// fills is the index in Analysis.fills of the newest attribute fill
+	// (⊥ → value) on the tuple during the lifecycle, -1 for none; each
+	// fill links to the one before it. They are the raw material of
+	// modification faithfulness.
+	fills int32
+}
+
+// contains reports whether event index i belongs to the lifecycle.
+func (lc *lifecycle) contains(i int) bool {
+	return i >= int(lc.left) && (lc.right < 0 || i <= int(lc.right))
 }
 
 // fill records that an event filled attributes of a tuple.
 type fill struct {
-	event int
-	// pos are the filled attribute positions (the effect's Filled).
-	pos []int
+	event int32
+	// prev is the index of the lifecycle's previous fill, -1 for none.
+	prev int32
+	// pos is the mask of the filled attribute positions (the effect's
+	// Filled).
+	pos uint64
 }
 
 // rows is a ragged per-event table of ids (lifecycles or events): row i
@@ -104,6 +118,8 @@ type Analysis struct {
 	processed int
 	// lcs interns every lifecycle of the run; an id is an index into it.
 	lcs []lifecycle
+	// fills holds every lifecycle's fills, linked per lifecycle.
+	fills []fill
 	// latest maps a key to the id of its newest lifecycle.
 	latest map[lcID]int32
 	// keyLCs row i lists, for the keys of K(R, e_i) in Keys order, the
@@ -114,9 +130,9 @@ type Analysis struct {
 	// keyBuf holds the keys of the event step is recording.
 	keyBuf []program.RelKey
 
-	// relevant[rel][peer][pos] reports whether attribute pos of rel is in
-	// att(R, q) = att(R@q) ∪ att(σ(R@q)).
-	relevant map[string]map[schema.Peer][]bool
+	// relevant[rel][q] has bit pos set when attribute pos of the relation
+	// with handle rel is in att(R, q) = att(R@q) ∪ att(σ(R@q)).
+	relevant []map[schema.Peer]uint64
 
 	// reqMemo caches, per peer, each event's direct faithfulness
 	// requirements (they depend only on the event and the run, so the
@@ -129,33 +145,33 @@ type Analysis struct {
 // candidate run — recomputing the tables dominated their setup cost. Keyed
 // by schema identity; entries live as long as the schema, which the
 // long-lived callers (coordinator, deciders) hold anyway.
-var relevantCache sync.Map // *schema.Collaborative → map[string]map[schema.Peer][]bool
+var relevantCache sync.Map // *schema.Collaborative → []map[schema.Peer]uint64
 
 // relevantSets returns the shared, read-only att(R, q) tables for s.
-func relevantSets(s *schema.Collaborative) map[string]map[schema.Peer][]bool {
+func relevantSets(s *schema.Collaborative) []map[schema.Peer]uint64 {
 	if v, ok := relevantCache.Load(s); ok {
-		return v.(map[string]map[schema.Peer][]bool)
+		return v.([]map[schema.Peer]uint64)
 	}
-	relevant := make(map[string]map[schema.Peer][]bool)
-	for _, name := range s.DB.Names() {
+	relevant := make([]map[schema.Peer]uint64, s.DB.Size())
+	for i, name := range s.DB.Names() {
 		rel := s.DB.Relation(name)
-		relevant[name] = make(map[schema.Peer][]bool)
+		relevant[i] = make(map[schema.Peer]uint64)
 		for _, p := range s.Peers() {
 			v, ok := s.View(p, name)
 			if !ok {
 				continue
 			}
-			set := make([]bool, rel.Arity())
+			var set uint64
 			for _, attr := range v.RelevantAttrs() {
 				if pos, ok := rel.Index(attr); ok {
-					set[pos] = true
+					set |= 1 << pos
 				}
 			}
-			relevant[name][p] = set
+			relevant[i][p] = set
 		}
 	}
 	actual, _ := relevantCache.LoadOrStore(s, relevant)
-	return actual.(map[string]map[schema.Peer][]bool)
+	return actual.([]map[schema.Peer]uint64)
 }
 
 // NewAnalysis builds the analysis of r, processing all events so far.
@@ -172,21 +188,24 @@ func NewAnalysisPartial(r *program.Run) *Analysis { return newAnalysis(r, 0) }
 
 // newAnalysis is NewAnalysisPartial with its tables sized for the first n
 // events of r: the lifecycles are those of the initial instance plus one
-// per Created effect, a key row holds at most the event's keys, and a
-// closes row one id per Deleted effect.
+// per Created effect, a key row holds at most the event's keys, a closes
+// row one id per Deleted effect, and a fill is a Modified effect that
+// filled something.
 func newAnalysis(r *program.Run, n int) *Analysis {
 	s := r.Prog.Schema
-	lcs, keys, closes := 0, 0, 0
+	lcs, fills, keys, closes := 0, 0, 0, 0
 	for _, name := range s.DB.Names() {
 		lcs += r.Initial.Count(name)
 	}
 	for i := range n {
 		for _, ef := range r.Effects(i) {
-			switch ef.Kind {
-			case program.Created:
+			switch {
+			case ef.Kind == program.Created:
 				lcs++
-			case program.Deleted:
+			case ef.Kind == program.Deleted:
 				closes++
+			case ef.Filled != 0:
+				fills++
 			}
 		}
 		keys += len(r.Event(i).Rule.Layout().Keys)
@@ -194,6 +213,7 @@ func newAnalysis(r *program.Run, n int) *Analysis {
 	a := &Analysis{
 		Run:      r,
 		lcs:      make([]lifecycle, 0, lcs),
+		fills:    make([]fill, 0, fills),
 		latest:   make(map[lcID]int32, lcs),
 		keyLCs:   rows{off: append(make([]int32, 0, n+1), 0), ids: make([]int32, 0, keys)},
 		closes:   rows{off: append(make([]int32, 0, n+1), 0), ids: make([]int32, 0, closes)},
@@ -202,23 +222,29 @@ func newAnalysis(r *program.Run, n int) *Analysis {
 	}
 	// Tuples of the initial instance live in lifecycles opened "before"
 	// the run (Left = -1).
-	for _, name := range s.DB.Names() {
+	for i, name := range s.DB.Names() {
 		for _, k := range r.Initial.Keys(name) {
-			a.intern(Lifecycle{Rel: name, Key: k, Left: -1, Right: -1})
+			a.intern(lcID{schema.RelID(i), k}, -1)
 		}
 	}
 	return a
 }
 
-// intern adds lc as its key's newest lifecycle.
-func (a *Analysis) intern(lc Lifecycle) {
-	id := lcID{lc.Rel, lc.Key}
+// intern adds the lifecycle of id opened by event left as the key's
+// newest lifecycle.
+func (a *Analysis) intern(id lcID, left int) {
 	prev, ok := a.latest[id]
 	if !ok {
 		prev = -1
 	}
 	a.latest[id] = int32(len(a.lcs))
-	a.lcs = append(a.lcs, lifecycle{Lifecycle: lc, prev: prev})
+	a.lcs = append(a.lcs, lifecycle{key: id.key, rel: id.rel, left: int32(left), right: -1, prev: prev, fills: -1})
+}
+
+// lifecycle returns lifecycle l as the exported Lifecycle.
+func (a *Analysis) lifecycle(l int32) Lifecycle {
+	lc := &a.lcs[l]
+	return Lifecycle{Rel: a.Run.Prog.Schema.DB.RelationAt(lc.rel).Name, Key: lc.key, Left: int(lc.left), Right: int(lc.right)}
 }
 
 // Sync processes every event appended to the run since the last call.
@@ -243,21 +269,24 @@ func (a *Analysis) SyncTo(n int) {
 // step records event i: the lifecycles it opens and closes, its fills, and
 // the lifecycle each key of K(R, e_i) lies in.
 func (a *Analysis) step(i int) {
-	for _, ef := range a.Run.Effects(i) {
+	effects := a.Run.Effects(i)
+	for k := range effects {
+		ef := &effects[k]
 		switch ef.Kind {
 		case program.Created:
-			a.intern(Lifecycle{Rel: ef.Rel, Key: ef.Key, Left: i, Right: -1})
+			a.intern(lcID{ef.Rel, ef.Key()}, i)
 		case program.Deleted:
-			if l, ok := a.latest[lcID{ef.Rel, ef.Key}]; ok && !a.lcs[l].Closed() {
-				a.lcs[l].Right = i
+			if l, ok := a.latest[lcID{ef.Rel, ef.Key()}]; ok && a.lcs[l].right < 0 {
+				a.lcs[l].right = int32(i)
 				a.closes.ids = append(a.closes.ids, l)
 			}
 		case program.Modified:
-			if len(ef.Filled) == 0 {
+			if ef.Filled == 0 {
 				continue
 			}
-			if l, ok := a.latest[lcID{ef.Rel, ef.Key}]; ok {
-				a.lcs[l].fills = append(a.lcs[l].fills, fill{event: i, pos: ef.Filled})
+			if l, ok := a.latest[lcID{ef.Rel, ef.Key()}]; ok {
+				a.fills = append(a.fills, fill{event: int32(i), prev: a.lcs[l].fills, pos: ef.Filled})
+				a.lcs[l].fills = int32(len(a.fills) - 1)
 			}
 		}
 	}
@@ -266,8 +295,10 @@ func (a *Analysis) step(i int) {
 	// relation have distinct keys, so no event both closes and opens
 	// lifecycles of one key: only a key's newest lifecycle can contain i.
 	a.keyBuf = a.Run.Event(i).AppendKeys(a.keyBuf[:0])
+	db := a.Run.Prog.Schema.DB
 	for _, rk := range a.keyBuf {
-		if l, ok := a.latest[lcID{rk.Rel, rk.Key}]; ok && a.lcs[l].Contains(i) {
+		rel, _ := db.ID(rk.Rel)
+		if l, ok := a.latest[lcID{rel, rk.Key}]; ok && a.lcs[l].contains(i) {
 			a.keyLCs.ids = append(a.keyLCs.ids, l)
 		}
 	}
@@ -277,13 +308,17 @@ func (a *Analysis) step(i int) {
 // LifecycleAt returns the R-lifecycle of key k containing event index i, if
 // any.
 func (a *Analysis) LifecycleAt(rel string, key data.Value, i int) (Lifecycle, bool) {
-	l, ok := a.latest[lcID{rel, key}]
+	id, ok := a.Run.Prog.Schema.DB.ID(rel)
+	if !ok {
+		return Lifecycle{}, false
+	}
+	l, ok := a.latest[lcID{id, key}]
 	if !ok {
 		return Lifecycle{}, false
 	}
 	for ; l >= 0; l = a.lcs[l].prev {
-		if a.lcs[l].Contains(i) {
-			return a.lcs[l].Lifecycle, true
+		if a.lcs[l].contains(i) {
+			return a.lifecycle(l), true
 		}
 	}
 	return Lifecycle{}, false
@@ -294,7 +329,7 @@ func (a *Analysis) LifecycleAt(rel string, key data.Value, i int) (Lifecycle, bo
 func (a *Analysis) Lifecycles() []Lifecycle {
 	out := make([]Lifecycle, len(a.lcs))
 	for i := range a.lcs {
-		out[i] = a.lcs[i].Lifecycle
+		out[i] = a.lifecycle(int32(i))
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Rel != out[j].Rel {
@@ -313,22 +348,17 @@ func (a *Analysis) Lifecycles() []Lifecycle {
 func (a *Analysis) OpenLifecycles() []Lifecycle {
 	var out []Lifecycle
 	for i := range a.lcs {
-		if !a.lcs[i].Closed() {
-			out = append(out, a.lcs[i].Lifecycle)
+		if a.lcs[i].right < 0 {
+			out = append(out, a.lifecycle(int32(i)))
 		}
 	}
 	return out
 }
 
-// relevantFill reports whether a fill of positions pos on a tuple of rel
-// filled an attribute relevant to q or p.
-func (a *Analysis) relevantFill(rel string, pos []int, q, p schema.Peer) bool {
+// relevantFill reports whether a fill of the positions in mask pos on a
+// tuple of the relation with handle rel filled an attribute relevant to q
+// or p.
+func (a *Analysis) relevantFill(rel schema.RelID, pos uint64, q, p schema.Peer) bool {
 	byPeer := a.relevant[rel]
-	rq, rp := byPeer[q], byPeer[p]
-	for _, k := range pos {
-		if (rq != nil && rq[k]) || (rp != nil && rp[k]) {
-			return true
-		}
-	}
-	return false
+	return (byPeer[q]|byPeer[p])&pos != 0
 }

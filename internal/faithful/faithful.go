@@ -90,11 +90,11 @@ func Fixpoint(a *Analysis, alpha Seq, p schema.Peer) Seq {
 func (a *Analysis) boundaryReqs(i int, req func(int)) {
 	for _, l := range a.keyLCs.row(i) {
 		lc := &a.lcs[l]
-		if lc.Left >= 0 {
-			req(lc.Left)
+		if lc.left >= 0 {
+			req(int(lc.left))
 		}
-		if lc.Closed() {
-			req(lc.Right)
+		if lc.right >= 0 {
+			req(int(lc.right))
 		}
 	}
 }
@@ -108,12 +108,10 @@ func (a *Analysis) modificationReqs(i int, p schema.Peer, req func(int)) {
 	q := a.Run.Event(i).Peer()
 	for _, l := range a.keyLCs.row(i) {
 		lc := &a.lcs[l]
-		for _, f := range lc.fills {
-			if f.event >= i {
-				break
-			}
-			if a.relevantFill(lc.Rel, f.pos, q, p) {
-				req(f.event)
+		// Newest fill first: skip the fills at or after i.
+		for k := lc.fills; k >= 0; k = a.fills[k].prev {
+			if f := &a.fills[k]; int(f.event) < i && a.relevantFill(lc.rel, f.pos, q, p) {
+				req(int(f.event))
 			}
 		}
 	}

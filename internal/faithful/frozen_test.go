@@ -5,10 +5,23 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"collabwf/internal/program"
 	"collabwf/internal/workload"
 )
+
+// A lifecycle entry is its key and five int32s (relation, left, right,
+// prev and the head of its fills) in 40 bytes; a fill is its event, a link
+// and a mask of positions in 16.
+func TestTableEntrySizes(t *testing.T) {
+	if got := unsafe.Sizeof(lifecycle{}); got != 40 {
+		t.Errorf("a lifecycle entry takes %d bytes, want 40", got)
+	}
+	if got := unsafe.Sizeof(fill{}); got != 16 {
+		t.Errorf("a fill takes %d bytes, want 16", got)
+	}
+}
 
 // A capture taken after n events keeps answering for exactly those n
 // events while the maintainer goes on absorbing later lifecycle closings

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"collabwf/internal/program"
 	"collabwf/internal/schema"
@@ -16,12 +17,14 @@ import (
 // from an event f is T_p^ω(ρ, {f}) — a minimal boundary- and
 // modification-faithful explanation of the individual event.
 //
-// An event's requirements (Definitions 4.3–4.4) are the left boundaries
-// and earlier fills of its keys' lifecycles, known when it is processed,
-// and their right boundaries, known when each closes: so the graph is a
-// fixed row of past edges per event and peer plus one right boundary per
-// lifecycle. An explanation is a walk, and a run whose events each
-// depend on all their predecessors keeps a linear graph.
+// An event's requirements (Definitions 4.3–4.4) are the boundaries of its
+// keys' lifecycles and the earlier fills of them relevant to the peer. The
+// boundaries are the same for every peer: the walk reads them from the
+// analysis's per-event key rows and one left and one right boundary per
+// lifecycle, the right one stored when the lifecycle closes. So the graph
+// is those plus a fixed row of modification edges per event and peer. An
+// explanation is a walk, and a run whose events each depend on all their
+// predecessors keeps a linear graph.
 //
 // The peers share one Analysis: everything but the relevant-attribute test
 // is the same for every peer, so each event's lifecycles are computed once.
@@ -30,6 +33,9 @@ import (
 // ahead of its own step.
 type Maintainer struct {
 	a *Analysis
+	// left[l] is lifecycle l's left boundary, -1 for a tuple of the
+	// initial instance.
+	left []int32
 	// right[l] is lifecycle l's right boundary, -1 while it is open. Each
 	// cell is stored once, when l closes, and loaded by captures.
 	right []atomic.Int32
@@ -40,18 +46,18 @@ type Maintainer struct {
 type peerState struct {
 	p schema.Peer
 
-	// past row f lists f's requirements before it: the left boundaries
-	// of its keys' lifecycles and the earlier fills modificationReqs names.
+	// past row f lists the requirements of f that are not boundaries:
+	// the earlier fills modificationReqs names.
 	past rows
 	// main is T_p^ω(ρ, α) in the order its events joined; inMain is its
 	// membership, indexed by event.
-	main   []int
+	main   []int32
 	inMain []bool
 	// mainLC[l] reports that an event of main holds a key of lifecycle l:
 	// the event closing l is its right boundary, so it joins main too.
 	mainLC []bool
 	// vis lists, ascending, the events visible at p.
-	vis []int
+	vis []int32
 }
 
 // NewMaintainer builds a maintainer for the peers over r, replaying any
@@ -67,15 +73,15 @@ func NewMaintainer(r *program.Run, peers ...schema.Peer) *Maintainer {
 func NewMaintainerAt(r *program.Run, n int, peers ...schema.Peer) *Maintainer {
 	n = min(n, r.Len())
 	a := newAnalysis(r, n)
-	m := &Maintainer{a: a, right: make([]atomic.Int32, 0, cap(a.lcs))}
+	m := &Maintainer{a: a, left: make([]int32, 0, cap(a.lcs)), right: make([]atomic.Int32, 0, cap(a.lcs))}
 	for _, p := range peers {
 		m.peers = append(m.peers, &peerState{
 			p:      p,
 			past:   rows{off: append(make([]int32, 0, n+1), 0)},
-			main:   make([]int, 0, n),
+			main:   make([]int32, 0, n),
 			inMain: make([]bool, 0, n),
 			mainLC: make([]bool, 0, cap(a.lcs)),
-			vis:    make([]int, 0, n),
+			vis:    make([]int32, 0, n),
 		})
 	}
 	m.SyncTo(n)
@@ -91,9 +97,10 @@ func (m *Maintainer) SyncTo(n int) {
 	n = min(n, m.a.Run.Len())
 	for i := m.a.Len(); i < n; i++ {
 		m.a.SyncTo(i + 1)
-		for len(m.right) < len(m.a.lcs) {
+		for l := len(m.left); l < len(m.a.lcs); l++ {
+			m.left = append(m.left, m.a.lcs[l].left)
 			m.right = append(m.right, atomic.Int32{})
-			m.right[len(m.right)-1].Store(-1)
+			m.right[l].Store(-1)
 		}
 		for _, l := range m.a.closes.row(i) {
 			m.right[l].Store(int32(i))
@@ -108,19 +115,28 @@ func (m *Maintainer) SyncTo(n int) {
 // peer has processed too.
 func (m *Maintainer) Len() int { return m.a.Len() }
 
-// Stored reports the size of the requirement graph: the past edges in
-// every maintained peer's rows, and the right boundaries recorded, one per
+// Stored reports the size of the requirement graph: the modification
+// edges in every maintained peer's past rows, the key edges every peer
+// shares (an event's entries in the analysis's key rows, each leading to a
+// lifecycle's boundaries), and the right boundaries recorded, one per
 // closed lifecycle.
-func (m *Maintainer) Stored() (pastEdges, rightBoundaries int) {
+func (m *Maintainer) Stored() (pastEdges, keyEdges, rightBoundaries int) {
 	for _, ps := range m.peers {
 		pastEdges += len(ps.past.ids)
 	}
+	keyEdges = len(m.a.keyLCs.ids)
 	for i := range m.right {
 		if m.right[i].Load() >= 0 {
 			rightBoundaries++
 		}
 	}
-	return pastEdges, rightBoundaries
+	return pastEdges, keyEdges, rightBoundaries
+}
+
+// LifecycleTable reports the lifecycle table the peers share: its entries,
+// one per lifecycle, and the bytes they take.
+func (m *Maintainer) LifecycleTable() (entries, bytes int) {
+	return len(m.a.lcs), len(m.a.lcs) * int(unsafe.Sizeof(lifecycle{}))
 }
 
 // peer returns p's state; p must be one of the maintained peers.
@@ -135,7 +151,14 @@ func (m *Maintainer) peer(p schema.Peer) *peerState {
 
 // Minimal returns (a copy of) the current minimal p-faithful scenario
 // T_p^ω(ρ, α).
-func (m *Maintainer) Minimal(p schema.Peer) Seq { return NewSeq(m.peer(p).main...) }
+func (m *Maintainer) Minimal(p schema.Peer) Seq {
+	main := m.peer(p).main
+	s := make(Seq, len(main))
+	for _, i := range main {
+		s[int(i)] = struct{}{}
+	}
+	return s
+}
 
 // Explanation returns (a copy of) T_p^ω(ρ, {f}) for event f: the minimal
 // boundary- and modification-p-faithful subsequence containing f.
@@ -145,15 +168,7 @@ func (m *Maintainer) Explanation(p schema.Peer, f int) Seq {
 
 func (ps *peerState) processOne(m *Maintainer, n int) {
 	a := m.a
-	add := func(j int) {
-		if j != n {
-			ps.past.ids = append(ps.past.ids, int32(j))
-		}
-	}
-	// At its own step, n's lifecycles are open or closed by n itself, so
-	// boundaryReqs names only left boundaries (and n).
-	a.boundaryReqs(n, add)
-	a.modificationReqs(n, ps.p, add)
+	a.modificationReqs(n, ps.p, func(j int) { ps.past.ids = append(ps.past.ids, int32(j)) })
 	ps.past.endRow()
 
 	ps.inMain = append(ps.inMain, false)
@@ -164,7 +179,7 @@ func (ps *peerState) processOne(m *Maintainer, n int) {
 	// events lies in main already, so the walk stops at its members.
 	join := a.Run.VisibleAt(n, ps.p)
 	if join {
-		ps.vis = append(ps.vis, n)
+		ps.vis = append(ps.vis, int32(n))
 	}
 	for _, l := range a.closes.row(n) {
 		join = join || ps.mainLC[l]
@@ -172,9 +187,9 @@ func (ps *peerState) processOne(m *Maintainer, n int) {
 	if join {
 		start := len(ps.main)
 		fz := m.freeze(ps)
-		ps.main = fz.reach(ps.main, n, ps.inMain)
+		ps.main = reach(&fz, ps.main, n, ps.inMain)
 		for _, f := range ps.main[start:] {
-			for _, l := range a.keyLCs.row(f) {
+			for _, l := range a.keyLCs.row(int(f)) {
 				ps.mainLC[l] = true
 			}
 		}
@@ -192,8 +207,9 @@ type Frozen struct {
 	// past is the peer's past edges and keys the analysis's keyLCs, each
 	// with exactly n rows.
 	past, keys rows
+	left       []int32
 	right      []atomic.Int32
-	main, vis  []int
+	main, vis  []int32
 	n          int
 }
 
@@ -209,6 +225,7 @@ func (m *Maintainer) freeze(ps *peerState) Frozen {
 	return Frozen{
 		past:  ps.past.prefix(n),
 		keys:  m.a.keyLCs.prefix(n),
+		left:  m.left[:len(m.left):len(m.left)],
 		right: m.right[:len(m.right):len(m.right)],
 		main:  ps.main[:len(ps.main):len(ps.main)],
 		vis:   ps.vis[:len(ps.vis):len(ps.vis)],
@@ -216,27 +233,33 @@ func (m *Maintainer) freeze(ps *peerState) Frozen {
 	}
 }
 
-// reach appends to dst, in the order reached, i and every event
+// reach appends to dst, in the order reached, i and every event of f
 // reachable from it that seen does not mark, and marks them: the walk
 // stops at marked events, and dst past its original length is its queue.
-func (f *Frozen) reach(dst []int, i int, seen []bool) []int {
+// An event's edges are its past row and the boundaries of its keys'
+// lifecycles.
+func reach[T int | int32](f *Frozen, dst []T, i int, seen []bool) []T {
 	if seen[i] {
 		return dst
 	}
 	seen[i] = true
-	dst = append(dst, i)
+	dst = append(dst, T(i))
 	for k := len(dst) - 1; k < len(dst); k++ {
-		e := dst[k]
+		e := int(dst[k])
 		for _, j := range f.past.row(e) {
 			if !seen[j] {
 				seen[j] = true
-				dst = append(dst, int(j))
+				dst = append(dst, T(j))
 			}
 		}
 		for _, l := range f.keys.row(e) {
+			if j := f.left[l]; j >= 0 && !seen[j] {
+				seen[j] = true
+				dst = append(dst, T(j))
+			}
 			if r := f.right[l].Load(); r >= 0 && int(r) < f.n && !seen[r] {
 				seen[r] = true
-				dst = append(dst, int(r))
+				dst = append(dst, T(r))
 			}
 		}
 	}
@@ -276,7 +299,7 @@ type Walker struct {
 // Explain returns the event indices of T_p^ω(ρ, {i}) as of the freeze
 // point, ascending, in a slice the next call reuses.
 func (w *Walker) Explain(i int) []int {
-	w.out = w.fz.reach(w.out[:0], i, w.seen)
+	w.out = reach(w.fz, w.out[:0], i, w.seen)
 	for _, j := range w.out {
 		w.seen[j] = false
 	}
@@ -287,14 +310,17 @@ func (w *Walker) Explain(i int) []int {
 // Minimal returns the event indices of the minimal p-faithful scenario as
 // of the freeze point, ascending.
 func (f *Frozen) Minimal() []int {
-	out := append(make([]int, 0, len(f.main)), f.main...)
+	out := make([]int, len(f.main))
+	for k, i := range f.main {
+		out[k] = int(i)
+	}
 	slices.Sort(out)
 	return out
 }
 
 // Visible returns the events visible at p over the captured prefix,
 // ascending. The slice is shared: callers must not modify it.
-func (f *Frozen) Visible() []int { return f.vis }
+func (f *Frozen) Visible() []int32 { return f.vis }
 
 // Len returns the number of events the capture covers.
 func (f *Frozen) Len() int { return f.n }

@@ -9,6 +9,7 @@ import (
 
 	"collabwf/internal/parse"
 	"collabwf/internal/program"
+	"collabwf/internal/schema"
 	"collabwf/internal/workload"
 )
 
@@ -87,7 +88,7 @@ func TestSharedMaintainerMatchesFromScratch(t *testing.T) {
 				if fz.Len() != n {
 					t.Fatalf("%s peer %s: capture %d covers %d events", name, p, n, fz.Len())
 				}
-				if want := prefix.VisibleEvents(p); !slices.Equal(fz.Visible(), want) {
+				if want := prefix.VisibleEvents(p); !slices.Equal(ints(fz.Visible()), want) {
 					t.Fatalf("%s peer %s capture %d: Visible %v, want %v", name, p, n, fz.Visible(), want)
 				}
 				if want := Fixpoint(a, NewSeq(prefix.VisibleEvents(p)...), p).Sorted(); !slices.Equal(fz.Minimal(), want) {
@@ -118,22 +119,23 @@ type scannedLifecycle struct {
 // between is one of its fills. Per key, in order.
 func scanLifecycles(r *program.Run, n int) map[lcID][]*scannedLifecycle {
 	out := make(map[lcID][]*scannedLifecycle)
-	for _, rel := range r.Prog.Schema.DB.Names() {
+	db := r.Prog.Schema.DB
+	for i, rel := range db.Names() {
 		for _, k := range r.Initial.Keys(rel) {
-			out[lcID{rel, k}] = []*scannedLifecycle{{Lifecycle: Lifecycle{Rel: rel, Key: k, Left: -1, Right: -1}}}
+			out[lcID{schema.RelID(i), k}] = []*scannedLifecycle{{Lifecycle: Lifecycle{Rel: rel, Key: k, Left: -1, Right: -1}}}
 		}
 	}
 	for i := 0; i < n; i++ {
 		for _, ef := range r.Effects(i) {
-			id := lcID{ef.Rel, ef.Key}
+			id := lcID{ef.Rel, ef.Key()}
 			cs := out[id]
 			switch ef.Kind {
 			case program.Created:
-				out[id] = append(cs, &scannedLifecycle{Lifecycle: Lifecycle{Rel: ef.Rel, Key: ef.Key, Left: i, Right: -1}})
+				out[id] = append(cs, &scannedLifecycle{Lifecycle: Lifecycle{Rel: db.RelationAt(ef.Rel).Name, Key: ef.Key(), Left: i, Right: -1}})
 			case program.Deleted:
 				cs[len(cs)-1].Right = i
 			case program.Modified:
-				if len(ef.Filled) > 0 {
+				if ef.Filled != 0 {
 					cs[len(cs)-1].fills = append(cs[len(cs)-1].fills, i)
 				}
 			}
@@ -161,14 +163,14 @@ func checkInterned(t *testing.T, a *Analysis, r *program.Run) {
 	for l := range a.lcs {
 		lc := &a.lcs[l]
 		var fills []int
-		for _, f := range lc.fills {
-			if len(fills) == 0 || fills[len(fills)-1] != f.event {
-				fills = append(fills, f.event)
+		for k := lc.fills; k >= 0; k = a.fills[k].prev {
+			if f := int(a.fills[k].event); len(fills) == 0 || fills[0] != f {
+				fills = append([]int{f}, fills...)
 			}
 		}
-		for _, c := range scan[lcID{lc.Rel, lc.Key}] {
-			if c.Left == lc.Left && !slices.Equal(c.fills, fills) {
-				t.Fatalf("after %d events: %v fills %v, scan %v", a.Len(), lc.Lifecycle, fills, c.fills)
+		for _, c := range scan[lcID{lc.rel, lc.key}] {
+			if c.Left == int(lc.left) && !slices.Equal(c.fills, fills) {
+				t.Fatalf("after %d events: %v fills %v, scan %v", a.Len(), a.lifecycle(int32(l)), fills, c.fills)
 			}
 		}
 	}
@@ -176,7 +178,8 @@ func checkInterned(t *testing.T, a *Analysis, r *program.Run) {
 		e := r.Event(i)
 		var wantKeys []Lifecycle
 		for _, rk := range e.AppendKeys(nil) {
-			if c := firstContaining(scan[lcID{rk.Rel, rk.Key}], i); c != nil {
+			rel, _ := r.Prog.Schema.DB.ID(rk.Rel)
+			if c := firstContaining(scan[lcID{rel, rk.Key}], i); c != nil {
 				wantKeys = append(wantKeys, c.Lifecycle)
 			}
 		}
@@ -212,7 +215,15 @@ func firstContaining(cs []*scannedLifecycle, i int) *scannedLifecycle {
 func resolve(a *Analysis, ids []int32) []Lifecycle {
 	var out []Lifecycle
 	for _, l := range ids {
-		out = append(out, a.lcs[l].Lifecycle)
+		out = append(out, a.lifecycle(l))
+	}
+	return out
+}
+
+func ints(s []int32) []int {
+	out := make([]int, len(s))
+	for k, i := range s {
+		out[k] = int(i)
 	}
 	return out
 }

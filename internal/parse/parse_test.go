@@ -1,6 +1,7 @@
 package parse
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"collabwf/internal/program"
 	"collabwf/internal/query"
 	"collabwf/internal/rule"
+	"collabwf/internal/schema"
 	"collabwf/internal/workload"
 )
 
@@ -182,6 +184,20 @@ func TestParseErrors(t *testing.T) {
 		if _, err := Parse(c.src); err == nil {
 			t.Errorf("%s: expected error", c.name)
 		}
+	}
+}
+
+// A relation wider than schema.MaxArity is refused with an error naming
+// it and its line, so a spec never silently truncates an effect's mask.
+func TestParseRejectsWideRelation(t *testing.T) {
+	attrs := make([]string, schema.MaxArity)
+	for i := range attrs {
+		attrs[i] = fmt.Sprintf("A%d", i)
+	}
+	src := "workflow W\nrelation R(K)\nrelation Wide(K, " + strings.Join(attrs, ", ") + ")\npeer p { view R(K) }"
+	_, err := Parse(src)
+	if err == nil || !strings.Contains(err.Error(), "line 3") || !strings.Contains(err.Error(), "relation Wide") {
+		t.Fatalf("Parse of a %d-attribute relation: error %v, want one naming line 3 and Wide", schema.MaxArity+1, err)
 	}
 }
 

@@ -220,7 +220,7 @@ func (e *Event) String() string {
 }
 
 // EffectKind classifies how an update changed the global instance.
-type EffectKind int
+type EffectKind uint8
 
 const (
 	// Created: the event inserted a tuple with a key that was absent —
@@ -247,20 +247,31 @@ func (k EffectKind) String() string {
 	return "unknown"
 }
 
-// Effect records one update's observable change to the global instance.
-// Before and After are the instances' own stored tuples, which are
-// immutable: callers must not modify them.
+// Effect records one update's observable change to the global instance,
+// in 32 bytes. Before and After are the instances' own stored rows, shared
+// with every version that holds them, and immutable: callers must not
+// modify them.
 type Effect struct {
+	// Rel is the handle of the updated relation and Kind the change; the
+	// two share one word.
+	Rel  schema.RelID
 	Kind EffectKind
-	Rel  string
-	Key  data.Value
-	// Before is the full tuple before the update (nil for Created).
-	Before data.Tuple
-	// After is the full tuple after the update (nil for Deleted).
-	After data.Tuple
-	// Filled lists the attributes turned from ⊥ to a value (Modified and
-	// Created), as positions into the relation schema.
-	Filled []int
+	// Before is the full row before the update (nil for Created).
+	Before *schema.Row
+	// After is the full row after the update (nil for Deleted).
+	After *schema.Row
+	// Filled has bit i set for each attribute position i of the relation
+	// schema the update turned from ⊥ to a value (Modified and Created).
+	// A relation has at most schema.MaxArity attributes.
+	Filled uint64
+}
+
+// Key returns the key of the updated row.
+func (ef *Effect) Key() data.Value {
+	if ef.After != nil {
+		return ef.After.Key()
+	}
+	return ef.Before.Key()
 }
 
 // Apply computes the transition I ⊢e J: it checks that every update of the
@@ -288,21 +299,26 @@ func Apply(in *schema.Instance, e *Event, s *schema.Collaborative, cs *cond.Eval
 func applyTo(next *schema.Instance, e *Event, s *schema.Collaborative, cs *cond.EvalCounts) ([]Effect, error) {
 	head := e.Rule.Layout().Head
 	effects := make([]Effect, 0, len(head))
+	views := s.ViewTable(e.Peer())
 	for i, u := range head {
-		v, ok := s.View(e.Peer(), u.Rel)
-		if !ok {
+		id, ok := s.DB.ID(u.Rel)
+		var v *schema.View
+		if ok {
+			v = views[id]
+		}
+		if v == nil {
 			return nil, fmt.Errorf("program: event %s updates %s, invisible at %s", e, u.Rel, e.Peer())
 		}
-		key := u.Args[0].Get(e.vals)
 		if u.Delete {
 			// A peer can delete only a tuple it sees: the key must be in
 			// I@p(R@p).
-			t, exists := next.Get(u.Rel, key)
-			if !exists || !v.Sees(t, cs) {
+			key := u.Args[0].Get(e.vals)
+			t := next.Row(id, key)
+			if t == nil || !v.Sees(t.Tuple(), cs) {
 				return nil, fmt.Errorf("program: deletion %s not applicable: key not visible at %s", e.update(i), e.Peer())
 			}
-			next.Delete(u.Rel, key)
-			effects = append(effects, Effect{Kind: Deleted, Rel: u.Rel, Key: key, Before: t})
+			next.DeleteAt(id, key)
+			effects = append(effects, Effect{Kind: Deleted, Rel: id, Before: t})
 			continue
 		}
 		// Insertion: J = chase_K(I ∪ {R(u^⊥)}) must be valid and u must be
@@ -318,16 +334,16 @@ func applyTo(next *schema.Instance, e *Event, s *schema.Collaborative, cs *cond.
 		for j, a := range u.Args {
 			pad[v.Pos(j)] = a.Get(e.vals)
 		}
-		merged, before, err := next.Chase(u.Rel, pad)
+		merged, before, err := next.Chase(id, pad)
 		if err != nil {
 			return nil, fmt.Errorf("program: insertion %s not applicable: %w", e.update(i), err)
 		}
-		if !v.Sees(merged, cs) {
+		if !v.Sees(merged.Tuple(), cs) {
 			return nil, fmt.Errorf("program: insertion %s not applicable: inserted tuple not subsumed by %s's view", e.update(i), e.Peer())
 		}
-		// Stored tuples are immutable: the effect shares merged, which the
+		// Stored rows are immutable: the effect shares merged, which the
 		// chase has just stored, and before, which the instance held.
-		ef := Effect{Kind: Created, Rel: u.Rel, Key: key, After: merged, Filled: filled(before, merged)}
+		ef := Effect{Kind: Created, Rel: id, After: merged, Filled: filled(before.Tuple(), merged.Tuple())}
 		if before != nil {
 			// An insertion that changes nothing is still an event, but it
 			// has no effect entry content beyond the identity; record it
@@ -344,34 +360,26 @@ func applyTo(next *schema.Instance, e *Event, s *schema.Collaborative, cs *cond.
 // Each stored row is adopted as it is, so a redone instance shares its
 // rows with the one the event first produced.
 func (st *Step) redo(in *schema.Instance) {
-	for _, ef := range st.Effects {
+	for i := range st.Effects {
+		ef := &st.Effects[i]
 		if ef.Kind == Deleted {
-			in.Delete(ef.Rel, ef.Key)
+			in.DeleteAt(ef.Rel, ef.Before.Key())
 		} else {
 			in.Adopt(ef.Rel, ef.After)
 		}
 	}
 }
 
-// filled returns the positions that are ⊥ in before (nil: absent) and set
-// in after, in one allocation, or nil when there are none.
-func filled(before, after data.Tuple) []int {
-	n := 0
-	for i := range after {
-		if !after[i].IsNull() && (before == nil || before[i].IsNull()) {
-			n++
+// filled returns the mask of the positions that are ⊥ in before (nil:
+// absent) and set in after.
+func filled(before, after data.Tuple) uint64 {
+	var m uint64
+	for i, v := range after {
+		if !v.IsNull() && (before == nil || before[i].IsNull()) {
+			m |= 1 << i
 		}
 	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]int, 0, n)
-	for i := range after {
-		if !after[i].IsNull() && (before == nil || before[i].IsNull()) {
-			out = append(out, i)
-		}
-	}
-	return out
+	return m
 }
 
 // Applicable reports whether event e can fire on instance I: its body must

@@ -1,6 +1,7 @@
 package program
 
 import (
+	"math/bits"
 	"slices"
 	"strings"
 	"testing"
@@ -139,7 +140,7 @@ func TestRunEffectsRecorded(t *testing.T) {
 	r := NewRun(p)
 	r.MustFireRule("clear", map[string]data.Value{"x": "sue"})
 	efs := r.Effects(0)
-	if len(efs) != 1 || efs[0].Kind != Created || efs[0].Rel != "Cleared" || efs[0].Key != "sue" {
+	if len(efs) != 1 || efs[0].Kind != Created || p.Schema.DB.RelationAt(efs[0].Rel).Name != "Cleared" || efs[0].Key() != "sue" {
 		t.Fatalf("effects=%v", efs)
 	}
 	if efs[0].Kind.String() != "created" {
@@ -200,10 +201,10 @@ func TestChaseMergeInsertAndVisibilitySideEffect(t *testing.T) {
 		t.Fatal("publish must be visible at reader")
 	}
 	efs := r.Effects(1)
-	if len(efs) != 1 || efs[0].Kind != Modified || len(efs[0].Filled) != 1 {
+	if len(efs) != 1 || efs[0].Kind != Modified || bits.OnesCount64(efs[0].Filled) != 1 {
 		t.Fatalf("publish effects=%v", efs)
 	}
-	if attr := p.Schema.DB.Relation("Doc").Attrs[efs[0].Filled[0]]; attr != "Status" {
+	if attr := p.Schema.DB.Relation("Doc").Attrs[bits.TrailingZeros64(efs[0].Filled)]; attr != "Status" {
 		t.Fatalf("publish filled %s, want Status", attr)
 	}
 	// Retract deletes.
@@ -262,7 +263,7 @@ func TestInsertConflictRejectedByChase(t *testing.T) {
 	if got, _ := next.Get("Doc", d); !got.Equal(want) {
 		t.Fatalf("merged row %v, want %v", got, want)
 	}
-	if len(efs) != 1 || efs[0].Kind != Modified || !efs[0].After.Equal(want) || efs[0].Filled != nil {
+	if len(efs) != 1 || efs[0].Kind != Modified || !efs[0].After.Tuple().Equal(want) || efs[0].Filled != 0 {
 		t.Fatalf("effects %+v", efs)
 	}
 }

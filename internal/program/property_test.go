@@ -45,12 +45,13 @@ func TestEffectsDescribeDeltas(t *testing.T) {
 		for i := 0; i < r.Len(); i++ {
 			before := r.InstanceAt(i - 1).Clone()
 			for _, ef := range r.Effects(i) {
+				rel := p.Schema.DB.RelationAt(ef.Rel).Name
 				switch ef.Kind {
 				case program.Created, program.Modified:
-					before.MustPut(ef.Rel, ef.After)
+					before.MustPut(rel, ef.After.Tuple())
 				case program.Deleted:
-					if !before.Delete(ef.Rel, ef.Key) {
-						t.Fatalf("seed %d event %d: deleted key %s absent", seed, i, ef.Key)
+					if !before.Delete(rel, ef.Key()) {
+						t.Fatalf("seed %d event %d: deleted key %s absent", seed, i, ef.Key())
 					}
 				}
 			}
@@ -73,35 +74,33 @@ func TestEffectKindInvariants(t *testing.T) {
 		for i := 0; i < r.Len(); i++ {
 			before, after := r.InstanceAt(i-1), r.InstanceAt(i)
 			for _, ef := range r.Effects(i) {
+				rel := p.Schema.DB.RelationAt(ef.Rel).Name
 				switch ef.Kind {
 				case program.Created:
-					if before.HasKey(ef.Rel, ef.Key) {
+					if before.HasKey(rel, ef.Key()) {
 						t.Fatalf("Created but key existed: %v", ef)
 					}
-					if !after.HasKey(ef.Rel, ef.Key) {
+					if !after.HasKey(rel, ef.Key()) {
 						t.Fatalf("Created but key absent after: %v", ef)
 					}
 				case program.Deleted:
-					if after.HasKey(ef.Rel, ef.Key) {
+					if after.HasKey(rel, ef.Key()) {
 						t.Fatalf("Deleted but key present after: %v", ef)
 					}
 				case program.Modified:
-					for _, pos := range ef.Filled {
-						if !ef.Before[pos].IsNull() || ef.After[pos].IsNull() {
+					b, a := ef.Before.Tuple(), ef.After.Tuple()
+					for j := range b {
+						filled := ef.Filled&(1<<j) != 0
+						if filled && (!b[j].IsNull() || a[j].IsNull()) {
 							t.Fatalf("Modified fill not ⊥→value: %v", ef)
 						}
-					}
-					// Non-filled positions are unchanged.
-					for j := range ef.Before {
-						filled := false
-						for _, pos := range ef.Filled {
-							if pos == j {
-								filled = true
-							}
-						}
-						if !filled && ef.Before[j] != ef.After[j] {
+						// Non-filled positions are unchanged.
+						if !filled && b[j] != a[j] {
 							t.Fatalf("Modified changed a non-⊥ position: %v", ef)
 						}
+					}
+					if ef.Filled>>len(b) != 0 {
+						t.Fatalf("Modified fills a position past the arity: %v", ef)
 					}
 				}
 			}

@@ -168,17 +168,19 @@ func StepVisibleAt(s *schema.Collaborative, st *Step, p schema.Peer, cs *cond.Ev
 	if st.Event.Peer() == p {
 		return true
 	}
-	for _, ef := range st.Effects {
-		v, ok := s.View(p, ef.Rel)
-		if !ok {
+	views := s.ViewTable(p)
+	for i := range st.Effects {
+		ef := &st.Effects[i]
+		v := views[ef.Rel]
+		if v == nil {
 			continue
 		}
 		var before, after data.Tuple
-		if ef.Before != nil && v.Sees(ef.Before, cs) {
-			before = v.Project(ef.Before)
+		if t := ef.Before.Tuple(); t != nil && v.Sees(t, cs) {
+			before = v.Project(t)
 		}
-		if ef.After != nil && v.Sees(ef.After, cs) {
-			after = v.Project(ef.After)
+		if t := ef.After.Tuple(); t != nil && v.Sees(t, cs) {
+			after = v.Project(t)
 		}
 		if (before == nil) != (after == nil) {
 			return true

@@ -14,12 +14,16 @@ import (
 type Collaborative struct {
 	DB    *Database
 	peers []Peer
-	views map[Peer]map[string]*View
+	// views holds each peer's views indexed by relation handle (RelID),
+	// nil where the peer has none; none is the table of a peer without
+	// views.
+	views map[Peer][]*View
+	none  []*View
 }
 
 // NewCollaborative creates an empty collaborative schema over db.
 func NewCollaborative(db *Database) *Collaborative {
-	return &Collaborative{DB: db, views: make(map[Peer]map[string]*View)}
+	return &Collaborative{DB: db, views: make(map[Peer][]*View), none: make([]*View, db.Size())}
 }
 
 // AddPeer registers a peer without views (views are added with AddView).
@@ -27,7 +31,7 @@ func (s *Collaborative) AddPeer(p Peer) {
 	if _, ok := s.views[p]; ok {
 		return
 	}
-	s.views[p] = make(map[string]*View)
+	s.views[p] = make([]*View, s.DB.Size())
 	s.peers = append(s.peers, p)
 	sort.Slice(s.peers, func(i, j int) bool { return s.peers[i] < s.peers[j] })
 }
@@ -35,14 +39,15 @@ func (s *Collaborative) AddPeer(p Peer) {
 // AddView registers the view R@p. The relation must belong to the schema's
 // database and the peer is registered implicitly.
 func (s *Collaborative) AddView(v *View) error {
-	if s.DB.Relation(v.Rel.Name) != v.Rel {
+	id, ok := s.DB.ID(v.Rel.Name)
+	if !ok || s.DB.RelationAt(id) != v.Rel {
 		return fmt.Errorf("schema: view %s over a relation not in the database", v)
 	}
 	s.AddPeer(v.Peer)
-	if _, dup := s.views[v.Peer][v.Rel.Name]; dup {
+	if s.views[v.Peer][id] != nil {
 		return fmt.Errorf("schema: duplicate view %s@%s", v.Rel.Name, v.Peer)
 	}
-	s.views[v.Peer][v.Rel.Name] = v
+	s.views[v.Peer][id] = v
 	return nil
 }
 
@@ -64,21 +69,33 @@ func (s *Collaborative) HasPeer(p Peer) bool {
 
 // View returns the view R@p, if the peer sees the relation.
 func (s *Collaborative) View(p Peer, rel string) (*View, bool) {
-	v, ok := s.views[p][rel]
-	return v, ok
+	id, ok := s.DB.ID(rel)
+	if !ok {
+		return nil, false
+	}
+	v := s.ViewTable(p)[id]
+	return v, v != nil
 }
 
-// ViewsAt returns the views of peer p sorted by relation name.
-func (s *Collaborative) ViewsAt(p Peer) []*View {
-	m := s.views[p]
-	names := make([]string, 0, len(m))
-	for n := range m {
-		names = append(names, n)
+// ViewTable returns p's views indexed by relation handle (RelID), nil
+// where p has no view of the relation, so a caller looking up many views
+// of one peer pays one map lookup. The table is shared: callers must not
+// modify it.
+func (s *Collaborative) ViewTable(p Peer) []*View {
+	if t, ok := s.views[p]; ok {
+		return t
 	}
-	sort.Strings(names)
-	out := make([]*View, len(names))
-	for i, n := range names {
-		out[i] = m[n]
+	return s.none
+}
+
+// ViewsAt returns the views of peer p sorted by relation name: handles
+// follow the sorted names.
+func (s *Collaborative) ViewsAt(p Peer) []*View {
+	out := make([]*View, 0, len(s.views[p]))
+	for _, v := range s.ViewTable(p) {
+		if v != nil {
+			out = append(out, v)
+		}
 	}
 	return out
 }
@@ -87,7 +104,7 @@ func (s *Collaborative) ViewsAt(p Peer) []*View {
 func (s *Collaborative) PeersSeeing(rel string) []Peer {
 	var out []Peer
 	for _, p := range s.peers {
-		if _, ok := s.views[p][rel]; ok {
+		if _, ok := s.View(p, rel); ok {
 			out = append(out, p)
 		}
 	}
@@ -102,8 +119,8 @@ func (s *Collaborative) PeersSeeing(rel string) []Peer {
 // such a tuple is a satisfiability question over equality conditions, which
 // the cond package decides.
 func (s *Collaborative) CheckLossless() error {
-	for _, name := range s.DB.Names() {
-		rel := s.DB.Relation(name)
+	for i, name := range s.DB.Names() {
+		rel := s.DB.RelationAt(RelID(i))
 		for _, a := range rel.Attrs {
 			// Constraints describing a witness tuple:
 			//   valid:      K ≠ ⊥
@@ -114,8 +131,8 @@ func (s *Collaborative) CheckLossless() error {
 				cond.Not{C: cond.EqConst{Attr: a, Const: data.Null}},
 			}
 			for _, p := range s.peers {
-				v, ok := s.views[p][name]
-				if !ok || !v.Has(a) {
+				v := s.views[p][i]
+				if v == nil || !v.Has(a) {
 					continue
 				}
 				constraints = append(constraints, cond.Not{C: v.Selection})

@@ -3,8 +3,8 @@ package schema
 import (
 	"bufio"
 	"fmt"
-	"sort"
 	"strings"
+	"unsafe"
 
 	"collabwf/internal/cond"
 	"collabwf/internal/data"
@@ -27,9 +27,9 @@ import (
 type Instance struct {
 	db   *Database
 	rels []prel // indexed like db.Names()
-	// edit is the edit token of a transient instance, nil for a
-	// persistent one.
-	edit *edit
+	// edit is the edit token of a transient instance, 0 for a persistent
+	// one.
+	edit edit
 }
 
 // NewInstance returns the empty instance of db.
@@ -56,17 +56,17 @@ func (in *Instance) Clone() *Instance {
 // change.
 func (in *Instance) Transient() *Instance {
 	in.share()
-	return &Instance{db: in.db, rels: append([]prel(nil), in.rels...), edit: new(edit)}
+	return &Instance{db: in.db, rels: append([]prel(nil), in.rels...), edit: newEdit()}
 }
 
 // IsTransient reports whether the instance was made by Transient.
-func (in *Instance) IsTransient() bool { return in.edit != nil }
+func (in *Instance) IsTransient() bool { return in.edit != 0 }
 
 // share retires a transient receiver's edit token before its nodes are
 // shared: no node tagged with the old token can be written in place again.
 func (in *Instance) share() {
-	if in.edit != nil {
-		in.edit = new(edit)
+	if in.edit != 0 {
+		in.edit = newEdit()
 	}
 }
 
@@ -80,14 +80,18 @@ func (in *Instance) rel(name string) prel {
 
 // Get returns the tuple of relation rel with the given key.
 func (in *Instance) Get(rel string, key data.Value) (data.Tuple, bool) {
-	return in.rel(rel).get(key)
+	r := in.rel(rel).get(key)
+	return r.Tuple(), r != nil
 }
+
+// Row returns the stored row of the relation with handle id with the
+// given key, nil when absent.
+func (in *Instance) Row(id RelID, key data.Value) *Row { return in.rels[id].get(key) }
 
 // HasKey reports whether rel contains a tuple with the given key — the view
 // relation Key_R of the paper.
 func (in *Instance) HasKey(rel string, key data.Value) bool {
-	_, ok := in.rel(rel).get(key)
-	return ok
+	return in.rel(rel).get(key) != nil
 }
 
 // Count returns the number of tuples in rel.
@@ -140,7 +144,7 @@ func (in *Instance) Put(rel string, t data.Tuple) error {
 		return fmt.Errorf("schema: tuple %v has ⊥ key", t)
 	}
 	i := in.db.idx[rel]
-	in.rels[i] = in.rels[i].with(t.Key(), t.Clone(), in.edit)
+	in.rels[i] = in.rels[i].with(&Row{tup: t.Clone()}, in.edit)
 	return nil
 }
 
@@ -154,22 +158,24 @@ func (in *Instance) MustPut(rel string, t data.Tuple) {
 // Delete removes the tuple of rel with the given key and reports whether it
 // existed.
 func (in *Instance) Delete(rel string, key data.Value) bool {
-	i, ok := in.db.idx[rel]
-	if !ok {
-		return false
-	}
-	r, ok := in.rels[i].without(key, in.edit)
-	in.rels[i] = r
+	i, ok := in.db.ID(rel)
+	return ok && in.DeleteAt(i, key)
+}
+
+// DeleteAt is Delete of the relation with handle id.
+func (in *Instance) DeleteAt(id RelID, key data.Value) bool {
+	r, ok := in.rels[id].without(key, in.edit)
+	in.rels[id] = r
 	return ok
 }
 
-// Adopt stores t in rel under its key, replacing any tuple with that key,
-// and keeps t itself, unchecked: t must be a valid tuple of rel that no one
-// modifies, such as a row another instance stores. Redoing a recorded
-// effect writes its stored tuple back this way.
-func (in *Instance) Adopt(rel string, t data.Tuple) {
-	i := in.db.idx[rel]
-	in.rels[i] = in.rels[i].with(t.Key(), t, in.edit)
+// Adopt stores row r in the relation with handle id under its key,
+// replacing any row with that key, and keeps r itself, unchecked: r must
+// be a row of that relation, such as one another instance stores. Redoing
+// a recorded effect writes its stored row back this way, so the redone
+// instance shares the row and its memo.
+func (in *Instance) Adopt(id RelID, r *Row) {
+	in.rels[id] = in.rels[id].with(r, in.edit)
 }
 
 // ChaseInsert computes chase_K(I ∪ {R(t)}) without modifying I: if a tuple
@@ -178,45 +184,47 @@ func (in *Instance) Adopt(rel string, t data.Tuple) {
 // It returns the merged tuple as stored. The result shares every other row
 // with the receiver.
 func (in *Instance) ChaseInsert(rel string, t data.Tuple) (*Instance, data.Tuple, error) {
+	id, ok := in.db.ID(rel)
+	if !ok {
+		return nil, nil, fmt.Errorf("schema: unknown relation %s", rel)
+	}
 	out := in.Clone()
-	merged, _, err := out.Chase(rel, t.Clone())
+	merged, _, err := out.Chase(id, t.Clone())
 	if err != nil {
 		return nil, nil, err
 	}
-	return out, merged, nil
+	return out, merged.tup, nil
 }
 
-// Chase is ChaseInsert in place, for a caller that owns the receiver (a
-// Clone it has not shared) and t: t is filled from the stored tuple with
-// its key and stored itself, so the caller must not modify it afterwards.
-// It returns the merged tuple as stored and the tuple it replaced (nil when
-// the key was absent). On error the receiver is unchanged.
-func (in *Instance) Chase(rel string, t data.Tuple) (merged, old data.Tuple, err error) {
-	r := in.db.Relation(rel)
-	if r == nil {
-		return nil, nil, fmt.Errorf("schema: unknown relation %s", rel)
-	}
+// Chase is ChaseInsert in place into the relation with handle id, for a
+// caller that owns the receiver (a Clone it has not shared) and t: t is
+// filled from the stored tuple with its key and stored itself, so the
+// caller must not modify it afterwards. It returns the merged row as
+// stored and the row it replaced (nil when the key was absent). On error
+// the receiver is unchanged.
+func (in *Instance) Chase(id RelID, t data.Tuple) (merged, old *Row, err error) {
+	r := in.db.RelationAt(id)
 	if len(t) != r.Arity() {
-		return nil, nil, fmt.Errorf("schema: tuple %v has arity %d, want %d for %s", t, len(t), r.Arity(), rel)
+		return nil, nil, fmt.Errorf("schema: tuple %v has arity %d, want %d for %s", t, len(t), r.Arity(), r.Name)
 	}
 	if t.Key().IsNull() {
-		return nil, nil, fmt.Errorf("schema: insertion with ⊥ key into %s", rel)
+		return nil, nil, fmt.Errorf("schema: insertion with ⊥ key into %s", r.Name)
 	}
-	i := in.db.idx[rel]
-	old, _ = in.rels[i].get(t.Key())
-	for j := range old {
+	old = in.rels[id].get(t.Key())
+	for j, v := range old.Tuple() {
 		switch {
 		case t[j].IsNull():
-			t[j] = old[j]
-		case old[j].IsNull() || old[j] == t[j]:
+			t[j] = v
+		case v.IsNull() || v == t[j]:
 			// compatible
 		default:
 			return nil, nil, fmt.Errorf("schema: chase conflict in %s on key %s attribute %s: %s vs %s",
-				rel, t.Key(), r.Attrs[j], old[j], t[j])
+				r.Name, t.Key(), r.Attrs[j], v, t[j])
 		}
 	}
-	in.rels[i] = in.rels[i].with(t.Key(), t, in.edit)
-	return t, old, nil
+	merged = &Row{tup: t}
+	in.rels[id] = in.rels[id].with(merged, in.edit)
+	return merged, old, nil
 }
 
 // Equal reports whether two instances over the same schema hold the same
@@ -237,8 +245,8 @@ func (in *Instance) Equal(other *Instance) bool {
 			continue
 		}
 		if !a.each(func(t data.Tuple) bool {
-			u, ok := b.get(t.Key())
-			return ok && t.Equal(u)
+			u := b.get(t.Key())
+			return u != nil && t.Equal(u.tup)
 		}) {
 			return false
 		}
@@ -305,8 +313,11 @@ func (in *Instance) String() string {
 // walks the sorted source. The source must not be mutated while the view
 // is in use (run instances never are).
 type ViewInstance struct {
-	Peer  Peer
-	views map[string]*View
+	Peer Peer
+	// views is the peer's view table (Collaborative.ViewTable) over the
+	// relations of db, the schema's database.
+	views []*View
+	db    *Database
 	src   *Instance
 	// scans caches Tuples per relation for the view's lifetime.
 	scans map[string][]data.Tuple
@@ -318,7 +329,15 @@ type ViewInstance struct {
 
 // ViewOf returns I@p under the collaborative schema s.
 func ViewOf(in *Instance, s *Collaborative, p Peer) *ViewInstance {
-	return &ViewInstance{Peer: p, views: s.views[p], src: in}
+	return &ViewInstance{Peer: p, views: s.ViewTable(p), db: s.DB, src: in}
+}
+
+// view returns the peer's view of rel, nil when it has none.
+func (vi *ViewInstance) view(rel string) *View {
+	if id, ok := vi.db.ID(rel); ok {
+		return vi.views[id]
+	}
+	return nil
 }
 
 // CountConds routes the condition evaluations of the selection checks made
@@ -331,14 +350,14 @@ func (vi *ViewInstance) CountConds(cs *cond.EvalCounts) *ViewInstance {
 
 // View returns the view definition for rel at this peer.
 func (vi *ViewInstance) View(rel string) (*View, bool) {
-	v, ok := vi.views[rel]
-	return v, ok
+	v := vi.view(rel)
+	return v, v != nil
 }
 
 // Get returns the projected tuple with the given key in rel.
 func (vi *ViewInstance) Get(rel string, key data.Value) (data.Tuple, bool) {
-	v, ok := vi.views[rel]
-	if !ok {
+	v := vi.view(rel)
+	if v == nil {
 		return nil, false
 	}
 	t, ok := vi.src.Get(rel, key)
@@ -351,8 +370,8 @@ func (vi *ViewInstance) Get(rel string, key data.Value) (data.Tuple, bool) {
 // HasKey reports whether the peer sees a tuple with this key — the contents
 // of Key_{R@p}.
 func (vi *ViewInstance) HasKey(rel string, key data.Value) bool {
-	v, ok := vi.views[rel]
-	if !ok {
+	v := vi.view(rel)
+	if v == nil {
 		return false
 	}
 	t, ok := vi.src.Get(rel, key)
@@ -364,8 +383,8 @@ func (vi *ViewInstance) Tuples(rel string) []data.Tuple {
 	if ts, ok := vi.scans[rel]; ok {
 		return ts
 	}
-	v, ok := vi.views[rel]
-	if !ok {
+	v := vi.view(rel)
+	if v == nil {
 		return nil
 	}
 	var out []data.Tuple
@@ -376,7 +395,7 @@ func (vi *ViewInstance) Tuples(rel string) []data.Tuple {
 		return true
 	})
 	if vi.scans == nil {
-		vi.scans = make(map[string][]data.Tuple, len(vi.views))
+		vi.scans = make(map[string][]data.Tuple)
 	}
 	vi.scans[rel] = out
 	return out
@@ -398,8 +417,8 @@ func (vi *ViewInstance) Each(rel string, fn func(data.Tuple) bool) {
 		}
 		return
 	}
-	v, ok := vi.views[rel]
-	if !ok {
+	v := vi.view(rel)
+	if v == nil {
 		return
 	}
 	var buf data.Tuple
@@ -423,11 +442,12 @@ func (vi *ViewInstance) Each(rel string, fn func(data.Tuple) bool) {
 // Relations returns the names of the relations the peer has a view of,
 // sorted.
 func (vi *ViewInstance) Relations() []string {
-	names := make([]string, 0, len(vi.views))
-	for n := range vi.views {
-		names = append(names, n)
+	var names []string
+	for _, v := range vi.views {
+		if v != nil {
+			names = append(names, v.Rel.Name)
+		}
 	}
-	sort.Strings(names)
 	return names
 }
 
@@ -475,59 +495,59 @@ func (vi *ViewInstance) Fingerprint() string {
 	return b.String()
 }
 
-// viewLine is one view's rendering of a stored row: line is "R@p(…)", the
-// row projected onto the view, or "" when the view's selection rejects the
-// row; plain reports that a JSON string holds line verbatim, so only the
-// rare line that needs escaping is escaped as it is written, and no
-// escaped copy is kept. Each node keeps a list of them,
-// newest first, one per view that has rendered its row. Entries are
-// immutable once published, and the list only grows by a CAS on its head,
-// so readers sharing a node never see a partly built entry.
-type viewLine struct {
-	view  *View
-	line  string
-	plain bool
-	next  *viewLine
+// rowView is one view's memo of a stored row: whether the view's selection
+// keeps the row, and whether the row's line "R@p(…)" goes verbatim into a
+// JSON string (plain), so only the rare line that needs escaping is
+// escaped as it is written. The line itself is written from the row's
+// values each time, so a memo is 24 bytes. Each row keeps a list of them,
+// newest first, one per view that has rendered it. Entries are immutable
+// once published, and the list only grows by a CAS on its head, so readers
+// sharing a row never see a partly built entry.
+type rowView struct {
+	view        *View
+	next        *rowView
+	sees, plain bool
 }
 
-// line returns v's rendering of n's row, rendering and publishing it on
-// first use. The selection check behind a first use is counted into cs;
-// later uses are free. Two readers racing on one node may both render, and
-// then both publish the same line; lookups return the first one found.
-func (n *pnode) line(v *View, cs *cond.EvalCounts) *viewLine {
-	head := n.lines.Load()
-	for l := head; l != nil; l = l.next {
-		if l.view == v {
-			return l
+// seenBy returns v's memo of the row, building and publishing it on first
+// use. The selection check behind a first use is counted into cs; later
+// uses are free. Two readers racing on one row may both build it, and then
+// both publish the same memo; lookups return the first one found.
+func (r *Row) seenBy(v *View, cs *cond.EvalCounts) *rowView {
+	head := r.views.Load()
+	for m := head; m != nil; m = m.next {
+		if m.view == v {
+			return m
 		}
 	}
-	l := &viewLine{view: v}
-	if v.Sees(n.tup, cs) {
-		l.line = v.render(n.tup)
-		l.plain = jsonw.Plain(l.line)
+	m := &rowView{view: v}
+	if v.Sees(r.tup, cs) {
+		m.sees, m.plain = true, v.plain(r.tup)
 	}
 	for {
-		l.next = head
-		if n.lines.CompareAndSwap(head, l) {
-			return l
+		m.next = head
+		if r.views.CompareAndSwap(head, m) {
+			return m
 		}
-		head = n.lines.Load()
+		head = r.views.Load()
 	}
 }
 
-// eachLine calls fn with every visible row's line, by relation name and
-// then key: the rows of I@p in the order String prints them.
-func (vi *ViewInstance) eachLine(fn func(*viewLine)) {
-	for _, name := range vi.Relations() {
-		walkLines(vi.src.rel(name).root, vi.views[name], vi.cnt, fn)
+// eachLine calls fn with every visible row and its view, by relation name
+// and then key: the rows of I@p in the order String prints them.
+func (vi *ViewInstance) eachLine(fn func(v *View, t data.Tuple, plain bool)) {
+	for _, v := range vi.views {
+		if v != nil {
+			walkLines(vi.src.rel(v.Rel.Name).root, v, vi.cnt, fn)
+		}
 	}
 }
 
-func walkLines(n *pnode, v *View, cs *cond.EvalCounts, fn func(*viewLine)) {
+func walkLines(n *pnode, v *View, cs *cond.EvalCounts, fn func(v *View, t data.Tuple, plain bool)) {
 	for n != nil {
 		walkLines(n.left, v, cs, fn)
-		if l := n.line(v, cs); l.line != "" {
-			fn(l)
+		if m := n.row.seenBy(v, cs); m.sees {
+			fn(v, n.row.tup, m.plain)
 		}
 		n = n.right
 	}
@@ -537,36 +557,40 @@ func walkLines(n *pnode, v *View, cs *cond.EvalCounts, fn func(*viewLine)) {
 // or ∅ when the peer sees nothing.
 func (vi *ViewInstance) String() string {
 	size := -1
-	vi.eachLine(func(l *viewLine) { size += len(l.line) + 1 })
+	vi.eachLine(func(v *View, t data.Tuple, _ bool) { size += v.lineLen(t) + 1 })
 	if size < 0 {
 		return "∅"
 	}
-	var b strings.Builder
-	b.Grow(size)
-	vi.eachLine(func(l *viewLine) {
-		if b.Len() > 0 {
-			b.WriteByte(' ')
+	b := make([]byte, 0, size)
+	vi.eachLine(func(v *View, t data.Tuple, _ bool) {
+		if len(b) > 0 {
+			b = append(b, ' ')
 		}
-		b.WriteString(l.line)
+		b = v.appendLine(b, t)
 	})
-	return b.String()
+	// b is never written again: the string may share its bytes.
+	return unsafe.String(unsafe.SliceData(b), len(b))
 }
 
 // WriteJSON writes String() as a JSON string literal, exactly as
-// encoding/json would encode it, without building the string.
+// encoding/json would encode it, without building the string: a plain
+// line is written straight into w's buffer, and only the rare line that
+// needs escaping is built first, in one scratch buffer.
 func (vi *ViewInstance) WriteJSON(w *bufio.Writer) {
 	w.WriteByte('"')
 	first := true
-	vi.eachLine(func(l *viewLine) {
+	var line []byte
+	vi.eachLine(func(v *View, t data.Tuple, plain bool) {
 		if !first {
 			w.WriteByte(' ')
 		}
 		first = false
-		if l.plain {
-			w.WriteString(l.line)
-		} else {
-			w.Write(jsonw.AppendEscaped(w.AvailableBuffer(), l.line))
+		if plain {
+			w.Write(v.appendLine(w.AvailableBuffer(), t))
+			return
 		}
+		line = v.appendLine(line[:0], t)
+		w.Write(jsonw.AppendEscaped(w.AvailableBuffer(), line))
 	})
 	if first {
 		w.WriteString("∅")
@@ -584,7 +608,7 @@ func Reconstruct(in *Instance, s *Collaborative) (*Instance, error) {
 	for _, p := range s.Peers() {
 		vi := ViewOf(in, s, p)
 		for _, name := range vi.Relations() {
-			v := vi.views[name]
+			v := vi.view(name)
 			for _, u := range vi.Tuples(name) {
 				next, _, err := out.ChaseInsert(name, v.Pad(u))
 				if err != nil {

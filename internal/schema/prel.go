@@ -11,7 +11,8 @@ import (
 // sorted on the key, with path-copying writes. A write allocates the
 // O(log |R|) nodes on the path to the changed row and shares every other
 // node with the version it was derived from, so every earlier version stays
-// valid and unchanged. The zero value is the empty relation.
+// valid and unchanged. A node holds its row by pointer (Row), so copying a
+// node never copies the row. The zero value is the empty relation.
 //
 // A write made under an edit token (a transient instance's, see
 // Instance.Transient) is the exception: a node on the path that carries
@@ -29,60 +30,86 @@ type prel struct {
 	n    int
 }
 
-type pnode struct {
-	// tup is the row; its first value is the node's key.
-	tup         data.Tuple
-	left, right *pnode
-	h           int
-	// edit is the token of the transient whose write allocated the node,
-	// nil for a node a persistent write allocated.
-	edit *edit
-	// lines memoizes how each view renders tup (see viewLine). A node
-	// rebuilt around the same row — a rotation, a copied path — starts
-	// with the memo of the node it replaces, so a row renders once per
-	// view for as long as it is stored, not once per version.
-	lines atomic.Pointer[viewLine]
+// Row is a stored row, in 32 bytes: an immutable tuple together with the
+// memo of how each view sees it. A write stores a new Row; every tree
+// version, every recorded effect and every redone step that holds the row
+// shares the one record, and with it the memo.
+type Row struct {
+	tup data.Tuple
+	// views memoizes each view's selection verdict on tup (see rowView),
+	// so a row's selections run once per view for as long as it is
+	// stored, not once per version.
+	views atomic.Pointer[rowView]
 }
 
-// edit is a transient instance's edit token. Only its address matters;
-// the field keeps tokens distinct (pointers to zero-size values need not
-// be).
-type edit struct{ _ byte }
+// Tuple returns the row's tuple, nil for a nil row. It is the instance's
+// own: callers must not modify it.
+func (r *Row) Tuple() data.Tuple {
+	if r == nil {
+		return nil
+	}
+	return r.tup
+}
+
+// Key returns the row's key, its first value.
+func (r *Row) Key() data.Value { return r.tup[0] }
+
+// pnode is a tree node: 32 bytes, a row pointer, two links and one word
+// holding the node's height and the token of the edit that allocated it.
+type pnode struct {
+	row         *Row
+	left, right *pnode
+	// meta is the height in its low heightBits bits and the edit token
+	// above them; a node a persistent write allocated has token 0.
+	meta uint64
+}
+
+const heightBits = 8
+
+// edit is a transient instance's edit token, unique per token ever
+// handed out; 0 is no token (a persistent write).
+type edit uint64
+
+// editTokens hands out edit tokens.
+var editTokens atomic.Uint64
+
+// newEdit returns a token no node carries yet.
+func newEdit() edit { return edit(editTokens.Add(1)) }
 
 // owns reports whether n may be rewritten in place by a write under ed:
 // ed is a live token and tagged n.
-func (ed *edit) owns(n *pnode) bool { return ed != nil && n.edit == ed }
+func (ed edit) owns(n *pnode) bool { return ed != 0 && n.meta>>heightBits == uint64(ed) }
+
+// node returns a node of height h holding row between l and r, tagged
+// with ed.
+func (ed edit) node(row *Row, l, r *pnode, h int) *pnode {
+	return &pnode{row: row, left: l, right: r, meta: uint64(ed)<<heightBits | uint64(h)}
+}
 
 func height(n *pnode) int {
 	if n == nil {
 		return 0
 	}
-	return n.h
+	return int(n.meta & (1<<heightBits - 1))
 }
 
-// mk builds a node holding src's row, with its rendered lines, between l
-// and r. A src that ed owns is that node, relinked in place. Each write
-// passes a node as src at most once, after reading its links, and drops
-// it from its old position, so relinking it cannot disturb the tree.
-func (ed *edit) mk(l, src, r *pnode) *pnode {
-	h := height(l)
-	if hr := height(r); hr > h {
-		h = hr
-	}
+// mk builds a node holding src's row between l and r. A src that ed owns
+// is that node, relinked in place. Each write passes a node as src at most
+// once, after reading its links, and drops it from its old position, so
+// relinking it cannot disturb the tree.
+func (ed edit) mk(l, src, r *pnode) *pnode {
+	h := max(height(l), height(r)) + 1
 	if ed.owns(src) {
-		src.left, src.right, src.h = l, r, h+1
+		src.left, src.right = l, r
+		src.meta = src.meta&^(1<<heightBits-1) | uint64(h)
 		return src
 	}
-	n := &pnode{tup: src.tup, left: l, right: r, h: h + 1, edit: ed}
-	if lines := src.lines.Load(); lines != nil {
-		n.lines.Store(lines)
-	}
-	return n
+	return ed.node(src.row, l, r, h)
 }
 
 // bal is mk that restores the balance invariant after one side changed
 // height by at most one.
-func (ed *edit) bal(l, src, r *pnode) *pnode {
+func (ed edit) bal(l, src, r *pnode) *pnode {
 	hl, hr := height(l), height(r)
 	switch {
 	case hl > hr+2:
@@ -101,8 +128,8 @@ func (ed *edit) bal(l, src, r *pnode) *pnode {
 	return ed.mk(l, src, r)
 }
 
-// get returns the row with key k.
-func (r prel) get(k data.Value) (data.Tuple, bool) {
+// get returns the row with key k, nil when absent.
+func (r prel) get(k data.Value) *Row {
 	n := r.root
 	for n != nil {
 		switch c := compare(k, n.key()); {
@@ -111,24 +138,23 @@ func (r prel) get(k data.Value) (data.Tuple, bool) {
 		case c > 0:
 			n = n.right
 		default:
-			return n.tup, true
+			return n.row
 		}
 	}
-	return nil, false
+	return nil
 }
 
 // key returns the node's key, the first value of its row.
-func (n *pnode) key() data.Value { return n.tup[0] }
+func (n *pnode) key() data.Value { return n.row.tup[0] }
 
 // compare orders keys with one comparison per tree level, where k < n.key()
 // and then k > n.key() would make two.
 func compare(a, b data.Value) int { return strings.Compare(string(a), string(b)) }
 
-// with returns the relation with row t stored under its key k, replacing
-// any row with that key. The write is made under ed (nil: path-copying
-// only).
-func (r prel) with(k data.Value, t data.Tuple, ed *edit) prel {
-	root, added := ed.insert(r.root, k, t)
+// with returns the relation with row t stored under its key, replacing any
+// row with that key. The write is made under ed (0: path-copying only).
+func (r prel) with(t *Row, ed edit) prel {
+	root, added := ed.insert(r.root, t.Key(), t)
 	if added {
 		r.n++
 	}
@@ -136,9 +162,9 @@ func (r prel) with(k data.Value, t data.Tuple, ed *edit) prel {
 	return r
 }
 
-func (ed *edit) insert(n *pnode, k data.Value, t data.Tuple) (*pnode, bool) {
+func (ed edit) insert(n *pnode, k data.Value, t *Row) (*pnode, bool) {
 	if n == nil {
-		return &pnode{tup: t, h: 1, edit: ed}, true
+		return ed.node(t, nil, nil, 1), true
 	}
 	switch c := compare(k, n.key()); {
 	case c < 0:
@@ -149,19 +175,17 @@ func (ed *edit) insert(n *pnode, k data.Value, t data.Tuple) (*pnode, bool) {
 		return ed.bal(n.left, n, r), added
 	}
 	if ed.owns(n) {
-		// A new row: the lines rendered for the old one no longer hold.
-		n.tup = t
-		n.lines.Store(nil)
+		n.row = t
 		return n, false
 	}
-	return &pnode{tup: t, left: n.left, right: n.right, h: n.h, edit: ed}, false
+	return ed.node(t, n.left, n.right, height(n)), false
 }
 
 // without returns the relation with the row of key k removed, and whether
 // it was present. An absent key returns the receiver unchanged. The write
-// is made under ed (nil: path-copying only).
-func (r prel) without(k data.Value, ed *edit) (prel, bool) {
-	if _, ok := r.get(k); !ok {
+// is made under ed (0: path-copying only).
+func (r prel) without(k data.Value, ed edit) (prel, bool) {
+	if r.get(k) == nil {
 		return r, false
 	}
 	r.root = ed.remove(r.root, k)
@@ -169,7 +193,7 @@ func (r prel) without(k data.Value, ed *edit) (prel, bool) {
 	return r, true
 }
 
-func (ed *edit) remove(n *pnode, k data.Value) *pnode {
+func (ed edit) remove(n *pnode, k data.Value) *pnode {
 	switch c := compare(k, n.key()); {
 	case c < 0:
 		return ed.bal(ed.remove(n.left, k), n, n.right)
@@ -189,7 +213,7 @@ func (ed *edit) remove(n *pnode, k data.Value) *pnode {
 	return ed.bal(n.left, m, ed.removeMin(n.right))
 }
 
-func (ed *edit) removeMin(n *pnode) *pnode {
+func (ed edit) removeMin(n *pnode) *pnode {
 	if n.left == nil {
 		return n.right
 	}
@@ -202,7 +226,7 @@ func (r prel) each(fn func(data.Tuple) bool) bool { return walk(r.root, fn) }
 
 func walk(n *pnode, fn func(data.Tuple) bool) bool {
 	for n != nil {
-		if !walk(n.left, fn) || !fn(n.tup) {
+		if !walk(n.left, fn) || !fn(n.row.tup) {
 			return false
 		}
 		n = n.right

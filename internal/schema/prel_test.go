@@ -4,9 +4,28 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"collabwf/internal/data"
 )
+
+// What each stored row costs: a tree node is a row pointer, two links and
+// one word of height and edit token; a row record is its tuple and its
+// memo head; a view's memo of a row is two pointers and two flags.
+func TestStoredSizes(t *testing.T) {
+	for _, c := range []struct {
+		what      string
+		got, want uintptr
+	}{
+		{"tree node", unsafe.Sizeof(pnode{}), 32},
+		{"row record", unsafe.Sizeof(Row{}), 32},
+		{"row memo", unsafe.Sizeof(rowView{}), 24},
+	} {
+		if c.got != c.want {
+			t.Errorf("a %s takes %d bytes, want %d", c.what, c.got, c.want)
+		}
+	}
+}
 
 // checkTree verifies the persistent tree's invariants: keys strictly
 // ascending in order, stored heights exact, sibling heights within 2, and
@@ -30,10 +49,10 @@ func checkTree(t *testing.T, r prel) {
 		if hl-hr > 2 || hr-hl > 2 {
 			t.Fatalf("unbalanced at %s: heights %d/%d", n.key(), hl, hr)
 		}
-		if h := max(hl, hr) + 1; n.h != h {
-			t.Fatalf("stale height at %s: %d, want %d", n.key(), n.h, h)
+		if h := max(hl, hr) + 1; height(n) != h {
+			t.Fatalf("stale height at %s: %d, want %d", n.key(), height(n), h)
 		}
-		return n.h
+		return height(n)
 	}
 	rec(r.root)
 	if count != r.n {

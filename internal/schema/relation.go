@@ -8,10 +8,10 @@ package schema
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"collabwf/internal/cond"
 	"collabwf/internal/data"
+	"collabwf/internal/jsonw"
 )
 
 // Relation is a relation schema: a name and a sequence of distinct
@@ -22,9 +22,14 @@ type Relation struct {
 	pos   map[data.Attr]int
 }
 
+// MaxArity is the largest arity a relation may have, key included: a
+// recorded effect names the attributes it filled as a 64-bit mask.
+const MaxArity = 64
+
 // NewRelation builds a relation schema. The key attribute K is added
 // implicitly as the first attribute if not given first; attributes must be
-// distinct and may not include K anywhere but first.
+// distinct and may not include K anywhere but first, and there may be at
+// most MaxArity of them, K included.
 func NewRelation(name string, attrs ...data.Attr) (*Relation, error) {
 	if name == "" {
 		return nil, fmt.Errorf("schema: relation needs a name")
@@ -34,6 +39,9 @@ func NewRelation(name string, attrs ...data.Attr) (*Relation, error) {
 		all = append(all, data.KeyAttr)
 	}
 	all = append(all, attrs...)
+	if len(all) > MaxArity {
+		return nil, fmt.Errorf("schema: relation %s: %d attributes, at most %d allowed", name, len(all), MaxArity)
+	}
 	pos := make(map[data.Attr]int, len(all))
 	for i, a := range all {
 		if _, dup := pos[a]; dup {
@@ -83,11 +91,16 @@ func (r *Relation) String() string {
 	return s + ")"
 }
 
+// RelID is a relation's handle in its database: its position among the
+// sorted relation names (Database.Names).
+type RelID int32
+
 // Database is a global database schema: a finite set of relation schemas.
 type Database struct {
 	rels  map[string]*Relation
 	names []string
 	idx   map[string]int // position of each relation in names
+	byID  []*Relation    // the relations in the order of names
 }
 
 // NewDatabase builds a database schema from relation schemas with distinct
@@ -105,6 +118,7 @@ func NewDatabase(rels ...*Relation) (*Database, error) {
 	d.idx = make(map[string]int, len(d.names))
 	for i, n := range d.names {
 		d.idx[n] = i
+		d.byID = append(d.byID, d.rels[n])
 	}
 	return d, nil
 }
@@ -123,6 +137,15 @@ func (d *Database) Relation(name string) *Relation { return d.rels[name] }
 
 // Names returns the relation names in sorted order.
 func (d *Database) Names() []string { return d.names }
+
+// ID returns the handle of the named relation, if present.
+func (d *Database) ID(name string) (RelID, bool) {
+	i, ok := d.idx[name]
+	return RelID(i), ok
+}
+
+// RelationAt returns the schema of the relation with handle id.
+func (d *Database) RelationAt(id RelID) *Relation { return d.byID[id] }
 
 // Size returns the number of relations.
 func (d *Database) Size() int { return len(d.rels) }
@@ -251,27 +274,46 @@ func (v *View) Project(t data.Tuple) data.Tuple {
 	return out
 }
 
-// render returns the line I@p prints for a selected full tuple t over R:
-// "R@p" followed by the projection of t, as data.Tuple.String renders it.
-func (v *View) render(t data.Tuple) string {
+// lineLen returns the length of the line I@p prints for a selected full
+// tuple t over R: "R@p" followed by the projection of t, as
+// data.Tuple.String renders it.
+func (v *View) lineLen(t data.Tuple) int {
 	n := len(v.Rel.Name) + 1 + len(v.Peer) + 2*len(v.srcIdx)
 	for _, src := range v.srcIdx {
 		n += len(t[src])
 	}
-	var b strings.Builder
-	b.Grow(n)
-	b.WriteString(v.Rel.Name)
-	b.WriteByte('@')
-	b.WriteString(string(v.Peer))
-	b.WriteByte('(')
+	return n
+}
+
+// appendLine appends t's line, of lineLen(t) bytes, to dst.
+func (v *View) appendLine(dst []byte, t data.Tuple) []byte {
+	dst = append(dst, v.Rel.Name...)
+	dst = append(dst, '@')
+	dst = append(dst, v.Peer...)
 	for i, src := range v.srcIdx {
-		if i > 0 {
-			b.WriteString(", ")
+		if i == 0 {
+			dst = append(dst, '(')
+		} else {
+			dst = append(dst, ", "...)
 		}
-		b.WriteString(string(t[src]))
+		dst = append(dst, t[src]...)
 	}
-	b.WriteByte(')')
-	return b.String()
+	return append(dst, ')')
+}
+
+// plain reports whether t's line goes verbatim into a JSON string (see
+// jsonw.Plain). Its pieces are checked one by one: every byte between two
+// values is ASCII, so no rune spans two of them.
+func (v *View) plain(t data.Tuple) bool {
+	if !jsonw.Plain(v.Rel.Name) || !jsonw.Plain(string(v.Peer)) {
+		return false
+	}
+	for _, src := range v.srcIdx {
+		if !jsonw.Plain(string(t[src])) {
+			return false
+		}
+	}
+	return true
 }
 
 // Pos returns the position in R of the view's i-th attribute.

@@ -111,7 +111,7 @@ func seededRun(t testing.TB, p *program.Program, name string, seed int64, steps 
 
 // Every peer's view at every step of seeded runs of the shipped specs
 // renders, through String and WriteJSON, exactly as the reference does —
-// on first render and again from the memoized lines.
+// on first render and again from the rows' memos.
 func TestViewStringMatchesOracle(t *testing.T) {
 	for _, name := range []string{"hiring", "crowdsourcing", "review"} {
 		p := loadProgram(t, name)
@@ -246,7 +246,8 @@ func TestViewRenderConcurrent(t *testing.T) {
 
 // BenchmarkViewRender renders the platform's view of a 2100-event
 // crowdsourcing run (300 tasks): first renders fill the row memos, every
-// later one walks the tree and copies the memoized lines.
+// later one walks the tree and writes each visible row's line from its
+// values.
 func BenchmarkViewRender(b *testing.B) {
 	p := loadProgram(b, "crowdsourcing")
 	r := program.NewRun(p)

@@ -1,6 +1,7 @@
 package schema
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -43,6 +44,25 @@ func TestNewRelationErrors(t *testing.T) {
 	}
 	if _, err := NewRelation("R", "A", data.KeyAttr); err == nil {
 		t.Fatal("misplaced key must fail")
+	}
+}
+
+// A relation has at most MaxArity attributes, the key included: an effect
+// names the attributes it filled as a 64-bit mask.
+func TestNewRelationArityLimit(t *testing.T) {
+	attrs := func(n int) []data.Attr {
+		out := make([]data.Attr, n)
+		for i := range out {
+			out[i] = data.Attr(fmt.Sprintf("A%d", i))
+		}
+		return out
+	}
+	if r, err := NewRelation("Wide", attrs(MaxArity-1)...); err != nil || r.Arity() != MaxArity {
+		t.Fatalf("%d attributes and the key: %v, %v", MaxArity-1, r, err)
+	}
+	_, err := NewRelation("Wide", attrs(MaxArity)...)
+	if err == nil || !strings.Contains(err.Error(), "relation Wide") || !strings.Contains(err.Error(), "65 attributes") {
+		t.Fatalf("%d attributes and the key: error %v, want one naming Wide and its 65 attributes", MaxArity, err)
 	}
 }
 

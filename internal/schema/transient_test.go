@@ -21,6 +21,7 @@ func FuzzTransientRel(f *testing.F) {
 	f.Add([]byte("transient writes never reach a frozen version"))
 	db := MustDatabase(MustRelation("R", "A", "B"), MustRelation("S", "C"))
 	view := MustView(db.Relation("R"), "p", []data.Attr{"A"}, cond.EqConst{Attr: "B", Const: "b1"})
+	id, _ := db.ID("R")
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 400 {
 			ops = ops[:400]
@@ -52,7 +53,7 @@ func FuzzTransientRel(f *testing.F) {
 				}
 				v := versions[int(ops[i+1])%len(versions)].in
 				for _, u := range v.Tuples("R") {
-					tr.Adopt("R", u)
+					tr.Adopt(id, v.Row(id, u.Key()))
 					oracle.MustPut("R", u)
 					break
 				}
@@ -87,11 +88,13 @@ func FuzzTransientRel(f *testing.F) {
 	})
 }
 
-// renderLines renders R's rows through v's memoized lines, the way a view
+// renderLines renders R's rows through their memos for v, the way a view
 // render reads them.
 func renderLines(in *Instance, v *View) string {
 	var out string
-	walkLines(in.rels[in.db.idx["R"]].root, v, nil, func(l *viewLine) { out += l.line + " " })
+	walkLines(in.rels[in.db.idx["R"]].root, v, nil, func(v *View, t data.Tuple, _ bool) {
+		out += string(v.appendLine(nil, t)) + " "
+	})
 	return out
 }
 
@@ -105,14 +108,15 @@ func TestTransientWritesInPlace(t *testing.T) {
 		base.MustPut("R", data.Tuple{data.Value(fmt.Sprintf("k%02d", i)), "a"})
 	}
 	tr := base.Transient()
-	row := data.Tuple{"k31", "b"}
-	tr.Adopt("R", row)
-	if allocs := testing.AllocsPerRun(10, func() { tr.Adopt("R", row) }); allocs != 0 {
+	id, _ := db.ID("R")
+	row := &Row{tup: data.Tuple{"k31", "b"}}
+	tr.Adopt(id, row)
+	if allocs := testing.AllocsPerRun(10, func() { tr.Adopt(id, row) }); allocs != 0 {
 		t.Fatalf("rewriting an owned path allocated %.0f times, want 0", allocs)
 	}
 	frozen := tr.Clone()
-	tr.Adopt("R", data.Tuple{"k31", "c"})
-	if got, _ := frozen.Get("R", "k31"); !got.Equal(row) {
+	tr.Adopt(id, &Row{tup: data.Tuple{"k31", "c"}})
+	if got, _ := frozen.Get("R", "k31"); !got.Equal(row.tup) {
 		t.Fatalf("frozen version reads %v after a later write, want %v", got, row)
 	}
 	if got, _ := base.Get("R", "k31"); !got.Equal(data.Tuple{"k31", "a"}) {

@@ -114,8 +114,8 @@ type Coordinator struct {
 	// Trace/Len serve without taking mu. Each publication stores the fresh
 	// snapshot before closing its predecessor's next channel, so a Wait
 	// woken with n always observes Len() ≥ n. snapSeq counts publications.
-	// No read result is kept per step: views render from the instance rows'
-	// memoized lines, which live and die with the rows.
+	// No read result is kept per step: views render from the instance's
+	// rows, whose memoized selection verdicts live and die with them.
 	snap    atomic.Pointer[snapshot]
 	snapSeq uint64
 	// done is closed when Close (after its last release) or Crash shuts
@@ -515,8 +515,7 @@ func (c *Coordinator) Explain(peer schema.Peer) (*core.Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	ex := s.exp[peer]
-	return ex.ReportOver(s, ex.Visible()), nil
+	return s.exp[peer].Report(s), nil
 }
 
 // ExplainCtx is Explain as a decision on the request's span, served as the

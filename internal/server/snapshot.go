@@ -97,7 +97,7 @@ func (s *snapshot) Effects(i int) []program.Effect { return s.steps[i].Effects }
 // checked each released event's visibility once, when it stepped over it.
 func (s *snapshot) VisibleAt(i int, p schema.Peer) bool {
 	idxs := s.visibleFrom(p, i)
-	return len(idxs) > 0 && idxs[0] == i
+	return len(idxs) > 0 && int(idxs[0]) == i
 }
 
 // events decodes the captured prefix's event sequence.
@@ -192,8 +192,8 @@ func (c *Coordinator) readSnapshot(peer schema.Peer) (*snapshot, error) {
 }
 
 // viewOf returns the peer's view of in, an instance of the snapshot's
-// prefix: a filter over the instance that renders through its rows'
-// memoized lines, so nothing is kept per step.
+// prefix: a filter over the instance that renders its rows with their
+// memoized selection verdicts, so nothing is kept per step.
 func (s *snapshot) viewOf(in *schema.Instance, peer schema.Peer) *schema.ViewInstance {
 	return schema.ViewOf(in, s.prog.Schema, peer).CountConds(s.cnt)
 }
@@ -223,9 +223,9 @@ func (s *snapshot) notification(peer schema.Peer, idx int, ex []int) Notificatio
 }
 
 // visibleFrom returns the peer's visible event indices ≥ from.
-func (s *snapshot) visibleFrom(peer schema.Peer, from int) []int {
+func (s *snapshot) visibleFrom(peer schema.Peer, from int) []int32 {
 	idxs := s.exp[peer].Visible()
-	return idxs[sort.SearchInts(idxs, from):]
+	return idxs[sort.Search(len(idxs), func(k int) bool { return int(idxs[k]) >= from }):]
 }
 
 // Transitions returns the peer's visible transitions with indices ≥ from
@@ -241,7 +241,8 @@ func (c *Coordinator) Transitions(peer schema.Peer, from int) ([]Notification, i
 	var out []Notification
 	ex := s.exp[peer].Walker()
 	cur := s.cursor()
-	for _, idx := range s.visibleFrom(peer, from) {
+	for _, v := range s.visibleFrom(peer, from) {
+		idx := int(v)
 		n := s.notification(peer, idx, ex.Explain(idx))
 		n.View = s.viewOf(cur.At(idx), peer).String()
 		out = append(out, n)
@@ -252,8 +253,7 @@ func (c *Coordinator) Transitions(peer schema.Peer, from int) ([]Notification, i
 // writeTransitionsJSON streams Transitions' answer as encoding/json
 // encodes map[string]any{"transitions": ts, "len": n}: keys sorted, null
 // for no transitions, a trailing newline. Each view is written straight
-// from its rows' memoized lines, and every explanation is walked with one
-// reused scratch.
+// from its rows, and every explanation is walked with one reused scratch.
 func (s *snapshot) writeTransitionsJSON(w *bufio.Writer, peer schema.Peer, from int) {
 	w.WriteString(`{"len":`)
 	jsonw.WriteInt(w, s.Len())
@@ -266,7 +266,8 @@ func (s *snapshot) writeTransitionsJSON(w *bufio.Writer, peer schema.Peer, from 
 	sep := byte('[')
 	ex := s.exp[peer].Walker()
 	cur := s.cursor()
-	for _, idx := range idxs {
+	for _, v := range idxs {
+		idx := int(v)
 		w.WriteByte(sep)
 		sep = ','
 		n := s.notification(peer, idx, ex.Explain(idx))
